@@ -9,11 +9,13 @@ estimators and decision thresholds its guarantees support:
 - :mod:`vsakit.cbloom`   counting filters; weighted-intersection estimator
 - :mod:`vsakit.hopfield` associative recall and the Hopfield± matrix bundle
 
-plus :mod:`vsakit.sizing` (dimension formulas and empirical calibration) and
+plus :mod:`vsakit.codebook` (seeded atomic vectors of three kinds: dense
+signs, with-replacement sparse binary and exactly-k sparse binary columns),
+:mod:`vsakit.sizing` (dimension formulas and empirical calibration) and
 :mod:`vsakit.harness` (seeded Monte Carlo experiments, CSV output).
 """
 
-from .codebook import Codebook, atomic, hadamard_entry, srht_entry
+from .codebook import Codebook, atomic
 from .hypervector import Hypervector, Rotation, bind, rotate
 from .rng import RNG_VERSION
 from .setalg import (
@@ -43,12 +45,10 @@ __all__ = [
     "atomic",
     "bind",
     "calibrate",
-    "hadamard_entry",
     "intersection_size",
     "l1_distance",
     "rotate",
     "size",
-    "srht_entry",
     "symmetric_difference_size",
     "wedgedot",
     "__version__",

@@ -165,9 +165,13 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
+                threads: bool = False) -> None:
+    """Add --out, plus --seed and --threads where the subcommand reads them."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+    if threads:
+        parser.add_argument("--threads", type=int, default=1, help="worker threads")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--arch", required=True, choices=sorted(_ENCODERS))
     p_enc.add_argument("--codebook", required=True, help="codebook JSON file")
     p_enc.add_argument("--set", required=True, help="SymbolSet JSON file")
-    _add_common(p_enc)
+    _add_common(p_enc, seed=True)
     p_enc.set_defaults(fn=_cmd_encode)
 
     p_query = sub.add_parser("query", help="membership/intersection on bundle files")
@@ -204,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a config JSON, emit aggregated CSV")
     p_exp.add_argument("--config", required=True)
-    _add_common(p_exp)
+    _add_common(p_exp, seed=True, threads=True)
     p_exp.set_defaults(fn=_cmd_experiment)
 
     p_cal = sub.add_parser("calibrate", help="find the empirically minimal dimension")
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--param", action="append", metavar="NAME=VALUE")
     p_cal.add_argument("--target", type=float, required=True, help="target failure rate")
     p_cal.add_argument("--trials", type=int, default=200)
-    _add_common(p_cal)
+    _add_common(p_cal, seed=True)
     p_cal.set_defaults(fn=_cmd_calibrate)
     return parser
 

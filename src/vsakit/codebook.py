@@ -8,19 +8,17 @@ generating each column alone.
 
 Kinds
 -----
+One per codebook family the encodings use.
+
 ``dense-sign``
-    Columns uniform over {-1,+1}^m. Scaled factor 1/sqrt(m).
+    Columns uniform over {-1,+1}^m; MAP-I, MAP-B and Hopfield. Scaled
+    factor 1/sqrt(m).
 ``sparse-binary-trials``
     k uniform index draws with replacement, duplicates collapse; popcount
-    in [1, k]. Scaled factor 1/k.
+    in [1, k]; Bloom filters. Scaled factor 1/k.
 ``sparse-binary-exact``
-    Exactly k distinct uniform indices (partial Fisher-Yates). Scaled 1/k.
-``sparse-jl``
-    k distinct positions holding independent signs. Scaled factor 1/sqrt(k).
-``srht``
-    Column j is Z*H*D applied to e_{j mod m}: H the m x m Hadamard matrix
-    (m a power of two), D a seeded sign diagonal, Z a seeded row subset of
-    size ceil(m/2). Entries in {0,+-1}; scaled factor 1/sqrt(|subset|).
+    Exactly k distinct uniform indices (partial Fisher-Yates); Counting
+    Bloom filters. Scaled 1/k.
 """
 
 from __future__ import annotations
@@ -34,55 +32,9 @@ import numpy as np
 from . import rng
 from .hypervector import Hypervector
 
-KINDS = (
-    "dense-sign",
-    "sparse-binary-trials",
-    "sparse-binary-exact",
-    "srht",
-    "sparse-jl",
-)
+KINDS = ("dense-sign", "sparse-binary-trials", "sparse-binary-exact")
 
-_SPARSE_KINDS = ("sparse-binary-trials", "sparse-binary-exact", "sparse-jl")
-
-
-def hadamard_entry(a: int, b: int) -> int:
-    """Entry (a, b) of the unnormalized Hadamard matrix, zero-based indices."""
-    return 1 - 2 * (bin(a & b).count("1") & 1)
-
-
-def _hadamard_column(m: int, j: int) -> np.ndarray:
-    rows = np.arange(m, dtype=np.uint64)
-    parity = (np.bitwise_count(rows & np.uint64(j)) & 1).astype(np.int8)
-    return 1 - 2 * parity
-
-
-def _srht_diag_sign(m: int, seed: int, j: int) -> int:
-    word = rng.Stream(seed, "srht-diag", m).words(j // 256, (j % 256) // 64 + 1)[-1]
-    return 1 if (int(word) >> (j % 64)) & 1 else -1
-
-
-def _srht_rows(m: int, seed: int) -> np.ndarray:
-    """Sorted row subset kept by Z (size ceil(m/2))."""
-    r = (m + 1) // 2
-    words = rng.Stream(seed, "srht-rows", m).words(0, r)
-    return np.sort(rng.choose_distinct(words, m, r))
-
-
-def srht_entry(m: int, seed: int, i: int, j: int) -> int:
-    """Entry (i, j) of Z*H*D for the seeded SRHT; in {0, -1, +1}.
-
-    H_{ab} = (-1)^popcount(a AND b) on zero-based indices; D is a seeded
-    sign diagonal over input coordinates; Z keeps a seeded uniform subset of
-    ceil(m/2) rows. Columns j >= m wrap to j mod m.
-    """
-    if m < 1 or (m & (m - 1)) != 0:
-        raise ValueError("srht requires m to be a power of two")
-    if not 0 <= i < m:
-        raise IndexError(f"row {i} out of range for m={m}")
-    jp = j % m
-    if i not in set(_srht_rows(m, seed).tolist()):
-        return 0
-    return _srht_diag_sign(m, seed, jp) * hadamard_entry(i, jp)
+_SPARSE_KINDS = ("sparse-binary-trials", "sparse-binary-exact")
 
 
 @dataclass(frozen=True)
@@ -106,8 +58,6 @@ class Codebook:
                 raise ValueError(f"{self.kind} requires sparsity k")
             if not 1 <= self.k <= self.m:
                 raise ValueError("sparsity k must satisfy 1 <= k <= m")
-        if self.kind == "srht" and (self.m & (self.m - 1)) != 0:
-            raise ValueError("srht requires m to be a power of two")
 
     @property
     def key(self) -> tuple:
@@ -146,11 +96,7 @@ class Codebook:
     def _words_per_column(self) -> int:
         if self.kind == "dense-sign":
             return -(-self.m // 64)
-        if self.kind in ("sparse-binary-trials", "sparse-binary-exact"):
-            return self.k
-        if self.kind == "sparse-jl":
-            return self.k + -(-self.k // 64)
-        return 0  # srht columns draw nothing per column
+        return self.k
 
     @cached_property
     def _blocks_per_column(self) -> int:
@@ -166,11 +112,7 @@ class Codebook:
         """Per-kind scaling factor applied when ``scaled`` is set."""
         if self.kind == "dense-sign":
             return 1.0 / np.sqrt(self.m)
-        if self.kind in ("sparse-binary-trials", "sparse-binary-exact"):
-            return 1.0 / self.k
-        if self.kind == "sparse-jl":
-            return 1.0 / np.sqrt(self.k)
-        return 1.0 / np.sqrt((self.m + 1) // 2)
+        return 1.0 / self.k
 
     def _check_symbol(self, j: int) -> None:
         if not 0 <= j < self.d:
@@ -207,7 +149,7 @@ class Codebook:
         words = self._column_words(j, 1)
         if self.kind == "sparse-binary-trials":
             return np.unique(rng.bounded_from_words(words[: self.k], self.m))
-        if self.kind in ("sparse-binary-exact", "sparse-jl"):
+        if self.kind == "sparse-binary-exact":
             return np.sort(rng.choose_distinct(words[: self.k], self.m, self.k))
         raise ValueError(f"{self.kind} columns are not index-sparse")
 
@@ -216,33 +158,13 @@ class Codebook:
         self._check_symbol(j)
         if self.kind == "dense-sign":
             return self.sign_matrix(j, j + 1)[:, 0]
-        if self.kind in ("sparse-binary-trials", "sparse-binary-exact"):
-            col = np.zeros(self.m, dtype=np.int8)
-            col[self.column_indices(j)] = 1
-            return col
-        if self.kind == "sparse-jl":
-            words = self._column_words(j, 1)
-            idx = rng.choose_distinct(words[: self.k], self.m, self.k)
-            signs = rng.signs_from_words(
-                words[self.k : self.k + -(-self.k // 64)], self.k
-            )[:, 0]
-            col = np.zeros(self.m, dtype=np.int8)
-            col[idx] = signs
-            return col
-        # srht
-        jp = j % self.m
         col = np.zeros(self.m, dtype=np.int8)
-        rows = _srht_rows(self.m, self.seed)
-        col[rows] = _hadamard_column(self.m, jp)[rows]
-        return col * np.int8(_srht_diag_sign(self.m, self.seed, jp))
+        col[self.column_indices(j)] = 1
+        return col
 
     def domain(self) -> str:
         """Domain tag of unscaled atomic columns."""
-        if self.kind == "dense-sign":
-            return "sign"
-        if self.kind in ("sparse-binary-trials", "sparse-binary-exact"):
-            return "binary"
-        return "integer"  # {0,+-1} entries
+        return "sign" if self.kind == "dense-sign" else "binary"
 
 
 def atomic(cb: Codebook, j: int) -> Hypervector:

@@ -42,10 +42,6 @@ COLUMNS = (
     "rng_version", "error",
 )
 
-#: Exact-oracle instances larger than this are refused.
-ORACLE_STATE_LIMIT = 2**24
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     estimate: float
@@ -130,21 +126,13 @@ def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y:
     return x, y
 
 
-def _int_params(cell: dict, *names: str) -> list[int]:
+def _params(cell: dict, cast, *names: str) -> list:
+    """The named cell parameters passed through ``cast`` (int or float)."""
     out = []
     for name in names:
         if name not in cell:
             raise ValueError(f"task needs parameter {name!r}")
-        out.append(int(cell[name]))
-    return out
-
-
-def _float_params(cell: dict, *names: str) -> list[float]:
-    out = []
-    for name in names:
-        if name not in cell:
-            raise ValueError(f"task needs parameter {name!r}")
-        out.append(float(cell[name]))
+        out.append(cast(cell[name]))
     return out
 
 
@@ -152,8 +140,8 @@ def _float_params(cell: dict, *names: str) -> list[float]:
 
 
 def _trial_mapi_norm(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d = _int_params(cell, "m", "n", "d")
-    (eps,) = _float_params(cell, "eps")
+    m, n, d = _params(cell, int, "m", "n", "d")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     v = SymbolSet.from_ids(d, _draw_subset(seed, "set", d, n).tolist())
     est = mapi.norm_sq_estimate(mapi.bundle(cb, v))
@@ -162,7 +150,7 @@ def _trial_mapi_norm(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:
-    m, d, pairs, n_x, n_y, n_common = _int_params(cell, "m", "d", "M", "n_x", "n_y", "n")
+    m, d, pairs, n_x, n_y, n_common = _params(cell, int, "m", "d", "M", "n_x", "n_y", "n")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     worst = 0.0
     all_exact = True
@@ -176,8 +164,8 @@ def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapi_sequence(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d, L = _int_params(cell, "m", "n", "d", "L")
-    (eps,) = _float_params(cell, "eps")
+    m, n, d, L = _params(cell, int, "m", "n", "d", "L")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     sets = [
         SymbolSet.from_ids(d, _draw_subset(seed, f"set{ell}", d, n).tolist())
@@ -191,8 +179,8 @@ def _trial_mapi_sequence(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapi_sequence_symbols(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d, L, K = _int_params(cell, "m", "n", "d", "L", "K")
-    (eps,) = _float_params(cell, "eps")
+    m, n, d, L, K = _params(cell, int, "m", "n", "d", "L", "K")
+    (eps,) = _params(cell, float, "eps")
     if K > L:
         raise ValueError("overlap K cannot exceed sequence length L")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
@@ -221,9 +209,9 @@ def _random_edges(seed: int, d: int, count: int, arity: int) -> setalg.BindingBu
 
 
 def _trial_mapi_binding(cell: dict, seed: int) -> TrialOutcome:
-    m, d, edges = _int_params(cell, "m", "d", "E")
+    m, d, edges = _params(cell, int, "m", "d", "E")
     arity = int(cell.get("arity", 2))
-    (eps,) = _float_params(cell, "eps")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     spec = _random_edges(seed, d, edges, arity)
     est = mapi.norm_sq_estimate(mapi.encode_binding_bundle(cb, spec))
@@ -232,8 +220,8 @@ def _trial_mapi_binding(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d = _int_params(cell, "m", "n", "d")
-    (delta,) = _float_params(cell, "delta")
+    m, n, d = _params(cell, int, "m", "n", "d")
+    (delta,) = _params(cell, float, "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
     stored = set(_draw_subset(seed, "set", d, n).tolist())
     b = mapb.bundle_sign(cb, SymbolSet.from_ids(d, stored), tie_seed=seed)
@@ -244,8 +232,8 @@ def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d, L = _int_params(cell, "m", "n", "d", "L")
-    (delta,) = _float_params(cell, "delta")
+    m, n, d, L = _params(cell, int, "m", "n", "d", "L")
+    (delta,) = _params(cell, float, "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
     slots = _draw_subset(seed, "slots", L * d, n)  # distinct (position, symbol)
     members: list[list[int]] = [[] for _ in range(L)]
@@ -262,8 +250,8 @@ def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d = _int_params(cell, "m", "n", "d")
-    (delta,) = _float_params(cell, "delta")
+    m, n, d = _params(cell, int, "m", "n", "d")
+    (delta,) = _params(cell, float, "delta")
     half = d // 2
     if n > half:
         raise ValueError("need n <= d/2 keys")
@@ -283,8 +271,8 @@ def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_empty_intersection(cell: dict, seed: int) -> TrialOutcome:
-    m, d, nx, ny, overlap = _int_params(cell, "m", "d", "nx", "ny", "n")
-    (delta,) = _float_params(cell, "delta")
+    m, d, nx, ny, overlap = _params(cell, int, "m", "d", "nx", "ny", "n")
+    (delta,) = _params(cell, float, "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
     x, y = _overlapping_pair(seed, "sets", d, overlap, nx - overlap, ny - overlap)
     bx = mapb.bundle_sign(cb, x, tie_seed=seed)
@@ -295,7 +283,7 @@ def _trial_mapb_empty_intersection(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_depth(cell: dict, seed: int) -> TrialOutcome:
-    m, r = _int_params(cell, "m", "L")  # chain depth rides in the L column
+    m, r = _params(cell, int, "m", "L")  # chain depth rides in the L column
     cb = Codebook("dense-sign", m, max(r, 1), seed=seed)
     vectors = [Hypervector(cb.column_ints(j), "sign") for j in range(r)]
     chained = mapb.iterated_bundle(vectors, tie_seed=seed, codebook=cb)
@@ -307,8 +295,8 @@ def _trial_mapb_depth(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_bloom_size(cell: dict, seed: int) -> TrialOutcome:
-    m, k, n, d = _int_params(cell, "m", "k", "n", "d")
-    (eps,) = _float_params(cell, "eps")
+    m, k, n, d = _params(cell, int, "m", "k", "n", "d")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("sparse-binary-trials", m, d, k=k, seed=seed)
     v = SymbolSet.from_ids(d, _draw_subset(seed, "set", d, n).tolist())
     est = bloom.size_estimate(bloom.bundle_bloom(cb, v))
@@ -317,8 +305,8 @@ def _trial_bloom_size(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_bloom_intersection(cell: dict, seed: int) -> TrialOutcome:
-    m, k, d, n, n_v, n_w = _int_params(cell, "m", "k", "d", "n", "n_v", "n_w")
-    (eps,) = _float_params(cell, "eps")
+    m, k, d, n, n_v, n_w = _params(cell, int, "m", "k", "d", "n", "n_v", "n_w")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("sparse-binary-trials", m, d, k=k, seed=seed)
     x, y = _overlapping_pair(seed, "sets", d, n, n_v, n_w)
     est = bloom.intersection_estimate(bloom.bundle_bloom(cb, x), bloom.bundle_bloom(cb, y))
@@ -342,7 +330,7 @@ def _cbloom_instance(cell: dict, seed: int):
     The common (wedge) part carries identical weights in both sets, so the
     difference masses are exactly n_v and n_w.
     """
-    d, n_v, n_w = _int_params(cell, "d", "n_v", "n_w")
+    d, n_v, n_w = _params(cell, int, "d", "n_v", "n_w")
     peak = int(cell.get("K_b", 1))
     common = int(cell.get("n", 0))
     parts = [_mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)]
@@ -356,8 +344,8 @@ def _cbloom_instance(cell: dict, seed: int):
 
 
 def _trial_cbloom_intersection(cell: dict, seed: int) -> TrialOutcome:
-    m, k = _int_params(cell, "m", "k")
-    (eps,) = _float_params(cell, "eps")
+    m, k = _params(cell, int, "m", "k")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("sparse-binary-exact", m, int(cell["d"]), k=k, seed=seed)
     v, w = _cbloom_instance(cell, seed)
     est = cbloom.generalized_intersection_estimate(
@@ -369,8 +357,8 @@ def _trial_cbloom_intersection(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_cbloom_l1(cell: dict, seed: int) -> TrialOutcome:
-    m, k = _int_params(cell, "m", "k")
-    (eps,) = _float_params(cell, "eps")
+    m, k = _params(cell, int, "m", "k")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("sparse-binary-exact", m, int(cell["d"]), k=k, seed=seed)
     v, w = _cbloom_instance(cell, seed)
     est = cbloom.l1_distance_estimate(
@@ -382,7 +370,7 @@ def _trial_cbloom_l1(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _hopfield_patterns(cell: dict, seed: int):
-    m, n = _int_params(cell, "m", "n")
+    m, n = _params(cell, int, "m", "n")
     cb = Codebook("dense-sign", m, n, seed=seed)
     return [Hypervector(cb.column_ints(j), "sign") for j in range(n)]
 
@@ -416,8 +404,8 @@ def _trial_hopfield_kv_recall(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_hpm(cell: dict, seed: int, dot: bool) -> TrialOutcome:
-    m, d, support = _int_params(cell, "m", "d", "n")
-    (eps,) = _float_params(cell, "eps")
+    m, d, support = _params(cell, int, "m", "d", "n")
+    (eps,) = _params(cell, float, "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     x_ids = _draw_subset(seed, "suppX", d, support)
     bx = hopfield.hpm_encode(cb, {int(i): 1.0 for i in x_ids}, d_seed=seed)
@@ -477,7 +465,7 @@ def trial_records(config: ExperimentConfig, cell: dict) -> list[TrialRecord]:
 
 
 def oracle_check(arch: str, task: str, instance: dict):
-    """Exact ground truth for small instances (enumeration bounded by 2^24)."""
+    """Exact ground truth for small instances (see mapb.ENUMERATION_STATE_LIMIT)."""
     if arch == "setalg":
         a = SymbolSet.from_json_obj(instance["a"])
         b = SymbolSet.from_json_obj(instance["b"])
@@ -491,15 +479,9 @@ def oracle_check(arch: str, task: str, instance: dict):
             raise ValueError(f"unknown setalg oracle {task!r}")
         return fn(a, b)
     if arch == "mapb" and task == "agreement":
-        n = int(instance["n"])
-        if 2 ** (n - 1) > ORACLE_STATE_LIMIT:
-            raise ValueError(f"enumeration for n={n} exceeds the 2^24 state bound")
-        return mapb.agreement_probability(n)
+        return mapb.agreement_probability(int(instance["n"]))
     if arch == "mapb" and task == "chain-agreement":
-        r = int(instance["r"])
-        if 2**r > ORACLE_STATE_LIMIT:
-            raise ValueError(f"enumeration for r={r} exceeds the 2^24 state bound")
-        return mapb.chain_agreement_probability(r)
+        return mapb.chain_agreement_probability(int(instance["r"]))
     raise ValueError(f"no exact oracle for ({arch!r}, {task!r})")
 
 
@@ -517,7 +499,6 @@ def _fmt(value) -> str:
 def _run_cell(config: ExperimentConfig, cell: dict) -> dict:
     failures = 0
     errs: list[float] = []
-    error = ""
     try:
         for t in range(config.trials):
             outcome = run_trial(config.arch, config.task, cell,
@@ -526,7 +507,7 @@ def _run_cell(config: ExperimentConfig, cell: dict) -> dict:
             errs.append(outcome.abs_err)
     except (ValueError, IndexError) as bad:
         return {"cell": cell, "failures": 0, "errs": [], "error": str(bad)}
-    return {"cell": cell, "failures": failures, "errs": errs, "error": error}
+    return {"cell": cell, "failures": failures, "errs": errs, "error": ""}
 
 
 def _row(config: ExperimentConfig, agg: dict) -> list[str]:

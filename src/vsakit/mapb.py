@@ -1,10 +1,11 @@
 """MAP-B: sign-thresholded bundling and its threshold decision tests.
 
-Bundles are sign(S v) with zero sums resolved by a seeded fair coin, so all
-composite vectors stay in {-1,+1}^m. The paper-backed guarantees are
-decision tests (membership, sequence membership, key-value membership,
-empty-intersection), not size estimation; each test compares a dot product
-against a closed-form threshold.
+Bundles are sign(S v) of the MAP-I sums (:mod:`vsakit.mapi`) with zero
+sums resolved by a seeded fair coin, so all composite vectors stay in
+{-1,+1}^m. The paper-backed guarantees are decision tests (membership,
+sequence membership, key-value membership, empty-intersection), not size
+estimation; each test compares a dot product against a closed-form
+threshold.
 
 ``agreement_probability`` is the exact enumeration oracle for the
 per-coordinate agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained
@@ -20,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rng
+from . import mapi, rng
 from .codebook import Codebook
 from .hypervector import Hypervector
-from .setalg import SequenceSpec, SymbolSet, require_flat
+from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, require_flat
 from .sizing import SizingResult, check_rates, constants_for, require
 
 #: Exhaustive enumeration refuses instances beyond this many states.
@@ -124,16 +125,9 @@ def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapB
     """sign(S v) for a 0/1 set; zero coordinates get a seeded fair coin."""
     _require_dense(cb)
     require_flat(v)
-    if v.d != cb.d:
-        raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
     if tie_seed is None:
         tie_seed = _default_tie_seed(v)
-    ids = np.fromiter(v.entries.keys(), dtype=np.int64)
-    sums = (
-        cb.sign_columns(ids).astype(np.int64).sum(axis=1)
-        if ids.size
-        else np.zeros(cb.m, dtype=np.int64)
-    )
+    sums = mapi.bundle(cb, v).ints
     return MapBBundle(_sign_with_ties(sums, cb.seed, tie_seed, 0), cb, tie_seed)
 
 
@@ -150,29 +144,21 @@ def bundle_sequence_sign(
         tie_seed = rng.stream_id(
             "tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries))
         )
-    sums = np.zeros(cb.m, dtype=np.int64)
-    for ell, s in enumerate(seq.sets):
-        if s.entries:
-            ids = np.fromiter(s.entries.keys(), dtype=np.int64)
-            sums += np.roll(
-                cb.sign_columns(ids).astype(np.int64).sum(axis=1), -(ell % cb.m)
-            )
+    sums = mapi.encode_sequence(cb, seq).ints
     return MapBBundle(
         _sign_with_ties(sums, cb.seed, tie_seed, 0), cb, tie_seed, kind="sequence", L=seq.L
     )
 
 
 def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None) -> MapBBundle:
-    """sign(S^(2) v) over bound key-value pairs."""
+    """sign(S^(2) v) over bound key-value pairs, each pair a 2-edge."""
     _require_dense(cb)
     if spec.d != cb.d:
         raise ValueError(f"pair universe {spec.d} != codebook universe {cb.d}")
     if tie_seed is None:
         tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
-    sums = np.zeros(cb.m, dtype=np.int64)
-    for q, w in spec.pairs:
-        cols = cb.sign_columns([q, w]).astype(np.int64)
-        sums += cols[:, 0] * cols[:, 1]
+    edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
+    sums = mapi.encode_binding_bundle(cb, edges).ints
     return MapBBundle(
         _sign_with_ties(sums, cb.seed, tie_seed, 0),
         cb,
@@ -310,21 +296,15 @@ def agreement_probability(n: int) -> Fraction:
 
 
 def chain_agreement_probability(r: int) -> Fraction:
-    """Exact Pr[x^(1)_l x_l = +1] after r-deep chained bundling.
+    """Exact Pr[x^(1)_l x_l = +1] after r-deep chained bundling: 1/2 + 2^-r.
 
-    Dynamic program over the distribution of the running agreement sign,
-    enumerating sign/tie branches at each fold step.
+    Each fold sign(cur + fresh) keeps an agreeing coordinate w.p. 3/4 (fresh
+    agrees, or a fair coin breaks the tie) and restores a disagreeing one
+    w.p. 1/4, so p - 1/2 halves per step from p = 1 at depth 1.
     """
     if r < 1:
         raise ValueError("chain depth must be >= 1")
-    p_plus = Fraction(1)  # depth 1: x equals x^(1)
-    for _ in range(r - 1):
-        # next = sign(cur + fresh); fresh is +-1 w.p. 1/2, tie is a fair coin
-        p_plus = p_plus * (Fraction(1, 2) + Fraction(1, 4)) + (1 - p_plus) * Fraction(1, 4)
-    return p_plus
-
-
-_TASKS = ("member", "sequence-member", "kv-member", "empty-intersection")
+    return Fraction(1, 2) + Fraction(1, 2**r)
 
 
 def sizing_mapb(
@@ -345,8 +325,6 @@ def sizing_mapb(
     kv-member          m = C n ln(d/delta)
     empty-intersection m = C ln(1/delta) nx ny
     """
-    if task not in _TASKS:
-        raise ValueError(f"unknown mapb sizing task {task!r}")
     formula = f"mapb.{task}"
     consts = constants_for(formula, {"C": C})
     check_rates(delta=delta)

@@ -144,9 +144,6 @@ def encode_binding_bundle(cb: Codebook, spec: BindingBundleSpec) -> MapIBundle:
     return MapIBundle(ints, cb, cb.scaled)
 
 
-_TASKS = ("norm", "pairs", "sequence", "sequence-symbols", "binding2", "bindingK")
-
-
 def sizing_mapi(
     task: str,
     *,
@@ -170,8 +167,6 @@ def sizing_mapi(
     binding2           m = C eps^-2 ln(v_l1/(eps delta))^3
     bindingK           m = C eps^-2 base^(k ln k) ln(k v_l1/(eps delta))^(k+1)
     """
-    if task not in _TASKS:
-        raise ValueError(f"unknown mapi sizing task {task!r}")
     formula = f"mapi.{task}"
     consts = constants_for(formula, {"C": C} if task != "bindingK" else {"C": C, "base": base})
     params = {"eps": eps, "delta": delta, "N": N, "M": M, "L": L, "K": K, "k": k, "v_l1": v_l1}

@@ -83,11 +83,6 @@ def signs_from_words(words: np.ndarray, rows: int, ncols: int = 1) -> np.ndarray
     return ((bits.astype(np.int8) << 1) - 1).T
 
 
-def bits_from_words(words: np.ndarray, n: int) -> np.ndarray:
-    """First ``n`` little-endian bits of ``words`` as a 0/1 uint8 array."""
-    return np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[:n]
-
-
 def bounded_from_words(words: np.ndarray, bound: int) -> np.ndarray:
     """Map words to integers in [0, bound) via modulo.
 

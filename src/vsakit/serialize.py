@@ -37,6 +37,7 @@ _VERSION = 1
 _ARCH = {"mapi": 1, "mapb": 2, "bloom": 3, "cbloom": 4}
 _ARCH_NAMES = {v: k for k, v in _ARCH.items()}
 _HEADER = struct.Struct("<4sBBBBQ32s")
+_NET_HEADER = struct.Struct("<4sBQQ")
 
 
 def codebook_hash(cb: Codebook) -> bytes:
@@ -92,6 +93,17 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         raise ValueError("bundle dimension does not match the codebook")
     payload = data[_HEADER.size :]
     name = _ARCH_NAMES.get(arch)
+    if name is None:
+        raise ValueError(f"unknown arch tag {arch}")
+    if name == "cbloom":
+        width = payload[0] if payload else 0
+        if width not in (1, 2, 4, 8):
+            raise ValueError(f"bad counting bloom count width {width}")
+        expected = 1 + width * m
+    else:
+        expected = 8 * m if name == "mapi" else -(-m // 8)
+    if len(payload) != expected:
+        raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected {expected}")
     if name == "mapi":
         ints = np.frombuffer(payload, dtype="<i8", count=m)
         return MapIBundle(ints, cb, bool(flags & 1))
@@ -100,34 +112,39 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         return MapBBundle(signs, cb, tie_seed=0)
     if name == "bloom":
         return BloomBundle(_unpack_bits(payload, m), cb)
-    if name == "cbloom":
-        width = payload[0]
-        counts = np.frombuffer(payload, dtype=f"<u{width}", count=m, offset=1)
-        return CountBundle(counts.astype(np.int64), cb)
-    raise ValueError(f"unknown arch tag {arch}")
+    counts = np.frombuffer(payload, dtype=f"<u{width}", count=m, offset=1)
+    return CountBundle(counts.astype(np.int64), cb)
 
 
 def arch_of(data: bytes) -> str:
     """Peek at the arch tag of serialized bundle bytes."""
     if len(data) < _HEADER.size or data[:4] != _MAGIC:
         raise ValueError("not a vsakit bundle")
-    return _ARCH_NAMES[data[4 + 1]]
+    name = _ARCH_NAMES.get(data[5])
+    if name is None:
+        raise ValueError(f"unknown arch tag {data[5]}")
+    return name
 
 
 def net_to_bytes(net: HopfieldNet) -> bytes:
     """Header {m, n} + strict upper triangle of W as int64 (W is symmetric)."""
     m = net.m
     iu = np.triu_indices(m, k=1)
-    header = struct.pack("<4sBQQ", _NET_MAGIC, _VERSION, m, net.n)
+    header = _NET_HEADER.pack(_NET_MAGIC, _VERSION, m, net.n)
     return header + net.weights[iu].astype("<i8").tobytes()
 
 
 def net_from_bytes(data: bytes) -> HopfieldNet:
-    head = struct.Struct("<4sBQQ")
-    magic, version, m, n = head.unpack_from(data)
+    if len(data) < _NET_HEADER.size:
+        raise ValueError("truncated hopfield net")
+    magic, version, m, n = _NET_HEADER.unpack_from(data)
     if magic != _NET_MAGIC or version != _VERSION:
         raise ValueError("not a vsakit hopfield net")
-    tri = np.frombuffer(data, dtype="<i8", offset=head.size, count=m * (m - 1) // 2)
+    count = m * (m - 1) // 2
+    expected = _NET_HEADER.size + 8 * count
+    if len(data) != expected:
+        raise ValueError(f"hopfield net is {len(data)} bytes, expected {expected}")
+    tri = np.frombuffer(data, dtype="<i8", offset=_NET_HEADER.size, count=count)
     w = np.zeros((m, m), dtype=np.int64)
     iu = np.triu_indices(m, k=1)
     w[iu] = tri

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SymbolSet:
@@ -46,9 +44,6 @@ class SymbolSet:
     def l1(self) -> int:
         return sum(self.entries.values())
 
-    def linf(self) -> int:
-        return max(self.entries.values(), default=0)
-
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.entries)
@@ -59,12 +54,6 @@ class SymbolSet:
 
     def weight(self, sym: int) -> int:
         return self.entries.get(sym, 0)
-
-    def to_dense(self) -> np.ndarray:
-        v = np.zeros(self.d, dtype=np.int64)
-        for sym, w in self.entries.items():
-            v[sym] = w
-        return v
 
     def to_json_obj(self) -> dict:
         return {"d": self.d, "entries": sorted((int(s), int(w)) for s, w in self.entries.items())}

@@ -12,7 +12,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-#: Default leading constants, keyed by "<arch>.<task>". The theory gives
+#: Default leading constants, keyed by "<arch>.<task>". The keys are the one
+#: list of sizable (arch, task) pairs: a formula exists iff it has constants.
+#: The theory gives
 #: O(.) for most rows; C=8 is the standard sign-matrix JL constant, C=16 the
 #: Hoeffding-flavored membership constant, and the Bloom / Counting Bloom
 #: constants are the exact values carried by the proofs.
@@ -36,6 +38,8 @@ CONSTANTS: dict[str, dict[str, float]] = {
 
 
 def constants_for(formula: str, overrides: dict | None = None) -> dict[str, float]:
+    if formula not in CONSTANTS:
+        raise ValueError(f"unknown sizing formula {formula!r}")
     base = dict(CONSTANTS[formula])
     for name, value in (overrides or {}).items():
         if value is None:
@@ -92,47 +96,19 @@ def require(params: dict, *names: str) -> list:
     return out
 
 
-_TASKS = {
-    ("mapi", "norm"),
-    ("mapi", "pairs"),
-    ("mapi", "sequence"),
-    ("mapi", "sequence-symbols"),
-    ("mapi", "binding2"),
-    ("mapi", "bindingK"),
-    ("mapb", "member"),
-    ("mapb", "sequence-member"),
-    ("mapb", "kv-member"),
-    ("mapb", "empty-intersection"),
-    ("bloom", "intersection"),
-    ("cbloom", "intersection"),
-    ("hopfield", "store"),
-    ("hopfield", "hpm-norm"),
-    ("hopfield", "hpm-dot"),
-}
-
-
 def _calculator(arch: str, task: str):
-    if arch == "mapi":
-        from . import mapi
+    """The per-architecture sizing function for a formula in CONSTANTS."""
+    from . import bloom, cbloom, hopfield, mapb, mapi
 
-        return lambda **kw: mapi.sizing_mapi(task, **kw), mapi.sizing_mapi
-    if arch == "mapb":
-        from . import mapb
-
-        return lambda **kw: mapb.sizing_mapb(task, **kw), mapb.sizing_mapb
-    if arch == "bloom":
-        from . import bloom
-
-        return bloom.sizing_bloom, bloom.sizing_bloom
-    if arch == "cbloom":
-        from . import cbloom
-
-        return cbloom.sizing_cbloom, cbloom.sizing_cbloom
-    from . import hopfield
-
-    if task == "store":
-        return hopfield.sizing_hopfield, hopfield.sizing_hopfield
-    return lambda **kw: hopfield.sizing_hpm(task, **kw), hopfield.sizing_hpm
+    if (arch, task) == ("hopfield", "store"):
+        return hopfield.sizing_hopfield
+    return {
+        "mapi": mapi.sizing_mapi,
+        "mapb": mapb.sizing_mapb,
+        "bloom": bloom.sizing_bloom,
+        "cbloom": cbloom.sizing_cbloom,
+        "hopfield": hopfield.sizing_hpm,
+    }[arch]
 
 
 def size(arch: str, task: str, **params) -> SizingResult:
@@ -142,11 +118,11 @@ def size(arch: str, task: str, **params) -> SizingResult:
     sizing-plus-instance dict (as calibrate and the CLI hold) can be passed
     straight through; missing required parameters still raise.
     """
-    if (arch, task) not in _TASKS:
-        raise ValueError(f"unknown sizing pair ({arch!r}, {task!r})")
-    call, target = _calculator(arch, task)
-    accepted = set(inspect.signature(target).parameters) - {"task"}
-    return call(**{name: value for name, value in params.items() if name in accepted})
+    constants_for(f"{arch}.{task}")
+    fn = _calculator(arch, task)
+    accepted = inspect.signature(fn).parameters
+    kwargs = {name: value for name, value in params.items() if name in accepted and name != "task"}
+    return fn(task, **kwargs) if "task" in accepted else fn(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -146,3 +146,19 @@ def test_calibrate_cli(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["m_star"] == 1
     assert report["ratio"] == report["m_theory"]
+
+
+def test_seed_and_threads_only_on_subcommands_that_read_them(tmp_path, capsys):
+    size_argv = ["size", "--arch", "mapi", "--task", "norm",
+                 "--param", "eps=0.5", "--param", "delta=0.05"]
+    assert main(size_argv) == 0
+    assert main(size_argv + ["--threads", "2"]) == 2
+    cb = Codebook("dense-sign", 64, 16, seed=5)
+    cb_path = write_codebook(tmp_path, cb)
+    bundle_path = str(tmp_path / "b.vsab")
+    assert main(["encode", "--arch", "mapb", "--codebook", cb_path, "--out", bundle_path,
+                 "--set", write_set(tmp_path, SymbolSet.from_ids(16, [3])), "--seed", "7"]) == 0
+    query_argv = ["query", "membership", "--bundle", bundle_path, "--codebook", cb_path,
+                  "--symbol", "3"]
+    assert main(query_argv) == 0
+    assert main(query_argv + ["--seed", "1"]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vsakit import rng
-from vsakit.codebook import Codebook, atomic, hadamard_entry, srht_entry
+from vsakit.codebook import Codebook, atomic
 from vsakit.hypervector import Hypervector, Rotation, bind, rotate
 
 
@@ -72,14 +72,6 @@ def test_scaled_atomic_scaling():
     assert np.isclose(atomic(cbk, 1).values.sum(), 1.0)  # k ones scaled by 1/k
 
 
-def test_sparse_jl_columns():
-    cb = Codebook("sparse-jl", 64, 30, k=6, seed=8)
-    for j in range(30):
-        col = cb.column_ints(j)
-        assert np.count_nonzero(col) == 6
-        assert set(np.unique(col)) <= {-1, 0, 1}
-
-
 def test_empirical_near_orthogonality_dense():
     # |<scaled_i, scaled_j>| <= 5/sqrt(m) for >= 99% of 1000 random pairs
     m = 10_000
@@ -127,36 +119,6 @@ def test_bind_rejects_bad_inputs():
         bind([a, c])
     with pytest.raises(ValueError):
         bind([a, Hypervector(np.array([1, -1, 1], dtype=np.int8), "sign")])
-
-
-def test_hadamard_entries_and_orthogonality():
-    assert hadamard_entry(0, 0) == 1
-    assert hadamard_entry(1, 1) == -1
-    h = np.array([[hadamard_entry(i, j) for j in range(4)] for i in range(4)])
-    assert np.array_equal(h @ h.T, 4 * np.eye(4, dtype=int))
-
-
-def test_srht_entry_domain_and_determinism():
-    m = 8
-    vals = [srht_entry(m, 5, i, 3) for i in range(m)]
-    assert set(vals) <= {-1, 0, 1}
-    assert vals == [srht_entry(m, 5, i, 3) for i in range(m)]
-    # half the rows are kept
-    assert sum(v != 0 for v in vals) == m // 2
-
-
-def test_srht_entry_matches_codebook_column():
-    cb = Codebook("srht", 8, 20, seed=5)
-    for j in (0, 3, 11):  # includes a wrapped column (11 mod 8 = 3)
-        col = cb.column_ints(j)
-        assert col.tolist() == [srht_entry(8, 5, i, j) for i in range(8)]
-
-
-def test_srht_requires_power_of_two():
-    with pytest.raises(ValueError):
-        Codebook("srht", 12, 20, seed=5)
-    with pytest.raises(ValueError):
-        srht_entry(12, 5, 0, 0)
 
 
 def test_codebook_json_round_trip():

@@ -57,3 +57,41 @@ def test_hopfield_net_round_trip():
     back = serialize.net_from_bytes(serialize.net_to_bytes(net))
     assert np.array_equal(back.weights, net.weights)
     assert back.n == net.n
+
+
+def _encoded(kind):
+    """(bytes, decoder) for one small bundle of each arch, or a Hopfield net."""
+    if kind == "net":
+        cb = Codebook("dense-sign", 20, 5, seed=6)
+        net = hopfield.train([Hypervector(cb.column_ints(j), "sign") for j in range(5)])
+        return serialize.net_to_bytes(net), serialize.net_from_bytes
+    v = SymbolSet.from_ids(32, [1, 5, 9])
+    if kind in ("mapi", "mapb"):
+        cb = Codebook("dense-sign", 512, 32, seed=1)
+        b = mapi.bundle(cb, v) if kind == "mapi" else mapb.bundle_sign(cb, v)
+    elif kind == "bloom":
+        cb = Codebook("sparse-binary-trials", 512, 32, k=3, seed=3)
+        b = bloom.bundle_bloom(cb, v)
+    else:
+        cb = Codebook("sparse-binary-exact", 512, 32, k=3, seed=4)
+        b = cbloom.bundle_count(cb, v)
+    return serialize.bundle_to_bytes(b), lambda data: serialize.bundle_from_bytes(data, cb)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing"])
+@pytest.mark.parametrize("kind", ["mapi", "mapb", "bloom", "cbloom", "net"])
+def test_wrong_size_payload_rejected(kind, damage):
+    data, decode = _encoded(kind)
+    decode(data)  # the undamaged bytes decode
+    bad = data[:-10] if damage == "truncated" else data + b"junk"
+    with pytest.raises(ValueError):
+        decode(bad)
+
+
+def test_short_net_header_and_unknown_arch_tag_rejected():
+    data, _ = _encoded("net")
+    with pytest.raises(ValueError):
+        serialize.net_from_bytes(data[:10])
+    bundle, _ = _encoded("mapb")
+    with pytest.raises(ValueError):
+        serialize.arch_of(bundle[:5] + bytes([99]) + bundle[6:])

@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from vsakit import bloom, cbloom, hopfield, mapb, mapi, sizing
+from vsakit import bloom, cbloom, harness, hopfield, mapb, mapi, sizing
+
+
+#: One parameter dict per arch covering every formula of that arch.
+_SIZABLE_PARAMS = {
+    "mapi": dict(eps=0.5, delta=0.05, N=8, M=8, L=2, K=2, k=3, v_l1=4),
+    "mapb": dict(n=4, d=64, L=2, nx=4, ny=4, delta=0.05),
+    "bloom": dict(eps=0.5, delta=0.05, n=5, n_v=10, n_w=10),
+    "cbloom": dict(eps=0.5, delta=0.05, K_b=2, n_v=4, n_w=4),
+    "hopfield": dict(n=8, eps=0.5, delta=0.05, d=64),
+}
 
 
 def test_dispatch_matches_calculators_bit_for_bit():
@@ -29,6 +39,17 @@ def test_unknown_pair_rejected():
         sizing.size("mapi", "no-such-task", eps=0.5, delta=0.05)
     with pytest.raises(ValueError):
         sizing.size("nothing", "norm", eps=0.5, delta=0.05)
+
+
+def test_constants_are_the_sizing_registry():
+    for formula in sizing.CONSTANTS:
+        arch, task = formula.split(".")
+        assert (arch, task) in harness.TASKS  # calibrate needs a trial per formula
+        assert sizing.size(arch, task, **_SIZABLE_PARAMS[arch]).formula == formula
+    with pytest.raises(ValueError, match="unknown sizing formula"):
+        sizing.constants_for("nope.x")
+    with pytest.raises(ValueError, match="unknown sizing formula"):
+        sizing.size("mapi", "nope")
 
 
 def test_extra_params_ignored_missing_still_raise():
