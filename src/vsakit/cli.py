@@ -171,7 +171,9 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
     if seed:
         parser.add_argument("--seed", type=int, default=None, help="64-bit master seed")
     if threads:
-        parser.add_argument("--threads", type=int, default=1, help="worker threads")
+        parser.add_argument("--threads", type=int, default=1,
+                            help="accepted for compatibility (must be >= 1); cells run "
+                            "once each, in order, whatever the value")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 

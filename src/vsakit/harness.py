@@ -2,9 +2,10 @@
 
 A grid of parameter cells is expanded from a config; every trial draws its
 instance and codebook from a seed derived purely from (master seed, cell
-parameters, trial index), so results are byte-identical regardless of
-thread count or execution order. One aggregated CSV row is emitted per cell
-in deterministic cell order; the full per-cell parameter dicts and the
+parameters, trial index), so results are byte-identical for every run of
+the same config and seed. Cells run once each, in order, one trial after
+another through :func:`trial_records`. One aggregated CSV row is emitted per
+cell in deterministic cell order; the full per-cell parameter dicts and the
 config echo go to a JSON sidecar.
 
 CSV schema (version v1)::
@@ -23,7 +24,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -78,11 +78,16 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("config must be a JSON object")
         try:
+            grid = obj["grid"]
+            if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+                raise ValueError("grid must map each parameter name to a list of values")
             return cls(
                 arch=obj["arch"],
                 task=obj["task"],
-                grid={key: list(values) for key, values in obj["grid"].items()},
+                grid=grid,
                 trials=int(obj["trials"]),
                 seed=int(obj.get("seed", 0)),
                 out=obj.get("out"),
@@ -139,14 +144,18 @@ def _params(cell: dict, cast, *names: str) -> list:
 # -- trial functions ------------------------------------------------------------
 
 
+def _within(estimate, truth, tolerance) -> TrialOutcome:
+    """An estimate that passes when it is within ``tolerance`` of the truth."""
+    err = abs(estimate - truth)
+    return TrialOutcome(estimate, truth, err <= tolerance, err)
+
+
 def _trial_mapi_norm(cell: dict, seed: int) -> TrialOutcome:
     m, n, d = _params(cell, int, "m", "n", "d")
     (eps,) = _params(cell, float, "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     v = SymbolSet.from_ids(d, _draw_subset(seed, "set", d, n).tolist())
-    est = mapi.norm_sq_estimate(mapi.bundle(cb, v))
-    err = abs(est - n)
-    return TrialOutcome(est, n, err <= eps * n, err)
+    return _within(mapi.norm_sq_estimate(mapi.bundle(cb, v)), n, eps * n)
 
 
 def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:
@@ -172,10 +181,8 @@ def _trial_mapi_sequence(cell: dict, seed: int) -> TrialOutcome:
         for ell in range(L)
     ]
     seq = SequenceSpec(tuple(sets))
-    est = mapi.norm_sq_estimate(mapi.encode_sequence(cb, seq))
     truth = seq.total_l1()
-    err = abs(est - truth)
-    return TrialOutcome(est, truth, err <= eps * truth, err)
+    return _within(mapi.norm_sq_estimate(mapi.encode_sequence(cb, seq)), truth, eps * truth)
 
 
 def _trial_mapi_sequence_symbols(cell: dict, seed: int) -> TrialOutcome:
@@ -190,10 +197,8 @@ def _trial_mapi_sequence_symbols(cell: dict, seed: int) -> TrialOutcome:
         for pos in _draw_subset(seed, f"pos{i}", L, K):
             members[pos].append(int(sym))
     seq = SequenceSpec(tuple(SymbolSet.from_ids(d, ids) for ids in members))
-    est = mapi.norm_sq_estimate(mapi.encode_sequence(cb, seq))
     truth = n * K
-    err = abs(est - truth)
-    return TrialOutcome(est, truth, err <= eps * truth, err)
+    return _within(mapi.norm_sq_estimate(mapi.encode_sequence(cb, seq)), truth, eps * truth)
 
 
 def _random_edges(seed: int, d: int, count: int, arity: int) -> setalg.BindingBundleSpec:
@@ -214,9 +219,7 @@ def _trial_mapi_binding(cell: dict, seed: int) -> TrialOutcome:
     (eps,) = _params(cell, float, "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     spec = _random_edges(seed, d, edges, arity)
-    est = mapi.norm_sq_estimate(mapi.encode_binding_bundle(cb, spec))
-    err = abs(est - edges)
-    return TrialOutcome(est, edges, err <= eps * edges, err)
+    return _within(mapi.norm_sq_estimate(mapi.encode_binding_bundle(cb, spec)), edges, eps * edges)
 
 
 def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
@@ -289,9 +292,7 @@ def _trial_mapb_depth(cell: dict, seed: int) -> TrialOutcome:
     chained = mapb.iterated_bundle(vectors, tie_seed=seed, codebook=cb)
     agree = float((chained.signs == vectors[0].values).mean())
     truth = float(mapb.chain_agreement_probability(r))
-    sigma = math.sqrt(truth * (1.0 - truth) / m)
-    err = abs(agree - truth)
-    return TrialOutcome(agree, truth, err <= 3.0 * sigma, err)
+    return _within(agree, truth, 3.0 * math.sqrt(truth * (1.0 - truth) / m))
 
 
 def _trial_bloom_size(cell: dict, seed: int) -> TrialOutcome:
@@ -299,9 +300,7 @@ def _trial_bloom_size(cell: dict, seed: int) -> TrialOutcome:
     (eps,) = _params(cell, float, "eps")
     cb = Codebook("sparse-binary-trials", m, d, k=k, seed=seed)
     v = SymbolSet.from_ids(d, _draw_subset(seed, "set", d, n).tolist())
-    est = bloom.size_estimate(bloom.bundle_bloom(cb, v))
-    err = abs(est - n)
-    return TrialOutcome(est, n, err <= eps, err)
+    return _within(bloom.size_estimate(bloom.bundle_bloom(cb, v)), n, eps)
 
 
 def _trial_bloom_intersection(cell: dict, seed: int) -> TrialOutcome:
@@ -310,9 +309,7 @@ def _trial_bloom_intersection(cell: dict, seed: int) -> TrialOutcome:
     cb = Codebook("sparse-binary-trials", m, d, k=k, seed=seed)
     x, y = _overlapping_pair(seed, "sets", d, n, n_v, n_w)
     est = bloom.intersection_estimate(bloom.bundle_bloom(cb, x), bloom.bundle_bloom(cb, y))
-    truth = setalg.intersection_size(x, y)
-    err = abs(est - truth)
-    return TrialOutcome(est, truth, err <= eps, err)
+    return _within(est, setalg.intersection_size(x, y), eps)
 
 
 def _mass_weights(total: int, peak: int) -> list[int]:
@@ -383,22 +380,16 @@ def _trial_hopfield_store(cell: dict, seed: int) -> TrialOutcome:
                         float(len(patterns) - stable))
 
 
-def _trial_hopfield_recall(cell: dict, seed: int) -> TrialOutcome:
+def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
     patterns = _hopfield_patterns(cell, seed)
-    erasures = int(cell.get("erasures", patterns[0].m // 2))
-    net = hopfield.train(patterns)
-    probe = hopfield.corrupt(patterns[0], erasures, int(cell.get("flips", 0)), seed)
-    result = hopfield.recall(net, probe)
-    ok = result.converged and result.vector == patterns[0]
-    return TrialOutcome(float(ok), 1.0, ok, float(not ok))
-
-
-def _trial_hopfield_kv_recall(cell: dict, seed: int) -> TrialOutcome:
-    patterns = _hopfield_patterns(cell, seed)
-    net = hopfield.train(patterns)
-    probe = patterns[0].values.astype(np.int64).copy()
-    probe[patterns[0].m // 2 :] = 0  # key half kept, value half erased
-    result = hopfield.recall(net, probe)
+    half = patterns[0].m // 2
+    if kv:
+        probe = patterns[0].values.astype(np.int64).copy()
+        probe[half:] = 0  # key half kept, value half erased
+    else:
+        erasures = int(cell.get("erasures", half))
+        probe = hopfield.corrupt(patterns[0], erasures, int(cell.get("flips", 0)), seed)
+    result = hopfield.recall(hopfield.train(patterns), probe)
     ok = result.converged and result.vector == patterns[0]
     return TrialOutcome(float(ok), 1.0, ok, float(not ok))
 
@@ -410,15 +401,12 @@ def _trial_hpm(cell: dict, seed: int, dot: bool) -> TrialOutcome:
     x_ids = _draw_subset(seed, "suppX", d, support)
     bx = hopfield.hpm_encode(cb, {int(i): 1.0 for i in x_ids}, d_seed=seed)
     if not dot:
-        est = hopfield.hpm_norm_estimate(bx)
-        err = abs(est - support)
-        return TrialOutcome(est, support, err <= eps * support, err)
+        return _within(hopfield.hpm_norm_estimate(bx), support, eps * support)
     y_ids = _draw_subset(seed, "suppY", d, support)
     by = hopfield.hpm_encode(cb, {int(i): 1.0 for i in y_ids}, d_seed=seed)
-    est = hopfield.hpm_dot_estimate(bx, by)
     truth = len(set(x_ids.tolist()) & set(y_ids.tolist()))
-    err = abs(est - truth)
-    return TrialOutcome(est, truth, err <= eps * support, err)  # ||X||_F ||Y||_F = support
+    # ||X||_F ||Y||_F = support
+    return _within(hopfield.hpm_dot_estimate(bx, by), truth, eps * support)
 
 
 TASKS: dict[tuple[str, str], Callable[[dict, int], TrialOutcome]] = {
@@ -438,8 +426,8 @@ TASKS: dict[tuple[str, str], Callable[[dict, int], TrialOutcome]] = {
     ("cbloom", "intersection"): _trial_cbloom_intersection,
     ("cbloom", "l1"): _trial_cbloom_l1,
     ("hopfield", "store"): _trial_hopfield_store,
-    ("hopfield", "recall"): _trial_hopfield_recall,
-    ("hopfield", "kv-recall"): _trial_hopfield_kv_recall,
+    ("hopfield", "recall"): lambda cell, seed: _trial_hopfield_recall(cell, seed, kv=False),
+    ("hopfield", "kv-recall"): lambda cell, seed: _trial_hopfield_recall(cell, seed, kv=True),
     ("hopfield", "hpm-norm"): lambda cell, seed: _trial_hpm(cell, seed, dot=False),
     ("hopfield", "hpm-dot"): lambda cell, seed: _trial_hpm(cell, seed, dot=True),
 }
@@ -455,13 +443,10 @@ def run_trial(arch: str, task: str, cell: dict, seed: int) -> TrialOutcome:
 
 
 def trial_records(config: ExperimentConfig, cell: dict) -> list[TrialRecord]:
-    """Per-trial detail for one cell (the aggregated run keeps only counts)."""
-    records = []
-    for t in range(config.trials):
-        seed = trial_seed(config.seed, cell, t)
-        records.append(TrialRecord(cell, t, seed,
-                                   run_trial(config.arch, config.task, cell, seed)))
-    return records
+    """Run every trial of one cell once, in index order: the one trial loop."""
+    seeds = [trial_seed(config.seed, cell, t) for t in range(config.trials)]
+    return [TrialRecord(cell, t, seed, run_trial(config.arch, config.task, cell, seed))
+            for t, seed in enumerate(seeds)]
 
 
 def oracle_check(arch: str, task: str, instance: dict):
@@ -497,17 +482,12 @@ def _fmt(value) -> str:
 
 
 def _run_cell(config: ExperimentConfig, cell: dict) -> dict:
-    failures = 0
-    errs: list[float] = []
     try:
-        for t in range(config.trials):
-            outcome = run_trial(config.arch, config.task, cell,
-                                trial_seed(config.seed, cell, t))
-            failures += not outcome.passed
-            errs.append(outcome.abs_err)
+        outcomes = [record.outcome for record in trial_records(config, cell)]
     except (ValueError, IndexError) as bad:
         return {"cell": cell, "failures": 0, "errs": [], "error": str(bad)}
-    return {"cell": cell, "failures": failures, "errs": errs, "error": ""}
+    return {"cell": cell, "failures": sum(not o.passed for o in outcomes),
+            "errs": [o.abs_err for o in outcomes], "error": ""}
 
 
 def _row(config: ExperimentConfig, agg: dict) -> list[str]:
@@ -537,25 +517,15 @@ def _row(config: ExperimentConfig, agg: dict) -> list[str]:
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> tuple[str, dict]:
-    """Run every grid cell; returns (csv_text, sidecar_dict).
+    """Run every grid cell once, in cell order; returns (csv_text, sidecar_dict).
 
-    Rows appear in deterministic cell order whatever the thread count; 1% of
-    cells (at least one) are re-run sequentially and checked against the
-    pooled results as an aggregation spot check.
+    ``threads`` must be >= 1 but changes nothing: trials run one after
+    another in the calling thread, so every value gives the same bytes.
     """
-    cells = config.cells()
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if threads == 1:
-        results = [_run_cell(config, cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda cell: _run_cell(config, cell), cells))
-    stride = max(1, len(cells) // max(1, round(0.01 * len(cells))))
-    for i in range(0, len(cells), stride):
-        recheck = _run_cell(config, cells[i])
-        if recheck != results[i]:
-            raise RuntimeError(f"aggregation spot check failed for cell {cells[i]}")
+    cells = config.cells()
+    results = [_run_cell(config, cell) for cell in cells]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)

@@ -13,8 +13,11 @@ Bundle layout (little-endian):
                   integer: m * int64
                   count: width byte (1/2/4/8) then m unsigned ints
 
-Readers take the codebook and refuse a hash mismatch: a bundle is only
-meaningful against the codebook that generated it.
+Each arch has one domain (mapi integer, mapb sign, bloom binary, cbloom
+count); readers refuse any other domain byte. Readers take the codebook and
+refuse a hash mismatch: a bundle is only meaningful against the codebook
+that generated it. Version 1 stores no MAP-B kind, so only MAP-B set bundles
+can be written.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ _NET_MAGIC = b"VSAH"
 _VERSION = 1
 _ARCH = {"mapi": 1, "mapb": 2, "bloom": 3, "cbloom": 4}
 _ARCH_NAMES = {v: k for k, v in _ARCH.items()}
+_DOMAIN = {"mapi": 1, "mapb": 0, "bloom": 2, "cbloom": 3}
 _HEADER = struct.Struct("<4sBBBBQ32s")
 _NET_HEADER = struct.Struct("<4sBQQ")
 
@@ -53,36 +57,36 @@ def _unpack_bits(data: bytes, m: int) -> np.ndarray:
 
 
 def bundle_to_bytes(bundle) -> bytes:
+    flags = 0
     if isinstance(bundle, MapIBundle):
-        arch, domain, flags = 1, 1, int(bundle.scaled)
+        name, flags = "mapi", int(bundle.scaled)
         payload = bundle.ints.astype("<i8").tobytes()
-        cb = bundle.codebook
     elif isinstance(bundle, MapBBundle):
         if bundle.codebook is None:
             raise ValueError("cannot serialize a MAP-B bundle without a codebook")
-        arch, domain, flags = 2, 0, 0
+        if bundle.kind != "set":
+            raise ValueError(f"bundle format v1 cannot carry a MAP-B {bundle.kind} bundle")
+        name = "mapb"
         payload = _pack_bits((bundle.signs + 1) // 2)
-        cb = bundle.codebook
     elif isinstance(bundle, BloomBundle):
-        arch, domain, flags = 3, 2, 0
+        name = "bloom"
         payload = _pack_bits(bundle.bits)
-        cb = bundle.codebook
     elif isinstance(bundle, CountBundle):
-        arch, domain, flags = 4, 3, 0
+        name = "cbloom"
         peak = int(bundle.counts.max(initial=0))
         width = next(w for w in (1, 2, 4, 8) if peak < 1 << (8 * w))
         payload = bytes([width]) + bundle.counts.astype(f"<u{width}").tobytes()
-        cb = bundle.codebook
     else:
         raise TypeError(f"not a serializable bundle: {type(bundle).__name__}")
-    header = _HEADER.pack(_MAGIC, _VERSION, arch, domain, flags, bundle.m, codebook_hash(cb))
+    header = _HEADER.pack(_MAGIC, _VERSION, _ARCH[name], _DOMAIN[name], flags, bundle.m,
+                          codebook_hash(bundle.codebook))
     return header + payload
 
 
 def bundle_from_bytes(data: bytes, cb: Codebook):
     if len(data) < _HEADER.size:
         raise ValueError("truncated bundle")
-    magic, version, arch, _domain, flags, m, cb_hash = _HEADER.unpack_from(data)
+    magic, version, arch, domain, flags, m, cb_hash = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError("not a vsakit bundle (bad magic)")
     if version != _VERSION:
@@ -95,6 +99,8 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
     name = _ARCH_NAMES.get(arch)
     if name is None:
         raise ValueError(f"unknown arch tag {arch}")
+    if domain != _DOMAIN[name]:
+        raise ValueError(f"{name} bundle has domain byte {domain}, expected {_DOMAIN[name]}")
     if name == "cbloom":
         width = payload[0] if payload else 0
         if width not in (1, 2, 4, 8):

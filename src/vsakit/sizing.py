@@ -166,8 +166,8 @@ def calibrate(
 ) -> CalibrationResult:
     """Smallest m whose empirical failure rate is <= target + binomial slack.
 
-    Binary search below the theoretical m; the same per-trial seeds are used
-    at every probed m, so repeated calibration with one seed is bit-stable.
+    Binary search below the theoretical m; trial seeds depend only on (seed,
+    cell, trial index), so repeated calibration with one seed is bit-stable.
     The theoretical m is verified first (bounds are sufficient conditions),
     making m_star <= m_theory by construction.
     """
@@ -187,11 +187,11 @@ def calibrate(
             cell["m"] = m
             if theory.k is not None and "k" not in cell:
                 cell["k"] = theory.k
-            failures = 0
-            for t in range(trials):
-                outcome = harness.run_trial(arch, task, cell, harness.trial_seed(seed, cell, t))
-                failures += not outcome.passed
-            rates[m] = failures / trials
+            config = harness.ExperimentConfig(
+                arch, task, {name: [value] for name, value in cell.items()}, trials, seed
+            )
+            records = harness.trial_records(config, cell)
+            rates[m] = sum(not r.outcome.passed for r in records) / trials
         return rates[m]
 
     limit = target + slack

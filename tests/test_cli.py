@@ -162,3 +162,17 @@ def test_seed_and_threads_only_on_subcommands_that_read_them(tmp_path, capsys):
                   "--symbol", "3"]
     assert main(query_argv) == 0
     assert main(query_argv + ["--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '[{"arch": "mapi"}]',
+    '{"arch": "mapi", "task": "norm", "grid": [1], "trials": 1}',
+    '{"arch": "mapi", "task": "norm", "grid": {"m": 5}, "trials": 1}',
+    '{"arch": "mapi", "task": "norm", "trials": 1,'
+    ' "grid": {"m": "64", "n": [1], "d": [8], "eps": [0.5]}}',
+], ids=["array", "grid-list", "grid-scalar", "grid-string"])
+def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["experiment", "--config", str(cfg_path)]) == 2
+    assert "bad experiment config" in capsys.readouterr().err

@@ -137,3 +137,29 @@ def test_every_registered_task_runs():
     for (arch, task) in harness.TASKS:
         outcome = harness.run_trial(arch, task, dict(shared), seed=5)
         assert isinstance(outcome.passed, (bool, int))
+
+
+def _count_trials(monkeypatch) -> list:
+    """Record the seed of every harness.run_trial call from now on."""
+    seeds = []
+    real = harness.run_trial
+
+    def counted(arch, task, cell, seed):
+        seeds.append(seed)
+        return real(arch, task, cell, seed)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    return seeds
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("grid", [
+    {"m": [64], "n": [4], "d": [32], "eps": [0.5]},
+    {"m": [64, 96, 128], "n": [1, 4], "d": [32], "eps": [0.5]},
+])
+def test_each_trial_runs_exactly_once(monkeypatch, grid, threads):
+    seeds = _count_trials(monkeypatch)
+    config = small_config(grid=grid, trials=5)
+    harness.run(config, threads=threads)
+    assert len(seeds) == len(config.cells()) * config.trials
+    assert len(set(seeds)) == len(seeds)

@@ -4,7 +4,7 @@ import pytest
 from vsakit import bloom, cbloom, hopfield, mapb, mapi, serialize
 from vsakit.codebook import Codebook
 from vsakit.hypervector import Hypervector
-from vsakit.setalg import SymbolSet
+from vsakit.setalg import SequenceSpec, SymbolSet
 
 
 def test_mapi_round_trip():
@@ -95,3 +95,24 @@ def test_short_net_header_and_unknown_arch_tag_rejected():
     bundle, _ = _encoded("mapb")
     with pytest.raises(ValueError):
         serialize.arch_of(bundle[:5] + bytes([99]) + bundle[6:])
+
+
+@pytest.mark.parametrize("kind", ["mapi", "mapb", "bloom", "cbloom"])
+def test_domain_byte_must_match_arch(kind):
+    data, decode = _encoded(kind)
+    bad = data[:6] + bytes([data[6] ^ 1]) + data[7:]  # another arch's domain
+    with pytest.raises(ValueError, match="domain"):
+        decode(bad)
+
+
+def test_mapb_kinds_format_v1_cannot_carry_are_refused():
+    cb = Codebook("dense-sign", 512, 32, seed=1)
+    seq = SequenceSpec((SymbolSet.from_ids(32, [1, 2]), SymbolSet.from_ids(32, [5])))
+    b = mapb.bundle_sequence_sign(cb, seq)
+    assert mapb.sequence_membership_test(b, 32 + 5, 0.05).contained
+    kv = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(32, ((1, 20),)))
+    chain = mapb.iterated_bundle([Hypervector(cb.column_ints(j), "sign") for j in range(3)],
+                                 codebook=cb)
+    for bundle in (b, kv, chain):
+        with pytest.raises(ValueError, match=bundle.kind):
+            serialize.bundle_to_bytes(bundle)

@@ -104,6 +104,15 @@ def test_calibrate_deterministic_and_bounded():
     assert a.ratio >= 1.0
 
 
+def test_calibrate_runs_each_trial_once(monkeypatch):
+    calls = []
+    real = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args) or real(*args))
+    result = sizing.calibrate("mapi", "norm", dict(eps=0.5, delta=0.2, n=4, d=64),
+                              target=0.2, trials=100, seed=9)
+    assert len(calls) == 100 * len(result.rates)
+
+
 def test_calibrate_validation():
     with pytest.raises(ValueError):
         sizing.calibrate("mapi", "norm", dict(eps=0.5, delta=0.05, n=4, d=64),
