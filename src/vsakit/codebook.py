@@ -6,6 +6,11 @@ raw-word stream (see :mod:`vsakit.rng`), so any column can be regenerated in
 isolation, and generating a block of columns yields bit-identical results to
 generating each column alone.
 
+A gather of dense-sign columns (``sign_columns``) selects the words of the
+requested columns, from one contiguous window when the ids are close
+together or from one window per column when they are scattered, and then
+unpacks them all in a single ``rng.signs_from_words`` call.
+
 Kinds
 -----
 One per codebook family the encodings use.
@@ -129,19 +134,27 @@ class Codebook:
         return rng.signs_from_words(self._column_words(j0, j1 - j0), self.m, j1 - j0)
 
     def sign_columns(self, ids) -> np.ndarray:
-        """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids))."""
+        """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids)).
+
+        The requested columns' words are gathered first and unpacked in one
+        ``signs_from_words`` call.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty((self.m, 0), dtype=np.int8)
         lo, hi = int(ids.min()), int(ids.max())
         self._check_symbol(lo)
         self._check_symbol(hi)
+        if self.kind != "dense-sign":
+            raise ValueError("sign_columns requires a dense-sign codebook")
         span = hi - lo + 1
         if span <= 4 * ids.size + 64:
-            return self.sign_matrix(lo, hi + 1)[:, ids - lo]
-        return np.concatenate(
-            [self.sign_matrix(int(j), int(j) + 1) for j in ids], axis=1
-        )
+            window = self._column_words(lo, span).reshape(span, -1)
+            return rng.signs_from_words(window[ids - lo].ravel(), self.m, ids.size)
+        words = np.concatenate([self._column_words(int(j), 1) for j in ids])
+        # Scattered gathers are C-ordered, contiguous ones Fortran-ordered: float
+        # products of these columns (hopfield.hpm_encode) round by layout.
+        return np.ascontiguousarray(rng.signs_from_words(words, self.m, ids.size))
 
     def column_indices(self, j: int) -> np.ndarray:
         """Nonzero row indices of sparse column j (sorted, duplicates collapsed)."""

@@ -34,6 +34,7 @@ from . import bloom, cbloom, hopfield, mapb, mapi, rng, setalg
 from .codebook import Codebook
 from .hypervector import Hypervector
 from .setalg import SequenceSpec, SymbolSet
+from .sizing import check_rates
 
 CSV_VERSION = "v1"
 COLUMNS = (
@@ -88,8 +89,8 @@ class ExperimentConfig:
                 arch=obj["arch"],
                 task=obj["task"],
                 grid=grid,
-                trials=int(obj["trials"]),
-                seed=int(obj.get("seed", 0)),
+                trials=_config_int(obj["trials"], "trials"),
+                seed=_config_int(obj.get("seed", 0), "seed"),
                 out=obj.get("out"),
             )
         except KeyError as missing:
@@ -98,6 +99,13 @@ class ExperimentConfig:
     def cells(self) -> list[dict]:
         keys = sorted(self.grid)
         return [dict(zip(keys, combo)) for combo in product(*(self.grid[k] for k in keys))]
+
+
+def _config_int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"config {name!r} must be an integer, got {value!r}") from None
 
 
 def trial_seed(master: int, cell: dict, index: int) -> int:
@@ -137,7 +145,10 @@ def _params(cell: dict, cast, *names: str) -> list:
     for name in names:
         if name not in cell:
             raise ValueError(f"task needs parameter {name!r}")
-        out.append(cast(cell[name]))
+        try:
+            out.append(cast(cell[name]))
+        except (TypeError, OverflowError):
+            raise ValueError(f"parameter {name!r} must be a number, got {cell[name]!r}") from None
     return out
 
 
@@ -228,9 +239,11 @@ def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
     cb = Codebook("dense-sign", m, d, seed=seed)
     stored = set(_draw_subset(seed, "set", d, n).tolist())
     b = mapb.bundle_sign(cb, SymbolSet.from_ids(d, stored), tie_seed=seed)
-    wrong = sum(
-        mapb.membership_test(b, j, delta).contained != (j in stored) for j in range(d)
-    )
+    check_rates(delta=delta)
+    contained = mapb.membership_scores(b, np.arange(d)) >= mapb.member_threshold(m, d, delta)
+    truth = np.zeros(d, dtype=bool)
+    truth[list(stored)] = True
+    wrong = int(np.count_nonzero(contained != truth))
     return TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
 
 

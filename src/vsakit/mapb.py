@@ -5,7 +5,9 @@ sums resolved by a seeded fair coin, so all composite vectors stay in
 {-1,+1}^m. The paper-backed guarantees are decision tests (membership,
 sequence membership, key-value membership, empty-intersection), not size
 estimation; each test compares a dot product against a closed-form
-threshold.
+threshold. ``membership_scores`` scores many symbols against one set bundle
+at once (one column gather and one contraction per block of about 1 MB of
+columns); ``membership_test`` is its one-id case.
 
 ``agreement_probability`` is the exact enumeration oracle for the
 per-coordinate agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained
@@ -29,6 +31,9 @@ from .sizing import SizingResult, check_rates, constants_for, require
 
 #: Exhaustive enumeration refuses instances beyond this many states.
 ENUMERATION_STATE_LIMIT = 2**24
+
+#: membership_scores gathers at most about this many bytes of columns at once.
+_SCORE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -211,12 +216,28 @@ def empty_intersection_threshold(m: int, delta: float) -> float:
     return math.sqrt(2.0 * m * math.log(2.0 / delta))
 
 
+def membership_scores(b: MapBBundle, ids) -> np.ndarray:
+    """Scores <x, S_j> of many symbols as int64: gathered and contracted blockwise.
+
+    Each block of about ``_SCORE_BLOCK_BYTES`` of int8 columns is one column
+    gather and one contraction, so memory stays bounded for any number of
+    ids (at m=1367 all 256 symbols of d=256 fit in one block).
+    """
+    if b.codebook is None:
+        raise ValueError("bundle has no codebook to test against")
+    ids = np.asarray(ids, dtype=np.int64)
+    step = max(1, _SCORE_BLOCK_BYTES // b.m)
+    scores = np.empty(ids.size, dtype=np.int64)
+    for i in range(0, ids.size, step):
+        cols = b.codebook.sign_columns(ids[i:i + step])
+        scores[i:i + step] = np.einsum("i,ij->j", b.signs, cols, dtype=np.int64)
+    return scores
+
+
 def membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     """Is symbol j in the bundled set? score = <x, S_j> against the threshold."""
     check_rates(delta=delta)
-    if b.codebook is None:
-        raise ValueError("bundle has no codebook to test against")
-    score = int(b.signs.astype(np.int64) @ b.codebook.column_ints(j).astype(np.int64))
+    score = int(membership_scores(b, [j])[0])
     tau = member_threshold(b.m, b.codebook.d, delta)
     degraded = b.depth > 1 or b.kind != "set"
     return TestResult(score >= tau, score, tau, degraded)

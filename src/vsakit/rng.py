@@ -12,11 +12,22 @@ Layout: a stream is addressed in *blocks* of 4 consecutive 64-bit words
 (Philox's native counter step). ``words(block, n)`` returns words
 ``[4*block, 4*block + n)`` of the stream, so any window can be regenerated
 in isolation.
+
+Generator reuse: building an ``np.random.Philox`` costs several times more
+than drawing a short window from it, because the constructor also reads OS
+entropy. So each thread keeps one generator (``threading.local``), and every
+``words`` call assigns it a complete fresh state: the stream's key, ``block``
+as the four 64-bit counter limbs, and an empty output buffer. The words are
+exactly those of ``Philox(key=...).advance(block).random_raw(n)``; no state
+carries over from one call to the next, a ``Stream`` holds nothing mutable,
+and streams are safe to share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import threading
 
 import numpy as np
 
@@ -33,11 +44,16 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=256)  # "codebook", kind names, "inst" recur every trial
+def _str_word(tag: str) -> int:
+    return int.from_bytes(
+        hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "little"
+    )
+
+
 def _tag_word(tag) -> int:
     if isinstance(tag, str):
-        return int.from_bytes(
-            hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "little"
-        )
+        return _str_word(tag)
     if isinstance(tag, (int, np.integer)):
         return int(tag) & _MASK64
     raise TypeError(f"stream tag must be str or int, got {type(tag).__name__}")
@@ -51,6 +67,19 @@ def stream_id(*tags) -> int:
     return h
 
 
+_thread = threading.local()
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+_EMPTY_BUFFER.setflags(write=False)
+
+
+def _philox() -> np.random.Philox:
+    """This thread's reusable generator; every use overwrites its whole state."""
+    bg = getattr(_thread, "philox", None)
+    if bg is None:
+        bg = _thread.philox = np.random.Philox(0)
+    return bg
+
+
 class Stream:
     """Read-only window access into one keyed Philox raw-word stream."""
 
@@ -61,9 +90,17 @@ class Stream:
 
     def words(self, block: int, nwords: int) -> np.ndarray:
         """Words ``[4*block, 4*block + nwords)`` as uint64."""
-        bg = np.random.Philox(key=self._key)
-        if block:
-            bg.advance(block)
+        counter = int(block) & ((1 << 256) - 1)  # Philox.advance wraps mod 2**256 too
+        bg = _philox()
+        bg.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [(counter >> s) & _MASK64 for s in (0, 64, 128, 192)],
+                      "key": self._key},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return bg.random_raw(nwords)
 
 
@@ -99,11 +136,15 @@ def choose_distinct(words: np.ndarray, m: int, k: int) -> np.ndarray:
     """
     if k > m:
         raise ValueError(f"cannot choose {k} distinct indices from range {m}")
+    if len(words) < k:
+        raise ValueError(f"choosing {k} indices needs {k} words, got {len(words)}")
+    # Step t draws offset words[t] mod (m - t); all k offsets in one array op.
+    offsets = (words[:k] % (np.uint64(m) - np.arange(k, dtype=np.uint64))).tolist()
     swap: dict[int, int] = {}
-    out = np.empty(k, dtype=np.int64)
+    out = []
     for t in range(k):
-        r = t + int(words[t] % np.uint64(m - t))
+        r = t + offsets[t]
         vt = swap.get(t, t)
-        out[t] = swap.get(r, r)
+        out.append(swap.get(r, r))
         swap[r] = vt
-    return out
+    return np.array(out, dtype=np.int64)

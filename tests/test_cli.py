@@ -170,9 +170,22 @@ def test_seed_and_threads_only_on_subcommands_that_read_them(tmp_path, capsys):
     '{"arch": "mapi", "task": "norm", "grid": {"m": 5}, "trials": 1}',
     '{"arch": "mapi", "task": "norm", "trials": 1,'
     ' "grid": {"m": "64", "n": [1], "d": [8], "eps": [0.5]}}',
-], ids=["array", "grid-list", "grid-scalar", "grid-string"])
+    '{"arch": "mapi", "task": "norm", "trials": null,'
+    ' "grid": {"m": [64], "n": [1], "d": [8], "eps": [0.5]}}',
+    '{"arch": "mapi", "task": "norm", "trials": 1, "seed": [3],'
+    ' "grid": {"m": [64], "n": [1], "d": [8], "eps": [0.5]}}',
+], ids=["array", "grid-list", "grid-scalar", "grid-string", "trials-null", "seed-list"])
 def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     assert main(["experiment", "--config", str(cfg_path)]) == 2
     assert "bad experiment config" in capsys.readouterr().err
+
+
+def test_uncastable_grid_value_is_an_error_row(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"arch": "mapi", "task": "norm", "trials": 1,'
+                        ' "grid": {"m": [[64]], "n": [1], "d": [8], "eps": [0.5]}}')
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "parameter 'm' must be a number" in out.read_text().splitlines()[1]

@@ -136,3 +136,73 @@ def test_codebook_validation():
         Codebook("sparse-binary-exact", 8, 4, k=9)  # k > m
     with pytest.raises(ValueError):
         Codebook("no-such-kind", 8, 4)
+
+
+@pytest.mark.parametrize("ids", [
+    [7, 3, 5, 4],  # unsorted, contiguous window
+    [2, 9, 2, 2, 40],  # duplicates
+    list(range(10, 30)),  # sorted, contiguous
+    [0, 999, 500, 123, 999],  # scattered, with a duplicate
+    [998],
+], ids=["unsorted", "duplicates", "contiguous", "scattered", "single"])
+def test_sign_columns_equal_stacked_single_columns(ids):
+    for m in (1, 64, 65, 300):
+        cb = Codebook("dense-sign", m, 1000, seed=m)
+        got = cb.sign_columns(ids)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, np.stack([cb.column_ints(j) for j in ids], axis=1))
+
+
+def test_sign_columns_memory_layout_is_stable():
+    # Float products of gathered columns (hopfield.hpm_encode) round
+    # differently by memory layout, so each gather path keeps its layout:
+    # a contiguous window is Fortran-ordered, scattered ids are C-ordered.
+    cb = Codebook("dense-sign", 200, 1000, seed=4)
+    assert cb.sign_columns([5, 3, 4]).flags["F_CONTIGUOUS"]
+    assert cb.sign_columns([0, 900, 450]).flags["C_CONTIGUOUS"]
+
+
+def test_sign_columns_out_of_range():
+    cb = Codebook("dense-sign", 64, 10, seed=1)
+    for ids in ([0, 10], [-1, 3], [10], [0, 3, 9, -5]):
+        with pytest.raises(IndexError):
+            cb.sign_columns(ids)
+    assert cb.sign_columns([]).shape == (64, 0)
+
+
+def test_concurrent_reads_equal_serial():
+    # Every thread shares the codebooks but owns its Philox generator.
+    import sys
+    import threading
+
+    dense = Codebook("dense-sign", 300, 500, seed=21)
+    sparse = Codebook("sparse-binary-exact", 7580, 500, k=8, seed=21)
+    picks = [[3, 1, 2], [0, 499, 250], [17]]
+
+    def read(i):
+        j = (37 * i) % 500
+        return (dense.column_ints(j), dense.sign_columns(picks[i % 3]),
+                sparse.column_indices(j), rng.Stream(i, "fresh").words(i, 5))
+
+    serial = [read(i) for i in range(200)]
+    barrier = threading.Barrier(4)
+    mismatches = []
+
+    def worker():
+        barrier.wait()
+        for i in range(200):
+            if not all(np.array_equal(a, b) for a, b in zip(read(i), serial[i])):
+                mismatches.append(i)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-call
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []

@@ -1,6 +1,10 @@
+import csv
+import io
 import json
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vsakit import harness
@@ -67,6 +71,51 @@ def test_invalid_cell_emits_error_row():
     row = csv_text.splitlines()[1].split(",")
     assert row[-1] != ""
     assert row[harness.COLUMNS.index("emp_fail_rate")] == ""
+
+
+@pytest.mark.parametrize("value,message", [
+    ([64], "parameter 'm' must be a number, got [64]"),
+    ("abc", "invalid literal for int() with base 10: 'abc'"),
+    (1e999, "parameter 'm' must be a number, got inf"),
+], ids=["list", "string", "inf"])
+def test_uncastable_cell_value_is_an_error_row(value, message):
+    config = small_config(grid={"m": [value], "n": [1], "d": [32], "eps": [0.5]}, trials=2)
+    csv_text, _ = harness.run(config)
+    row = next(csv.reader(io.StringIO(csv_text.splitlines()[1])))
+    assert row[harness.COLUMNS.index("error")] == message
+
+
+@pytest.mark.parametrize("field", ["trials", "seed"])
+@pytest.mark.parametrize("value", [None, [1], {"n": 1}, 1e999])
+def test_non_numeric_trials_or_seed_is_a_config_error(field, value):
+    obj = {"arch": "mapi", "task": "norm", "trials": 2, "seed": 1,
+           "grid": {"m": [64], "n": [1], "d": [32], "eps": [0.5]}}
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"config '{field}' must be an integer"):
+        harness.ExperimentConfig.from_json(json.dumps(obj))
+
+
+def test_one_philox_per_thread(monkeypatch):
+    # A harness run reuses one generator per thread; building one per
+    # Stream.words call would show here as thousands of constructions.
+    made = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    config = small_config(grid={"m": [64, 119], "n": [1, 16], "d": [256], "eps": [0.5]},
+                          trials=10)
+    expected, _ = harness.run(config)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(harness.run(config)[0]))
+    worker.start()
+    worker.join()
+    assert out == [expected]
+    assert made.count(worker.ident) == 1
+    assert all(made.count(ident) <= 1 for ident in made)
 
 
 def test_depth_task_uses_L_column():

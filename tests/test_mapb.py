@@ -291,3 +291,28 @@ def test_sizing_scalings():
 def test_sizing_empty_intersection():
     res = mapb.sizing_mapb("empty-intersection", nx=4, ny=4, delta=0.05)
     assert res.m == math.ceil(24.0 * math.log(1 / 0.05) * 16)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 301 * 5, 1 << 20], ids=["1-col", "5-col", "default"])
+def test_membership_scores_equal_single_tests(monkeypatch, block_bytes):
+    monkeypatch.setattr(mapb, "_SCORE_BLOCK_BYTES", block_bytes)
+    for seed in range(5):
+        cb = Codebook("dense-sign", 301, 64, seed=seed)
+        b = mapb.bundle_sign(cb, SymbolSet.from_ids(64, [2, 9, 33, 60]), tie_seed=seed)
+        ids = [63, 0, 9, 9, 41, 2]
+        expected = [mapb.membership_test(b, j, 0.05).score for j in ids]
+        assert mapb.membership_scores(b, ids).tolist() == expected
+        assert mapb.membership_scores(b, range(64)).tolist() == [
+            mapb.membership_test(b, j, 0.05).score for j in range(64)
+        ]
+
+
+def test_membership_out_of_range_symbol():
+    cb = Codebook("dense-sign", 64, 16, seed=1)
+    b = mapb.bundle_sign(cb, SymbolSet.from_ids(16, [3]))
+    with pytest.raises(IndexError):
+        mapb.membership_test(b, 16, 0.05)
+    with pytest.raises(IndexError):
+        mapb.membership_scores(b, [0, 16])
+    with pytest.raises(IndexError):
+        mapb.membership_scores(b, [-1])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vsakit import rng
 
@@ -45,9 +46,69 @@ def test_choose_distinct_full_range_is_permutation():
 
 
 def test_known_raw_words_pinned():
-    # Freeze the stream so silent RNG drift is caught; values were produced
-    # by this implementation and must never change for the same inputs.
-    got = rng.Stream(12345, "pin").words(0, 2)
-    again = rng.Stream(12345, "pin").words(0, 2)
-    assert np.array_equal(got, again)
-    assert got.dtype == np.uint64
+    # Freeze the stream so silent RNG drift is caught. These literal words
+    # were recorded from the original one-generator-per-call implementation.
+    assert rng.stream_id("pin") == 2925312851618788452
+    assert rng.Stream(12345, "pin").words(0, 6).tolist() == [
+        5180748607473926712, 6140411999179225874, 12929025977015240518,
+        6168682178704401652, 16604953857284006424, 14584847189732172000,
+    ]
+    assert rng.Stream(12345, "pin", 7).words(3, 5).tolist() == [
+        10768862915389906275, 12910929128661720538, 7786988039255859524,
+        6799518604384328901, 1335551750409553749,
+    ]
+    assert rng.Stream(12345, "pin").words(0, 2).dtype == np.uint64
+
+
+@pytest.mark.parametrize("block", [0, 1, 5, 2**40, 2**64 + 3])
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 22])
+def test_words_match_numpy_philox_reference(block, n):
+    s = rng.Stream(2023, "ref", block % 11)
+    ref = np.random.Philox(key=np.array([s.seed, s.sid], dtype=np.uint64))
+    ref.advance(block)
+    expected = ref.random_raw(n)
+    assert np.array_equal(s.words(block, n), expected)
+    # the reused generator carries nothing from one call into the next
+    rng.Stream(1, "other").words(block + 1, 9)
+    assert np.array_equal(s.words(block, n), expected)
+
+
+def _choose_distinct_dict_loop(words, m, k):
+    # The original one-word-at-a-time loop, kept as the reference.
+    swap = {}
+    out = np.empty(k, dtype=np.int64)
+    for t in range(k):
+        r = t + int(words[t] % np.uint64(m - t))
+        vt = swap.get(t, t)
+        out[t] = swap.get(r, r)
+        swap[r] = vt
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 16, 256, 7580])
+@pytest.mark.parametrize("k", [0, 1, 8, 256])
+def test_choose_distinct_matches_dict_loop(m, k):
+    k = min(m, k)
+    s = rng.Stream(5, "choose", m, k)
+    for block in range(20):
+        words = s.words(block * 64, k + 3)
+        got = rng.choose_distinct(words, m, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _choose_distinct_dict_loop(words, m, k))
+
+
+def test_choose_distinct_rejects_too_few_words():
+    with pytest.raises(ValueError, match="needs 3 words"):
+        rng.choose_distinct(np.zeros(2, dtype=np.uint64), 10, 3)
+    with pytest.raises(ValueError):
+        rng.choose_distinct(np.zeros(5, dtype=np.uint64), 4, 5)
+
+
+def test_cached_string_tags_hash_as_before():
+    import hashlib
+
+    for tag in ["codebook", "dense-sign", "inst", "", "\u00e9t\u00e9"]:
+        digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+        assert rng._tag_word(tag) == int.from_bytes(digest, "little")
+        assert rng._tag_word(tag) == int.from_bytes(digest, "little")  # cached
+    assert rng.stream_id("codebook", "dense-sign", 64, 256, 0) == 8103671085877235479
