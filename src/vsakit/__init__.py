@@ -16,7 +16,7 @@ signs, with-replacement sparse binary and exactly-k sparse binary columns),
 """
 
 from .codebook import Codebook, atomic
-from .hypervector import Hypervector, Rotation, bind, rotate
+from .hypervector import Hypervector, Rotation, rotate
 from .rng import RNG_VERSION
 from .setalg import (
     BindingBundleSpec,
@@ -43,7 +43,6 @@ __all__ = [
     "SizingResult",
     "SymbolSet",
     "atomic",
-    "bind",
     "calibrate",
     "intersection_size",
     "l1_distance",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .hypervector import Hypervector
 from .setalg import SymbolSet, require_flat
 from .sizing import SizingResult, check_rates, constants_for
 
@@ -41,10 +40,6 @@ class BloomBundle:
 
     def popcount(self) -> int:
         return int(self.bits.sum())
-
-    @property
-    def vector(self) -> Hypervector:
-        return Hypervector(self.bits.astype(np.int8), "binary")
 
 
 def bundle_bloom(cb: Codebook, v: SymbolSet) -> BloomBundle:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .hypervector import Hypervector
 from .setalg import SymbolSet
 from .sizing import SizingResult, check_rates, constants_for
 
@@ -40,10 +39,6 @@ class CountBundle:
 
     def mass(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def vector(self) -> Hypervector:
-        return Hypervector(self.counts, "count")
 
 
 def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:

@@ -26,7 +26,7 @@ def _parse_value(text: str):
             return cast(text)
         except ValueError:
             continue
-    return text
+    raise ConfigError(f"--param value must be a number, got {text!r}")
 
 
 def _params_dict(pairs: list[str]) -> dict:

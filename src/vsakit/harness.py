@@ -25,6 +25,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable
 
@@ -34,7 +35,7 @@ from . import bloom, cbloom, hopfield, mapb, mapi, rng, setalg
 from .codebook import Codebook
 from .hypervector import Hypervector
 from .setalg import SequenceSpec, SymbolSet
-from .sizing import check_rates
+from .sizing import SizingResult, check_rates
 
 CSV_VERSION = "v1"
 COLUMNS = (
@@ -69,6 +70,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.arch, str) and isinstance(self.task, str)):
+            raise ValueError(f"arch and task must be strings, got {self.arch!r}, {self.task!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a string or null, got {self.out!r}")
         if (self.arch, self.task) not in TASKS:
             raise ValueError(f"unknown experiment task ({self.arch!r}, {self.task!r})")
         if not self.grid or any(not values for values in self.grid.values()):
@@ -139,16 +144,21 @@ def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y:
     return x, y
 
 
-def _params(cell: dict, cast, *names: str) -> list:
-    """The named cell parameters passed through ``cast`` (int or float)."""
+def _params(cell: dict, cast, *names: str, **defaults) -> list:
+    """The named cell parameters passed through ``cast`` (int or float), in order.
+
+    Each keyword names an optional parameter and its default; it is read
+    after the required ``names``.
+    """
     out = []
-    for name in names:
-        if name not in cell:
+    for name in (*names, *defaults):
+        if name not in cell and name not in defaults:
             raise ValueError(f"task needs parameter {name!r}")
+        value = cell.get(name, defaults.get(name))
         try:
-            out.append(cast(cell[name]))
+            out.append(cast(value))
         except (TypeError, OverflowError):
-            raise ValueError(f"parameter {name!r} must be a number, got {cell[name]!r}") from None
+            raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
     return out
 
 
@@ -225,8 +235,7 @@ def _random_edges(seed: int, d: int, count: int, arity: int) -> setalg.BindingBu
 
 
 def _trial_mapi_binding(cell: dict, seed: int) -> TrialOutcome:
-    m, d, edges = _params(cell, int, "m", "d", "E")
-    arity = int(cell.get("arity", 2))
+    m, d, edges, arity = _params(cell, int, "m", "d", "E", arity=2)
     (eps,) = _params(cell, float, "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     spec = _random_edges(seed, d, edges, arity)
@@ -340,9 +349,7 @@ def _cbloom_instance(cell: dict, seed: int):
     The common (wedge) part carries identical weights in both sets, so the
     difference masses are exactly n_v and n_w.
     """
-    d, n_v, n_w = _params(cell, int, "d", "n_v", "n_w")
-    peak = int(cell.get("K_b", 1))
-    common = int(cell.get("n", 0))
+    d, n_v, n_w, peak, common = _params(cell, int, "d", "n_v", "n_w", K_b=1, n=0)
     parts = [_mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)]
     sizes = [len(p) for p in parts]
     ids = _draw_subset(seed, "support", d, sum(sizes))
@@ -353,27 +360,19 @@ def _cbloom_instance(cell: dict, seed: int):
     return v, w
 
 
-def _trial_cbloom_intersection(cell: dict, seed: int) -> TrialOutcome:
+def _trial_cbloom(cell: dict, seed: int, l1: bool) -> TrialOutcome:
     m, k = _params(cell, int, "m", "k")
     (eps,) = _params(cell, float, "eps")
-    cb = Codebook("sparse-binary-exact", m, int(cell["d"]), k=k, seed=seed)
+    (d,) = _params(cell, int, "d")
+    cb = Codebook("sparse-binary-exact", m, d, k=k, seed=seed)
     v, w = _cbloom_instance(cell, seed)
-    est = cbloom.generalized_intersection_estimate(
-        cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w)
-    )
-    truth = setalg.wedgedot(v, w)
-    overshoot = est - truth
-    return TrialOutcome(est, truth, 0.0 <= overshoot < eps, abs(overshoot))
-
-
-def _trial_cbloom_l1(cell: dict, seed: int) -> TrialOutcome:
-    m, k = _params(cell, int, "m", "k")
-    (eps,) = _params(cell, float, "eps")
-    cb = Codebook("sparse-binary-exact", m, int(cell["d"]), k=k, seed=seed)
-    v, w = _cbloom_instance(cell, seed)
-    est = cbloom.l1_distance_estimate(
-        cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w), v.l1(), w.l1()
-    )
+    bv, bw = cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w)
+    if not l1:
+        est = cbloom.generalized_intersection_estimate(bv, bw)
+        truth = setalg.wedgedot(v, w)
+        overshoot = est - truth  # estimator never underestimates
+        return TrialOutcome(est, truth, 0.0 <= overshoot < eps, abs(overshoot))
+    est = cbloom.l1_distance_estimate(bv, bw, v.l1(), w.l1())
     truth = setalg.l1_distance(v, w)
     short = truth - est  # estimator never overestimates
     return TrialOutcome(est, truth, 0.0 <= short < 2.0 * eps, abs(short))
@@ -400,8 +399,8 @@ def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
         probe = patterns[0].values.astype(np.int64).copy()
         probe[half:] = 0  # key half kept, value half erased
     else:
-        erasures = int(cell.get("erasures", half))
-        probe = hopfield.corrupt(patterns[0], erasures, int(cell.get("flips", 0)), seed)
+        erasures, flips = _params(cell, int, erasures=half, flips=0)
+        probe = hopfield.corrupt(patterns[0], erasures, flips, seed)
     result = hopfield.recall(hopfield.train(patterns), probe)
     ok = result.converged and result.vector == patterns[0]
     return TrialOutcome(float(ok), 1.0, ok, float(not ok))
@@ -422,34 +421,50 @@ def _trial_hpm(cell: dict, seed: int, dot: bool) -> TrialOutcome:
     return _within(hopfield.hpm_dot_estimate(bx, by), truth, eps * support)
 
 
-TASKS: dict[tuple[str, str], Callable[[dict, int], TrialOutcome]] = {
-    ("mapi", "norm"): _trial_mapi_norm,
-    ("mapi", "pairs"): _trial_mapi_pairs,
-    ("mapi", "sequence"): _trial_mapi_sequence,
-    ("mapi", "sequence-symbols"): _trial_mapi_sequence_symbols,
-    ("mapi", "binding2"): _trial_mapi_binding,
-    ("mapi", "bindingK"): _trial_mapi_binding,
-    ("mapb", "member"): _trial_mapb_member,
-    ("mapb", "sequence-member"): _trial_mapb_sequence_member,
-    ("mapb", "kv-member"): _trial_mapb_kv_member,
-    ("mapb", "empty-intersection"): _trial_mapb_empty_intersection,
-    ("mapb", "depth"): _trial_mapb_depth,
-    ("bloom", "size"): _trial_bloom_size,
-    ("bloom", "intersection"): _trial_bloom_intersection,
-    ("cbloom", "intersection"): _trial_cbloom_intersection,
-    ("cbloom", "l1"): _trial_cbloom_l1,
-    ("hopfield", "store"): _trial_hopfield_store,
-    ("hopfield", "recall"): lambda cell, seed: _trial_hopfield_recall(cell, seed, kv=False),
-    ("hopfield", "kv-recall"): lambda cell, seed: _trial_hopfield_recall(cell, seed, kv=True),
-    ("hopfield", "hpm-norm"): lambda cell, seed: _trial_hpm(cell, seed, dot=False),
-    ("hopfield", "hpm-dot"): lambda cell, seed: _trial_hpm(cell, seed, dot=True),
+@dataclass(frozen=True)
+class Task:
+    """A registered (arch, task): its seeded trial and, if sizable, its sizing function."""
+
+    trial: Callable[[dict, int], TrialOutcome]
+    size: Callable[..., SizingResult] | None = None
+
+
+#: The one registry of (arch, task). A sizable entry carries its sizing
+#: function already bound to its task; ``sizing.size`` and ``calibrate``
+#: dispatch through it, and its keys are exactly those of ``sizing.CONSTANTS``.
+TASKS: dict[tuple[str, str], Task] = {
+    ("mapi", "norm"): Task(_trial_mapi_norm, partial(mapi.sizing_mapi, "norm")),
+    ("mapi", "pairs"): Task(_trial_mapi_pairs, partial(mapi.sizing_mapi, "pairs")),
+    ("mapi", "sequence"): Task(_trial_mapi_sequence, partial(mapi.sizing_mapi, "sequence")),
+    ("mapi", "sequence-symbols"): Task(_trial_mapi_sequence_symbols,
+                                       partial(mapi.sizing_mapi, "sequence-symbols")),
+    ("mapi", "binding2"): Task(_trial_mapi_binding, partial(mapi.sizing_mapi, "binding2")),
+    ("mapi", "bindingK"): Task(_trial_mapi_binding, partial(mapi.sizing_mapi, "bindingK")),
+    ("mapb", "member"): Task(_trial_mapb_member, partial(mapb.sizing_mapb, "member")),
+    ("mapb", "sequence-member"): Task(_trial_mapb_sequence_member,
+                                      partial(mapb.sizing_mapb, "sequence-member")),
+    ("mapb", "kv-member"): Task(_trial_mapb_kv_member, partial(mapb.sizing_mapb, "kv-member")),
+    ("mapb", "empty-intersection"): Task(_trial_mapb_empty_intersection,
+                                         partial(mapb.sizing_mapb, "empty-intersection")),
+    ("mapb", "depth"): Task(_trial_mapb_depth),
+    ("bloom", "size"): Task(_trial_bloom_size),
+    ("bloom", "intersection"): Task(_trial_bloom_intersection, bloom.sizing_bloom),
+    ("cbloom", "intersection"): Task(partial(_trial_cbloom, l1=False), cbloom.sizing_cbloom),
+    ("cbloom", "l1"): Task(partial(_trial_cbloom, l1=True)),
+    ("hopfield", "store"): Task(_trial_hopfield_store, hopfield.sizing_hopfield),
+    ("hopfield", "recall"): Task(partial(_trial_hopfield_recall, kv=False)),
+    ("hopfield", "kv-recall"): Task(partial(_trial_hopfield_recall, kv=True)),
+    ("hopfield", "hpm-norm"): Task(partial(_trial_hpm, dot=False),
+                                   partial(hopfield.sizing_hpm, "hpm-norm")),
+    ("hopfield", "hpm-dot"): Task(partial(_trial_hpm, dot=True),
+                                  partial(hopfield.sizing_hpm, "hpm-dot")),
 }
 
 
 def run_trial(arch: str, task: str, cell: dict, seed: int) -> TrialOutcome:
     """Run one seeded trial of a registered task."""
     try:
-        fn = TASKS[(arch, task)]
+        fn = TASKS[(arch, task)].trial
     except KeyError:
         raise ValueError(f"unknown experiment task ({arch!r}, {task!r})") from None
     return fn(cell, seed)
@@ -460,27 +475,6 @@ def trial_records(config: ExperimentConfig, cell: dict) -> list[TrialRecord]:
     seeds = [trial_seed(config.seed, cell, t) for t in range(config.trials)]
     return [TrialRecord(cell, t, seed, run_trial(config.arch, config.task, cell, seed))
             for t, seed in enumerate(seeds)]
-
-
-def oracle_check(arch: str, task: str, instance: dict):
-    """Exact ground truth for small instances (see mapb.ENUMERATION_STATE_LIMIT)."""
-    if arch == "setalg":
-        a = SymbolSet.from_json_obj(instance["a"])
-        b = SymbolSet.from_json_obj(instance["b"])
-        fn = {
-            "intersection": setalg.intersection_size,
-            "wedgedot": setalg.wedgedot,
-            "l1": setalg.l1_distance,
-            "symdiff": setalg.symmetric_difference_size,
-        }.get(task)
-        if fn is None:
-            raise ValueError(f"unknown setalg oracle {task!r}")
-        return fn(a, b)
-    if arch == "mapb" and task == "agreement":
-        return mapb.agreement_probability(int(instance["n"]))
-    if arch == "mapb" and task == "chain-agreement":
-        return mapb.chain_agreement_probability(int(instance["r"]))
-    raise ValueError(f"no exact oracle for ({arch!r}, {task!r})")
 
 
 # -- aggregation and CSV --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense hypervectors tagged with a value domain, plus rotation and binding."""
+"""Dense hypervectors tagged with a value domain, plus rotation."""
 
 from __future__ import annotations
 
@@ -77,18 +77,3 @@ def rotate(x: Hypervector, r: Rotation) -> Hypervector:
     ell = r.shift % x.m
     return Hypervector(np.roll(x.values, -ell), x.domain)
 
-
-def bind(columns: list[Hypervector]) -> Hypervector:
-    """Hadamard product of sign hypervectors of equal length."""
-    if not columns:
-        raise ValueError("bind requires at least one vector")
-    m = columns[0].m
-    for c in columns:
-        if c.domain != "sign":
-            raise ValueError("bind requires sign-domain inputs")
-        if c.m != m:
-            raise ValueError("bind requires equal lengths")
-    out = columns[0].values.astype(np.int8).copy()
-    for c in columns[1:]:
-        out *= c.values.astype(np.int8)
-    return Hypervector(out, "sign")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mapi, rng
 from .codebook import Codebook
-from .hypervector import Hypervector
+from .hypervector import Hypervector, Rotation, rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, require_flat
 from .sizing import SizingResult, check_rates, constants_for, require
 
@@ -90,10 +90,6 @@ class MapBBundle:
     @property
     def m(self) -> int:
         return self.signs.shape[0]
-
-    @property
-    def vector(self) -> Hypervector:
-        return Hypervector(self.signs, "sign")
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,7 @@ def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     if not 0 <= j < b.L * d:
         raise IndexError(f"position-qualified index {j} out of range for L*d = {b.L * d}")
     ell, jm = divmod(j, d)
-    col = np.roll(b.codebook.column_ints(jm), -(ell % b.m)).astype(np.int64)
+    col = rotate(Hypervector(b.codebook.column_ints(jm), "sign"), Rotation(ell)).values
     score = int(b.signs.astype(np.int64) @ col)
     tau = sequence_member_threshold(b.m, b.L, d, delta)
     return TestResult(score >= tau, score, tau, b.kind != "sequence")
@@ -284,7 +280,7 @@ def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> Te
     if b.keys is not None and w in b.keys:
         raise ValueError(f"query value {w} is a key id in this bundle")
     cols = b.codebook.sign_columns([q, w]).astype(np.int64)
-    score = int(b.signs.astype(np.int64) @ (cols[:, 0] * cols[:, 1]))
+    score = int(b.signs.astype(np.int64) @ cols.prod(axis=1))
     tau = kv_member_threshold(b.m, b.codebook.d, delta)
     return TestResult(score >= tau, score, tau, b.kind != "kv")
 

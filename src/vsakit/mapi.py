@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .hypervector import Hypervector
+from .hypervector import Hypervector, Rotation, rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 from .sizing import SizingResult, check_rates, constants_for, require
 
@@ -36,12 +36,6 @@ class MapIBundle:
     @property
     def m(self) -> int:
         return self.ints.shape[0]
-
-    @property
-    def vector(self) -> Hypervector:
-        if self.scaled:
-            return Hypervector(self.ints * self.codebook.scale(), "scaled-real")
-        return Hypervector(self.ints, "integer")
 
 
 def _require_dense(cb: Codebook) -> None:
@@ -127,8 +121,8 @@ def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
         raise ValueError(f"sequence universe {seq.d} != codebook universe {cb.d}")
     ints = np.zeros(cb.m, dtype=np.int64)
     for ell, s in enumerate(seq.sets):
-        part = bundle(cb, s).ints
-        ints += np.roll(part, -(ell % cb.m))
+        part = Hypervector(bundle(cb, s).ints, "integer")
+        ints += rotate(part, Rotation(ell)).values
     return MapIBundle(ints, cb, cb.scaled)
 
 

@@ -12,9 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-#: Default leading constants, keyed by "<arch>.<task>". The keys are the one
-#: list of sizable (arch, task) pairs: a formula exists iff it has constants.
-#: The theory gives
+#: Default leading constants, keyed by "<arch>.<task>". The keys are exactly
+#: the ``harness.TASKS`` entries that carry a sizing function. The theory gives
 #: O(.) for most rows; C=8 is the standard sign-matrix JL constant, C=16 the
 #: Hoeffding-flavored membership constant, and the Bloom / Counting Bloom
 #: constants are the exact values carried by the proofs.
@@ -96,33 +95,20 @@ def require(params: dict, *names: str) -> list:
     return out
 
 
-def _calculator(arch: str, task: str):
-    """The per-architecture sizing function for a formula in CONSTANTS."""
-    from . import bloom, cbloom, hopfield, mapb, mapi
-
-    if (arch, task) == ("hopfield", "store"):
-        return hopfield.sizing_hopfield
-    return {
-        "mapi": mapi.sizing_mapi,
-        "mapb": mapb.sizing_mapb,
-        "bloom": bloom.sizing_bloom,
-        "cbloom": cbloom.sizing_cbloom,
-        "hopfield": hopfield.sizing_hpm,
-    }[arch]
-
-
 def size(arch: str, task: str, **params) -> SizingResult:
-    """Dispatch to the per-architecture sizing calculator.
+    """Call the sizing function of the (arch, task) entry in ``harness.TASKS``.
 
-    Parameters the chosen formula does not use are ignored, so a combined
+    Parameters the formula does not use are ignored, so a combined
     sizing-plus-instance dict (as calibrate and the CLI hold) can be passed
     straight through; missing required parameters still raise.
     """
-    constants_for(f"{arch}.{task}")
-    fn = _calculator(arch, task)
-    accepted = inspect.signature(fn).parameters
-    kwargs = {name: value for name, value in params.items() if name in accepted and name != "task"}
-    return fn(task, **kwargs) if "task" in accepted else fn(**kwargs)
+    from . import harness
+
+    entry = harness.TASKS.get((arch, task))
+    if entry is None or entry.size is None:
+        raise ValueError(f"unknown sizing formula {f'{arch}.{task}'!r}")
+    accepted = inspect.signature(entry.size).parameters
+    return entry.size(**{name: value for name, value in params.items() if name in accepted})
 
 
 @dataclass(frozen=True)

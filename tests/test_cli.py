@@ -34,6 +34,9 @@ def test_size_unknown_task_exits_2(capsys):
 
 def test_size_bad_param_syntax_exits_2(capsys):
     assert main(["size", "--arch", "mapi", "--task", "norm", "--param", "eps"]) == 2
+    assert main(["size", "--arch", "mapi", "--task", "norm",
+                 "--param", "eps=abc", "--param", "delta=0.05"]) == 2
+    assert "must be a number, got 'abc'" in capsys.readouterr().err
 
 
 def test_encode_and_membership_query(tmp_path, capsys):
@@ -174,7 +177,12 @@ def test_seed_and_threads_only_on_subcommands_that_read_them(tmp_path, capsys):
     ' "grid": {"m": [64], "n": [1], "d": [8], "eps": [0.5]}}',
     '{"arch": "mapi", "task": "norm", "trials": 1, "seed": [3],'
     ' "grid": {"m": [64], "n": [1], "d": [8], "eps": [0.5]}}',
-], ids=["array", "grid-list", "grid-scalar", "grid-string", "trials-null", "seed-list"])
+    '{"arch": ["mapi"], "task": "norm", "trials": 1,'
+    ' "grid": {"m": [64], "n": [1], "d": [8], "eps": [0.5]}}',
+    '{"arch": "mapi", "task": "norm", "trials": 1, "out": 5,'
+    ' "grid": {"m": [64], "n": [1], "d": [8], "eps": [0.5]}}',
+], ids=["array", "grid-list", "grid-scalar", "grid-string", "trials-null", "seed-list",
+        "arch-list", "out-number"])
 def test_malformed_experiment_config_is_a_config_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

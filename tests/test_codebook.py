@@ -3,7 +3,7 @@ import pytest
 
 from vsakit import rng
 from vsakit.codebook import Codebook, atomic
-from vsakit.hypervector import Hypervector, Rotation, bind, rotate
+from vsakit.hypervector import Hypervector, Rotation, rotate
 
 
 def test_dense_sign_columns_are_signs():
@@ -101,24 +101,6 @@ def test_rotate_examples():
     assert rotate(x, Rotation(1)).values.tolist() == [2, 3, 1]
     y = Hypervector(np.array([1, 2, 3, 4]), "integer")
     assert rotate(y, Rotation(2)).values.tolist() == [3, 4, 1, 2]
-
-
-def test_bind_examples():
-    a = Hypervector(np.array([1, -1], dtype=np.int8), "sign")
-    b = Hypervector(np.array([1, 1], dtype=np.int8), "sign")
-    assert bind([a, b]).values.tolist() == [1, -1]
-    assert bind([a, a]).values.tolist() == [1, 1]  # x (x) x = ones
-    ones = Hypervector(np.ones(2, dtype=np.int8), "sign")
-    assert bind([a, ones]) == a
-
-
-def test_bind_rejects_bad_inputs():
-    a = Hypervector(np.array([1, -1], dtype=np.int8), "sign")
-    c = Hypervector(np.array([1, 0], dtype=np.int8), "binary")
-    with pytest.raises(ValueError):
-        bind([a, c])
-    with pytest.raises(ValueError):
-        bind([a, Hypervector(np.array([1, -1, 1], dtype=np.int8), "sign")])
 
 
 def test_codebook_json_round_trip():

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,13 +72,32 @@ def test_invalid_cell_emits_error_row():
     assert row[harness.COLUMNS.index("emp_fail_rate")] == ""
 
 
-@pytest.mark.parametrize("value,message", [
-    ([64], "parameter 'm' must be a number, got [64]"),
-    ("abc", "invalid literal for int() with base 10: 'abc'"),
-    (1e999, "parameter 'm' must be a number, got inf"),
-], ids=["list", "string", "inf"])
-def test_uncastable_cell_value_is_an_error_row(value, message):
-    config = small_config(grid={"m": [value], "n": [1], "d": [32], "eps": [0.5]}, trials=2)
+_NORM = {"n": [1], "d": [32], "eps": [0.5]}
+_BINDING = {"m": [64], "d": [32], "E": [2], "eps": [0.5]}
+_CBLOOM = {"m": [64], "k": [3], "n_v": [2], "n_w": [3], "eps": [0.5]}
+_RECALL = {"m": [64], "n": [2]}
+
+
+@pytest.mark.parametrize("arch,task,grid,message", [
+    ("mapi", "norm", {"m": [[64]], **_NORM}, "parameter 'm' must be a number, got [64]"),
+    ("mapi", "norm", {"m": ["abc"], **_NORM}, "invalid literal for int() with base 10: 'abc'"),
+    ("mapi", "norm", {"m": [1e999], **_NORM}, "parameter 'm' must be a number, got inf"),
+    ("mapi", "binding2", {**_BINDING, "arity": [[2]]},
+     "parameter 'arity' must be a number, got [2]"),
+    ("cbloom", "l1", {**_CBLOOM, "d": [[64]]}, "parameter 'd' must be a number, got [64]"),
+    ("cbloom", "intersection", _CBLOOM, "task needs parameter 'd'"),
+    ("cbloom", "l1", {**_CBLOOM, "d": [32], "K_b": [[1]]},
+     "parameter 'K_b' must be a number, got [1]"),
+    ("cbloom", "intersection", {**_CBLOOM, "d": [32], "n": [None]},
+     "parameter 'n' must be a number, got None"),
+    ("hopfield", "recall", {**_RECALL, "erasures": [{}]},
+     "parameter 'erasures' must be a number, got {}"),
+    ("hopfield", "recall", {**_RECALL, "flips": [[1]]},
+     "parameter 'flips' must be a number, got [1]"),
+], ids=["list", "string", "inf", "arity-list", "cbloom-d-list", "cbloom-no-d", "K_b-list",
+        "cbloom-n-null", "erasures-object", "flips-list"])
+def test_uncastable_cell_value_is_an_error_row(arch, task, grid, message):
+    config = small_config(arch=arch, task=task, grid=grid, trials=2)
     csv_text, _ = harness.run(config)
     row = next(csv.reader(io.StringIO(csv_text.splitlines()[1])))
     assert row[harness.COLUMNS.index("error")] == message
@@ -150,22 +168,6 @@ def test_config_from_json():
     assert sidecar["rng_version"] == harness.rng.RNG_VERSION
     with pytest.raises(ValueError):
         harness.ExperimentConfig.from_json(json.dumps({"arch": "bloom"}))
-
-
-def test_oracle_check_setalg():
-    a = {"d": 8, "entries": [[1, 1], [2, 1]]}
-    b = {"d": 8, "entries": [[2, 1], [3, 1]]}
-    assert harness.oracle_check("setalg", "intersection", {"a": a, "b": b}) == 1
-    assert harness.oracle_check("setalg", "wedgedot", {"a": a, "b": b}) == 1
-
-
-def test_oracle_check_agreement_and_bounds():
-    assert harness.oracle_check("mapb", "agreement", {"n": 4}) == Fraction(11, 16)
-    assert harness.oracle_check("mapb", "chain-agreement", {"r": 3}) == Fraction(5, 8)
-    with pytest.raises(ValueError):
-        harness.oracle_check("mapb", "agreement", {"n": 40})
-    with pytest.raises(ValueError):
-        harness.oracle_check("mapi", "norm", {})
 
 
 def test_trial_records_match_aggregate():
