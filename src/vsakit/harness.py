@@ -108,9 +108,12 @@ class ExperimentConfig:
 
 def _config_int(value, name: str) -> int:
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, OverflowError):
-        raise ValueError(f"config {name!r} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, float) and number != value:
+        raise ValueError(f"config {name!r} must be an integer, got {value!r}")
+    return number
 
 
 def trial_seed(master: int, cell: dict, index: int) -> int:
@@ -159,6 +162,8 @@ def _params(cell: dict, cast, *names: str, **defaults) -> list:
             out.append(cast(value))
         except (TypeError, OverflowError):
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
+        if cast is int and isinstance(value, float) and out[-1] != value:
+            raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
     return out
 
 

@@ -1,9 +1,10 @@
 """Classical Hopfield associative memory and the Hopfield± bundling variant.
 
-The net stores sign patterns in W = S S^T - n I (zero diagonal, symmetric)
-and recalls with synchronous updates x <- signge(W x), where signge maps 0
-to +1 (deterministic, unlike MAP-B's randomized tie rule). Thinning drops
-columns of W, trading storage for the probe mass the recall bound needs.
+A net is its stored sign patterns S (m x n). W = S S^T - n I (zero diagonal,
+symmetric) is never stored: recall applies S (S^T x) - n x in synchronous
+updates x <- signge(W x), where signge maps 0 to +1 (deterministic, unlike
+MAP-B's randomized tie rule). Thinning masks the probe to the kept
+coordinates, so recall reads only the columns W[:, keep].
 
 Hopfield± encodes a diagonal weight vector V as the m x m matrix
 S_bar V D S_bar^T with a seeded sign diagonal D; its squared Frobenius norm
@@ -27,40 +28,42 @@ from .sizing import SizingResult, check_rates, constants_for
 
 @dataclass(frozen=True)
 class HopfieldNet:
-    """Symmetric integer weights with zero diagonal; stores n patterns."""
+    """n stored +-1 patterns (the columns of S) and a 0/1 probe mask over m.
 
-    weights: np.ndarray
-    n: int
+    ``apply(y)`` is W[:, keep] y[keep], keep being the mask's support (all of
+    it for a trained net, a subset after :func:`thin`)."""
+
+    patterns: np.ndarray  # (m, n) int8
+    mask: np.ndarray  # (m,) int8
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.int64).copy()
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be square")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        s = np.asarray(self.patterns)
+        if s.ndim != 2 or s.size == 0 or ((s != 1) & (s != -1)).any():
+            raise ValueError("patterns must be a nonempty m x n matrix of +-1 entries")
+        mask = np.asarray(self.mask, dtype=np.int8).copy()
+        if mask.shape != s.shape[:1] or ((mask != 0) & (mask != 1)).any():
+            raise ValueError("mask must be a 0/1 vector of length m")
+        for name, value in (("patterns", s.astype(np.int8)), ("mask", mask)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
-        return self.weights.shape[0]
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.weights @ y
-
-
-@dataclass(frozen=True)
-class ThinnedHopfield:
-    """Recall operator W[:, keep]: probe mass outside ``keep`` is ignored."""
-
-    columns: np.ndarray  # (m, |keep|)
-    keep: np.ndarray
-    n: int
+        return self.patterns.shape[0]
 
     @property
-    def m(self) -> int:
-        return self.columns.shape[0]
+    def n(self) -> int:
+        return self.patterns.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The full m x m W = S S^T - n I, built on demand; recall never needs it."""
+        s = self.patterns.astype(np.int64)
+        return s @ s.T - self.n * np.eye(self.m, dtype=np.int64)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.columns @ y[self.keep]
+        z = np.asarray(y, dtype=np.int64) * self.mask
+        return self.patterns @ (self.patterns.T @ z) - self.n * z
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class RecallResult:
 
 
 def train(patterns: list[Hypervector]) -> HopfieldNet:
-    """W = sum_j x_j x_j^T - n I: outer products with the diagonal zeroed."""
+    """Stack the patterns as the columns of S; W = S S^T - n I stays implicit."""
     if not patterns:
         raise ValueError("train requires at least one pattern")
     m = patterns[0].m
@@ -80,10 +83,7 @@ def train(patterns: list[Hypervector]) -> HopfieldNet:
             raise ValueError("patterns must be sign hypervectors")
         if p.m != m:
             raise ValueError("patterns must have equal length")
-    mat = np.stack([p.values for p in patterns], axis=1).astype(np.int64)
-    w = mat @ mat.T
-    np.fill_diagonal(w, 0)
-    return HopfieldNet(w, len(patterns))
+    return HopfieldNet(np.stack([p.values for p in patterns], axis=1), np.ones(m, np.int8))
 
 
 def signge(z: np.ndarray) -> np.ndarray:
@@ -136,14 +136,16 @@ def corrupt(x: Hypervector, erasures: int, flips: int, seed: int) -> Hypervector
     return Hypervector(out, "integer")
 
 
-def thin(net: HopfieldNet, keep) -> ThinnedHopfield:
-    """Restrict recall to the kept columns of W (m x |keep| storage)."""
-    keep = np.unique(np.asarray(sorted(keep), dtype=np.int64))
+def thin(net: HopfieldNet, keep) -> HopfieldNet:
+    """Restrict recall to the kept coordinates (of those still kept): W[:, keep] y[keep]."""
+    keep = np.asarray(list(keep), dtype=np.int64)
     if keep.size == 0:
         raise ValueError("keep must be nonempty")
-    if keep[0] < 0 or keep[-1] >= net.m:
+    if keep.min() < 0 or keep.max() >= net.m:
         raise IndexError("keep indices out of range")
-    return ThinnedHopfield(net.weights[:, keep].copy(), keep, net.n)
+    mask = np.zeros(net.m, dtype=np.int8)
+    mask[keep] = net.mask[keep]
+    return HopfieldNet(net.patterns, mask)
 
 
 def probe_threshold(n: int, m: int, delta: float) -> float:

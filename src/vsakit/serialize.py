@@ -1,4 +1,4 @@
-"""Binary formats: bundles (header + packed values) and Hopfield nets.
+"""Binary formats: bundles (header + packed values) and Hopfield nets (packed S).
 
 Bundle layout (little-endian):
 
@@ -18,6 +18,10 @@ count); readers refuse any other domain byte. Readers take the codebook and
 refuse a hash mismatch: a bundle is only meaningful against the codebook
 that generated it. Version 1 stores no MAP-B kind, so only MAP-B set bundles
 can be written.
+
+Hopfield net layout: magic b"VSAH", version u8 2, m u64, n u64, then
+ceil(m*n/8) bytes holding the n patterns of S one after another, in little
+bit order with +1 -> 1. Version 1 (the int64 upper triangle of W) is not read.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .mapi import MapIBundle
 _MAGIC = b"VSAB"
 _NET_MAGIC = b"VSAH"
 _VERSION = 1
+_NET_VERSION = 2
 _ARCH = {"mapi": 1, "mapb": 2, "bloom": 3, "cbloom": 4}
 _ARCH_NAMES = {v: k for k, v in _ARCH.items()}
 _DOMAIN = {"mapi": 1, "mapb": 0, "bloom": 2, "cbloom": 3}
@@ -133,26 +138,25 @@ def arch_of(data: bytes) -> str:
 
 
 def net_to_bytes(net: HopfieldNet) -> bytes:
-    """Header {m, n} + strict upper triangle of W as int64 (W is symmetric)."""
-    m = net.m
-    iu = np.triu_indices(m, k=1)
-    header = _NET_HEADER.pack(_NET_MAGIC, _VERSION, m, net.n)
-    return header + net.weights[iu].astype("<i8").tobytes()
+    """Header {m, n} + the patterns S, one after another, packed as sign bits."""
+    if not net.mask.all():
+        raise ValueError("cannot serialize a thinned hopfield net")
+    header = _NET_HEADER.pack(_NET_MAGIC, _NET_VERSION, net.m, net.n)
+    return header + _pack_bits((net.patterns.T + 1) // 2)
 
 
 def net_from_bytes(data: bytes) -> HopfieldNet:
     if len(data) < _NET_HEADER.size:
         raise ValueError("truncated hopfield net")
     magic, version, m, n = _NET_HEADER.unpack_from(data)
-    if magic != _NET_MAGIC or version != _VERSION:
-        raise ValueError("not a vsakit hopfield net")
-    count = m * (m - 1) // 2
-    expected = _NET_HEADER.size + 8 * count
+    if magic != _NET_MAGIC:
+        raise ValueError("not a vsakit hopfield net (bad magic)")
+    if version != _NET_VERSION:
+        raise ValueError(f"unsupported hopfield net version {version}")
+    if m < 1 or n < 1:
+        raise ValueError(f"hopfield net needs m >= 1 and n >= 1, got m={m}, n={n}")
+    expected = _NET_HEADER.size + -(-m * n // 8)
     if len(data) != expected:
         raise ValueError(f"hopfield net is {len(data)} bytes, expected {expected}")
-    tri = np.frombuffer(data, dtype="<i8", offset=_NET_HEADER.size, count=count)
-    w = np.zeros((m, m), dtype=np.int64)
-    iu = np.triu_indices(m, k=1)
-    w[iu] = tri
-    w[iu[1], iu[0]] = tri
-    return HopfieldNet(w, int(n))
+    bits = _unpack_bits(data[_NET_HEADER.size :], m * n).reshape(n, m).T
+    return HopfieldNet(bits.astype(np.int8) * 2 - 1, np.ones(m, np.int8))

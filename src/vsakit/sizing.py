@@ -95,7 +95,7 @@ def require(params: dict, *names: str) -> list:
     return out
 
 
-def size(arch: str, task: str, **params) -> SizingResult:
+def size(arch: str, task: str, /, **params) -> SizingResult:
     """Call the sizing function of the (arch, task) entry in ``harness.TASKS``.
 
     Parameters the formula does not use are ignored, so a combined
@@ -104,6 +104,8 @@ def size(arch: str, task: str, **params) -> SizingResult:
     """
     from . import harness
 
+    if "arch" in params or "task" in params:
+        raise ValueError("sizing parameters cannot be named 'arch' or 'task'")
     entry = harness.TASKS.get((arch, task))
     if entry is None or entry.size is None:
         raise ValueError(f"unknown sizing formula {f'{arch}.{task}'!r}")

@@ -37,6 +37,10 @@ def test_size_bad_param_syntax_exits_2(capsys):
     assert main(["size", "--arch", "mapi", "--task", "norm",
                  "--param", "eps=abc", "--param", "delta=0.05"]) == 2
     assert "must be a number, got 'abc'" in capsys.readouterr().err
+    norm = ["--arch", "mapi", "--task", "norm", "--param", "eps=0.5", "--param", "delta=0.05"]
+    assert main(["size", *norm, "--param", "arch=1"]) == 2
+    assert main(["calibrate", *norm, "--param", "task=1", "--target", "0.05"]) == 2
+    assert capsys.readouterr().err.count("cannot be named 'arch' or 'task'") == 2
 
 
 def test_encode_and_membership_query(tmp_path, capsys):

@@ -94,8 +94,11 @@ _RECALL = {"m": [64], "n": [2]}
      "parameter 'erasures' must be a number, got {}"),
     ("hopfield", "recall", {**_RECALL, "flips": [[1]]},
      "parameter 'flips' must be a number, got [1]"),
+    ("mapi", "norm", {"m": [64.9], **_NORM}, "parameter 'm' must be an integer, got 64.9"),
+    ("hopfield", "recall", {**_RECALL, "erasures": [2.5]},
+     "parameter 'erasures' must be an integer, got 2.5"),
 ], ids=["list", "string", "inf", "arity-list", "cbloom-d-list", "cbloom-no-d", "K_b-list",
-        "cbloom-n-null", "erasures-object", "flips-list"])
+        "cbloom-n-null", "erasures-object", "flips-list", "m-fraction", "erasures-fraction"])
 def test_uncastable_cell_value_is_an_error_row(arch, task, grid, message):
     config = small_config(arch=arch, task=task, grid=grid, trials=2)
     csv_text, _ = harness.run(config)
@@ -104,7 +107,7 @@ def test_uncastable_cell_value_is_an_error_row(arch, task, grid, message):
 
 
 @pytest.mark.parametrize("field", ["trials", "seed"])
-@pytest.mark.parametrize("value", [None, [1], {"n": 1}, 1e999])
+@pytest.mark.parametrize("value", [None, [1], {"n": 1}, 1e999, 2.5])
 def test_non_numeric_trials_or_seed_is_a_config_error(field, value):
     obj = {"arch": "mapi", "task": "norm", "trials": 2, "seed": 1,
            "grid": {"m": [64], "n": [1], "d": [32], "eps": [0.5]}}

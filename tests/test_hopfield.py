@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,49 @@ def test_thin_recovery_statistical():
         out = hopfield.recall(thinned, pats[0])
         ok += out.converged and out.vector == pats[0]
     assert ok >= 93
+
+
+@pytest.mark.parametrize("m", [7, 8, 65, 96])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_factored_recall_equals_dense_weights(m, n):
+    cb = Codebook("dense-sign", m, n, seed=m * 10 + n)
+    net = hopfield.train(patterns_from(cb, n))
+    s = net.patterns.astype(np.int64)
+    w = s @ s.T - n * np.eye(m, dtype=np.int64)  # the reference W, built here
+    assert np.array_equal(net.weights, w)
+    gen = np.random.default_rng(m + n)
+    keeps = [[0], [m - 1], range(0, m, 2), range(m // 2), gen.choice(m, m // 3 + 1, replace=False)]
+    for _ in range(5):
+        y = gen.integers(-1, 2, size=m)  # probes with zeros
+        assert np.array_equal(net.apply(y), w @ y)
+        for keep in keeps:
+            k = np.asarray(list(keep))
+            assert np.array_equal(hopfield.thin(net, keep).apply(y), w[:, k] @ y[k])
+
+
+def test_recall_builds_no_m_by_m_array():
+    m, n = 4096, 8
+    pats = patterns_from(Codebook("dense-sign", m, n, seed=2), n)
+    probe = hopfield.corrupt(pats[0], m // 4, 0, seed=3)
+    tracemalloc.start()
+    try:
+        net = hopfield.train(pats)
+        assert hopfield.recall(net, probe).vector == pats[0]
+        assert hopfield.recall(hopfield.thin(net, range(m // 2)), pats[0]).converged
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # one m x m int64 W alone is 128 MiB
+
+
+def test_net_rejects_non_sign_patterns_and_bad_mask():
+    for bad in (np.ones(3), np.zeros((3, 2)), np.ones((0, 2)), np.array([[1, 2]])):
+        with pytest.raises(ValueError):
+            hopfield.HopfieldNet(bad, np.ones(len(bad), np.int8))
+    with pytest.raises(ValueError):
+        hopfield.HopfieldNet(np.ones((3, 2)), np.ones(2, np.int8))
+    with pytest.raises(ValueError):
+        hopfield.HopfieldNet(np.ones((3, 2)), np.array([1, 2, 0]))
 
 
 def test_hpm_zero_weights():

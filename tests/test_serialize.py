@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vsakit import bloom, cbloom, hopfield, mapb, mapi, serialize
 from vsakit.codebook import Codebook
@@ -57,6 +60,70 @@ def test_hopfield_net_round_trip():
     back = serialize.net_from_bytes(serialize.net_to_bytes(net))
     assert np.array_equal(back.weights, net.weights)
     assert back.n == net.n
+    assert len(serialize.net_to_bytes(_sign_net(651, 16, seed=0))) == 1323  # v1: 1,692,621
+
+
+def _sign_net(m, n, seed):
+    signs = np.random.default_rng(seed).integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1
+    return hopfield.HopfieldNet(signs, np.ones(m, np.int8))
+
+
+def _header(version, m, n):
+    return struct.pack("<4sBQQ", b"VSAH", version, m, n)
+
+
+def _decodes_to_header_shape_or_refuses(data):
+    try:
+        net = serialize.net_from_bytes(data)
+    except ValueError:
+        return
+    _, _, m, n = struct.unpack_from("<4sBQQ", data)
+    assert (net.m, net.n) == (m, n)
+    assert ((net.patterns == 1) | (net.patterns == -1)).all()
+
+
+_dims = dict(m=st.integers(1, 70), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+
+
+@given(**_dims)
+def test_net_round_trip_any_shape(m, n, seed):
+    net = _sign_net(m, n, seed)  # m * n need not be a multiple of 8
+    data = serialize.net_to_bytes(net)
+    assert len(data) == 21 + -(-m * n // 8)
+    back = serialize.net_from_bytes(data)
+    assert np.array_equal(back.patterns, net.patterns) and back.mask.all()
+
+
+@given(st.binary(max_size=64), st.integers(0, 20), st.integers(0, 20), st.binary(max_size=60))
+def test_net_decoder_on_arbitrary_bytes(junk, m, n, payload):
+    _decodes_to_header_shape_or_refuses(junk)
+    _decodes_to_header_shape_or_refuses(b"VSAH\x02" + junk)
+    _decodes_to_header_shape_or_refuses(_header(2, m, n) + payload)
+
+
+@given(**_dims, cut=st.integers(0, 2**16), tail=st.binary(min_size=1, max_size=16),
+       at=st.integers(0, 2**16), byte=st.integers(0, 255))
+def test_net_decoder_on_damaged_bytes(m, n, seed, cut, tail, at, byte):
+    data = serialize.net_to_bytes(_sign_net(m, n, seed))
+    with pytest.raises(ValueError):
+        serialize.net_from_bytes(data[: cut % len(data)])
+    with pytest.raises(ValueError):
+        serialize.net_from_bytes(data + tail)
+    at %= len(data)
+    _decodes_to_header_shape_or_refuses(data[:at] + bytes([byte]) + data[at + 1 :])
+
+
+def test_net_format_v1_refused():
+    net = _sign_net(20, 5, seed=6)
+    upper = net.weights[np.triu_indices(20, k=1)].astype("<i8").tobytes()
+    with pytest.raises(ValueError, match="unsupported hopfield net version 1"):
+        serialize.net_from_bytes(_header(1, 20, 5) + upper)
+
+
+def test_thinned_net_not_serialized():
+    net = _sign_net(20, 5, seed=6)
+    with pytest.raises(ValueError, match="thinned"):
+        serialize.net_to_bytes(hopfield.thin(net, range(10)))
 
 
 def _encoded(kind):
