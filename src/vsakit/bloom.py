@@ -6,6 +6,11 @@ A bundle is min(1, B v) for a sparse-binary-trials codebook B. The popcount
     h_{m,k}(z) = -(m_tilde / k) ln(1 - z/m),   m_tilde = -1 / ln(1 - 1/m)
 
 which satisfies h_{m,k}(m (1 - (1-1/m)^{kn})) = n exactly.
+
+At the sizing m is much larger than the n k bits a set can set (6.4M bits
+against at most 7.2k set at eps=0.5, delta=0.05, n=5, n_v=n_w=10), so a
+bundle is held as its sorted set positions: the popcount is their number,
+the dot product of two bundles the size of their intersection.
 """
 
 from __future__ import annotations
@@ -22,37 +27,52 @@ from .sizing import SizingResult, check_rates, constants_for
 
 @dataclass(frozen=True)
 class BloomBundle:
-    """Binary filter bits plus the codebook that hashed them."""
+    """A filter held as its set positions, plus the codebook that hashed them.
 
-    bits: np.ndarray
+    ``positions`` is a read-only, sorted, unique int64 array in [0, m); m is
+    the codebook's. Every Bloom quantity is computed from the positions, so
+    no m-element array is built unless ``bits`` is read.
+    """
+
+    positions: np.ndarray
     codebook: Codebook
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8).copy()
-        if bits.size and bits.max() > 1:
-            raise ValueError("bloom bundle entries must be 0/1")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        pos = np.asarray(self.positions)
+        if pos.ndim != 1 or pos.size and not np.issubdtype(pos.dtype, np.integer):
+            raise ValueError("bloom positions must be a 1-D integer array")
+        pos = pos.astype(np.int64)
+        if pos.size and (pos[0] < 0 or pos[-1] >= self.codebook.m):
+            raise ValueError(f"bloom positions must lie in [0, {self.codebook.m})")
+        if (pos[1:] <= pos[:-1]).any():
+            raise ValueError("bloom positions must be sorted and unique")
+        pos.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
 
     @property
     def m(self) -> int:
-        return self.bits.shape[0]
+        return self.codebook.m
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Dense 0/1 uint8 array of length m, built anew on each read; no
+        estimator or codec reads it."""
+        bits = np.zeros(self.m, dtype=np.uint8)
+        bits[self.positions] = 1
+        return bits
 
     def popcount(self) -> int:
-        return int(self.bits.sum())
+        return int(self.positions.size)
 
 
 def bundle_bloom(cb: Codebook, v: SymbolSet) -> BloomBundle:
-    """min(1, B v): OR of the atomic sparse columns. Idempotent re-adds."""
+    """min(1, B v): the union of the atomic sparse columns. Idempotent re-adds."""
     if cb.kind != "sparse-binary-trials":
         raise ValueError(f"bloom requires a sparse-binary-trials codebook, got {cb.kind!r}")
     require_flat(v)
     if v.d != cb.d:
         raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
-    bits = np.zeros(cb.m, dtype=np.uint8)
-    for j in v.entries:
-        bits[cb.column_indices(j)] = 1
-    return BloomBundle(bits, cb)
+    return BloomBundle(cb.union_indices(list(v.entries)), cb)
 
 
 def saturated(estimate: float) -> bool:
@@ -85,10 +105,13 @@ def size_estimate(b: BloomBundle) -> float:
 
 
 def intersection_estimate(b1: BloomBundle, b2: BloomBundle) -> float:
-    """h_{m,k}(<bits1, bits2>): estimated intersection size of the two sets."""
+    """h_{m,k}(<bits1, bits2>): estimated intersection size of the two sets.
+
+    The dot product of two 0/1 filters is the number of positions they share.
+    """
     if b1.codebook.key != b2.codebook.key:
         raise ValueError("bundles come from different codebooks")
-    dot = int((b1.bits & b2.bits).sum())
+    dot = np.intersect1d(b1.positions, b2.positions, assume_unique=True).size
     return h_mk(b1.m, b1.codebook.k, dot)
 
 

@@ -6,10 +6,12 @@ raw-word stream (see :mod:`vsakit.rng`), so any column can be regenerated in
 isolation, and generating a block of columns yields bit-identical results to
 generating each column alone.
 
-A gather of dense-sign columns (``sign_columns``) selects the words of the
-requested columns, from one contiguous window when the ids are close
-together or from one window per column when they are scattered, and then
-unpacks them all in a single ``rng.signs_from_words`` call.
+A gather of many columns selects the words of the requested columns, from
+one contiguous window when the ids are close together or from one window
+per column when they are scattered. Dense-sign gathers (``sign_columns``)
+unpack them all in a single ``rng.signs_from_words`` call; sparse-binary-trials
+gathers (``union_indices``) map them all to row indices in a single
+``rng.bounded_from_words`` call and return the sorted union.
 
 Kinds
 -----
@@ -133,36 +135,59 @@ class Codebook:
             return np.empty((self.m, 0), dtype=np.int8)
         return rng.signs_from_words(self._column_words(j0, j1 - j0), self.m, j1 - j0)
 
+    def _gather_words(self, ids: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Raw words of the columns ``ids`` (nonempty), one row per id.
+
+        Draws one contiguous window when the ids are close together, else one
+        window per column; the flag is True for the single window.
+        """
+        lo, hi = int(ids.min()), int(ids.max())
+        self._check_symbol(lo)
+        self._check_symbol(hi)
+        span = hi - lo + 1
+        if span <= 4 * ids.size + 64:
+            return self._column_words(lo, span).reshape(span, -1)[ids - lo], True
+        return np.stack([self._column_words(int(j), 1) for j in ids]), False
+
     def sign_columns(self, ids) -> np.ndarray:
         """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids)).
 
         The requested columns' words are gathered first and unpacked in one
         ``signs_from_words`` call.
         """
+        if self.kind != "dense-sign":
+            raise ValueError("sign_columns requires a dense-sign codebook")
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty((self.m, 0), dtype=np.int8)
-        lo, hi = int(ids.min()), int(ids.max())
-        self._check_symbol(lo)
-        self._check_symbol(hi)
-        if self.kind != "dense-sign":
-            raise ValueError("sign_columns requires a dense-sign codebook")
-        span = hi - lo + 1
-        if span <= 4 * ids.size + 64:
-            window = self._column_words(lo, span).reshape(span, -1)
-            return rng.signs_from_words(window[ids - lo].ravel(), self.m, ids.size)
-        words = np.concatenate([self._column_words(int(j), 1) for j in ids])
-        # Scattered gathers are C-ordered, contiguous ones Fortran-ordered: float
+        words, windowed = self._gather_words(ids)
+        signs = rng.signs_from_words(words.ravel(), self.m, ids.size)
+        # A window's gather is Fortran-ordered, a scattered one C-ordered: float
         # products of these columns (hopfield.hpm_encode) round by layout.
-        return np.ascontiguousarray(rng.signs_from_words(words, self.m, ids.size))
+        return signs if windowed else np.ascontiguousarray(signs)
+
+    def union_indices(self, ids) -> np.ndarray:
+        """Sorted unique row indices set in any sparse-binary-trials column of ``ids``.
+
+        All columns' draws come from one gather and one ``bounded_from_words``
+        call; duplicates collapse by sort plus an adjacent-difference mask.
+        """
+        if self.kind != "sparse-binary-trials":
+            raise ValueError("union_indices requires a sparse-binary-trials codebook")
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
+            return np.empty(0, dtype=np.int64)
+        words, _ = self._gather_words(ids)
+        rows = np.sort(rng.bounded_from_words(words[:, : self.k], self.m), axis=None)
+        return rows[np.r_[True, rows[1:] != rows[:-1]]]
 
     def column_indices(self, j: int) -> np.ndarray:
         """Nonzero row indices of sparse column j (sorted, duplicates collapsed)."""
         self._check_symbol(j)
-        words = self._column_words(j, 1)
         if self.kind == "sparse-binary-trials":
-            return np.unique(rng.bounded_from_words(words[: self.k], self.m))
+            return self.union_indices([j])
         if self.kind == "sparse-binary-exact":
+            words = self._column_words(j, 1)
             return np.sort(rng.choose_distinct(words[: self.k], self.m, self.k))
         raise ValueError(f"{self.kind} columns are not index-sparse")
 

@@ -70,6 +70,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "trials", _config_int(self.trials, "trials"))
+        object.__setattr__(self, "seed", _config_int(self.seed, "seed"))
         if not (isinstance(self.arch, str) and isinstance(self.task, str)):
             raise ValueError(f"arch and task must be strings, got {self.arch!r}, {self.task!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -94,8 +96,8 @@ class ExperimentConfig:
                 arch=obj["arch"],
                 task=obj["task"],
                 grid=grid,
-                trials=_config_int(obj["trials"], "trials"),
-                seed=_config_int(obj.get("seed", 0), "seed"),
+                trials=obj["trials"],
+                seed=obj.get("seed", 0),
                 out=obj.get("out"),
             )
         except KeyError as missing:

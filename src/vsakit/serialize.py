@@ -9,9 +9,14 @@ Bundle layout (little-endian):
     flags    u8   bit0: scaled view (mapi)
     m        u64
     cb_hash  32s  sha256 of the codebook JSON
-    payload       sign/binary: ceil(m/8) bytes, little bit order
+    payload       sign/binary: ceil(m/8) bytes, little bit order, padding
+                  bits past m zero
                   integer: m * int64
                   count: width byte (1/2/4/8) then m unsigned ints
+
+A Bloom bundle is held in memory as its set positions; its payload is the
+same packed bits, written from and read back to positions without building
+an m-element array.
 
 Each arch has one domain (mapi integer, mapb sign, bloom binary, cbloom
 count); readers refuse any other domain byte. Readers take the codebook and
@@ -61,6 +66,46 @@ def _unpack_bits(data: bytes, m: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:m]
 
 
+def _pack_positions(positions: np.ndarray, m: int) -> memoryview:
+    """ceil(m/8) little-bit-order bytes with exactly the bits ``positions`` set.
+
+    Bit p is bit p & 63 of little-endian word p >> 6, which is bit p & 7 of
+    byte p >> 3; the words are filled from the sorted positions directly. The
+    bytes are returned as a view, so the header is joined to them in one copy.
+    """
+    words = np.zeros(-(-m // 64), dtype="<u8")
+    if positions.size:
+        at = positions >> 6
+        first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+        bit = np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64))
+        words[at[first]] = np.add.reduceat(bit, first)  # distinct bits: sum == OR
+    return words.view(np.uint8)[: -(-m // 8)].data
+
+
+def _unpack_positions(payload: memoryview) -> np.ndarray:
+    """Sorted set-bit positions of the little-bit-order bytes ``payload``.
+
+    Reads the payload in place as little-endian words (the last, partial word
+    from its bytes) and peels the set bits off the nonzero words only, lowest
+    first, so the work is proportional to the set bits, not to m.
+    """
+    whole = len(payload) // 8
+    words = np.frombuffer(payload, dtype="<u8", count=whole)
+    at = np.flatnonzero(words != 0)
+    left = words[at]
+    tail = int.from_bytes(payload[8 * whole :], "little")
+    if tail:
+        at, left = np.append(at, whole), np.append(left, np.uint64(tail))
+    found = [np.empty(0, dtype=np.int64)]
+    while left.size:
+        low = left & (~left + np.uint64(1))
+        found.append(at * 64 + np.frexp(low)[1] - 1)  # low is 2**b; frexp gives b + 1
+        left = left ^ low
+        more = left != 0
+        at, left = at[more], left[more]
+    return np.sort(np.concatenate(found))
+
+
 def bundle_to_bytes(bundle) -> bytes:
     flags = 0
     if isinstance(bundle, MapIBundle):
@@ -75,7 +120,7 @@ def bundle_to_bytes(bundle) -> bytes:
         payload = _pack_bits((bundle.signs + 1) // 2)
     elif isinstance(bundle, BloomBundle):
         name = "bloom"
-        payload = _pack_bits(bundle.bits)
+        payload = _pack_positions(bundle.positions, bundle.m)
     elif isinstance(bundle, CountBundle):
         name = "cbloom"
         peak = int(bundle.counts.max(initial=0))
@@ -100,7 +145,7 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         raise ValueError("bundle was built with a different codebook")
     if m != cb.m:
         raise ValueError("bundle dimension does not match the codebook")
-    payload = data[_HEADER.size :]
+    payload = memoryview(data)[_HEADER.size :]  # a view: bloom payloads are read in place
     name = _ARCH_NAMES.get(arch)
     if name is None:
         raise ValueError(f"unknown arch tag {arch}")
@@ -115,6 +160,8 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         expected = 8 * m if name == "mapi" else -(-m // 8)
     if len(payload) != expected:
         raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected {expected}")
+    if name in ("mapb", "bloom") and payload[-1] >> (m % 8 or 8):
+        raise ValueError(f"{name} bundle sets padding bits past m={m}")
     if name == "mapi":
         ints = np.frombuffer(payload, dtype="<i8", count=m)
         return MapIBundle(ints, cb, bool(flags & 1))
@@ -122,7 +169,7 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         signs = _unpack_bits(payload, m).astype(np.int8) * 2 - 1
         return MapBBundle(signs, cb, tie_seed=0)
     if name == "bloom":
-        return BloomBundle(_unpack_bits(payload, m), cb)
+        return BloomBundle(_unpack_positions(payload), cb)
     counts = np.frombuffer(payload, dtype=f"<u{width}", count=m, offset=1)
     return CountBundle(counts.astype(np.int64), cb)
 

@@ -1,9 +1,12 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from vsakit import bloom
+from vsakit import bloom, serialize
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
@@ -90,6 +93,73 @@ def test_union_monotone():
     assert (small.bits <= big.bits).all()
 
 
+def _dense(cb, ids):
+    """Reference filter: the OR of the dense atomic columns."""
+    bits = np.zeros(cb.m, dtype=np.uint8)
+    for j in ids:
+        bits |= cb.column_ints(j).astype(np.uint8)
+    return bits
+
+
+@given(eighths=st.integers(1, 40), rem=st.sampled_from([0, 1, 5, 7]), d=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_positions_equal_dense_reference(eighths, rem, d, seed, data):
+    m = 8 * eighths + rem
+    k = data.draw(st.integers(1, min(m, 12)), label="k")
+    cb = Codebook("sparse-binary-trials", m, d, k=k, seed=seed)
+    some_ids = st.sets(st.integers(0, d - 1), max_size=min(d, 8))  # may be empty
+    x, y = data.draw(some_ids, label="x"), data.draw(some_ids, label="y")
+    bx, by = (bloom.bundle_bloom(cb, SymbolSet.from_ids(d, ids)) for ids in (x, y))
+    dense_x, dense_y = _dense(cb, x), _dense(cb, y)
+
+    assert np.array_equal(bx.positions, np.flatnonzero(dense_x))
+    assert bx.positions.dtype == np.int64 and not bx.positions.flags.writeable
+    assert np.array_equal(bx.bits, dense_x)
+    assert bloom.intersection_estimate(bx, by) == bloom.h_mk(m, k, int((dense_x & dense_y).sum()))
+
+    header = struct.pack("<4sBBBBQ32s", b"VSAB", 1, 3, 2, 0, m, serialize.codebook_hash(cb))
+    data_x = serialize.bundle_to_bytes(bx)
+    assert data_x == header + np.packbits(dense_x, bitorder="little").tobytes()
+    assert np.array_equal(serialize.bundle_from_bytes(data_x, cb).positions, bx.positions)
+
+    for bad in ([m], [-1], [0, m + 5]):
+        with pytest.raises(ValueError, match="must lie in"):
+            bloom.BloomBundle(bad, cb)
+    if bx.positions.size:
+        p = bx.positions
+        for bad in (np.r_[p, p[-1]], np.r_[p[0], p]):  # a duplicate
+            with pytest.raises(ValueError, match="sorted and unique"):
+                bloom.BloomBundle(bad, cb)
+    if bx.positions.size >= 2:
+        with pytest.raises(ValueError, match="sorted and unique"):
+            bloom.BloomBundle(bx.positions[::-1], cb)
+
+
+def test_sized_filter_builds_no_m_sized_array():
+    # At the paper's sizing (eps=0.5, delta=0.05, n=5, n_v=n_w=10) one dense
+    # filter is 6.4 MB, while a 15-element set sets at most 7,245 bits.
+    cb = Codebook("sparse-binary-trials", 6_366_745, 256, k=483, seed=0)
+    wide = SymbolSet.from_ids(256, range(0, 120, 8))  # one gather window of 113 columns
+    scattered = SymbolSet.from_ids(256, range(3, 256, 17))  # one window per column
+    bloom.bundle_bloom(cb, SymbolSet.from_ids(256, [0]))  # imports numpy.random untraced
+    tracemalloc.start()
+    try:
+        est = bloom.intersection_estimate(bloom.bundle_bloom(cb, wide),
+                                          bloom.bundle_bloom(cb, scattered))
+        encode_peak = tracemalloc.get_traced_memory()[1]
+        data = serialize.bundle_to_bytes(bloom.bundle_bloom(cb, wide))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = serialize.bundle_from_bytes(data, cb)
+        decode_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert est == bloom.intersection_estimate(back, bloom.bundle_bloom(cb, scattered))
+    assert back.popcount() > 7000
+    assert encode_peak < 1_000_000
+    assert decode_peak < 2_000_000
+
+
 def test_bundle_validation():
     cb = Codebook("sparse-binary-exact", 64, 10, k=4, seed=1)
     with pytest.raises(ValueError):
@@ -97,6 +167,10 @@ def test_bundle_validation():
     cb2 = Codebook("sparse-binary-trials", 64, 10, k=4, seed=1)
     with pytest.raises(ValueError):
         bloom.bundle_bloom(cb2, SymbolSet(10, {1: 2}))  # weighted
+    assert bloom.BloomBundle([], cb2).popcount() == 0
+    for bad in ([1.0, 2.0], [[1, 2]], [True, False]):
+        with pytest.raises(ValueError, match="1-D integer"):
+            bloom.BloomBundle(bad, cb2)
 
 
 def test_size_estimate_single_symbol():

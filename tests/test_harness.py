@@ -114,6 +114,9 @@ def test_non_numeric_trials_or_seed_is_a_config_error(field, value):
     obj[field] = value
     with pytest.raises(ValueError, match=f"config '{field}' must be an integer"):
         harness.ExperimentConfig.from_json(json.dumps(obj))
+    # Built directly, the same check and message apply before any trial runs.
+    with pytest.raises(ValueError, match=f"config '{field}' must be an integer"):
+        harness.run(harness.ExperimentConfig(**obj))
 
 
 def test_one_philox_per_thread(monkeypatch):

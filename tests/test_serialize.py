@@ -30,6 +30,14 @@ def test_bloom_round_trip():
     b = bloom.bundle_bloom(cb, SymbolSet.from_ids(8, [0, 7]))
     back = serialize.bundle_from_bytes(serialize.bundle_to_bytes(b), cb)
     assert np.array_equal(back.bits, b.bits)
+    # positions at word and byte edges, and in the partial last word
+    cb = Codebook("sparse-binary-trials", 203, 8, k=3, seed=3)  # 25 whole bytes + 3 bits
+    edges = np.array([0, 7, 8, 62, 63, 64, 127, 128, 191, 192, 199, 200, 202])
+    data = serialize.bundle_to_bytes(bloom.BloomBundle(edges, cb))
+    bits = np.zeros(203, np.uint8)
+    bits[edges] = 1
+    assert data[48:] == np.packbits(bits, bitorder="little").tobytes()
+    assert np.array_equal(serialize.bundle_from_bytes(data, cb).positions, edges)
 
 
 def test_cbloom_round_trip_widths():
@@ -183,3 +191,22 @@ def test_mapb_kinds_format_v1_cannot_carry_are_refused():
     for bundle in (b, kv, chain):
         with pytest.raises(ValueError, match=bundle.kind):
             serialize.bundle_to_bytes(bundle)
+
+
+@pytest.mark.parametrize("kind", ["mapb", "bloom"])
+def test_padding_bits_past_m_rejected(kind):
+    m = 37  # the last payload byte holds bits 32..36 and three padding bits
+    if kind == "mapb":
+        cb = Codebook("dense-sign", m, 8, seed=2)
+        full = mapb.MapBBundle(np.ones(m, np.int8), cb, tie_seed=0)
+    else:
+        cb = Codebook("sparse-binary-trials", m, 8, k=3, seed=3)
+        full = bloom.BloomBundle(np.arange(m), cb)
+    data = serialize.bundle_to_bytes(full)
+    assert data[-1] == 0b00011111
+    back = serialize.bundle_from_bytes(data, cb)  # every bit below m set still decodes
+    assert (back.signs == 1).all() if kind == "mapb" else back.popcount() == m
+    for pad in (5, 6, 7):
+        with pytest.raises(ValueError, match="padding bits past m=37"):
+            serialize.bundle_from_bytes(data[:-1] + bytes([data[-1] | 1 << pad]), cb)
+
