@@ -385,31 +385,32 @@ def _trial_cbloom(cell: dict, seed: int, l1: bool) -> TrialOutcome:
     return TrialOutcome(est, truth, 0.0 <= short < 2.0 * eps, abs(short))
 
 
-def _hopfield_patterns(cell: dict, seed: int):
+def _hopfield_net(cell: dict, seed: int) -> hopfield.HopfieldNet:
+    """The net trained on codebook columns 0..n-1, drawn as one (m, n) window."""
     m, n = _params(cell, int, "m", "n")
-    cb = Codebook("dense-sign", m, n, seed=seed)
-    return [Hypervector(cb.column_ints(j), "sign") for j in range(n)]
+    patterns = Codebook("dense-sign", m, n, seed=seed).sign_matrix(0, n)
+    return hopfield.HopfieldNet(patterns, np.ones(m, np.int8))
 
 
 def _trial_hopfield_store(cell: dict, seed: int) -> TrialOutcome:
-    patterns = _hopfield_patterns(cell, seed)
-    net = hopfield.train(patterns)
-    stable = sum(hopfield.recall_step(net, p) == p for p in patterns)
-    return TrialOutcome(stable, len(patterns), stable == len(patterns),
-                        float(len(patterns) - stable))
+    net = _hopfield_net(cell, seed)
+    s = net.patterns  # every pattern probed at once: one block apply
+    stable = int((hopfield.signge(net.apply(s)) == s).all(axis=0).sum())
+    return TrialOutcome(stable, net.n, stable == net.n, float(net.n - stable))
 
 
 def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
-    patterns = _hopfield_patterns(cell, seed)
-    half = patterns[0].m // 2
+    net = _hopfield_net(cell, seed)
+    first = Hypervector(net.patterns[:, 0], "sign")
+    half = net.m // 2
     if kv:
-        probe = patterns[0].values.astype(np.int64).copy()
+        probe = net.patterns[:, 0].astype(np.int64)
         probe[half:] = 0  # key half kept, value half erased
     else:
         erasures, flips = _params(cell, int, erasures=half, flips=0)
-        probe = hopfield.corrupt(patterns[0], erasures, flips, seed)
-    result = hopfield.recall(hopfield.train(patterns), probe)
-    ok = result.converged and result.vector == patterns[0]
+        probe = hopfield.corrupt(first, erasures, flips, seed)
+    result = hopfield.recall(net, probe)
+    ok = result.converged and result.vector == first
     return TrialOutcome(float(ok), 1.0, ok, float(not ok))
 
 

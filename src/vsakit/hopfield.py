@@ -9,7 +9,12 @@ coordinates, so recall reads only the columns W[:, keep].
 Hopfield± encodes a diagonal weight vector V as the m x m matrix
 S_bar V D S_bar^T with a seeded sign diagonal D; its squared Frobenius norm
 estimates ||V||_F^2 and the trace product of two encodings (sharing S and D)
-estimates the Frobenius product of the underlying diagonals.
+estimates the Frobenius product of the underlying diagonals. The matrix stays
+dense (a factored form rounds differently), but the encoder's matmul output
+becomes the bundle's matrix without a copy, and both estimators sum the
+elementwise products in numpy's own pairwise order through one small reused
+buffer, so no m x m temporary is built and every float bit matches
+``(M1 * M2).sum()``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ class HopfieldNet:
     """n stored +-1 patterns (the columns of S) and a 0/1 probe mask over m.
 
     ``apply(y)`` is W[:, keep] y[keep], keep being the mask's support (all of
-    it for a trained net, a subset after :func:`thin`)."""
+    it for a trained net, a subset after :func:`thin`). ``y`` may be one
+    m-vector or an (m, k) block of k probes, one per column; a block costs
+    two small matmuls, and its column j equals ``apply(y[:, j])``."""
 
     patterns: np.ndarray  # (m, n) int8
     mask: np.ndarray  # (m,) int8
@@ -62,7 +69,8 @@ class HopfieldNet:
         return s @ s.T - self.n * np.eye(self.m, dtype=np.int64)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        z = np.asarray(y, dtype=np.int64) * self.mask
+        z = np.asarray(y, dtype=np.int64)
+        z = z * (self.mask if z.ndim == 1 else self.mask[:, None])
         return self.patterns @ (self.patterns.T @ z) - self.n * z
 
 
@@ -192,16 +200,30 @@ def sizing_hopfield(*, n: float, delta: float, C: float | None = None) -> Sizing
 
 @dataclass(frozen=True)
 class HpmBundle:
-    """S_bar V D S_bar^T for diagonal weights V and a seeded sign diagonal D."""
+    """S_bar V D S_bar^T for diagonal weights V and a seeded sign diagonal D.
+
+    ``matrix`` must be (m, m) for the codebook's m. The bundle keeps an array
+    it can own as is: a read-only, C-contiguous float64 ndarray that owns its
+    data, such as :func:`hpm_encode`'s matmul output. Anything else (a
+    caller's writeable array, a view, another dtype or layout) is copied into
+    a C-ordered float64 array and frozen, so the caller cannot change the
+    bundle afterwards.
+    """
 
     matrix: np.ndarray
     codebook: Codebook
     d_seed: int
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64).copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        m = self.codebook.m
+        mat = self.matrix
+        if np.shape(mat) != (m, m):
+            raise ValueError(f"Hopfield± matrix must be ({m}, {m}), got shape {np.shape(mat)}")
+        if not (type(mat) is np.ndarray and mat.dtype == np.float64 and mat.flags.owndata
+                and mat.flags.c_contiguous and not mat.flags.writeable):
+            mat = np.array(mat, dtype=np.float64, order="C")
+            mat.setflags(write=False)
+            object.__setattr__(self, "matrix", mat)
 
     @property
     def m(self) -> int:
@@ -218,9 +240,12 @@ def _diag_vector(V, d: int) -> np.ndarray:
     if isinstance(V, Mapping):
         out = np.zeros(d, dtype=np.float64)
         for sym, w in V.items():
-            if not 0 <= int(sym) < d:
+            j = int(sym)
+            if j != sym:
+                raise ValueError(f"diagonal index {sym!r} is not an integer")
+            if not 0 <= j < d:
                 raise ValueError(f"diagonal index {sym} outside universe [0, {d})")
-            out[int(sym)] = w
+            out[j] = w
         return out
     out = np.asarray(V, dtype=np.float64)
     if out.shape != (d,):
@@ -229,17 +254,24 @@ def _diag_vector(V, d: int) -> np.ndarray:
 
 
 def hpm_encode(cb: Codebook, V, d_seed: int) -> HpmBundle:
-    """Build S_bar V D S_bar^T; bundles sharing (codebook, d_seed) compose."""
+    """Build S_bar V D S_bar^T; bundles sharing (codebook, d_seed) compose.
+
+    The freshly built matrix is frozen and handed to the bundle, which keeps
+    it without a copy.
+    """
     if cb.kind != "dense-sign" or not cb.scaled:
         raise ValueError("Hopfield± requires a scaled dense-sign codebook")
     v = _diag_vector(V, cb.d)
     support = np.flatnonzero(v)
     if support.size == 0:
-        return HpmBundle(np.zeros((cb.m, cb.m)), cb, d_seed)
-    signs = diag_signs(d_seed, cb.d)
-    cols = cb.sign_columns(support).astype(np.float64)
-    weighted = cols * (v[support] * signs[support]) / cb.m
-    return HpmBundle(weighted @ cols.T, cb, d_seed)
+        mat = np.zeros((cb.m, cb.m))
+    else:
+        signs = diag_signs(d_seed, cb.d)
+        cols = cb.sign_columns(support).astype(np.float64)
+        weighted = cols * (v[support] * signs[support]) / cb.m
+        mat = weighted @ cols.T
+    mat.setflags(write=False)
+    return HpmBundle(mat, cb, d_seed)
 
 
 def _require_hpm_pair(b1: HpmBundle, b2: HpmBundle) -> None:
@@ -249,15 +281,47 @@ def _require_hpm_pair(b1: HpmBundle, b2: HpmBundle) -> None:
         raise ValueError("bundles use different sign diagonals (d_seed mismatch)")
 
 
+#: Elements per leaf of :func:`_sum_products` (64 KiB of float64).
+_LEAF = 8192
+
+
+def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
+    """``float((a * b).sum())`` bit for bit, without the a * b temporary.
+
+    ``a`` and ``b`` are C-contiguous float64 arrays of one size. numpy sums a
+    contiguous float64 run pairwise: 0.0 plus the run's pairwise sum, where a
+    run longer than one 128-element block splits at n2 = n//2 - (n//2) % 8
+    and its halves' sums are added. :func:`_pairwise_products` recurses with
+    the same split down to runs of at most ``_LEAF`` elements and lets numpy
+    sum each of those, so the tree and every rounding are numpy's own.
+    """
+    a, b = a.ravel(), b.ravel()
+    buf = np.empty(min(a.size, _LEAF))
+    return 0.0 + _pairwise_products(a, b, 0, a.size, buf)
+
+
+def _pairwise_products(a: np.ndarray, b: np.ndarray, lo: int, n: int, buf: np.ndarray) -> float:
+    """Pairwise sum of a[lo:lo+n] * b[lo:lo+n]; each leaf's products go through ``buf``.
+
+    A module-level function, not a closure: a self-referencing closure would
+    hold both operands in a reference cycle until the next garbage collection.
+    """
+    if n <= _LEAF:
+        leaf = np.multiply(a[lo : lo + n], b[lo : lo + n], out=buf[:n])
+        return float(np.add.reduce(leaf, initial=0.0))
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_products(a, b, lo, n2, buf) + _pairwise_products(a, b, lo + n2, n - n2, buf)
+
+
 def hpm_norm_estimate(b: HpmBundle) -> float:
     """||S_bar V D S_bar^T||_F^2, estimating ||V||_F^2."""
-    return float((b.matrix * b.matrix).sum())
+    return _sum_products(b.matrix, b.matrix)
 
 
 def hpm_dot_estimate(b1: HpmBundle, b2: HpmBundle) -> float:
     """tr(M1 M2), estimating the Frobenius product tr(X Y)."""
     _require_hpm_pair(b1, b2)
-    return float((b1.matrix * b2.matrix).sum())  # tr(M1 M2) for symmetric M2
+    return _sum_products(b1.matrix, b2.matrix)  # tr(M1 M2) for symmetric M2
 
 
 def sizing_hpm(task: str, *, eps: float, delta: float, d: float, C: float | None = None) -> SizingResult:

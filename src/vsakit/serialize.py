@@ -26,7 +26,8 @@ can be written.
 
 Hopfield net layout: magic b"VSAH", version u8 2, m u64, n u64, then
 ceil(m*n/8) bytes holding the n patterns of S one after another, in little
-bit order with +1 -> 1. Version 1 (the int64 upper triangle of W) is not read.
+bit order with +1 -> 1, padding bits past m*n zero. Version 1 (the int64
+upper triangle of W) is not read.
 """
 
 from __future__ import annotations
@@ -205,5 +206,7 @@ def net_from_bytes(data: bytes) -> HopfieldNet:
     expected = _NET_HEADER.size + -(-m * n // 8)
     if len(data) != expected:
         raise ValueError(f"hopfield net is {len(data)} bytes, expected {expected}")
+    if data[-1] >> (m * n % 8 or 8):
+        raise ValueError(f"hopfield net sets padding bits past m*n={m * n}")
     bits = _unpack_bits(data[_NET_HEADER.size :], m * n).reshape(n, m).T
     return HopfieldNet(bits.astype(np.int8) * 2 - 1, np.ones(m, np.int8))

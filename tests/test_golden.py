@@ -15,7 +15,8 @@ import json
 
 import pytest
 
-from vsakit import harness, sizing
+from vsakit import harness, hopfield, rng, sizing
+from vsakit.codebook import Codebook
 
 #: One grid per registered task, holding only the parameters it reads.
 _GRIDS = {
@@ -90,6 +91,7 @@ _RUN_SHA256 = {
 }
 _SIZE_SHA256 = "50c0e499e3083c6c19d2c31415fd0db984a13c4ed9dccbc073036ddfa18a772c"
 _CALIBRATE_SHA256 = "fb29640cb8e6b285e927f5f24890825d547a4a8c3a46d1d5eb2f7aad6f58263c"
+_HPM_SHA256 = "65f214103068cec913650fa03675e17dbec37de889ac4888172ddd6a66e66b63"
 
 
 def _sha256(text: str) -> str:
@@ -121,6 +123,22 @@ def _calibrate_text() -> str:
                             target=0.2, trials=100, seed=9).to_json()
 
 
+def _hpm_text() -> str:
+    """repr of both Hopfield± estimates on five seeded instances at the sized
+    hpm-dot cell (m=1365, d=512, support 8): every float bit shows."""
+    m, d, n = 1365, 512, 8
+    lines = []
+    for seed in range(5):
+        cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+        bundles = []
+        for tag in ("x", "y"):
+            ids = rng.choose_distinct(rng.Stream(seed, "golden-hpm", tag).words(0, n), d, n)
+            bundles.append(hopfield.hpm_encode(cb, {int(i): 1.0 for i in ids}, d_seed=seed))
+        bx, by = bundles
+        lines.append(f"{hopfield.hpm_norm_estimate(bx)!r} {hopfield.hpm_dot_estimate(bx, by)!r}")
+    return "\n".join(lines)
+
+
 def test_grids_cover_every_task():
     assert set(_GRIDS) == set(harness.TASKS)
     assert set(_RUN_SHA256) == {f"{arch}.{task}" for arch, task in harness.TASKS}
@@ -137,3 +155,7 @@ def test_size_json_unchanged():
 
 def test_calibrate_json_unchanged():
     assert _sha256(_calibrate_text()) == _CALIBRATE_SHA256
+
+
+def test_hpm_estimates_unchanged():
+    assert _sha256(_hpm_text()) == _HPM_SHA256

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -172,6 +174,18 @@ def test_recall_builds_no_m_by_m_array():
     assert peak < 8 * 2**20  # one m x m int64 W alone is 128 MiB
 
 
+@pytest.mark.parametrize("m", [7, 65])
+def test_apply_block_equals_column_calls(m):
+    n, k = 4, 6
+    net = hopfield.train(patterns_from(Codebook("dense-sign", m, n, seed=m), n))
+    block = np.random.default_rng(m).integers(-1, 2, size=(m, k))
+    for each in (net, hopfield.thin(net, range(0, m, 3))):
+        out = each.apply(block)
+        assert out.shape == (m, k)
+        for j in range(k):
+            assert np.array_equal(out[:, j], each.apply(block[:, j]))
+
+
 def test_net_rejects_non_sign_patterns_and_bad_mask():
     for bad in (np.ones(3), np.zeros((3, 2)), np.ones((0, 2)), np.array([[1, 2]])):
         with pytest.raises(ValueError):
@@ -254,3 +268,89 @@ def test_sizing_hpm_tasks():
     assert dot.m > norm.m  # eps^-2 vs eps^-1
     with pytest.raises(ValueError):
         hopfield.sizing_hpm("hpm-norm", eps=0.0, delta=0.05, d=512)
+
+
+_LEAF = hopfield._LEAF
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1,
+                               2 * _LEAF + 3, 1365**2])
+def test_sum_products_is_numpy_sum_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    a, b = gen.standard_normal(n) * 1e3, gen.standard_normal(n)
+    assert repr(hopfield._sum_products(a, b)) == repr(float((a * b).sum()))
+    zeros, ones = np.full(n, -0.0), np.ones(n)  # every product is -0.0
+    assert repr(hopfield._sum_products(zeros, ones)) == repr(float((zeros * ones).sum())) == "0.0"
+
+
+def test_sum_products_on_matrices_bit_for_bit():
+    gen = np.random.default_rng(7)
+    for m in (100, 333, 1365):
+        a, b = gen.standard_normal((m, m)), gen.standard_normal((m, m))
+        assert repr(hopfield._sum_products(a, b)) == repr(float((a * b).sum()))
+        assert repr(hopfield._sum_products(a, a)) == repr(float((a * a).sum()))
+
+
+def _sized_hpm_pair():
+    cb = Codebook("dense-sign", 1365, 512, seed=4, scaled=True)
+    return (hopfield.hpm_encode(cb, {j: 1.0 for j in range(8)}, d_seed=4),
+            hopfield.hpm_encode(cb, {j: 1.0 for j in range(4, 12)}, d_seed=4))
+
+
+def test_hpm_encode_and_estimates_keep_two_matrices():
+    m = 1365
+    tracemalloc.start()
+    try:
+        bx, by = _sized_hpm_pair()
+        hopfield.hpm_norm_estimate(bx)
+        hopfield.hpm_dot_estimate(bx, by)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * m * 8 + 2**20  # a copy or an m x m product would add m^2 * 8
+
+
+def test_estimate_leaves_no_reference_to_bundles():
+    gc.disable()
+    try:
+        bx, by = _sized_hpm_pair()
+        ref = weakref.ref(bx.matrix)
+        hopfield.hpm_dot_estimate(bx, by)
+        hopfield.hpm_norm_estimate(bx)
+        del bx, by
+        assert ref() is None  # freed by reference counting alone, no cycle
+    finally:
+        gc.enable()
+
+
+def test_hpm_bundle_copies_a_callers_array_only():
+    cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
+    encoded = hopfield.hpm_encode(cb, {1: 1.0, 3: 2.0}, d_seed=5)
+    assert not encoded.matrix.flags.writeable
+    kept = hopfield.HpmBundle(encoded.matrix, cb, 5)
+    assert kept.matrix is encoded.matrix  # read-only, owned, float64, C order
+    mine = np.ones((16, 16))
+    bundle = hopfield.HpmBundle(mine, cb, 5)
+    mine[0, 0] = 7.0
+    assert bundle.matrix[0, 0] == 1.0 and not bundle.matrix.flags.writeable
+    for other in (np.ones((16, 16), np.float32), np.asfortranarray(np.ones((16, 16))),
+                  encoded.matrix[:, :], encoded.matrix.tolist()):
+        copied = hopfield.HpmBundle(other, cb, 5).matrix
+        assert copied is not other and copied.dtype == np.float64
+        assert copied.flags.c_contiguous and copied.flags.owndata
+        assert not copied.flags.writeable
+
+
+def test_hpm_bundle_rejects_wrong_shape():
+    cb = Codebook("dense-sign", 64, 8, seed=1, scaled=True)
+    for shape in ((1, 64), (64,), (64, 63), (65, 65), (64, 64, 1)):
+        with pytest.raises(ValueError, match=r"\(64, 64\)"):
+            hopfield.HpmBundle(np.ones(shape), cb, 5)
+
+
+def test_hpm_encode_rejects_non_integral_symbol():
+    cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
+    with pytest.raises(ValueError, match="not an integer"):
+        hopfield.hpm_encode(cb, {1.5: 1.0}, d_seed=5)
+    integral = hopfield.hpm_encode(cb, {2.0: 1.0}, d_seed=5)
+    assert np.array_equal(integral.matrix, hopfield.hpm_encode(cb, {2: 1.0}, d_seed=5).matrix)

@@ -62,6 +62,16 @@ def test_bad_magic_rejected():
                                     Codebook("dense-sign", 8, 4, seed=1))
 
 
+def test_net_padding_bits_past_m_n_rejected():
+    net = hopfield.HopfieldNet(np.array([[1], [-1], [1]]), np.ones(3, np.int8))
+    data = serialize.net_to_bytes(net)
+    assert data[-1] == 0x05  # bits 0..2 hold S, bits 3..7 are padding
+    assert np.array_equal(serialize.net_from_bytes(data).patterns, net.patterns)
+    for pad in range(3, 8):
+        with pytest.raises(ValueError, match=r"padding bits past m\*n=3"):
+            serialize.net_from_bytes(data[:-1] + bytes([data[-1] | 1 << pad]))
+
+
 def test_hopfield_net_round_trip():
     cb = Codebook("dense-sign", 20, 5, seed=6)
     net = hopfield.train([Hypervector(cb.column_ints(j), "sign") for j in range(5)])
