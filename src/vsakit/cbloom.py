@@ -49,6 +49,8 @@ def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:
         raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
     counts = np.zeros(cb.m, dtype=np.int64)
     for j, w in v.entries.items():
+        if w >> 63:
+            raise ValueError(f"counting bloom weights must be below 2**63, got {w}")
         counts[cb.column_indices(j)] += w
     return CountBundle(counts, cb)
 

@@ -69,27 +69,17 @@ def _cmd_size(args) -> int:
     return 0
 
 
-_ENCODERS = {
-    "mapi": mapi.bundle,
-    "mapb": mapb.bundle_sign,
-    "bloom": bloom.bundle_bloom,
-    "cbloom": cbloom.bundle_count,
-}
-
-
 def _cmd_encode(args) -> int:
     cb = _load_codebook(args.codebook)
     try:
         symbols = SymbolSet.from_json_obj(json.loads(_read_text(args.set)))
     except (json.JSONDecodeError, KeyError, ValueError) as bad:
         raise ConfigError(f"bad symbol set file {args.set}: {bad}") from bad
-    encoder = _ENCODERS.get(args.arch)
-    if encoder is None:
-        raise ConfigError(f"unknown encode arch {args.arch!r}")
+    encode = serialize.ARCHS[args.arch].encode
     if args.arch == "mapb":
-        bundle = encoder(cb, symbols, tie_seed=args.seed)
+        bundle = encode(cb, symbols, tie_seed=args.seed)
     else:
-        bundle = encoder(cb, symbols)
+        bundle = encode(cb, symbols)
     _write_output(serialize.bundle_to_bytes(bundle), args.out)
     return 0
 
@@ -193,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_size.set_defaults(fn=_cmd_size)
 
     p_enc = sub.add_parser("encode", help="encode a SymbolSet JSON into a bundle binary")
-    p_enc.add_argument("--arch", required=True, choices=sorted(_ENCODERS))
+    p_enc.add_argument("--arch", required=True, choices=sorted(serialize.ARCHS))
     p_enc.add_argument("--codebook", required=True, help="codebook JSON file")
     p_enc.add_argument("--set", required=True, help="SymbolSet JSON file")
     _add_common(p_enc, seed=True)
@@ -232,10 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exit_.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError, KeyError, RuntimeError) as bad:
+    except (ConfigError, ValueError, IndexError, KeyError, RuntimeError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     except OSError as bad:

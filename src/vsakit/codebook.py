@@ -38,6 +38,7 @@ import numpy as np
 
 from . import rng
 from .hypervector import Hypervector
+from .setalg import integral
 
 KINDS = ("dense-sign", "sparse-binary-trials", "sparse-binary-exact")
 
@@ -58,6 +59,10 @@ class Codebook:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown codebook kind {self.kind!r}")
+        for name in ("m", "d", "seed") if self.k is None else ("m", "d", "k", "seed"):
+            object.__setattr__(self, name, integral(getattr(self, name), f"codebook {name}"))
+        if not isinstance(self.scaled, bool):
+            raise ValueError(f"codebook scaled must be true or false, got {self.scaled!r}")
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be positive")
         if self.kind in _SPARSE_KINDS:
@@ -87,6 +92,8 @@ class Codebook:
     @classmethod
     def from_json(cls, text: str) -> "Codebook":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a codebook is a JSON object, got {type(obj).__name__}")
         version = obj.pop("rng_version", rng.RNG_VERSION)
         if version != rng.RNG_VERSION:
             raise ValueError(f"codebook was generated with rng {version!r}, "

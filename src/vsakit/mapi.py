@@ -58,7 +58,10 @@ def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     ints = np.zeros(cb.m, dtype=np.int64)
     if v.entries:
         ids = np.fromiter(v.entries.keys(), dtype=np.int64)
-        weights = np.fromiter(v.entries.values(), dtype=np.int64)
+        try:
+            weights = np.fromiter(v.entries.values(), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("MAP-I weights must be below 2**63") from None
         ints = cb.sign_columns(ids).astype(np.int64) @ weights
     return MapIBundle(ints, cb, cb.scaled)
 

@@ -1,28 +1,34 @@
-"""Binary formats: bundles (header + packed values) and Hopfield nets (packed S).
+"""Binary formats: bundles (header + payload) and Hopfield nets (packed S).
 
 Bundle layout (little-endian):
 
     magic    4s   b"VSAB"
-    version  u8   1
+    version  u8   2
     arch     u8   mapi=1, mapb=2, bloom=3, cbloom=4
     domain   u8   sign=0, integer=1, binary=2, count=3
-    flags    u8   bit0: scaled view (mapi)
+    flags    u8   bit0: scaled view (mapi); other bits zero
     m        u64
     cb_hash  32s  sha256 of the codebook JSON
-    payload       sign/binary: ceil(m/8) bytes, little bit order, padding
-                  bits past m zero
-                  integer: m * int64
-                  count: width byte (1/2/4/8) then m unsigned ints
+    payload       mapi: m * int64
+                  mapb: ceil(m/8) bytes, +1 -> 1 in little bit order,
+                  padding bits past m zero
+                  bloom: uints of the sorted set positions
+                  cbloom: uints of the m counts
 
-A Bloom bundle is held in memory as its set positions; its payload is the
-same packed bits, written from and read back to positions without building
-an m-element array.
+A uints payload is a width byte (1/2/4/8: the fewest bytes holding the
+largest value), a u64 count, then that many unsigned ints of that width. A
+Bloom filter goes on the wire as the set positions it is held as: about
+29 KB for the sized filter (m=6,366,745, at most about 7.2k set bits), not
+m/8 bytes. Only positions are written, although a filter denser than one
+set bit in 8 * width would be smaller as packed bits.
 
-Each arch has one domain (mapi integer, mapb sign, bloom binary, cbloom
-count); readers refuse any other domain byte. Readers take the codebook and
-refuse a hash mismatch: a bundle is only meaningful against the codebook
-that generated it. Version 1 stores no MAP-B kind, so only MAP-B set bundles
-can be written.
+``ARCHS`` is the one table of per-arch wire facts; the writer, the reader,
+``arch_of`` and ``vsakit encode`` read it. Readers take the codebook and
+refuse a hash mismatch (a bundle is only meaningful against the codebook
+that generated it), a version other than 2 (version 1 wrote Bloom filters
+as packed bits), a domain byte other than the arch's, an unknown flag bit
+and a payload of the wrong length. The format stores no MAP-B kind, so only
+MAP-B set bundles can be written.
 
 Hopfield net layout: magic b"VSAH", version u8 2, m u64, n u64, then
 ceil(m*n/8) bytes holding the n patterns of S one after another, in little
@@ -34,24 +40,37 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bloom import BloomBundle
-from .cbloom import CountBundle
+from . import bloom, cbloom, mapb, mapi
 from .codebook import Codebook
 from .hopfield import HopfieldNet
-from .mapb import MapBBundle
-from .mapi import MapIBundle
+
+
+class Arch(NamedTuple):
+    """Wire facts of one bundle architecture."""
+
+    tag: int
+    domain: int
+    bundle: type
+    encode: Callable
+
+
+ARCHS = {
+    "mapi": Arch(1, 1, mapi.MapIBundle, mapi.bundle),
+    "mapb": Arch(2, 0, mapb.MapBBundle, mapb.bundle_sign),
+    "bloom": Arch(3, 2, bloom.BloomBundle, bloom.bundle_bloom),
+    "cbloom": Arch(4, 3, cbloom.CountBundle, cbloom.bundle_count),
+}
 
 _MAGIC = b"VSAB"
 _NET_MAGIC = b"VSAH"
-_VERSION = 1
+_VERSION = 2
 _NET_VERSION = 2
-_ARCH = {"mapi": 1, "mapb": 2, "bloom": 3, "cbloom": 4}
-_ARCH_NAMES = {v: k for k, v in _ARCH.items()}
-_DOMAIN = {"mapi": 1, "mapb": 0, "bloom": 2, "cbloom": 3}
 _HEADER = struct.Struct("<4sBBBBQ32s")
+_UINTS = struct.Struct("<BQ")
 _NET_HEADER = struct.Struct("<4sBQQ")
 
 
@@ -67,122 +86,85 @@ def _unpack_bits(data: bytes, m: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:m]
 
 
-def _pack_positions(positions: np.ndarray, m: int) -> memoryview:
-    """ceil(m/8) little-bit-order bytes with exactly the bits ``positions`` set.
-
-    Bit p is bit p & 63 of little-endian word p >> 6, which is bit p & 7 of
-    byte p >> 3; the words are filled from the sorted positions directly. The
-    bytes are returned as a view, so the header is joined to them in one copy.
-    """
-    words = np.zeros(-(-m // 64), dtype="<u8")
-    if positions.size:
-        at = positions >> 6
-        first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
-        bit = np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64))
-        words[at[first]] = np.add.reduceat(bit, first)  # distinct bits: sum == OR
-    return words.view(np.uint8)[: -(-m // 8)].data
+def _pack_uints(values: np.ndarray) -> bytes:
+    """Width byte, u64 count, then the nonnegative ``values`` in that width."""
+    peak = int(values.max(initial=0))
+    width = next(w for w in (1, 2, 4, 8) if peak < 1 << (8 * w))
+    return _UINTS.pack(width, values.size) + values.astype(f"<u{width}").tobytes()
 
 
-def _unpack_positions(payload: memoryview) -> np.ndarray:
-    """Sorted set-bit positions of the little-bit-order bytes ``payload``.
-
-    Reads the payload in place as little-endian words (the last, partial word
-    from its bytes) and peels the set bits off the nonzero words only, lowest
-    first, so the work is proportional to the set bits, not to m.
-    """
-    whole = len(payload) // 8
-    words = np.frombuffer(payload, dtype="<u8", count=whole)
-    at = np.flatnonzero(words != 0)
-    left = words[at]
-    tail = int.from_bytes(payload[8 * whole :], "little")
-    if tail:
-        at, left = np.append(at, whole), np.append(left, np.uint64(tail))
-    found = [np.empty(0, dtype=np.int64)]
-    while left.size:
-        low = left & (~left + np.uint64(1))
-        found.append(at * 64 + np.frexp(low)[1] - 1)  # low is 2**b; frexp gives b + 1
-        left = left ^ low
-        more = left != 0
-        at, left = at[more], left[more]
-    return np.sort(np.concatenate(found))
+def _unpack_uints(name: str, payload: memoryview) -> np.ndarray:
+    """The values of a uints payload, read in place; the payload holds exactly them."""
+    if len(payload) < _UINTS.size:
+        raise ValueError(f"truncated {name} bundle payload")
+    width, count = _UINTS.unpack_from(payload)
+    if width not in (1, 2, 4, 8):
+        raise ValueError(f"bad {name} bundle value width {width}")
+    if len(payload) != _UINTS.size + width * count:
+        raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected "
+                         f"{_UINTS.size + width * count} for {count} values")
+    return np.frombuffer(payload, f"<u{width}", count, _UINTS.size)
 
 
 def bundle_to_bytes(bundle) -> bytes:
+    name = next((n for n, arch in ARCHS.items() if isinstance(bundle, arch.bundle)), None)
+    if name is None:
+        raise TypeError(f"not a serializable bundle: {type(bundle).__name__}")
     flags = 0
-    if isinstance(bundle, MapIBundle):
-        name, flags = "mapi", int(bundle.scaled)
-        payload = bundle.ints.astype("<i8").tobytes()
-    elif isinstance(bundle, MapBBundle):
+    if name == "mapi":
+        flags, payload = int(bundle.scaled), bundle.ints.astype("<i8").tobytes()
+    elif name == "mapb":
         if bundle.codebook is None:
             raise ValueError("cannot serialize a MAP-B bundle without a codebook")
         if bundle.kind != "set":
-            raise ValueError(f"bundle format v1 cannot carry a MAP-B {bundle.kind} bundle")
-        name = "mapb"
+            raise ValueError(f"bundle format v2 cannot carry a MAP-B {bundle.kind} bundle")
         payload = _pack_bits((bundle.signs + 1) // 2)
-    elif isinstance(bundle, BloomBundle):
-        name = "bloom"
-        payload = _pack_positions(bundle.positions, bundle.m)
-    elif isinstance(bundle, CountBundle):
-        name = "cbloom"
-        peak = int(bundle.counts.max(initial=0))
-        width = next(w for w in (1, 2, 4, 8) if peak < 1 << (8 * w))
-        payload = bytes([width]) + bundle.counts.astype(f"<u{width}").tobytes()
     else:
-        raise TypeError(f"not a serializable bundle: {type(bundle).__name__}")
-    header = _HEADER.pack(_MAGIC, _VERSION, _ARCH[name], _DOMAIN[name], flags, bundle.m,
-                          codebook_hash(bundle.codebook))
-    return header + payload
+        payload = _pack_uints(bundle.positions if name == "bloom" else bundle.counts)
+    arch = ARCHS[name]
+    return _HEADER.pack(_MAGIC, _VERSION, arch.tag, arch.domain, flags, bundle.m,
+                        codebook_hash(bundle.codebook)) + payload
 
 
 def bundle_from_bytes(data: bytes, cb: Codebook):
-    if len(data) < _HEADER.size:
-        raise ValueError("truncated bundle")
-    magic, version, arch, domain, flags, m, cb_hash = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise ValueError("not a vsakit bundle (bad magic)")
+    name = arch_of(data)
+    _, version, _, domain, flags, m, cb_hash = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise ValueError(f"unsupported bundle version {version}")
     if cb_hash != codebook_hash(cb):
         raise ValueError("bundle was built with a different codebook")
     if m != cb.m:
         raise ValueError("bundle dimension does not match the codebook")
-    payload = memoryview(data)[_HEADER.size :]  # a view: bloom payloads are read in place
-    name = _ARCH_NAMES.get(arch)
-    if name is None:
-        raise ValueError(f"unknown arch tag {arch}")
-    if domain != _DOMAIN[name]:
-        raise ValueError(f"{name} bundle has domain byte {domain}, expected {_DOMAIN[name]}")
-    if name == "cbloom":
-        width = payload[0] if payload else 0
-        if width not in (1, 2, 4, 8):
-            raise ValueError(f"bad counting bloom count width {width}")
-        expected = 1 + width * m
-    else:
-        expected = 8 * m if name == "mapi" else -(-m // 8)
+    if domain != ARCHS[name].domain:
+        raise ValueError(f"{name} bundle has domain byte {domain}, expected {ARCHS[name].domain}")
+    if flags > (name == "mapi"):  # only MAP-I defines a flag, bit 0
+        raise ValueError(f"{name} bundle sets unknown flag bits {flags:#04x}")
+    payload = memoryview(data)[_HEADER.size :]  # a view: payloads are read in place
+    if name in ("bloom", "cbloom"):
+        values = _unpack_uints(name, payload)
+        if name == "bloom":
+            return bloom.BloomBundle(values, cb)
+        if values.size != m:
+            raise ValueError(f"cbloom bundle holds {values.size} counts, expected m={m}")
+        return cbloom.CountBundle(values, cb)
+    expected = 8 * m if name == "mapi" else -(-m // 8)
     if len(payload) != expected:
         raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected {expected}")
-    if name in ("mapb", "bloom") and payload[-1] >> (m % 8 or 8):
-        raise ValueError(f"{name} bundle sets padding bits past m={m}")
     if name == "mapi":
-        ints = np.frombuffer(payload, dtype="<i8", count=m)
-        return MapIBundle(ints, cb, bool(flags & 1))
-    if name == "mapb":
-        signs = _unpack_bits(payload, m).astype(np.int8) * 2 - 1
-        return MapBBundle(signs, cb, tie_seed=0)
-    if name == "bloom":
-        return BloomBundle(_unpack_positions(payload), cb)
-    counts = np.frombuffer(payload, dtype=f"<u{width}", count=m, offset=1)
-    return CountBundle(counts.astype(np.int64), cb)
+        return mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb, bool(flags))
+    if payload[-1] >> (m % 8 or 8):
+        raise ValueError(f"mapb bundle sets padding bits past m={m}")
+    return mapb.MapBBundle(_unpack_bits(payload, m).astype(np.int8) * 2 - 1, cb, tie_seed=0)
 
 
 def arch_of(data: bytes) -> str:
-    """Peek at the arch tag of serialized bundle bytes."""
+    """Peek at the arch name of serialized bundle bytes."""
     if len(data) < _HEADER.size or data[:4] != _MAGIC:
-        raise ValueError("not a vsakit bundle")
-    name = _ARCH_NAMES.get(data[5])
-    if name is None:
-        raise ValueError(f"unknown arch tag {data[5]}")
-    return name
+        raise ValueError("not a vsakit bundle (bad magic or truncated header)")
+    for name, arch in ARCHS.items():
+        if arch.tag == data[5]:
+            return name
+    raise ValueError(f"unknown arch tag {data[5]}")
 
 
 def net_to_bytes(net: HopfieldNet) -> bytes:

@@ -12,6 +12,17 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
+def integral(value, what: str) -> int:
+    """``value`` as an int: an int or numpy integer (not a bool), or an integral float."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, a list, a string, nan, inf
+        number = None
+    if number is None or number != value or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class SymbolSet:
     """Sparse map from symbol id (0 <= id < d) to positive integer weight."""
@@ -20,12 +31,13 @@ class SymbolSet:
     entries: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "d", integral(self.d, "universe size d"))
         if self.d < 1:
             raise ValueError("universe size d must be positive")
         clean = {}
         for sym, w in dict(self.entries).items():
-            sym = int(sym)
-            w = int(w)
+            if type(sym) is not int or type(w) is not int:  # numpy ints, 2.0 or bad input
+                sym, w = integral(sym, "a symbol id"), integral(w, "a weight")
             if not 0 <= sym < self.d:
                 raise ValueError(f"symbol id {sym} outside universe [0, {self.d})")
             if w < 1:
@@ -59,8 +71,13 @@ class SymbolSet:
         return {"d": self.d, "entries": sorted((int(s), int(w)) for s, w in self.entries.items())}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "SymbolSet":
-        return cls(obj["d"], {int(s): int(w) for s, w in obj["entries"]})
+    def from_json_obj(cls, obj) -> "SymbolSet":
+        """Inverse of ``to_json_obj``: ``{"d": d, "entries": [[id, weight], ...]}``."""
+        try:
+            entries = dict(obj["entries"])
+        except (TypeError, ValueError):  # not an object, or an entry that is no pair
+            raise ValueError('a symbol set is {"d": d, "entries": [[id, weight], ...]}') from None
+        return cls(obj["d"], entries)
 
 
 def _check_universe(a: SymbolSet, b: SymbolSet) -> None:

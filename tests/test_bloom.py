@@ -117,9 +117,12 @@ def test_positions_equal_dense_reference(eighths, rem, d, seed, data):
     assert np.array_equal(bx.bits, dense_x)
     assert bloom.intersection_estimate(bx, by) == bloom.h_mk(m, k, int((dense_x & dense_y).sum()))
 
-    header = struct.pack("<4sBBBBQ32s", b"VSAB", 1, 3, 2, 0, m, serialize.codebook_hash(cb))
+    header = struct.pack("<4sBBBBQ32s", b"VSAB", 2, 3, 2, 0, m, serialize.codebook_hash(cb))
+    set_at = np.flatnonzero(dense_x)
+    width = 1 if set_at.max(initial=0) < 256 else 2  # m <= 327
     data_x = serialize.bundle_to_bytes(bx)
-    assert data_x == header + np.packbits(dense_x, bitorder="little").tobytes()
+    assert data_x == (header + struct.pack("<BQ", width, set_at.size)
+                      + set_at.astype(f"<u{width}").tobytes())
     assert np.array_equal(serialize.bundle_from_bytes(data_x, cb).positions, bx.positions)
 
     for bad in ([m], [-1], [0, m + 5]):

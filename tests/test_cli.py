@@ -201,3 +201,49 @@ def test_uncastable_grid_value_is_an_error_row(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert "parameter 'm' must be a number" in out.read_text().splitlines()[1]
+
+
+_CBLOOM_CB = {"kind": "sparse-binary-exact", "m": 64, "d": 8, "k": 3, "seed": 1,
+              "scaled": False}
+_DENSE_CB = {"kind": "dense-sign", "m": 64, "d": 8, "k": None, "seed": 1, "scaled": False}
+_ONE = {"d": 8, "entries": [[1, 1]]}
+
+
+@pytest.mark.parametrize("arch, codebook, symbols", [
+    ("cbloom", {**_CBLOOM_CB, "m": 64.5}, _ONE),
+    ("mapi", {**_DENSE_CB, "m": True}, _ONE),
+    ("cbloom", {**_CBLOOM_CB, "k": 2.5}, _ONE),
+    ("cbloom", {**_CBLOOM_CB, "seed": 1.5}, _ONE),
+    ("mapi", 5, _ONE),
+    ("cbloom", _CBLOOM_CB, {"d": 8, "entries": 5}),
+    ("cbloom", _CBLOOM_CB, {"d": "8", "entries": [[1, 1]]}),
+    ("cbloom", _CBLOOM_CB, [[1, 1]]),
+    ("cbloom", _CBLOOM_CB, {"d": 8, "entries": [[1.5, 1]]}),
+    ("cbloom", _CBLOOM_CB, {"d": 8, "entries": [[None, 1]]}),
+    ("cbloom", _CBLOOM_CB, {"d": 8, "entries": [5]}),
+    ("cbloom", _CBLOOM_CB, {"d": 8, "entries": [[[1], 1]]}),
+    ("mapi", _DENSE_CB, {"d": 8, "entries": [[1, 2**63]]}),
+    ("cbloom", _CBLOOM_CB, {"d": 8, "entries": [[1, 2**63]]}),
+], ids=["m-fraction", "m-bool", "k-fraction", "seed-fraction", "codebook-number",
+        "entries-number", "d-string", "set-array", "id-fraction", "id-null", "entry-number",
+        "id-array", "mapi-weight-2**63", "cbloom-weight-2**63"])
+def test_malformed_encode_input_exits_2(tmp_path, capsys, arch, codebook, symbols):
+    (tmp_path / "cb.json").write_text(json.dumps(codebook))
+    (tmp_path / "set.json").write_text(json.dumps(symbols))
+    assert main(["encode", "--arch", arch, "--codebook", str(tmp_path / "cb.json"),
+                 "--set", str(tmp_path / "set.json"), "--out", str(tmp_path / "b.vsab")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "b.vsab").exists()
+
+
+def test_integral_float_codebook_fields_are_integers(tmp_path):
+    (tmp_path / "set.json").write_text(json.dumps(_ONE))
+    out = []
+    for m in (64, 64.0):
+        (tmp_path / "cb.json").write_text(json.dumps({**_CBLOOM_CB, "m": m, "seed": 1.0}))
+        assert main(["encode", "--arch", "cbloom", "--codebook", str(tmp_path / "cb.json"),
+                     "--set", str(tmp_path / "set.json"), "--out", str(tmp_path / "b.vsab")]) == 0
+        out.append((tmp_path / "b.vsab").read_bytes())
+    assert out[0] == out[1]  # same bundle, same codebook hash
+    cb = Codebook.from_json(json.dumps({**_CBLOOM_CB, "m": 64.0}))
+    assert type(cb.m) is int and cb.to_json() == Codebook(**_CBLOOM_CB).to_json()

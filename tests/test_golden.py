@@ -1,11 +1,12 @@
-"""Byte identity: SHA-256 digests of every harness CSV, sizing and calibrate JSON.
+"""Byte identity: SHA-256 digests of every harness CSV, sizing and calibrate JSON,
+and of the wire bytes of one bundle per arch and one Hopfield net.
 
 Each registered (arch, task) runs one small fixed grid with 3 trials and, if
 it reads optional parameters, the same grid without them, so the default
 paths run too. The digests cover the CSV text and the sidecar JSON. A change
 to a drawn bit, an estimator, a threshold or the output format shows here.
 Record new digests only together with an ``RNG_VERSION`` or ``CSV_VERSION``
-change.
+change, and new wire digests only with a bundle or net format version change.
 """
 
 import csv
@@ -13,10 +14,12 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from vsakit import harness, hopfield, rng, sizing
+from vsakit import harness, hopfield, rng, serialize, sizing
 from vsakit.codebook import Codebook
+from vsakit.setalg import SymbolSet
 
 #: One grid per registered task, holding only the parameters it reads.
 _GRIDS = {
@@ -91,7 +94,31 @@ _RUN_SHA256 = {
 }
 _SIZE_SHA256 = "50c0e499e3083c6c19d2c31415fd0db984a13c4ed9dccbc073036ddfa18a772c"
 _CALIBRATE_SHA256 = "fb29640cb8e6b285e927f5f24890825d547a4a8c3a46d1d5eb2f7aad6f58263c"
+_WIRE_SHA256 = {
+    "bloom": "d06e37cf4d80f339d5e470f6efc5543a3e4f90f7519e9e334d00a65da3232932",
+    "cbloom": "1e087edbbeaa6606a09b84af335d73d30530deff57078d32dcfc0cef6e686cfc",
+    "mapb": "729120a42f7feccfabdf398a4fdb948acef9ac38f12f8bd6733278243cbab74c",
+    "mapi": "6a7150f01798eee713e67ea964bb7bc69945678d2127760860cc11d88b67814e",
+    "net": "c90e8044dfb810af39d526733a7d0d1f5e449cc2358d19740749c0406805c72d",
+}
 _HPM_SHA256 = "65f214103068cec913650fa03675e17dbec37de889ac4888172ddd6a66e66b63"
+
+
+def _wire_bytes(kind: str) -> bytes:
+    """Bundle format v2 bytes of one seeded bundle of ``kind``, or net v2 bytes."""
+    if kind == "net":
+        patterns = Codebook("dense-sign", 651, 16, seed=7).sign_matrix(0, 16)
+        return serialize.net_to_bytes(hopfield.HopfieldNet(patterns, np.ones(651, np.int8)))
+    weighted = SymbolSet(64, {1: 1, 9: 3, 20: 300, 63: 2})
+    cb, v = {
+        "mapi": (Codebook("dense-sign", 300, 64, seed=3, scaled=True), weighted),
+        "mapb": (Codebook("dense-sign", 301, 64, seed=4), SymbolSet.from_ids(64, range(0, 60, 8))),
+        # 15 elements at the sized bloom.intersection cell (eps=0.5, delta=0.05, n=5, n_v=n_w=10)
+        "bloom": (Codebook("sparse-binary-trials", 6_366_745, 256, k=483, seed=0),
+                  SymbolSet.from_ids(256, range(0, 120, 8))),
+        "cbloom": (Codebook("sparse-binary-exact", 500, 64, k=5, seed=6), weighted),
+    }[kind]
+    return serialize.bundle_to_bytes(serialize.ARCHS[kind].encode(cb, v))
 
 
 def _sha256(text: str) -> str:
@@ -159,3 +186,8 @@ def test_calibrate_json_unchanged():
 
 def test_hpm_estimates_unchanged():
     assert _sha256(_hpm_text()) == _HPM_SHA256
+
+
+@pytest.mark.parametrize("kind", sorted(_WIRE_SHA256))
+def test_wire_bytes_unchanged(kind):
+    assert hashlib.sha256(_wire_bytes(kind)).hexdigest() == _WIRE_SHA256[kind]
