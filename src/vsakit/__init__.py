@@ -15,7 +15,7 @@ signs, with-replacement sparse binary and exactly-k sparse binary columns),
 :mod:`vsakit.harness` (seeded Monte Carlo experiments, CSV output).
 """
 
-from .codebook import Codebook, atomic
+from .codebook import Codebook
 from .hypervector import Hypervector, Rotation, rotate
 from .rng import RNG_VERSION
 from .setalg import (
@@ -42,7 +42,6 @@ __all__ = [
     "SequenceSpec",
     "SizingResult",
     "SymbolSet",
-    "atomic",
     "calibrate",
     "intersection_size",
     "l1_distance",

@@ -8,24 +8,25 @@ generating each column alone.
 
 A gather of many columns selects the words of the requested columns, from
 one contiguous window when the ids are close together or from one window
-per column when they are scattered. Dense-sign gathers (``sign_columns``)
-unpack them all in a single ``rng.signs_from_words`` call; sparse-binary-trials
-gathers (``union_indices``) map them all to row indices in a single
-``rng.bounded_from_words`` call and return the sorted union.
+per column when they are scattered. A dense-sign column's words are its
+packed signs (bit i set where entry i is +1): ``sign_words`` returns them
+trimmed to ceil(m/64) words with the bits past m cleared, and
+``sign_columns`` unpacks them all in a single ``rng.signs_from_words`` call.
+Sparse-binary-trials gathers (``union_indices``) map them all to row indices
+in a single ``rng.bounded_from_words`` call and return the sorted union.
 
 Kinds
 -----
 One per codebook family the encodings use.
 
 ``dense-sign``
-    Columns uniform over {-1,+1}^m; MAP-I, MAP-B and Hopfield. Scaled
-    factor 1/sqrt(m).
+    Columns uniform over {-1,+1}^m; MAP-I, MAP-B and Hopfield.
 ``sparse-binary-trials``
     k uniform index draws with replacement, duplicates collapse; popcount
-    in [1, k]; Bloom filters. Scaled factor 1/k.
+    in [1, k]; Bloom filters.
 ``sparse-binary-exact``
     Exactly k distinct uniform indices (partial Fisher-Yates); Counting
-    Bloom filters. Scaled 1/k.
+    Bloom filters.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .hypervector import Hypervector
 from .setalg import integral
 
 KINDS = ("dense-sign", "sparse-binary-trials", "sparse-binary-exact")
@@ -122,12 +122,6 @@ class Codebook:
 
     # -- column access -----------------------------------------------------
 
-    def scale(self) -> float:
-        """Per-kind scaling factor applied when ``scaled`` is set."""
-        if self.kind == "dense-sign":
-            return 1.0 / np.sqrt(self.m)
-        return 1.0 / self.k
-
     def _check_symbol(self, j: int) -> None:
         if not 0 <= j < self.d:
             raise IndexError(f"symbol id {j} out of range for universe size {self.d}")
@@ -155,6 +149,23 @@ class Codebook:
         if span <= 4 * ids.size + 64:
             return self._column_words(lo, span).reshape(span, -1)[ids - lo], True
         return np.stack([self._column_words(int(j), 1) for j in ids]), False
+
+    def sign_words(self, ids) -> np.ndarray:
+        """Dense-sign columns ``ids`` as packed signs, shape (len(ids), ceil(m/64)) uint64.
+
+        Bit i (word i // 64, bit i % 64) is set where entry i is +1; the bits
+        past m, random in the raw window, are cleared.
+        """
+        if self.kind != "dense-sign":
+            raise ValueError("sign_words requires a dense-sign codebook")
+        ids = np.asarray(ids, dtype=np.int64)
+        nwords = self._words_per_column
+        if ids.size == 0:
+            return np.empty((0, nwords), dtype=np.uint64)
+        words = self._gather_words(ids)[0][:, :nwords]
+        if self.m % 64:
+            words[:, -1] &= np.uint64((1 << self.m % 64) - 1)
+        return words
 
     def sign_columns(self, ids) -> np.ndarray:
         """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids)).
@@ -206,15 +217,3 @@ class Codebook:
         col = np.zeros(self.m, dtype=np.int8)
         col[self.column_indices(j)] = 1
         return col
-
-    def domain(self) -> str:
-        """Domain tag of unscaled atomic columns."""
-        return "sign" if self.kind == "dense-sign" else "binary"
-
-
-def atomic(cb: Codebook, j: int) -> Hypervector:
-    """Atomic vector for symbol j, scaled iff the codebook is scaled."""
-    col = cb.column_ints(j)
-    if cb.scaled:
-        return Hypervector(col * cb.scale(), "scaled-real")
-    return Hypervector(col, cb.domain())

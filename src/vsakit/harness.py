@@ -70,8 +70,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "trials", _config_int(self.trials, "trials"))
-        object.__setattr__(self, "seed", _config_int(self.seed, "seed"))
+        object.__setattr__(self, "trials", setalg.integral(self.trials, "config 'trials'"))
+        object.__setattr__(self, "seed", setalg.integral(self.seed, "config 'seed'"))
         if not (isinstance(self.arch, str) and isinstance(self.task, str)):
             raise ValueError(f"arch and task must be strings, got {self.arch!r}, {self.task!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -106,16 +106,6 @@ class ExperimentConfig:
     def cells(self) -> list[dict]:
         keys = sorted(self.grid)
         return [dict(zip(keys, combo)) for combo in product(*(self.grid[k] for k in keys))]
-
-
-def _config_int(value, name: str) -> int:
-    try:
-        number = int(value)
-    except (TypeError, OverflowError):
-        number = None
-    if number is None or isinstance(value, float) and number != value:
-        raise ValueError(f"config {name!r} must be an integer, got {value!r}")
-    return number
 
 
 def trial_seed(master: int, cell: dict, index: int) -> int:
@@ -161,6 +151,8 @@ def _params(cell: dict, cast, *names: str, **defaults) -> list:
             raise ValueError(f"task needs parameter {name!r}")
         value = cell.get(name, defaults.get(name))
         try:
+            if isinstance(value, (bool, str)):  # int() and float() would take them
+                raise TypeError(value)
             out.append(cast(value))
         except (TypeError, OverflowError):
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None

@@ -156,12 +156,6 @@ def thin(net: HopfieldNet, keep) -> HopfieldNet:
     return HopfieldNet(net.patterns, mask)
 
 
-def probe_threshold(n: int, m: int, delta: float) -> float:
-    """Required y^T S_j / ||y|| for reliable one-step recovery."""
-    check_rates(delta=delta)
-    return 2.0 * math.sqrt(n * math.log(2.0 * m / delta))
-
-
 def sizing_hopfield(*, n: float, delta: float, C: float | None = None) -> SizingResult:
     """Smallest integer m with m >= C n ln(2m/delta), by fixed-point iteration.
 

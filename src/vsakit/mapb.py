@@ -2,12 +2,18 @@
 
 Bundles are sign(S v) of the MAP-I sums (:mod:`vsakit.mapi`) with zero
 sums resolved by a seeded fair coin, so all composite vectors stay in
-{-1,+1}^m. The paper-backed guarantees are decision tests (membership,
-sequence membership, key-value membership, empty-intersection), not size
+{-1,+1}^m. A bundle is held as its packed signs, the binary spatter code
+view: bit i of ``words`` is set where entry i is +1, exactly the layout of
+a dense-sign codebook column's words and of the MAP-B wire payload. A dot
+product of two +-1 vectors is then m - 2 * popcount(x ^ c), so every score
+is an XOR and a popcount, and a chained bundling step is three bitwise ops.
+
+The paper-backed guarantees are decision tests (membership, sequence
+membership, key-value membership, empty-intersection), not size
 estimation; each test compares a dot product against a closed-form
 threshold. ``membership_scores`` scores many symbols against one set bundle
-at once (one column gather and one contraction per block of about 1 MB of
-columns); ``membership_test`` is its one-id case.
+at once from one gather of column words; ``membership_test`` is its one-id
+case.
 
 ``agreement_probability`` is the exact enumeration oracle for the
 per-coordinate agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained
@@ -25,15 +31,12 @@ import numpy as np
 
 from . import mapi, rng
 from .codebook import Codebook
-from .hypervector import Hypervector, Rotation, rotate
-from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, require_flat
+from .hypervector import Hypervector
+from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral, require_flat
 from .sizing import SizingResult, check_rates, constants_for, require
 
 #: Exhaustive enumeration refuses instances beyond this many states.
 ENUMERATION_STATE_LIMIT = 2**24
-
-#: membership_scores gathers at most about this many bytes of columns at once.
-_SCORE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,14 @@ class KeyValueSpec:
 
 @dataclass(frozen=True)
 class MapBBundle:
-    """A +-1 bundle plus how it was built (needed to pick the right test)."""
+    """A +-1 bundle as packed signs, plus how it was built (to pick the right test).
 
-    signs: np.ndarray
+    ``words`` holds ceil(m/64) uint64 words; bit i (word i // 64, bit i % 64)
+    is set where entry i is +1, and the padding bits past m are zero.
+    """
+
+    words: np.ndarray
+    m: int
     codebook: Codebook | None
     tie_seed: int
     kind: str = "set"  # set | sequence | kv | chain
@@ -81,15 +89,26 @@ class MapBBundle:
     vals: frozenset | None = None
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int8).copy()
-        if ((signs != 1) & (signs != -1)).any():
-            raise ValueError("MAP-B bundle entries must be +-1")
-        signs.setflags(write=False)
-        object.__setattr__(self, "signs", signs)
+        m = integral(self.m, "MAP-B bundle m")
+        if m < 1:
+            raise ValueError(f"MAP-B bundle needs m >= 1, got {m}")
+        words = np.asarray(self.words)
+        if words.dtype != np.uint64 or words.shape != (-(-m // 64),):
+            raise ValueError(f"MAP-B bundle of m={m} needs {-(-m // 64)} uint64 words, "
+                             f"got {words.dtype} of shape {words.shape}")
+        if m % 64 and words[-1] >> np.uint64(m % 64):
+            raise ValueError(f"MAP-B bundle sets padding bits past m={m}")
+        words = words.copy()
+        words.setflags(write=False)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "words", words)
 
     @property
-    def m(self) -> int:
-        return self.signs.shape[0]
+    def signs(self) -> np.ndarray:
+        """The entries as a read-only +-1 int8 array, unpacked from ``words``."""
+        signs = rng.signs_from_words(self.words, self.m)[:, 0]
+        signs.setflags(write=False)
+        return signs
 
 
 @dataclass(frozen=True)
@@ -100,17 +119,31 @@ class TestResult:
     degraded: bool = False  # True when the bundle is not a one-shot depth-1 build
 
 
-def _tie_signs(seed: int, tie_seed: int, step: int, m: int) -> np.ndarray:
-    words = rng.Stream(seed, "mapb-tie", tie_seed, step).words(0, -(-m // 64))
-    return rng.signs_from_words(words, m)[:, 0]
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Length-m bools as ceil(m/64) uint64 words, bit i of word i // 64 first, padding zero."""
+    m = bits.shape[0]
+    packed = np.zeros(8 * -(-m // 64), dtype=np.uint8)
+    packed[: -(-m // 8)] = np.packbits(bits, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
-def _sign_with_ties(sums: np.ndarray, cb_seed: int, tie_seed: int, step: int = 0) -> np.ndarray:
-    out = np.sign(sums).astype(np.int8)
-    ties = out == 0
+def _tie_words(seed: int, tie_seed: int, step: int, m: int) -> np.ndarray:
+    """The fair coins of one thresholding step: bit i set means a tie at i goes to +1."""
+    return rng.Stream(seed, "mapb-tie", tie_seed, step).words(0, -(-m // 64))
+
+
+def _threshold(sums: np.ndarray, cb_seed: int, tie_seed: int) -> np.ndarray:
+    """Words of sign(sums), each zero sum replaced by its seeded coin."""
+    words = _pack(sums > 0)
+    ties = _pack(sums == 0)
     if ties.any():
-        out[ties] = _tie_signs(cb_seed, tie_seed, step, sums.shape[0])[ties]
-    return out
+        words |= ties & _tie_words(cb_seed, tie_seed, 0, sums.shape[0])
+    return words
+
+
+def _scores(x: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """<x, c> = m - 2 * popcount(x ^ c) as int64, one per row of ``cols``."""
+    return m - 2 * np.bitwise_count(x ^ cols).sum(axis=-1, dtype=np.int64)
 
 
 def _default_tie_seed(v: SymbolSet) -> int:
@@ -128,8 +161,7 @@ def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapB
     require_flat(v)
     if tie_seed is None:
         tie_seed = _default_tie_seed(v)
-    sums = mapi.bundle(cb, v).ints
-    return MapBBundle(_sign_with_ties(sums, cb.seed, tie_seed, 0), cb, tie_seed)
+    return MapBBundle(_threshold(mapi.bundle(cb, v).ints, cb.seed, tie_seed), cb.m, cb, tie_seed)
 
 
 def bundle_sequence_sign(
@@ -145,10 +177,8 @@ def bundle_sequence_sign(
         tie_seed = rng.stream_id(
             "tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries))
         )
-    sums = mapi.encode_sequence(cb, seq).ints
-    return MapBBundle(
-        _sign_with_ties(sums, cb.seed, tie_seed, 0), cb, tie_seed, kind="sequence", L=seq.L
-    )
+    words = _threshold(mapi.encode_sequence(cb, seq).ints, cb.seed, tie_seed)
+    return MapBBundle(words, cb.m, cb, tie_seed, kind="sequence", L=seq.L)
 
 
 def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None) -> MapBBundle:
@@ -159,15 +189,8 @@ def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None
     if tie_seed is None:
         tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
     edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
-    sums = mapi.encode_binding_bundle(cb, edges).ints
-    return MapBBundle(
-        _sign_with_ties(sums, cb.seed, tie_seed, 0),
-        cb,
-        tie_seed,
-        kind="kv",
-        keys=spec.keys,
-        vals=spec.values,
-    )
+    words = _threshold(mapi.encode_binding_bundle(cb, edges).ints, cb.seed, tie_seed)
+    return MapBBundle(words, cb.m, cb, tie_seed, kind="kv", keys=spec.keys, vals=spec.values)
 
 
 def iterated_bundle(
@@ -175,7 +198,11 @@ def iterated_bundle(
     tie_seed: int = 0,
     codebook: Codebook | None = None,
 ) -> MapBBundle:
-    """Left-fold chained bundling: x <- sign(x + x_j), ties seeded per step."""
+    """Left-fold chained bundling: x <- sign(x + x_j), ties seeded per step.
+
+    For +-1 inputs x + x_j is in {-2, 0, 2}, so each step is bitwise on the
+    packed signs: x <- (x & v) | ((x ^ v) & t), with t the step's coins.
+    """
     if not vectors:
         raise ValueError("iterated_bundle needs at least one vector")
     m = vectors[0].m
@@ -185,12 +212,11 @@ def iterated_bundle(
         if v.m != m:
             raise ValueError("iterated_bundle requires equal lengths")
     seed = codebook.seed if codebook is not None else 0
-    x = vectors[0].values.astype(np.int8)
-    for step, v in enumerate(vectors[1:], start=1):
-        x = _sign_with_ties(x.astype(np.int64) + v.values, seed, tie_seed, step)
-    return MapBBundle(
-        x, codebook, tie_seed, kind="chain", depth=len(vectors)
-    )
+    x = _pack(vectors[0].values > 0)
+    for step, vector in enumerate(vectors[1:], start=1):
+        v = _pack(vector.values > 0)
+        x = (x & v) | ((x ^ v) & _tie_words(seed, tie_seed, step, m))
+    return MapBBundle(x, m, codebook, tie_seed, kind="chain", depth=len(vectors))
 
 
 # -- decision thresholds (natural log throughout) ---------------------------
@@ -213,21 +239,10 @@ def empty_intersection_threshold(m: int, delta: float) -> float:
 
 
 def membership_scores(b: MapBBundle, ids) -> np.ndarray:
-    """Scores <x, S_j> of many symbols as int64: gathered and contracted blockwise.
-
-    Each block of about ``_SCORE_BLOCK_BYTES`` of int8 columns is one column
-    gather and one contraction, so memory stays bounded for any number of
-    ids (at m=1367 all 256 symbols of d=256 fit in one block).
-    """
+    """Scores <x, S_j> of many symbols as int64, from one gather of column words."""
     if b.codebook is None:
         raise ValueError("bundle has no codebook to test against")
-    ids = np.asarray(ids, dtype=np.int64)
-    step = max(1, _SCORE_BLOCK_BYTES // b.m)
-    scores = np.empty(ids.size, dtype=np.int64)
-    for i in range(0, ids.size, step):
-        cols = b.codebook.sign_columns(ids[i:i + step])
-        scores[i:i + step] = np.einsum("i,ij->j", b.signs, cols, dtype=np.int64)
-    return scores
+    return _scores(b.words, b.codebook.sign_words(ids), b.m)
 
 
 def membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
@@ -244,7 +259,7 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
     check_rates(delta=delta)
     if b1.m != b2.m:
         raise ValueError("bundles have different dimensions")
-    score = int(b1.signs.astype(np.int64) @ b2.signs.astype(np.int64))
+    score = int(_scores(b1.words, b2.words, b1.m))
     tau = empty_intersection_threshold(b1.m, delta)
     degraded = b1.depth > 1 or b2.depth > 1
     return TestResult(score >= tau, score, tau, degraded)
@@ -253,8 +268,9 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
 def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     """Is position-qualified symbol j (= ell*d + sym) in the sequence bundle?
 
-    The matching column is the atomic column of ``j mod d`` rotated to the
-    queried block.
+    The matching column is R^ell S_(j mod d), the atomic column rotated to
+    the queried block. Since <x, R^ell c> = <roll(x, ell), c>, the bundle is
+    rotated instead.
     """
     check_rates(delta=delta)
     if b.codebook is None:
@@ -263,8 +279,8 @@ def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     if not 0 <= j < b.L * d:
         raise IndexError(f"position-qualified index {j} out of range for L*d = {b.L * d}")
     ell, jm = divmod(j, d)
-    col = rotate(Hypervector(b.codebook.column_ints(jm), "sign"), Rotation(ell)).values
-    score = int(b.signs.astype(np.int64) @ col)
+    rolled = _pack(np.roll(b.signs, ell) > 0)
+    score = int(_scores(rolled, b.codebook.sign_words([jm]), b.m)[0])
     tau = sequence_member_threshold(b.m, b.L, d, delta)
     return TestResult(score >= tau, score, tau, b.kind != "sequence")
 
@@ -279,8 +295,10 @@ def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> Te
         raise ValueError(f"query key {q} is a value id in this bundle")
     if b.keys is not None and w in b.keys:
         raise ValueError(f"query value {w} is a key id in this bundle")
-    cols = b.codebook.sign_columns([q, w]).astype(np.int64)
-    score = int(b.signs.astype(np.int64) @ cols.prod(axis=1))
+    # The bound column c_q * c_w has bits ~(c_q ^ c_w): it is minus the +-1
+    # vector whose bits are c_q ^ c_w, so its score is minus that vector's.
+    cq, cw = b.codebook.sign_words([q, w])
+    score = -int(_scores(b.words, cq ^ cw, b.m))
     tau = kv_member_threshold(b.m, b.codebook.d, delta)
     return TestResult(score >= tau, score, tau, b.kind != "kv")
 

@@ -1,10 +1,11 @@
 """MAP-I: linear bundling with sign matrices and JL-based estimators.
 
 A bundle is S v (integer accumulator), scaled to (1/sqrt(m)) S v at the
-estimator boundary. Norms, dot products, symmetric differences and cosines
-of the scaled bundles concentrate around the exact set statistics; at the
-sized dimension the rounded dot product recovers intersection sizes exactly
-with high probability.
+estimator boundary. Norms, dot products and symmetric differences of the
+scaled bundles concentrate around the exact set statistics; at the sized
+dimension the rounded dot product recovers intersection sizes exactly with
+high probability. Integer dot products are exact: they stay in int64 only
+when a bound proves they cannot wrap.
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     _require_dense(cb)
     if v.d != cb.d:
         raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
+    if v.l1() >= 2**63:  # every sum and partial sum of S v is at most ||v||_1
+        raise ValueError(f"MAP-I needs ||v||_1 below 2**63, got {v.l1()}")
     ints = np.zeros(cb.m, dtype=np.int64)
     if v.entries:
         ids = np.fromiter(v.entries.keys(), dtype=np.int64)
-        try:
-            weights = np.fromiter(v.entries.values(), dtype=np.int64)
-        except OverflowError:
-            raise ValueError("MAP-I weights must be below 2**63") from None
+        weights = np.fromiter(v.entries.values(), dtype=np.int64)
         ints = cb.sign_columns(ids).astype(np.int64) @ weights
     return MapIBundle(ints, cb, cb.scaled)
 
@@ -71,17 +71,30 @@ def add(b1: MapIBundle, b2: MapIBundle) -> MapIBundle:
     return MapIBundle(b1.ints + b2.ints, b1.codebook, b1.scaled)
 
 
+def _peak(a: np.ndarray) -> int:
+    """max |a_i| of an int64 array; read as uint64, |-2**63| is not negative."""
+    return int(np.abs(a).view(np.uint64).max())
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact <a, b>: in int64 when m * max|a| * max|b| < 2**63, else with Python ints."""
+    peak = _peak(a)
+    if a.size * peak * (peak if b is a else _peak(b)) < 2**63:
+        return int(a @ b)
+    return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
+
+
 def raw_dot(b1: MapIBundle, b2: MapIBundle) -> int:
     """Exact integer <S v, S w>; estimators divide by m."""
     _require_same(b1, b2)
-    return int(b1.ints @ b2.ints)
+    return _dot(b1.ints, b2.ints)
 
 
 def norm_sq_estimate(b: MapIBundle) -> float:
     """||(1/sqrt(m)) S v||^2, the set-size estimator (requires scaled)."""
     if not b.scaled:
         raise ValueError("norm_sq_estimate requires a scaled bundle")
-    return int(b.ints @ b.ints) / b.m
+    return _dot(b.ints, b.ints) / b.m
 
 
 def dot_estimate(b1: MapIBundle, b2: MapIBundle) -> float:
@@ -103,18 +116,8 @@ def symdiff_estimate(b1: MapIBundle, b2: MapIBundle) -> float:
     _require_same(b1, b2)
     if not b1.scaled:
         raise ValueError("symdiff_estimate requires scaled bundles")
-    diff = b1.ints - b2.ints
-    return int(diff @ diff) / b1.m
-
-
-def cosine_estimate(b1: MapIBundle, b2: MapIBundle) -> float:
-    """cos of the angle between the bundles; 0 when either norm is 0."""
-    _require_same(b1, b2)
-    n1 = int(b1.ints @ b1.ints)
-    n2 = int(b2.ints @ b2.ints)
-    if n1 == 0 or n2 == 0:
-        return 0.0
-    return int(b1.ints @ b2.ints) / math.sqrt(n1 * n2)
+    a, b = b1.ints, b2.ints  # expanded, so the int64 difference a - b cannot wrap
+    return (_dot(a, a) - 2 * _dot(a, b) + _dot(b, b)) / b1.m
 
 
 def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:

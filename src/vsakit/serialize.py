@@ -1,4 +1,4 @@
-"""Binary formats: bundles (header + payload) and Hopfield nets (packed S).
+"""Bundle format v2: a header, then the payload the bundle is held as.
 
 Bundle layout (little-endian):
 
@@ -10,7 +10,8 @@ Bundle layout (little-endian):
     m        u64
     cb_hash  32s  sha256 of the codebook JSON
     payload       mapi: m * int64
-                  mapb: ceil(m/8) bytes, +1 -> 1 in little bit order,
+                  mapb: the first ceil(m/8) bytes of the bundle's
+                  little-endian words (+1 -> 1, bit i of byte i // 8),
                   padding bits past m zero
                   bloom: uints of the sorted set positions
                   cbloom: uints of the m counts
@@ -29,11 +30,6 @@ that generated it), a version other than 2 (version 1 wrote Bloom filters
 as packed bits), a domain byte other than the arch's, an unknown flag bit
 and a payload of the wrong length. The format stores no MAP-B kind, so only
 MAP-B set bundles can be written.
-
-Hopfield net layout: magic b"VSAH", version u8 2, m u64, n u64, then
-ceil(m*n/8) bytes holding the n patterns of S one after another, in little
-bit order with +1 -> 1, padding bits past m*n zero. Version 1 (the int64
-upper triangle of W) is not read.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ import numpy as np
 
 from . import bloom, cbloom, mapb, mapi
 from .codebook import Codebook
-from .hopfield import HopfieldNet
 
 
 class Arch(NamedTuple):
@@ -66,24 +61,13 @@ ARCHS = {
 }
 
 _MAGIC = b"VSAB"
-_NET_MAGIC = b"VSAH"
 _VERSION = 2
-_NET_VERSION = 2
 _HEADER = struct.Struct("<4sBBBBQ32s")
 _UINTS = struct.Struct("<BQ")
-_NET_HEADER = struct.Struct("<4sBQQ")
 
 
 def codebook_hash(cb: Codebook) -> bytes:
     return hashlib.sha256(cb.to_json().encode("utf-8")).digest()
-
-
-def _pack_bits(values01: np.ndarray) -> bytes:
-    return np.packbits(values01.astype(np.uint8), bitorder="little").tobytes()
-
-
-def _unpack_bits(data: bytes, m: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:m]
 
 
 def _pack_uints(values: np.ndarray) -> bytes:
@@ -118,7 +102,7 @@ def bundle_to_bytes(bundle) -> bytes:
             raise ValueError("cannot serialize a MAP-B bundle without a codebook")
         if bundle.kind != "set":
             raise ValueError(f"bundle format v2 cannot carry a MAP-B {bundle.kind} bundle")
-        payload = _pack_bits((bundle.signs + 1) // 2)
+        payload = bundle.words.astype("<u8").tobytes()[: -(-bundle.m // 8)]
     else:
         payload = _pack_uints(bundle.positions if name == "bloom" else bundle.counts)
     arch = ARCHS[name]
@@ -152,9 +136,8 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected {expected}")
     if name == "mapi":
         return mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb, bool(flags))
-    if payload[-1] >> (m % 8 or 8):
-        raise ValueError(f"mapb bundle sets padding bits past m={m}")
-    return mapb.MapBBundle(_unpack_bits(payload, m).astype(np.int8) * 2 - 1, cb, tie_seed=0)
+    words = np.frombuffer(bytes(payload) + bytes(-len(payload) % 8), "<u8")
+    return mapb.MapBBundle(words.astype(np.uint64), m, cb, tie_seed=0)  # checks the padding
 
 
 def arch_of(data: bytes) -> str:
@@ -165,30 +148,3 @@ def arch_of(data: bytes) -> str:
         if arch.tag == data[5]:
             return name
     raise ValueError(f"unknown arch tag {data[5]}")
-
-
-def net_to_bytes(net: HopfieldNet) -> bytes:
-    """Header {m, n} + the patterns S, one after another, packed as sign bits."""
-    if not net.mask.all():
-        raise ValueError("cannot serialize a thinned hopfield net")
-    header = _NET_HEADER.pack(_NET_MAGIC, _NET_VERSION, net.m, net.n)
-    return header + _pack_bits((net.patterns.T + 1) // 2)
-
-
-def net_from_bytes(data: bytes) -> HopfieldNet:
-    if len(data) < _NET_HEADER.size:
-        raise ValueError("truncated hopfield net")
-    magic, version, m, n = _NET_HEADER.unpack_from(data)
-    if magic != _NET_MAGIC:
-        raise ValueError("not a vsakit hopfield net (bad magic)")
-    if version != _NET_VERSION:
-        raise ValueError(f"unsupported hopfield net version {version}")
-    if m < 1 or n < 1:
-        raise ValueError(f"hopfield net needs m >= 1 and n >= 1, got m={m}, n={n}")
-    expected = _NET_HEADER.size + -(-m * n // 8)
-    if len(data) != expected:
-        raise ValueError(f"hopfield net is {len(data)} bytes, expected {expected}")
-    if data[-1] >> (m * n % 8 or 8):
-        raise ValueError(f"hopfield net sets padding bits past m*n={m * n}")
-    bits = _unpack_bits(data[_NET_HEADER.size :], m * n).reshape(n, m).T
-    return HopfieldNet(bits.astype(np.int8) * 2 - 1, np.ones(m, np.int8))

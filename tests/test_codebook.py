@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vsakit import rng
-from vsakit.codebook import Codebook, atomic
+from vsakit.codebook import Codebook
 from vsakit.hypervector import Hypervector, Rotation, rotate
 
 
@@ -12,18 +12,12 @@ def test_dense_sign_columns_are_signs():
         assert set(np.unique(cb.column_ints(j))) <= {-1, 1}
 
 
-def test_atomic_out_of_range():
+def test_column_out_of_range():
     cb = Codebook("dense-sign", 4, 10, seed=3)
     with pytest.raises(IndexError):
-        atomic(cb, 10)
+        cb.column_ints(10)
     with pytest.raises(IndexError):
-        atomic(cb, -1)
-
-
-def test_atomic_deterministic():
-    cb = Codebook("dense-sign", 64, 100, seed=9)
-    assert atomic(cb, 17) == atomic(cb, 17)
-    assert atomic(Codebook("dense-sign", 64, 100, seed=9), 17) == atomic(cb, 17)
+        cb.column_ints(-1)
 
 
 def test_column_determinism_against_block_generation():
@@ -60,16 +54,7 @@ def test_sparsity_invariants(kind, check):
 
 def test_exact_k_three_ones_example():
     cb = Codebook("sparse-binary-exact", 16, 8, k=3, seed=11)
-    assert int(atomic(cb, 0).values.sum()) == 3
-
-
-def test_scaled_atomic_scaling():
-    cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
-    v = atomic(cb, 3)
-    assert v.domain == "scaled-real"
-    assert np.allclose(np.abs(v.values), 1 / 4.0)
-    cbk = Codebook("sparse-binary-exact", 16, 8, k=4, seed=2, scaled=True)
-    assert np.isclose(atomic(cbk, 1).values.sum(), 1.0)  # k ones scaled by 1/k
+    assert int(cb.column_ints(0).sum()) == 3
 
 
 def test_empirical_near_orthogonality_dense():
@@ -133,6 +118,13 @@ def test_sign_columns_equal_stacked_single_columns(ids):
         got = cb.sign_columns(ids)
         assert got.dtype == np.int8
         assert np.array_equal(got, np.stack([cb.column_ints(j) for j in ids], axis=1))
+        # sign_words: the same signs packed, +1 -> bit set, bits past m clear
+        words = cb.sign_words(ids)
+        assert words.dtype == np.uint64 and words.shape == (len(ids), -(-m // 64))
+        packed = np.packbits(got.T > 0, axis=1, bitorder="little")
+        padded = np.zeros((len(ids), 8 * words.shape[1]), np.uint8)
+        padded[:, : packed.shape[1]] = packed
+        assert np.array_equal(words, padded.view("<u8"))
 
 
 def test_sign_columns_memory_layout_is_stable():
@@ -149,7 +141,10 @@ def test_sign_columns_out_of_range():
     for ids in ([0, 10], [-1, 3], [10], [0, 3, 9, -5]):
         with pytest.raises(IndexError):
             cb.sign_columns(ids)
+        with pytest.raises(IndexError):
+            cb.sign_words(ids)
     assert cb.sign_columns([]).shape == (64, 0)
+    assert cb.sign_words([]).shape == (0, 1)
 
 
 def test_concurrent_reads_equal_serial():

@@ -1,12 +1,12 @@
 """Byte identity: SHA-256 digests of every harness CSV, sizing and calibrate JSON,
-and of the wire bytes of one bundle per arch and one Hopfield net.
+and of the wire bytes of one bundle per arch.
 
 Each registered (arch, task) runs one small fixed grid with 3 trials and, if
 it reads optional parameters, the same grid without them, so the default
 paths run too. The digests cover the CSV text and the sidecar JSON. A change
 to a drawn bit, an estimator, a threshold or the output format shows here.
 Record new digests only together with an ``RNG_VERSION`` or ``CSV_VERSION``
-change, and new wire digests only with a bundle or net format version change.
+change, and new wire digests only with a bundle format version change.
 """
 
 import csv
@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 
-import numpy as np
 import pytest
 
 from vsakit import harness, hopfield, rng, serialize, sizing
@@ -99,16 +98,12 @@ _WIRE_SHA256 = {
     "cbloom": "1e087edbbeaa6606a09b84af335d73d30530deff57078d32dcfc0cef6e686cfc",
     "mapb": "729120a42f7feccfabdf398a4fdb948acef9ac38f12f8bd6733278243cbab74c",
     "mapi": "6a7150f01798eee713e67ea964bb7bc69945678d2127760860cc11d88b67814e",
-    "net": "c90e8044dfb810af39d526733a7d0d1f5e449cc2358d19740749c0406805c72d",
 }
 _HPM_SHA256 = "65f214103068cec913650fa03675e17dbec37de889ac4888172ddd6a66e66b63"
 
 
 def _wire_bytes(kind: str) -> bytes:
-    """Bundle format v2 bytes of one seeded bundle of ``kind``, or net v2 bytes."""
-    if kind == "net":
-        patterns = Codebook("dense-sign", 651, 16, seed=7).sign_matrix(0, 16)
-        return serialize.net_to_bytes(hopfield.HopfieldNet(patterns, np.ones(651, np.int8)))
+    """Bundle format v2 bytes of one seeded bundle of ``kind``."""
     weighted = SymbolSet(64, {1: 1, 9: 3, 20: 300, 63: 2})
     cb, v = {
         "mapi": (Codebook("dense-sign", 300, 64, seed=3, scaled=True), weighted),

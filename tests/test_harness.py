@@ -80,7 +80,13 @@ _RECALL = {"m": [64], "n": [2]}
 
 @pytest.mark.parametrize("arch,task,grid,message", [
     ("mapi", "norm", {"m": [[64]], **_NORM}, "parameter 'm' must be a number, got [64]"),
-    ("mapi", "norm", {"m": ["abc"], **_NORM}, "invalid literal for int() with base 10: 'abc'"),
+    ("mapi", "norm", {"m": ["abc"], **_NORM}, "parameter 'm' must be a number, got 'abc'"),
+    ("mapi", "norm", {"m": ["64"], **_NORM}, "parameter 'm' must be a number, got '64'"),
+    ("mapi", "norm", {"m": [True], **_NORM}, "parameter 'm' must be a number, got True"),
+    ("mapi", "norm", {"m": [64], **_NORM, "eps": ["0.5"]},
+     "parameter 'eps' must be a number, got '0.5'"),
+    ("mapi", "norm", {"m": [64], **_NORM, "eps": [False]},
+     "parameter 'eps' must be a number, got False"),
     ("mapi", "norm", {"m": [1e999], **_NORM}, "parameter 'm' must be a number, got inf"),
     ("mapi", "binding2", {**_BINDING, "arity": [[2]]},
      "parameter 'arity' must be a number, got [2]"),
@@ -97,8 +103,9 @@ _RECALL = {"m": [64], "n": [2]}
     ("mapi", "norm", {"m": [64.9], **_NORM}, "parameter 'm' must be an integer, got 64.9"),
     ("hopfield", "recall", {**_RECALL, "erasures": [2.5]},
      "parameter 'erasures' must be an integer, got 2.5"),
-], ids=["list", "string", "inf", "arity-list", "cbloom-d-list", "cbloom-no-d", "K_b-list",
-        "cbloom-n-null", "erasures-object", "flips-list", "m-fraction", "erasures-fraction"])
+], ids=["list", "string", "numeric-string", "bool", "eps-string", "eps-bool", "inf",
+        "arity-list", "cbloom-d-list", "cbloom-no-d", "K_b-list", "cbloom-n-null",
+        "erasures-object", "flips-list", "m-fraction", "erasures-fraction"])
 def test_uncastable_cell_value_is_an_error_row(arch, task, grid, message):
     config = small_config(arch=arch, task=task, grid=grid, trials=2)
     csv_text, _ = harness.run(config)
@@ -107,7 +114,7 @@ def test_uncastable_cell_value_is_an_error_row(arch, task, grid, message):
 
 
 @pytest.mark.parametrize("field", ["trials", "seed"])
-@pytest.mark.parametrize("value", [None, [1], {"n": 1}, 1e999, 2.5])
+@pytest.mark.parametrize("value", [None, [1], {"n": 1}, 1e999, 2.5, True, "7"])
 def test_non_numeric_trials_or_seed_is_a_config_error(field, value):
     obj = {"arch": "mapi", "task": "norm", "trials": 2, "seed": 1,
            "grid": {"m": [64], "n": [1], "d": [32], "eps": [0.5]}}

@@ -100,15 +100,6 @@ def test_sizing_monotone_in_delta():
     assert ms == sorted(ms, reverse=True)
 
 
-def test_probe_threshold_closed_form():
-    assert hopfield.probe_threshold(16, 651, 0.05) == pytest.approx(
-        2 * math.sqrt(16 * math.log(2 * 651 / 0.05))
-    )
-    # at y = S_j exactly, y^T S_j / ||y|| = sqrt(m): m >= 4 n ln(2m/delta) suffices
-    m = hopfield.sizing_hopfield(n=16, delta=0.05).m
-    assert math.sqrt(m) >= hopfield.probe_threshold(16, m, 0.05)
-
-
 def test_thin_keep_all_identical():
     cb = Codebook("dense-sign", 48, 4, seed=6)
     pats = patterns_from(cb, 4)

@@ -5,10 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from vsakit import mapb
+from vsakit import mapb, mapi, rng
 from vsakit.codebook import Codebook
 from vsakit.hypervector import Hypervector
-from vsakit.setalg import SequenceSpec, SymbolSet
+from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
 
 def brute_force_agreement(n):
@@ -293,9 +293,7 @@ def test_sizing_empty_intersection():
     assert res.m == math.ceil(24.0 * math.log(1 / 0.05) * 16)
 
 
-@pytest.mark.parametrize("block_bytes", [1, 301 * 5, 1 << 20], ids=["1-col", "5-col", "default"])
-def test_membership_scores_equal_single_tests(monkeypatch, block_bytes):
-    monkeypatch.setattr(mapb, "_SCORE_BLOCK_BYTES", block_bytes)
+def test_membership_scores_equal_single_tests():
     for seed in range(5):
         cb = Codebook("dense-sign", 301, 64, seed=seed)
         b = mapb.bundle_sign(cb, SymbolSet.from_ids(64, [2, 9, 33, 60]), tie_seed=seed)
@@ -316,3 +314,80 @@ def test_membership_out_of_range_symbol():
         mapb.membership_scores(b, [0, 16])
     with pytest.raises(IndexError):
         mapb.membership_scores(b, [-1])
+
+
+# -- the packed-word form against the int8 reference it replaced ---------------
+
+
+def _ref_sign(sums, cb_seed, tie_seed, step=0):
+    """np.sign of the sums, each zero replaced by the step's seeded coin."""
+    out = np.sign(sums).astype(np.int8)
+    ties = out == 0
+    if ties.any():
+        words = rng.Stream(cb_seed, "mapb-tie", tie_seed, step).words(0, -(-sums.size // 64))
+        out[ties] = rng.signs_from_words(words, sums.size)[:, 0][ties]
+    return out
+
+
+def _ref_chain(vectors, cb_seed, tie_seed):
+    x = vectors[0].values.astype(np.int8)
+    for step, v in enumerate(vectors[1:], start=1):
+        x = _ref_sign(x.astype(np.int64) + v.values, cb_seed, tie_seed, step)
+    return x
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 1367])
+def test_word_form_equals_int8_reference(m):
+    d, L = 16, 3
+    for seed in range(3):
+        cb = Codebook("dense-sign", m, d, seed=seed)
+        cols = cb.sign_columns(range(d)).astype(np.int64)
+        # set bundles of two symbols: every coordinate where they differ ties
+        v, w = SymbolSet.from_ids(d, [1, 6]), SymbolSet.from_ids(d, [6, 11, 12, 15])
+        bv, bw = mapb.bundle_sign(cb, v, tie_seed=seed), mapb.bundle_sign(cb, w, tie_seed=9)
+        ref_v = _ref_sign(mapi.bundle(cb, v).ints, cb.seed, seed)
+        ref_w = _ref_sign(mapi.bundle(cb, w).ints, cb.seed, 9)
+        assert np.array_equal(bv.signs, ref_v) and np.array_equal(bw.signs, ref_w)
+        assert mapb.membership_scores(bv, range(d)).tolist() == (ref_v @ cols).tolist()
+        assert mapb.empty_intersection_test(bv, bw, 0.05).score == int(ref_v @ ref_w.astype(int))
+        # sequence: position-qualified j = ell*d + sym scores the rotated column
+        seq = SequenceSpec((v, SymbolSet.from_ids(d, [3]), w))
+        bs = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
+        ref_s = _ref_sign(mapi.encode_sequence(cb, seq).ints, cb.seed, seed)
+        assert np.array_equal(bs.signs, ref_s)
+        for j in range(L * d):
+            ell, sym = divmod(j, d)
+            expected = int(ref_s @ np.roll(cols[:, sym], -ell))
+            assert mapb.sequence_membership_test(bs, j, 0.05).score == expected
+        # key-value: the bound column is the Hadamard product c_q * c_w
+        spec = mapb.KeyValueSpec(d, ((0, 8), (2, 9)))
+        bk = mapb.bundle_kv_sign(cb, spec, tie_seed=seed)
+        edges = BindingBundleSpec(d, frozenset(frozenset(p) for p in spec.pairs))
+        ref_k = _ref_sign(mapi.encode_binding_bundle(cb, edges).ints, cb.seed, seed)
+        assert np.array_equal(bk.signs, ref_k)
+        for q, val in product(range(8), range(8, d)):
+            if q not in (8, 9) and val not in (0, 2):
+                expected = int(ref_k @ (cols[:, q] * cols[:, val]))
+                assert mapb.kv_membership_test(bk, (q, val), 0.05).score == expected
+        # chains: every step after the first ties wherever the inputs disagree
+        vecs = [Hypervector(cb.column_ints(j), "sign") for j in range(5)]
+        for r in (1, 2, 5):
+            chained = mapb.iterated_bundle(vecs[:r], tie_seed=seed, codebook=cb)
+            ref_c = _ref_chain(vecs[:r], cb.seed, seed)
+            assert np.array_equal(chained.signs, ref_c)
+            assert mapb.membership_scores(chained, range(d)).tolist() == (ref_c @ cols).tolist()
+
+
+def test_bundle_words_are_checked():
+    ok = mapb.MapBBundle(np.array([2**64 - 1, 1], np.uint64), 65, None, 0)
+    assert ok.signs.tolist() == [1] * 65
+    assert not ok.words.flags.writeable and not ok.signs.flags.writeable
+    for words in (np.zeros(1, np.uint64), np.zeros(3, np.uint64), np.zeros((2, 1), np.uint64),
+                  np.zeros(2, np.int64), [0, 0]):
+        with pytest.raises(ValueError, match="m=65 needs 2 uint64 words"):
+            mapb.MapBBundle(words, 65, None, 0)
+    for pad in (1, 2, 63):
+        with pytest.raises(ValueError, match="padding bits past m=65"):
+            mapb.MapBBundle(np.array([0, 1 << pad], np.uint64), 65, None, 0)
+    with pytest.raises(ValueError, match="m >= 1"):
+        mapb.MapBBundle(np.zeros(0, np.uint64), 0, None, 0)

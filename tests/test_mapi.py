@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from vsakit import mapi, rng, setalg
 from vsakit.codebook import Codebook
@@ -88,9 +89,31 @@ def test_dot_and_intersection_hadamard():
     assert mapi.dot_estimate(b0, b1) == pytest.approx(0.0)
     assert mapi.intersection_estimate(b0, b1) == 0
     assert mapi.symdiff_estimate(b0, b1) == pytest.approx(2.0)
-    assert mapi.cosine_estimate(b0, b1) == pytest.approx(0.0)
-    assert mapi.cosine_estimate(b0, b0) == pytest.approx(1.0)
     assert mapi.symdiff_estimate(b0, b0) == 0.0
+
+
+_WEIGHTS = st.dictionaries(st.integers(0, 7), st.integers(1, 2**62), min_size=1, max_size=4)
+
+
+@given(m=st.integers(1, 70), seed=st.integers(0, 2**32 - 1), wv=_WEIGHTS, ww=_WEIGHTS)
+@example(m=64, seed=0, wv={1: 2**33, 2: 2**33}, ww={1: 2**33, 2: 2**33})  # wrapped to 0.0
+def test_huge_weights_are_exact(m, seed, wv, ww):
+    cb = Codebook("dense-sign", m, 8, seed=seed, scaled=True)
+    v, w = SymbolSet(8, wv), SymbolSet(8, ww)
+    for s in (v, w):
+        if s.l1() >= 2**63:
+            with pytest.raises(ValueError, match=r"below 2\*\*63"):
+                mapi.bundle(cb, s)
+    if max(v.l1(), w.l1()) >= 2**63:
+        return
+    rows = cb.sign_matrix(0, 8).tolist()  # Python-int reference for S v and S w
+    a = [sum(weight * row[j] for j, weight in v.entries.items()) for row in rows]
+    b = [sum(weight * row[j] for j, weight in w.entries.items()) for row in rows]
+    bv, bw = mapi.bundle(cb, v), mapi.bundle(cb, w)
+    assert bv.ints.tolist() == a and bw.ints.tolist() == b
+    assert mapi.raw_dot(bv, bw) == sum(x * y for x, y in zip(a, b))
+    assert mapi.norm_sq_estimate(bv) == sum(x * x for x in a) / m
+    assert mapi.symdiff_estimate(bv, bw) == sum((x - y) ** 2 for x, y in zip(a, b)) / m
 
 
 def test_intersection_rounds_half_away_and_clamps():
@@ -99,13 +122,6 @@ def test_intersection_rounds_half_away_and_clamps():
     # synthetic bundles with known dot products
     minus = mapi.MapIBundle(-b.ints, cb, True)
     assert mapi.intersection_estimate(b, minus) == 0  # negative clamps to 0
-
-
-def test_cosine_zero_norm_guard():
-    cb = Codebook("dense-sign", 8, 4, seed=1, scaled=True)
-    b = mapi.bundle(cb, SymbolSet.from_ids(4, [0]))
-    zero = mapi.bundle(cb, SymbolSet(4))
-    assert mapi.cosine_estimate(b, zero) == 0.0
 
 
 def test_codebook_mismatch_rejected():

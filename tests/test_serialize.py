@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vsakit import bloom, cbloom, hopfield, mapb, mapi, serialize
+from vsakit import bloom, cbloom, mapb, mapi, serialize
 from vsakit.codebook import Codebook
 from vsakit.hypervector import Hypervector
 from vsakit.setalg import SequenceSpec, SymbolSet
@@ -68,94 +68,8 @@ def test_bad_magic_rejected():
                                     Codebook("dense-sign", 8, 4, seed=1))
 
 
-def test_net_padding_bits_past_m_n_rejected():
-    net = hopfield.HopfieldNet(np.array([[1], [-1], [1]]), np.ones(3, np.int8))
-    data = serialize.net_to_bytes(net)
-    assert data[-1] == 0x05  # bits 0..2 hold S, bits 3..7 are padding
-    assert np.array_equal(serialize.net_from_bytes(data).patterns, net.patterns)
-    for pad in range(3, 8):
-        with pytest.raises(ValueError, match=r"padding bits past m\*n=3"):
-            serialize.net_from_bytes(data[:-1] + bytes([data[-1] | 1 << pad]))
-
-
-def test_hopfield_net_round_trip():
-    cb = Codebook("dense-sign", 20, 5, seed=6)
-    net = hopfield.train([Hypervector(cb.column_ints(j), "sign") for j in range(5)])
-    back = serialize.net_from_bytes(serialize.net_to_bytes(net))
-    assert np.array_equal(back.weights, net.weights)
-    assert back.n == net.n
-    assert len(serialize.net_to_bytes(_sign_net(651, 16, seed=0))) == 1323  # v1: 1,692,621
-
-
-def _sign_net(m, n, seed):
-    signs = np.random.default_rng(seed).integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1
-    return hopfield.HopfieldNet(signs, np.ones(m, np.int8))
-
-
-def _header(version, m, n):
-    return struct.pack("<4sBQQ", b"VSAH", version, m, n)
-
-
-def _decodes_to_header_shape_or_refuses(data):
-    try:
-        net = serialize.net_from_bytes(data)
-    except ValueError:
-        return
-    _, _, m, n = struct.unpack_from("<4sBQQ", data)
-    assert (net.m, net.n) == (m, n)
-    assert ((net.patterns == 1) | (net.patterns == -1)).all()
-
-
-_dims = dict(m=st.integers(1, 70), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-
-
-@given(**_dims)
-def test_net_round_trip_any_shape(m, n, seed):
-    net = _sign_net(m, n, seed)  # m * n need not be a multiple of 8
-    data = serialize.net_to_bytes(net)
-    assert len(data) == 21 + -(-m * n // 8)
-    back = serialize.net_from_bytes(data)
-    assert np.array_equal(back.patterns, net.patterns) and back.mask.all()
-
-
-@given(st.binary(max_size=64), st.integers(0, 20), st.integers(0, 20), st.binary(max_size=60))
-def test_net_decoder_on_arbitrary_bytes(junk, m, n, payload):
-    _decodes_to_header_shape_or_refuses(junk)
-    _decodes_to_header_shape_or_refuses(b"VSAH\x02" + junk)
-    _decodes_to_header_shape_or_refuses(_header(2, m, n) + payload)
-
-
-@given(**_dims, cut=st.integers(0, 2**16), tail=st.binary(min_size=1, max_size=16),
-       at=st.integers(0, 2**16), byte=st.integers(0, 255))
-def test_net_decoder_on_damaged_bytes(m, n, seed, cut, tail, at, byte):
-    data = serialize.net_to_bytes(_sign_net(m, n, seed))
-    with pytest.raises(ValueError):
-        serialize.net_from_bytes(data[: cut % len(data)])
-    with pytest.raises(ValueError):
-        serialize.net_from_bytes(data + tail)
-    at %= len(data)
-    _decodes_to_header_shape_or_refuses(data[:at] + bytes([byte]) + data[at + 1 :])
-
-
-def test_net_format_v1_refused():
-    net = _sign_net(20, 5, seed=6)
-    upper = net.weights[np.triu_indices(20, k=1)].astype("<i8").tobytes()
-    with pytest.raises(ValueError, match="unsupported hopfield net version 1"):
-        serialize.net_from_bytes(_header(1, 20, 5) + upper)
-
-
-def test_thinned_net_not_serialized():
-    net = _sign_net(20, 5, seed=6)
-    with pytest.raises(ValueError, match="thinned"):
-        serialize.net_to_bytes(hopfield.thin(net, range(10)))
-
-
 def _encoded(kind):
-    """(bytes, decoder) for one small bundle of each arch, or a Hopfield net."""
-    if kind == "net":
-        cb = Codebook("dense-sign", 20, 5, seed=6)
-        net = hopfield.train([Hypervector(cb.column_ints(j), "sign") for j in range(5)])
-        return serialize.net_to_bytes(net), serialize.net_from_bytes
+    """(bytes, decoder) for one small bundle of each arch."""
     v = SymbolSet.from_ids(32, [1, 5, 9])
     if kind in ("mapi", "mapb"):
         cb = Codebook("dense-sign", 512, 32, seed=1)
@@ -170,7 +84,7 @@ def _encoded(kind):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "trailing"])
-@pytest.mark.parametrize("kind", ["mapi", "mapb", "bloom", "cbloom", "net"])
+@pytest.mark.parametrize("kind", ["mapi", "mapb", "bloom", "cbloom"])
 def test_wrong_size_payload_rejected(kind, damage):
     data, decode = _encoded(kind)
     decode(data)  # the undamaged bytes decode
@@ -179,10 +93,7 @@ def test_wrong_size_payload_rejected(kind, damage):
         decode(bad)
 
 
-def test_short_net_header_and_unknown_arch_tag_rejected():
-    data, _ = _encoded("net")
-    with pytest.raises(ValueError):
-        serialize.net_from_bytes(data[:10])
+def test_unknown_arch_tag_rejected():
     bundle, _ = _encoded("mapb")
     with pytest.raises(ValueError):
         serialize.arch_of(bundle[:5] + bytes([99]) + bundle[6:])
@@ -213,7 +124,7 @@ def test_mapb_kinds_format_v1_cannot_carry_are_refused():
 def test_padding_bits_past_m_rejected(kind):
     m = 37  # the last payload byte holds bits 32..36 and three padding bits
     cb = Codebook("dense-sign", m, 8, seed=2)
-    full = mapb.MapBBundle(np.ones(m, np.int8), cb, tie_seed=0)
+    full = mapb.MapBBundle(np.array([(1 << m) - 1], np.uint64), m, cb, tie_seed=0)
     data = serialize.bundle_to_bytes(full)
     assert data[-1] == 0b00011111
     back = serialize.bundle_from_bytes(data, cb)  # every bit below m set still decodes
