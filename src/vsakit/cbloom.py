@@ -5,6 +5,13 @@ column). The estimator (1/k) sum_i min(x_i, y_i) dominates the true
 generalized intersection v wedgedot w deterministically (one-sided bias)
 and exceeds it by less than eps with probability 1 - delta at the sized
 (m, k).
+
+``bundle_count`` draws every column's k rows in one gather
+(``Codebook.exact_indices``) and adds the weights with one ``np.add.at``.
+Counts are exact integers: ``bundle_count`` refuses ||v||_1 >= 2**63 (a
+column's rows are distinct, so no count can exceed ||v||_1), ``add``
+refuses peak sums >= 2**63, and ``mass`` and the min-sum of the estimator
+stay in int64 only when m * max < 2**63, else they sum Python ints.
 """
 
 from __future__ import annotations
@@ -38,7 +45,14 @@ class CountBundle:
         return self.counts.shape[0]
 
     def mass(self) -> int:
-        return int(self.counts.sum())
+        return _total(self.counts)
+
+
+def _total(counts: np.ndarray) -> int:
+    """Exact sum of nonnegative int64 counts: in int64 when m * max < 2**63, else Python ints."""
+    if counts.size * int(counts.max(initial=0)) < 2**63:
+        return int(counts.sum())
+    return sum(counts.tolist())
 
 
 def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:
@@ -47,17 +61,22 @@ def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:
         raise ValueError(f"counting bloom requires a sparse-binary-exact codebook, got {cb.kind!r}")
     if v.d != cb.d:
         raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
+    l1 = v.l1()
+    if l1 >= 2**63:  # a column's rows are distinct, so every count is at most ||v||_1
+        raise ValueError(f"counting bloom needs ||v||_1 below 2**63, got {l1}")
     counts = np.zeros(cb.m, dtype=np.int64)
-    for j, w in v.entries.items():
-        if w >> 63:
-            raise ValueError(f"counting bloom weights must be below 2**63, got {w}")
-        counts[cb.column_indices(j)] += w
+    if v.entries:
+        weights = np.fromiter(v.entries.values(), dtype=np.int64)
+        rows = cb.exact_indices(np.fromiter(v.entries.keys(), dtype=np.int64))
+        np.add.at(counts, rows, weights[:, None])
     return CountBundle(counts, cb)
 
 
 def add(b1: CountBundle, b2: CountBundle) -> CountBundle:
     if b1.codebook.key != b2.codebook.key:
         raise ValueError("bundles come from different codebooks")
+    if int(b1.counts.max(initial=0)) + int(b2.counts.max(initial=0)) >= 2**63:
+        raise ValueError("count bundle sum needs max(x) + max(y) below 2**63")
     return CountBundle(b1.counts + b2.counts, b1.codebook)
 
 
@@ -65,7 +84,7 @@ def generalized_intersection_estimate(b1: CountBundle, b2: CountBundle) -> float
     """(1/k) sum_i min(x_i, y_i); >= v wedgedot w for every seed."""
     if b1.codebook.key != b2.codebook.key:
         raise ValueError("bundles come from different codebooks")
-    return int(np.minimum(b1.counts, b2.counts).sum()) / b1.codebook.k
+    return _total(np.minimum(b1.counts, b2.counts)) / b1.codebook.k
 
 
 def l1_distance_estimate(b1: CountBundle, b2: CountBundle, l1_v: int, l1_w: int) -> float:

@@ -6,14 +6,27 @@ raw-word stream (see :mod:`vsakit.rng`), so any column can be regenerated in
 isolation, and generating a block of columns yields bit-identical results to
 generating each column alone.
 
-A gather of many columns selects the words of the requested columns, from
-one contiguous window when the ids are close together or from one window
-per column when they are scattered. A dense-sign column's words are its
-packed signs (bit i set where entry i is +1): ``sign_words`` returns them
-trimmed to ceil(m/64) words with the bits past m cleared, and
-``sign_columns`` unpacks them all in a single ``rng.signs_from_words`` call.
-Sparse-binary-trials gathers (``union_indices``) map them all to row indices
-in a single ``rng.bounded_from_words`` call and return the sorted union.
+A gather of many columns selects the words of the requested columns. The
+rule is counted in words: it draws one contiguous window over [min(ids),
+max(ids)] when the words wasted on unrequested columns in between,
+``(span - n) * words per column``, are at most ``_WORDS_PER_CALL`` (800)
+per ``Stream.words`` call saved (n - 1 of them), and one window per column
+otherwise. So small dense columns (4 drawn words each) gather scattered ids
+in one draw, while large-k Bloom columns (484 words each) stay per-column.
+Which way the words were drawn never shows in the result.
+
+A dense-sign column's words are its packed signs (bit i set where entry i
+is +1): ``sign_words`` returns them trimmed to ceil(m/64) words with the
+bits past m cleared, and ``sign_columns`` unpacks them all in a single
+``rng.signs_from_words`` call. Layout contract: ``sign_columns`` returns
+Fortran order when ``max(ids) - min(ids) < 4 * len(ids) + 64`` and C order
+otherwise, whichever way the words were drawn, because float products of
+its columns (``hopfield.hpm_encode``) round by layout and the experiment
+CSVs pin those bits.
+Sparse-binary-trials gathers (``union_indices``) map all drawn words to row
+indices in a single ``rng.bounded_from_words`` call and return the sorted
+union; sparse-binary-exact gathers (``exact_indices``) draw every column's
+k distinct rows in a single ``rng.choose_distinct_rows`` call.
 
 Kinds
 -----
@@ -43,6 +56,12 @@ from .setalg import integral
 KINDS = ("dense-sign", "sparse-binary-trials", "sparse-binary-exact")
 
 _SPARSE_KINDS = ("sparse-binary-trials", "sparse-binary-exact")
+
+#: A gather draws one window over [min(ids), max(ids)] when the words it
+#: wastes on unrequested columns number at most this many per ``Stream.words``
+#: call saved. A call's fixed cost (about 4 us) is that of about 800 words
+#: (about 5 ns each), measured with numpy 2.4 on a shared 2-vCPU x86-64 host.
+_WORDS_PER_CALL = 800
 
 
 @dataclass(frozen=True)
@@ -136,19 +155,21 @@ class Codebook:
             return np.empty((self.m, 0), dtype=np.int8)
         return rng.signs_from_words(self._column_words(j0, j1 - j0), self.m, j1 - j0)
 
-    def _gather_words(self, ids: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _gather_words(self, ids: np.ndarray) -> np.ndarray:
         """Raw words of the columns ``ids`` (nonempty), one row per id.
 
-        Draws one contiguous window when the ids are close together, else one
-        window per column; the flag is True for the single window.
+        Draws one contiguous window over [min, max] when the words it wastes
+        on unrequested columns cost less than the calls it saves, else one
+        window per column.
         """
         lo, hi = int(ids.min()), int(ids.max())
         self._check_symbol(lo)
         self._check_symbol(hi)
         span = hi - lo + 1
-        if span <= 4 * ids.size + 64:
-            return self._column_words(lo, span).reshape(span, -1)[ids - lo], True
-        return np.stack([self._column_words(int(j), 1) for j in ids]), False
+        drawn = 4 * self._blocks_per_column  # words a column's window takes
+        if (span - ids.size) * drawn <= _WORDS_PER_CALL * (ids.size - 1):
+            return self._column_words(lo, span).reshape(span, -1)[ids - lo]
+        return np.stack([self._column_words(int(j), 1) for j in ids])
 
     def sign_words(self, ids) -> np.ndarray:
         """Dense-sign columns ``ids`` as packed signs, shape (len(ids), ceil(m/64)) uint64.
@@ -162,7 +183,7 @@ class Codebook:
         nwords = self._words_per_column
         if ids.size == 0:
             return np.empty((0, nwords), dtype=np.uint64)
-        words = self._gather_words(ids)[0][:, :nwords]
+        words = self._gather_words(ids)[:, :nwords]
         if self.m % 64:
             words[:, -1] &= np.uint64((1 << self.m % 64) - 1)
         return words
@@ -178,11 +199,14 @@ class Codebook:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty((self.m, 0), dtype=np.int8)
-        words, windowed = self._gather_words(ids)
-        signs = rng.signs_from_words(words.ravel(), self.m, ids.size)
-        # A window's gather is Fortran-ordered, a scattered one C-ordered: float
-        # products of these columns (hopfield.hpm_encode) round by layout.
-        return signs if windowed else np.ascontiguousarray(signs)
+        signs = rng.signs_from_words(self._gather_words(ids).ravel(), self.m, ids.size)
+        # The memory order is part of the result: float products of these
+        # columns (hopfield.hpm_encode) round by layout. So it follows this
+        # span rule, not the way the words were drawn: Fortran order for ids
+        # close together, C order for scattered ids.
+        if int(ids.max()) - int(ids.min()) < 4 * ids.size + 64:
+            return signs
+        return np.ascontiguousarray(signs)
 
     def union_indices(self, ids) -> np.ndarray:
         """Sorted unique row indices set in any sparse-binary-trials column of ``ids``.
@@ -195,9 +219,24 @@ class Codebook:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty(0, dtype=np.int64)
-        words, _ = self._gather_words(ids)
-        rows = np.sort(rng.bounded_from_words(words[:, : self.k], self.m), axis=None)
+        words = self._gather_words(ids)[:, : self.k]
+        rows = np.sort(rng.bounded_from_words(words, self.m), axis=None)
         return rows[np.r_[True, rows[1:] != rows[:-1]]]
+
+    def exact_indices(self, ids) -> np.ndarray:
+        """Row indices of sparse-binary-exact columns ``ids``, shape (len(ids), k).
+
+        Row r holds the k distinct indices of column ``ids[r]``, sorted. All
+        columns come from one gather and one ``rng.choose_distinct_rows`` call.
+        """
+        if self.kind != "sparse-binary-exact":
+            raise ValueError("exact_indices requires a sparse-binary-exact codebook")
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
+            return np.empty((0, self.k), dtype=np.int64)
+        rows = rng.choose_distinct_rows(self._gather_words(ids), self.m, self.k)
+        rows.sort(axis=1)
+        return rows
 
     def column_indices(self, j: int) -> np.ndarray:
         """Nonzero row indices of sparse column j (sorted, duplicates collapsed)."""
@@ -205,8 +244,7 @@ class Codebook:
         if self.kind == "sparse-binary-trials":
             return self.union_indices([j])
         if self.kind == "sparse-binary-exact":
-            words = self._column_words(j, 1)
-            return np.sort(rng.choose_distinct(words[: self.k], self.m, self.k))
+            return self.exact_indices([j])[0]
         raise ValueError(f"{self.kind} columns are not index-sparse")
 
     def column_ints(self, j: int) -> np.ndarray:

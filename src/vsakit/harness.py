@@ -110,7 +110,10 @@ class ExperimentConfig:
 
 def trial_seed(master: int, cell: dict, index: int) -> int:
     """Documented pure split: fold (master, canonical cell JSON, index)."""
-    cell_json = json.dumps(cell, sort_keys=True)
+    return _trial_seed(master, json.dumps(cell, sort_keys=True), index)
+
+
+def _trial_seed(master: int, cell_json: str, index: int) -> int:
     return rng.stream_id("trial", int(master) & ((1 << 64) - 1), cell_json, index)
 
 
@@ -268,8 +271,17 @@ def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
     stored = set(int(j) for j in slots)
     absent = [int(j) for j in _draw_subset(seed, "absent", L * d, min(n + 8, L * d))
               if int(j) not in stored][:n]
-    wrong = sum(not mapb.sequence_membership_test(b, j, delta).contained for j in stored)
-    wrong += sum(mapb.sequence_membership_test(b, j, delta).contained for j in absent)
+    wrong = 0
+    for ell in range(L):  # one roll of the bundle per queried position
+        here = [j % d for j in stored if j // d == ell]
+        gone = [j % d for j in absent if j // d == ell]
+        if not (here or gone):
+            continue
+        check_rates(delta=delta)
+        tau = mapb.sequence_member_threshold(m, L, d, delta)
+        scores = mapb.sequence_membership_scores(b, ell, here + gone)
+        wrong += int(np.count_nonzero(scores[: len(here)] < tau))
+        wrong += int(np.count_nonzero(scores[len(here):] >= tau))
     return TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
 
 
@@ -472,7 +484,8 @@ def run_trial(arch: str, task: str, cell: dict, seed: int) -> TrialOutcome:
 
 def trial_records(config: ExperimentConfig, cell: dict) -> list[TrialRecord]:
     """Run every trial of one cell once, in index order: the one trial loop."""
-    seeds = [trial_seed(config.seed, cell, t) for t in range(config.trials)]
+    cell_json = json.dumps(cell, sort_keys=True)  # once per cell, not per trial
+    seeds = [_trial_seed(config.seed, cell_json, t) for t in range(config.trials)]
     return [TrialRecord(cell, t, seed, run_trial(config.arch, config.task, cell, seed))
             for t, seed in enumerate(seeds)]
 

@@ -13,7 +13,8 @@ membership, key-value membership, empty-intersection), not size
 estimation; each test compares a dot product against a closed-form
 threshold. ``membership_scores`` scores many symbols against one set bundle
 at once from one gather of column words; ``membership_test`` is its one-id
-case.
+case. ``sequence_membership_scores`` does the same for one position of a
+sequence bundle, from one roll of the bundle.
 
 ``agreement_probability`` is the exact enumeration oracle for the
 per-coordinate agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained
@@ -265,12 +266,23 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
     return TestResult(score >= tau, score, tau, degraded)
 
 
+def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
+    """Scores <x, R^ell S_j> of symbols ``syms`` at position ell, as int64.
+
+    Since <x, R^ell c> = <roll(x, ell), c>, the bundle is rolled once, and
+    every symbol is scored against it from one gather of column words.
+    """
+    if b.codebook is None:
+        raise ValueError("bundle has no codebook to test against")
+    rolled = _pack(np.roll(b.signs, ell) > 0)
+    return _scores(rolled, b.codebook.sign_words(syms), b.m)
+
+
 def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     """Is position-qualified symbol j (= ell*d + sym) in the sequence bundle?
 
     The matching column is R^ell S_(j mod d), the atomic column rotated to
-    the queried block. Since <x, R^ell c> = <roll(x, ell), c>, the bundle is
-    rotated instead.
+    the queried block (see ``sequence_membership_scores``).
     """
     check_rates(delta=delta)
     if b.codebook is None:
@@ -279,8 +291,7 @@ def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     if not 0 <= j < b.L * d:
         raise IndexError(f"position-qualified index {j} out of range for L*d = {b.L * d}")
     ell, jm = divmod(j, d)
-    rolled = _pack(np.roll(b.signs, ell) > 0)
-    score = int(_scores(rolled, b.codebook.sign_words([jm]), b.m)[0])
+    score = int(sequence_membership_scores(b, ell, [jm])[0])
     tau = sequence_member_threshold(b.m, b.L, d, delta)
     return TestResult(score >= tau, score, tau, b.kind != "sequence")
 

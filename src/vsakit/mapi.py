@@ -1,7 +1,12 @@
 """MAP-I: linear bundling with sign matrices and JL-based estimators.
 
 A bundle is S v (integer accumulator), scaled to (1/sqrt(m)) S v at the
-estimator boundary. Norms, dot products and symmetric differences of the
+estimator boundary. It is built from the columns' packed signs
+(``Codebook.sign_words``): with b the unpacked 0/1 bits (1 where the entry
+is +1) and pos = weights @ b, S v = pos - (||v||_1 - pos). Every partial
+sum is at most ||v||_1, which must be below 2**63, so this is exact in
+int64; sums of bundles (``add``, ``encode_sequence``) refuse inputs whose
+sum could reach 2**63. Norms, dot products and symmetric differences of the
 scaled bundles concentrate around the exact set statistics; at the sized
 dimension the rounded dot product recovers intersection sizes exactly with
 high probability. Integer dot products are exact: they stay in int64 only
@@ -56,18 +61,26 @@ def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     _require_dense(cb)
     if v.d != cb.d:
         raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
-    if v.l1() >= 2**63:  # every sum and partial sum of S v is at most ||v||_1
-        raise ValueError(f"MAP-I needs ||v||_1 below 2**63, got {v.l1()}")
+    l1 = v.l1()
+    if l1 >= 2**63:  # every sum and partial sum below is at most ||v||_1
+        raise ValueError(f"MAP-I needs ||v||_1 below 2**63, got {l1}")
     ints = np.zeros(cb.m, dtype=np.int64)
     if v.entries:
         ids = np.fromiter(v.entries.keys(), dtype=np.int64)
         weights = np.fromiter(v.entries.values(), dtype=np.int64)
-        ints = cb.sign_columns(ids).astype(np.int64) @ weights
+        # Bit i of a column's packed signs is set where entry i is +1, so
+        # (S v)_i = pos_i - (||v||_1 - pos_i) with pos_i the weight on +1 entries.
+        bits = np.unpackbits(cb.sign_words(ids).astype("<u8", copy=False).view(np.uint8),
+                             axis=1, count=cb.m, bitorder="little")
+        pos = weights @ bits
+        ints = pos - (l1 - pos)
     return MapIBundle(ints, cb, cb.scaled)
 
 
 def add(b1: MapIBundle, b2: MapIBundle) -> MapIBundle:
     _require_same(b1, b2)
+    if _peak(b1.ints) + _peak(b2.ints) >= 2**63:  # the int64 sum could wrap
+        raise ValueError("MAP-I sum needs max|a| + max|b| below 2**63")
     return MapIBundle(b1.ints + b2.ints, b1.codebook, b1.scaled)
 
 
@@ -125,6 +138,9 @@ def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
     _require_dense(cb)
     if seq.d != cb.d:
         raise ValueError(f"sequence universe {seq.d} != codebook universe {cb.d}")
+    total = seq.total_l1()
+    if total >= 2**63:  # every partial sum of the R^l S v_l is at most the total
+        raise ValueError(f"MAP-I needs the sequence's total ||v_l||_1 below 2**63, got {total}")
     ints = np.zeros(cb.m, dtype=np.int64)
     for ell, s in enumerate(seq.sets):
         part = Hypervector(bundle(cb, s).ints, "integer")

@@ -8,6 +8,11 @@ bits, bounded integers, distinct index sets) are computed from raw words by
 the documented arithmetic below, never through ``numpy.random.Generator``
 distribution methods, so results cannot drift with numpy releases.
 
+Batching: ``choose_distinct_rows`` turns a (rows, k) word array into the k
+distinct indices of every row, with one array op for all offsets and then
+one swap loop per row; ``choose_distinct`` is its one-row case, so a
+batched draw equals the row-by-row draws bit for bit.
+
 Layout: a stream is addressed in *blocks* of 4 consecutive 64-bit words
 (Philox's native counter step). ``words(block, n)`` returns words
 ``[4*block, 4*block + n)`` of the stream, so any window can be regenerated
@@ -128,23 +133,35 @@ def bounded_from_words(words: np.ndarray, bound: int) -> np.ndarray:
     return (words % np.uint64(bound)).astype(np.int64)
 
 
-def choose_distinct(words: np.ndarray, m: int, k: int) -> np.ndarray:
-    """k distinct uniform indices in [0, m) from exactly k raw words.
+def choose_distinct_rows(words: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Row r: k distinct uniform indices in [0, m) from the first k words of row r.
 
     Partial Fisher-Yates over a virtual identity array; uniform over ordered
-    k-tuples of distinct elements, hence over k-subsets.
+    k-tuples of distinct elements, hence over k-subsets. Step t of every row
+    draws offset ``words[r, t] mod (m - t)``; all offsets of all rows come
+    from one array op, then each row runs its own k-step swap loop. Returns
+    shape (rows, k) int64.
     """
     if k > m:
         raise ValueError(f"cannot choose {k} distinct indices from range {m}")
-    if len(words) < k:
-        raise ValueError(f"choosing {k} indices needs {k} words, got {len(words)}")
-    # Step t draws offset words[t] mod (m - t); all k offsets in one array op.
-    offsets = (words[:k] % (np.uint64(m) - np.arange(k, dtype=np.uint64))).tolist()
-    swap: dict[int, int] = {}
+    if words.shape[1] < k:
+        raise ValueError(f"choosing {k} indices needs {k} words, got {words.shape[1]}")
+    offsets = (words[:, :k] % np.arange(m, m - k, -1, dtype=np.uint64)).tolist()
     out = []
-    for t in range(k):
-        r = t + offsets[t]
-        vt = swap.get(t, t)
-        out.append(swap.get(r, r))
-        swap[r] = vt
-    return np.array(out, dtype=np.int64)
+    for row in offsets:
+        swap: dict[int, int] = {}
+        get = swap.get
+        for t in range(k):
+            r = t + row[t]
+            vt = get(t, t)
+            out.append(get(r, r))
+            swap[r] = vt
+    return np.array(out, dtype=np.int64).reshape(len(offsets), k)
+
+
+def choose_distinct(words: np.ndarray, m: int, k: int) -> np.ndarray:
+    """k distinct uniform indices in [0, m) from exactly k raw words.
+
+    The one-row case of :func:`choose_distinct_rows`.
+    """
+    return choose_distinct_rows(words[None, :k], m, k)[0]

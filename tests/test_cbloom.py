@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vsakit import cbloom, rng, setalg
 from vsakit.codebook import Codebook
@@ -127,3 +128,29 @@ def test_codebook_kind_enforced():
     cb = Codebook("sparse-binary-trials", 64, 8, k=4, seed=2)
     with pytest.raises(ValueError):
         cbloom.bundle_count(cb, SymbolSet.from_ids(8, [0]))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       entries=st.dictionaries(st.integers(0, 39), st.integers(1, 2**58), max_size=12))
+def test_bundle_count_equals_per_column_reference(seed, entries):
+    # m = 6 and k = 3: columns share rows, so np.add.at must add repeated rows.
+    cb = Codebook("sparse-binary-exact", 6, 40, k=3, seed=seed)
+    counts = np.zeros(6, dtype=np.int64)
+    for j, w in entries.items():
+        counts[cb.column_indices(j)] += w
+    b = cbloom.bundle_count(cb, SymbolSet(40, entries))
+    assert np.array_equal(b.counts, counts)
+    assert b.mass() == 3 * sum(entries.values())
+
+
+def test_huge_weights_are_exact_or_refused():
+    cb = Codebook("sparse-binary-exact", 16, 4, k=3, seed=0)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        cbloom.bundle_count(cb, SymbolSet(4, {0: 2**62, 1: 2**62, 2: 2**62}))
+    b = cbloom.bundle_count(cb, SymbolSet(4, {0: 2**62, 1: 2**62 - 1}))
+    assert b.mass() == 3 * (2**63 - 1)  # past int64: summed as Python ints
+    assert cbloom.generalized_intersection_estimate(b, b) == float(2**63 - 1)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        cbloom.add(b, b)
+    one = cbloom.bundle_count(cb, SymbolSet(4, {3: 1}))
+    assert cbloom.add(one, one).mass() == 6

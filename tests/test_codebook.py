@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vsakit import rng
+from vsakit import codebook, rng
 from vsakit.codebook import Codebook
 from vsakit.hypervector import Hypervector, Rotation, rotate
 
@@ -125,6 +125,59 @@ def test_sign_columns_equal_stacked_single_columns(ids):
         padded = np.zeros((len(ids), 8 * words.shape[1]), np.uint8)
         padded[:, : packed.shape[1]] = packed
         assert np.array_equal(words, padded.view("<u8"))
+
+
+def _gather_cases():
+    # (kind, m, k) for dense columns of 1 to 24 drawn words and sparse columns
+    # of k in {1, 8, 483} draws (4 to 484 drawn words).
+    dense = [("dense-sign", m, None) for m in (1, 63, 64, 65, 1367)]
+    sparse = [(kind, m, k) for kind in ("sparse-binary-trials", "sparse-binary-exact")
+              for m in (1, 63, 64, 65, 1367) for k in (1, 8, 483) if k <= m]
+    return dense + sparse
+
+
+@pytest.mark.parametrize("kind,m,k", _gather_cases())
+@pytest.mark.parametrize("side", ["window", "per-column"])
+def test_gathers_equal_stacked_single_column_windows(monkeypatch, kind, m, k, side):
+    drawn = 4 * -(-(k or -(-m // 64)) // 4)  # words one column's window takes
+    n = 4
+    widest = n + codebook._WORDS_PER_CALL * (n - 1) // drawn  # widest one-window span
+    span = widest if side == "window" else widest + 1
+    lo = 5
+    ids = [lo + span - 1, lo, lo + span // 2, lo]  # unsorted, with a duplicate
+    cb = Codebook(kind, m, lo + span + 3, k=k, seed=m + (k or 0))
+    singles = [cb._column_words(j, 1) for j in ids]
+
+    calls = []
+    words = rng.Stream.words
+    monkeypatch.setattr(rng.Stream, "words", lambda s, *a: calls.append(a) or words(s, *a))
+    if kind == "dense-sign":
+        nwords = -(-m // 64)
+        expected = np.stack([w[:nwords] for w in singles])
+        expected[:, -1] &= np.uint64(2**64 - 1 if m % 64 == 0 else (1 << m % 64) - 1)
+        assert np.array_equal(cb.sign_words(ids), expected)
+    elif kind == "sparse-binary-trials":
+        rows = [rng.bounded_from_words(w[:k], m) for w in singles]
+        assert np.array_equal(cb.union_indices(ids), np.unique(np.concatenate(rows)))
+    else:
+        rows = [np.sort(rng.choose_distinct(w[:k], m, k)) for w in singles]
+        got = cb.exact_indices(ids)
+        assert got.dtype == np.int64 and np.array_equal(got, np.stack(rows))
+    assert len(calls) == (1 if side == "window" else n)
+
+
+def test_exact_indices_kind_and_empty():
+    cb = Codebook("sparse-binary-exact", 50, 10, k=6, seed=2)
+    assert cb.exact_indices([]).shape == (0, 6)
+    got = cb.exact_indices(list(range(10)))
+    for j in range(10):
+        expected = np.sort(rng.choose_distinct(cb._column_words(j, 1)[:6], 50, 6))
+        assert np.array_equal(got[j], expected)
+        assert np.array_equal(cb.column_indices(j), expected)
+    with pytest.raises(IndexError):
+        cb.exact_indices([3, 10])
+    with pytest.raises(ValueError):
+        Codebook("sparse-binary-trials", 50, 10, k=6).exact_indices([0])
 
 
 def test_sign_columns_memory_layout_is_stable():

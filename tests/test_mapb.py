@@ -221,6 +221,22 @@ def test_sequence_membership_recovers_position():
     assert hits >= 110 and misses >= 110
 
 
+def test_sequence_membership_scores_equal_single_tests():
+    d, L = 40, 3
+    for seed in range(4):
+        cb = Codebook("dense-sign", 517, d, seed=seed)
+        seq = SequenceSpec((SymbolSet.from_ids(d, [5, 7]), SymbolSet.from_ids(d, [9]),
+                            SymbolSet.from_ids(d, [5, 39])))
+        b = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
+        for ell in range(L):
+            syms = [39, 0, 5, 9, 5, 7]
+            rolled = np.roll(b.signs.astype(np.int64), ell)  # <x, R^ell c> = <roll(x, ell), c>
+            expected = [int(rolled @ cb.column_ints(s)) for s in syms]
+            assert mapb.sequence_membership_scores(b, ell, syms).tolist() == expected
+            assert [mapb.sequence_membership_test(b, ell * d + s, 0.05).score
+                    for s in syms] == expected
+
+
 def test_sequence_membership_range_check():
     cb = Codebook("dense-sign", 64, 8, seed=1)
     seq = SequenceSpec((SymbolSet.from_ids(8, [1]), SymbolSet(8)))

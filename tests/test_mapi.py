@@ -116,6 +116,42 @@ def test_huge_weights_are_exact(m, seed, wv, ww):
     assert mapi.symdiff_estimate(bv, bw) == sum((x - y) ** 2 for x, y in zip(a, b)) / m
 
 
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1367])
+@given(seed=st.integers(0, 2**32 - 1),
+       entries=st.dictionaries(st.integers(0, 4999), st.integers(1, 2**40),
+                               min_size=1, max_size=12))
+@example(seed=0, entries={0: 1, 1: 2, 4999: 3})  # scattered: one window per column
+@example(seed=0, entries={7: 2**60, 9: 2**60 + 3, 8: 1})  # one window; |S v| near 2**61
+def test_packed_bundle_equals_sign_matrix_reference(m, seed, entries):
+    cb = Codebook("dense-sign", m, 5000, seed=seed)
+    v = SymbolSet(5000, entries)
+    ids = sorted(entries)
+    # Python-int reference: each column read alone from the (m, 1) sign matrix
+    cols = [cb.sign_matrix(j, j + 1)[:, 0].tolist() for j in ids]
+    expected = [sum(entries[j] * col[i] for j, col in zip(ids, cols)) for i in range(m)]
+    assert mapi.bundle(cb, v).ints.tolist() == expected
+
+
+def test_sums_of_bundles_refuse_to_wrap():
+    # Each part is below 2**63, but the sums reach 3 * 2**62 and 2**63.
+    cb = Codebook("dense-sign", 64, 8, seed=0, scaled=True)
+    v = SymbolSet(8, {1: 2**62})
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        mapi.encode_sequence(cb, SequenceSpec((v, v, v)))
+    b = mapi.bundle(cb, v)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        mapi.add(b, b)
+    small = mapi.bundle(cb, SymbolSet(8, {2: 2**62 - 1}))
+    assert mapi.add(b, small).ints.tolist() == [x + y for x, y in zip(b.ints.tolist(),
+                                                                      small.ints.tolist())]
+    # A total of 2**63 - 1 still encodes, exactly: R^0 S v_0 + R^1 S v_1.
+    two = mapi.encode_sequence(cb, SequenceSpec((v, SymbolSet(8, {1: 2**62 - 1}))))
+    c = cb.column_ints(1).tolist()
+    expected = [2**62 * c[i] + (2**62 - 1) * c[(i + 1) % 64] for i in range(64)]
+    assert two.ints.tolist() == expected
+    assert mapi.norm_sq_estimate(two) == sum(x * x for x in expected) / 64
+
+
 def test_intersection_rounds_half_away_and_clamps():
     cb = Codebook("dense-sign", 4, 4, seed=0, scaled=True)
     b = mapi.bundle(cb, SymbolSet.from_ids(4, [0]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vsakit import rng
 
@@ -95,6 +96,34 @@ def test_choose_distinct_matches_dict_loop(m, k):
         got = rng.choose_distinct(words, m, k)
         assert got.dtype == np.int64
         assert np.array_equal(got, _choose_distinct_dict_loop(words, m, k))
+
+
+@st.composite
+def _rows_draws(draw):
+    m = draw(st.integers(1, 300))
+    k = draw(st.sampled_from([0, 1, m, draw(st.integers(0, m))]))  # k = m included
+    rows = draw(st.integers(0, 5))
+    extra = draw(st.integers(0, 3))
+    words = draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows * (k + extra),
+                          max_size=rows * (k + extra)))
+    return np.array(words, dtype=np.uint64).reshape(rows, k + extra), m, k
+
+
+@given(_rows_draws())
+def test_choose_distinct_rows_equal_row_wise_choose_distinct(case):
+    words, m, k = case
+    got = rng.choose_distinct_rows(words, m, k)
+    assert got.dtype == np.int64 and got.shape == (words.shape[0], k)
+    for row, out in zip(words, got):
+        assert np.array_equal(out, rng.choose_distinct(row, m, k))
+        assert np.array_equal(out, _choose_distinct_dict_loop(row, m, k))
+
+
+def test_choose_distinct_rows_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="needs 3 words"):
+        rng.choose_distinct_rows(np.zeros((4, 2), dtype=np.uint64), 10, 3)
+    with pytest.raises(ValueError):
+        rng.choose_distinct_rows(np.zeros((1, 5), dtype=np.uint64), 4, 5)
 
 
 def test_choose_distinct_rejects_too_few_words():
