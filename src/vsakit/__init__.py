@@ -16,7 +16,7 @@ signs, with-replacement sparse binary and exactly-k sparse binary columns),
 """
 
 from .codebook import Codebook
-from .hypervector import Hypervector, Rotation, rotate
+from .hypervector import rotate
 from .rng import RNG_VERSION
 from .setalg import (
     BindingBundleSpec,
@@ -36,9 +36,7 @@ __all__ = [
     "CONSTANTS",
     "CalibrationResult",
     "Codebook",
-    "Hypervector",
     "RNG_VERSION",
-    "Rotation",
     "SequenceSpec",
     "SizingResult",
     "SymbolSet",

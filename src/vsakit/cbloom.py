@@ -35,6 +35,9 @@ class CountBundle:
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64).copy()
+        if counts.shape != (self.codebook.m,):
+            raise ValueError(f"count bundle of shape {counts.shape} holds {counts.size} "
+                             f"counts, expected m={self.codebook.m}")
         if (counts < 0).any():
             raise ValueError("count bundle entries must be nonnegative")
         counts.setflags(write=False)

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import bloom, cbloom, hopfield, mapb, mapi, rng, setalg
 from .codebook import Codebook
-from .hypervector import Hypervector
 from .setalg import SequenceSpec, SymbolSet
 from .sizing import SizingResult, check_rates
 
@@ -321,9 +320,9 @@ def _trial_mapb_empty_intersection(cell: dict, seed: int) -> TrialOutcome:
 def _trial_mapb_depth(cell: dict, seed: int) -> TrialOutcome:
     m, r = _params(cell, int, "m", "L")  # chain depth rides in the L column
     cb = Codebook("dense-sign", m, max(r, 1), seed=seed)
-    vectors = [Hypervector(cb.column_ints(j), "sign") for j in range(r)]
-    chained = mapb.iterated_bundle(vectors, tie_seed=seed, codebook=cb)
-    agree = float((chained.signs == vectors[0].values).mean())
+    chained = mapb.iterated_bundle(cb, range(r), tie_seed=seed)
+    # <x, S_0> = m - 2 * (disagreements), so the agreeing coordinates count (m + score) / 2
+    agree = (m + int(mapb.membership_scores(chained, [0])[0])) // 2 / m
     truth = float(mapb.chain_agreement_probability(r))
     return _within(agree, truth, 3.0 * math.sqrt(truth * (1.0 - truth) / m))
 
@@ -405,7 +404,7 @@ def _trial_hopfield_store(cell: dict, seed: int) -> TrialOutcome:
 
 def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
     net = _hopfield_net(cell, seed)
-    first = Hypervector(net.patterns[:, 0], "sign")
+    first = net.patterns[:, 0]
     half = net.m // 2
     if kv:
         probe = net.patterns[:, 0].astype(np.int64)
@@ -414,7 +413,7 @@ def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
         erasures, flips = _params(cell, int, erasures=half, flips=0)
         probe = hopfield.corrupt(first, erasures, flips, seed)
     result = hopfield.recall(net, probe)
-    ok = result.converged and result.vector == first
+    ok = result.converged and np.array_equal(result.vector, first)
     return TrialOutcome(float(ok), 1.0, ok, float(not ok))
 
 

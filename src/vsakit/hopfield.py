@@ -4,7 +4,9 @@ A net is its stored sign patterns S (m x n). W = S S^T - n I (zero diagonal,
 symmetric) is never stored: recall applies S (S^T x) - n x in synchronous
 updates x <- signge(W x), where signge maps 0 to +1 (deterministic, unlike
 MAP-B's randomized tie rule). Thinning masks the probe to the kept
-coordinates, so recall reads only the columns W[:, keep].
+coordinates, so recall reads only the columns W[:, keep]. Patterns, probes
+and recalled vectors are plain 1-D arrays: patterns and recalled vectors hold
++-1 entries (int8), probes hold entries in {0, -1, +1}.
 
 Hopfield± encodes a diagonal weight vector V as the m x m matrix
 S_bar V D S_bar^T with a seeded sign diagonal D; its squared Frobenius norm
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import rng
 from .codebook import Codebook
-from .hypervector import Hypervector
 from .sizing import SizingResult, check_rates, constants_for
 
 
@@ -76,22 +77,25 @@ class HopfieldNet:
 
 @dataclass(frozen=True)
 class RecallResult:
-    vector: Hypervector
+    vector: np.ndarray  # (m,) int8 of +-1
     converged: bool
     iters: int
 
 
-def train(patterns: list[Hypervector]) -> HopfieldNet:
-    """Stack the patterns as the columns of S; W = S S^T - n I stays implicit."""
-    if not patterns:
+def _require_signs(x, what: str) -> np.ndarray:
+    """``x`` as an array, checked to be 1-D with every entry -1 or +1."""
+    values = np.asarray(x)
+    if values.ndim != 1 or ((values != 1) & (values != -1)).any():
+        raise ValueError(f"{what} must be a 1-D array of +-1 entries")
+    return values
+
+
+def train(patterns: list[np.ndarray]) -> HopfieldNet:
+    """Stack the +-1 patterns as the columns of S; W = S S^T - n I stays implicit."""
+    if not len(patterns):
         raise ValueError("train requires at least one pattern")
-    m = patterns[0].m
-    for p in patterns:
-        if p.domain != "sign":
-            raise ValueError("patterns must be sign hypervectors")
-        if p.m != m:
-            raise ValueError("patterns must have equal length")
-    return HopfieldNet(np.stack([p.values for p in patterns], axis=1), np.ones(m, np.int8))
+    s = np.stack([_require_signs(p, "each pattern") for p in patterns], axis=1)  # one length
+    return HopfieldNet(s, np.ones(s.shape[0], np.int8))
 
 
 def signge(z: np.ndarray) -> np.ndarray:
@@ -99,49 +103,51 @@ def signge(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1, -1).astype(np.int8)
 
 
-def _probe_values(y) -> np.ndarray:
-    values = y.values if isinstance(y, Hypervector) else np.asarray(y)
+def _probe_values(net: HopfieldNet, y) -> np.ndarray:
+    values = np.asarray(y)
+    if values.shape != (net.m,):
+        raise ValueError(f"probe must be a 1-D array of length m={net.m}, got shape {values.shape}")
     if ((values != 0) & (values != 1) & (values != -1)).any():
         raise ValueError("probe entries must be in {0, -1, +1}")
     return values.astype(np.int64)
 
 
-def recall_step(net, y) -> Hypervector:
-    """One synchronous update signge(W y)."""
-    return Hypervector(signge(net.apply(_probe_values(y))), "sign")
+def recall_step(net, y) -> np.ndarray:
+    """One synchronous update signge(W y), as an int8 array."""
+    return signge(net.apply(_probe_values(net, y)))
 
 
 def recall(net, y, max_iters: int = 64) -> RecallResult:
     """Iterate recall_step until a fixed point or max_iters updates."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    current = _probe_values(y)
+    current = _probe_values(net, y)
     for it in range(1, max_iters + 1):
         nxt = signge(net.apply(current)).astype(np.int64)
         if np.array_equal(nxt, current):
-            return RecallResult(Hypervector(nxt.astype(np.int8), "sign"), True, it)
+            return RecallResult(nxt.astype(np.int8), True, it)
         current = nxt
-    return RecallResult(Hypervector(current.astype(np.int8), "sign"), False, max_iters)
+    return RecallResult(current.astype(np.int8), False, max_iters)
 
 
-def corrupt(x: Hypervector, erasures: int, flips: int, seed: int) -> Hypervector:
-    """Zero ``erasures`` and negate ``flips`` coordinates at seeded positions.
+def corrupt(x: np.ndarray, erasures: int, flips: int, seed: int) -> np.ndarray:
+    """A copy of the +-1 vector ``x`` with ``erasures`` coordinates zeroed and
+    ``flips`` negated at seeded positions, as an int8 array.
 
     Positions are distinct and chosen independently of the codebook, as the
     recall guarantee requires.
     """
-    if x.domain != "sign":
-        raise ValueError("corrupt expects a sign hypervector")
-    if erasures < 0 or flips < 0 or erasures + flips > x.m:
+    out = _require_signs(x, "corrupt's input").astype(np.int8)
+    m = out.shape[0]
+    if erasures < 0 or flips < 0 or erasures + flips > m:
         raise ValueError("corruption counts must be nonnegative and sum to <= m")
-    out = x.values.astype(np.int8).copy()
     total = erasures + flips
     if total:
         words = rng.Stream(seed, "hopfield-corrupt").words(0, total)
-        pos = rng.choose_distinct(words, x.m, total)
+        pos = rng.choose_distinct(words, m, total)
         out[pos[:erasures]] = 0
         out[pos[erasures:]] *= -1
-    return Hypervector(out, "integer")
+    return out
 
 
 def thin(net: HopfieldNet, keep) -> HopfieldNet:

@@ -7,6 +7,8 @@ view: bit i of ``words`` is set where entry i is +1, exactly the layout of
 a dense-sign codebook column's words and of the MAP-B wire payload. A dot
 product of two +-1 vectors is then m - 2 * popcount(x ^ c), so every score
 is an XOR and a popcount, and a chained bundling step is three bitwise ops.
+Every bundle carries the dense-sign codebook it was built from, and its m is
+the codebook's.
 
 The paper-backed guarantees are decision tests (membership, sequence
 membership, key-value membership, empty-intersection), not size
@@ -18,7 +20,8 @@ sequence bundle, from one roll of the bundle.
 
 ``agreement_probability`` is the exact enumeration oracle for the
 per-coordinate agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained
-(deeper) bundling decays toward 1/2 as described by
+(deeper) bundling, ``iterated_bundle``, folds codebook columns from one
+gather of their words and decays toward 1/2 as described by
 ``chain_agreement_probability``.
 """
 
@@ -32,8 +35,8 @@ import numpy as np
 
 from . import mapi, rng
 from .codebook import Codebook
-from .hypervector import Hypervector
-from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral, require_flat
+from .hypervector import rotate
+from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, require_flat
 from .sizing import SizingResult, check_rates, constants_for, require
 
 #: Exhaustive enumeration refuses instances beyond this many states.
@@ -75,13 +78,13 @@ class KeyValueSpec:
 class MapBBundle:
     """A +-1 bundle as packed signs, plus how it was built (to pick the right test).
 
-    ``words`` holds ceil(m/64) uint64 words; bit i (word i // 64, bit i % 64)
-    is set where entry i is +1, and the padding bits past m are zero.
+    m is the codebook's, which must be dense-sign. ``words`` holds ceil(m/64)
+    uint64 words; bit i (word i // 64, bit i % 64) is set where entry i is
+    +1, and the padding bits past m are zero.
     """
 
     words: np.ndarray
-    m: int
-    codebook: Codebook | None
+    codebook: Codebook
     tie_seed: int
     kind: str = "set"  # set | sequence | kv | chain
     depth: int = 1
@@ -90,9 +93,8 @@ class MapBBundle:
     vals: frozenset | None = None
 
     def __post_init__(self):
-        m = integral(self.m, "MAP-B bundle m")
-        if m < 1:
-            raise ValueError(f"MAP-B bundle needs m >= 1, got {m}")
+        _require_dense(self.codebook)
+        m = self.m
         words = np.asarray(self.words)
         if words.dtype != np.uint64 or words.shape != (-(-m // 64),):
             raise ValueError(f"MAP-B bundle of m={m} needs {-(-m // 64)} uint64 words, "
@@ -101,8 +103,11 @@ class MapBBundle:
             raise ValueError(f"MAP-B bundle sets padding bits past m={m}")
         words = words.copy()
         words.setflags(write=False)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "words", words)
+
+    @property
+    def m(self) -> int:
+        return self.codebook.m
 
     @property
     def signs(self) -> np.ndarray:
@@ -162,7 +167,7 @@ def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapB
     require_flat(v)
     if tie_seed is None:
         tie_seed = _default_tie_seed(v)
-    return MapBBundle(_threshold(mapi.bundle(cb, v).ints, cb.seed, tie_seed), cb.m, cb, tie_seed)
+    return MapBBundle(_threshold(mapi.bundle(cb, v).ints, cb.seed, tie_seed), cb, tie_seed)
 
 
 def bundle_sequence_sign(
@@ -179,7 +184,7 @@ def bundle_sequence_sign(
             "tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries))
         )
     words = _threshold(mapi.encode_sequence(cb, seq).ints, cb.seed, tie_seed)
-    return MapBBundle(words, cb.m, cb, tie_seed, kind="sequence", L=seq.L)
+    return MapBBundle(words, cb, tie_seed, kind="sequence", L=seq.L)
 
 
 def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None) -> MapBBundle:
@@ -191,33 +196,23 @@ def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None
         tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
     edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
     words = _threshold(mapi.encode_binding_bundle(cb, edges).ints, cb.seed, tie_seed)
-    return MapBBundle(words, cb.m, cb, tie_seed, kind="kv", keys=spec.keys, vals=spec.values)
+    return MapBBundle(words, cb, tie_seed, kind="kv", keys=spec.keys, vals=spec.values)
 
 
-def iterated_bundle(
-    vectors: list[Hypervector],
-    tie_seed: int = 0,
-    codebook: Codebook | None = None,
-) -> MapBBundle:
-    """Left-fold chained bundling: x <- sign(x + x_j), ties seeded per step.
+def iterated_bundle(cb: Codebook, ids, tie_seed: int = 0) -> MapBBundle:
+    """Left-fold chained bundling of columns ``ids``: x <- sign(x + S_j), ties seeded per step.
 
-    For +-1 inputs x + x_j is in {-2, 0, 2}, so each step is bitwise on the
-    packed signs: x <- (x & v) | ((x ^ v) & t), with t the step's coins.
+    For +-1 inputs x + S_j is in {-2, 0, 2}, so each step is bitwise on the
+    packed signs: x <- (x & v) | ((x ^ v) & t), with t the step's coins. The
+    fold runs over the rows of one ``sign_words`` gather.
     """
-    if not vectors:
-        raise ValueError("iterated_bundle needs at least one vector")
-    m = vectors[0].m
-    for v in vectors:
-        if v.domain != "sign":
-            raise ValueError("iterated_bundle requires sign-domain vectors")
-        if v.m != m:
-            raise ValueError("iterated_bundle requires equal lengths")
-    seed = codebook.seed if codebook is not None else 0
-    x = _pack(vectors[0].values > 0)
-    for step, vector in enumerate(vectors[1:], start=1):
-        v = _pack(vector.values > 0)
-        x = (x & v) | ((x ^ v) & _tie_words(seed, tie_seed, step, m))
-    return MapBBundle(x, m, codebook, tie_seed, kind="chain", depth=len(vectors))
+    rows = cb.sign_words(ids)  # refuses a sparse codebook and out-of-range ids
+    if rows.shape[0] == 0:
+        raise ValueError("iterated_bundle needs at least one column")
+    x = rows[0]
+    for step, v in enumerate(rows[1:], start=1):
+        x = (x & v) | ((x ^ v) & _tie_words(cb.seed, tie_seed, step, cb.m))
+    return MapBBundle(x, cb, tie_seed, kind="chain", depth=rows.shape[0])
 
 
 # -- decision thresholds (natural log throughout) ---------------------------
@@ -241,8 +236,6 @@ def empty_intersection_threshold(m: int, delta: float) -> float:
 
 def membership_scores(b: MapBBundle, ids) -> np.ndarray:
     """Scores <x, S_j> of many symbols as int64, from one gather of column words."""
-    if b.codebook is None:
-        raise ValueError("bundle has no codebook to test against")
     return _scores(b.words, b.codebook.sign_words(ids), b.m)
 
 
@@ -267,14 +260,14 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
 
 
 def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
-    """Scores <x, R^ell S_j> of symbols ``syms`` at position ell, as int64.
+    """Scores <x, R^ell S_j> of symbols ``syms`` at position ell in [0, L), as int64.
 
-    Since <x, R^ell c> = <roll(x, ell), c>, the bundle is rolled once, and
-    every symbol is scored against it from one gather of column words.
+    Since <x, R^ell c> = <R^-ell x, c>, the bundle is rotated once, and every
+    symbol is scored against it from one gather of column words.
     """
-    if b.codebook is None:
-        raise ValueError("bundle has no codebook to test against")
-    rolled = _pack(np.roll(b.signs, ell) > 0)
+    if not 0 <= ell < b.L:
+        raise IndexError(f"position {ell} out of range for L = {b.L}")
+    rolled = _pack(rotate(b.signs, -ell) > 0)
     return _scores(rolled, b.codebook.sign_words(syms), b.m)
 
 
@@ -285,8 +278,6 @@ def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     the queried block (see ``sequence_membership_scores``).
     """
     check_rates(delta=delta)
-    if b.codebook is None:
-        raise ValueError("bundle has no codebook to test against")
     d = b.codebook.d
     if not 0 <= j < b.L * d:
         raise IndexError(f"position-qualified index {j} out of range for L*d = {b.L * d}")
@@ -299,8 +290,6 @@ def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
 def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> TestResult:
     """Is the bound pair (key, value) in the bundle?"""
     check_rates(delta=delta)
-    if b.codebook is None:
-        raise ValueError("bundle has no codebook to test against")
     q, w = pair
     if b.vals is not None and q in b.vals:
         raise ValueError(f"query key {q} is a value id in this bundle")

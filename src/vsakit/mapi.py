@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .hypervector import Hypervector, Rotation, rotate
+from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 from .sizing import SizingResult, check_rates, constants_for, require
 
@@ -36,6 +36,9 @@ class MapIBundle:
 
     def __post_init__(self):
         ints = np.asarray(self.ints, dtype=np.int64).copy()
+        if ints.shape != (self.codebook.m,):
+            raise ValueError(f"MAP-I bundle of shape {ints.shape} does not hold "
+                             f"m={self.codebook.m} sums")
         ints.setflags(write=False)
         object.__setattr__(self, "ints", ints)
 
@@ -143,8 +146,7 @@ def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
         raise ValueError(f"MAP-I needs the sequence's total ||v_l||_1 below 2**63, got {total}")
     ints = np.zeros(cb.m, dtype=np.int64)
     for ell, s in enumerate(seq.sets):
-        part = Hypervector(bundle(cb, s).ints, "integer")
-        ints += rotate(part, Rotation(ell)).values
+        ints += rotate(bundle(cb, s).ints, ell)
     return MapIBundle(ints, cb, cb.scaled)
 
 

@@ -98,8 +98,6 @@ def bundle_to_bytes(bundle) -> bytes:
     if name == "mapi":
         flags, payload = int(bundle.scaled), bundle.ints.astype("<i8").tobytes()
     elif name == "mapb":
-        if bundle.codebook is None:
-            raise ValueError("cannot serialize a MAP-B bundle without a codebook")
         if bundle.kind != "set":
             raise ValueError(f"bundle format v2 cannot carry a MAP-B {bundle.kind} bundle")
         payload = bundle.words.astype("<u8").tobytes()[: -(-bundle.m // 8)]
@@ -128,16 +126,14 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         values = _unpack_uints(name, payload)
         if name == "bloom":
             return bloom.BloomBundle(values, cb)
-        if values.size != m:
-            raise ValueError(f"cbloom bundle holds {values.size} counts, expected m={m}")
-        return cbloom.CountBundle(values, cb)
+        return cbloom.CountBundle(values, cb)  # checks the count of counts
     expected = 8 * m if name == "mapi" else -(-m // 8)
     if len(payload) != expected:
         raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected {expected}")
     if name == "mapi":
         return mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb, bool(flags))
     words = np.frombuffer(bytes(payload) + bytes(-len(payload) % 8), "<u8")
-    return mapb.MapBBundle(words.astype(np.uint64), m, cb, tie_seed=0)  # checks the padding
+    return mapb.MapBBundle(words.astype(np.uint64), cb, tie_seed=0)  # checks the padding
 
 
 def arch_of(data: bytes) -> str:

@@ -130,6 +130,14 @@ def test_codebook_kind_enforced():
         cbloom.bundle_count(cb, SymbolSet.from_ids(8, [0]))
 
 
+def test_bundle_holds_exactly_m_counts():
+    cb = Codebook("sparse-binary-exact", 50, 8, k=4, seed=2)
+    assert cbloom.CountBundle(np.ones(50), cb).mass() == 50
+    for bad in (np.ones(7), np.ones(51), np.ones((2, 25)), np.ones((50, 1)), np.int64(1)):
+        with pytest.raises(ValueError, match="expected m=50"):
+            cbloom.CountBundle(bad, cb)
+
+
 @given(seed=st.integers(0, 2**32 - 1),
        entries=st.dictionaries(st.integers(0, 39), st.integers(1, 2**58), max_size=12))
 def test_bundle_count_equals_per_column_reference(seed, entries):

@@ -8,21 +8,20 @@ import pytest
 
 from vsakit import hopfield
 from vsakit.codebook import Codebook
-from vsakit.hypervector import Hypervector
 
 
 def sign_hv(*vals):
-    return Hypervector(np.array(vals, dtype=np.int8), "sign")
+    return np.array(vals, dtype=np.int8)
 
 
 def patterns_from(cb, n):
-    return [Hypervector(cb.column_ints(j), "sign") for j in range(n)]
+    return [cb.column_ints(j) for j in range(n)]
 
 
 def test_train_single_pattern():
     x = sign_hv(1, -1, 1)
     net = hopfield.train([x])
-    expect = np.outer(x.values, x.values).astype(np.int64)
+    expect = np.outer(x, x).astype(np.int64)
     np.fill_diagonal(expect, 0)
     assert np.array_equal(net.weights, expect)
 
@@ -44,7 +43,7 @@ def test_stored_pattern_is_fixed_point():
     net = hopfield.train([x])
     result = hopfield.recall(net, x)
     assert result.converged and result.iters == 1
-    assert result.vector == x
+    assert np.array_equal(result.vector, x)
 
 
 def test_recall_hand_example_erased():
@@ -52,7 +51,7 @@ def test_recall_hand_example_erased():
     net = hopfield.train([x])
     probe = np.array([1, 1, 0, 0])
     step = hopfield.recall_step(net, probe)
-    assert step == x  # W y = x (x^T y) - y = 2x - y, signge recovers x
+    assert np.array_equal(step, x)  # W y = x (x^T y) - y = 2x - y, signge recovers x
 
 
 def test_signge_maps_zero_up():
@@ -65,26 +64,44 @@ def test_recall_is_deterministic():
     probe = hopfield.corrupt(patterns_from(cb, 4)[0], 20, 0, seed=5)
     r1 = hopfield.recall(net, probe)
     r2 = hopfield.recall(net, probe)
-    assert r1.vector == r2.vector and r1.iters == r2.iters
+    assert np.array_equal(r1.vector, r2.vector) and r1.iters == r2.iters
 
 
 def test_corrupt_counting_identity():
     cb = Codebook("dense-sign", 128, 2, seed=4)
-    x = Hypervector(cb.column_ints(0), "sign")
+    x = cb.column_ints(0)
     for e, f in ((0, 0), (10, 0), (0, 7), (13, 5)):
         y = hopfield.corrupt(x, e, f, seed=e * 31 + f)
-        assert int(y.values.astype(np.int64) @ x.values.astype(np.int64)) == 128 - e - 2 * f
-        assert int(np.count_nonzero(y.values == 0)) == e
-    assert hopfield.corrupt(x, 0, 0, seed=1) == Hypervector(x.values, "integer")
-    assert not hopfield.corrupt(x, 128, 0, seed=1).values.any()
+        assert int(y.astype(np.int64) @ x.astype(np.int64)) == 128 - e - 2 * f
+        assert int(np.count_nonzero(y == 0)) == e
+    assert np.array_equal(hopfield.corrupt(x, 0, 0, seed=1), x)
+    assert not hopfield.corrupt(x, 128, 0, seed=1).any()
     with pytest.raises(ValueError):
         hopfield.corrupt(x, 100, 29, seed=1)
 
 
 def test_probe_entries_validated():
     net = hopfield.train([sign_hv(1, -1, 1)])
-    with pytest.raises(ValueError):
-        hopfield.recall_step(net, np.array([2, 0, 0]))
+    for bad in (np.array([2, 0, 0]), np.array([1, 0]), np.ones((3, 1)), np.int64(1)):
+        with pytest.raises(ValueError):
+            hopfield.recall_step(net, bad)
+        with pytest.raises(ValueError):
+            hopfield.recall(net, bad)
+
+
+def test_train_and_corrupt_refuse_non_sign_or_non_1d_input():
+    bad_inputs = (np.array([1, 0, -1]), np.array([1, 2, -1]), np.array([0.5, 1.0, -1.0]),
+                  np.ones((3, 1), np.int8), np.ones((1, 3), np.int8), np.int8(1))
+    for bad in bad_inputs:
+        with pytest.raises(ValueError, match=r"1-D array of \+-1"):
+            hopfield.corrupt(bad, 0, 0, seed=1)
+        with pytest.raises(ValueError, match=r"1-D array of \+-1"):
+            hopfield.train([sign_hv(1, -1, 1), bad])
+    with pytest.raises(ValueError, match="at least one"):
+        hopfield.train([])
+    with pytest.raises(ValueError, match="same shape"):
+        hopfield.train([sign_hv(1, -1, 1), sign_hv(1, -1)])
+    assert hopfield.corrupt(np.array([1.0, -1.0]), 0, 0, seed=1).dtype == np.int8
 
 
 def test_sizing_fixed_point():
@@ -106,7 +123,7 @@ def test_thin_keep_all_identical():
     net = hopfield.train(pats)
     thinned = hopfield.thin(net, range(48))
     probe = hopfield.corrupt(pats[1], 10, 0, seed=2)
-    assert hopfield.recall(net, probe).vector == hopfield.recall(thinned, probe).vector
+    assert np.array_equal(hopfield.recall(net, probe).vector, hopfield.recall(thinned, probe).vector)
 
 
 def test_thin_rejects_empty_and_oob():
@@ -128,7 +145,7 @@ def test_thin_recovery_statistical():
         net = hopfield.train(pats)
         thinned = hopfield.thin(net, range(keep_size))
         out = hopfield.recall(thinned, pats[0])
-        ok += out.converged and out.vector == pats[0]
+        ok += out.converged and np.array_equal(out.vector, pats[0])
     assert ok >= 93
 
 
@@ -157,7 +174,7 @@ def test_recall_builds_no_m_by_m_array():
     tracemalloc.start()
     try:
         net = hopfield.train(pats)
-        assert hopfield.recall(net, probe).vector == pats[0]
+        assert np.array_equal(hopfield.recall(net, probe).vector, pats[0])
         assert hopfield.recall(hopfield.thin(net, range(m // 2)), pats[0]).converged
         peak = tracemalloc.get_traced_memory()[1]
     finally:

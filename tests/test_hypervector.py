@@ -1,36 +1,17 @@
 import numpy as np
-import pytest
 
-from vsakit.hypervector import Hypervector, Rotation
-
-
-def test_domain_enforcement():
-    with pytest.raises(ValueError):
-        Hypervector(np.array([1, 2], dtype=np.int8), "sign")
-    with pytest.raises(ValueError):
-        Hypervector(np.array([0, 2], dtype=np.int8), "binary")
-    with pytest.raises(ValueError):
-        Hypervector(np.array([-1, 0]), "count")
-    with pytest.raises(ValueError):
-        Hypervector(np.array([0.5, 1.0]), "integer")
-    with pytest.raises(ValueError):
-        Hypervector(np.array([1, -1], dtype=np.int8), "no-such-domain")
-    Hypervector(np.array([0.5, 1.0]), "scaled-real")
+from vsakit.hypervector import rotate
 
 
-def test_values_are_frozen():
-    hv = Hypervector(np.array([1, -1], dtype=np.int8), "sign")
-    with pytest.raises(ValueError):
-        hv.values[0] = -1
+def test_negative_shift_undoes_rotation():
+    x = np.arange(5)
+    for ell in range(-6, 7):
+        assert np.array_equal(rotate(rotate(x, ell), -ell), x)
+    assert rotate(x, -1).tolist() == [4, 0, 1, 2, 3]
 
 
-def test_rotation_validation():
-    with pytest.raises(ValueError):
-        Rotation(-1)
-
-
-def test_equality_includes_domain():
-    a = Hypervector(np.array([0, 1], dtype=np.int8), "binary")
-    b = Hypervector(np.array([0, 1], dtype=np.int8), "integer")
-    assert a != b
-    assert a == Hypervector(np.array([0, 1], dtype=np.int8), "binary")
+def test_rotate_returns_a_new_array_of_the_same_dtype():
+    x = np.array([1, -1, 1], dtype=np.int8)
+    y = rotate(x, 1)
+    y[0] = 0
+    assert x.tolist() == [1, -1, 1] and y.dtype == np.int8

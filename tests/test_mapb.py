@@ -7,7 +7,6 @@ import pytest
 
 from vsakit import mapb, mapi, rng
 from vsakit.codebook import Codebook
-from vsakit.hypervector import Hypervector
 from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
 
@@ -177,16 +176,15 @@ def test_empty_intersection_overlap_detected():
 
 def test_iterated_bundle_depth_flags_membership():
     cb = Codebook("dense-sign", 128, 8, seed=6)
-    vecs = [Hypervector(cb.column_ints(j), "sign") for j in range(3)]
-    chained = mapb.iterated_bundle(vecs, tie_seed=4, codebook=cb)
+    chained = mapb.iterated_bundle(cb, range(3), tie_seed=4)
     assert chained.depth == 3
     assert mapb.membership_test(chained, 0, 0.05).degraded
 
 
 def test_iterated_bundle_r1_is_identity():
     cb = Codebook("dense-sign", 64, 4, seed=1)
-    v = Hypervector(cb.column_ints(2), "sign")
-    assert np.array_equal(mapb.iterated_bundle([v]).signs, v.values)
+    v = cb.column_ints(2)
+    assert np.array_equal(mapb.iterated_bundle(cb, [2]).signs, v)
 
 
 def test_iterated_bundle_agreement_empirical():
@@ -196,9 +194,8 @@ def test_iterated_bundle_agreement_empirical():
         agree = 0
         for t in range(trials):
             cb = Codebook("dense-sign", m, r, seed=1000 * r + t)
-            vecs = [Hypervector(cb.column_ints(j), "sign") for j in range(r)]
-            chained = mapb.iterated_bundle(vecs, tie_seed=t, codebook=cb)
-            agree += int((chained.signs == vecs[0].values).sum())
+            chained = mapb.iterated_bundle(cb, range(r), tie_seed=t)
+            agree += int((chained.signs == cb.column_ints(0)).sum())
         frac = agree / (m * trials)
         sigma = math.sqrt(truth * (1 - truth) / (m * trials))
         assert abs(frac - truth) <= 4 * sigma
@@ -243,6 +240,10 @@ def test_sequence_membership_range_check():
     b = mapb.bundle_sequence_sign(cb, seq)
     with pytest.raises(IndexError):
         mapb.sequence_membership_test(b, 16, 0.05)
+    assert mapb.sequence_membership_scores(b, 1, [1, 2]).shape == (2,)
+    for ell in (-1, 2, 7):
+        with pytest.raises(IndexError, match="L = 2"):
+            mapb.sequence_membership_scores(b, ell, [1, 2])
 
 
 def test_kv_single_pair_scores_m():
@@ -346,9 +347,9 @@ def _ref_sign(sums, cb_seed, tie_seed, step=0):
 
 
 def _ref_chain(vectors, cb_seed, tie_seed):
-    x = vectors[0].values.astype(np.int8)
+    x = vectors[0].astype(np.int8)
     for step, v in enumerate(vectors[1:], start=1):
-        x = _ref_sign(x.astype(np.int64) + v.values, cb_seed, tie_seed, step)
+        x = _ref_sign(x.astype(np.int64) + v, cb_seed, tie_seed, step)
     return x
 
 
@@ -386,24 +387,41 @@ def test_word_form_equals_int8_reference(m):
                 expected = int(ref_k @ (cols[:, q] * cols[:, val]))
                 assert mapb.kv_membership_test(bk, (q, val), 0.05).score == expected
         # chains: every step after the first ties wherever the inputs disagree
-        vecs = [Hypervector(cb.column_ints(j), "sign") for j in range(5)]
+        vecs = [cb.column_ints(j) for j in range(5)]
         for r in (1, 2, 5):
-            chained = mapb.iterated_bundle(vecs[:r], tie_seed=seed, codebook=cb)
+            chained = mapb.iterated_bundle(cb, range(r), tie_seed=seed)
             ref_c = _ref_chain(vecs[:r], cb.seed, seed)
             assert np.array_equal(chained.signs, ref_c)
             assert mapb.membership_scores(chained, range(d)).tolist() == (ref_c @ cols).tolist()
 
 
 def test_bundle_words_are_checked():
-    ok = mapb.MapBBundle(np.array([2**64 - 1, 1], np.uint64), 65, None, 0)
-    assert ok.signs.tolist() == [1] * 65
+    cb = Codebook("dense-sign", 65, 4, seed=0)
+    ok = mapb.MapBBundle(np.array([2**64 - 1, 1], np.uint64), cb, 0)
+    assert ok.m == 65 and ok.signs.tolist() == [1] * 65
     assert not ok.words.flags.writeable and not ok.signs.flags.writeable
     for words in (np.zeros(1, np.uint64), np.zeros(3, np.uint64), np.zeros((2, 1), np.uint64),
                   np.zeros(2, np.int64), [0, 0]):
         with pytest.raises(ValueError, match="m=65 needs 2 uint64 words"):
-            mapb.MapBBundle(words, 65, None, 0)
+            mapb.MapBBundle(words, cb, 0)
     for pad in (1, 2, 63):
         with pytest.raises(ValueError, match="padding bits past m=65"):
-            mapb.MapBBundle(np.array([0, 1 << pad], np.uint64), 65, None, 0)
-    with pytest.raises(ValueError, match="m >= 1"):
-        mapb.MapBBundle(np.zeros(0, np.uint64), 0, None, 0)
+            mapb.MapBBundle(np.array([0, 1 << pad], np.uint64), cb, 0)
+    with pytest.raises(ValueError, match="positive"):  # m comes from the codebook
+        mapb.MapBBundle(np.zeros(0, np.uint64), Codebook("dense-sign", 0, 4), 0)
+    for sparse in (Codebook("sparse-binary-trials", 65, 4, k=3),
+                   Codebook("sparse-binary-exact", 65, 4, k=3)):
+        with pytest.raises(ValueError, match="dense-sign"):
+            mapb.MapBBundle(np.zeros(2, np.uint64), sparse, 0)
+
+
+def test_iterated_bundle_checks_its_columns():
+    cb = Codebook("dense-sign", 64, 4, seed=1)
+    for empty in ([], range(0), np.zeros(0, np.int64)):
+        with pytest.raises(ValueError, match="at least one"):
+            mapb.iterated_bundle(cb, empty)
+    for ids in ([4], [0, -1], [1, 2, 7]):
+        with pytest.raises(IndexError):
+            mapb.iterated_bundle(cb, ids)
+    with pytest.raises(ValueError, match="dense-sign"):
+        mapb.iterated_bundle(Codebook("sparse-binary-exact", 64, 4, k=3), [0, 1])

@@ -169,6 +169,15 @@ def test_codebook_mismatch_rejected():
         mapi.dot_estimate(b1, b2)
 
 
+def test_bundle_holds_exactly_m_sums():
+    cb = Codebook("dense-sign", 128, 4, seed=1)
+    assert mapi.MapIBundle(np.ones(128, np.int64), cb, True).m == 128
+    for bad in (np.ones(5, np.int64), np.ones(129, np.int64), np.ones((2, 64), np.int64),
+                np.ones((128, 1), np.int64), np.int64(3)):
+        with pytest.raises(ValueError, match="m=128"):
+            mapi.MapIBundle(bad, cb, True)
+
+
 def test_encode_sequence_l1_equals_bundle():
     cb = Codebook("dense-sign", 32, 10, seed=6, scaled=True)
     v = SymbolSet.from_ids(10, [2, 5])

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from vsakit import bloom, cbloom, mapb, mapi, serialize
 from vsakit.codebook import Codebook
-from vsakit.hypervector import Hypervector
 from vsakit.setalg import SequenceSpec, SymbolSet
 
 
@@ -113,8 +112,7 @@ def test_mapb_kinds_format_v1_cannot_carry_are_refused():
     b = mapb.bundle_sequence_sign(cb, seq)
     assert mapb.sequence_membership_test(b, 32 + 5, 0.05).contained
     kv = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(32, ((1, 20),)))
-    chain = mapb.iterated_bundle([Hypervector(cb.column_ints(j), "sign") for j in range(3)],
-                                 codebook=cb)
+    chain = mapb.iterated_bundle(cb, range(3))
     for bundle in (b, kv, chain):
         with pytest.raises(ValueError, match=bundle.kind):
             serialize.bundle_to_bytes(bundle)
@@ -124,7 +122,7 @@ def test_mapb_kinds_format_v1_cannot_carry_are_refused():
 def test_padding_bits_past_m_rejected(kind):
     m = 37  # the last payload byte holds bits 32..36 and three padding bits
     cb = Codebook("dense-sign", m, 8, seed=2)
-    full = mapb.MapBBundle(np.array([(1 << m) - 1], np.uint64), m, cb, tie_seed=0)
+    full = mapb.MapBBundle(np.array([(1 << m) - 1], np.uint64), cb, tie_seed=0)
     data = serialize.bundle_to_bytes(full)
     assert data[-1] == 0b00011111
     back = serialize.bundle_from_bytes(data, cb)  # every bit below m set still decodes
