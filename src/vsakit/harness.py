@@ -3,10 +3,16 @@
 A grid of parameter cells is expanded from a config; every trial draws its
 instance and codebook from a seed derived purely from (master seed, cell
 parameters, trial index), so results are byte-identical for every run of
-the same config and seed. Cells run once each, in order, one trial after
-another through :func:`trial_records`. One aggregated CSV row is emitted per
-cell in deterministic cell order; the full per-cell parameter dicts and the
-config echo go to a JSON sidecar.
+the same config and seed. Cells run once each, in order, through
+:func:`trial_records`, which hands all of a cell's trial seeds to one
+:func:`run_trials` call. Each registered task runs a cell's seeds through
+its ``trials(cell, seeds)``: most tasks run one seed after another
+(``_each``), while MAP-I ``norm`` draws each seed's codebook and set on its
+own and then builds and measures the bundles of many seeds at once (see
+``mapi.flat_norm_sq_estimates``). Either way every outcome is the one a
+trial alone gives. One aggregated CSV row is emitted per cell in
+deterministic cell order; the full per-cell parameter dicts and the config
+echo go to a JSON sidecar.
 
 CSV schema (version v1)::
 
@@ -172,12 +178,21 @@ def _within(estimate, truth, tolerance) -> TrialOutcome:
     return TrialOutcome(estimate, truth, err <= tolerance, err)
 
 
-def _trial_mapi_norm(cell: dict, seed: int) -> TrialOutcome:
+def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
+    """The norm trials of a cell: per seed, only the draws and the gather of words.
+
+    Each seed draws its codebook and n-set (its own Philox keys) and gathers
+    the set's column words; ``mapi.flat_norm_sq_estimates`` then bundles and
+    measures the seeds' sets a stack at a time.
+    """
     m, n, d = _params(cell, int, "m", "n", "d")
     (eps,) = _params(cell, float, "eps")
-    cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
-    v = SymbolSet.from_ids(d, _draw_subset(seed, "set", d, n).tolist())
-    return _within(mapi.norm_sq_estimate(mapi.bundle(cb, v)), n, eps * n)
+
+    def words(seed: int) -> np.ndarray:
+        cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+        return cb.sign_words(_draw_subset(seed, "set", d, n))
+
+    return [_within(est, n, eps * n) for est in mapi.flat_norm_sq_estimates(m, map(words, seeds))]
 
 
 def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:
@@ -434,59 +449,74 @@ def _trial_hpm(cell: dict, seed: int, dot: bool) -> TrialOutcome:
 
 @dataclass(frozen=True)
 class Task:
-    """A registered (arch, task): its seeded trial and, if sizable, its sizing function."""
+    """A registered (arch, task): its seeded trials and, if sizable, its sizing function.
 
-    trial: Callable[[dict, int], TrialOutcome]
+    ``trials(cell, seeds)`` runs one trial per seed of one cell and returns
+    their outcomes in seed order.
+    """
+
+    trials: Callable[[dict, list[int]], list[TrialOutcome]]
     size: Callable[..., SizingResult] | None = None
+
+
+def _each(trial: Callable[[dict, int], TrialOutcome]):
+    """A one-seed trial as a task's ``trials``: the seeds run one after another."""
+    return lambda cell, seeds: [trial(cell, seed) for seed in seeds]
 
 
 #: The one registry of (arch, task). A sizable entry carries its sizing
 #: function already bound to its task; ``sizing.size`` and ``calibrate``
 #: dispatch through it, and its keys are exactly those of ``sizing.CONSTANTS``.
 TASKS: dict[tuple[str, str], Task] = {
-    ("mapi", "norm"): Task(_trial_mapi_norm, partial(mapi.sizing_mapi, "norm")),
-    ("mapi", "pairs"): Task(_trial_mapi_pairs, partial(mapi.sizing_mapi, "pairs")),
-    ("mapi", "sequence"): Task(_trial_mapi_sequence, partial(mapi.sizing_mapi, "sequence")),
-    ("mapi", "sequence-symbols"): Task(_trial_mapi_sequence_symbols,
+    ("mapi", "norm"): Task(_trials_mapi_norm, partial(mapi.sizing_mapi, "norm")),
+    ("mapi", "pairs"): Task(_each(_trial_mapi_pairs), partial(mapi.sizing_mapi, "pairs")),
+    ("mapi", "sequence"): Task(_each(_trial_mapi_sequence),
+                               partial(mapi.sizing_mapi, "sequence")),
+    ("mapi", "sequence-symbols"): Task(_each(_trial_mapi_sequence_symbols),
                                        partial(mapi.sizing_mapi, "sequence-symbols")),
-    ("mapi", "binding2"): Task(_trial_mapi_binding, partial(mapi.sizing_mapi, "binding2")),
-    ("mapi", "bindingK"): Task(_trial_mapi_binding, partial(mapi.sizing_mapi, "bindingK")),
-    ("mapb", "member"): Task(_trial_mapb_member, partial(mapb.sizing_mapb, "member")),
-    ("mapb", "sequence-member"): Task(_trial_mapb_sequence_member,
+    ("mapi", "binding2"): Task(_each(_trial_mapi_binding),
+                               partial(mapi.sizing_mapi, "binding2")),
+    ("mapi", "bindingK"): Task(_each(_trial_mapi_binding),
+                               partial(mapi.sizing_mapi, "bindingK")),
+    ("mapb", "member"): Task(_each(_trial_mapb_member), partial(mapb.sizing_mapb, "member")),
+    ("mapb", "sequence-member"): Task(_each(_trial_mapb_sequence_member),
                                       partial(mapb.sizing_mapb, "sequence-member")),
-    ("mapb", "kv-member"): Task(_trial_mapb_kv_member, partial(mapb.sizing_mapb, "kv-member")),
-    ("mapb", "empty-intersection"): Task(_trial_mapb_empty_intersection,
+    ("mapb", "kv-member"): Task(_each(_trial_mapb_kv_member),
+                                partial(mapb.sizing_mapb, "kv-member")),
+    ("mapb", "empty-intersection"): Task(_each(_trial_mapb_empty_intersection),
                                          partial(mapb.sizing_mapb, "empty-intersection")),
-    ("mapb", "depth"): Task(_trial_mapb_depth),
-    ("bloom", "size"): Task(_trial_bloom_size),
-    ("bloom", "intersection"): Task(_trial_bloom_intersection, bloom.sizing_bloom),
-    ("cbloom", "intersection"): Task(partial(_trial_cbloom, l1=False), cbloom.sizing_cbloom),
-    ("cbloom", "l1"): Task(partial(_trial_cbloom, l1=True)),
-    ("hopfield", "store"): Task(_trial_hopfield_store, hopfield.sizing_hopfield),
-    ("hopfield", "recall"): Task(partial(_trial_hopfield_recall, kv=False)),
-    ("hopfield", "kv-recall"): Task(partial(_trial_hopfield_recall, kv=True)),
-    ("hopfield", "hpm-norm"): Task(partial(_trial_hpm, dot=False),
+    ("mapb", "depth"): Task(_each(_trial_mapb_depth)),
+    ("bloom", "size"): Task(_each(_trial_bloom_size)),
+    ("bloom", "intersection"): Task(_each(_trial_bloom_intersection), bloom.sizing_bloom),
+    ("cbloom", "intersection"): Task(_each(partial(_trial_cbloom, l1=False)),
+                                     cbloom.sizing_cbloom),
+    ("cbloom", "l1"): Task(_each(partial(_trial_cbloom, l1=True))),
+    ("hopfield", "store"): Task(_each(_trial_hopfield_store), hopfield.sizing_hopfield),
+    ("hopfield", "recall"): Task(_each(partial(_trial_hopfield_recall, kv=False))),
+    ("hopfield", "kv-recall"): Task(_each(partial(_trial_hopfield_recall, kv=True))),
+    ("hopfield", "hpm-norm"): Task(_each(partial(_trial_hpm, dot=False)),
                                    partial(hopfield.sizing_hpm, "hpm-norm")),
-    ("hopfield", "hpm-dot"): Task(partial(_trial_hpm, dot=True),
+    ("hopfield", "hpm-dot"): Task(_each(partial(_trial_hpm, dot=True)),
                                   partial(hopfield.sizing_hpm, "hpm-dot")),
 }
 
 
-def run_trial(arch: str, task: str, cell: dict, seed: int) -> TrialOutcome:
-    """Run one seeded trial of a registered task."""
+def run_trials(arch: str, task: str, cell: dict, seeds) -> list[TrialOutcome]:
+    """Run one seeded trial of a registered task per seed, all in one call."""
     try:
-        fn = TASKS[(arch, task)].trial
+        trials = TASKS[(arch, task)].trials
     except KeyError:
         raise ValueError(f"unknown experiment task ({arch!r}, {task!r})") from None
-    return fn(cell, seed)
+    return trials(cell, list(seeds))
 
 
 def trial_records(config: ExperimentConfig, cell: dict) -> list[TrialRecord]:
-    """Run every trial of one cell once, in index order: the one trial loop."""
+    """Run every trial of one cell once, in index order, in one ``run_trials`` call."""
     cell_json = json.dumps(cell, sort_keys=True)  # once per cell, not per trial
     seeds = [_trial_seed(config.seed, cell_json, t) for t in range(config.trials)]
-    return [TrialRecord(cell, t, seed, run_trial(config.arch, config.task, cell, seed))
-            for t, seed in enumerate(seeds)]
+    outcomes = run_trials(config.arch, config.task, cell, seeds)
+    return [TrialRecord(cell, t, seed, outcome)
+            for t, (seed, outcome) in enumerate(zip(seeds, outcomes, strict=True))]
 
 
 # -- aggregation and CSV --------------------------------------------------------

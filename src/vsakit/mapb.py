@@ -253,6 +253,8 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
     check_rates(delta=delta)
     if b1.m != b2.m:
         raise ValueError("bundles have different dimensions")
+    if b1.codebook.key != b2.codebook.key:  # their scores would be noise
+        raise ValueError("bundles come from different codebooks")
     score = int(_scores(b1.words, b2.words, b1.m))
     tau = empty_intersection_threshold(b1.m, delta)
     degraded = b1.depth > 1 or b2.depth > 1

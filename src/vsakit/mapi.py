@@ -3,10 +3,13 @@
 A bundle is S v (integer accumulator), scaled to (1/sqrt(m)) S v at the
 estimator boundary. It is built from the columns' packed signs
 (``Codebook.sign_words``): with b the unpacked 0/1 bits (1 where the entry
-is +1) and pos = weights @ b, S v = pos - (||v||_1 - pos). Every partial
-sum is at most ||v||_1, which must be below 2**63, so this is exact in
-int64; sums of bundles (``add``, ``encode_sequence``) refuse inputs whose
-sum could reach 2**63. Norms, dot products and symmetric differences of the
+is +1) and pos = weights @ b (a plain sum of the bits for a 0/1 set),
+S v = pos - (||v||_1 - pos). Every partial sum is at most ||v||_1, which
+must be below 2**63, so this is exact in int64; sums of bundles (``add``,
+``encode_sequence``) refuse inputs whose sum could reach 2**63. The same
+kernel takes a stack of sets at once: ``flat_norm_sq_estimates`` gives the
+norm estimates of many 0/1 sets, each on its own codebook, from one kernel
+call per stack. Norms, dot products and symmetric differences of the
 scaled bundles concentrate around the exact set statistics; at the sized
 dimension the rounded dot product recovers intersection sizes exactly with
 high probability. Integer dot products are exact: they stay in int64 only
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -59,6 +64,25 @@ def _require_same(b1: MapIBundle, b2: MapIBundle) -> None:
         raise ValueError("bundles mix scaled and unscaled views")
 
 
+#: Most bytes of unpacked sign bits (trials x symbols x m) that one call of
+#: the stacked kernel holds in ``flat_norm_sq_estimates``.
+_STACK_BYTES = 2**18
+
+
+def _signed_sums(words: np.ndarray, m: int, l1: int, weights: np.ndarray | None = None):
+    """S v from packed sign columns: words (..., n, ceil(m/64)) -> int64 (..., m).
+
+    Bit i of a column's packed signs is set where entry i is +1, so
+    (S v)_i = pos_i - (||v||_1 - pos_i) with pos_i the weight on +1 entries.
+    With no ``weights`` the n columns each weigh 1 (``l1`` is n) and pos is a
+    plain sum of bits; otherwise ``weights`` (n,) int64 sum to ``l1``.
+    """
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=-1, count=m, bitorder="little")
+    pos = bits.sum(axis=-2, dtype=np.int64) if weights is None else weights @ bits
+    return pos - (l1 - pos)
+
+
 def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     """S v: weighted sum of atomic columns. Linear in v."""
     _require_dense(cb)
@@ -67,17 +91,36 @@ def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     l1 = v.l1()
     if l1 >= 2**63:  # every sum and partial sum below is at most ||v||_1
         raise ValueError(f"MAP-I needs ||v||_1 below 2**63, got {l1}")
-    ints = np.zeros(cb.m, dtype=np.int64)
-    if v.entries:
-        ids = np.fromiter(v.entries.keys(), dtype=np.int64)
-        weights = np.fromiter(v.entries.values(), dtype=np.int64)
-        # Bit i of a column's packed signs is set where entry i is +1, so
-        # (S v)_i = pos_i - (||v||_1 - pos_i) with pos_i the weight on +1 entries.
-        bits = np.unpackbits(cb.sign_words(ids).astype("<u8", copy=False).view(np.uint8),
-                             axis=1, count=cb.m, bitorder="little")
-        pos = weights @ bits
-        ints = pos - (l1 - pos)
-    return MapIBundle(ints, cb, cb.scaled)
+    ids = np.fromiter(v.entries.keys(), dtype=np.int64, count=len(v.entries))
+    weights = None  # weights are >= 1, so ||v||_1 = |support| only for a 0/1 set
+    if l1 != ids.size:
+        weights = np.fromiter(v.entries.values(), dtype=np.int64, count=ids.size)
+    return MapIBundle(_signed_sums(cb.sign_words(ids), cb.m, l1, weights), cb, cb.scaled)
+
+
+def flat_norm_sq_estimates(m: int, words: Iterable[np.ndarray]) -> list[float]:
+    """``norm_sq_estimate(bundle(cb_t, v_t))`` of each 0/1 set v_t, from its columns.
+
+    Item t of ``words`` is ``cb_t.sign_words(ids_t)`` for a scaled dense-sign
+    codebook ``cb_t`` with this ``m``, and every item holds the same number
+    of ids. Items are taken lazily, as many at a time as keep the unpacked
+    bits within ``_STACK_BYTES``, and each such stack goes through one call
+    of the kernel ``bundle`` uses. The results equal the one-set path bit
+    for bit: the norms keep ``_dot``'s int64 guard, and each is an exact
+    Python int divided by m.
+    """
+    words = iter(words)
+    first = next(words, None)
+    if first is None:
+        return []
+    n = first.shape[0]
+    per_stack = max(1, _STACK_BYTES // max(1, n * m))
+    out: list[float] = []
+    stack = [first, *islice(words, per_stack - 1)]
+    while stack:
+        out += [sq / m for sq in _norms_sq(_signed_sums(np.stack(stack), m, n))]
+        stack = list(islice(words, per_stack))
+    return out
 
 
 def add(b1: MapIBundle, b2: MapIBundle) -> MapIBundle:
@@ -100,6 +143,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> int:
     return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
 
 
+def _norms_sq(rows: np.ndarray) -> list[int]:
+    """Exact ||row||^2 of each row of a 2-D int64 array, under ``_dot``'s int64 guard."""
+    if rows.shape[1] * _peak(rows) ** 2 < 2**63:
+        return np.einsum("ij,ij->i", rows, rows).tolist()
+    return [_dot(row, row) for row in rows]
+
+
 def raw_dot(b1: MapIBundle, b2: MapIBundle) -> int:
     """Exact integer <S v, S w>; estimators divide by m."""
     _require_same(b1, b2)
@@ -110,7 +160,7 @@ def norm_sq_estimate(b: MapIBundle) -> float:
     """||(1/sqrt(m)) S v||^2, the set-size estimator (requires scaled)."""
     if not b.scaled:
         raise ValueError("norm_sq_estimate requires a scaled bundle")
-    return _dot(b.ints, b.ints) / b.m
+    return _norms_sq(b.ints[None])[0] / b.m
 
 
 def dot_estimate(b1: MapIBundle, b2: MapIBundle) -> float:

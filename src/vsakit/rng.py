@@ -22,10 +22,13 @@ Generator reuse: building an ``np.random.Philox`` costs several times more
 than drawing a short window from it, because the constructor also reads OS
 entropy. So each thread keeps one generator (``threading.local``), and every
 ``words`` call assigns it a complete fresh state: the stream's key, ``block``
-as the four 64-bit counter limbs, and an empty output buffer. The words are
-exactly those of ``Philox(key=...).advance(block).random_raw(n)``; no state
-carries over from one call to the next, a ``Stream`` holds nothing mutable,
-and streams are safe to share between threads.
+as the four 64-bit counter limbs, and an empty output buffer, all as
+tuples of Python ints. The words are exactly those of
+``Philox(key=...).advance(block).random_raw(n)``; no state carries over
+from one call to the next, a ``Stream`` holds nothing mutable, and streams
+are safe to share between threads. ``stream_id`` is memoized on its tags
+and their types, since a cell's codebook and instance tags recur on every
+trial.
 """
 
 from __future__ import annotations
@@ -64,17 +67,30 @@ def _tag_word(tag) -> int:
     raise TypeError(f"stream tag must be str or int, got {type(tag).__name__}")
 
 
-def stream_id(*tags) -> int:
-    """Fold tags into a 64-bit stream identifier (order-sensitive)."""
+def _fold(tags: tuple) -> int:
     h = 0x243F6A8885A308D3  # pi fractional bits; any fixed odd constant works
     for tag in tags:
         h = mix64(h ^ _tag_word(tag))
     return h
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
+def _cached_fold(*tags) -> int:
+    # Keyed on each tag and its type, so a float tag equal to an int misses
+    # the cache and still raises.
+    return _fold(tags)
+
+
+def stream_id(*tags) -> int:
+    """Fold tags into a 64-bit stream identifier (order-sensitive)."""
+    try:
+        return _cached_fold(*tags)
+    except TypeError:  # an unhashable tag: the plain fold raises the bad-tag error
+        return _fold(tags)
+
+
 _thread = threading.local()
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
-_EMPTY_BUFFER.setflags(write=False)
+_EMPTY_BUFFER = (0, 0, 0, 0)
 
 
 def _philox() -> np.random.Philox:
@@ -91,7 +107,7 @@ class Stream:
     def __init__(self, seed: int, *tags):
         self.seed = int(seed) & _MASK64
         self.sid = stream_id(*tags)
-        self._key = np.array([self.seed, self.sid], dtype=np.uint64)
+        self._key = (self.seed, self.sid)
 
     def words(self, block: int, nwords: int) -> np.ndarray:
         """Words ``[4*block, 4*block + nwords)`` as uint64."""
@@ -99,7 +115,7 @@ class Stream:
         bg = _philox()
         bg.state = {
             "bit_generator": "Philox",
-            "state": {"counter": [(counter >> s) & _MASK64 for s in (0, 64, 128, 192)],
+            "state": {"counter": tuple((counter >> s) & _MASK64 for s in (0, 64, 128, 192)),
                       "key": self._key},
             "buffer": _EMPTY_BUFFER,
             "buffer_pos": 4,

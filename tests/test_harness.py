@@ -6,7 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from vsakit import harness
+from vsakit import harness, mapi
+from vsakit.codebook import Codebook
+from vsakit.setalg import SymbolSet
 
 
 def small_config(**overrides):
@@ -165,7 +167,9 @@ def test_unknown_task_rejected():
     with pytest.raises(ValueError):
         harness.ExperimentConfig("mapi", "nope", {"m": [1]}, 1, 0)
     with pytest.raises(ValueError):
-        harness.run_trial("mapi", "nope", {}, 0)
+        harness.run_trials("mapi", "nope", {}, [0])
+    with pytest.raises(ValueError, match=r"unknown experiment task \('mapi', 'nope'\)"):
+        harness.run_trials("mapi", "nope", {}, [0, 1])
 
 
 def test_config_from_json():
@@ -194,25 +198,76 @@ def test_trial_records_match_aggregate():
     assert failures == sum(not r.outcome.passed for r in records)
 
 
+_SHARED = {"m": 256, "k": 4, "n": 2, "d": 32, "L": 2, "K": 1, "eps": 2.0,
+           "delta": 0.2, "M": 2, "n_x": 2, "n_y": 2, "E": 2, "nx": 2, "ny": 2,
+           "n_v": 2, "n_w": 2, "K_b": 1, "erasures": 8}
+
+
 def test_every_registered_task_runs():
-    shared = {"m": 256, "k": 4, "n": 2, "d": 32, "L": 2, "K": 1, "eps": 2.0,
-              "delta": 0.2, "M": 2, "n_x": 2, "n_y": 2, "E": 2, "nx": 2, "ny": 2,
-              "n_v": 2, "n_w": 2, "K_b": 1, "erasures": 8}
     for (arch, task) in harness.TASKS:
-        outcome = harness.run_trial(arch, task, dict(shared), seed=5)
+        (outcome,) = harness.run_trials(arch, task, dict(_SHARED), [5])
         assert isinstance(outcome.passed, (bool, int))
 
 
+@pytest.mark.parametrize("arch_task", sorted(harness.TASKS))
+def test_run_trials_equal_one_trial_at_a_time(arch_task):
+    seeds = [5, 6, 2**64 - 1, 5]
+    batch = harness.run_trials(*arch_task, dict(_SHARED), seeds)
+    assert batch == [harness.run_trials(*arch_task, dict(_SHARED), [s])[0] for s in seeds]
+
+
+def _mapi_norm_trial(cell, seed):
+    """The one-trial MAP-I norm path: a SymbolSet, a bundle and its norm estimate."""
+    m, n, d, eps = cell["m"], cell["n"], cell["d"], cell["eps"]
+    cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+    v = SymbolSet.from_ids(d, harness._draw_subset(seed, "set", d, n).tolist())
+    return harness._within(mapi.norm_sq_estimate(mapi.bundle(cb, v)), n, eps * n)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 16, 64])  # 64 = d; -1 draws nothing
+@pytest.mark.parametrize("per_stack", [1, 4, 10, 100])
+def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_stack):
+    cell = {"m": 119, "n": n, "d": 64, "eps": 0.5}
+    seeds = [harness.trial_seed(3, cell, t) for t in range(10)]
+    monkeypatch.setattr(mapi, "_STACK_BYTES", per_stack * max(1, n * 119))
+    assert harness.run_trials("mapi", "norm", cell, seeds) == [
+        _mapi_norm_trial(cell, s) for s in seeds]
+
+
+@pytest.mark.parametrize("grid, row", [
+    ({"m": [64], "n": [40], "d": [32], "eps": [0.5]},
+     "mapi,norm,64,,40,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+     "cannot draw 40 distinct symbols from universe 32"),
+    ({"m": ["abc"], "n": [4], "d": [32], "eps": [0.5]},
+     "mapi,norm,abc,,4,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+     "\"parameter 'm' must be a number, got 'abc'\""),
+    ({"m": [64], "n": [4], "d": [0], "eps": [0.5]},
+     "mapi,norm,64,,4,0,,0.5,,3,0,,,,7,philox4x64-block-v1,m and d must be positive"),
+    ({"m": [0], "n": [4], "d": [32], "eps": [0.5]},
+     "mapi,norm,0,,4,32,,0.5,,3,0,,,,7,philox4x64-block-v1,m and d must be positive"),
+    ({"m": [64], "n": [4], "d": [32]},
+     "mapi,norm,64,,4,32,,,,3,0,,,,7,philox4x64-block-v1,task needs parameter 'eps'"),
+    ({"m": [64], "n": [2.5], "d": [32], "eps": [0.5]},
+     "mapi,norm,64,,2.5,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+     "\"parameter 'n' must be an integer, got 2.5\""),
+    ({"m": [64], "n": [-1], "d": [32], "eps": [0.5]},  # no error: an empty set, failing
+     "mapi,norm,64,,-1,32,,0.5,,3,3,1.0,1.0,1.0,7,philox4x64-block-v1,"),
+])
+def test_mapi_norm_bad_cells_keep_their_rows(grid, row):
+    csv_text, _ = harness.run(harness.ExperimentConfig("mapi", "norm", grid, 3, 7))
+    assert csv_text.splitlines()[1] == row
+
+
 def _count_trials(monkeypatch) -> list:
-    """Record the seed of every harness.run_trial call from now on."""
+    """Record every seed that a harness.run_trials call runs from now on."""
     seeds = []
-    real = harness.run_trial
+    real = harness.run_trials
 
-    def counted(arch, task, cell, seed):
-        seeds.append(seed)
-        return real(arch, task, cell, seed)
+    def counted(arch, task, cell, batch):
+        seeds.extend(batch)
+        return real(arch, task, cell, batch)
 
-    monkeypatch.setattr(harness, "run_trial", counted)
+    monkeypatch.setattr(harness, "run_trials", counted)
     return seeds
 
 

@@ -152,6 +152,19 @@ def test_empty_intersection_same_atomic():
     assert mapb.empty_intersection_test(b, b, 0.05).contained  # dot = m
 
 
+def test_empty_intersection_refuses_bundles_of_different_codebooks():
+    # The same set {1, 2} on codebooks seeded 1 and 2 scores -20, below the
+    # threshold, so it would read as disjoint; the test refuses the pair.
+    b1, b2 = (mapb.bundle_sign(Codebook("dense-sign", 512, 16, seed=seed),
+                               SymbolSet.from_ids(16, [1, 2]), tie_seed=0) for seed in (1, 2))
+    assert int(mapb._scores(b1.words, b2.words, 512)) == -20
+    assert -20 < mapb.empty_intersection_threshold(512, 0.05)
+    with pytest.raises(ValueError, match="bundles come from different codebooks"):
+        mapb.empty_intersection_test(b1, b2, 0.05)
+    same = mapb.bundle_sign(b1.codebook, SymbolSet.from_ids(16, [1, 2]), tie_seed=0)
+    assert mapb.empty_intersection_test(b1, same, 0.05).score == 512
+
+
 def test_empty_intersection_disjoint_statistical():
     empty_calls = 0
     for seed in range(200):

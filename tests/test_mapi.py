@@ -122,6 +122,7 @@ def test_huge_weights_are_exact(m, seed, wv, ww):
                                min_size=1, max_size=12))
 @example(seed=0, entries={0: 1, 1: 2, 4999: 3})  # scattered: one window per column
 @example(seed=0, entries={7: 2**60, 9: 2**60 + 3, 8: 1})  # one window; |S v| near 2**61
+@example(seed=0, entries={3: 1, 4: 1, 4000: 1})  # a 0/1 set: the plain sum of bits
 def test_packed_bundle_equals_sign_matrix_reference(m, seed, entries):
     cb = Codebook("dense-sign", m, 5000, seed=seed)
     v = SymbolSet(5000, entries)
@@ -130,6 +131,49 @@ def test_packed_bundle_equals_sign_matrix_reference(m, seed, entries):
     cols = [cb.sign_matrix(j, j + 1)[:, 0].tolist() for j in ids]
     expected = [sum(entries[j] * col[i] for j, col in zip(ids, cols)) for i in range(m)]
     assert mapi.bundle(cb, v).ints.tolist() == expected
+
+
+def _norm_case(m, d, n, seeds):
+    """Per seed: the columns' words of an n-set and its one-set norm estimate."""
+    words, expected = [], []
+    for seed in seeds:
+        cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+        ids = rng.choose_distinct(rng.Stream(seed, "set").words(0, max(n, 1)), d, n)
+        words.append(cb.sign_words(ids))
+        expected.append(mapi.norm_sq_estimate(mapi.bundle(cb, SymbolSet.from_ids(d, ids.tolist()))))
+    return words, expected
+
+
+@pytest.mark.parametrize("m", [1, 64, 119])
+@pytest.mark.parametrize("n", [0, 1, 16, 40])  # 40 = d: every column
+@pytest.mark.parametrize("per_stack", [1, 3, 7, 50])  # one, partial, all, more than all
+def test_flat_norm_estimates_equal_one_set_path(monkeypatch, m, n, per_stack):
+    words, expected = _norm_case(m, 40, n, range(7))
+    monkeypatch.setattr(mapi, "_STACK_BYTES", per_stack * max(1, n * m))
+    got = mapi.flat_norm_sq_estimates(m, iter(words))
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def test_flat_norm_estimates_take_words_one_stack_at_a_time(monkeypatch):
+    words, _ = _norm_case(64, 40, 16, range(5))
+    monkeypatch.setattr(mapi, "_STACK_BYTES", 2 * 16 * 64)  # two sets per stack
+    taken, taken_at_kernel = [], []
+    real = mapi._signed_sums
+    monkeypatch.setattr(mapi, "_signed_sums",
+                        lambda *args: taken_at_kernel.append(len(taken)) or real(*args))
+    got = mapi.flat_norm_sq_estimates(64, (taken.append(w) or w for w in words))
+    assert len(got) == 5 and taken_at_kernel == [2, 4, 5]
+    assert mapi.flat_norm_sq_estimates(64, iter([])) == []
+
+
+def test_flat_norm_estimates_python_int_fallback(monkeypatch):
+    words, expected = _norm_case(119, 256, 256, range(4))
+    monkeypatch.setattr(mapi, "_peak", lambda a: 2**62)  # every int64 guard fails
+    dots = []
+    real_dot = mapi._dot
+    monkeypatch.setattr(mapi, "_dot", lambda a, b: dots.append(1) or real_dot(a, b))
+    assert mapi.flat_norm_sq_estimates(119, words) == expected
+    assert len(dots) == 4  # each norm summed with Python ints
 
 
 def test_sums_of_bundles_refuse_to_wrap():
@@ -247,13 +291,11 @@ def test_sequence_symbols_norm_concentrates():
     # K-dependent sizing: symbols repeated across positions still concentrate
     K, L, n = 2, 4, 6
     sized = mapi.sizing_mapi("sequence-symbols", eps=0.5, delta=0.05, K=K)
-    ok = 0
-    for t in range(100):
-        cell = {"m": sized.m, "n": n, "d": 64, "L": L, "K": K, "eps": 0.5}
-        from vsakit import harness
+    from vsakit import harness
 
-        ok += harness.run_trial("mapi", "sequence-symbols", cell, seed=t).passed
-    assert ok >= 90
+    cell = {"m": sized.m, "n": n, "d": 64, "L": L, "K": K, "eps": 0.5}
+    outcomes = harness.run_trials("mapi", "sequence-symbols", cell, range(100))
+    assert sum(o.passed for o in outcomes) >= 90
 
 
 def test_jl_norm_statistical():

@@ -61,12 +61,12 @@ def test_known_raw_words_pinned():
     assert rng.Stream(12345, "pin").words(0, 2).dtype == np.uint64
 
 
-@pytest.mark.parametrize("block", [0, 1, 5, 2**40, 2**64 + 3])
+@pytest.mark.parametrize("block", [0, 1, 5, 2**40, 2**64 - 1, 2**64 + 3, 2**200 + 7, -1])
 @pytest.mark.parametrize("n", [1, 3, 4, 7, 22])
 def test_words_match_numpy_philox_reference(block, n):
     s = rng.Stream(2023, "ref", block % 11)
     ref = np.random.Philox(key=np.array([s.seed, s.sid], dtype=np.uint64))
-    ref.advance(block)
+    ref.advance(block % 2**256)
     expected = ref.random_raw(n)
     assert np.array_equal(s.words(block, n), expected)
     # the reused generator carries nothing from one call into the next
@@ -140,4 +140,13 @@ def test_cached_string_tags_hash_as_before():
         digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
         assert rng._tag_word(tag) == int.from_bytes(digest, "little")
         assert rng._tag_word(tag) == int.from_bytes(digest, "little")  # cached
+    assert rng.stream_id("codebook", "dense-sign", 64, 256, 0) == 8103671085877235479
+
+
+def test_memoized_stream_ids_keep_their_values_and_errors():
+    assert rng.stream_id("x", 3) == rng.stream_id("x", np.int64(3)) == rng.stream_id("x", True + 2)
+    rng.stream_id("x", 1)  # cached; an equal float must still be refused
+    for bad, name in [(1.0, "float"), ([1], "list"), (None, "NoneType")]:
+        with pytest.raises(TypeError, match=f"stream tag must be str or int, got {name}"):
+            rng.stream_id("x", bad)
     assert rng.stream_id("codebook", "dense-sign", 64, 256, 0) == 8103671085877235479

@@ -63,6 +63,27 @@ def test_validation():
         SymbolSet.from_ids(4, [1, 1])
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({0: 1, 5: 1, -1: 1}, r"symbol id 5 outside universe \[0, 4\)"),  # first bad entry
+    ({1: 2, 2: 0}, "weight for symbol 2 must be >= 1, got 0"),
+    ({2: 1, True: 1}, "a symbol id must be an integer, got True"),
+    ({1: 1, 2: 1.5}, "a weight must be an integer, got 1.5"),
+    ({1: 1, "2": 1}, "a symbol id must be an integer, got '2'"),
+])
+def test_validation_names_the_first_bad_entry(entries, message):
+    with pytest.raises(ValueError, match=message):
+        SymbolSet(4, entries)
+
+
+def test_numpy_and_integral_float_entries_become_ints():
+    import numpy as np
+
+    s = SymbolSet(8, {np.int64(3): np.int64(2), 5: 1.0, 1: 1})
+    assert dict(s.entries) == {3: 2, 5: 1, 1: 1}
+    assert all(type(x) is int for pair in s.entries.items() for x in pair)
+    assert list(SymbolSet.from_ids(8, np.array([6, 2])).entries) == [6, 2]
+
+
 entries = st.dictionaries(st.integers(0, 19), st.integers(1, 5), max_size=12)
 
 

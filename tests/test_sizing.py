@@ -106,9 +106,10 @@ def test_calibrate_deterministic_and_bounded():
 
 
 def test_calibrate_runs_each_trial_once(monkeypatch):
-    calls = []
-    real = harness.run_trial
-    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args) or real(*args))
+    calls = []  # one entry per seed that a run_trials call runs
+    real = harness.run_trials
+    monkeypatch.setattr(harness, "run_trials",
+                        lambda *args: calls.extend(args[3]) or real(*args))
     result = sizing.calibrate("mapi", "norm", dict(eps=0.5, delta=0.2, n=4, d=64),
                               target=0.2, trials=100, seed=9)
     assert len(calls) == 100 * len(result.rates)
