@@ -15,18 +15,20 @@ otherwise. So small dense columns (4 drawn words each) gather scattered ids
 in one draw, while large-k Bloom columns (484 words each) stay per-column.
 Which way the words were drawn never shows in the result.
 
-A dense-sign column's words are its packed signs (bit i set where entry i
-is +1): ``sign_words`` returns them trimmed to ceil(m/64) words with the
-bits past m cleared, and ``sign_columns`` unpacks them all in a single
-``rng.signs_from_words`` call. Layout contract: ``sign_columns`` returns
-Fortran order when ``max(ids) - min(ids) < 4 * len(ids) + 64`` and C order
-otherwise, whichever way the words were drawn, because float products of
-its columns (``hopfield.hpm_encode``) round by layout and the experiment
-CSVs pin those bits.
-Sparse-binary-trials gathers (``union_indices``) map all drawn words to row
-indices in a single ``rng.bounded_from_words`` call and return the sorted
-union; sparse-binary-exact gathers (``exact_indices``) draw every column's
-k distinct rows in a single ``rng.choose_distinct_rows`` call.
+Each representation has one batched accessor, and one column is its one-id
+case. ``sign_words`` gives dense-sign columns as their packed signs (bit i
+set where entry i is +1), ceil(m/64) words with the bits past m cleared;
+MAP-I and MAP-B work on these words alone. ``union_indices`` maps all drawn
+words of sparse-binary-trials columns to rows in one
+``rng.bounded_from_words`` call and returns the sorted union;
+``exact_indices`` draws every sparse-binary-exact column's k distinct rows
+in one ``rng.choose_distinct_rows`` call. Only Hopfield unpacks dense
+columns to +-1 entries: ``sign_matrix`` a range of them, and
+``sign_columns`` a gather, in one ``rng.signs_from_words`` call. The layout
+contract of ``sign_columns`` is Hopfield±'s: Fortran order when
+``max(ids) - min(ids) < 4 * len(ids) + 64`` and C order otherwise, because
+float products of its columns (``hopfield.hpm_encode``) round by layout and
+the experiment CSVs pin those bits.
 
 Kinds
 -----
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,13 @@ class Codebook:
                 raise ValueError(f"{self.kind} requires sparsity k")
             if not 1 <= self.k <= self.m:
                 raise ValueError("sparsity k must satisfy 1 <= k <= m")
+        # Raw stream layout: a column's window is _blocks_per_column blocks of
+        # 4 words, the first _words_per_column of them used (signs or draws).
+        words = -(-self.m // 64) if self.kind == "dense-sign" else self.k
+        object.__setattr__(self, "_stream", rng.Stream(self.seed, "codebook", self.kind,
+                                                       self.m, self.d, self.k or 0))
+        object.__setattr__(self, "_words_per_column", words)
+        object.__setattr__(self, "_blocks_per_column", -(-words // 4))
 
     @property
     def key(self) -> tuple:
@@ -120,20 +128,6 @@ class Codebook:
         return cls(**obj)
 
     # -- raw stream layout ------------------------------------------------
-
-    @cached_property
-    def _stream(self) -> rng.Stream:
-        return rng.Stream(self.seed, "codebook", self.kind, self.m, self.d, self.k or 0)
-
-    @cached_property
-    def _words_per_column(self) -> int:
-        if self.kind == "dense-sign":
-            return -(-self.m // 64)
-        return self.k
-
-    @cached_property
-    def _blocks_per_column(self) -> int:
-        return -(-self._words_per_column // 4)
 
     def _column_words(self, j0: int, count: int) -> np.ndarray:
         return self._stream.words(j0 * self._blocks_per_column,
@@ -237,21 +231,3 @@ class Codebook:
         rows = rng.choose_distinct_rows(self._gather_words(ids), self.m, self.k)
         rows.sort(axis=1)
         return rows
-
-    def column_indices(self, j: int) -> np.ndarray:
-        """Nonzero row indices of sparse column j (sorted, duplicates collapsed)."""
-        self._check_symbol(j)
-        if self.kind == "sparse-binary-trials":
-            return self.union_indices([j])
-        if self.kind == "sparse-binary-exact":
-            return self.exact_indices([j])[0]
-        raise ValueError(f"{self.kind} columns are not index-sparse")
-
-    def column_ints(self, j: int) -> np.ndarray:
-        """Unscaled column j as int8."""
-        self._check_symbol(j)
-        if self.kind == "dense-sign":
-            return self.sign_matrix(j, j + 1)[:, 0]
-        col = np.zeros(self.m, dtype=np.int8)
-        col[self.column_indices(j)] = 1
-        return col

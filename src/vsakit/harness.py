@@ -312,7 +312,9 @@ def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
     b = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(d, pairs), tie_seed=seed)
     stored = set(pairs)
     wrong = sum(not mapb.kv_membership_test(b, pair, delta).contained for pair in stored)
-    shift = 1 + int(rng.Stream(seed, "inst", "shift").words(0, 1)[0] % np.uint64(d - half - 1))
+    # A shift in [1, d - half - 1]; at d = 2 and d = 3 it is 1.
+    spread = np.uint64(max(d - half - 1, 1))
+    shift = 1 + int(rng.Stream(seed, "inst", "shift").words(0, 1)[0] % spread)
     for q, w in pairs:  # same key, cyclically shifted (hence wrong) value
         other = half + (w - half + shift) % (d - half)
         if (q, other) not in stored:

@@ -1,7 +1,8 @@
 """The cyclic rotation R of sequence encodings, on plain arrays.
 
 A vector is its numpy array: sign vectors are int8 arrays of +-1 entries,
-MAP-I sums are int64 arrays, and each module checks the entries it needs.
+MAP-I sums are int64 arrays, MAP-B sequence queries roll a bundle's 0/1
+bits, and each module checks the entries it needs.
 """
 
 import numpy as np

@@ -16,7 +16,8 @@ estimation; each test compares a dot product against a closed-form
 threshold. ``membership_scores`` scores many symbols against one set bundle
 at once from one gather of column words; ``membership_test`` is its one-id
 case. ``sequence_membership_scores`` does the same for one position of a
-sequence bundle, from one roll of the bundle.
+sequence bundle, from one roll of the bundle's bits. A key-value query
+scores its pair's bound column, bound by XOR (``mapi.bound_words``).
 
 ``agreement_probability`` is the exact enumeration oracle for the
 per-coordinate agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained
@@ -126,7 +127,7 @@ class TestResult:
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """Length-m bools as ceil(m/64) uint64 words, bit i of word i // 64 first, padding zero."""
+    """Length-m bits as ceil(m/64) uint64 words, bit i of word i // 64 first, padding zero."""
     m = bits.shape[0]
     packed = np.zeros(8 * -(-m // 64), dtype=np.uint8)
     packed[: -(-m // 8)] = np.packbits(bits, bitorder="little")
@@ -264,12 +265,14 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
 def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
     """Scores <x, R^ell S_j> of symbols ``syms`` at position ell in [0, L), as int64.
 
-    Since <x, R^ell c> = <R^-ell x, c>, the bundle is rotated once, and every
-    symbol is scored against it from one gather of column words.
+    Since <x, R^ell c> = <R^-ell x, c>, the bundle's bits are rolled once,
+    and every symbol is scored against them from one gather of column words.
     """
     if not 0 <= ell < b.L:
         raise IndexError(f"position {ell} out of range for L = {b.L}")
-    rolled = _pack(rotate(b.signs, -ell) > 0)
+    bits = np.unpackbits(b.words.astype("<u8", copy=False).view(np.uint8),
+                         count=b.m, bitorder="little")
+    rolled = _pack(rotate(bits, -ell))
     return _scores(rolled, b.codebook.sign_words(syms), b.m)
 
 
@@ -297,10 +300,7 @@ def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> Te
         raise ValueError(f"query key {q} is a value id in this bundle")
     if b.keys is not None and w in b.keys:
         raise ValueError(f"query value {w} is a key id in this bundle")
-    # The bound column c_q * c_w has bits ~(c_q ^ c_w): it is minus the +-1
-    # vector whose bits are c_q ^ c_w, so its score is minus that vector's.
-    cq, cw = b.codebook.sign_words([q, w])
-    score = -int(_scores(b.words, cq ^ cw, b.m))
+    score = int(_scores(b.words, mapi.bound_words(b.codebook, [(q, w)]), b.m)[0])
     tau = kv_member_threshold(b.m, b.codebook.d, delta)
     return TestResult(score >= tau, score, tau, b.kind != "kv")
 

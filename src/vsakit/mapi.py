@@ -9,10 +9,13 @@ must be below 2**63, so this is exact in int64; sums of bundles (``add``,
 ``encode_sequence``) refuse inputs whose sum could reach 2**63. The same
 kernel takes a stack of sets at once: ``flat_norm_sq_estimates`` gives the
 norm estimates of many 0/1 sets, each on its own codebook, from one kernel
-call per stack. Norms, dot products and symmetric differences of the
-scaled bundles concentrate around the exact set statistics; at the sized
-dimension the rounded dot product recovers intersection sizes exactly with
-high probability. Integer dot products are exact: they stay in int64 only
+call per stack. Binding is the binary spatter code rule: ``bound_words``
+gives an edge's bound column (the product of its +-1 columns) as the XOR
+of their packed signs, and a binding bundle is the kernel's sum of them.
+Norms, dot products and symmetric differences of the scaled bundles
+concentrate around the exact set statistics; at the sized dimension the
+rounded dot product recovers intersection sizes exactly with high
+probability. Integer dot products are exact: they stay in int64 only
 when a bound proves they cannot wrap.
 """
 
@@ -200,16 +203,29 @@ def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
     return MapIBundle(ints, cb, cb.scaled)
 
 
+def bound_words(cb: Codebook, edges) -> np.ndarray:
+    """Bound columns of E edges of one arity k, in ``sign_words``'s (E, ceil(m/64)) layout.
+
+    A product of k +-1 entries is +1 where an even number of them is -1: its
+    bits are the XOR of the columns' bits, inverted for even k. All columns
+    come from one ``sign_words`` gather.
+    """
+    ids = np.asarray(edges, dtype=np.int64)
+    bound = np.bitwise_xor.reduce(cb.sign_words(ids.ravel()).reshape(*ids.shape, -1), axis=1)
+    if ids.shape[1] % 2 == 0:  # invert, keeping the bits past m clear
+        bound = ~bound
+        if cb.m % 64:
+            bound[:, -1] &= np.uint64((1 << cb.m % 64) - 1)
+    return bound
+
+
 def encode_binding_bundle(cb: Codebook, spec: BindingBundleSpec) -> MapIBundle:
     """sum over edges of the Hadamard product of the edge's atomic columns."""
     _require_dense(cb)
     if spec.d != cb.d:
         raise ValueError(f"edge universe {spec.d} != codebook universe {cb.d}")
-    ints = np.zeros(cb.m, dtype=np.int64)
-    for edge in sorted(spec.edges, key=sorted):
-        cols = cb.sign_columns(sorted(edge)).astype(np.int64)
-        ints += cols.prod(axis=1)
-    return MapIBundle(ints, cb, cb.scaled)
+    edges = bound_words(cb, [tuple(edge) for edge in spec.edges])
+    return MapIBundle(_signed_sums(edges, cb.m, spec.size), cb, cb.scaled)
 
 
 def sizing_mapi(

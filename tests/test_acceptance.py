@@ -61,7 +61,7 @@ def test_c01_exact_algebra():
     # Hopfield zero diagonal and symmetry
     for seed in range(25):
         cb = Codebook("dense-sign", 40, 6, seed=seed)
-        net = hopfield.train([cb.column_ints(j) for j in range(6)])
+        net = hopfield.train([cb.sign_matrix(j, j + 1)[:, 0] for j in range(6)])
         ok &= not net.weights.diagonal().any()
         ok &= np.array_equal(net.weights, net.weights.T)
     # rotation group laws
@@ -208,7 +208,7 @@ def test_c07_hopfield_capacity():
     for t in range(trials):
         seed = rng.stream_id("c7", t)
         cb = Codebook("dense-sign", m, n, seed=seed)
-        patterns = [cb.column_ints(j) for j in range(n)]
+        patterns = [cb.sign_matrix(j, j + 1)[:, 0] for j in range(n)]
         net = hopfield.train(patterns)
         fixed += all(np.array_equal(hopfield.recall_step(net, p), p) for p in patterns)
         probe = hopfield.corrupt(patterns[0], m // 2, 0, seed=seed)

@@ -25,7 +25,9 @@ def test_bundle_atomic_and_doubled():
     cb = Codebook("sparse-binary-exact", 64, 12, k=5, seed=3)
     single = cbloom.bundle_count(cb, SymbolSet(12, {4: 1}))
     double = cbloom.bundle_count(cb, SymbolSet(12, {4: 2}))
-    assert np.array_equal(single.counts, cb.column_ints(4))
+    column = np.zeros(64, dtype=np.int8)
+    column[cb.exact_indices([4])[0]] = 1
+    assert np.array_equal(single.counts, column)
     assert np.array_equal(double.counts, 2 * single.counts)
 
 
@@ -145,7 +147,7 @@ def test_bundle_count_equals_per_column_reference(seed, entries):
     cb = Codebook("sparse-binary-exact", 6, 40, k=3, seed=seed)
     counts = np.zeros(6, dtype=np.int64)
     for j, w in entries.items():
-        counts[cb.column_indices(j)] += w
+        counts[cb.exact_indices([j])[0]] += w
     b = cbloom.bundle_count(cb, SymbolSet(40, entries))
     assert np.array_equal(b.counts, counts)
     assert b.mass() == 3 * sum(entries.values())

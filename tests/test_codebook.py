@@ -9,15 +9,15 @@ from vsakit.hypervector import rotate
 def test_dense_sign_columns_are_signs():
     cb = Codebook("dense-sign", 4, 10, seed=3)
     for j in range(10):
-        assert set(np.unique(cb.column_ints(j))) <= {-1, 1}
+        assert set(np.unique(cb.sign_matrix(j, j + 1)[:, 0])) <= {-1, 1}
 
 
 def test_column_out_of_range():
     cb = Codebook("dense-sign", 4, 10, seed=3)
     with pytest.raises(IndexError):
-        cb.column_ints(10)
+        cb.sign_matrix(10, 11)[:, 0]
     with pytest.raises(IndexError):
-        cb.column_ints(-1)
+        cb.sign_matrix(-1, 0)[:, 0]
 
 
 def test_column_determinism_against_block_generation():
@@ -26,13 +26,13 @@ def test_column_determinism_against_block_generation():
         seed = rng.mix64(trial)
         j = trial % 50
         cb = Codebook("dense-sign", 96, 50, seed=seed)
-        assert np.array_equal(cb.sign_matrix(0, 50)[:, j], cb.column_ints(j))
+        assert np.array_equal(cb.sign_matrix(0, 50)[:, j], cb.sign_matrix(j, j + 1)[:, 0])
 
 
 def test_sparse_block_vs_single_column():
     cb = Codebook("sparse-binary-trials", 128, 40, k=7, seed=5)
-    singles = [cb.column_indices(j).tolist() for j in range(40)]
-    again = [cb.column_indices(j).tolist() for j in range(40)]
+    singles = [cb.union_indices([j]).tolist() for j in range(40)]
+    again = [cb.union_indices([j]).tolist() for j in range(40)]
     assert singles == again
 
 
@@ -46,7 +46,11 @@ def test_sparsity_invariants(kind, check):
     for seed in range(10):
         cb = Codebook(kind, 211, 1000, k=k, seed=seed)
         for j in range(1000):
-            pc = int(cb.column_ints(j).sum())
+            if kind == "sparse-binary-trials":
+                rows = cb.union_indices([j])
+            else:
+                rows = cb.exact_indices([j])[0]
+            pc = np.unique(rows).size  # rows set in column j
             assert check(pc, k)
             hits_upper += pc == k
     assert hits_upper > 0  # trials variant reaches k sometimes; exact always
@@ -54,7 +58,7 @@ def test_sparsity_invariants(kind, check):
 
 def test_exact_k_three_ones_example():
     cb = Codebook("sparse-binary-exact", 16, 8, k=3, seed=11)
-    assert int(cb.column_ints(0).sum()) == 3
+    assert np.unique(cb.exact_indices([0])[0]).size == 3
 
 
 def test_empirical_near_orthogonality_dense():
@@ -117,7 +121,7 @@ def test_sign_columns_equal_stacked_single_columns(ids):
         cb = Codebook("dense-sign", m, 1000, seed=m)
         got = cb.sign_columns(ids)
         assert got.dtype == np.int8
-        assert np.array_equal(got, np.stack([cb.column_ints(j) for j in ids], axis=1))
+        assert np.array_equal(got, np.stack([cb.sign_matrix(j, j + 1)[:, 0] for j in ids], axis=1))
         # sign_words: the same signs packed, +1 -> bit set, bits past m clear
         words = cb.sign_words(ids)
         assert words.dtype == np.uint64 and words.shape == (len(ids), -(-m // 64))
@@ -173,7 +177,7 @@ def test_exact_indices_kind_and_empty():
     for j in range(10):
         expected = np.sort(rng.choose_distinct(cb._column_words(j, 1)[:6], 50, 6))
         assert np.array_equal(got[j], expected)
-        assert np.array_equal(cb.column_indices(j), expected)
+        assert np.array_equal(cb.exact_indices([j])[0], expected)
     with pytest.raises(IndexError):
         cb.exact_indices([3, 10])
     with pytest.raises(ValueError):
@@ -211,8 +215,8 @@ def test_concurrent_reads_equal_serial():
 
     def read(i):
         j = (37 * i) % 500
-        return (dense.column_ints(j), dense.sign_columns(picks[i % 3]),
-                sparse.column_indices(j), rng.Stream(i, "fresh").words(i, 5))
+        return (dense.sign_matrix(j, j + 1)[:, 0], dense.sign_columns(picks[i % 3]),
+                sparse.exact_indices([j])[0], rng.Stream(i, "fresh").words(i, 5))
 
     serial = [read(i) for i in range(200)]
     barrier = threading.Barrier(4)

@@ -258,6 +258,21 @@ def test_mapi_norm_bad_cells_keep_their_rows(grid, row):
     assert csv_text.splitlines()[1] == row
 
 
+def test_kv_member_rows_with_one_or_two_value_ids():
+    # d = 2 and d = 3 leave one and two value ids: the wrong-value shift is 1
+    # (at d = 2 it maps a value to itself, so no wrong pair is queried).
+    grid = {"m": [1, 4, 16], "n": [1], "d": [2, 3], "delta": [0.9]}
+    csv_text, _ = harness.run(harness.ExperimentConfig("mapb", "kv-member", grid, 20, 3))
+    assert csv_text.splitlines()[1:] == [
+        "mapb,kv-member,1,,1,2,,,0.9,20,20,1.0,1.0,1.0,3,philox4x64-block-v1,",
+        "mapb,kv-member,4,,1,2,,,0.9,20,0,0.0,0.0,0.0,3,philox4x64-block-v1,",
+        "mapb,kv-member,16,,1,2,,,0.9,20,0,0.0,0.0,0.0,3,philox4x64-block-v1,",
+        "mapb,kv-member,1,,1,3,,,0.9,20,20,1.0,1.0,1.0,3,philox4x64-block-v1,",
+        "mapb,kv-member,4,,1,3,,,0.9,20,20,1.0,1.0,1.0,3,philox4x64-block-v1,",
+        "mapb,kv-member,16,,1,3,,,0.9,20,1,0.05,0.05,1.0,3,philox4x64-block-v1,",
+    ]
+
+
 def _count_trials(monkeypatch) -> list:
     """Record every seed that a harness.run_trials call runs from now on."""
     seeds = []

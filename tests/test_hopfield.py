@@ -15,7 +15,7 @@ def sign_hv(*vals):
 
 
 def patterns_from(cb, n):
-    return [cb.column_ints(j) for j in range(n)]
+    return [cb.sign_matrix(j, j + 1)[:, 0] for j in range(n)]
 
 
 def test_train_single_pattern():
@@ -69,7 +69,7 @@ def test_recall_is_deterministic():
 
 def test_corrupt_counting_identity():
     cb = Codebook("dense-sign", 128, 2, seed=4)
-    x = cb.column_ints(0)
+    x = cb.sign_matrix(0, 1)[:, 0]
     for e, f in ((0, 0), (10, 0), (0, 7), (13, 5)):
         y = hopfield.corrupt(x, e, f, seed=e * 31 + f)
         assert int(y.astype(np.int64) @ x.astype(np.int64)) == 128 - e - 2 * f

@@ -62,7 +62,7 @@ def test_chain_agreement_closed_form(r):
 def test_bundle_sign_basis_case():
     cb = Codebook("dense-sign", 16, 6, seed=2)
     b = mapb.bundle_sign(cb, SymbolSet.from_ids(6, [4]))
-    assert np.array_equal(b.signs, cb.column_ints(4))
+    assert np.array_equal(b.signs, cb.sign_matrix(4, 5)[:, 0])
 
 
 def test_bundle_sign_output_always_pm1():
@@ -196,7 +196,7 @@ def test_iterated_bundle_depth_flags_membership():
 
 def test_iterated_bundle_r1_is_identity():
     cb = Codebook("dense-sign", 64, 4, seed=1)
-    v = cb.column_ints(2)
+    v = cb.sign_matrix(2, 3)[:, 0]
     assert np.array_equal(mapb.iterated_bundle(cb, [2]).signs, v)
 
 
@@ -208,7 +208,7 @@ def test_iterated_bundle_agreement_empirical():
         for t in range(trials):
             cb = Codebook("dense-sign", m, r, seed=1000 * r + t)
             chained = mapb.iterated_bundle(cb, range(r), tie_seed=t)
-            agree += int((chained.signs == cb.column_ints(0)).sum())
+            agree += int((chained.signs == cb.sign_matrix(0, 1)[:, 0]).sum())
         frac = agree / (m * trials)
         sigma = math.sqrt(truth * (1 - truth) / (m * trials))
         assert abs(frac - truth) <= 4 * sigma
@@ -241,7 +241,7 @@ def test_sequence_membership_scores_equal_single_tests():
         for ell in range(L):
             syms = [39, 0, 5, 9, 5, 7]
             rolled = np.roll(b.signs.astype(np.int64), ell)  # <x, R^ell c> = <roll(x, ell), c>
-            expected = [int(rolled @ cb.column_ints(s)) for s in syms]
+            expected = [int(rolled @ cb.sign_matrix(s, s + 1)[:, 0]) for s in syms]
             assert mapb.sequence_membership_scores(b, ell, syms).tolist() == expected
             assert [mapb.sequence_membership_test(b, ell * d + s, 0.05).score
                     for s in syms] == expected
@@ -400,7 +400,7 @@ def test_word_form_equals_int8_reference(m):
                 expected = int(ref_k @ (cols[:, q] * cols[:, val]))
                 assert mapb.kv_membership_test(bk, (q, val), 0.05).score == expected
         # chains: every step after the first ties wherever the inputs disagree
-        vecs = [cb.column_ints(j) for j in range(5)]
+        vecs = [cb.sign_matrix(j, j + 1)[:, 0] for j in range(5)]
         for r in (1, 2, 5):
             chained = mapb.iterated_bundle(cb, range(r), tie_seed=seed)
             ref_c = _ref_chain(vecs[:r], cb.seed, seed)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ def hadamard_2x2_seed(scaled=False):
 def test_bundle_basis_case():
     cb = Codebook("dense-sign", 32, 6, seed=4)
     b = mapi.bundle(cb, SymbolSet.from_ids(6, [3]))
-    assert np.array_equal(b.ints, cb.column_ints(3))
+    assert np.array_equal(b.ints, cb.sign_matrix(3, 4)[:, 0])
 
 
 def test_bundle_empty_is_zero():
@@ -190,7 +191,7 @@ def test_sums_of_bundles_refuse_to_wrap():
                                                                       small.ints.tolist())]
     # A total of 2**63 - 1 still encodes, exactly: R^0 S v_0 + R^1 S v_1.
     two = mapi.encode_sequence(cb, SequenceSpec((v, SymbolSet(8, {1: 2**62 - 1}))))
-    c = cb.column_ints(1).tolist()
+    c = cb.sign_matrix(1, 2)[:, 0].tolist()
     expected = [2**62 * c[i] + (2**62 - 1) * c[(i + 1) % 64] for i in range(64)]
     assert two.ints.tolist() == expected
     assert mapi.norm_sq_estimate(two) == sum(x * x for x in expected) / 64
@@ -239,14 +240,14 @@ def test_encode_sequence_rotates_blocks():
     cb = Codebook("dense-sign", 32, 10, seed=6)
     seq = SequenceSpec((SymbolSet(10), SymbolSet.from_ids(10, [3])))
     enc = mapi.encode_sequence(cb, seq)
-    assert np.array_equal(enc.ints, np.roll(cb.column_ints(3).astype(np.int64), -1))
+    assert np.array_equal(enc.ints, np.roll(cb.sign_matrix(3, 4)[:, 0].astype(np.int64), -1))
 
 
 def test_binding_bundle_single_edge():
     cb = Codebook("dense-sign", 16, 8, seed=9)
     spec = BindingBundleSpec(8, frozenset({frozenset({2, 5})}))
     enc = mapi.encode_binding_bundle(cb, spec)
-    expect = cb.column_ints(2).astype(np.int64) * cb.column_ints(5)
+    expect = cb.sign_matrix(2, 3)[:, 0].astype(np.int64) * cb.sign_matrix(5, 6)[:, 0]
     assert np.array_equal(enc.ints, expect)
 
 
@@ -254,8 +255,28 @@ def test_binding_self_inverse():
     cb = Codebook("dense-sign", 16, 8, seed=9)
     spec = BindingBundleSpec(8, frozenset({frozenset({2, 5})}))
     enc = mapi.encode_binding_bundle(cb, spec)
-    recovered = enc.ints * cb.column_ints(5)
-    assert np.array_equal(recovered, cb.column_ints(2).astype(np.int64))
+    recovered = enc.ints * cb.sign_matrix(5, 6)[:, 0]
+    assert np.array_equal(recovered, cb.sign_matrix(2, 3)[:, 0].astype(np.int64))
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 160])
+@pytest.mark.parametrize("arity", [2, 3, 4, 5])
+def test_binding_bundle_equals_python_product_reference(m, arity):
+    d = 9
+    combos = list(itertools.combinations(range(d), arity))
+    for seed in range(3):
+        cb = Codebook("dense-sign", m, d, seed=seed)
+        edges = combos[seed::11][:6]
+        # Python-int reference: each bound column is the product of its entries
+        rows = cb.sign_matrix(0, d).tolist()
+        prods = [[math.prod(row[j] for j in edge) for row in rows] for edge in edges]
+        spec = BindingBundleSpec(d, frozenset(frozenset(edge) for edge in edges))
+        enc = mapi.encode_binding_bundle(cb, spec)
+        assert enc.ints.tolist() == [sum(col) for col in zip(*prods)]
+        # bound_words: +1 -> bit set, and the bits past m stay clear
+        packed = np.zeros((len(edges), 8 * -(-m // 64)), np.uint8)
+        packed[:, : -(-m // 8)] = np.packbits(np.array(prods) > 0, axis=1, bitorder="little")
+        assert np.array_equal(mapi.bound_words(cb, edges), packed.view("<u8"))
 
 
 def test_binding_norm_concentrates():
@@ -315,8 +336,8 @@ def test_sequence_parts_independent_chi_square():
     counts = np.zeros((2, 2))
     for seed in range(10_000):
         cb = Codebook("dense-sign", 4, 2, seed=seed)
-        x = cb.column_ints(0)[0]
-        y = np.roll(cb.column_ints(1), -1)[0]
+        x = cb.sign_matrix(0, 1)[:, 0][0]
+        y = np.roll(cb.sign_matrix(1, 2)[:, 0], -1)[0]
         counts[(x + 1) // 2, (y + 1) // 2] += 1
     total = counts.sum()
     row = counts.sum(axis=1, keepdims=True)
