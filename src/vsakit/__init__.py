@@ -11,8 +11,10 @@ estimators and decision thresholds its guarantees support:
 
 plus :mod:`vsakit.codebook` (seeded atomic vectors of three kinds: dense
 signs, with-replacement sparse binary and exactly-k sparse binary columns),
-:mod:`vsakit.sizing` (dimension formulas and empirical calibration) and
-:mod:`vsakit.harness` (seeded Monte Carlo experiments, CSV output).
+:mod:`vsakit.setalg` (the exact oracle: intersection size, wedgedot and l1
+distance), :mod:`vsakit.sizing` (dimension formulas and empirical
+calibration) and :mod:`vsakit.harness` (seeded Monte Carlo experiments, CSV
+output).
 """
 
 from .codebook import Codebook
@@ -24,7 +26,6 @@ from .setalg import (
     SymbolSet,
     intersection_size,
     l1_distance,
-    symmetric_difference_size,
     wedgedot,
 )
 from .sizing import CONSTANTS, CalibrationResult, SizingResult, calibrate, size
@@ -45,7 +46,6 @@ __all__ = [
     "l1_distance",
     "rotate",
     "size",
-    "symmetric_difference_size",
     "wedgedot",
     "__version__",
 ]

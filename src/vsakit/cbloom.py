@@ -9,9 +9,9 @@ and exceeds it by less than eps with probability 1 - delta at the sized
 ``bundle_count`` draws every column's k rows in one gather
 (``Codebook.exact_indices``) and adds the weights with one ``np.add.at``.
 Counts are exact integers: ``bundle_count`` refuses ||v||_1 >= 2**63 (a
-column's rows are distinct, so no count can exceed ||v||_1), ``add``
-refuses peak sums >= 2**63, and ``mass`` and the min-sum of the estimator
-stay in int64 only when m * max < 2**63, else they sum Python ints.
+column's rows are distinct, so no count can exceed ||v||_1), and ``mass``
+and the min-sum of the estimator stay in int64 only when m * max < 2**63,
+else they sum Python ints.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:
         rows = cb.exact_indices(np.fromiter(v.entries.keys(), dtype=np.int64))
         np.add.at(counts, rows, weights[:, None])
     return CountBundle(counts, cb)
-
-
-def add(b1: CountBundle, b2: CountBundle) -> CountBundle:
-    if b1.codebook.key != b2.codebook.key:
-        raise ValueError("bundles come from different codebooks")
-    if int(b1.counts.max(initial=0)) + int(b2.counts.max(initial=0)) >= 2**63:
-        raise ValueError("count bundle sum needs max(x) + max(y) below 2**63")
-    return CountBundle(b1.counts + b2.counts, b1.codebook)
 
 
 def generalized_intersection_estimate(b1: CountBundle, b2: CountBundle) -> float:

@@ -151,7 +151,8 @@ def _params(cell: dict, cast, *names: str, **defaults) -> list:
     """The named cell parameters passed through ``cast`` (int or float), in order.
 
     Each keyword names an optional parameter and its default; it is read
-    after the required ``names``.
+    after the required ``names``. Every ``eps`` and ``delta`` must pass
+    ``check_rates``, so an impossible rate makes an error row.
     """
     out = []
     for name in (*names, *defaults):
@@ -161,11 +162,16 @@ def _params(cell: dict, cast, *names: str, **defaults) -> list:
         try:
             if isinstance(value, (bool, str)):  # int() and float() would take them
                 raise TypeError(value)
-            out.append(cast(value))
+            number = cast(value)
         except (TypeError, OverflowError):
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
-        if cast is int and isinstance(value, float) and out[-1] != value:
+        except ValueError:  # int(nan)
+            number = math.nan
+        if cast is int and number != value:
             raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
+        if name in ("eps", "delta"):
+            check_rates(**{name: number})
+        out.append(number)
     return out
 
 
@@ -264,7 +270,6 @@ def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
     cb = Codebook("dense-sign", m, d, seed=seed)
     stored = set(_draw_subset(seed, "set", d, n).tolist())
     b = mapb.bundle_sign(cb, SymbolSet.from_ids(d, stored), tie_seed=seed)
-    check_rates(delta=delta)
     contained = mapb.membership_scores(b, np.arange(d)) >= mapb.member_threshold(m, d, delta)
     truth = np.zeros(d, dtype=bool)
     truth[list(stored)] = True
@@ -291,7 +296,6 @@ def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
         gone = [j % d for j in absent if j // d == ell]
         if not (here or gone):
             continue
-        check_rates(delta=delta)
         tau = mapb.sequence_member_threshold(m, L, d, delta)
         scores = mapb.sequence_membership_scores(b, ell, here + gone)
         wrong += int(np.count_nonzero(scores[: len(here)] < tau))
@@ -409,7 +413,7 @@ def _hopfield_net(cell: dict, seed: int) -> hopfield.HopfieldNet:
     """The net trained on codebook columns 0..n-1, drawn as one (m, n) window."""
     m, n = _params(cell, int, "m", "n")
     patterns = Codebook("dense-sign", m, n, seed=seed).sign_matrix(0, n)
-    return hopfield.HopfieldNet(patterns, np.ones(m, np.int8))
+    return hopfield.HopfieldNet(patterns)
 
 
 def _trial_hopfield_store(cell: dict, seed: int) -> TrialOutcome:

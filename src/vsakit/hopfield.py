@@ -3,10 +3,9 @@
 A net is its stored sign patterns S (m x n). W = S S^T - n I (zero diagonal,
 symmetric) is never stored: recall applies S (S^T x) - n x in synchronous
 updates x <- signge(W x), where signge maps 0 to +1 (deterministic, unlike
-MAP-B's randomized tie rule). Thinning masks the probe to the kept
-coordinates, so recall reads only the columns W[:, keep]. Patterns, probes
-and recalled vectors are plain 1-D arrays: patterns and recalled vectors hold
-+-1 entries (int8), probes hold entries in {0, -1, +1}.
+MAP-B's randomized tie rule). Patterns, probes and recalled vectors are plain
+1-D arrays: patterns and recalled vectors hold +-1 entries (int8), probes
+hold entries in {0, -1, +1}.
 
 Hopfield± encodes a diagonal weight vector V as the m x m matrix
 S_bar V D S_bar^T with a seeded sign diagonal D; its squared Frobenius norm
@@ -34,26 +33,21 @@ from .sizing import SizingResult, check_rates, constants_for
 
 @dataclass(frozen=True)
 class HopfieldNet:
-    """n stored +-1 patterns (the columns of S) and a 0/1 probe mask over m.
+    """n stored +-1 patterns, the columns of S.
 
-    ``apply(y)`` is W[:, keep] y[keep], keep being the mask's support (all of
-    it for a trained net, a subset after :func:`thin`). ``y`` may be one
-    m-vector or an (m, k) block of k probes, one per column; a block costs
-    two small matmuls, and its column j equals ``apply(y[:, j])``."""
+    ``apply(y)`` is W y = S (S^T y) - n y. ``y`` may be one m-vector or an
+    (m, k) block of k probes, one per column; a block costs two small
+    matmuls, and its column j equals ``apply(y[:, j])``."""
 
     patterns: np.ndarray  # (m, n) int8
-    mask: np.ndarray  # (m,) int8
 
     def __post_init__(self):
         s = np.asarray(self.patterns)
         if s.ndim != 2 or s.size == 0 or ((s != 1) & (s != -1)).any():
             raise ValueError("patterns must be a nonempty m x n matrix of +-1 entries")
-        mask = np.asarray(self.mask, dtype=np.int8).copy()
-        if mask.shape != s.shape[:1] or ((mask != 0) & (mask != 1)).any():
-            raise ValueError("mask must be a 0/1 vector of length m")
-        for name, value in (("patterns", s.astype(np.int8)), ("mask", mask)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        s = s.astype(np.int8)
+        s.setflags(write=False)
+        object.__setattr__(self, "patterns", s)
 
     @property
     def m(self) -> int:
@@ -71,7 +65,6 @@ class HopfieldNet:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         z = np.asarray(y, dtype=np.int64)
-        z = z * (self.mask if z.ndim == 1 else self.mask[:, None])
         return self.patterns @ (self.patterns.T @ z) - self.n * z
 
 
@@ -95,7 +88,7 @@ def train(patterns: list[np.ndarray]) -> HopfieldNet:
     if not len(patterns):
         raise ValueError("train requires at least one pattern")
     s = np.stack([_require_signs(p, "each pattern") for p in patterns], axis=1)  # one length
-    return HopfieldNet(s, np.ones(s.shape[0], np.int8))
+    return HopfieldNet(s)
 
 
 def signge(z: np.ndarray) -> np.ndarray:
@@ -148,18 +141,6 @@ def corrupt(x: np.ndarray, erasures: int, flips: int, seed: int) -> np.ndarray:
         out[pos[:erasures]] = 0
         out[pos[erasures:]] *= -1
     return out
-
-
-def thin(net: HopfieldNet, keep) -> HopfieldNet:
-    """Restrict recall to the kept coordinates (of those still kept): W[:, keep] y[keep]."""
-    keep = np.asarray(list(keep), dtype=np.int64)
-    if keep.size == 0:
-        raise ValueError("keep must be nonempty")
-    if keep.min() < 0 or keep.max() >= net.m:
-        raise IndexError("keep indices out of range")
-    mask = np.zeros(net.m, dtype=np.int8)
-    mask[keep] = net.mask[keep]
-    return HopfieldNet(net.patterns, mask)
 
 
 def sizing_hopfield(*, n: float, delta: float, C: float | None = None) -> SizingResult:

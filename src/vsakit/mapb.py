@@ -276,22 +276,6 @@ def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
     return _scores(rolled, b.codebook.sign_words(syms), b.m)
 
 
-def sequence_membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
-    """Is position-qualified symbol j (= ell*d + sym) in the sequence bundle?
-
-    The matching column is R^ell S_(j mod d), the atomic column rotated to
-    the queried block (see ``sequence_membership_scores``).
-    """
-    check_rates(delta=delta)
-    d = b.codebook.d
-    if not 0 <= j < b.L * d:
-        raise IndexError(f"position-qualified index {j} out of range for L*d = {b.L * d}")
-    ell, jm = divmod(j, d)
-    score = int(sequence_membership_scores(b, ell, [jm])[0])
-    tau = sequence_member_threshold(b.m, b.L, d, delta)
-    return TestResult(score >= tau, score, tau, b.kind != "sequence")
-
-
 def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> TestResult:
     """Is the bound pair (key, value) in the bundle?"""
     check_rates(delta=delta)

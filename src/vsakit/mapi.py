@@ -12,11 +12,10 @@ norm estimates of many 0/1 sets, each on its own codebook, from one kernel
 call per stack. Binding is the binary spatter code rule: ``bound_words``
 gives an edge's bound column (the product of its +-1 columns) as the XOR
 of their packed signs, and a binding bundle is the kernel's sum of them.
-Norms, dot products and symmetric differences of the scaled bundles
-concentrate around the exact set statistics; at the sized dimension the
-rounded dot product recovers intersection sizes exactly with high
-probability. Integer dot products are exact: they stay in int64 only
-when a bound proves they cannot wrap.
+Norms and dot products of the scaled bundles concentrate around the exact
+set statistics; at the sized dimension the rounded dot product recovers
+intersection sizes exactly with high probability. Integer dot products are
+exact: they stay in int64 only when a bound proves they cannot wrap.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class MapIBundle:
 
     ints: np.ndarray
     codebook: Codebook
-    scaled: bool
 
     def __post_init__(self):
         ints = np.asarray(self.ints, dtype=np.int64).copy()
@@ -54,6 +52,11 @@ class MapIBundle:
     def m(self) -> int:
         return self.ints.shape[0]
 
+    @property
+    def scaled(self) -> bool:
+        """Whether estimators read the bundle as (1/sqrt(m)) S v: its codebook's view."""
+        return self.codebook.scaled
+
 
 def _require_dense(cb: Codebook) -> None:
     if cb.kind != "dense-sign":
@@ -63,8 +66,6 @@ def _require_dense(cb: Codebook) -> None:
 def _require_same(b1: MapIBundle, b2: MapIBundle) -> None:
     if b1.codebook.key != b2.codebook.key:
         raise ValueError("bundles come from different codebooks")
-    if b1.scaled != b2.scaled:
-        raise ValueError("bundles mix scaled and unscaled views")
 
 
 #: Most bytes of unpacked sign bits (trials x symbols x m) that one call of
@@ -98,7 +99,7 @@ def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     weights = None  # weights are >= 1, so ||v||_1 = |support| only for a 0/1 set
     if l1 != ids.size:
         weights = np.fromiter(v.entries.values(), dtype=np.int64, count=ids.size)
-    return MapIBundle(_signed_sums(cb.sign_words(ids), cb.m, l1, weights), cb, cb.scaled)
+    return MapIBundle(_signed_sums(cb.sign_words(ids), cb.m, l1, weights), cb)
 
 
 def flat_norm_sq_estimates(m: int, words: Iterable[np.ndarray]) -> list[float]:
@@ -130,7 +131,7 @@ def add(b1: MapIBundle, b2: MapIBundle) -> MapIBundle:
     _require_same(b1, b2)
     if _peak(b1.ints) + _peak(b2.ints) >= 2**63:  # the int64 sum could wrap
         raise ValueError("MAP-I sum needs max|a| + max|b| below 2**63")
-    return MapIBundle(b1.ints + b2.ints, b1.codebook, b1.scaled)
+    return MapIBundle(b1.ints + b2.ints, b1.codebook)
 
 
 def _peak(a: np.ndarray) -> int:
@@ -180,15 +181,6 @@ def intersection_estimate(b1: MapIBundle, b2: MapIBundle) -> int:
     return max(rounded, 0)
 
 
-def symdiff_estimate(b1: MapIBundle, b2: MapIBundle) -> float:
-    """||scaled b1 - scaled b2||^2, estimating |X delta Y|."""
-    _require_same(b1, b2)
-    if not b1.scaled:
-        raise ValueError("symdiff_estimate requires scaled bundles")
-    a, b = b1.ints, b2.ints  # expanded, so the int64 difference a - b cannot wrap
-    return (_dot(a, a) - 2 * _dot(a, b) + _dot(b, b)) / b1.m
-
-
 def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
     """sum_l R^l S v_(l): rotation-encoded sequence of sets."""
     _require_dense(cb)
@@ -200,7 +192,7 @@ def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
     ints = np.zeros(cb.m, dtype=np.int64)
     for ell, s in enumerate(seq.sets):
         ints += rotate(bundle(cb, s).ints, ell)
-    return MapIBundle(ints, cb, cb.scaled)
+    return MapIBundle(ints, cb)
 
 
 def bound_words(cb: Codebook, edges) -> np.ndarray:
@@ -225,7 +217,7 @@ def encode_binding_bundle(cb: Codebook, spec: BindingBundleSpec) -> MapIBundle:
     if spec.d != cb.d:
         raise ValueError(f"edge universe {spec.d} != codebook universe {cb.d}")
     edges = bound_words(cb, [tuple(edge) for edge in spec.edges])
-    return MapIBundle(_signed_sums(edges, cb.m, spec.size), cb, cb.scaled)
+    return MapIBundle(_signed_sums(edges, cb.m, spec.size), cb)
 
 
 def sizing_mapi(

@@ -27,8 +27,9 @@ set bit in 8 * width would be smaller as packed bits.
 ``arch_of`` and ``vsakit encode`` read it. Readers take the codebook and
 refuse a hash mismatch (a bundle is only meaningful against the codebook
 that generated it), a version other than 2 (version 1 wrote Bloom filters
-as packed bits), a domain byte other than the arch's, an unknown flag bit
-and a payload of the wrong length. The format stores no MAP-B kind, so only
+as packed bits), a domain byte other than the arch's, an unknown flag bit, a
+MAP-I scaled flag that differs from the codebook's ``scaled`` and a payload
+of the wrong length. The format stores no MAP-B kind, so only
 MAP-B set bundles can be written.
 """
 
@@ -121,6 +122,9 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         raise ValueError(f"{name} bundle has domain byte {domain}, expected {ARCHS[name].domain}")
     if flags > (name == "mapi"):  # only MAP-I defines a flag, bit 0
         raise ValueError(f"{name} bundle sets unknown flag bits {flags:#04x}")
+    if name == "mapi" and flags != int(cb.scaled):
+        raise ValueError(f"mapi bundle's scaled flag is {flags}, but its codebook "
+                         f"has scaled={cb.scaled}")
     payload = memoryview(data)[_HEADER.size :]  # a view: payloads are read in place
     if name in ("bloom", "cbloom"):
         values = _unpack_uints(name, payload)
@@ -131,7 +135,7 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
     if len(payload) != expected:
         raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected {expected}")
     if name == "mapi":
-        return mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb, bool(flags))
+        return mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb)
     words = np.frombuffer(bytes(payload) + bytes(-len(payload) % 8), "<u8")
     return mapb.MapBBundle(words.astype(np.uint64), cb, tie_seed=0)  # checks the padding
 

@@ -1,8 +1,8 @@
 """Exact set and multiset algebra over the symbol universe [d].
 
 This is the ground-truth side of every estimator: sparse integer-weighted
-vectors with exact intersection, weighted-minimum (wedgedot), symmetric
-difference, and l1 distance.
+vectors with exact intersection, weighted-minimum (wedgedot) and l1
+distance.
 """
 
 from __future__ import annotations
@@ -123,13 +123,6 @@ def l1_distance(a: SymbolSet, b: SymbolSet) -> int:
     return total
 
 
-def symmetric_difference_size(a: SymbolSet, b: SymbolSet) -> int:
-    """|X delta Y| = ||v - w||^2 for 0/1 sets."""
-    require_flat(a)
-    require_flat(b)
-    return l1_distance(a, b)  # 0/1 entries: |v_i - w_i| == (v_i - w_i)^2
-
-
 @dataclass(frozen=True)
 class SequenceSpec:
     """Ordered sequence of L symbol sets over one universe."""
@@ -153,14 +146,6 @@ class SequenceSpec:
     @property
     def d(self) -> int:
         return self.sets[0].d
-
-    def overlap(self) -> int:
-        """K: the max total multiplicity of any symbol across the sequence."""
-        totals: dict[int, int] = {}
-        for s in self.sets:
-            for sym, w in s.entries.items():
-                totals[sym] = totals.get(sym, 0) + w
-        return max(totals.values(), default=0)
 
     def total_l1(self) -> int:
         return sum(s.l1() for s in self.sets)
@@ -188,10 +173,6 @@ class BindingBundleSpec:
                 if not 0 <= i < self.d:
                     raise ValueError(f"symbol id {i} outside universe [0, {self.d})")
         object.__setattr__(self, "edges", edges)
-
-    @property
-    def arity(self) -> int:
-        return len(next(iter(self.edges)))
 
     @property
     def size(self) -> int:

@@ -122,10 +122,10 @@ def test_c04_mapi_exact_intersection_rounding():
             x_ids, y_ids = ids[: 8 - overlap], ids[8 - overlap : 16 - 2 * overlap]
             shared = ids[16 - 2 * overlap :]
             bx = mapi.MapIBundle(
-                cols[:, np.concatenate([x_ids, shared])].sum(axis=1), cb, True
+                cols[:, np.concatenate([x_ids, shared])].sum(axis=1), cb
             )
             by = mapi.MapIBundle(
-                cols[:, np.concatenate([y_ids, shared])].sum(axis=1), cb, True
+                cols[:, np.concatenate([y_ids, shared])].sum(axis=1), cb
             )
             all_exact &= mapi.intersection_estimate(bx, by) == overlap
         good += all_exact

@@ -42,9 +42,9 @@ def test_linearity_exact():
     cb = Codebook("sparse-binary-exact", 64, 12, k=3, seed=1)
     v = SymbolSet(12, {0: 1, 3: 2})
     w = SymbolSet(12, {3: 1, 8: 4})
-    lhs = cbloom.add(cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w))
+    lhs = cbloom.bundle_count(cb, v).counts + cbloom.bundle_count(cb, w).counts
     rhs = cbloom.bundle_count(cb, setalg.add(v, w))
-    assert np.array_equal(lhs.counts, rhs.counts)
+    assert np.array_equal(lhs, rhs.counts)
 
 
 def test_self_intersection_is_l1():
@@ -160,7 +160,3 @@ def test_huge_weights_are_exact_or_refused():
     b = cbloom.bundle_count(cb, SymbolSet(4, {0: 2**62, 1: 2**62 - 1}))
     assert b.mass() == 3 * (2**63 - 1)  # past int64: summed as Python ints
     assert cbloom.generalized_intersection_estimate(b, b) == float(2**63 - 1)
-    with pytest.raises(ValueError, match=r"below 2\*\*63"):
-        cbloom.add(b, b)
-    one = cbloom.bundle_count(cb, SymbolSet(4, {3: 1}))
-    assert cbloom.add(one, one).mass() == 6

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import threading
 
 import numpy as np
@@ -105,14 +106,56 @@ _RECALL = {"m": [64], "n": [2]}
     ("mapi", "norm", {"m": [64.9], **_NORM}, "parameter 'm' must be an integer, got 64.9"),
     ("hopfield", "recall", {**_RECALL, "erasures": [2.5]},
      "parameter 'erasures' must be an integer, got 2.5"),
+    ("mapi", "norm", {"m": [math.nan], **_NORM}, "parameter 'm' must be an integer, got nan"),
 ], ids=["list", "string", "numeric-string", "bool", "eps-string", "eps-bool", "inf",
         "arity-list", "cbloom-d-list", "cbloom-no-d", "K_b-list", "cbloom-n-null",
-        "erasures-object", "flips-list", "m-fraction", "erasures-fraction"])
+        "erasures-object", "flips-list", "m-fraction", "erasures-fraction", "m-nan"])
 def test_uncastable_cell_value_is_an_error_row(arch, task, grid, message):
     config = small_config(arch=arch, task=task, grid=grid, trials=2)
     csv_text, _ = harness.run(config)
     row = next(csv.reader(io.StringIO(csv_text.splitlines()[1])))
     assert row[harness.COLUMNS.index("error")] == message
+
+
+#: One valid cell of every task that reads a rate, eps or delta.
+_RATE_CELLS = {
+    ("mapi", "norm"): {"m": 64, "n": 3, "d": 32, "eps": 0.5},
+    ("mapi", "sequence"): {"m": 64, "n": 3, "d": 32, "L": 3, "eps": 0.5},
+    ("mapi", "sequence-symbols"): {"m": 64, "n": 3, "d": 32, "L": 3, "K": 2, "eps": 0.5},
+    ("mapi", "binding2"): {"m": 64, "d": 32, "E": 4, "eps": 0.5},
+    ("mapi", "bindingK"): {"m": 64, "d": 32, "E": 4, "arity": 3, "eps": 0.5},
+    ("mapb", "member"): {"m": 64, "n": 3, "d": 32, "delta": 0.1},
+    ("mapb", "sequence-member"): {"m": 64, "n": 3, "d": 32, "L": 3, "delta": 0.1},
+    ("mapb", "kv-member"): {"m": 64, "n": 3, "d": 32, "delta": 0.1},
+    ("mapb", "empty-intersection"): {"m": 64, "d": 32, "nx": 4, "ny": 4, "n": 0, "delta": 0.1},
+    ("bloom", "size"): {"m": 64, "k": 3, "n": 3, "d": 32, "eps": 0.5},
+    ("bloom", "intersection"): {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3,
+                                "eps": 0.5},
+    ("cbloom", "intersection"): {"m": 64, "k": 3, "d": 32, "n_v": 2, "n_w": 3, "eps": 0.5},
+    ("cbloom", "l1"): {"m": 64, "k": 3, "d": 32, "n_v": 2, "n_w": 3, "eps": 0.5},
+    ("hopfield", "hpm-norm"): {"m": 64, "d": 32, "n": 3, "eps": 0.5},
+    ("hopfield", "hpm-dot"): {"m": 64, "d": 32, "n": 3, "eps": 0.5},
+}
+
+
+def test_rate_cells_cover_every_task_that_reads_a_rate():
+    no_rate = {("mapi", "pairs"), ("mapb", "depth"), ("hopfield", "store"),
+               ("hopfield", "recall"), ("hopfield", "kv-recall")}
+    assert set(_RATE_CELLS) == set(harness.TASKS) - no_rate
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("arch,task", sorted(_RATE_CELLS))
+def test_impossible_rate_is_an_error_row(arch, task, bad):
+    cell = _RATE_CELLS[arch, task]
+    rate = "eps" if "eps" in cell else "delta"
+    expected = {"eps": f"eps must be positive, got {bad}",
+                "delta": f"delta must be in (0, 1), got {bad}"}[rate]
+    for value, error in ((cell[rate], ""), (bad, expected)):
+        grid = {name: [v] for name, v in {**cell, rate: value}.items()}
+        csv_text, _ = harness.run(small_config(arch=arch, task=task, grid=grid, trials=2))
+        row = next(csv.reader(io.StringIO(csv_text.splitlines()[1])))
+        assert row[harness.COLUMNS.index("error")] == error
 
 
 @pytest.mark.parametrize("field", ["trials", "seed"])

@@ -223,15 +223,16 @@ def test_sequence_membership_recovers_position():
         seq = SequenceSpec((SymbolSet.from_ids(d, [5]), SymbolSet.from_ids(d, [9]),
                             SymbolSet(d)))
         b = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
-        hits += mapb.sequence_membership_test(b, 5, 0.05).contained
-        hits += mapb.sequence_membership_test(b, d + 9, 0.05).contained
-        # same symbol, wrong position
-        misses += not mapb.sequence_membership_test(b, d + 5, 0.05).contained
-        misses += not mapb.sequence_membership_test(b, 2 * d + 9, 0.05).contained
+        tau = mapb.sequence_member_threshold(sized.m, L, d, 0.05)
+        # symbol 5 at position 0 and 9 at position 1; then each at a wrong position
+        hits += int(mapb.sequence_membership_scores(b, 0, [5])[0] >= tau)
+        hits += int(mapb.sequence_membership_scores(b, 1, [9])[0] >= tau)
+        misses += int(mapb.sequence_membership_scores(b, 1, [5])[0] < tau)
+        misses += int(mapb.sequence_membership_scores(b, 2, [9])[0] < tau)
     assert hits >= 110 and misses >= 110
 
 
-def test_sequence_membership_scores_equal_single_tests():
+def test_sequence_membership_scores_equal_rolled_reference():
     d, L = 40, 3
     for seed in range(4):
         cb = Codebook("dense-sign", 517, d, seed=seed)
@@ -243,16 +244,12 @@ def test_sequence_membership_scores_equal_single_tests():
             rolled = np.roll(b.signs.astype(np.int64), ell)  # <x, R^ell c> = <roll(x, ell), c>
             expected = [int(rolled @ cb.sign_matrix(s, s + 1)[:, 0]) for s in syms]
             assert mapb.sequence_membership_scores(b, ell, syms).tolist() == expected
-            assert [mapb.sequence_membership_test(b, ell * d + s, 0.05).score
-                    for s in syms] == expected
 
 
 def test_sequence_membership_range_check():
     cb = Codebook("dense-sign", 64, 8, seed=1)
     seq = SequenceSpec((SymbolSet.from_ids(8, [1]), SymbolSet(8)))
     b = mapb.bundle_sequence_sign(cb, seq)
-    with pytest.raises(IndexError):
-        mapb.sequence_membership_test(b, 16, 0.05)
     assert mapb.sequence_membership_scores(b, 1, [1, 2]).shape == (2,)
     for ell in (-1, 2, 7):
         with pytest.raises(IndexError, match="L = 2"):
@@ -380,15 +377,14 @@ def test_word_form_equals_int8_reference(m):
         assert np.array_equal(bv.signs, ref_v) and np.array_equal(bw.signs, ref_w)
         assert mapb.membership_scores(bv, range(d)).tolist() == (ref_v @ cols).tolist()
         assert mapb.empty_intersection_test(bv, bw, 0.05).score == int(ref_v @ ref_w.astype(int))
-        # sequence: position-qualified j = ell*d + sym scores the rotated column
+        # sequence: a symbol at position ell scores the column rotated by ell
         seq = SequenceSpec((v, SymbolSet.from_ids(d, [3]), w))
         bs = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
         ref_s = _ref_sign(mapi.encode_sequence(cb, seq).ints, cb.seed, seed)
         assert np.array_equal(bs.signs, ref_s)
-        for j in range(L * d):
-            ell, sym = divmod(j, d)
-            expected = int(ref_s @ np.roll(cols[:, sym], -ell))
-            assert mapb.sequence_membership_test(bs, j, 0.05).score == expected
+        for ell in range(L):
+            expected = ref_s @ np.roll(cols, -ell, axis=0)
+            assert mapb.sequence_membership_scores(bs, ell, range(d)).tolist() == expected.tolist()
         # key-value: the bound column is the Hadamard product c_q * c_w
         spec = mapb.KeyValueSpec(d, ((0, 8), (2, 9)))
         bk = mapb.bundle_kv_sign(cb, spec, tie_seed=seed)

@@ -89,8 +89,6 @@ def test_dot_and_intersection_hadamard():
     assert mapi.dot_estimate(b0, b0) == pytest.approx(1.0)
     assert mapi.dot_estimate(b0, b1) == pytest.approx(0.0)
     assert mapi.intersection_estimate(b0, b1) == 0
-    assert mapi.symdiff_estimate(b0, b1) == pytest.approx(2.0)
-    assert mapi.symdiff_estimate(b0, b0) == 0.0
 
 
 _WEIGHTS = st.dictionaries(st.integers(0, 7), st.integers(1, 2**62), min_size=1, max_size=4)
@@ -114,7 +112,6 @@ def test_huge_weights_are_exact(m, seed, wv, ww):
     assert bv.ints.tolist() == a and bw.ints.tolist() == b
     assert mapi.raw_dot(bv, bw) == sum(x * y for x, y in zip(a, b))
     assert mapi.norm_sq_estimate(bv) == sum(x * x for x in a) / m
-    assert mapi.symdiff_estimate(bv, bw) == sum((x - y) ** 2 for x, y in zip(a, b)) / m
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 1367])
@@ -201,7 +198,7 @@ def test_intersection_rounds_half_away_and_clamps():
     cb = Codebook("dense-sign", 4, 4, seed=0, scaled=True)
     b = mapi.bundle(cb, SymbolSet.from_ids(4, [0]))
     # synthetic bundles with known dot products
-    minus = mapi.MapIBundle(-b.ints, cb, True)
+    minus = mapi.MapIBundle(-b.ints, cb)
     assert mapi.intersection_estimate(b, minus) == 0  # negative clamps to 0
 
 
@@ -216,11 +213,11 @@ def test_codebook_mismatch_rejected():
 
 def test_bundle_holds_exactly_m_sums():
     cb = Codebook("dense-sign", 128, 4, seed=1)
-    assert mapi.MapIBundle(np.ones(128, np.int64), cb, True).m == 128
+    assert mapi.MapIBundle(np.ones(128, np.int64), cb).m == 128
     for bad in (np.ones(5, np.int64), np.ones(129, np.int64), np.ones((2, 64), np.int64),
                 np.ones((128, 1), np.int64), np.int64(3)):
         with pytest.raises(ValueError, match="m=128"):
-            mapi.MapIBundle(bad, cb, True)
+            mapi.MapIBundle(bad, cb)
 
 
 def test_encode_sequence_l1_equals_bundle():
@@ -294,18 +291,6 @@ def test_binding_norm_concentrates():
         )
         ok += abs(mapi.norm_sq_estimate(enc) - 8) <= 0.5 * 8
     assert ok >= 45
-
-
-def test_symdiff_statistical():
-    sized = mapi.sizing_mapi("norm", eps=0.5, delta=0.05)
-    ok = 0
-    for t in range(200):
-        cb = Codebook("dense-sign", sized.m, 64, seed=t, scaled=True)
-        x = SymbolSet.from_ids(64, range(0, 12))
-        y = SymbolSet.from_ids(64, range(8, 20))  # symmetric difference 16
-        est = mapi.symdiff_estimate(mapi.bundle(cb, x), mapi.bundle(cb, y))
-        ok += abs(est - 16) <= 0.5 * 16
-    assert ok >= 180
 
 
 def test_sequence_symbols_norm_concentrates():

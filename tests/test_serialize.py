@@ -110,7 +110,8 @@ def test_mapb_kinds_format_v1_cannot_carry_are_refused():
     cb = Codebook("dense-sign", 512, 32, seed=1)
     seq = SequenceSpec((SymbolSet.from_ids(32, [1, 2]), SymbolSet.from_ids(32, [5])))
     b = mapb.bundle_sequence_sign(cb, seq)
-    assert mapb.sequence_membership_test(b, 32 + 5, 0.05).contained
+    tau = mapb.sequence_member_threshold(512, 2, 32, 0.05)
+    assert mapb.sequence_membership_scores(b, 1, [5])[0] >= tau
     kv = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(32, ((1, 20),)))
     chain = mapb.iterated_bundle(cb, range(3))
     for bundle in (b, kv, chain):
@@ -174,8 +175,19 @@ def test_unknown_flag_bits_rejected(kind):
     for flags in range(1 + (kind == "mapi"), 256):
         with pytest.raises(ValueError, match="unknown flag bits"):
             decode(data[:7] + bytes([flags]) + data[8:])
-    if kind == "mapi":
-        assert decode(data[:7] + b"\x01" + data[8:]).scaled
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_mapi_scaled_flag_must_match_codebook(scaled):
+    cb = Codebook("dense-sign", 64, 8, seed=1, scaled=scaled)
+    b = mapi.bundle(cb, SymbolSet.from_ids(8, [2, 3]))
+    data = serialize.bundle_to_bytes(b)
+    assert data[7] == scaled
+    assert serialize.bundle_from_bytes(data, cb).scaled == scaled
+    flipped = data[:7] + bytes([1 - data[7]]) + data[8:]
+    with pytest.raises(ValueError, match=f"scaled flag is {1 - scaled}, but its codebook "
+                                         f"has scaled={scaled}"):
+        serialize.bundle_from_bytes(flipped, cb)
 
 
 def test_bundle_format_v1_refused():

@@ -8,7 +8,7 @@ from vsakit.setalg import (
     add,
     intersection_size,
     l1_distance,
-    symmetric_difference_size,
+    require_flat,
     wedgedot,
 )
 
@@ -34,10 +34,10 @@ def test_wedgedot_examples():
     assert wedgedot(x, y) == intersection_size(x, y) == 1
 
 
-def test_symmetric_difference_and_l1():
-    assert symmetric_difference_size(ids(5, 1, 2), ids(5, 2, 3)) == 2
+def test_l1_distance_examples():
+    assert l1_distance(ids(5, 1, 2), ids(5, 2, 3)) == 2
     x = ids(5, 0, 3)
-    assert symmetric_difference_size(x, x) == 0
+    assert l1_distance(x, x) == 0
     a = SymbolSet(3, {0: 1, 1: 2})
     b = SymbolSet(3, {1: 2, 2: 3})
     assert l1_distance(a, b) == 4
@@ -46,7 +46,8 @@ def test_symmetric_difference_and_l1():
 
 def test_weighted_rejected_where_flat_required():
     with pytest.raises(ValueError):
-        symmetric_difference_size(SymbolSet(4, {0: 2}), ids(4, 1))
+        require_flat(SymbolSet(4, {0: 2}))
+    require_flat(ids(4, 1))
 
 
 def test_universe_mismatch():
@@ -110,10 +111,9 @@ def test_add_is_weightwise(ea, eb):
         assert s.weight(sym) == a.weight(sym) + b.weight(sym)
 
 
-def test_sequence_spec_overlap():
+def test_sequence_spec_length_and_universe():
     seq = SequenceSpec((ids(6, 0, 1), ids(6, 1, 2), ids(6, 1)))
-    assert seq.L == 3
-    assert seq.overlap() == 3  # symbol 1 appears three times
+    assert seq.L == 3 and seq.d == 6
     assert seq.total_l1() == 5
     with pytest.raises(ValueError):
         SequenceSpec(())
@@ -123,7 +123,7 @@ def test_sequence_spec_overlap():
 
 def test_binding_spec_validation():
     spec = BindingBundleSpec(8, frozenset({frozenset({1, 2}), frozenset({2, 3})}))
-    assert spec.arity == 2 and spec.size == 2
+    assert spec.size == 2
     with pytest.raises(ValueError):
         BindingBundleSpec(8, frozenset({frozenset({1, 2}), frozenset({1, 2, 3})}))
     with pytest.raises(ValueError):
