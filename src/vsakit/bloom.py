@@ -25,7 +25,7 @@ from .setalg import SymbolSet, require_flat
 from .sizing import SizingResult, check_rates, constants_for
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BloomBundle:
     """A filter held as its set positions, plus the codebook that hashed them.
 

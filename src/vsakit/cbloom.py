@@ -26,7 +26,7 @@ from .setalg import SymbolSet
 from .sizing import SizingResult, check_rates, constants_for
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountBundle:
     """Nonnegative integer counts; total mass is exactly k * ||v||_1."""
 

@@ -9,10 +9,11 @@ the same config and seed. Cells run once each, in order, through
 its ``trials(cell, seeds)``: most tasks run one seed after another
 (``_each``), while MAP-I ``norm`` draws each seed's codebook and set on its
 own and then builds and measures the bundles of many seeds at once (see
-``mapi.flat_norm_sq_estimates``). Either way every outcome is the one a
-trial alone gives. One aggregated CSV row is emitted per cell in
-deterministic cell order; the full per-cell parameter dicts and the config
-echo go to a JSON sidecar.
+``mapi.flat_norm_sq_estimates``), and Hopfield± encodes every seed's
+matrices into the same two m x m buffers (``hopfield.hpm_estimates``).
+Either way every outcome is the one a trial alone gives. One aggregated CSV
+row is emitted per cell in deterministic cell order; the full per-cell
+parameter dicts and the config echo go to a JSON sidecar.
 
 CSV schema (version v1)::
 
@@ -438,19 +439,28 @@ def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
     return TrialOutcome(float(ok), 1.0, ok, float(not ok))
 
 
-def _trial_hpm(cell: dict, seed: int, dot: bool) -> TrialOutcome:
+def _trials_hpm(cell: dict, seeds: list[int], dot: bool) -> list[TrialOutcome]:
+    """The Hopfield± trials of a cell: every seed's draws, then one ``hpm_estimates`` call.
+
+    Each seed draws its own codebook and 0/1 supports (X, and Y for the dot
+    task), so a bad cell fails here before any m x m buffer exists.
+    """
     m, d, support = _params(cell, int, "m", "d", "n")
     (eps,) = _params(cell, float, "eps")
-    cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
-    x_ids = _draw_subset(seed, "suppX", d, support)
-    bx = hopfield.hpm_encode(cb, {int(i): 1.0 for i in x_ids}, d_seed=seed)
+
+    def instance(seed: int) -> tuple:
+        cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+        x = {int(i): 1.0 for i in _draw_subset(seed, "suppX", d, support)}
+        y = {int(i): 1.0 for i in _draw_subset(seed, "suppY", d, support)} if dot else None
+        return cb, x, y, seed
+
+    instances = [instance(seed) for seed in seeds]
+    estimates = hopfield.hpm_estimates(instances)
     if not dot:
-        return _within(hopfield.hpm_norm_estimate(bx), support, eps * support)
-    y_ids = _draw_subset(seed, "suppY", d, support)
-    by = hopfield.hpm_encode(cb, {int(i): 1.0 for i in y_ids}, d_seed=seed)
-    truth = len(set(x_ids.tolist()) & set(y_ids.tolist()))
+        return [_within(est, support, eps * support) for est in estimates]
     # ||X||_F ||Y||_F = support
-    return _within(hopfield.hpm_dot_estimate(bx, by), truth, eps * support)
+    return [_within(est, len(x.keys() & y.keys()), eps * support)
+            for est, (_, x, y, _) in zip(estimates, instances)]
 
 
 @dataclass(frozen=True)
@@ -500,9 +510,9 @@ TASKS: dict[tuple[str, str], Task] = {
     ("hopfield", "store"): Task(_each(_trial_hopfield_store), hopfield.sizing_hopfield),
     ("hopfield", "recall"): Task(_each(partial(_trial_hopfield_recall, kv=False))),
     ("hopfield", "kv-recall"): Task(_each(partial(_trial_hopfield_recall, kv=True))),
-    ("hopfield", "hpm-norm"): Task(_each(partial(_trial_hpm, dot=False)),
+    ("hopfield", "hpm-norm"): Task(partial(_trials_hpm, dot=False),
                                    partial(hopfield.sizing_hpm, "hpm-norm")),
-    ("hopfield", "hpm-dot"): Task(_each(partial(_trial_hpm, dot=True)),
+    ("hopfield", "hpm-dot"): Task(partial(_trials_hpm, dot=True),
                                   partial(hopfield.sizing_hpm, "hpm-dot")),
 }
 

@@ -75,7 +75,7 @@ class KeyValueSpec:
         return frozenset(w for _, w in self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapBBundle:
     """A +-1 bundle as packed signs, plus how it was built (to pick the right test).
 

@@ -33,7 +33,7 @@ from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 from .sizing import SizingResult, check_rates, constants_for, require
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapIBundle:
     """Sign-matrix bundle; ``ints`` is the exact unscaled accumulator S v."""
 

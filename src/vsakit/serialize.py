@@ -35,6 +35,7 @@ MAP-B set bundles can be written.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from typing import Callable, NamedTuple
@@ -67,7 +68,13 @@ _HEADER = struct.Struct("<4sBBBBQ32s")
 _UINTS = struct.Struct("<BQ")
 
 
+@functools.lru_cache
 def codebook_hash(cb: Codebook) -> bytes:
+    """sha256 of the codebook JSON, memoized on the frozen codebook's fields.
+
+    Equal codebooks have equal JSON, so the writer and the reader of a
+    recent codebook's bundles reuse one hash instead of rebuilding it.
+    """
     return hashlib.sha256(cb.to_json().encode("utf-8")).digest()
 
 

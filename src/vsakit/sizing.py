@@ -78,9 +78,12 @@ class SizingResult:
 
 
 def check_rates(eps: float | None = None, delta: float | None = None) -> None:
-    """Common validation: eps > 0 and 0 < delta < 1."""
-    if eps is not None and not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    """Common validation: 0 < eps < inf and 0 < delta < 1.
+
+    An infinite eps would pass every trial and size every formula to m = 1.
+    """
+    if eps is not None and not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if delta is not None and not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
 

@@ -8,8 +8,9 @@ per-criterion lines as they complete.
 import math
 
 import numpy as np
+import pytest
 
-from vsakit import bloom, cbloom, harness, hopfield, mapb, mapi, rng, setalg
+from vsakit import bloom, cbloom, harness, hopfield, mapb, mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.hypervector import rotate
 from vsakit.setalg import SymbolSet
@@ -241,6 +242,30 @@ def test_c08_hpm_estimator():
     rate = good / trials
     ok = rate >= 0.93
     report("08", "hopfield-pm-estimator", ok, f"m={m} rate {rate}")
+    assert ok
+
+
+#: D12 conformance cells: each sizable task's registered trials at the m its own
+#: sizing formula gives, T trials from master seed 0, chosen before they first ran.
+_SIZED_CELLS = {
+    ("hopfield", "hpm-norm"): dict(sizing=dict(eps=0.7071, delta=0.05, d=512),
+                                   cell=dict(d=512, n=8, eps=0.7071), trials=100),
+    ("hopfield", "hpm-dot"): dict(sizing=dict(eps=0.7071, delta=0.05, d=512),
+                                  cell=dict(d=512, n=8, eps=0.7071), trials=100),
+}
+
+
+@pytest.mark.parametrize("arch,task", sorted(_SIZED_CELLS))
+def test_d12_sized_conformance(arch, task):
+    spec = _SIZED_CELLS[arch, task]
+    delta, trials = spec["sizing"]["delta"], spec["trials"]
+    m = sizing.size(arch, task, **spec["sizing"]).m
+    cell = {"m": m, **spec["cell"]}
+    seeds = [harness.trial_seed(0, cell, t) for t in range(trials)]
+    rate = sum(not o.passed for o in harness.run_trials(arch, task, cell, seeds)) / trials
+    bound = delta + slack(delta, trials)
+    ok = rate <= bound
+    report("D12", f"{arch}-{task}-sized", ok, f"m={m} failure rate {rate} <= {bound:.4f}")
     assert ok
 
 

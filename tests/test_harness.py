@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from vsakit import harness, mapi
+from vsakit import harness, hopfield, mapi
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
@@ -144,12 +144,13 @@ def test_rate_cells_cover_every_task_that_reads_a_rate():
     assert set(_RATE_CELLS) == set(harness.TASKS) - no_rate
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("arch,task", sorted(_RATE_CELLS))
 def test_impossible_rate_is_an_error_row(arch, task, bad):
     cell = _RATE_CELLS[arch, task]
     rate = "eps" if "eps" in cell else "delta"
-    expected = {"eps": f"eps must be positive, got {bad}",
+    expected = {"eps": f"eps must be positive and finite, got {bad}",
                 "delta": f"delta must be in (0, 1), got {bad}"}[rate]
     for value, error in ((cell[rate], ""), (bad, expected)):
         grid = {name: [v] for name, v in {**cell, rate: value}.items()}
@@ -275,6 +276,62 @@ def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_stack):
     monkeypatch.setattr(mapi, "_STACK_BYTES", per_stack * max(1, n * 119))
     assert harness.run_trials("mapi", "norm", cell, seeds) == [
         _mapi_norm_trial(cell, s) for s in seeds]
+
+
+def _hpm_trial(cell, seed, dot):
+    """The one-trial Hopfield± path: a fresh bundle per support and the public estimators."""
+    m, n, d, eps = cell["m"], cell["n"], cell["d"], cell["eps"]
+    cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+    x_ids = harness._draw_subset(seed, "suppX", d, n)
+    bx = hopfield.hpm_encode(cb, {int(i): 1.0 for i in x_ids}, d_seed=seed)
+    if not dot:
+        return harness._within(hopfield.hpm_norm_estimate(bx), n, eps * n)
+    y_ids = harness._draw_subset(seed, "suppY", d, n)
+    by = hopfield.hpm_encode(cb, {int(i): 1.0 for i in y_ids}, d_seed=seed)
+    truth = len(set(x_ids.tolist()) & set(y_ids.tolist()))
+    return harness._within(hopfield.hpm_dot_estimate(bx, by), truth, eps * n)
+
+
+@pytest.mark.parametrize("task", ["hpm-norm", "hpm-dot"])
+@pytest.mark.parametrize("m, n, d", [(1, 2, 8), (63, 0, 16), (64, 3, 16), (65, 16, 16),
+                                     (200, 8, 512)])
+def test_hpm_trials_equal_the_bundle_path(task, m, n, d):
+    cell = {"m": m, "n": n, "d": d, "eps": 0.5}
+    seeds = [harness.trial_seed(3, cell, t) for t in range(6)]
+    assert harness.run_trials("hopfield", task, cell, seeds) == [
+        _hpm_trial(cell, s, task == "hpm-dot") for s in seeds]
+
+
+#: The sized Hopfield± cells' CSVs (m=1365, d=512, n=8, eps 0.7071, 20 trials,
+#: seed 0), recorded before the trials ran through reused buffers.
+_SIZED_HPM_CSV = {
+    "hpm-norm": "hopfield,hpm-norm,1365,,8,512,,0.7071,,20,0,0.0,"
+                "0.01024760831354259,0.030186370406150687,0,philox4x64-block-v1,",
+    "hpm-dot": "hopfield,hpm-dot,1365,,8,512,,0.7071,,20,0,0.0,"
+               "0.007004763246521483,0.01584135034684485,0,philox4x64-block-v1,",
+}
+
+
+@pytest.mark.parametrize("task", sorted(_SIZED_HPM_CSV))
+def test_sized_hpm_csv_bytes(task):
+    grid = {"m": [1365], "d": [512], "n": [8], "eps": [0.7071]}
+    csv_text, _ = harness.run(harness.ExperimentConfig("hopfield", task, grid, 20, 0))
+    assert csv_text == ",".join(harness.COLUMNS) + "\n" + _SIZED_HPM_CSV[task] + "\n"
+
+
+@pytest.mark.parametrize("task", ["hpm-norm", "hpm-dot"])
+@pytest.mark.parametrize("grid, tail", [
+    ({"m": [-1], "d": [512], "n": [8]}, "-1,,8,512,,0.7071,,3,0,,,,0,"
+     "philox4x64-block-v1,m and d must be positive"),
+    ({"m": [0], "d": [512], "n": [8]}, "0,,8,512,,0.7071,,3,0,,,,0,"
+     "philox4x64-block-v1,m and d must be positive"),
+    ({"m": [64], "d": [4], "n": [8]}, "64,,8,4,,0.7071,,3,0,,,,0,"
+     "philox4x64-block-v1,cannot draw 8 distinct symbols from universe 4"),
+])
+def test_hpm_bad_cells_keep_their_rows(task, grid, tail):
+    grid = {**grid, "eps": [0.7071]}
+    csv_text, _ = harness.run(harness.ExperimentConfig("hopfield", task, grid, 3, 0))
+    assert csv_text.splitlines()[1] == f"hopfield,{task},{tail}"
 
 
 @pytest.mark.parametrize("grid, row", [

@@ -343,6 +343,64 @@ def test_sum_products_on_matrices_bit_for_bit():
         assert repr(hopfield._sum_products(a, a)) == repr(float((a * a).sum()))
 
 
+def _hpm_instances(m: int) -> list:
+    """(cb, V, W, d_seed) instances at m over d=512: norm and dot, both column layouts,
+    weighted and empty diagonals, in an order that reuses each buffer after every kind."""
+    close = {j: 1.0 for j in range(4, 12)}  # span 7 < 4n + 64: Fortran-ordered columns
+    scattered = {j: 1.0 for j in (0, 100, 250, 511)}  # span 511: C-ordered columns
+    weighted = {3: 0.5, 9: -2.0, 40: 3.25, 41: 1 / 3, 300: 0.0}
+    pairs = [(close, None), (scattered, None), (weighted, None), ({}, None), (close, None),
+             (close, scattered), (weighted, close), (scattered, {}), ({}, weighted),
+             (close, close), (scattered, weighted)]
+    return [(Codebook("dense-sign", m, 512, seed=seed, scaled=True), v, w, seed + 7)
+            for seed in range(2) for v, w in pairs]
+
+
+def _bundle_path(cb, V, W, d_seed) -> float:
+    bx = hopfield.hpm_encode(cb, V, d_seed)
+    if W is None:
+        return hopfield.hpm_norm_estimate(bx)
+    return hopfield.hpm_dot_estimate(bx, hopfield.hpm_encode(cb, W, d_seed))
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1365])
+def test_hpm_estimates_equal_the_bundle_path_bit_for_bit(m):
+    instances = _hpm_instances(m)
+    if m > 1:  # both memory orders of sign_columns reach the matmul
+        assert not instances[0][0].sign_columns(sorted(instances[0][1])).flags.c_contiguous
+        assert instances[1][0].sign_columns(sorted(instances[1][1])).flags.c_contiguous
+    got = hopfield.hpm_estimates(instances)
+    assert [repr(e) for e in got] == [repr(_bundle_path(*i)) for i in instances]
+
+
+def test_hpm_estimates_fill_two_buffers_per_m(monkeypatch):
+    fresh = []
+    kernel = hopfield._hpm_matrix
+
+    def spy(cb, V, d_seed, out=None):
+        fresh.append(out is None)
+        return kernel(cb, V, d_seed, out)
+
+    monkeypatch.setattr(hopfield, "_hpm_matrix", spy)
+    instances = _hpm_instances(64)[:4] + _hpm_instances(65)[5:8] + _hpm_instances(64)[9:11]
+    got = hopfield.hpm_estimates(instances)
+    monkeypatch.undo()
+    assert [repr(e) for e in got] == [repr(_bundle_path(*i)) for i in instances]
+    # m=64 norms: one fresh buffer; m=65 dots: two; m=64 again: two more
+    assert fresh == [True, False, False, False,
+                     True, True, False, False, False, False,
+                     True, True, False, False]
+    assert hopfield.hpm_estimates([]) == []
+
+
+def test_hpm_estimates_checks_each_instance():
+    cb = Codebook("dense-sign", 8, 4, seed=1, scaled=True)
+    for bad, message in (((Codebook("dense-sign", 8, 4, seed=1), {0: 1.0}, None, 1), "scaled"),
+                         ((cb, {0: 1.0}, {4: 1.0}, 1), "outside universe")):
+        with pytest.raises(ValueError, match=message):
+            hopfield.hpm_estimates([(cb, {1: 1.0}, None, 1), bad])
+
+
 def _sized_hpm_pair():
     cb = Codebook("dense-sign", 1365, 512, seed=4, scaled=True)
     return (hopfield.hpm_encode(cb, {j: 1.0 for j in range(8)}, d_seed=4),
@@ -360,6 +418,16 @@ def test_hpm_encode_and_estimates_keep_two_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 2 * m * m * 8 + 2**20  # a copy or an m x m product would add m^2 * 8
+    cb = Codebook("dense-sign", m, 512, seed=4, scaled=True)
+    instances = [(cb, {j: 1.0 for j in range(8)}, {j: 1.0 for j in range(s, s + 8)}, 4)
+                 for s in (4, 100, 300)]
+    tracemalloc.start()
+    try:
+        hopfield.hpm_estimates(instances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * m * 8 + 2**20  # three dot instances, two buffers
 
 
 def test_estimate_leaves_no_reference_to_bundles():

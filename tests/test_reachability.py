@@ -23,6 +23,9 @@ ALLOWED = {
     "hopfield.HopfieldNet.weights": "acceptance criterion c01 reads the zero diagonal",
     "hopfield.train": "acceptance criteria c01 and c07 train nets through it",
     "hopfield.recall_step": "acceptance criterion c01 takes one update through it",
+    "hopfield.hpm_encode": "acceptance criterion c08 encodes through it; trials share its kernel",
+    "hopfield.hpm_dot_estimate": "acceptance criterion c08 estimates through it",
+    "hopfield.hpm_norm_estimate": "tests check hpm_estimates' norms against it bit for bit",
     "mapb.MapBBundle.signs": "acceptance criterion c05b reads the entries",
     "mapb.agreement_probability": "acceptance criterion c05a is its exact oracle",
     "bloom.BloomBundle.bits": "the benchmark's tracer reads bloom.bundle_bytes from it",

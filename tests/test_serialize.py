@@ -1,10 +1,11 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vsakit import bloom, cbloom, mapb, mapi, serialize
+from vsakit import bloom, cbloom, hopfield, mapb, mapi, serialize
 from vsakit.codebook import Codebook
 from vsakit.setalg import SequenceSpec, SymbolSet
 
@@ -15,6 +16,37 @@ def test_mapi_round_trip():
     back = serialize.bundle_from_bytes(serialize.bundle_to_bytes(b), cb)
     assert np.array_equal(back.ints, b.ints)
     assert back.scaled == b.scaled
+
+
+def test_codebook_hash_is_the_memoized_sha256_of_its_json():
+    base = dict(kind="sparse-binary-exact", m=64, d=32, k=3, seed=5, scaled=False)
+    variants = [base, dict(base, kind="sparse-binary-trials"), dict(base, m=65),
+                dict(base, d=33), dict(base, k=4), dict(base, seed=6), dict(base, scaled=True)]
+    hashes = []
+    for fields in variants:
+        cb = Codebook(**fields)
+        digest = serialize.codebook_hash(cb)
+        assert digest == hashlib.sha256(cb.to_json().encode("utf-8")).digest()
+        assert serialize.codebook_hash(Codebook(**fields)) is digest  # an equal codebook hits
+        hashes.append(digest)
+    assert len(set(hashes)) == len(variants)  # every field changes the hash
+
+
+def test_bundles_compare_by_identity():
+    v = SymbolSet.from_ids(8, [1, 5])
+    dense = Codebook("dense-sign", 64, 8, seed=1, scaled=True)
+    makers = [
+        lambda: mapi.bundle(dense, v),
+        lambda: mapb.bundle_sign(Codebook("dense-sign", 64, 8, seed=1), v),  # one word
+        lambda: mapb.bundle_sign(Codebook("dense-sign", 200, 8, seed=1), v),
+        lambda: bloom.bundle_bloom(Codebook("sparse-binary-trials", 100, 8, k=3, seed=3), v),
+        lambda: cbloom.bundle_count(Codebook("sparse-binary-exact", 100, 8, k=3, seed=3), v),
+        lambda: hopfield.hpm_encode(dense, {1: 1.0, 5: 1.0}, d_seed=2),
+    ]
+    for make in makers:
+        a, b = make(), make()  # equal values, two objects
+        assert a == a and a != b and not a == b
+        assert len({a, b}) == 2
 
 
 def test_mapb_round_trip():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -69,6 +70,11 @@ def test_all_calculators_reject_bad_rates():
         sizing.size("cbloom", "intersection", eps=0.5, delta=0.0, K_b=1, n_v=1, n_w=1)
     with pytest.raises(ValueError):
         sizing.size("hopfield", "store", n=4, delta=2.0)
+    for arch, task in (("mapi", "norm"), ("bloom", "intersection"),
+                       ("cbloom", "intersection"), ("hopfield", "hpm-dot")):
+        params = {**_SIZABLE_PARAMS[arch], "eps": math.inf}
+        with pytest.raises(ValueError, match="eps must be positive and finite, got inf"):
+            sizing.size(arch, task, **params)
 
 
 def test_result_json_round_trip():
