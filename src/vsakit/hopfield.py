@@ -5,7 +5,10 @@ symmetric) is never stored: recall applies S (S^T x) - n x in synchronous
 updates x <- signge(W x), where signge maps 0 to +1 (deterministic, unlike
 MAP-B's randomized tie rule). Patterns, probes and recalled vectors are plain
 1-D arrays: patterns and recalled vectors hold +-1 entries (int8), probes
-hold entries in {0, -1, +1}.
+hold entries in {0, -1, +1}. ``HopfieldNet.apply`` takes any integer probe
+and runs the two matmuls in float64 BLAS whenever max|x| m n < 2**53, where
+every partial sum is an exactly representable integer; past that guard it
+falls back to numpy's (much slower, non-BLAS) int64 matmul.
 
 Hopfield± encodes a diagonal weight vector V as the m x m matrix
 S_bar V D S_bar^T with a seeded sign diagonal D; its squared Frobenius norm
@@ -14,10 +17,13 @@ estimates the Frobenius product of the underlying diagonals. The matrix stays
 dense (a factored form rounds differently). One kernel, ``_hpm_matrix``,
 writes it: into a fresh array that becomes the bundle's matrix without a
 copy in ``hpm_encode``, and into two buffers reused across a whole batch of
-instances in ``hpm_estimates``, which the harness trials use. Both
-estimators sum the elementwise products in numpy's own pairwise order
-through one small reused buffer, so no m x m temporary is built and every
-float bit matches ``(M1 * M2).sum()`` of freshly encoded bundles.
+instances in ``hpm_estimates``, which the harness trials use. Every
+estimate sums the elementwise products in numpy's own pairwise order, so
+every float bit matches ``(M1 * M2).sum()`` of freshly encoded bundles:
+``hpm_estimates`` multiplies in place into the scratch matrix it has just
+written and reduces it with one ``np.add.reduce``, while the bundle
+estimators, whose matrices are read-only, go through a 512 KiB leaf buffer
+and so build no m x m temporary.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 
 from . import rng
 from .codebook import Codebook
+from .setalg import integral
 from .sizing import SizingResult, check_rates, constants_for
 
 
@@ -37,9 +44,11 @@ from .sizing import SizingResult, check_rates, constants_for
 class HopfieldNet:
     """n stored +-1 patterns, the columns of S.
 
-    ``apply(y)`` is W y = S (S^T y) - n y. ``y`` may be one m-vector or an
-    (m, k) block of k probes, one per column; a block costs two small
-    matmuls, and its column j equals ``apply(y[:, j])``."""
+    ``apply(y)`` is W y = S (S^T y) - n y as int64 (wrapping past its range,
+    as numpy's int64 matmul does). ``y`` holds integers (a non-integral entry
+    is a ``ValueError``) and may be one m-vector or an (m, k) block of k
+    probes, one per column; a block costs two small matmuls, and its column
+    j equals ``apply(y[:, j])``."""
 
     patterns: np.ndarray  # (m, n) int8
 
@@ -66,8 +75,27 @@ class HopfieldNet:
         return s @ s.T - self.n * np.eye(self.m, dtype=np.int64)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        z = np.asarray(y, dtype=np.int64)
-        return self.patterns @ (self.patterns.T @ z) - self.n * z
+        z = _integer_array(y)
+        peak = max(-int(z.min()), int(z.max())) if z.size else 0  # np.abs(int64 min) wraps
+        if peak * self.m * self.n < 2**53:  # every partial sum is an exact float64 integer
+            s = self.patterns.astype(np.float64)
+            sz = (s @ (s.T @ z.astype(np.float64))).astype(np.int64)
+        else:
+            sz = self.patterns @ (self.patterns.T @ z)
+        return sz - self.n * z
+
+
+def _integer_array(y) -> np.ndarray:
+    """``y`` as an int64 array; a non-integral or out-of-range entry is a ValueError."""
+    values = np.asarray(y)
+    if values.dtype.kind not in "biu":
+        try:
+            whole = ((np.trunc(values) == values) & (np.abs(values) < 2.0**63)).all()
+        except TypeError:  # strings, objects, complex
+            whole = False
+        if not whole:
+            raise ValueError("Hopfield probe entries must be integers")
+    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -114,6 +142,7 @@ def recall_step(net, y) -> np.ndarray:
 
 def recall(net, y, max_iters: int = 64) -> RecallResult:
     """Iterate recall_step until a fixed point or max_iters updates."""
+    max_iters = integral(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     current = _probe_values(net, y)
@@ -134,6 +163,7 @@ def corrupt(x: np.ndarray, erasures: int, flips: int, seed: int) -> np.ndarray:
     """
     out = _require_signs(x, "corrupt's input").astype(np.int8)
     m = out.shape[0]
+    erasures, flips = integral(erasures, "erasures"), integral(flips, "flips")
     if erasures < 0 or flips < 0 or erasures + flips > m:
         raise ValueError("corruption counts must be nonnegative and sum to <= m")
     total = erasures + flips
@@ -278,22 +308,27 @@ def _require_hpm_pair(b1: HpmBundle, b2: HpmBundle) -> None:
         raise ValueError("bundles use different sign diagonals (d_seed mismatch)")
 
 
-#: Elements per leaf of :func:`_sum_products` (64 KiB of float64).
-_LEAF = 8192
+#: Elements of the leaf buffer :func:`_sum_products` allocates when given none
+#: (512 KiB of float64).
+_LEAF = 65536
 
 
-def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
-    """``float((a * b).sum())`` bit for bit, without the a * b temporary.
+def _sum_products(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None) -> float:
+    """``float((a * b).sum())`` bit for bit, the products going through ``buf``.
 
-    ``a`` and ``b`` are C-contiguous float64 arrays of one size. numpy sums a
-    contiguous float64 run pairwise: 0.0 plus the run's pairwise sum, where a
-    run longer than one 128-element block splits at n2 = n//2 - (n//2) % 8
-    and its halves' sums are added. :func:`_pairwise_products` recurses with
-    the same split down to runs of at most ``_LEAF`` elements and lets numpy
-    sum each of those, so the tree and every rounding are numpy's own.
+    ``a`` and ``b`` are C-contiguous float64 arrays of one size, and ``buf``
+    a C-contiguous float64 array that may be overwritten; it may be ``a`` or
+    ``b`` itself (or both), or None for a fresh buffer of up to ``_LEAF``
+    elements. numpy sums a contiguous float64 run pairwise: 0.0 plus the
+    run's pairwise sum, where a run longer than one 128-element block splits
+    at n2 = n//2 - (n//2) % 8 and its halves' sums are added.
+    :func:`_pairwise_products` recurses with the same split down to runs of
+    at most ``buf.size`` elements and lets numpy sum each of those, so the
+    tree and every rounding are numpy's own. With ``buf`` as large as ``a``
+    that is one in-place ``np.multiply`` and one ``np.add.reduce``.
     """
     a, b = a.ravel(), b.ravel()
-    buf = np.empty(min(a.size, _LEAF))
+    buf = np.empty(min(a.size, _LEAF)) if buf is None else buf.reshape(-1)
     return 0.0 + _pairwise_products(a, b, 0, a.size, buf)
 
 
@@ -303,7 +338,7 @@ def _pairwise_products(a: np.ndarray, b: np.ndarray, lo: int, n: int, buf: np.nd
     A module-level function, not a closure: a self-referencing closure would
     hold both operands in a reference cycle until the next garbage collection.
     """
-    if n <= _LEAF:
+    if n <= buf.size:
         leaf = np.multiply(a[lo : lo + n], b[lo : lo + n], out=buf[:n])
         return float(np.add.reduce(leaf, initial=0.0))
     n2 = n // 2 - (n // 2) % 8
@@ -329,6 +364,8 @@ def hpm_estimates(instances: Iterable[tuple]) -> list[float]:
     for bit. Instead of two fresh m x m matrices per instance, every
     encoding is written into one of two buffers that last the whole call
     (new ones only when m changes), so no instance faults in fresh pages.
+    The products then overwrite the buffer last written (``my`` for a dot,
+    ``mx`` for a norm), so the sum needs no buffer of its own.
     """
     estimates: list[float] = []
     mx = my = None
@@ -337,10 +374,10 @@ def hpm_estimates(instances: Iterable[tuple]) -> list[float]:
             mx = my = None
         mx = _hpm_matrix(cb, V, d_seed, mx)
         if W is None:
-            estimates.append(_sum_products(mx, mx))
+            estimates.append(_sum_products(mx, mx, mx))
         else:
             my = _hpm_matrix(cb, W, d_seed, my)
-            estimates.append(_sum_products(mx, my))
+            estimates.append(_sum_products(mx, my, my))
     return estimates
 
 

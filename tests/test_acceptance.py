@@ -248,6 +248,36 @@ def test_c08_hpm_estimator():
 #: D12 conformance cells: each sizable task's registered trials at the m its own
 #: sizing formula gives, T trials from master seed 0, chosen before they first ran.
 _SIZED_CELLS = {
+    ("mapi", "norm"): dict(sizing=dict(eps=0.5, delta=0.05),
+                           cell=dict(n=16, d=256, eps=0.5), trials=200),
+    # N bounds ||v||_1 ||w||_1 = n_x n_y over M pairs sharing n symbols each
+    ("mapi", "pairs"): dict(sizing=dict(N=16, M=10, delta=0.05),
+                            cell=dict(d=256, M=10, n_x=4, n_y=4, n=2), trials=200),
+    ("mapi", "sequence"): dict(sizing=dict(eps=0.5, delta=0.05, L=3),
+                               cell=dict(n=4, d=256, L=3, eps=0.5), trials=200),
+    ("mapi", "sequence-symbols"): dict(sizing=dict(eps=0.5, delta=0.05, K=2),
+                                       cell=dict(n=8, d=256, L=4, K=2, eps=0.5), trials=200),
+    ("mapi", "binding2"): dict(sizing=dict(eps=0.5, delta=0.05, v_l1=8),
+                               cell=dict(E=8, d=256, eps=0.5), trials=200),
+    ("mapi", "bindingK"): dict(sizing=dict(eps=0.5, delta=0.05, k=3, v_l1=4),
+                               cell=dict(E=4, arity=3, d=256, eps=0.5), trials=50),
+    ("mapb", "member"): dict(sizing=dict(n=10, d=256, delta=0.05),
+                             cell=dict(n=10, d=256, delta=0.05), trials=200),
+    ("mapb", "sequence-member"): dict(sizing=dict(n=10, d=256, L=4, delta=0.05),
+                                      cell=dict(n=10, d=256, L=4, delta=0.05), trials=200),
+    ("mapb", "kv-member"): dict(sizing=dict(n=10, d=256, delta=0.05),
+                                cell=dict(n=10, d=256, delta=0.05), trials=200),
+    # overlap n = 1: the test must find the one shared symbol
+    ("mapb", "empty-intersection"): dict(sizing=dict(nx=4, ny=4, delta=0.05),
+                                         cell=dict(nx=4, ny=4, n=1, d=256, delta=0.05),
+                                         trials=200),
+    ("bloom", "intersection"): dict(sizing=dict(eps=0.5, delta=0.05, n=5, n_v=10, n_w=10),
+                                    cell=dict(d=256, n=5, n_v=10, n_w=10, eps=0.5),
+                                    trials=200),
+    ("cbloom", "intersection"): dict(sizing=dict(eps=0.25, delta=0.05, K_b=1, n_v=1, n_w=2),
+                                     cell=dict(d=256, n=4, n_v=1, n_w=2, K_b=1, eps=0.25),
+                                     trials=200),
+    ("hopfield", "store"): dict(sizing=dict(n=16, delta=0.05), cell=dict(n=16), trials=200),
     ("hopfield", "hpm-norm"): dict(sizing=dict(eps=0.7071, delta=0.05, d=512),
                                    cell=dict(d=512, n=8, eps=0.7071), trials=100),
     ("hopfield", "hpm-dot"): dict(sizing=dict(eps=0.7071, delta=0.05, d=512),
@@ -255,12 +285,17 @@ _SIZED_CELLS = {
 }
 
 
+def test_d12_sized_cells_cover_every_sizing_formula():
+    assert {f"{arch}.{task}" for arch, task in _SIZED_CELLS} == set(sizing.CONSTANTS)
+
+
 @pytest.mark.parametrize("arch,task", sorted(_SIZED_CELLS))
 def test_d12_sized_conformance(arch, task):
     spec = _SIZED_CELLS[arch, task]
     delta, trials = spec["sizing"]["delta"], spec["trials"]
-    m = sizing.size(arch, task, **spec["sizing"]).m
-    cell = {"m": m, **spec["cell"]}
+    sized = sizing.size(arch, task, **spec["sizing"])
+    m = sized.m
+    cell = {"m": m, **({} if sized.k is None else {"k": sized.k}), **spec["cell"]}
     seeds = [harness.trial_seed(0, cell, t) for t in range(trials)]
     rate = sum(not o.passed for o in harness.run_trials(arch, task, cell, seeds)) / trials
     bound = delta + slack(delta, trials)

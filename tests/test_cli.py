@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vsakit import sizing
+from vsakit import cli, sizing
 from vsakit.cli import main
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
@@ -247,3 +247,59 @@ def test_integral_float_codebook_fields_are_integers(tmp_path):
     assert out[0] == out[1]  # same bundle, same codebook hash
     cb = Codebook.from_json(json.dumps({**_CBLOOM_CB, "m": 64.0}))
     assert type(cb.m) is int and cb.to_json() == Codebook(**_CBLOOM_CB).to_json()
+
+
+def test_one_parser_serves_every_call_with_nothing_carried_over(tmp_path):
+    """Back-to-back calls on the process's one parser give what each call gives
+    alone (on a parser of its own): no appended --param or --bundle list and no
+    --seed value survives into the next call."""
+    cb_path = write_codebook(tmp_path, Codebook("dense-sign", 512, 32, seed=5))
+    scaled_path = write_codebook(tmp_path, Codebook("dense-sign", 512, 32, seed=5, scaled=True),
+                                 "scaled.json")
+    bundles = []
+    for ids in ([3, 9], [9, 20]):
+        bundles.append(str(tmp_path / f"b{len(bundles)}.vsab"))
+        assert main(["encode", "--arch", "mapi", "--codebook", scaled_path, "--out", bundles[-1],
+                     "--set", write_set(tmp_path, SymbolSet.from_ids(32, ids))]) == 0
+    mapb_bundle = str(tmp_path / "mapb.vsab")
+    assert main(["encode", "--arch", "mapb", "--codebook", cb_path, "--out", mapb_bundle,
+                 "--set", write_set(tmp_path, SymbolSet.from_ids(32, [3, 9])), "--seed", "7"]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"arch": "mapi", "task": "norm", "trials": 10, "seed": 3,
+                                    "grid": {"m": [64], "n": [2], "d": [16], "eps": [0.5]}}))
+    calibrate = ["calibrate", "--arch", "mapi", "--task", "norm", "--target", "0.1",
+                 "--trials", "100"]
+    calls = [
+        [*calibrate, "--param", "eps=0.5", "--param", "delta=0.05", "--param", "n=4",
+         "--param", "d=16", "--seed", "2"],
+        [*calibrate, "--param", "d=8", "--param", "n=2", "--param", "eps=0.7071",
+         "--param", "delta=0.1"],
+        [*calibrate, "--param", "eps=0.5", "--param", "delta=0.05", "--param", "n=4"],  # no d
+        ["experiment", "--config", str(cfg_path), "--seed", "9"],
+        ["experiment", "--config", str(cfg_path)],
+        ["query", "intersection", "--bundle", bundles[0], "--bundle", bundles[1],
+         "--codebook", scaled_path],
+        ["query", "membership", "--bundle", mapb_bundle, "--codebook", cb_path,
+         "--symbol", "3"],
+        ["query", "membership", "--codebook", cb_path, "--symbol", "3"],  # no --bundle
+    ]
+
+    def run(i: int, argv: list[str], tag: str) -> tuple:
+        out = tmp_path / f"{tag}{i}.out"
+        code = main([*argv, "--out", str(out)])
+        data = out.read_bytes() if out.exists() else None
+        meta = tmp_path / f"{tag}{i}.out.meta.json"
+        if meta.exists():  # the sidecar echoes the output path
+            data += meta.read_bytes().replace(f"{tag}{i}".encode(), b"OUT")
+        return code, data
+
+    alone = []
+    for i, argv in enumerate(calls):
+        cli._parser.cache_clear()
+        alone.append(run(i, argv, "alone"))
+    cli._parser.cache_clear()
+    together = [run(i, argv, "together") for i, argv in enumerate(calls)]
+    assert cli._parser.cache_info().misses == 1
+    assert together == alone
+    assert [code for code, _ in alone] == [0, 0, 2, 0, 0, 0, 0, 2]
+    assert alone[0][1] != alone[1][1] and alone[3][1] != alone[4][1]

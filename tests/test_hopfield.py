@@ -157,6 +157,58 @@ def test_apply_block_equals_column_calls(m):
         assert np.array_equal(out[:, j], net.apply(block[:, j]))
 
 
+def _exact_apply(net, y):
+    """W y in Python ints, reduced to int64 the way wrapping int64 arithmetic does."""
+    s = net.patterns.astype(object)
+    w = s @ s.T - net.n * np.eye(net.m, dtype=object)
+    return np.array([(v + 2**63) % 2**64 - 2**63 for v in w @ y.astype(object)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("m,n", [(8, 2), (65, 5)])
+def test_apply_equals_int64_weights_on_both_sides_of_the_float_guard(m, n):
+    net = hopfield.train(patterns_from(Codebook("dense-sign", m, n, seed=m + n), n))
+    w = net.weights
+    gen = np.random.default_rng(m)
+    edge = -(-(2**53) // (m * n))  # the smallest peak with peak * m * n >= 2**53
+    for peak in (1, edge - 1, edge, 2**59 // (m * n)):
+        y = gen.integers(-peak, peak, size=m, endpoint=True)
+        y[0] = peak | 1  # odd and at the peak, so a float64 rounding would show
+        assert y.dtype == np.int64 and np.array_equal(net.apply(y), w @ y)
+        assert np.array_equal(net.apply(y), _exact_apply(net, y))
+    lowest = np.full(m, np.iinfo(np.int64).min)  # |z| of the int64 minimum overflows
+    lowest[1::2] = 3
+    assert np.array_equal(net.apply(lowest), w @ lowest)
+    assert np.array_equal(net.apply(lowest), _exact_apply(net, lowest))
+
+
+def test_apply_refuses_non_integral_probes():
+    net = hopfield.train(patterns_from(Codebook("dense-sign", 64, 3, seed=1), 3))
+    for bad in (np.full(64, 0.5), np.full(64, np.nan), np.full(64, np.inf),
+                np.full(64, 2.0**63), np.full(64, "1"), np.full(64, 1j)):
+        with pytest.raises(ValueError, match="must be integers"):
+            net.apply(bad)
+    y = np.random.default_rng(2).integers(-3, 4, size=64)
+    assert np.array_equal(net.apply(y.astype(np.float64)), net.apply(y))
+    assert np.array_equal(net.apply(y.tolist()), net.apply(y))
+
+
+def test_recall_and_corrupt_name_a_non_integral_count():
+    cb = Codebook("dense-sign", 32, 2, seed=3)
+    net = hopfield.train(patterns_from(cb, 2))
+    x = patterns_from(cb, 1)[0]
+    for bad in (2.5, "3", None):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            hopfield.recall(net, x, max_iters=bad)
+        with pytest.raises(ValueError, match="erasures must be an integer"):
+            hopfield.corrupt(x, bad, 0, seed=1)
+        with pytest.raises(ValueError, match="flips must be an integer"):
+            hopfield.corrupt(x, 0, bad, seed=1)
+    assert hopfield.recall(net, x, max_iters=2.0).iters == 1
+    assert np.array_equal(hopfield.corrupt(x, 3.0, np.int64(2), seed=1),
+                          hopfield.corrupt(x, 3, 2, seed=1))
+
+
 def test_net_rejects_non_sign_patterns():
     for bad in (np.ones(3), np.zeros((3, 2)), np.ones((0, 2)), np.array([[1, 2]])):
         with pytest.raises(ValueError, match="patterns"):
@@ -341,6 +393,22 @@ def test_sum_products_on_matrices_bit_for_bit():
         a, b = gen.standard_normal((m, m)), gen.standard_normal((m, m))
         assert repr(hopfield._sum_products(a, b)) == repr(float((a * b).sum()))
         assert repr(hopfield._sum_products(a, a)) == repr(float((a * a).sum()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 129, 65537, 1365**2])
+def test_sum_products_into_an_operand_is_numpy_sum_bit_for_bit(n):
+    gen = np.random.default_rng(n + 1)
+    a, b = gen.standard_normal(n) * 1e3, gen.standard_normal(n)
+    expected = repr(float((a * b).sum()))
+    assert repr(hopfield._sum_products(a, b, b)) == expected  # overwrites b
+    square = repr(float((a * a).sum()))
+    assert repr(hopfield._sum_products(a, a, a)) == square  # overwrites a
+    signed = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)  # every product a signed zero
+    ones = -np.ones(n)
+    expected = repr(float((signed * ones).sum()))
+    assert expected == "0.0"
+    assert repr(hopfield._sum_products(signed, ones, ones)) == expected
+    assert repr(hopfield._sum_products(signed, signed, signed)) == expected
 
 
 def _hpm_instances(m: int) -> list:
