@@ -28,20 +28,30 @@ from .sizing import SizingResult, check_rates, constants_for
 
 @dataclass(frozen=True, eq=False)
 class CountBundle:
-    """Nonnegative integer counts; total mass is exactly k * ||v||_1."""
+    """Nonnegative integer counts; total mass is exactly k * ||v||_1.
+
+    The bundle keeps an array it can own as is: a read-only, C-contiguous
+    int64 ndarray that owns its data, such as :func:`bundle_count`'s counts.
+    Anything else (a caller's writeable array, a view, another dtype) is
+    copied into an int64 array and frozen, so the caller cannot change the
+    bundle afterwards.
+    """
 
     counts: np.ndarray
     codebook: Codebook
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
+        counts = self.counts
+        if not (type(counts) is np.ndarray and counts.dtype == np.int64 and counts.flags.owndata
+                and counts.flags.c_contiguous and not counts.flags.writeable):
+            counts = np.array(counts, dtype=np.int64)
+            counts.setflags(write=False)
+            object.__setattr__(self, "counts", counts)
         if counts.shape != (self.codebook.m,):
             raise ValueError(f"count bundle of shape {counts.shape} holds {counts.size} "
                              f"counts, expected m={self.codebook.m}")
         if (counts < 0).any():
             raise ValueError("count bundle entries must be nonnegative")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
 
     @property
     def m(self) -> int:
@@ -72,6 +82,7 @@ def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:
         weights = np.fromiter(v.entries.values(), dtype=np.int64)
         rows = cb.exact_indices(np.fromiter(v.entries.keys(), dtype=np.int64))
         np.add.at(counts, rows, weights[:, None])
+    counts.setflags(write=False)  # CountBundle keeps a frozen array it owns without a copy
     return CountBundle(counts, cb)
 
 

@@ -156,7 +156,11 @@ class Codebook:
         on unrequested columns cost less than the calls it saves, else one
         window per column.
         """
-        lo, hi = int(ids.min()), int(ids.max())
+        if ids.size <= 32:  # Python's min/max beat numpy's fixed per-call cost here
+            flat = ids.ravel().tolist()
+            lo, hi = min(flat), max(flat)
+        else:
+            lo, hi = int(ids.min()), int(ids.max())
         self._check_symbol(lo)
         self._check_symbol(hi)
         span = hi - lo + 1

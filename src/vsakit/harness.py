@@ -382,13 +382,12 @@ def _cbloom_instance(cell: dict, seed: int):
     difference masses are exactly n_v and n_w.
     """
     d, n_v, n_w, peak, common = _params(cell, int, "d", "n_v", "n_w", K_b=1, n=0)
-    parts = [_mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)]
-    sizes = [len(p) for p in parts]
-    ids = _draw_subset(seed, "support", d, sum(sizes))
-    only_v, only_w, both = np.split(ids, np.cumsum(sizes)[:-1])
-    shared = {int(s): w for s, w in zip(both, parts[2])}
-    v = SymbolSet(d, {**{int(s): w for s, w in zip(only_v, parts[0])}, **shared})
-    w = SymbolSet(d, {**{int(s): w for s, w in zip(only_w, parts[1])}, **shared})
+    wv, ww, wb = _mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)
+    a, b = len(wv), len(wv) + len(ww)
+    ids = _draw_subset(seed, "support", d, b + len(wb)).tolist()
+    shared = dict(zip(ids[b:], wb))
+    v = SymbolSet(d, {**dict(zip(ids[:a], wv)), **shared})
+    w = SymbolSet(d, {**dict(zip(ids[a:b], ww)), **shared})
     return v, w
 
 

@@ -79,11 +79,18 @@ def _signed_sums(words: np.ndarray, m: int, l1: int, weights: np.ndarray | None 
     Bit i of a column's packed signs is set where entry i is +1, so
     (S v)_i = pos_i - (||v||_1 - pos_i) with pos_i the weight on +1 entries.
     With no ``weights`` the n columns each weigh 1 (``l1`` is n) and pos is a
-    plain sum of bits; otherwise ``weights`` (n,) int64 sum to ``l1``.
+    plain sum of bits; otherwise ``weights`` (n,) int64 sum to ``l1``. A
+    plain sum of n < 2**16 columns counts in uint16, about twice as fast as
+    int64 and exact, since no count exceeds n, and is widened after.
     """
     bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
                          axis=-1, count=m, bitorder="little")
-    pos = bits.sum(axis=-2, dtype=np.int64) if weights is None else weights @ bits
+    if weights is not None:
+        pos = weights @ bits
+    elif bits.shape[-2] < 2**16:
+        pos = bits.sum(axis=-2, dtype=np.uint16).astype(np.int64)
+    else:
+        pos = bits.sum(axis=-2, dtype=np.int64)
     return pos - (l1 - pos)
 
 

@@ -9,9 +9,11 @@ the documented arithmetic below, never through ``numpy.random.Generator``
 distribution methods, so results cannot drift with numpy releases.
 
 Batching: ``choose_distinct_rows`` turns a (rows, k) word array into the k
-distinct indices of every row, with one array op for all offsets and then
-one swap loop per row; ``choose_distinct`` is its one-row case, so a
-batched draw equals the row-by-row draws bit for bit.
+distinct indices of every row. One array op computes all offsets. In a
+batch of two or more rows, a second one finds the rows whose swap
+positions never repeat, which need no swap loop; only the other rows run
+it. ``choose_distinct`` is the one-row case, so a batched draw equals the
+row-by-row draws bit for bit.
 
 Layout: a stream is addressed in *blocks* of 4 consecutive 64-bit words
 (Philox's native counter step). ``words(block, n)`` returns words
@@ -38,6 +40,8 @@ import hashlib
 import threading
 
 import numpy as np
+
+from .setalg import integral
 
 RNG_VERSION = "philox4x64-block-v1"
 
@@ -105,7 +109,9 @@ class Stream:
     """Read-only window access into one keyed Philox raw-word stream."""
 
     def __init__(self, seed: int, *tags):
-        self.seed = int(seed) & _MASK64
+        if type(seed) is not int:  # numpy ints, 2.0 or bad input
+            seed = integral(seed, "stream seed")
+        self.seed = seed & _MASK64
         self.sid = stream_id(*tags)
         self._key = (self.seed, self.sid)
 
@@ -154,24 +160,53 @@ def choose_distinct_rows(words: np.ndarray, m: int, k: int) -> np.ndarray:
 
     Partial Fisher-Yates over a virtual identity array; uniform over ordered
     k-tuples of distinct elements, hence over k-subsets. Step t of every row
-    draws offset ``words[r, t] mod (m - t)``; all offsets of all rows come
-    from one array op, then each row runs its own k-step swap loop. Returns
+    draws offset ``words[r, t] mod (m - t)``, swaps position r_t = t + offset
+    with position t, and outputs what r_t held. All offsets of all rows come
+    from one array op. The swap loop writes only to positions r_s, so a row
+    whose r_t are pairwise distinct outputs r itself; a batch of two or more
+    rows tests that for every row in one array op and runs the loop only on
+    the rows that repeat an r_t. A single row always runs the loop. Returns
     shape (rows, k) int64.
     """
     if k > m:
         raise ValueError(f"cannot choose {k} distinct indices from range {m}")
     if words.shape[1] < k:
         raise ValueError(f"choosing {k} indices needs {k} words, got {words.shape[1]}")
-    offsets = (words[:, :k] % np.arange(m, m - k, -1, dtype=np.uint64)).tolist()
-    out = []
-    for row in offsets:
-        swap: dict[int, int] = {}
-        get = swap.get
-        for t in range(k):
-            r = t + row[t]
-            vt = get(t, t)
-            out.append(get(r, r))
-            swap[r] = vt
+    offsets = words[:, :k] % np.arange(m, m - k, -1, dtype=np.uint64)
+    if len(offsets) < 2:
+        return _swap_loop(offsets.tolist(), m, k)
+    r = offsets.astype(np.int64) + np.arange(k)
+    ordered = np.sort(r, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        r[repeats] = _swap_loop(offsets[repeats].tolist(), m, k)
+    return r
+
+
+def _swap_loop(offsets: list, m: int, k: int) -> np.ndarray:
+    """The Fisher-Yates swap loop of each row of ``offsets``, shape (rows, k) int64.
+
+    The virtual array is a real ``list(range(m))`` when 4k >= m, where
+    building it costs less than the dict lookups it saves, else a dict of
+    the swapped positions.
+    """
+    out: list[int] = []
+    if 4 * k >= m:
+        for row in offsets:
+            at = list(range(m))
+            for t, offset in enumerate(row):
+                r = t + offset
+                out.append(at[r])
+                at[r] = at[t]
+    else:
+        for row in offsets:
+            swap: dict[int, int] = {}
+            get = swap.get
+            for t in range(k):
+                r = t + row[t]
+                vt = get(t, t)
+                out.append(get(r, r))
+                swap[r] = vt
     return np.array(out, dtype=np.int64).reshape(len(offsets), k)
 
 

@@ -14,6 +14,8 @@ from typing import Iterable, Mapping
 
 def integral(value, what: str) -> int:
     """``value`` as an int: an int or numpy integer (not a bool), or an integral float."""
+    if type(value) is int:  # the common case, checked before any conversion
+        return value
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):  # None, a list, a string, nan, inf

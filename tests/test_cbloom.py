@@ -140,6 +140,22 @@ def test_bundle_holds_exactly_m_counts():
             cbloom.CountBundle(bad, cb)
 
 
+def test_bundle_owns_frozen_counts_and_copies_the_callers():
+    cb = Codebook("sparse-binary-exact", 50, 8, k=4, seed=2)
+    encoded = cbloom.bundle_count(cb, SymbolSet(8, {0: 2, 5: 1}))
+    assert not encoded.counts.flags.writeable
+    assert cbloom.CountBundle(encoded.counts, cb).counts is encoded.counts
+    mine = np.zeros(50, dtype=np.int64)
+    bundle = cbloom.CountBundle(mine, cb)
+    mine[0] = 7
+    assert bundle.counts is not mine and bundle.counts[0] == 0
+    assert not bundle.counts.flags.writeable
+    for other in (encoded.counts[::-1], np.ones(50, dtype=np.int32), np.ones(50).tolist()):
+        copied = cbloom.CountBundle(other, cb).counts
+        assert copied is not other and copied.dtype == np.int64
+        assert copied.flags.owndata and not copied.flags.writeable
+
+
 @given(seed=st.integers(0, 2**32 - 1),
        entries=st.dictionaries(st.integers(0, 39), st.integers(1, 2**58), max_size=12))
 def test_bundle_count_equals_per_column_reference(seed, entries):

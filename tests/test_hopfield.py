@@ -529,6 +529,16 @@ def test_hpm_bundle_copies_a_callers_array_only():
         assert not copied.flags.writeable
 
 
+def test_corrupt_and_hpm_encode_refuse_a_non_integral_seed():
+    cb = Codebook("dense-sign", 32, 8, seed=3, scaled=True)
+    x = patterns_from(cb, 1)[0]
+    with pytest.raises(ValueError, match="stream seed must be an integer, got 1.5"):
+        hopfield.corrupt(x, 5, 0, seed=1.5)
+    with pytest.raises(ValueError, match="stream seed must be an integer, got 1.5"):
+        hopfield.hpm_encode(cb, {2: 1.0}, d_seed=1.5)
+    assert np.array_equal(hopfield.corrupt(x, 5, 0, seed=1.0), hopfield.corrupt(x, 5, 0, seed=1))
+
+
 def test_hpm_bundle_rejects_wrong_shape():
     cb = Codebook("dense-sign", 64, 8, seed=1, scaled=True)
     for shape in ((1, 64), (64,), (64, 63), (65, 65), (64, 64, 1)):

@@ -174,6 +174,18 @@ def test_flat_norm_estimates_python_int_fallback(monkeypatch):
     assert len(dots) == 4  # each norm summed with Python ints
 
 
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 1])
+def test_signed_sums_of_many_columns_equal_int64_sums(n):
+    # Bit 0 is set in every column, so pos_0 = n: a uint16 count past 2**16 would wrap.
+    m = 5
+    words = rng.Stream(n, "many-columns").words(0, n).reshape(n, 1) | np.uint64(1)
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=m, bitorder="little")
+    pos = bits.sum(axis=0, dtype=np.int64)
+    got = mapi._signed_sums(words, m, n)
+    assert got.dtype == np.int64 and got[0] == n
+    assert np.array_equal(got, pos - (n - pos))
+
+
 def test_sums_of_bundles_refuse_to_wrap():
     # Each part is below 2**63, but the sums reach 3 * 2**62 and 2**63.
     cb = Codebook("dense-sign", 64, 8, seed=0, scaled=True)

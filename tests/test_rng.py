@@ -119,6 +119,45 @@ def test_choose_distinct_rows_equal_row_wise_choose_distinct(case):
         assert np.array_equal(out, _choose_distinct_dict_loop(row, m, k))
 
 
+def _swap_free(offsets) -> bool:
+    r = [t + o for t, o in enumerate(offsets)]
+    return len(set(r)) == len(r)
+
+
+@pytest.mark.parametrize("m, k", [(256, 63), (256, 64), (256, 65), (256, 256),
+                                  (1000, 249), (1000, 251), (1000, 1000), (40, 9), (40, 11)])
+def test_choose_distinct_rows_mix_swap_free_and_repeating_rows(m, k):
+    # Rows of all-zero offsets (r_t = t) are swap-free; a row with
+    # offset_1 = offset_0 - 1 repeats r_0 at r_1 and must run the swap loop.
+    s = rng.Stream(9, "mixed", m, k)
+    seen = set()
+    for block in range(8):
+        words = s.words(block * 64, 6 * k).reshape(6, k)
+        words[0] = 0
+        words[3, :k // 2] = 0
+        for row in (1, 4):
+            c = 1 + int(words[row, 0] % np.uint64(m - 1))
+            words[row, :2] = [c, c - 1]
+        moduli = np.arange(m, m - k, -1, dtype=np.uint64)
+        seen.update(_swap_free(row) for row in (words % moduli).tolist())
+        got = rng.choose_distinct_rows(words, m, k)
+        assert got.dtype == np.int64 and got.shape == (6, k)
+        for row, out in zip(words, got):
+            assert np.array_equal(out, _choose_distinct_dict_loop(row, m, k))
+    assert seen == {True, False}
+
+
+def test_stream_seed_must_be_integral():
+    with pytest.raises(ValueError, match="stream seed must be an integer, got 1.5"):
+        rng.Stream(1.5, "t")
+    for bad in (2.7, True, "3", None):
+        with pytest.raises(ValueError, match="stream seed"):
+            rng.Stream(bad, "t")
+    assert rng.Stream(np.int64(3), "t").words(0, 4).tolist() == rng.Stream(3, "t").words(0, 4).tolist()
+    assert rng.Stream(np.uint64(3), "t").seed == rng.Stream(3.0, "t").seed == 3
+    assert rng.Stream(-1, "t").seed == 2**64 - 1
+
+
 def test_choose_distinct_rows_rejects_bad_shapes():
     with pytest.raises(ValueError, match="needs 3 words"):
         rng.choose_distinct_rows(np.zeros((4, 2), dtype=np.uint64), 10, 3)
