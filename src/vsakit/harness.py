@@ -4,14 +4,18 @@ A grid of parameter cells is expanded from a config; every trial draws its
 instance and codebook from a seed derived purely from (master seed, cell
 parameters, trial index), so results are byte-identical for every run of
 the same config and seed. Cells run once each, in order, through
-:func:`trial_records`, which hands all of a cell's trial seeds to one
-:func:`run_trials` call. Each registered task runs a cell's seeds through
-its ``trials(cell, seeds)``: most tasks run one seed after another
-(``_each``), while MAP-I ``norm`` draws each seed's codebook and set on its
-own and then builds and measures the bundles of many seeds at once (see
-``mapi.flat_norm_sq_estimates``), and Hopfield± encodes every seed's
-matrices into the same two m x m buffers (``hopfield.hpm_estimates``).
-Either way every outcome is the one a trial alone gives. One aggregated CSV
+:func:`trial_records`, which folds the master seed and cell once and
+extends that fold by each trial index, then hands all of the cell's trial
+seeds to one :func:`run_trials` call. Each registered task runs a cell's
+seeds through its ``trials(cell, seeds)``: most tasks run one seed after
+another (``_each``). MAP-I ``norm`` builds each seed's codebook on its
+own, draws the sets of a chunk of seeds in one call (``_draw_subsets``;
+no draw at all when n = d, since the set is then all of [d]) and builds
+and measures the bundles of many seeds at once (see
+``mapi.flat_norm_sq_estimates``). Hopfield± draws its supports the same
+way and encodes every seed's matrices into the same two m x m buffers
+(``hopfield.hpm_estimates``). Either way every outcome is the one a trial
+alone gives. One aggregated CSV
 row is emitted per cell in deterministic cell order; the full per-cell
 parameter dicts and the config echo go to a JSON sidecar.
 
@@ -33,8 +37,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from typing import Callable
+from itertools import islice, product, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -115,22 +119,54 @@ class ExperimentConfig:
 
 
 def trial_seed(master: int, cell: dict, index: int) -> int:
-    """Documented pure split: fold (master, canonical cell JSON, index)."""
-    return _trial_seed(master, json.dumps(cell, sort_keys=True), index)
+    """Documented pure split: fold (master, canonical cell JSON, index).
+
+    ``master`` and ``index`` must be integers (an integral float or a numpy
+    integer counts as one).
+    """
+    prefix = _trial_prefix(master, json.dumps(cell, sort_keys=True))
+    return rng.extend_id(prefix, setalg.integral(index, "trial index"))
 
 
-def _trial_seed(master: int, cell_json: str, index: int) -> int:
-    return rng.stream_id("trial", int(master) & ((1 << 64) - 1), cell_json, index)
+def _trial_prefix(master: int, cell_json: str) -> int:
+    """The fold of ("trial", master, cell JSON), which every trial seed of the cell extends."""
+    master = setalg.integral(master, "master seed") & ((1 << 64) - 1)
+    return rng.stream_id("trial", master, cell_json)
 
 
 # -- instance sampling helpers -------------------------------------------------
 
 
-def _draw_subset(seed: int, tag: str, d: int, size: int) -> np.ndarray:
+def _draw_words(seed: int, tag: str, d: int, size: int) -> np.ndarray:
+    """The raw words a draw of ``size`` distinct symbols from [d] reads."""
     if size > d:
         raise ValueError(f"cannot draw {size} distinct symbols from universe {d}")
-    words = rng.Stream(seed, "inst", tag).words(0, max(size, 1))
-    return rng.choose_distinct(words, d, size)
+    return rng.Stream(seed, "inst", tag).words(0, max(size, 1))
+
+
+def _draw_subset(seed: int, tag: str, d: int, size: int) -> np.ndarray:
+    """``size`` distinct symbols of [d], in draw order, from the seed's ``tag`` stream."""
+    return rng.choose_distinct(_draw_words(seed, tag, d, size), d, size)
+
+
+#: Most bytes of raw words (seeds x words per draw x 8) that ``_draw_subsets``
+#: stacks for one ``rng.choose_distinct_rows`` call.
+_DRAW_BYTES = 2**17
+
+
+def _draw_subsets(seeds, tag: str, d: int, size: int) -> Iterator[np.ndarray]:
+    """``_draw_subset(seed, tag, d, size)`` of each seed, in order, bit for bit.
+
+    The draws are taken lazily, a chunk of seeds at a time: the chunk's words
+    (at most ``_DRAW_BYTES`` bytes, or one seed's) go through one
+    ``choose_distinct_rows`` call, in which the rows whose swap positions
+    never repeat skip the swap loop. A bad ``size`` raises at the first draw.
+    """
+    nwords = max(size, 1)
+    per_chunk = max(1, _DRAW_BYTES // (8 * nwords))
+    seeds = iter(seeds)
+    while chunk := [_draw_words(seed, tag, d, size) for seed in islice(seeds, per_chunk)]:
+        yield from rng.choose_distinct_rows(np.concatenate(chunk).reshape(-1, nwords), d, size)
 
 
 def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y: int):
@@ -186,20 +222,22 @@ def _within(estimate, truth, tolerance) -> TrialOutcome:
 
 
 def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
-    """The norm trials of a cell: per seed, only the draws and the gather of words.
+    """The norm trials of a cell: per seed, only its codebook and the gather of words.
 
-    Each seed draws its codebook and n-set (its own Philox keys) and gathers
-    the set's column words; ``mapi.flat_norm_sq_estimates`` then bundles and
-    measures the seeds' sets a stack at a time.
+    The seeds' n-sets come from ``_draw_subsets``, a chunk of seeds per
+    draw, and ``mapi.flat_norm_sq_estimates`` bundles and measures them a
+    stack at a time; both take the seeds lazily. When n = d the set is all
+    of [d] whatever the words say, and a bundle is an integer sum over its
+    columns, so no set is drawn and every seed gathers ``range(d)``.
     """
     m, n, d = _params(cell, int, "m", "n", "d")
     (eps,) = _params(cell, float, "eps")
-
-    def words(seed: int) -> np.ndarray:
-        cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
-        return cb.sign_words(_draw_subset(seed, "set", d, n))
-
-    return [_within(est, n, eps * n) for est in mapi.flat_norm_sq_estimates(m, map(words, seeds))]
+    codebooks = (Codebook("dense-sign", m, d, seed=seed, scaled=True) for seed in seeds)
+    sets = repeat(np.arange(d)) if n == d else _draw_subsets(seeds, "set", d, n)
+    # map builds each seed's codebook before it draws the seed's set, so a bad
+    # m or d raises before a bad n, as in a trial alone.
+    words = map(Codebook.sign_words, codebooks, sets)
+    return [_within(est, n, eps * n) for est in mapi.flat_norm_sq_estimates(m, words)]
 
 
 def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:
@@ -441,19 +479,20 @@ def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
 def _trials_hpm(cell: dict, seeds: list[int], dot: bool) -> list[TrialOutcome]:
     """The Hopfield± trials of a cell: every seed's draws, then one ``hpm_estimates`` call.
 
-    Each seed draws its own codebook and 0/1 supports (X, and Y for the dot
-    task), so a bad cell fails here before any m x m buffer exists.
+    Every seed's codebook is built, then its 0/1 supports (X, and Y for the
+    dot task) are drawn with ``_draw_subsets``, so a bad cell fails here,
+    with the error a trial alone gives, before any m x m buffer exists.
     """
     m, d, support = _params(cell, int, "m", "d", "n")
     (eps,) = _params(cell, float, "eps")
+    codebooks = [Codebook("dense-sign", m, d, seed=seed, scaled=True) for seed in seeds]
 
-    def instance(seed: int) -> tuple:
-        cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
-        x = {int(i): 1.0 for i in _draw_subset(seed, "suppX", d, support)}
-        y = {int(i): 1.0 for i in _draw_subset(seed, "suppY", d, support)} if dot else None
-        return cb, x, y, seed
+    def supports(tag: str) -> list[dict]:
+        return [dict.fromkeys(ids.tolist(), 1.0) for ids in _draw_subsets(seeds, tag, d, support)]
 
-    instances = [instance(seed) for seed in seeds]
+    xs = supports("suppX")
+    ys = supports("suppY") if dot else [None] * len(seeds)
+    instances = list(zip(codebooks, xs, ys, seeds))
     estimates = hopfield.hpm_estimates(instances)
     if not dot:
         return [_within(est, support, eps * support) for est in estimates]
@@ -527,8 +566,8 @@ def run_trials(arch: str, task: str, cell: dict, seeds) -> list[TrialOutcome]:
 
 def trial_records(config: ExperimentConfig, cell: dict) -> list[TrialRecord]:
     """Run every trial of one cell once, in index order, in one ``run_trials`` call."""
-    cell_json = json.dumps(cell, sort_keys=True)  # once per cell, not per trial
-    seeds = [_trial_seed(config.seed, cell_json, t) for t in range(config.trials)]
+    prefix = _trial_prefix(config.seed, json.dumps(cell, sort_keys=True))  # once per cell
+    seeds = [rng.extend_id(prefix, t) for t in range(config.trials)]
     outcomes = run_trials(config.arch, config.task, cell, seeds)
     return [TrialRecord(cell, t, seed, outcome)
             for t, (seed, outcome) in enumerate(zip(seeds, outcomes, strict=True))]

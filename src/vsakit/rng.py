@@ -30,7 +30,9 @@ tuples of Python ints. The words are exactly those of
 from one call to the next, a ``Stream`` holds nothing mutable, and streams
 are safe to share between threads. ``stream_id`` is memoized on its tags
 and their types, since a cell's codebook and instance tags recur on every
-trial.
+trial. The fold of tags is sequential, so ``extend_id`` continues a folded
+prefix by more tags: a cell's trial seeds fold the cell once, then one
+step per trial index.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def _tag_word(tag) -> int:
     raise TypeError(f"stream tag must be str or int, got {type(tag).__name__}")
 
 
-def _fold(tags: tuple) -> int:
-    h = 0x243F6A8885A308D3  # pi fractional bits; any fixed odd constant works
+def _fold(tags: tuple, h: int = 0x243F6A8885A308D3) -> int:
+    # The start is pi's fractional bits; any fixed odd constant works.
     for tag in tags:
         h = mix64(h ^ _tag_word(tag))
     return h
@@ -91,6 +93,15 @@ def stream_id(*tags) -> int:
         return _cached_fold(*tags)
     except TypeError:  # an unhashable tag: the plain fold raises the bad-tag error
         return _fold(tags)
+
+
+def extend_id(sid: int, *tags) -> int:
+    """``stream_id(*head, *tags)`` given ``sid = stream_id(*head)``.
+
+    The fold is sequential, so it goes on from ``sid``: a caller that folds
+    many tag tuples with one head folds the head once.
+    """
+    return _fold(tags, sid)
 
 
 _thread = threading.local()
@@ -118,11 +129,14 @@ class Stream:
     def words(self, block: int, nwords: int) -> np.ndarray:
         """Words ``[4*block, 4*block + nwords)`` as uint64."""
         counter = int(block) & ((1 << 256) - 1)  # Philox.advance wraps mod 2**256 too
+        if counter <= _MASK64:  # every codebook and instance window: one limb
+            limbs = (counter, 0, 0, 0)
+        else:
+            limbs = tuple((counter >> s) & _MASK64 for s in (0, 64, 128, 192))
         bg = _philox()
         bg.state = {
             "bit_generator": "Philox",
-            "state": {"counter": tuple((counter >> s) & _MASK64 for s in (0, 64, 128, 192)),
-                      "key": self._key},
+            "state": {"counter": limbs, "key": self._key},
             "buffer": _EMPTY_BUFFER,
             "buffer_pos": 4,
             "has_uint32": 0,

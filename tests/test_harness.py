@@ -40,6 +40,25 @@ def test_trial_seed_is_pure_split():
     assert harness.trial_seed(7, {"m": 65, "n": 1}, 0) != harness.trial_seed(7, cell, 0)
 
 
+def test_trial_seed_continues_the_stream_fold():
+    cell = {"m": 64, "n": 1}
+    cell_json = json.dumps(cell, sort_keys=True)
+    for master, index in [(7, 0), (7, 3), (2**64 - 1, 5), (-1, 2), (7, 2**64 + 1)]:
+        expected = harness.rng.stream_id("trial", master & (2**64 - 1), cell_json, index)
+        assert harness.trial_seed(master, cell, index) == expected
+
+
+def test_trial_seed_takes_only_integral_seeds():
+    cell = {"m": 64, "n": 1}
+    for same in (np.int64(7), 7.0):
+        assert harness.trial_seed(same, cell, 0) == harness.trial_seed(7, cell, 0)
+    assert harness.trial_seed(7, cell, np.int64(2)) == harness.trial_seed(7, cell, 2)
+    with pytest.raises(ValueError, match="master seed must be an integer, got 1.5"):
+        harness.trial_seed(1.5, cell, 0)
+    with pytest.raises(ValueError, match="trial index must be an integer, got 0.5"):
+        harness.trial_seed(7, cell, 0.5)
+
+
 def test_run_deterministic_and_thread_invariant():
     config = small_config()
     csv1, side1 = harness.run(config, threads=1)
@@ -278,6 +297,67 @@ def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_stack):
         _mapi_norm_trial(cell, s) for s in seeds]
 
 
+def _set_draw_chunk(monkeypatch, rows, size):
+    """Make ``_draw_subsets`` stack ``rows`` seeds per chunk for draws of ``size``."""
+    monkeypatch.setattr(harness, "_DRAW_BYTES", rows * 8 * max(size, 1))
+
+
+@pytest.mark.parametrize("d, size", sorted({(d, size) for d in (1, 7, 256)
+                                            for size in (0, 1, 16, d - 1, d) if size <= d}))
+@pytest.mark.parametrize("count", [1, 2, 4, 5, 6])  # the chunk is 5 seeds
+def test_draw_subsets_equal_row_wise_draws(monkeypatch, d, size, count):
+    _set_draw_chunk(monkeypatch, 5, size)
+    seeds = [harness.trial_seed(11, {"d": d, "n": size}, t) for t in range(count)]
+    rows = list(harness._draw_subsets(seeds, "set", d, size))
+    assert len(rows) == count
+    for seed, row in zip(seeds, rows):
+        assert row.dtype == np.int64
+        assert np.array_equal(row, harness._draw_subset(seed, "set", d, size))
+
+
+@pytest.mark.parametrize("count", [63, 64, 65])
+def test_draw_subsets_across_default_chunks(count):
+    d = size = 256
+    assert harness._DRAW_BYTES // (8 * size) == 64
+    seeds = [harness.trial_seed(12, {"d": d}, t) for t in range(count)]
+    rows = list(harness._draw_subsets(seeds, "suppX", d, size))
+    assert len(rows) == count
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, harness._draw_subset(seed, "suppX", d, size))
+
+
+def test_draw_subsets_raise_at_the_first_draw():
+    draws = harness._draw_subsets([1, 2], "set", 8, 9)  # lazy: nothing drawn yet
+    with pytest.raises(ValueError, match="cannot draw 9 distinct symbols from universe 8"):
+        next(draws)
+    assert list(harness._draw_subsets([], "set", 8, 9)) == []
+
+
+def _mapi_norm_reference(cell, seeds):
+    """The per-seed norm trials the batched draws replaced, kept as the reference.
+
+    Per seed: its codebook, then its drawn set, then the gather of its words.
+    """
+    m, n, d = cell["m"], cell["n"], cell["d"]
+
+    def words(seed):
+        cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+        return cb.sign_words(harness._draw_subset(seed, "set", d, n))
+
+    return [harness._within(est, n, cell["eps"] * n)
+            for est in mapi.flat_norm_sq_estimates(m, map(words, seeds))]
+
+
+@pytest.mark.parametrize("m", [1, 64, 119, 130])
+@pytest.mark.parametrize("d, n", sorted({(d, n) for d in (1, 2, 256)
+                                         for n in (0, 1, 16, d - 1, d) if 0 <= n <= d}))
+def test_mapi_norm_trials_equal_per_seed_reference(monkeypatch, m, d, n):
+    _set_draw_chunk(monkeypatch, 3, n)
+    cell = {"m": m, "n": n, "d": d, "eps": 0.5}
+    seeds = [harness.trial_seed(4, cell, t) for t in range(8)]
+    assert harness.run_trials("mapi", "norm", cell, seeds) == _mapi_norm_reference(cell, seeds)
+
+
 def _hpm_trial(cell, seed, dot):
     """The one-trial Hopfield± path: a fresh bundle per support and the public estimators."""
     m, n, d, eps = cell["m"], cell["n"], cell["d"], cell["eps"]
@@ -352,6 +432,18 @@ def test_hpm_bad_cells_keep_their_rows(task, grid, tail):
      "\"parameter 'n' must be an integer, got 2.5\""),
     ({"m": [64], "n": [-1], "d": [32], "eps": [0.5]},  # no error: an empty set, failing
      "mapi,norm,64,,-1,32,,0.5,,3,3,1.0,1.0,1.0,7,philox4x64-block-v1,"),
+    # A seed's codebook is checked before its set is drawn, and n = d, which
+    # draws no set, skips no check.
+    ({"m": [0], "n": [40], "d": [32], "eps": [0.5]},
+     "mapi,norm,0,,40,32,,0.5,,3,0,,,,7,philox4x64-block-v1,m and d must be positive"),
+    ({"m": [64], "n": [0], "d": [0], "eps": [0.5]},
+     "mapi,norm,64,,0,0,,0.5,,3,0,,,,7,philox4x64-block-v1,m and d must be positive"),
+    ({"m": [64], "n": [-1], "d": [-1], "eps": [0.5]},
+     "mapi,norm,64,,-1,-1,,0.5,,3,0,,,,7,philox4x64-block-v1,m and d must be positive"),
+    ({"m": [0], "n": [32], "d": [32], "eps": [0.5]},
+     "mapi,norm,0,,32,32,,0.5,,3,0,,,,7,philox4x64-block-v1,m and d must be positive"),
+    ({"m": [64], "n": [32], "d": [32], "eps": [0.5]},
+     "mapi,norm,64,,32,32,,0.5,,3,0,0.0,6.3125,10.4375,7,philox4x64-block-v1,"),
 ])
 def test_mapi_norm_bad_cells_keep_their_rows(grid, row):
     csv_text, _ = harness.run(harness.ExperimentConfig("mapi", "norm", grid, 3, 7))

@@ -25,6 +25,12 @@ def test_tag_types():
     assert rng.stream_id("x", 3) != rng.stream_id(3, "x")
 
 
+def test_extend_id_continues_the_fold():
+    head = rng.stream_id("trial", 7, '{"m": 1}')
+    for tail in [(), (0,), (3,), (2**64 + 5,), ("x", 4), (-1,)]:
+        assert rng.extend_id(head, *tail) == rng.stream_id("trial", 7, '{"m": 1}', *tail)
+
+
 def test_signs_from_words_layout():
     words = np.array([0b101, 0], dtype=np.uint64)
     col = rng.signs_from_words(words, 4)[:, 0]
