@@ -139,7 +139,7 @@ def _trial_prefix(master: int, cell_json: str) -> int:
 
 def _draw_words(seed: int, tag: str, d: int, size: int) -> np.ndarray:
     """The raw words a draw of ``size`` distinct symbols from [d] reads."""
-    if size > d:
+    if not 0 <= size <= d:
         raise ValueError(f"cannot draw {size} distinct symbols from universe {d}")
     return rng.Stream(seed, "inst", tag).words(0, max(size, 1))
 

@@ -5,10 +5,10 @@ symmetric) is never stored: recall applies S (S^T x) - n x in synchronous
 updates x <- signge(W x), where signge maps 0 to +1 (deterministic, unlike
 MAP-B's randomized tie rule). Patterns, probes and recalled vectors are plain
 1-D arrays: patterns and recalled vectors hold +-1 entries (int8), probes
-hold entries in {0, -1, +1}. ``HopfieldNet.apply`` takes any integer probe
-and runs the two matmuls in float64 BLAS whenever max|x| m n < 2**53, where
-every partial sum is an exactly representable integer; past that guard it
-falls back to numpy's (much slower, non-BLAS) int64 matmul.
+hold entries in {0, -1, +1}. ``HopfieldNet.apply`` takes only such probes
+and runs its two matmuls in float64 BLAS: every partial sum is an integer of
+size at most m n, exactly representable far past any m x n that fits in
+memory.
 
 Hopfield± encodes a diagonal weight vector V as the m x m matrix
 S_bar V D S_bar^T with a seeded sign diagonal D; its squared Frobenius norm
@@ -18,12 +18,10 @@ dense (a factored form rounds differently). One kernel, ``_hpm_matrix``,
 writes it: into a fresh array that becomes the bundle's matrix without a
 copy in ``hpm_encode``, and into two buffers reused across a whole batch of
 instances in ``hpm_estimates``, which the harness trials use. Every
-estimate sums the elementwise products in numpy's own pairwise order, so
-every float bit matches ``(M1 * M2).sum()`` of freshly encoded bundles:
+estimate is ``(M1 * M2).sum()`` of freshly encoded bundles, bit for bit:
 ``hpm_estimates`` multiplies in place into the scratch matrix it has just
-written and reduces it with one ``np.add.reduce``, while the bundle
-estimators, whose matrices are read-only, go through a 512 KiB leaf buffer
-and so build no m x m temporary.
+written, while the bundle estimators, whose matrices are read-only, build
+one m x m product.
 """
 
 from __future__ import annotations
@@ -44,11 +42,10 @@ from .sizing import SizingResult, check_rates, constants_for
 class HopfieldNet:
     """n stored +-1 patterns, the columns of S.
 
-    ``apply(y)`` is W y = S (S^T y) - n y as int64 (wrapping past its range,
-    as numpy's int64 matmul does). ``y`` holds integers (a non-integral entry
-    is a ``ValueError``) and may be one m-vector or an (m, k) block of k
-    probes, one per column; a block costs two small matmuls, and its column
-    j equals ``apply(y[:, j])``."""
+    ``apply(y)`` is W y = S (S^T y) - n y as int64. ``y`` holds entries in
+    {0, -1, +1} (any other entry is a ``ValueError``) and may be one m-vector
+    or an (m, k) block of k probes, one per column; a block costs two small
+    matmuls, and its column j equals ``apply(y[:, j])``."""
 
     patterns: np.ndarray  # (m, n) int8
 
@@ -75,26 +72,16 @@ class HopfieldNet:
         return s @ s.T - self.n * np.eye(self.m, dtype=np.int64)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        z = _integer_array(y)
-        peak = max(-int(z.min()), int(z.max())) if z.size else 0  # np.abs(int64 min) wraps
-        if peak * self.m * self.n < 2**53:  # every partial sum is an exact float64 integer
-            s = self.patterns.astype(np.float64)
-            sz = (s @ (s.T @ z.astype(np.float64))).astype(np.int64)
-        else:
-            sz = self.patterns @ (self.patterns.T @ z)
-        return sz - self.n * z
+        z = _ternary(y)
+        s = self.patterns.astype(np.float64)  # every partial sum is an exact float64 integer
+        return (s @ (s.T @ z.astype(np.float64))).astype(np.int64) - self.n * z
 
 
-def _integer_array(y) -> np.ndarray:
-    """``y`` as an int64 array; a non-integral or out-of-range entry is a ValueError."""
+def _ternary(y) -> np.ndarray:
+    """``y`` as an int64 array; an entry other than 0, -1 or +1 is a ValueError."""
     values = np.asarray(y)
-    if values.dtype.kind not in "biu":
-        try:
-            whole = ((np.trunc(values) == values) & (np.abs(values) < 2.0**63)).all()
-        except TypeError:  # strings, objects, complex
-            whole = False
-        if not whole:
-            raise ValueError("Hopfield probe entries must be integers")
+    if ((values != 0) & (values != 1) & (values != -1)).any():
+        raise ValueError("probe entries must be in {0, -1, +1}")
     return values.astype(np.int64)
 
 
@@ -130,9 +117,7 @@ def _probe_values(net: HopfieldNet, y) -> np.ndarray:
     values = np.asarray(y)
     if values.shape != (net.m,):
         raise ValueError(f"probe must be a 1-D array of length m={net.m}, got shape {values.shape}")
-    if ((values != 0) & (values != 1) & (values != -1)).any():
-        raise ValueError("probe entries must be in {0, -1, +1}")
-    return values.astype(np.int64)
+    return _ternary(values)
 
 
 def recall_step(net, y) -> np.ndarray:
@@ -308,41 +293,13 @@ def _require_hpm_pair(b1: HpmBundle, b2: HpmBundle) -> None:
         raise ValueError("bundles use different sign diagonals (d_seed mismatch)")
 
 
-#: Elements of the leaf buffer :func:`_sum_products` allocates when given none
-#: (512 KiB of float64).
-_LEAF = 65536
+def _sum_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
+    """``float((a * b).sum())``, the products written into ``out``.
 
-
-def _sum_products(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None) -> float:
-    """``float((a * b).sum())`` bit for bit, the products going through ``buf``.
-
-    ``a`` and ``b`` are C-contiguous float64 arrays of one size, and ``buf``
-    a C-contiguous float64 array that may be overwritten; it may be ``a`` or
-    ``b`` itself (or both), or None for a fresh buffer of up to ``_LEAF``
-    elements. numpy sums a contiguous float64 run pairwise: 0.0 plus the
-    run's pairwise sum, where a run longer than one 128-element block splits
-    at n2 = n//2 - (n//2) % 8 and its halves' sums are added.
-    :func:`_pairwise_products` recurses with the same split down to runs of
-    at most ``buf.size`` elements and lets numpy sum each of those, so the
-    tree and every rounding are numpy's own. With ``buf`` as large as ``a``
-    that is one in-place ``np.multiply`` and one ``np.add.reduce``.
+    ``out`` is a float64 array of the operands' shape that may be
+    overwritten, ``a`` or ``b`` itself among them, or None for a fresh one.
     """
-    a, b = a.ravel(), b.ravel()
-    buf = np.empty(min(a.size, _LEAF)) if buf is None else buf.reshape(-1)
-    return 0.0 + _pairwise_products(a, b, 0, a.size, buf)
-
-
-def _pairwise_products(a: np.ndarray, b: np.ndarray, lo: int, n: int, buf: np.ndarray) -> float:
-    """Pairwise sum of a[lo:lo+n] * b[lo:lo+n]; each leaf's products go through ``buf``.
-
-    A module-level function, not a closure: a self-referencing closure would
-    hold both operands in a reference cycle until the next garbage collection.
-    """
-    if n <= buf.size:
-        leaf = np.multiply(a[lo : lo + n], b[lo : lo + n], out=buf[:n])
-        return float(np.add.reduce(leaf, initial=0.0))
-    n2 = n // 2 - (n // 2) % 8
-    return _pairwise_products(a, b, lo, n2, buf) + _pairwise_products(a, b, lo + n2, n - n2, buf)
+    return float(np.multiply(a, b, out=out).sum())
 
 
 def hpm_norm_estimate(b: HpmBundle) -> float:

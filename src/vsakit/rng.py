@@ -182,45 +182,35 @@ def choose_distinct_rows(words: np.ndarray, m: int, k: int) -> np.ndarray:
     the rows that repeat an r_t. A single row always runs the loop. Returns
     shape (rows, k) int64.
     """
-    if k > m:
+    if not 0 <= k <= m:
         raise ValueError(f"cannot choose {k} distinct indices from range {m}")
     if words.shape[1] < k:
         raise ValueError(f"choosing {k} indices needs {k} words, got {words.shape[1]}")
     offsets = words[:, :k] % np.arange(m, m - k, -1, dtype=np.uint64)
     if len(offsets) < 2:
-        return _swap_loop(offsets.tolist(), m, k)
+        return _swap_loop(offsets.tolist(), k)
     r = offsets.astype(np.int64) + np.arange(k)
     ordered = np.sort(r, axis=1)
     repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if repeats.any():
-        r[repeats] = _swap_loop(offsets[repeats].tolist(), m, k)
+        r[repeats] = _swap_loop(offsets[repeats].tolist(), k)
     return r
 
 
-def _swap_loop(offsets: list, m: int, k: int) -> np.ndarray:
+def _swap_loop(offsets: list, k: int) -> np.ndarray:
     """The Fisher-Yates swap loop of each row of ``offsets``, shape (rows, k) int64.
 
-    The virtual array is a real ``list(range(m))`` when 4k >= m, where
-    building it costs less than the dict lookups it saves, else a dict of
-    the swapped positions.
+    The virtual identity array is a dict that holds only the swapped positions.
     """
     out: list[int] = []
-    if 4 * k >= m:
-        for row in offsets:
-            at = list(range(m))
-            for t, offset in enumerate(row):
-                r = t + offset
-                out.append(at[r])
-                at[r] = at[t]
-    else:
-        for row in offsets:
-            swap: dict[int, int] = {}
-            get = swap.get
-            for t in range(k):
-                r = t + row[t]
-                vt = get(t, t)
-                out.append(get(r, r))
-                swap[r] = vt
+    for row in offsets:
+        swap: dict[int, int] = {}
+        get = swap.get
+        for t in range(k):
+            r = t + row[t]
+            vt = get(t, t)
+            out.append(get(r, r))
+            swap[r] = vt
     return np.array(out, dtype=np.int64).reshape(len(offsets), k)
 
 

@@ -287,12 +287,19 @@ def _mapi_norm_trial(cell, seed):
     return harness._within(mapi.norm_sq_estimate(mapi.bundle(cb, v)), n, eps * n)
 
 
-@pytest.mark.parametrize("n", [-1, 0, 1, 16, 64])  # 64 = d; -1 draws nothing
+@pytest.mark.parametrize("n", [-1, 0, 1, 16, 64])  # 64 = d; -1 is an error on both paths
 @pytest.mark.parametrize("per_stack", [1, 4, 10, 100])
 def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_stack):
     cell = {"m": 119, "n": n, "d": 64, "eps": 0.5}
     seeds = [harness.trial_seed(3, cell, t) for t in range(10)]
     monkeypatch.setattr(mapi, "_STACK_BYTES", per_stack * max(1, n * 119))
+    if n < 0:
+        bad_size = "cannot draw -1 distinct symbols from universe 64"
+        with pytest.raises(ValueError, match=bad_size):
+            harness.run_trials("mapi", "norm", cell, seeds)
+        with pytest.raises(ValueError, match=bad_size):
+            _mapi_norm_trial(cell, seeds[0])
+        return
     assert harness.run_trials("mapi", "norm", cell, seeds) == [
         _mapi_norm_trial(cell, s) for s in seeds]
 
@@ -331,6 +338,8 @@ def test_draw_subsets_raise_at_the_first_draw():
     with pytest.raises(ValueError, match="cannot draw 9 distinct symbols from universe 8"):
         next(draws)
     assert list(harness._draw_subsets([], "set", 8, 9)) == []
+    with pytest.raises(ValueError, match="cannot draw -1 distinct symbols from universe 8"):
+        next(harness._draw_subsets([1, 2], "set", 8, -1))
 
 
 def _mapi_norm_reference(cell, seeds):
@@ -407,6 +416,8 @@ def test_sized_hpm_csv_bytes(task):
      "philox4x64-block-v1,m and d must be positive"),
     ({"m": [64], "d": [4], "n": [8]}, "64,,8,4,,0.7071,,3,0,,,,0,"
      "philox4x64-block-v1,cannot draw 8 distinct symbols from universe 4"),
+    ({"m": [64], "d": [512], "n": [-1]}, "64,,-1,512,,0.7071,,3,0,,,,0,"
+     "philox4x64-block-v1,cannot draw -1 distinct symbols from universe 512"),
 ])
 def test_hpm_bad_cells_keep_their_rows(task, grid, tail):
     grid = {**grid, "eps": [0.7071]}
@@ -430,8 +441,9 @@ def test_hpm_bad_cells_keep_their_rows(task, grid, tail):
     ({"m": [64], "n": [2.5], "d": [32], "eps": [0.5]},
      "mapi,norm,64,,2.5,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
      "\"parameter 'n' must be an integer, got 2.5\""),
-    ({"m": [64], "n": [-1], "d": [32], "eps": [0.5]},  # no error: an empty set, failing
-     "mapi,norm,64,,-1,32,,0.5,,3,3,1.0,1.0,1.0,7,philox4x64-block-v1,"),
+    ({"m": [64], "n": [-1], "d": [32], "eps": [0.5]},
+     "mapi,norm,64,,-1,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+     "cannot draw -1 distinct symbols from universe 32"),
     # A seed's codebook is checked before its set is drawn, and n = d, which
     # draws no set, skips no check.
     ({"m": [0], "n": [40], "d": [32], "eps": [0.5]},

@@ -169,6 +169,8 @@ def test_choose_distinct_rows_rejects_bad_shapes():
         rng.choose_distinct_rows(np.zeros((4, 2), dtype=np.uint64), 10, 3)
     with pytest.raises(ValueError):
         rng.choose_distinct_rows(np.zeros((1, 5), dtype=np.uint64), 4, 5)
+    with pytest.raises(ValueError, match="cannot choose -1 distinct indices from range 10"):
+        rng.choose_distinct_rows(np.zeros((4, 2), dtype=np.uint64), 10, -1)
 
 
 def test_choose_distinct_rejects_too_few_words():
