@@ -109,7 +109,7 @@ def intersection_estimate(b1: BloomBundle, b2: BloomBundle) -> float:
 
     The dot product of two 0/1 filters is the number of positions they share.
     """
-    if b1.codebook.key != b2.codebook.key:
+    if b1.codebook != b2.codebook:
         raise ValueError("bundles come from different codebooks")
     dot = np.intersect1d(b1.positions, b2.positions, assume_unique=True).size
     return h_mk(b1.m, b1.codebook.k, dot)

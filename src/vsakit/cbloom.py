@@ -88,7 +88,7 @@ def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:
 
 def generalized_intersection_estimate(b1: CountBundle, b2: CountBundle) -> float:
     """(1/k) sum_i min(x_i, y_i); >= v wedgedot w for every seed."""
-    if b1.codebook.key != b2.codebook.key:
+    if b1.codebook != b2.codebook:
         raise ValueError("bundles come from different codebooks")
     return _total(np.minimum(b1.counts, b2.counts)) / b1.codebook.k
 

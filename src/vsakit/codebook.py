@@ -79,6 +79,8 @@ class Codebook:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown codebook kind {self.kind!r}")
+        if self.kind == "dense-sign" and self.k is not None:
+            raise ValueError(f"dense-sign takes no sparsity k, got k={self.k!r}")
         for name in ("m", "d", "seed") if self.k is None else ("m", "d", "k", "seed"):
             object.__setattr__(self, name, integral(getattr(self, name), f"codebook {name}"))
         if not isinstance(self.scaled, bool):
@@ -97,10 +99,6 @@ class Codebook:
                                                        self.m, self.d, self.k or 0))
         object.__setattr__(self, "_words_per_column", words)
         object.__setattr__(self, "_blocks_per_column", -(-words // 4))
-
-    @property
-    def key(self) -> tuple:
-        return (self.kind, self.m, self.d, self.k, self.seed, self.scaled)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -287,7 +287,7 @@ def hpm_encode(cb: Codebook, V, d_seed: int) -> HpmBundle:
 
 
 def _require_hpm_pair(b1: HpmBundle, b2: HpmBundle) -> None:
-    if b1.codebook.key != b2.codebook.key:
+    if b1.codebook != b2.codebook:
         raise ValueError("bundles come from different codebooks")
     if b1.d_seed != b2.d_seed:
         raise ValueError("bundles use different sign diagonals (d_seed mismatch)")

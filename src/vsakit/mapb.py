@@ -7,8 +7,8 @@ view: bit i of ``words`` is set where entry i is +1, exactly the layout of
 a dense-sign codebook column's words and of the MAP-B wire payload. A dot
 product of two +-1 vectors is then m - 2 * popcount(x ^ c), so every score
 is an XOR and a popcount, and a chained bundling step is three bitwise ops.
-Every bundle carries the dense-sign codebook it was built from, and its m is
-the codebook's.
+A bundle holds only these words and its dense-sign codebook (m is the
+codebook's): every kind is its wire form, and the caller picks its test.
 
 The paper-backed guarantees are decision tests (membership, sequence
 membership, key-value membership, empty-intersection), not size
@@ -66,18 +66,10 @@ class KeyValueSpec:
                 raise ValueError("pair ids outside the universe")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def keys(self) -> frozenset[int]:
-        return frozenset(q for q, _ in self.pairs)
-
-    @property
-    def values(self) -> frozenset[int]:
-        return frozenset(w for _, w in self.pairs)
-
 
 @dataclass(frozen=True, eq=False)
 class MapBBundle:
-    """A +-1 bundle as packed signs, plus how it was built (to pick the right test).
+    """A +-1 bundle of any kind as packed signs (its wire payload) and its codebook.
 
     m is the codebook's, which must be dense-sign. ``words`` holds ceil(m/64)
     uint64 words; bit i (word i // 64, bit i % 64) is set where entry i is
@@ -86,12 +78,6 @@ class MapBBundle:
 
     words: np.ndarray
     codebook: Codebook
-    tie_seed: int
-    kind: str = "set"  # set | sequence | kv | chain
-    depth: int = 1
-    L: int = 1
-    keys: frozenset | None = None
-    vals: frozenset | None = None
 
     def __post_init__(self):
         _require_dense(self.codebook)
@@ -123,7 +109,6 @@ class TestResult:
     contained: bool
     score: int
     threshold: float
-    degraded: bool = False  # True when the bundle is not a one-shot depth-1 build
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -168,7 +153,7 @@ def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapB
     require_flat(v)
     if tie_seed is None:
         tie_seed = _default_tie_seed(v)
-    return MapBBundle(_threshold(mapi.bundle(cb, v).ints, cb.seed, tie_seed), cb, tie_seed)
+    return MapBBundle(_threshold(mapi.bundle(cb, v).ints, cb.seed, tie_seed), cb)
 
 
 def bundle_sequence_sign(
@@ -185,7 +170,7 @@ def bundle_sequence_sign(
             "tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries))
         )
     words = _threshold(mapi.encode_sequence(cb, seq).ints, cb.seed, tie_seed)
-    return MapBBundle(words, cb, tie_seed, kind="sequence", L=seq.L)
+    return MapBBundle(words, cb)
 
 
 def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None) -> MapBBundle:
@@ -197,7 +182,7 @@ def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None
         tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
     edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
     words = _threshold(mapi.encode_binding_bundle(cb, edges).ints, cb.seed, tie_seed)
-    return MapBBundle(words, cb, tie_seed, kind="kv", keys=spec.keys, vals=spec.values)
+    return MapBBundle(words, cb)
 
 
 def iterated_bundle(cb: Codebook, ids, tie_seed: int = 0) -> MapBBundle:
@@ -213,7 +198,7 @@ def iterated_bundle(cb: Codebook, ids, tie_seed: int = 0) -> MapBBundle:
     x = rows[0]
     for step, v in enumerate(rows[1:], start=1):
         x = (x & v) | ((x ^ v) & _tie_words(cb.seed, tie_seed, step, cb.m))
-    return MapBBundle(x, cb, tie_seed, kind="chain", depth=rows.shape[0])
+    return MapBBundle(x, cb)
 
 
 # -- decision thresholds (natural log throughout) ---------------------------
@@ -245,8 +230,7 @@ def membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
     check_rates(delta=delta)
     score = int(membership_scores(b, [j])[0])
     tau = member_threshold(b.m, b.codebook.d, delta)
-    degraded = b.depth > 1 or b.kind != "set"
-    return TestResult(score >= tau, score, tau, degraded)
+    return TestResult(score >= tau, score, tau)
 
 
 def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> TestResult:
@@ -254,22 +238,20 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
     check_rates(delta=delta)
     if b1.m != b2.m:
         raise ValueError("bundles have different dimensions")
-    if b1.codebook.key != b2.codebook.key:  # their scores would be noise
+    if b1.codebook != b2.codebook:  # their scores would be noise
         raise ValueError("bundles come from different codebooks")
     score = int(_scores(b1.words, b2.words, b1.m))
     tau = empty_intersection_threshold(b1.m, delta)
-    degraded = b1.depth > 1 or b2.depth > 1
-    return TestResult(score >= tau, score, tau, degraded)
+    return TestResult(score >= tau, score, tau)
 
 
 def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
-    """Scores <x, R^ell S_j> of symbols ``syms`` at position ell in [0, L), as int64.
+    """Scores <x, R^ell S_j> of symbols ``syms`` at position ell, as int64.
 
     Since <x, R^ell c> = <R^-ell x, c>, the bundle's bits are rolled once,
     and every symbol is scored against them from one gather of column words.
+    A position past the sequence scores like an absent symbol.
     """
-    if not 0 <= ell < b.L:
-        raise IndexError(f"position {ell} out of range for L = {b.L}")
     bits = np.unpackbits(b.words.astype("<u8", copy=False).view(np.uint8),
                          count=b.m, bitorder="little")
     rolled = _pack(rotate(bits, -ell))
@@ -280,13 +262,9 @@ def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> Te
     """Is the bound pair (key, value) in the bundle?"""
     check_rates(delta=delta)
     q, w = pair
-    if b.vals is not None and q in b.vals:
-        raise ValueError(f"query key {q} is a value id in this bundle")
-    if b.keys is not None and w in b.keys:
-        raise ValueError(f"query value {w} is a key id in this bundle")
     score = int(_scores(b.words, mapi.bound_words(b.codebook, [(q, w)]), b.m)[0])
     tau = kv_member_threshold(b.m, b.codebook.d, delta)
-    return TestResult(score >= tau, score, tau, b.kind != "kv")
+    return TestResult(score >= tau, score, tau)
 
 
 # -- exact enumeration oracles ----------------------------------------------

@@ -64,7 +64,7 @@ def _require_dense(cb: Codebook) -> None:
 
 
 def _require_same(b1: MapIBundle, b2: MapIBundle) -> None:
-    if b1.codebook.key != b2.codebook.key:
+    if b1.codebook != b2.codebook:
         raise ValueError("bundles come from different codebooks")
 
 

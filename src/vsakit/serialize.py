@@ -29,8 +29,8 @@ refuse a hash mismatch (a bundle is only meaningful against the codebook
 that generated it), a version other than 2 (version 1 wrote Bloom filters
 as packed bits), a domain byte other than the arch's, an unknown flag bit, a
 MAP-I scaled flag that differs from the codebook's ``scaled`` and a payload
-of the wrong length. The format stores no MAP-B kind, so only
-MAP-B set bundles can be written.
+of the wrong length. A MAP-B bundle holds only its words and codebook, so
+set, sequence, key-value and chain bundles are all written alike.
 """
 
 from __future__ import annotations
@@ -106,8 +106,6 @@ def bundle_to_bytes(bundle) -> bytes:
     if name == "mapi":
         flags, payload = int(bundle.scaled), bundle.ints.astype("<i8").tobytes()
     elif name == "mapb":
-        if bundle.kind != "set":
-            raise ValueError(f"bundle format v2 cannot carry a MAP-B {bundle.kind} bundle")
         payload = bundle.words.astype("<u8").tobytes()[: -(-bundle.m // 8)]
     else:
         payload = _pack_uints(bundle.positions if name == "bloom" else bundle.counts)
@@ -144,7 +142,7 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
     if name == "mapi":
         return mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb)
     words = np.frombuffer(bytes(payload) + bytes(-len(payload) % 8), "<u8")
-    return mapb.MapBBundle(words.astype(np.uint64), cb, tie_seed=0)  # checks the padding
+    return mapb.MapBBundle(words.astype(np.uint64), cb)  # checks the padding
 
 
 def arch_of(data: bytes) -> str:

@@ -142,10 +142,6 @@ class SequenceSpec:
         object.__setattr__(self, "sets", sets)
 
     @property
-    def L(self) -> int:
-        return len(self.sets)
-
-    @property
     def d(self) -> int:
         return self.sets[0].d
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,18 @@ def test_codebook_validation():
         Codebook("sparse-binary-exact", 8, 4, k=9)  # k > m
     with pytest.raises(ValueError):
         Codebook("no-such-kind", 8, 4)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 64, -3, 2.5, "4"])
+def test_dense_sign_refuses_a_sparsity(k):
+    # a k would name other columns (k=5) or the same ones under another hash (k=0)
+    obj = json.loads(Codebook("dense-sign", 64, 8, seed=1).to_json())
+    assert Codebook.from_json(json.dumps(obj)).k is None
+    for make in (lambda: Codebook("dense-sign", 64, 8, k=k, seed=1),
+                 lambda: Codebook.from_json(json.dumps({**obj, "k": k}))):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == f"dense-sign takes no sparsity k, got k={k!r}"
 
 
 @pytest.mark.parametrize("ids", [

@@ -1,13 +1,14 @@
-"""Every public function, method and property of ``src/vsakit`` is reached.
+"""Every public function, method, property and field of ``src/vsakit`` is reached.
 
 A name is reached when some other ``src/`` code refers to it: a module
 function by its bare name in its own module, as ``module.name`` through an
 imported module, or by a ``from .module import name`` outside ``__init__``;
 a method or property by any ``.name`` attribute. References inside the
 definition itself do not count, nor do the package's re-exports in
-``__init__``. The few names that only a test, an acceptance criterion, the
-benchmark or the set-file format needs are listed in ``ALLOWED`` with the
-reason.
+``__init__``. A field (an annotated name in a public class body) is reached
+when some ``src/`` code reads a ``.name`` attribute. The few names that
+only a test, an acceptance criterion, the benchmark or the set-file format
+needs are listed in ``ALLOWED`` with the reason.
 """
 
 import ast
@@ -23,14 +24,19 @@ ALLOWED = {
     "hopfield.HopfieldNet.weights": "acceptance criterion c01 reads the zero diagonal",
     "hopfield.train": "acceptance criteria c01 and c07 train nets through it",
     "hopfield.recall_step": "acceptance criterion c01 takes one update through it",
-    "hopfield.hpm_encode": "acceptance criterion c08 encodes through it; trials share its kernel",
-    "hopfield.hpm_dot_estimate": "acceptance criterion c08 estimates through it",
+    "hopfield.hpm_encode": "tests pin hpm_estimates, which c08 runs, to it bit for bit",
+    "hopfield.hpm_dot_estimate": "tests pin hpm_estimates' dots, which c08 runs, to it bit for bit",
     "hopfield.hpm_norm_estimate": "tests check hpm_estimates' norms against it bit for bit",
     "mapb.MapBBundle.signs": "acceptance criterion c05b reads the entries",
     "mapb.agreement_probability": "acceptance criterion c05a is its exact oracle",
     "bloom.BloomBundle.bits": "the benchmark's tracer reads bloom.bundle_bytes from it",
     "harness.trial_seed": "tests use it as the documented pure seed split",
     "setalg.SymbolSet.to_json_obj": "it writes the set-file format that the CLI reads",
+    "harness.TrialOutcome.estimate": "tests compare batched and one-seed outcomes field by field",
+    "harness.TrialOutcome.truth": "tests compare batched and one-seed outcomes field by field",
+    "harness.TrialRecord.cell": "trial_records yields it with index and seed, to replay a trial",
+    "harness.TrialRecord.index": "tests check each record's seed against trial_seed of its index",
+    "hopfield.RecallResult.iters": "tests and the benchmark's tracer count recall updates by it",
 }
 
 
@@ -44,6 +50,16 @@ def _public_defs(modules):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{mod}.{node.name}.{item.name}", item.name, False, mod, item
+
+
+def _public_fields(modules):
+    """(qualified name, bare name) of each annotated field of a public class."""
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{mod}.{node.name}.{item.target.id}", item.target.id
 
 
 def _reference_index(modules):
@@ -81,7 +97,11 @@ def _scan():
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(SRC.glob("*.py"))}
     index = _reference_index(modules)
-    return {qualified: _reached(index, *rest) for qualified, *rest in _public_defs(modules)}
+    reached = {qualified: _reached(index, *rest) for qualified, *rest in _public_defs(modules)}
+    for qualified, name in _public_fields(modules):
+        reads = (node for node in index.get(("attr", name), ()) if isinstance(node.ctx, ast.Load))
+        reached[qualified] = any(reads)
+    return reached
 
 
 def test_every_public_name_is_reached_or_allowed():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -138,24 +139,43 @@ def test_domain_byte_must_match_arch(kind):
         decode(bad)
 
 
-def test_mapb_kinds_format_v1_cannot_carry_are_refused():
-    cb = Codebook("dense-sign", 512, 32, seed=1)
-    seq = SequenceSpec((SymbolSet.from_ids(32, [1, 2]), SymbolSet.from_ids(32, [5])))
-    b = mapb.bundle_sequence_sign(cb, seq)
-    tau = mapb.sequence_member_threshold(512, 2, 32, 0.05)
-    assert mapb.sequence_membership_scores(b, 1, [5])[0] >= tau
-    kv = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(32, ((1, 20),)))
-    chain = mapb.iterated_bundle(cb, range(3))
-    for bundle in (b, kv, chain):
-        with pytest.raises(ValueError, match=bundle.kind):
-            serialize.bundle_to_bytes(bundle)
+def test_mapb_bundle_holds_only_its_wire_form():
+    assert [f.name for f in dataclasses.fields(mapb.MapBBundle)] == ["words", "codebook"]
+    assert [f.name for f in dataclasses.fields(mapb.TestResult)] == [
+        "contained", "score", "threshold"]
+
+
+@pytest.mark.parametrize("m", [37, 517])
+@pytest.mark.parametrize("kind", ["set", "sequence", "kv", "chain"])
+def test_every_mapb_kind_round_trips_scoring_alike(kind, m):
+    d = 32
+    cb = Codebook("dense-sign", m, d, seed=1)
+    seq = SequenceSpec((SymbolSet.from_ids(d, [1, 2]), SymbolSet.from_ids(d, [5]),
+                        SymbolSet.from_ids(d, [2, 7, 30])))
+    b = {"set": lambda: mapb.bundle_sign(cb, SymbolSet.from_ids(d, [0, 3, 31])),
+         "sequence": lambda: mapb.bundle_sequence_sign(cb, seq),
+         "kv": lambda: mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(d, ((1, 20), (4, 21)))),
+         "chain": lambda: mapb.iterated_bundle(cb, range(3), tie_seed=5)}[kind]()
+    data = serialize.bundle_to_bytes(b)
+    assert len(data) == 48 + -(-m // 8)
+    back = serialize.bundle_from_bytes(data, cb)
+    assert type(back) is mapb.MapBBundle and back.codebook == cb
+    assert back.words.tolist() == b.words.tolist()
+    ids = range(d)
+    assert mapb.membership_scores(back, ids).tolist() == mapb.membership_scores(b, ids).tolist()
+    assert mapb.empty_intersection_test(back, b, 0.05) == mapb.empty_intersection_test(b, b, 0.05)
+    for ell in range(len(seq.sets)):
+        assert (mapb.sequence_membership_scores(back, ell, ids).tolist()
+                == mapb.sequence_membership_scores(b, ell, ids).tolist())
+    for pair in ((1, 20), (4, 21), (20, 1), (1, 21), (0, 31)):
+        assert mapb.kv_membership_test(back, pair, 0.05) == mapb.kv_membership_test(b, pair, 0.05)
 
 
 @pytest.mark.parametrize("kind", ["mapb"])
 def test_padding_bits_past_m_rejected(kind):
     m = 37  # the last payload byte holds bits 32..36 and three padding bits
     cb = Codebook("dense-sign", m, 8, seed=2)
-    full = mapb.MapBBundle(np.array([(1 << m) - 1], np.uint64), cb, tie_seed=0)
+    full = mapb.MapBBundle(np.array([(1 << m) - 1], np.uint64), cb)
     data = serialize.bundle_to_bytes(full)
     assert data[-1] == 0b00011111
     back = serialize.bundle_from_bytes(data, cb)  # every bit below m set still decodes

@@ -113,7 +113,7 @@ def test_add_is_weightwise(ea, eb):
 
 def test_sequence_spec_length_and_universe():
     seq = SequenceSpec((ids(6, 0, 1), ids(6, 1, 2), ids(6, 1)))
-    assert seq.L == 3 and seq.d == 6
+    assert len(seq.sets) == 3 and seq.d == 6
     assert seq.total_l1() == 5
     with pytest.raises(ValueError):
         SequenceSpec(())
