@@ -3,21 +3,19 @@
 A grid of parameter cells is expanded from a config; every trial draws its
 instance and codebook from a seed derived purely from (master seed, cell
 parameters, trial index), so results are byte-identical for every run of
-the same config and seed. Cells run once each, in order, through
-:func:`trial_records`, which folds the master seed and cell once and
-extends that fold by each trial index, then hands all of the cell's trial
-seeds to one :func:`run_trials` call. Each registered task runs a cell's
-seeds through its ``trials(cell, seeds)``: most tasks run one seed after
-another (``_each``). MAP-I ``norm`` builds each seed's codebook on its
-own, draws the sets of a chunk of seeds in one call (``_draw_subsets``;
-no draw at all when n = d, since the set is then all of [d]) and builds
-and measures the bundles of many seeds at once (see
-``mapi.flat_norm_sq_estimates``). Hopfield± draws its supports the same
-way and encodes every seed's matrices into the same two m x m buffers
-(``hopfield.hpm_estimates``). Either way every outcome is the one a trial
-alone gives. One aggregated CSV
-row is emitted per cell in deterministic cell order; the full per-cell
-parameter dicts and the config echo go to a JSON sidecar.
+the same config and seed. Cells run once each, in order: for each one,
+:func:`trial_records` folds the master seed and cell once, extends that
+fold by each trial index and hands all of the cell's seeds to one
+:func:`run_trials` call. Most tasks run one seed after another
+(``_each``); MAP-I ``norm`` and Hopfield± draw and measure a cell's seeds
+together, and every outcome is still the one a trial alone gives. One
+aggregated CSV row is written per cell as the cell finishes; the full
+per-cell parameter dicts and the config echo go to a JSON sidecar.
+
+A trial reads each cell parameter by its name: the rates ``eps`` and
+``delta`` are floats that must pass ``sizing.check_rates``, and every
+other parameter is an integer. A cell that breaks this rule, or that no
+instance fits, gives an error row.
 
 CSV schema (version v1)::
 
@@ -184,30 +182,32 @@ def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y:
     return x, y
 
 
-def _params(cell: dict, cast, *names: str, **defaults) -> list:
-    """The named cell parameters passed through ``cast`` (int or float), in order.
+def _params(cell: dict, *names: str, **defaults) -> list:
+    """The named cell parameters, in order, each typed by its name.
 
-    Each keyword names an optional parameter and its default; it is read
-    after the required ``names``. Every ``eps`` and ``delta`` must pass
-    ``check_rates``, so an impossible rate makes an error row.
+    ``eps`` and ``delta`` are rates: floats that must pass ``check_rates``,
+    so an impossible rate makes an error row. Every other parameter is an
+    integer. Each keyword names an optional parameter and its default; it
+    is read after the required ``names``.
     """
     out = []
     for name in (*names, *defaults):
         if name not in cell and name not in defaults:
             raise ValueError(f"task needs parameter {name!r}")
         value = cell.get(name, defaults.get(name))
+        rate = name in ("eps", "delta")
         try:
             if isinstance(value, (bool, str)):  # int() and float() would take them
                 raise TypeError(value)
-            number = cast(value)
+            number = float(value) if rate else int(value)
         except (TypeError, OverflowError):
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
         except ValueError:  # int(nan)
             number = math.nan
-        if cast is int and number != value:
-            raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
-        if name in ("eps", "delta"):
+        if rate:
             check_rates(**{name: number})
+        elif number != value:
+            raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
         out.append(number)
     return out
 
@@ -230,8 +230,7 @@ def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
     of [d] whatever the words say, and a bundle is an integer sum over its
     columns, so no set is drawn and every seed gathers ``range(d)``.
     """
-    m, n, d = _params(cell, int, "m", "n", "d")
-    (eps,) = _params(cell, float, "eps")
+    m, n, d, eps = _params(cell, "m", "n", "d", "eps")
     codebooks = (Codebook("dense-sign", m, d, seed=seed, scaled=True) for seed in seeds)
     sets = repeat(np.arange(d)) if n == d else _draw_subsets(seeds, "set", d, n)
     # map builds each seed's codebook before it draws the seed's set, so a bad
@@ -241,8 +240,10 @@ def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
 
 
 def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:
-    m, d, pairs, n_x, n_y, n_common = _params(cell, int, "m", "d", "M", "n_x", "n_y", "n")
+    m, d, pairs, n_x, n_y, n_common = _params(cell, "m", "d", "M", "n_x", "n_y", "n")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
+    if pairs < 0:
+        raise ValueError(f"pair count M cannot be negative, got {pairs}")
     worst = 0.0
     all_exact = True
     for i in range(pairs):
@@ -255,8 +256,7 @@ def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapi_sequence(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d, L = _params(cell, int, "m", "n", "d", "L")
-    (eps,) = _params(cell, float, "eps")
+    m, n, d, L, eps = _params(cell, "m", "n", "d", "L", "eps")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     sets = [
         SymbolSet.from_ids(d, _draw_subset(seed, f"set{ell}", d, n).tolist())
@@ -268,8 +268,7 @@ def _trial_mapi_sequence(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapi_sequence_symbols(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d, L, K = _params(cell, int, "m", "n", "d", "L", "K")
-    (eps,) = _params(cell, float, "eps")
+    m, n, d, L, K, eps = _params(cell, "m", "n", "d", "L", "K", "eps")
     if K > L:
         raise ValueError("overlap K cannot exceed sequence length L")
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
@@ -296,16 +295,15 @@ def _random_edges(seed: int, d: int, count: int, arity: int) -> setalg.BindingBu
 
 
 def _trial_mapi_binding(cell: dict, seed: int) -> TrialOutcome:
-    m, d, edges, arity = _params(cell, int, "m", "d", "E", arity=2)
-    (eps,) = _params(cell, float, "eps")
+    m, d, edges, arity = _params(cell, "m", "d", "E", arity=2)
+    (eps,) = _params(cell, "eps")  # after arity: a cell bad in both reports arity
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     spec = _random_edges(seed, d, edges, arity)
     return _within(mapi.norm_sq_estimate(mapi.encode_binding_bundle(cb, spec)), edges, eps * edges)
 
 
 def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d = _params(cell, int, "m", "n", "d")
-    (delta,) = _params(cell, float, "delta")
+    m, n, d, delta = _params(cell, "m", "n", "d", "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
     stored = set(_draw_subset(seed, "set", d, n).tolist())
     b = mapb.bundle_sign(cb, SymbolSet.from_ids(d, stored), tie_seed=seed)
@@ -317,8 +315,7 @@ def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d, L = _params(cell, int, "m", "n", "d", "L")
-    (delta,) = _params(cell, float, "delta")
+    m, n, d, L, delta = _params(cell, "m", "n", "d", "L", "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
     slots = _draw_subset(seed, "slots", L * d, n)  # distinct (position, symbol)
     members: list[list[int]] = [[] for _ in range(L)]
@@ -343,8 +340,7 @@ def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
-    m, n, d = _params(cell, int, "m", "n", "d")
-    (delta,) = _params(cell, float, "delta")
+    m, n, d, delta = _params(cell, "m", "n", "d", "delta")
     half = d // 2
     if n > half:
         raise ValueError("need n <= d/2 keys")
@@ -366,8 +362,7 @@ def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_empty_intersection(cell: dict, seed: int) -> TrialOutcome:
-    m, d, nx, ny, overlap = _params(cell, int, "m", "d", "nx", "ny", "n")
-    (delta,) = _params(cell, float, "delta")
+    m, d, nx, ny, overlap, delta = _params(cell, "m", "d", "nx", "ny", "n", "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
     x, y = _overlapping_pair(seed, "sets", d, overlap, nx - overlap, ny - overlap)
     bx = mapb.bundle_sign(cb, x, tie_seed=seed)
@@ -378,7 +373,7 @@ def _trial_mapb_empty_intersection(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_mapb_depth(cell: dict, seed: int) -> TrialOutcome:
-    m, r = _params(cell, int, "m", "L")  # chain depth rides in the L column
+    m, r = _params(cell, "m", "L")  # chain depth rides in the L column
     cb = Codebook("dense-sign", m, max(r, 1), seed=seed)
     chained = mapb.iterated_bundle(cb, range(r), tie_seed=seed)
     # <x, S_0> = m - 2 * (disagreements), so the agreeing coordinates count (m + score) / 2
@@ -388,16 +383,14 @@ def _trial_mapb_depth(cell: dict, seed: int) -> TrialOutcome:
 
 
 def _trial_bloom_size(cell: dict, seed: int) -> TrialOutcome:
-    m, k, n, d = _params(cell, int, "m", "k", "n", "d")
-    (eps,) = _params(cell, float, "eps")
+    m, k, n, d, eps = _params(cell, "m", "k", "n", "d", "eps")
     cb = Codebook("sparse-binary-trials", m, d, k=k, seed=seed)
     v = SymbolSet.from_ids(d, _draw_subset(seed, "set", d, n).tolist())
     return _within(bloom.size_estimate(bloom.bundle_bloom(cb, v)), n, eps)
 
 
 def _trial_bloom_intersection(cell: dict, seed: int) -> TrialOutcome:
-    m, k, d, n, n_v, n_w = _params(cell, int, "m", "k", "d", "n", "n_v", "n_w")
-    (eps,) = _params(cell, float, "eps")
+    m, k, d, n, n_v, n_w, eps = _params(cell, "m", "k", "d", "n", "n_v", "n_w", "eps")
     cb = Codebook("sparse-binary-trials", m, d, k=k, seed=seed)
     x, y = _overlapping_pair(seed, "sets", d, n, n_v, n_w)
     est = bloom.intersection_estimate(bloom.bundle_bloom(cb, x), bloom.bundle_bloom(cb, y))
@@ -419,7 +412,11 @@ def _cbloom_instance(cell: dict, seed: int):
     The common (wedge) part carries identical weights in both sets, so the
     difference masses are exactly n_v and n_w.
     """
-    d, n_v, n_w, peak, common = _params(cell, int, "d", "n_v", "n_w", K_b=1, n=0)
+    d, n_v, n_w, peak, common = _params(cell, "d", "n_v", "n_w", K_b=1, n=0)
+    if peak < 1:
+        raise ValueError(f"K_b must be >= 1, got {peak}")
+    if min(n_v, n_w, common) < 0:
+        raise ValueError(f"masses n_v, n_w and n cannot be negative, got {n_v}, {n_w}, {common}")
     wv, ww, wb = _mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)
     a, b = len(wv), len(wv) + len(ww)
     ids = _draw_subset(seed, "support", d, b + len(wb)).tolist()
@@ -430,9 +427,7 @@ def _cbloom_instance(cell: dict, seed: int):
 
 
 def _trial_cbloom(cell: dict, seed: int, l1: bool) -> TrialOutcome:
-    m, k = _params(cell, int, "m", "k")
-    (eps,) = _params(cell, float, "eps")
-    (d,) = _params(cell, int, "d")
+    m, k, eps, d = _params(cell, "m", "k", "eps", "d")
     cb = Codebook("sparse-binary-exact", m, d, k=k, seed=seed)
     v, w = _cbloom_instance(cell, seed)
     bv, bw = cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w)
@@ -449,7 +444,7 @@ def _trial_cbloom(cell: dict, seed: int, l1: bool) -> TrialOutcome:
 
 def _hopfield_net(cell: dict, seed: int) -> hopfield.HopfieldNet:
     """The net trained on codebook columns 0..n-1, drawn as one (m, n) window."""
-    m, n = _params(cell, int, "m", "n")
+    m, n = _params(cell, "m", "n")
     patterns = Codebook("dense-sign", m, n, seed=seed).sign_matrix(0, n)
     return hopfield.HopfieldNet(patterns)
 
@@ -469,7 +464,7 @@ def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
         probe = net.patterns[:, 0].astype(np.int64)
         probe[half:] = 0  # key half kept, value half erased
     else:
-        erasures, flips = _params(cell, int, erasures=half, flips=0)
+        erasures, flips = _params(cell, erasures=half, flips=0)
         probe = hopfield.corrupt(first, erasures, flips, seed)
     result = hopfield.recall(net, probe)
     ok = result.converged and np.array_equal(result.vector, first)
@@ -483,8 +478,7 @@ def _trials_hpm(cell: dict, seeds: list[int], dot: bool) -> list[TrialOutcome]:
     dot task) are drawn with ``_draw_subsets``, so a bad cell fails here,
     with the error a trial alone gives, before any m x m buffer exists.
     """
-    m, d, support = _params(cell, int, "m", "d", "n")
-    (eps,) = _params(cell, float, "eps")
+    m, d, support, eps = _params(cell, "m", "d", "n", "eps")
     codebooks = [Codebook("dense-sign", m, d, seed=seed, scaled=True) for seed in seeds]
 
     def supports(tag: str) -> list[dict]:
@@ -577,44 +571,31 @@ def trial_records(config: ExperimentConfig, cell: dict) -> list[TrialRecord]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # str of a float is its shortest repr
 
 
-def _run_cell(config: ExperimentConfig, cell: dict) -> dict:
+def _row(config: ExperimentConfig, cell: dict) -> list[str]:
+    """The CSV row of one cell: its trials run and tallied, or the error that stopped them."""
     try:
-        outcomes = [record.outcome for record in trial_records(config, cell)]
+        outcomes, error = [record.outcome for record in trial_records(config, cell)], ""
     except (ValueError, IndexError) as bad:
-        return {"cell": cell, "failures": 0, "errs": [], "error": str(bad)}
-    return {"cell": cell, "failures": sum(not o.passed for o in outcomes),
-            "errs": [o.abs_err for o in outcomes], "error": ""}
-
-
-def _row(config: ExperimentConfig, agg: dict) -> list[str]:
-    cell, errs = agg["cell"], agg["errs"]
+        outcomes, error = [], str(bad)
+    failures = sum(not o.passed for o in outcomes)
+    errs = [o.abs_err for o in outcomes]
     return [
         _fmt(v)
         for v in (
             config.arch,
             config.task,
-            cell.get("m"),
-            cell.get("k"),
-            cell.get("n"),
-            cell.get("d"),
-            cell.get("L"),
-            cell.get("eps"),
-            cell.get("delta"),
+            *(cell.get(name) for name in COLUMNS[2:9]),
             config.trials,
-            agg["failures"],
-            agg["failures"] / config.trials if not agg["error"] else "",
+            failures,
+            failures / config.trials if not error else "",
             sum(errs) / len(errs) if errs else "",
             max(errs) if errs else "",
             config.seed,
             rng.RNG_VERSION,
-            agg["error"],
+            error,
         )
     ]
 
@@ -628,12 +609,11 @@ def run(config: ExperimentConfig, threads: int = 1) -> tuple[str, dict]:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     cells = config.cells()
-    results = [_run_cell(config, cell) for cell in cells]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
-    for agg in results:
-        writer.writerow(_row(config, agg))
+    for cell in cells:
+        writer.writerow(_row(config, cell))
     sidecar = {
         "csv_version": CSV_VERSION,
         "rng_version": rng.RNG_VERSION,

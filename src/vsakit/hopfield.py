@@ -130,13 +130,13 @@ def recall(net, y, max_iters: int = 64) -> RecallResult:
     max_iters = integral(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    current = _probe_values(net, y)
+    current = y
     for it in range(1, max_iters + 1):
-        nxt = signge(net.apply(current)).astype(np.int64)
+        nxt = recall_step(net, current)
         if np.array_equal(nxt, current):
-            return RecallResult(nxt.astype(np.int8), True, it)
+            return RecallResult(nxt, True, it)
         current = nxt
-    return RecallResult(current.astype(np.int8), False, max_iters)
+    return RecallResult(current, False, max_iters)
 
 
 def corrupt(x: np.ndarray, erasures: int, flips: int, seed: int) -> np.ndarray:

@@ -19,10 +19,10 @@ case. ``sequence_membership_scores`` does the same for one position of a
 sequence bundle, from one roll of the bundle's bits. A key-value query
 scores its pair's bound column, bound by XOR (``mapi.bound_words``).
 
-``agreement_probability`` is the exact enumeration oracle for the
-per-coordinate agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained
-(deeper) bundling, ``iterated_bundle``, folds codebook columns from one
-gather of their words and decays toward 1/2 as described by
+``agreement_probability`` is the exact oracle for the per-coordinate
+agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained (deeper)
+bundling, ``iterated_bundle``, folds codebook columns from one gather of
+their words and decays toward 1/2 as described by
 ``chain_agreement_probability``.
 """
 
@@ -37,11 +37,8 @@ import numpy as np
 from . import mapi, rng
 from .codebook import Codebook
 from .hypervector import rotate
-from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, require_flat
+from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral, require_flat
 from .sizing import SizingResult, check_rates, constants_for, require
-
-#: Exhaustive enumeration refuses instances beyond this many states.
-ENUMERATION_STATE_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class KeyValueSpec:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((int(q), int(w)) for q, w in self.pairs)
+        pairs = tuple((integral(q, "a key id"), integral(w, "a value id")) for q, w in self.pairs)
         if not pairs:
             raise ValueError("key-value bundle needs at least one pair")
         keys = [q for q, _ in pairs]
@@ -267,20 +264,17 @@ def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> Te
     return TestResult(score >= tau, score, tau)
 
 
-# -- exact enumeration oracles ----------------------------------------------
+# -- exact oracles ----------------------------------------------------------
 
 
 def agreement_probability(n: int) -> Fraction:
     """Exact Pr[x_i S_ij = +1] for a depth-1 bundle of n atomic vectors.
 
-    Enumerates all 2^(n-1) sign patterns of the co-bundled vectors at one
-    coordinate (grouped by popcount) with half-weight tie branches.
+    Sums over the popcount of the n-1 co-bundled signs at one coordinate,
+    n binomial terms, with half-weight tie branches.
     """
     if n < 1:
         raise ValueError("bundle size must be >= 1")
-    if 2 ** (n - 1) > ENUMERATION_STATE_LIMIT:
-        raise ValueError(f"enumeration over 2^{n - 1} states exceeds the "
-                         f"{ENUMERATION_STATE_LIMIT} state limit")
     total = Fraction(0)
     for ones in range(n):  # popcount of the n-1 co-bundled signs
         b = 2 * ones - (n - 1)

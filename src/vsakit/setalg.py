@@ -157,7 +157,7 @@ class BindingBundleSpec:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        edges = frozenset(frozenset(int(i) for i in e) for e in self.edges)
+        edges = frozenset(frozenset(integral(i, "a symbol id") for i in e) for e in self.edges)
         if not edges:
             raise ValueError("binding bundle must contain at least one edge")
         arities = {len(e) for e in edges}

@@ -203,6 +203,16 @@ def test_uncastable_grid_value_is_an_error_row(tmp_path):
     assert "parameter 'm' must be a number" in out.read_text().splitlines()[1]
 
 
+def test_zero_cbloom_peak_is_an_error_row(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"arch": "cbloom", "task": "intersection", "trials": 1,'
+                        ' "grid": {"m": [64], "k": [3], "d": [32], "n_v": [2], "n_w": [3],'
+                        ' "K_b": [0], "eps": [0.5]}}')
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].endswith(',"K_b must be >= 1, got 0"')
+
+
 _CBLOOM_CB = {"kind": "sparse-binary-exact", "m": 64, "d": 8, "k": 3, "seed": 1,
               "scaled": False}
 _DENSE_CB = {"kind": "dense-sign", "m": 64, "d": 8, "k": None, "seed": 1, "scaled": False}

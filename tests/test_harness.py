@@ -11,6 +11,8 @@ from vsakit import harness, hopfield, mapi
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
+from test_golden import _GRIDS
+
 
 def small_config(**overrides):
     base = dict(
@@ -66,6 +68,12 @@ def test_run_deterministic_and_thread_invariant():
     assert csv1 == csv2
     assert side1 == side2
     assert csv1.splitlines()[0] == ",".join(harness.COLUMNS)
+
+
+def test_numpy_float_grid_value_prints_as_a_number():
+    config = small_config(grid={"m": [64], "n": [1], "d": [32], "eps": [0.5]})
+    as_numpy = small_config(grid={"m": [64], "n": [1], "d": [32], "eps": [np.float64(0.5)]})
+    assert harness.run(as_numpy)[0] == harness.run(config)[0]
 
 
 def test_deterministic_task_has_zero_failures():
@@ -176,6 +184,46 @@ def test_impossible_rate_is_an_error_row(arch, task, bad):
         csv_text, _ = harness.run(small_config(arch=arch, task=task, grid=grid, trials=2))
         row = next(csv.reader(io.StringIO(csv_text.splitlines()[1])))
         assert row[harness.COLUMNS.index("error")] == error
+
+
+def _golden_cell(arch, task, changes):
+    """The first cell of the task's golden grid, as a one-cell grid, with ``changes``."""
+    return {**{key: values[:1] for key, values in _GRIDS[arch, task].items()}, **changes}
+
+
+#: Every integer parameter of every task's known-good golden cell, optional
+#: parameters included (the golden grids set each of them).
+_INTEGER_PARAMS = [(arch, task, name) for (arch, task), grid in sorted(_GRIDS.items())
+                   for name in sorted(grid) if name not in ("eps", "delta")]
+
+
+def test_integer_params_cover_every_task():
+    assert {(arch, task) for arch, task, _ in _INTEGER_PARAMS} == set(harness.TASKS)
+
+
+@pytest.mark.parametrize("arch,task,name", _INTEGER_PARAMS)
+def test_negative_integer_parameter_is_an_error_row(arch, task, name):
+    # Never a traceback out of run, never a silent run of an instance with no meaning.
+    csv_text, _ = harness.run(small_config(arch=arch, task=task, trials=2,
+                                           grid=_golden_cell(arch, task, {name: [-1]})))
+    (row,) = csv.DictReader(io.StringIO(csv_text))
+    assert row["error"] != "" and row["failures"] == "0"
+
+
+@pytest.mark.parametrize("arch,task,changes,message", [
+    ("cbloom", "intersection", {"K_b": [0]}, "K_b must be >= 1, got 0"),
+    ("cbloom", "l1", {"K_b": [-1]}, "K_b must be >= 1, got -1"),
+    ("cbloom", "intersection", {"n_v": [-1]},
+     "masses n_v, n_w and n cannot be negative, got -1, 3, 3"),
+    ("cbloom", "l1", {"K_b": [1], "n": [-2]},
+     "masses n_v, n_w and n cannot be negative, got 2, 3, -2"),
+    ("mapi", "pairs", {"M": [-1]}, "pair count M cannot be negative, got -1"),
+], ids=["K_b-zero", "K_b-negative", "n_v-negative", "n-negative-at-K_b-1", "M-negative"])
+def test_bad_count_is_an_error_row(arch, task, changes, message):
+    config = small_config(arch=arch, task=task, trials=2,
+                          grid=_golden_cell(arch, task, changes))
+    (row,) = csv.DictReader(io.StringIO(harness.run(config)[0]))
+    assert row["error"] == message
 
 
 @pytest.mark.parametrize("field", ["trials", "seed"])

@@ -30,9 +30,16 @@ def test_agreement_probability_matches_brute_force(n):
     assert mapb.agreement_probability(n) == brute_force_agreement(n)
 
 
-def test_agreement_probability_refuses_huge():
-    with pytest.raises(ValueError):
-        mapb.agreement_probability(40)
+@pytest.mark.parametrize("n", range(1, 65))
+def test_agreement_probability_closed_form(n):
+    # n popcount terms, so no bundle size is too large to sum exactly
+    expected = Fraction(1, 2) + Fraction(math.comb(n - 1, (n - 1) // 2), 2**n)
+    assert mapb.agreement_probability(n) == expected
+
+
+def test_agreement_probability_refuses_empty_bundle():
+    with pytest.raises(ValueError, match="bundle size must be >= 1"):
+        mapb.agreement_probability(0)
 
 
 def test_agreement_advantage_bounds():
@@ -271,6 +278,12 @@ def test_kv_spec_validation():
     with pytest.raises(ValueError):
         mapb.KeyValueSpec(8, ((1, 4), (1, 5)))  # duplicate key
     mapb.KeyValueSpec(8, ((1, 4), (2, 4)))  # shared value is allowed
+    with pytest.raises(ValueError, match="a key id must be an integer, got 1.5"):
+        mapb.KeyValueSpec(8, ((1.5, 4.9),))  # not truncated to (1, 4)
+    with pytest.raises(ValueError, match="a value id must be an integer, got 4.9"):
+        mapb.KeyValueSpec(8, ((1, 4.9),))
+    spec = mapb.KeyValueSpec(8, ((np.int64(1), 4.0),))
+    assert spec.pairs == ((1, 4),) and all(type(i) is int for i in spec.pairs[0])
 
 
 def test_sizing_member_closed_form():

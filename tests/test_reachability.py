@@ -23,7 +23,6 @@ ALLOWED = {
     "cbloom.CountBundle.mass": "acceptance criterion c01 checks the total mass k ||v||_1",
     "hopfield.HopfieldNet.weights": "acceptance criterion c01 reads the zero diagonal",
     "hopfield.train": "acceptance criteria c01 and c07 train nets through it",
-    "hopfield.recall_step": "acceptance criterion c01 takes one update through it",
     "hopfield.hpm_encode": "tests pin hpm_estimates, which c08 runs, to it bit for bit",
     "hopfield.hpm_dot_estimate": "tests pin hpm_estimates' dots, which c08 runs, to it bit for bit",
     "hopfield.hpm_norm_estimate": "tests check hpm_estimates' norms against it bit for bit",

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -132,6 +133,11 @@ def test_binding_spec_validation():
         BindingBundleSpec(8, frozenset())
     with pytest.raises(ValueError):
         BindingBundleSpec(3, frozenset({frozenset({1, 5})}))
+    with pytest.raises(ValueError, match="a symbol id must be an integer"):
+        BindingBundleSpec(8, {frozenset({1.5, 2.7})})  # not truncated to {1, 2}
+    spec = BindingBundleSpec(8, {frozenset({np.int64(1), 2.0})})
+    assert spec.edges == {frozenset({1, 2})}
+    assert all(type(i) is int for edge in spec.edges for i in edge)
 
 
 def test_symbolset_json_round_trip():
