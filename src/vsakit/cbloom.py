@@ -6,9 +6,11 @@ generalized intersection v wedgedot w deterministically (one-sided bias)
 and exceeds it by less than eps with probability 1 - delta at the sized
 (m, k).
 
-``bundle_count`` draws every column's k rows in one gather
-(``Codebook.exact_indices``) and adds the weights with one ``np.add.at``.
-Counts are exact integers: ``bundle_count`` refuses ||v||_1 >= 2**63 (a
+``bundle_counts`` bundles several sets on one codebook: it draws the k
+rows of every column in the union of their ids in one gather
+(``Codebook.exact_indices``) and adds each set's weights into its own
+counts with one ``np.add.at``; ``bundle_count`` is its one-set case.
+Counts are exact integers: a set with ||v||_1 >= 2**63 is refused (a
 column's rows are distinct, so no count can exceed ||v||_1), and ``mass``
 and the min-sum of the estimator stay in int64 only when m * max < 2**63,
 else they sum Python ints.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +53,7 @@ class CountBundle:
         if counts.shape != (self.codebook.m,):
             raise ValueError(f"count bundle of shape {counts.shape} holds {counts.size} "
                              f"counts, expected m={self.codebook.m}")
-        if (counts < 0).any():
+        if counts.min(initial=0) < 0:  # min builds no m-sized mask
             raise ValueError("count bundle entries must be nonnegative")
 
     @property
@@ -70,20 +73,38 @@ def _total(counts: np.ndarray) -> int:
 
 def bundle_count(cb: Codebook, v: SymbolSet) -> CountBundle:
     """B v: weighted sum of exactly-k columns. Linear in v."""
+    return bundle_counts(cb, (v,))[0]
+
+
+def bundle_counts(cb: Codebook, sets: Sequence[SymbolSet]) -> list[CountBundle]:
+    """B v of each set v in ``sets``, in order, from one gather of their columns.
+
+    The gather covers the union of the sets' ids, the first set's ids first,
+    so its rows are a slice; a later set picks its rows by position. Each set
+    gets its own dense counts, exactly as a gather of its ids alone gives.
+    """
     if cb.kind != "sparse-binary-exact":
         raise ValueError(f"counting bloom requires a sparse-binary-exact codebook, got {cb.kind!r}")
-    if v.d != cb.d:
-        raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
-    l1 = v.l1()
-    if l1 >= 2**63:  # a column's rows are distinct, so every count is at most ||v||_1
-        raise ValueError(f"counting bloom needs ||v||_1 below 2**63, got {l1}")
-    counts = np.zeros(cb.m, dtype=np.int64)
-    if v.entries:
-        weights = np.fromiter(v.entries.values(), dtype=np.int64)
-        rows = cb.exact_indices(np.fromiter(v.entries.keys(), dtype=np.int64))
-        np.add.at(counts, rows, weights[:, None])
-    counts.setflags(write=False)  # CountBundle keeps a frozen array it owns without a copy
-    return CountBundle(counts, cb)
+    ids = {}  # the union of the sets' ids as keys, the first set's ids first
+    for v in sets:
+        if v.d != cb.d:
+            raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
+        l1 = v.l1()
+        if l1 >= 2**63:  # a column's rows are distinct, so every count is at most ||v||_1
+            raise ValueError(f"counting bloom needs ||v||_1 below 2**63, got {l1}")
+        ids.update(v.entries)
+    rows = cb.exact_indices(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    slot = dict(zip(ids, range(len(ids)))) if len(sets) > 1 else None
+    out = []
+    for i, v in enumerate(sets):
+        counts = np.zeros(cb.m, dtype=np.int64)
+        if v.entries:
+            weights = np.fromiter(v.entries.values(), dtype=np.int64, count=len(v.entries))
+            mine = rows[: len(weights)] if i == 0 else rows[[slot[j] for j in v.entries]]
+            np.add.at(counts, mine, weights[:, None])
+        counts.setflags(write=False)  # CountBundle keeps a frozen array it owns without a copy
+        out.append(CountBundle(counts, cb))
+    return out
 
 
 def generalized_intersection_estimate(b1: CountBundle, b2: CountBundle) -> float:

@@ -7,8 +7,8 @@ the same config and seed. Cells run once each, in order: for each one,
 :func:`trial_records` folds the master seed and cell once, extends that
 fold by each trial index and hands all of the cell's seeds to one
 :func:`run_trials` call. Most tasks run one seed after another
-(``_each``); MAP-I ``norm`` and Hopfield± draw and measure a cell's seeds
-together, and every outcome is still the one a trial alone gives. One
+(``_each``); MAP-I ``norm``, Counting Bloom and Hopfield± draw a cell's
+seeds together, and every outcome is still the one a trial alone gives. One
 aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 
@@ -88,6 +88,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment task ({self.arch!r}, {self.task!r})")
         if not self.grid or any(not values for values in self.grid.values()):
             raise ValueError("grid must be nonempty with nonempty value lists")
+        # A numpy scalar is the Python value it equals: np.int64(64) runs as 64
+        # and np.bool_ is refused as a bool is.
+        object.__setattr__(self, "grid", {
+            name: [v.item() if isinstance(v, np.generic) else v for v in values]
+            for name, values in self.grid.items()})
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -406,12 +411,19 @@ def _mass_weights(total: int, peak: int) -> list[int]:
     return [base + 1] * extra + [base] * (count - extra)
 
 
-def _cbloom_instance(cell: dict, seed: int):
-    """Weighted sets with ||v-w||_inf <= K_b and the requested difference masses.
+def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]:
+    """The Counting Bloom trials of a cell: every seed's codebook, then its draws and bundles.
 
-    The common (wedge) part carries identical weights in both sets, so the
-    difference masses are exactly n_v and n_w.
+    Each trial's weighted sets have ||v-w||_inf <= K_b and the requested
+    difference masses: the common (wedge) part carries identical weights in
+    both sets, so the difference masses are exactly n_v and n_w. Every
+    seed's codebook is built and the masses checked before the seeds'
+    supports are drawn with ``_draw_subsets``, so a bad cell fails with the
+    error a trial alone gives. A trial's v and w are bundled from one gather
+    (``cbloom.bundle_counts``), and no count array outlives its trial.
     """
+    m, k, eps, d = _params(cell, "m", "k", "eps", "d")
+    codebooks = [Codebook("sparse-binary-exact", m, d, k=k, seed=seed) for seed in seeds]
     d, n_v, n_w, peak, common = _params(cell, "d", "n_v", "n_w", K_b=1, n=0)
     if peak < 1:
         raise ValueError(f"K_b must be >= 1, got {peak}")
@@ -419,27 +431,24 @@ def _cbloom_instance(cell: dict, seed: int):
         raise ValueError(f"masses n_v, n_w and n cannot be negative, got {n_v}, {n_w}, {common}")
     wv, ww, wb = _mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)
     a, b = len(wv), len(wv) + len(ww)
-    ids = _draw_subset(seed, "support", d, b + len(wb)).tolist()
-    shared = dict(zip(ids[b:], wb))
-    v = SymbolSet(d, {**dict(zip(ids[:a], wv)), **shared})
-    w = SymbolSet(d, {**dict(zip(ids[a:b], ww)), **shared})
-    return v, w
-
-
-def _trial_cbloom(cell: dict, seed: int, l1: bool) -> TrialOutcome:
-    m, k, eps, d = _params(cell, "m", "k", "eps", "d")
-    cb = Codebook("sparse-binary-exact", m, d, k=k, seed=seed)
-    v, w = _cbloom_instance(cell, seed)
-    bv, bw = cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w)
-    if not l1:
-        est = cbloom.generalized_intersection_estimate(bv, bw)
-        truth = setalg.wedgedot(v, w)
-        overshoot = est - truth  # estimator never underestimates
-        return TrialOutcome(est, truth, 0.0 <= overshoot < eps, abs(overshoot))
-    est = cbloom.l1_distance_estimate(bv, bw, v.l1(), w.l1())
-    truth = setalg.l1_distance(v, w)
-    short = truth - est  # estimator never overestimates
-    return TrialOutcome(est, truth, 0.0 <= short < 2.0 * eps, abs(short))
+    outcomes = []
+    for cb, ids in zip(codebooks, _draw_subsets(seeds, "support", d, b + len(wb))):
+        ids = ids.tolist()
+        shared = dict(zip(ids[b:], wb))
+        v = SymbolSet(d, {**dict(zip(ids[:a], wv)), **shared})
+        w = SymbolSet(d, {**dict(zip(ids[a:b], ww)), **shared})
+        bv, bw = cbloom.bundle_counts(cb, (v, w))
+        if l1:
+            est = cbloom.l1_distance_estimate(bv, bw, v.l1(), w.l1())
+            truth = setalg.l1_distance(v, w)
+            short = truth - est  # estimator never overestimates
+            outcomes.append(TrialOutcome(est, truth, 0.0 <= short < 2.0 * eps, abs(short)))
+        else:
+            est = cbloom.generalized_intersection_estimate(bv, bw)
+            truth = setalg.wedgedot(v, w)
+            overshoot = est - truth  # estimator never underestimates
+            outcomes.append(TrialOutcome(est, truth, 0.0 <= overshoot < eps, abs(overshoot)))
+    return outcomes
 
 
 def _hopfield_net(cell: dict, seed: int) -> hopfield.HopfieldNet:
@@ -536,9 +545,8 @@ TASKS: dict[tuple[str, str], Task] = {
     ("mapb", "depth"): Task(_each(_trial_mapb_depth)),
     ("bloom", "size"): Task(_each(_trial_bloom_size)),
     ("bloom", "intersection"): Task(_each(_trial_bloom_intersection), bloom.sizing_bloom),
-    ("cbloom", "intersection"): Task(_each(partial(_trial_cbloom, l1=False)),
-                                     cbloom.sizing_cbloom),
-    ("cbloom", "l1"): Task(_each(partial(_trial_cbloom, l1=True))),
+    ("cbloom", "intersection"): Task(partial(_trials_cbloom, l1=False), cbloom.sizing_cbloom),
+    ("cbloom", "l1"): Task(partial(_trials_cbloom, l1=True)),
     ("hopfield", "store"): Task(_each(_trial_hopfield_store), hopfield.sizing_hopfield),
     ("hopfield", "recall"): Task(_each(partial(_trial_hopfield_recall, kv=False))),
     ("hopfield", "kv-recall"): Task(_each(partial(_trial_hopfield_recall, kv=True))),

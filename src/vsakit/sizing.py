@@ -181,7 +181,7 @@ def calibrate(
             config = harness.ExperimentConfig(
                 arch, task, {name: [value] for name, value in cell.items()}, trials, seed
             )
-            records = harness.trial_records(config, cell)
+            records = harness.trial_records(config, config.cells()[0])  # numpy values made Python
             rates[m] = sum(not r.outcome.passed for r in records) / trials
         return rates[m]
 

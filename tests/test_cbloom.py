@@ -176,3 +176,55 @@ def test_huge_weights_are_exact_or_refused():
     b = cbloom.bundle_count(cb, SymbolSet(4, {0: 2**62, 1: 2**62 - 1}))
     assert b.mass() == 3 * (2**63 - 1)  # past int64: summed as Python ints
     assert cbloom.generalized_intersection_estimate(b, b) == float(2**63 - 1)
+
+
+def _same_bundle(got, want):
+    assert got.codebook == want.codebook
+    assert np.array_equal(got.counts, want.counts) and got.counts.dtype == np.int64
+    assert got.counts.flags.owndata and not got.counts.flags.writeable
+
+
+#: Sets over ids 0..9: most pairs share ids, usually with different weights.
+_weighted_sets = st.lists(st.dictionaries(st.integers(0, 9), st.integers(1, 2**58), max_size=8),
+                          min_size=1, max_size=4)
+
+
+@given(seed=st.integers(0, 2**32 - 1), entries=_weighted_sets, repeat=st.booleans())
+def test_bundle_counts_equal_each_set_alone(seed, entries, repeat):
+    # m = 6 and k = 3: columns share rows, so each set's np.add.at adds repeated rows.
+    cb = Codebook("sparse-binary-exact", 6, 10, k=3, seed=seed)
+    sets = [SymbolSet(10, e) for e in entries] + ([SymbolSet(10, entries[0])] if repeat else [])
+    bundles = cbloom.bundle_counts(cb, sets)
+    assert len(bundles) == len(sets)
+    for got, v in zip(bundles, sets):
+        _same_bundle(got, cbloom.bundle_count(cb, v))
+    assert len({id(b.counts) for b in bundles}) == len(bundles)  # no set shares its counts
+
+
+def test_bundle_counts_of_one_set_empty_sets_and_no_set():
+    cb = Codebook("sparse-binary-exact", 97, 30, k=7, seed=5)
+    v, w = random_weighted_pair(30, 4)
+    (one,) = cbloom.bundle_counts(cb, [v])
+    _same_bundle(one, cbloom.bundle_count(cb, v))
+    empty = SymbolSet(30)
+    bundles = cbloom.bundle_counts(cb, [empty, v, empty, w])
+    for got, want in zip(bundles, (empty, v, empty, w)):
+        _same_bundle(got, cbloom.bundle_count(cb, want))
+    assert bundles[0].mass() == bundles[2].mass() == 0
+    assert cbloom.bundle_counts(cb, []) == []
+
+
+@pytest.mark.parametrize("cb, bad", [
+    (Codebook("sparse-binary-trials", 64, 8, k=4, seed=2), SymbolSet(8, {0: 1})),
+    (Codebook("dense-sign", 64, 8, seed=2), SymbolSet(8)),
+    (Codebook("sparse-binary-exact", 64, 8, k=4, seed=2), SymbolSet(9, {8: 1})),
+    (Codebook("sparse-binary-exact", 64, 8, k=4, seed=2), SymbolSet(8, {0: 2**62, 1: 2**62})),
+], ids=["trials-kind", "dense-kind", "universe", "l1-past-int64"])
+def test_bundle_counts_refuse_what_bundle_count_refuses(cb, bad):
+    with pytest.raises(ValueError) as alone:
+        cbloom.bundle_count(cb, bad)
+    good = SymbolSet(cb.d, {1: 3})
+    for sets in ([bad], [bad, good], [good, bad], [good, good, bad]):
+        with pytest.raises(ValueError) as batched:
+            cbloom.bundle_counts(cb, sets)
+        assert str(batched.value) == str(alone.value)

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from vsakit import harness, hopfield, mapi
+from vsakit import cbloom, harness, hopfield, mapi, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
@@ -74,6 +74,35 @@ def test_numpy_float_grid_value_prints_as_a_number():
     config = small_config(grid={"m": [64], "n": [1], "d": [32], "eps": [0.5]})
     as_numpy = small_config(grid={"m": [64], "n": [1], "d": [32], "eps": [np.float64(0.5)]})
     assert harness.run(as_numpy)[0] == harness.run(config)[0]
+
+
+@pytest.mark.parametrize("scalar", [np.int64, np.int32, np.uint16], ids=lambda t: t.__name__)
+def test_numpy_integer_grid_value_runs_as_its_python_value(scalar):
+    grid = {"m": [64], "n": [4], "d": [32], "eps": [0.5]}
+    config = small_config(grid=grid, trials=3)
+    as_numpy = small_config(grid={**grid, "m": [scalar(64)], "n": [np.int64(4)]}, trials=3)
+    csv_text, sidecar = harness.run(as_numpy)
+    assert csv_text == harness.run(config)[0]
+    assert json.dumps(sidecar, sort_keys=True) == json.dumps(harness.run(config)[1], sort_keys=True)
+    (cell,) = as_numpy.cells()
+    assert [r.seed for r in harness.trial_records(as_numpy, cell)] == [
+        harness.trial_seed(7, {"d": 32, "eps": 0.5, "m": 64, "n": 4}, t) for t in range(3)]
+
+
+def test_numpy_bool_grid_value_is_an_error_row_as_a_bool_is():
+    grid = {"m": [64], "n": [4], "d": [32], "eps": [0.5]}
+    csv_text, _ = harness.run(small_config(grid={**grid, "m": [np.bool_(True)]}, trials=3))
+    assert csv_text == harness.run(small_config(grid={**grid, "m": [True]}, trials=3))[0]
+    (row,) = csv.DictReader(io.StringIO(csv_text))
+    assert row["error"] == "parameter 'm' must be a number, got True"
+
+
+def test_calibrate_takes_numpy_integer_params():
+    params = dict(eps=0.5, delta=0.2, n=4, d=64)
+    want = sizing.calibrate("mapi", "norm", params, target=0.2, trials=100, seed=9)
+    got = sizing.calibrate("mapi", "norm", {**params, "n": np.int64(4), "d": np.int32(64)},
+                           target=0.2, trials=100, seed=9)
+    assert (got.m_star, got.rates) == (want.m_star, want.rates)
 
 
 def test_deterministic_task_has_zero_failures():
@@ -508,6 +537,94 @@ def test_hpm_bad_cells_keep_their_rows(task, grid, tail):
 def test_mapi_norm_bad_cells_keep_their_rows(grid, row):
     csv_text, _ = harness.run(harness.ExperimentConfig("mapi", "norm", grid, 3, 7))
     assert csv_text.splitlines()[1] == row
+
+
+def _cbloom_reference(cell, seed, l1):
+    """The per-seed Counting Bloom trial that the cell-level trials replaced, kept as the
+    reference: per seed its codebook, its own support draw and one gather per set."""
+    m, k, eps, d = harness._params(cell, "m", "k", "eps", "d")
+    cb = Codebook("sparse-binary-exact", m, d, k=k, seed=seed)
+    d, n_v, n_w, peak, common = harness._params(cell, "d", "n_v", "n_w", K_b=1, n=0)
+    if peak < 1:
+        raise ValueError(f"K_b must be >= 1, got {peak}")
+    if min(n_v, n_w, common) < 0:
+        raise ValueError(f"masses n_v, n_w and n cannot be negative, got {n_v}, {n_w}, {common}")
+    wv, ww, wb = (harness._mass_weights(n_v, peak), harness._mass_weights(n_w, peak),
+                  harness._mass_weights(common, peak))
+    a, b = len(wv), len(wv) + len(ww)
+    ids = harness._draw_subset(seed, "support", d, b + len(wb)).tolist()
+    shared = dict(zip(ids[b:], wb))
+    v = SymbolSet(d, {**dict(zip(ids[:a], wv)), **shared})
+    w = SymbolSet(d, {**dict(zip(ids[a:b], ww)), **shared})
+    bv, bw = cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w)
+    if not l1:
+        est = cbloom.generalized_intersection_estimate(bv, bw)
+        truth = setalg.wedgedot(v, w)
+        overshoot = est - truth
+        return harness.TrialOutcome(est, truth, 0.0 <= overshoot < eps, abs(overshoot))
+    est = cbloom.l1_distance_estimate(bv, bw, v.l1(), w.l1())
+    truth = setalg.l1_distance(v, w)
+    short = truth - est
+    return harness.TrialOutcome(est, truth, 0.0 <= short < 2.0 * eps, abs(short))
+
+
+@pytest.mark.parametrize("task", ["intersection", "l1"])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("changes", [
+    {},
+    {"K_b": 2},
+    {"K_b": 3, "n_v": 7, "n_w": 5, "n": 8},  # weights above 1 on both sides and in common
+    {"n": 0},
+    {"n_v": 0},
+    {"n_v": 0, "n_w": 0, "n": 0},  # two empty sets
+    {"k": 64},  # k = m: every column is all of [m]
+    {"m": 1, "k": 1},
+    {"d": 7, "K_b": 1, "n_v": 2, "n_w": 2, "n": 3},  # the support is all of [d]
+], ids=["K_b-1", "K_b-2", "weights-above-1", "n-0", "n_v-0", "all-empty", "k-equals-m",
+        "m-1", "support-d"])
+def test_cbloom_trials_equal_per_seed_reference(monkeypatch, task, count, changes):
+    cell = {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3, "K_b": 1, "eps": 0.5,
+            **changes}
+    support = sum(-(-cell[name] // cell["K_b"]) for name in ("n_v", "n_w", "n"))
+    _set_draw_chunk(monkeypatch, 3, support)  # seed counts below, at and past a chunk
+    seeds = [harness.trial_seed(5, cell, t) for t in range(count)]
+    assert harness.run_trials("cbloom", task, cell, seeds) == [
+        _cbloom_reference(cell, seed, task == "l1") for seed in seeds]
+
+
+_CBLOOM_BAD_BASE = {"m": [64], "k": [3], "d": [32], "n": [2], "n_v": [2], "n_w": [3],
+                    "K_b": [2], "eps": [0.5]}
+
+
+#: Rows recorded at the per-seed trials (3 trials, seed 7), the same for both tasks.
+@pytest.mark.parametrize("task", ["intersection", "l1"])
+@pytest.mark.parametrize("changes, tail", [
+    ({"K_b": [0]}, '64,3,2,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"K_b must be >= 1, got 0"'),
+    ({"n_v": [-1]}, '64,3,2,32,,0.5,,3,0,,,,7,philox4x64-block-v1,'
+                    '"masses n_v, n_w and n cannot be negative, got -1, 3, 2"'),
+    ({"m": [0]}, "0,3,2,32,,0.5,,3,0,,,,7,philox4x64-block-v1,m and d must be positive"),
+    ({"k": [65]}, "64,65,2,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+                  "sparsity k must satisfy 1 <= k <= m"),
+    ({"K_b": [1], "d": [5]}, "64,3,2,5,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+                             "cannot draw 7 distinct symbols from universe 5"),
+    # A cell bad in two ways reports what a trial alone met first: the codebook,
+    # then the parameters it reads next, then K_b and the masses, then the draw.
+    ({"m": [0], "K_b": [0]}, "0,3,2,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+                             "m and d must be positive"),
+    ({"m": [0], "n_v": ["abc"]}, "0,3,2,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+                                 "m and d must be positive"),
+    ({"k": [0], "K_b": [0]}, "64,0,2,32,,0.5,,3,0,,,,7,philox4x64-block-v1,"
+                             "sparsity k must satisfy 1 <= k <= m"),
+    ({"K_b": [0], "d": [5]}, '64,3,2,5,,0.5,,3,0,,,,7,philox4x64-block-v1,'
+                             '"K_b must be >= 1, got 0"'),
+    ({"n_v": [-1], "d": [2]}, '64,3,2,2,,0.5,,3,0,,,,7,philox4x64-block-v1,'
+                              '"masses n_v, n_w and n cannot be negative, got -1, 3, 2"'),
+], ids=["K_b-0", "n_v-negative", "m-0", "k-past-m", "support-past-d", "m-and-K_b",
+        "m-and-n_v-string", "k-and-K_b", "K_b-and-support", "n_v-and-support"])
+def test_cbloom_bad_cells_keep_their_rows(task, changes, tail):
+    grid = {**_CBLOOM_BAD_BASE, **changes}
+    csv_text, _ = harness.run(harness.ExperimentConfig("cbloom", task, grid, 3, 7))
+    assert csv_text.splitlines()[1] == f"cbloom,{task},{tail}"
 
 
 def test_kv_member_rows_with_one_or_two_value_ids():
