@@ -22,7 +22,6 @@ import numpy as np
 
 from .codebook import Codebook
 from .setalg import SymbolSet, require_flat
-from .sizing import SizingResult, check_rates, constants_for
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,32 +112,3 @@ def intersection_estimate(b1: BloomBundle, b2: BloomBundle) -> float:
         raise ValueError("bundles come from different codebooks")
     dot = np.intersect1d(b1.positions, b2.positions, assume_unique=True).size
     return h_mk(b1.m, b1.codebook.k, dot)
-
-
-def sizing_bloom(
-    *,
-    eps: float,
-    delta: float,
-    n: float,
-    n_v: float,
-    n_w: float,
-    c1: float | None = None,
-) -> SizingResult:
-    """(m, k) sufficient for h_{m,k}(x.y) = n +- eps with failure prob delta.
-
-    k = 2 c1 ln(2/delta) / eps, with the proof constant c1 = 32 + 2/3, and
-    m = (k/eps)(n_v n_w / 2 + 8 c1 n^2 + eps (n + n_w)), after swapping so
-    that n_w >= n_v.
-    """
-    check_rates(eps, delta)
-    if min(n, n_v, n_w) < 0:
-        raise ValueError("counts n, n_v, n_w must be nonnegative")
-    consts = constants_for("bloom.intersection", {"c1": c1})
-    c = consts["c1"]
-    inputs = {"eps": eps, "delta": delta, "n": n, "n_v": n_v, "n_w": n_w}
-    if n_w < n_v:
-        n_v, n_w = n_w, n_v
-    k = max(1, math.ceil(2.0 * c * math.log(2.0 / delta) / eps))
-    m = max(2, math.ceil((k / eps) * (n_v * n_w / 2.0 + 8.0 * c * n**2 + eps * (n + n_w))))
-    return SizingResult(m=m, k=k, formula="bloom.intersection", constants=consts,
-                        inputs=inputs)

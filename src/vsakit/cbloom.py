@@ -18,7 +18,6 @@ else they sum Python ints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,6 @@ import numpy as np
 
 from .codebook import Codebook
 from .setalg import SymbolSet
-from .sizing import SizingResult, check_rates, constants_for
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,34 +115,3 @@ def generalized_intersection_estimate(b1: CountBundle, b2: CountBundle) -> float
 def l1_distance_estimate(b1: CountBundle, b2: CountBundle, l1_v: int, l1_w: int) -> float:
     """||v||_1 + ||w||_1 - 2 (1/k)(x wedgedot y); never exceeds ||v - w||_1."""
     return l1_v + l1_w - 2.0 * generalized_intersection_estimate(b1, b2)
-
-
-def sizing_cbloom(
-    *,
-    eps: float,
-    delta: float,
-    K_b: float,
-    n_v: float,
-    n_w: float,
-) -> SizingResult:
-    """(m, k) sufficient for the one-sided wedgedot bound.
-
-    k = (2 K_b / 3) ln(1/delta) / eps and m = 12 pi^2 k n_v n_w / eps,
-    straight from the theorem. K_b bounds ||v - w||_inf; callers without it
-    may pass max(||v||_inf, ||w||_inf).
-    """
-    check_rates(eps, delta)
-    if K_b <= 0:
-        raise ValueError("K_b must be positive")
-    if min(n_v, n_w) < 0:
-        raise ValueError("n_v and n_w must be nonnegative")
-    consts = constants_for("cbloom.intersection")
-    k = max(1, math.ceil(consts["kc"] * K_b * math.log(1.0 / delta) / eps))
-    m = max(2, math.ceil(consts["mc"] * k * n_v * n_w / eps))
-    return SizingResult(
-        m=m,
-        k=k,
-        formula="cbloom.intersection",
-        constants=consts,
-        inputs={"eps": eps, "delta": delta, "K_b": K_b, "n_v": n_v, "n_w": n_w},
-    )

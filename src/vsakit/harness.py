@@ -2,15 +2,16 @@
 
 A grid of parameter cells is expanded from a config; every trial draws its
 instance and codebook from a seed derived purely from (master seed, cell
-parameters, trial index), so results are byte-identical for every run of
-the same config and seed. Cells run once each, in order: for each one,
-:func:`trial_records` folds the master seed and cell once, extends that
-fold by each trial index and hands all of the cell's seeds to one
-:func:`run_trials` call. Most tasks run one seed after another
-(``_each``); MAP-I ``norm``, Counting Bloom and Hopfield± draw a cell's
-seeds together, and every outcome is still the one a trial alone gives. One
-aggregated CSV row is written per cell as the cell finishes; the full
-per-cell parameter dicts and the config echo go to a JSON sidecar.
+parameters, trial index), so results are byte-identical for every run of the
+same config and seed. :data:`TASKS` maps each registered (arch, task) to its
+trials; the bounds that size them live in :mod:`sizing`. Cells run once
+each, in order: for each one, :func:`trial_records` folds the master seed
+and cell once, extends that fold by each trial index and hands all of the
+cell's seeds to one :func:`run_trials` call. Most tasks run one seed after
+another (``_each``); MAP-I ``norm``, Counting Bloom and Hopfield± draw a
+cell's seeds together, and every outcome is still the one a trial alone
+gives. One aggregated CSV row is written per cell as the cell finishes; the
+full per-cell parameter dicts and the config echo go to a JSON sidecar.
 
 A trial reads each cell parameter by its name: the rates ``eps`` and
 ``delta`` are floats that must pass ``sizing.check_rates``, and every
@@ -43,7 +44,7 @@ import numpy as np
 from . import bloom, cbloom, hopfield, mapb, mapi, rng, setalg
 from .codebook import Codebook
 from .setalg import SequenceSpec, SymbolSet
-from .sizing import SizingResult, check_rates
+from .sizing import check_rates
 
 CSV_VERSION = "v1"
 COLUMNS = (
@@ -88,10 +89,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment task ({self.arch!r}, {self.task!r})")
         if not self.grid or any(not values for values in self.grid.values()):
             raise ValueError("grid must be nonempty with nonempty value lists")
-        # A numpy scalar is the Python value it equals: np.int64(64) runs as 64
-        # and np.bool_ is refused as a bool is.
+        # A numpy value is the Python value of its ``tolist()``: np.int64(64) and
+        # np.array(64) run as 64, np.bool_ is refused as a bool is, and
+        # np.array([64]) as the list [64] is.
         object.__setattr__(self, "grid", {
-            name: [v.item() if isinstance(v, np.generic) else v for v in values]
+            name: [v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v for v in values]
             for name, values in self.grid.items()})
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -504,63 +506,44 @@ def _trials_hpm(cell: dict, seeds: list[int], dot: bool) -> list[TrialOutcome]:
             for est, (_, x, y, _) in zip(estimates, instances)]
 
 
-@dataclass(frozen=True)
-class Task:
-    """A registered (arch, task): its seeded trials and, if sizable, its sizing function.
-
-    ``trials(cell, seeds)`` runs one trial per seed of one cell and returns
-    their outcomes in seed order.
-    """
-
-    trials: Callable[[dict, list[int]], list[TrialOutcome]]
-    size: Callable[..., SizingResult] | None = None
-
-
 def _each(trial: Callable[[dict, int], TrialOutcome]):
     """A one-seed trial as a task's ``trials``: the seeds run one after another."""
     return lambda cell, seeds: [trial(cell, seed) for seed in seeds]
 
 
-#: The one registry of (arch, task). A sizable entry carries its sizing
-#: function already bound to its task; ``sizing.size`` and ``calibrate``
-#: dispatch through it, and its keys are exactly those of ``sizing.CONSTANTS``.
-TASKS: dict[tuple[str, str], Task] = {
-    ("mapi", "norm"): Task(_trials_mapi_norm, partial(mapi.sizing_mapi, "norm")),
-    ("mapi", "pairs"): Task(_each(_trial_mapi_pairs), partial(mapi.sizing_mapi, "pairs")),
-    ("mapi", "sequence"): Task(_each(_trial_mapi_sequence),
-                               partial(mapi.sizing_mapi, "sequence")),
-    ("mapi", "sequence-symbols"): Task(_each(_trial_mapi_sequence_symbols),
-                                       partial(mapi.sizing_mapi, "sequence-symbols")),
-    ("mapi", "binding2"): Task(_each(_trial_mapi_binding),
-                               partial(mapi.sizing_mapi, "binding2")),
-    ("mapi", "bindingK"): Task(_each(_trial_mapi_binding),
-                               partial(mapi.sizing_mapi, "bindingK")),
-    ("mapb", "member"): Task(_each(_trial_mapb_member), partial(mapb.sizing_mapb, "member")),
-    ("mapb", "sequence-member"): Task(_each(_trial_mapb_sequence_member),
-                                      partial(mapb.sizing_mapb, "sequence-member")),
-    ("mapb", "kv-member"): Task(_each(_trial_mapb_kv_member),
-                                partial(mapb.sizing_mapb, "kv-member")),
-    ("mapb", "empty-intersection"): Task(_each(_trial_mapb_empty_intersection),
-                                         partial(mapb.sizing_mapb, "empty-intersection")),
-    ("mapb", "depth"): Task(_each(_trial_mapb_depth)),
-    ("bloom", "size"): Task(_each(_trial_bloom_size)),
-    ("bloom", "intersection"): Task(_each(_trial_bloom_intersection), bloom.sizing_bloom),
-    ("cbloom", "intersection"): Task(partial(_trials_cbloom, l1=False), cbloom.sizing_cbloom),
-    ("cbloom", "l1"): Task(partial(_trials_cbloom, l1=True)),
-    ("hopfield", "store"): Task(_each(_trial_hopfield_store), hopfield.sizing_hopfield),
-    ("hopfield", "recall"): Task(_each(partial(_trial_hopfield_recall, kv=False))),
-    ("hopfield", "kv-recall"): Task(_each(partial(_trial_hopfield_recall, kv=True))),
-    ("hopfield", "hpm-norm"): Task(partial(_trials_hpm, dot=False),
-                                   partial(hopfield.sizing_hpm, "hpm-norm")),
-    ("hopfield", "hpm-dot"): Task(partial(_trials_hpm, dot=True),
-                                  partial(hopfield.sizing_hpm, "hpm-dot")),
+#: The one registry of (arch, task), each mapped to its trials:
+#: ``trials(cell, seeds)`` runs one trial per seed of one cell and returns
+#: their outcomes in seed order. Every bound in ``sizing`` sizes one of these
+#: entries, under the same "<arch>.<task>" name, and ``sizing.calibrate``
+#: runs its trials.
+TASKS: dict[tuple[str, str], Callable[[dict, list[int]], list[TrialOutcome]]] = {
+    ("mapi", "norm"): _trials_mapi_norm,
+    ("mapi", "pairs"): _each(_trial_mapi_pairs),
+    ("mapi", "sequence"): _each(_trial_mapi_sequence),
+    ("mapi", "sequence-symbols"): _each(_trial_mapi_sequence_symbols),
+    ("mapi", "binding2"): _each(_trial_mapi_binding),
+    ("mapi", "bindingK"): _each(_trial_mapi_binding),
+    ("mapb", "member"): _each(_trial_mapb_member),
+    ("mapb", "sequence-member"): _each(_trial_mapb_sequence_member),
+    ("mapb", "kv-member"): _each(_trial_mapb_kv_member),
+    ("mapb", "empty-intersection"): _each(_trial_mapb_empty_intersection),
+    ("mapb", "depth"): _each(_trial_mapb_depth),
+    ("bloom", "size"): _each(_trial_bloom_size),
+    ("bloom", "intersection"): _each(_trial_bloom_intersection),
+    ("cbloom", "intersection"): partial(_trials_cbloom, l1=False),
+    ("cbloom", "l1"): partial(_trials_cbloom, l1=True),
+    ("hopfield", "store"): _each(_trial_hopfield_store),
+    ("hopfield", "recall"): _each(partial(_trial_hopfield_recall, kv=False)),
+    ("hopfield", "kv-recall"): _each(partial(_trial_hopfield_recall, kv=True)),
+    ("hopfield", "hpm-norm"): partial(_trials_hpm, dot=False),
+    ("hopfield", "hpm-dot"): partial(_trials_hpm, dot=True),
 }
 
 
 def run_trials(arch: str, task: str, cell: dict, seeds) -> list[TrialOutcome]:
     """Run one seeded trial of a registered task per seed, all in one call."""
     try:
-        trials = TASKS[(arch, task)].trials
+        trials = TASKS[(arch, task)]
     except KeyError:
         raise ValueError(f"unknown experiment task ({arch!r}, {task!r})") from None
     return trials(cell, list(seeds))

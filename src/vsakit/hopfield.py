@@ -26,7 +26,6 @@ one m x m product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -35,7 +34,6 @@ import numpy as np
 from . import rng
 from .codebook import Codebook
 from .setalg import integral
-from .sizing import SizingResult, check_rates, constants_for
 
 
 @dataclass(frozen=True)
@@ -158,39 +156,6 @@ def corrupt(x: np.ndarray, erasures: int, flips: int, seed: int) -> np.ndarray:
         out[pos[:erasures]] = 0
         out[pos[erasures:]] *= -1
     return out
-
-
-def sizing_hopfield(*, n: float, delta: float, C: float | None = None) -> SizingResult:
-    """Smallest integer m with m >= C n ln(2m/delta), by fixed-point iteration.
-
-    Starts from m0 = C n ln(2n/delta) and iterates m <- C n ln(2m/delta);
-    the returned integer is checked against the inequality itself.
-    """
-    check_rates(delta=delta)
-    if n < 1:
-        raise ValueError("pattern count n must be >= 1")
-    consts = constants_for("hopfield.store", {"C": C})
-    c = consts["C"]
-    m = c * n * math.log(2.0 * n / delta)
-    iters = 0
-    for iters in range(1, 101):
-        nxt = c * n * math.log(2.0 * m / delta)
-        if abs(nxt - m) <= 1e-9 * max(1.0, m):
-            m = nxt
-            break
-        m = nxt
-    else:
-        raise RuntimeError("fixed-point iteration did not converge in 100 steps")
-    m_int = max(1, math.ceil(m))
-    while m_int < c * n * math.log(2.0 * m_int / delta):
-        m_int += 1
-    return SizingResult(
-        m=m_int,
-        formula="hopfield.store",
-        constants=consts,
-        inputs={"n": n, "delta": delta},
-        extras={"iterations": iters},
-    )
 
 
 # -- Hopfield± ----------------------------------------------------------------
@@ -336,26 +301,3 @@ def hpm_estimates(instances: Iterable[tuple]) -> list[float]:
             my = _hpm_matrix(cb, W, d_seed, my)
             estimates.append(_sum_products(mx, my, my))
     return estimates
-
-
-def sizing_hpm(task: str, *, eps: float, delta: float, d: float, C: float | None = None) -> SizingResult:
-    """Dimension for the Hopfield± estimators.
-
-    hpm-norm  m = C eps^-1 ln(d/delta)^2   (norm preservation)
-    hpm-dot   m = C eps^-2 ln(d/delta)^2   (Frobenius-product estimation)
-    """
-    if task not in ("hpm-norm", "hpm-dot"):
-        raise ValueError(f"unknown hopfield sizing task {task!r}")
-    check_rates(eps, delta)
-    if d < 1:
-        raise ValueError("universe size d must be >= 1")
-    formula = f"hopfield.{task}"
-    consts = constants_for(formula, {"C": C})
-    power = 1 if task == "hpm-norm" else 2
-    raw = consts["C"] * eps**-power * math.log(d / delta) ** 2
-    return SizingResult(
-        m=max(1, math.ceil(raw)),
-        formula=formula,
-        constants=consts,
-        inputs={"eps": eps, "delta": delta, "d": d},
-    )

@@ -38,7 +38,7 @@ from . import mapi, rng
 from .codebook import Codebook
 from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral, require_flat
-from .sizing import SizingResult, check_rates, constants_for, require
+from .sizing import check_rates
 
 
 @dataclass(frozen=True)
@@ -298,41 +298,3 @@ def chain_agreement_probability(r: int) -> Fraction:
     if r < 1:
         raise ValueError("chain depth must be >= 1")
     return Fraction(1, 2) + Fraction(1, 2**r)
-
-
-def sizing_mapb(
-    task: str,
-    *,
-    n: float | None = None,
-    d: float | None = None,
-    L: float | None = None,
-    nx: float | None = None,
-    ny: float | None = None,
-    delta: float | None = None,
-    C: float | None = None,
-) -> SizingResult:
-    """Concrete dimension for each MAP-B decision bound.
-
-    member             m = C n ln(d/delta)
-    sequence-member    m = C n L ln(L d/delta)
-    kv-member          m = C n ln(d/delta)
-    empty-intersection m = C ln(1/delta) nx ny
-    """
-    formula = f"mapb.{task}"
-    consts = constants_for(formula, {"C": C})
-    check_rates(delta=delta)
-    params = {"n": n, "d": d, "L": L, "nx": nx, "ny": ny, "delta": delta}
-    c = consts["C"]
-    if task == "member" or task == "kv-member":
-        (n, d, delta) = require(params, "n", "d", "delta")
-        raw = c * n * math.log(d / delta)
-    elif task == "sequence-member":
-        (n, d, L, delta) = require(params, "n", "d", "L", "delta")
-        if L < 1:
-            raise ValueError("sequence-member sizing needs L >= 1")
-        raw = c * n * L * math.log(L * d / delta)
-    else:
-        (nx, ny, delta) = require(params, "nx", "ny", "delta")
-        raw = c * math.log(1.0 / delta) * nx * ny
-    inputs = {name: value for name, value in params.items() if value is not None}
-    return SizingResult(m=max(1, math.ceil(raw)), formula=formula, constants=consts, inputs=inputs)

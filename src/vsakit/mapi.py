@@ -30,7 +30,6 @@ import numpy as np
 from .codebook import Codebook
 from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet
-from .sizing import SizingResult, check_rates, constants_for, require
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,66 +224,3 @@ def encode_binding_bundle(cb: Codebook, spec: BindingBundleSpec) -> MapIBundle:
         raise ValueError(f"edge universe {spec.d} != codebook universe {cb.d}")
     edges = bound_words(cb, [tuple(edge) for edge in spec.edges])
     return MapIBundle(_signed_sums(edges, cb.m, spec.size), cb)
-
-
-def sizing_mapi(
-    task: str,
-    *,
-    eps: float | None = None,
-    delta: float | None = None,
-    N: float | None = None,
-    M: float | None = None,
-    L: float | None = None,
-    K: float | None = None,
-    k: int | None = None,
-    v_l1: float | None = None,
-    C: float | None = None,
-    base: float | None = None,
-) -> SizingResult:
-    """Concrete dimension for each MAP-I capacity bound.
-
-    norm               m = C eps^-2 ln(2/delta)
-    pairs              m = C N ln(M/delta)
-    sequence           m = C (L/eps)^2 ln(L/delta)
-    sequence-symbols   m = C K^2 eps^-2 ln(K/(eps delta))
-    binding2           m = C eps^-2 ln(v_l1/(eps delta))^3
-    bindingK           m = C eps^-2 base^(k ln k) ln(k v_l1/(eps delta))^(k+1)
-    """
-    formula = f"mapi.{task}"
-    consts = constants_for(formula, {"C": C} if task != "bindingK" else {"C": C, "base": base})
-    params = {"eps": eps, "delta": delta, "N": N, "M": M, "L": L, "K": K, "k": k, "v_l1": v_l1}
-    check_rates(eps if task != "pairs" else None, delta)
-    c = consts["C"]
-    if task == "norm":
-        (eps, delta) = require(params, "eps", "delta")
-        raw = c * eps**-2 * math.log(2.0 / delta)
-    elif task == "pairs":
-        (N, M, delta) = require(params, "N", "M", "delta")
-        if N <= 0 or M <= 0:
-            raise ValueError("pairs sizing needs positive N and M")
-        raw = c * N * math.log(M / delta)
-    elif task == "sequence":
-        (eps, delta, L) = require(params, "eps", "delta", "L")
-        if L < 1:
-            raise ValueError("sequence sizing needs L >= 1")
-        raw = c * (L / eps) ** 2 * math.log(L / delta)
-    elif task == "sequence-symbols":
-        (eps, delta, K) = require(params, "eps", "delta", "K")
-        if K < 1:
-            raise ValueError("sequence-symbols sizing needs K >= 1")
-        raw = c * K**2 * eps**-2 * math.log(K / (eps * delta))
-    elif task == "binding2":
-        (eps, delta, v_l1) = require(params, "eps", "delta", "v_l1")
-        raw = c * eps**-2 * math.log(v_l1 / (eps * delta)) ** 3
-    else:  # bindingK
-        (eps, delta, v_l1, k) = require(params, "eps", "delta", "v_l1", "k")
-        if k < 2:
-            raise ValueError("bindingK sizing needs arity k >= 2")
-        raw = (
-            c
-            * eps**-2
-            * consts["base"] ** (k * math.log(k))
-            * math.log(k * v_l1 / (eps * delta)) ** (k + 1)
-        )
-    inputs = {name: value for name, value in params.items() if value is not None}
-    return SizingResult(m=max(1, math.ceil(raw)), formula=formula, constants=consts, inputs=inputs)

@@ -1,8 +1,12 @@
-"""Dimension sizing: one concrete formula per capacity bound, plus calibration.
+"""Dimension sizing: one table of capacity bounds, one path to a result, and calibration.
 
-Every asymptotic bound becomes a closed-form formula with a named leading
-constant. All constants live in :data:`CONSTANTS` so calibration reports can
-cite the exact values used; per-call overrides are accepted everywhere.
+Every asymptotic bound becomes a closed-form formula with named leading
+constants. The table ``_BOUNDS`` holds the 15 bounds, keyed by
+"<arch>.<task>" as the ``harness.TASKS`` entries they size are: each has its
+default constants, its formula and the inputs its result echoes.
+:data:`CONSTANTS` lists the defaults, so calibration reports can cite the
+exact values used, and :func:`size` accepts an override of any of them per
+call.
 """
 
 from __future__ import annotations
@@ -11,42 +15,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
-
-#: Default leading constants, keyed by "<arch>.<task>". The keys are exactly
-#: the ``harness.TASKS`` entries that carry a sizing function. The theory gives
-#: O(.) for most rows; C=8 is the standard sign-matrix JL constant, C=16 the
-#: Hoeffding-flavored membership constant, and the Bloom / Counting Bloom
-#: constants are the exact values carried by the proofs.
-CONSTANTS: dict[str, dict[str, float]] = {
-    "mapi.norm": {"C": 8.0},
-    "mapi.pairs": {"C": 8.0},
-    "mapi.sequence": {"C": 8.0},
-    "mapi.sequence-symbols": {"C": 8.0},
-    "mapi.binding2": {"C": 8.0},
-    "mapi.bindingK": {"C": 8.0, "base": 2.0},
-    "mapb.member": {"C": 16.0},
-    "mapb.sequence-member": {"C": 16.0},
-    "mapb.kv-member": {"C": 16.0},
-    "mapb.empty-intersection": {"C": 24.0},
-    "bloom.intersection": {"c1": 98.0 / 3.0},
-    "cbloom.intersection": {"kc": 2.0 / 3.0, "mc": 12.0 * math.pi**2},
-    "hopfield.store": {"C": 4.0},
-    "hopfield.hpm-norm": {"C": 8.0},
-    "hopfield.hpm-dot": {"C": 8.0},
-}
-
-
-def constants_for(formula: str, overrides: dict | None = None) -> dict[str, float]:
-    if formula not in CONSTANTS:
-        raise ValueError(f"unknown sizing formula {formula!r}")
-    base = dict(CONSTANTS[formula])
-    for name, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if name not in base:
-            raise ValueError(f"formula {formula!r} has no constant {name!r}")
-        base[name] = float(value)
-    return base
+from typing import Callable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -88,32 +57,220 @@ def check_rates(eps: float | None = None, delta: float | None = None) -> None:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
-def require(params: dict, *names: str) -> list:
-    out = []
-    for name in names:
-        value = params.get(name)
-        if value is None:
-            raise ValueError(f"missing required sizing parameter {name!r}")
-        out.append(value)
-    return out
+# -- the formulas --------------------------------------------------------------
+#
+# A formula takes each input and each constant as a keyword argument and
+# returns the real-valued m, or (m, k, extras) when it also sizes k or
+# reports extras; size() checks the rates and rounds m up.
+
+
+def _mapi_norm(*, eps, delta, C):
+    """m = C eps^-2 ln(2/delta)"""
+    return C * eps**-2 * math.log(2.0 / delta)
+
+
+def _mapi_pairs(*, N, M, delta, C):
+    """m = C N ln(M/delta)"""
+    if N <= 0 or M <= 0:
+        raise ValueError("pairs sizing needs positive N and M")
+    return C * N * math.log(M / delta)
+
+
+def _mapi_sequence(*, eps, delta, L, C):
+    """m = C (L/eps)^2 ln(L/delta)"""
+    if L < 1:
+        raise ValueError("sequence sizing needs L >= 1")
+    return C * (L / eps) ** 2 * math.log(L / delta)
+
+
+def _mapi_sequence_symbols(*, eps, delta, K, C):
+    """m = C K^2 eps^-2 ln(K/(eps delta))"""
+    if K < 1:
+        raise ValueError("sequence-symbols sizing needs K >= 1")
+    return C * K**2 * eps**-2 * math.log(K / (eps * delta))
+
+
+def _mapi_binding2(*, eps, delta, v_l1, C):
+    """m = C eps^-2 ln(v_l1/(eps delta))^3"""
+    return C * eps**-2 * math.log(v_l1 / (eps * delta)) ** 3
+
+
+def _mapi_binding_k(*, eps, delta, v_l1, k, C, base):
+    """m = C eps^-2 base^(k ln k) ln(k v_l1/(eps delta))^(k+1)"""
+    if k < 2:
+        raise ValueError("bindingK sizing needs arity k >= 2")
+    return (C * eps**-2 * base ** (k * math.log(k))
+            * math.log(k * v_l1 / (eps * delta)) ** (k + 1))
+
+
+def _mapb_member(*, n, d, delta, C):
+    """m = C n ln(d/delta), for member and kv-member (n key-value pairs)"""
+    return C * n * math.log(d / delta)
+
+
+def _mapb_sequence_member(*, n, d, L, delta, C):
+    """m = C n L ln(L d/delta)"""
+    if L < 1:
+        raise ValueError("sequence-member sizing needs L >= 1")
+    return C * n * L * math.log(L * d / delta)
+
+
+def _mapb_empty_intersection(*, nx, ny, delta, C):
+    """m = C ln(1/delta) nx ny"""
+    return C * math.log(1.0 / delta) * nx * ny
+
+
+def _bloom_intersection(*, eps, delta, n, n_v, n_w, c1):
+    """(m, k) sufficient for h_{m,k}(x.y) = n +- eps with failure prob delta.
+
+    k = 2 c1 ln(2/delta) / eps, with the proof constant c1 = 32 + 2/3, and
+    m = (k/eps)(n_v n_w / 2 + 8 c1 n^2 + eps (n + n_w)), at least 2, after
+    swapping so that n_w >= n_v.
+    """
+    if min(n, n_v, n_w) < 0:
+        raise ValueError("counts n, n_v, n_w must be nonnegative")
+    if n_w < n_v:
+        n_v, n_w = n_w, n_v
+    k = max(1, math.ceil(2.0 * c1 * math.log(2.0 / delta) / eps))
+    m = max(2, math.ceil((k / eps) * (n_v * n_w / 2.0 + 8.0 * c1 * n**2 + eps * (n + n_w))))
+    return m, k, {}
+
+
+def _cbloom_intersection(*, eps, delta, K_b, n_v, n_w, kc, mc):
+    """(m, k) sufficient for the one-sided wedgedot bound.
+
+    k = kc K_b ln(1/delta) / eps and m = mc k n_v n_w / eps, at least 2, with
+    kc = 2/3 and mc = 12 pi^2 straight from the theorem. K_b bounds
+    ||v - w||_inf; callers without it may pass max(||v||_inf, ||w||_inf).
+    """
+    if K_b <= 0:
+        raise ValueError("K_b must be positive")
+    if min(n_v, n_w) < 0:
+        raise ValueError("n_v and n_w must be nonnegative")
+    k = max(1, math.ceil(kc * K_b * math.log(1.0 / delta) / eps))
+    return max(2, math.ceil(mc * k * n_v * n_w / eps)), k, {}
+
+
+def _hopfield_store(*, n, delta, C):
+    """Smallest integer m with m >= C n ln(2m/delta), by fixed-point iteration.
+
+    Starts from m0 = C n ln(2n/delta) and iterates m <- C n ln(2m/delta);
+    the returned integer is checked against the inequality itself.
+    """
+    if n < 1:
+        raise ValueError("pattern count n must be >= 1")
+    m = C * n * math.log(2.0 * n / delta)
+    if math.isinf(m):
+        return m
+    iters = 0
+    for iters in range(1, 101):
+        nxt = C * n * math.log(2.0 * m / delta)
+        if abs(nxt - m) <= 1e-9 * max(1.0, m):
+            m = nxt
+            break
+        m = nxt
+    else:
+        raise RuntimeError("fixed-point iteration did not converge in 100 steps")
+    m_int = max(1, math.ceil(m))
+    while m_int < C * n * math.log(2.0 * m_int / delta):
+        m_int += 1
+    return m_int, None, {"iterations": iters}
+
+
+def _hpm_norm(*, eps, delta, d, C):
+    """m = C eps^-1 ln(d/delta)^2, for Hopfield± norm preservation"""
+    if d < 1:
+        raise ValueError("universe size d must be >= 1")
+    return C * eps**-1 * math.log(d / delta) ** 2
+
+
+def _hpm_dot(*, eps, delta, d, C):
+    """m = C eps^-2 ln(d/delta)^2, for Hopfield± Frobenius-product estimation"""
+    if d < 1:
+        raise ValueError("universe size d must be >= 1")
+    return C * eps**-2 * math.log(d / delta) ** 2
+
+
+# -- the table -------------------------------------------------------------------
+
+
+class _Bound(NamedTuple):
+    constants: dict[str, float]
+    formula: Callable
+    inputs: tuple[str, ...]  # the formula's keyword arguments other than its constants
+    echo: tuple[str, ...]  # the inputs a result echoes, each where it is given
+
+
+def _bound(constants: dict[str, float], formula: Callable, echo: tuple[str, ...] = ()) -> _Bound:
+    """A table entry; ``echo`` defaults to the formula's inputs."""
+    inputs = tuple(name for name in inspect.signature(formula).parameters if name not in constants)
+    return _Bound(constants, formula, inputs, echo or inputs)
+
+
+#: A MAP-I or MAP-B result echoes every input of its arch that is given.
+_MAPI = ("eps", "delta", "N", "M", "L", "K", "k", "v_l1")
+_MAPB = ("n", "d", "L", "nx", "ny", "delta")
+
+#: The 15 bounds, keyed by "<arch>.<task>". The theory gives O(.) for most
+#: rows; C=8 is the standard sign-matrix JL constant, C=16 the
+#: Hoeffding-flavored membership constant, and the Bloom / Counting Bloom
+#: constants are the exact values carried by the proofs.
+_BOUNDS: dict[str, _Bound] = {
+    "mapi.norm": _bound({"C": 8.0}, _mapi_norm, _MAPI),
+    "mapi.pairs": _bound({"C": 8.0}, _mapi_pairs, _MAPI),
+    "mapi.sequence": _bound({"C": 8.0}, _mapi_sequence, _MAPI),
+    "mapi.sequence-symbols": _bound({"C": 8.0}, _mapi_sequence_symbols, _MAPI),
+    "mapi.binding2": _bound({"C": 8.0}, _mapi_binding2, _MAPI),
+    "mapi.bindingK": _bound({"C": 8.0, "base": 2.0}, _mapi_binding_k, _MAPI),
+    "mapb.member": _bound({"C": 16.0}, _mapb_member, _MAPB),
+    "mapb.sequence-member": _bound({"C": 16.0}, _mapb_sequence_member, _MAPB),
+    "mapb.kv-member": _bound({"C": 16.0}, _mapb_member, _MAPB),
+    "mapb.empty-intersection": _bound({"C": 24.0}, _mapb_empty_intersection, _MAPB),
+    "bloom.intersection": _bound({"c1": 98.0 / 3.0}, _bloom_intersection),
+    "cbloom.intersection": _bound({"kc": 2.0 / 3.0, "mc": 12.0 * math.pi**2}, _cbloom_intersection),
+    "hopfield.store": _bound({"C": 4.0}, _hopfield_store),
+    "hopfield.hpm-norm": _bound({"C": 8.0}, _hpm_norm),
+    "hopfield.hpm-dot": _bound({"C": 8.0}, _hpm_dot),
+}
+
+#: Default leading constants, keyed by "<arch>.<task>".
+CONSTANTS: dict[str, dict[str, float]] = {name: bound.constants for name, bound in _BOUNDS.items()}
 
 
 def size(arch: str, task: str, /, **params) -> SizingResult:
-    """Call the sizing function of the (arch, task) entry in ``harness.TASKS``.
+    """The :class:`SizingResult` of the bound "<arch>.<task>" at ``params``.
 
-    Parameters the formula does not use are ignored, so a combined
+    ``params`` holds the bound's inputs and, optionally, overrides of its
+    constants. Parameters the bound does not use are ignored, so a combined
     sizing-plus-instance dict (as calibrate and the CLI hold) can be passed
-    straight through; missing required parameters still raise.
+    straight through. A missing or non-finite input or override, a rate
+    outside its range, or a dimension too large for a float raises
+    ``ValueError``.
     """
-    from . import harness
-
     if "arch" in params or "task" in params:
         raise ValueError("sizing parameters cannot be named 'arch' or 'task'")
-    entry = harness.TASKS.get((arch, task))
-    if entry is None or entry.size is None:
-        raise ValueError(f"unknown sizing formula {f'{arch}.{task}'!r}")
-    accepted = inspect.signature(entry.size).parameters
-    return entry.size(**{name: value for name, value in params.items() if name in accepted})
+    formula = f"{arch}.{task}"
+    bound = _BOUNDS.get(formula)
+    if bound is None:
+        raise ValueError(f"unknown sizing formula {formula!r}")
+    for name in bound.inputs:
+        if params.get(name) is None:
+            raise ValueError(f"missing required sizing parameter {name!r}")
+    check_rates(**{name: params[name] for name in ("eps", "delta") if name in bound.inputs})
+    inputs = {name: params[name] for name in bound.echo if params.get(name) is not None}
+    constants = {name: value if params.get(name) is None else float(params[name])
+                 for name, value in bound.constants.items()}
+    for name, value in (*inputs.items(), *constants.items()):
+        if not -math.inf < value < math.inf:  # an int of any size compares exactly
+            raise ValueError(f"sizing parameter {name!r} must be finite, got {value}")
+    try:
+        out = bound.formula(**{name: params[name] for name in bound.inputs}, **constants)
+    except OverflowError:  # a float power, or the ceil of an infinite m or k
+        out = math.inf
+    m, k, extras = out if isinstance(out, tuple) else (out, None, {})
+    if not math.isfinite(m):
+        raise ValueError(f"sizing formula {formula!r} gives no finite dimension, got m = {m}")
+    return SizingResult(max(1, math.ceil(m)), formula, k, constants, inputs, extras)
 
 
 @dataclass(frozen=True)

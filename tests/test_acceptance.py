@@ -90,7 +90,7 @@ def test_c02_bloom_inversion_identity():
 
 
 def test_c03_jl_reproduction():
-    sized = mapi.sizing_mapi("norm", eps=0.5, delta=0.05)
+    sized = sizing.size("mapi", "norm", eps=0.5, delta=0.05)
     trials = 10_000
     rates = {}
     for n in (1, 16, 256):
@@ -108,7 +108,7 @@ def test_c03_jl_reproduction():
 
 def test_c04_mapi_exact_intersection_rounding():
     d, pairs, replicates = 1000, 50, 200
-    sized = mapi.sizing_mapi("pairs", N=64, M=pairs, delta=0.05)
+    sized = sizing.size("mapi", "pairs", N=64, M=pairs, delta=0.05)
     good = 0
     for rep in range(replicates):
         seed = rng.stream_id("c4", rep)
@@ -158,7 +158,7 @@ def test_c05a_mapb_agreement_bounds():
 
 def test_c05b_mapb_membership_classification():
     n, d, delta, trials = 10, 256, 0.05, 1000
-    sized = mapb.sizing_mapb("member", n=n, d=d, delta=delta)
+    sized = sizing.size("mapb", "member", n=n, d=d, delta=delta)
     tau = mapb.member_threshold(sized.m, d, delta)
     good = 0
     for t in range(trials):
@@ -204,7 +204,7 @@ def test_c06_mapb_depth_decay():
 
 def test_c07_hopfield_capacity():
     n, delta, trials = 16, 0.05, 500
-    m = hopfield.sizing_hopfield(n=n, delta=delta).m
+    m = sizing.size("hopfield", "store", n=n, delta=delta).m
     fixed = erased = keyval = 0
     for t in range(trials):
         seed = rng.stream_id("c7", t)
@@ -227,7 +227,7 @@ def test_c07_hopfield_capacity():
 
 def test_c08_hpm_estimator():
     eps, delta, d, support, trials = 0.5, 0.05, 512, 8, 500
-    m = hopfield.sizing_hpm("hpm-norm", eps=eps, delta=delta, d=d).m
+    m = sizing.size("hopfield", "hpm-norm", eps=eps, delta=delta, d=d).m
     bound = eps * support  # ||X||_F ||Y||_F = support for 0/1 diagonals
     instances, truths = [], []
     for t in range(trials):
@@ -307,7 +307,7 @@ def test_d12_sized_conformance(arch, task):
 
 def test_c09_bloom_and_cbloom_intersection():
     # Bloom: rounded h_{m,k}(x.y) equals n=5 at the sized (m, k)
-    sb = bloom.sizing_bloom(eps=0.5, delta=0.05, n=5, n_v=10, n_w=10)
+    sb = sizing.size("bloom", "intersection", eps=0.5, delta=0.05, n=5, n_v=10, n_w=10)
     trials = 1000
     d = 64
     hits = 0
@@ -322,7 +322,7 @@ def test_c09_bloom_and_cbloom_intersection():
     bloom_rate = hits / trials
     # Counting Bloom: one-sided overshoot < eps at the sized (m, k)
     eps = 0.5
-    sc = cbloom.sizing_cbloom(eps=eps, delta=0.05, K_b=2, n_v=2, n_w=2)
+    sc = sizing.size("cbloom", "intersection", eps=eps, delta=0.05, K_b=2, n_v=2, n_w=2)
     ok_count = 0
     for t in range(trials):
         seed = rng.stream_id("c9c", t)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vsakit import bloom, serialize
+from vsakit import bloom, serialize, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
@@ -221,7 +221,7 @@ def test_intersection_codebook_mismatch():
 
 
 def test_sizing_closed_form():
-    res = bloom.sizing_bloom(eps=1.0, delta=0.05, n=0, n_v=0, n_w=1)
+    res = sizing.size("bloom", "intersection", eps=1.0, delta=0.05, n=0, n_v=0, n_w=1)
     assert res.k == 242  # ceil((196/3) ln 40)
     assert res.m == res.k  # degenerate membership-like case collapses to k
 
@@ -232,15 +232,16 @@ def test_sizing_delta_halving_additive():
     k1 = 2 * c1 * math.log(2 / 0.05) / eps
     k2 = 2 * c1 * math.log(2 / 0.025) / eps
     assert k2 - k1 == pytest.approx((2 * c1 / eps) * math.log(2))
-    assert bloom.sizing_bloom(eps=eps, delta=0.05, n=1, n_v=1, n_w=1).k == math.ceil(k1)
-    assert bloom.sizing_bloom(eps=eps, delta=0.025, n=1, n_v=1, n_w=1).k == math.ceil(k2)
+    sets = dict(n=1, n_v=1, n_w=1)
+    assert sizing.size("bloom", "intersection", eps=eps, delta=0.05, **sets).k == math.ceil(k1)
+    assert sizing.size("bloom", "intersection", eps=eps, delta=0.025, **sets).k == math.ceil(k2)
 
 
 def test_sizing_swaps_and_validates():
-    a = bloom.sizing_bloom(eps=0.5, delta=0.05, n=2, n_v=3, n_w=7)
-    b = bloom.sizing_bloom(eps=0.5, delta=0.05, n=2, n_v=7, n_w=3)
+    a = sizing.size("bloom", "intersection", eps=0.5, delta=0.05, n=2, n_v=3, n_w=7)
+    b = sizing.size("bloom", "intersection", eps=0.5, delta=0.05, n=2, n_v=7, n_w=3)
     assert a.m == b.m and a.k == b.k
     with pytest.raises(ValueError):
-        bloom.sizing_bloom(eps=0.0, delta=0.05, n=1, n_v=1, n_w=1)
+        sizing.size("bloom", "intersection", eps=0.0, delta=0.05, n=1, n_v=1, n_w=1)
     with pytest.raises(ValueError):
-        bloom.sizing_bloom(eps=0.5, delta=1.0, n=1, n_v=1, n_w=1)
+        sizing.size("bloom", "intersection", eps=0.5, delta=1.0, n=1, n_v=1, n_w=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vsakit import cbloom, rng, setalg
+from vsakit import cbloom, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
@@ -89,7 +89,7 @@ def test_l1_estimate_identities():
 
 def test_statistical_overshoot_bound():
     eps, delta = 0.5, 0.05
-    sized = cbloom.sizing_cbloom(eps=eps, delta=delta, K_b=2, n_v=2, n_w=2)
+    sized = sizing.size("cbloom", "intersection", eps=eps, delta=delta, K_b=2, n_v=2, n_w=2)
     fails = 0
     trials = 200
     for seed in range(trials):
@@ -106,24 +106,24 @@ def test_statistical_overshoot_bound():
 
 
 def test_sizing_closed_form():
-    res = cbloom.sizing_cbloom(eps=1.0, delta=math.exp(-3), K_b=1, n_v=3, n_w=5)
+    res = sizing.size("cbloom", "intersection", eps=1.0, delta=math.exp(-3), K_b=1, n_v=3, n_w=5)
     assert res.k == 2
     assert res.m == math.ceil(12 * math.pi**2 * 2 * 15)
 
 
 def test_sizing_eps_scaling_and_degenerate():
-    m1 = cbloom.sizing_cbloom(eps=1.0, delta=0.05, K_b=1, n_v=4, n_w=4).m
-    m2 = cbloom.sizing_cbloom(eps=0.5, delta=0.05, K_b=1, n_v=4, n_w=4).m
+    m1 = sizing.size("cbloom", "intersection", eps=1.0, delta=0.05, K_b=1, n_v=4, n_w=4).m
+    m2 = sizing.size("cbloom", "intersection", eps=0.5, delta=0.05, K_b=1, n_v=4, n_w=4).m
     assert 3.5 * m1 <= m2 <= 4.5 * m1  # eps^-2 combined scaling, up to ceilings
-    degenerate = cbloom.sizing_cbloom(eps=1.0, delta=0.05, K_b=1, n_v=0, n_w=9)
+    degenerate = sizing.size("cbloom", "intersection", eps=1.0, delta=0.05, K_b=1, n_v=0, n_w=9)
     assert degenerate.m == 2  # floor value: estimator is exact when one side is empty
 
 
 def test_sizing_validation():
     with pytest.raises(ValueError):
-        cbloom.sizing_cbloom(eps=1.0, delta=0.05, K_b=0, n_v=1, n_w=1)
+        sizing.size("cbloom", "intersection", eps=1.0, delta=0.05, K_b=0, n_v=1, n_w=1)
     with pytest.raises(ValueError):
-        cbloom.sizing_cbloom(eps=-1.0, delta=0.05, K_b=1, n_v=1, n_w=1)
+        sizing.size("cbloom", "intersection", eps=-1.0, delta=0.05, K_b=1, n_v=1, n_w=1)
 
 
 def test_codebook_kind_enforced():

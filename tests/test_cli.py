@@ -313,3 +313,80 @@ def test_one_parser_serves_every_call_with_nothing_carried_over(tmp_path):
     assert together == alone
     assert [code for code, _ in alone] == [0, 0, 2, 0, 0, 0, 0, 2]
     assert alone[0][1] != alone[1][1] and alone[3][1] != alone[4][1]
+
+
+#: Every sizing formula with a valid value of each input it requires.
+_REQUIRED = {
+    "mapi.norm": dict(eps=0.5, delta=0.05),
+    "mapi.pairs": dict(N=8, M=8, delta=0.05),
+    "mapi.sequence": dict(eps=0.5, delta=0.05, L=2),
+    "mapi.sequence-symbols": dict(eps=0.5, delta=0.05, K=2),
+    "mapi.binding2": dict(eps=0.5, delta=0.05, v_l1=4),
+    "mapi.bindingK": dict(eps=0.5, delta=0.05, v_l1=4, k=3),
+    "mapb.member": dict(n=4, d=64, delta=0.05),
+    "mapb.sequence-member": dict(n=4, d=64, L=2, delta=0.05),
+    "mapb.kv-member": dict(n=4, d=64, delta=0.05),
+    "mapb.empty-intersection": dict(nx=4, ny=4, delta=0.05),
+    "bloom.intersection": dict(eps=0.5, delta=0.05, n=5, n_v=10, n_w=10),
+    "cbloom.intersection": dict(eps=0.5, delta=0.05, K_b=2, n_v=4, n_w=4),
+    "hopfield.store": dict(n=8, delta=0.05),
+    "hopfield.hpm-norm": dict(eps=0.5, delta=0.05, d=64),
+    "hopfield.hpm-dot": dict(eps=0.5, delta=0.05, d=64),
+}
+
+
+def _sizing_argv(command: str, formula: str, params: dict) -> list[str]:
+    arch, task = formula.split(".")
+    argv = [command, "--arch", arch, "--task", task]
+    for name, value in params.items():
+        argv += ["--param", f"{name}={value}"]
+    return argv + (["--target", "0.1", "--trials", "100"] if command == "calibrate" else [])
+
+
+def test_required_inputs_cover_every_formula(capsys):
+    assert set(_REQUIRED) == set(sizing.CONSTANTS)
+    for formula, params in _REQUIRED.items():
+        assert main(_sizing_argv("size", formula, params)) == 0
+        assert json.loads(capsys.readouterr().out)["formula"] == formula
+
+
+@pytest.mark.parametrize("command", ["size", "calibrate"])
+@pytest.mark.parametrize("formula, missing", [
+    (formula, name) for formula, params in _REQUIRED.items() for name in params])
+def test_missing_sizing_input_exits_2_naming_it(capsys, command, formula, missing):
+    params = {name: value for name, value in _REQUIRED[formula].items() if name != missing}
+    assert main(_sizing_argv(command, formula, params)) == 2
+    assert f"missing required sizing parameter {missing!r}" in capsys.readouterr().err
+
+
+_NON_FINITE = [
+    ("mapb.member", dict(n="inf", d=256, delta=0.05), "sizing parameter 'n' must be finite, got inf"),
+    ("mapb.member", dict(n="nan", d=256, delta=0.05), "sizing parameter 'n' must be finite, got nan"),
+    ("mapb.member", dict(n=4, d="-inf", delta=0.05), "sizing parameter 'd' must be finite, got -inf"),
+    ("cbloom.intersection", dict(eps=0.5, delta=0.05, K_b=1, n_v="inf", n_w=1),
+     "sizing parameter 'n_v' must be finite, got inf"),
+    ("hopfield.store", dict(n="inf", delta=0.05), "sizing parameter 'n' must be finite, got inf"),
+    ("hopfield.store", dict(n=8, delta=0.05, C="inf"), "sizing parameter 'C' must be finite, got inf"),
+    ("mapi.pairs", dict(N=8, M=8, delta=0.05, eps="nan"),
+     "sizing parameter 'eps' must be finite, got nan"),  # echoed, though pairs reads no eps
+    ("mapi.norm", dict(eps="inf", delta=0.05), "eps must be positive and finite, got inf"),
+    ("mapi.norm", dict(eps="nan", delta=0.05), "eps must be positive and finite, got nan"),
+    ("mapi.norm", dict(eps=0.5, delta="nan"), "delta must be in (0, 1), got nan"),
+    ("mapi.pairs", dict(N=1e308, M=1e308, delta=0.05),
+     "sizing formula 'mapi.pairs' gives no finite dimension, got m = inf"),
+    ("mapi.norm", dict(eps=1e-200, delta=0.05),
+     "sizing formula 'mapi.norm' gives no finite dimension, got m = inf"),
+    ("hopfield.store", dict(n=1e307, delta=0.05),
+     "sizing formula 'hopfield.store' gives no finite dimension, got m = inf"),
+    ("bloom.intersection", dict(eps=1e-310, delta=0.05, n=1, n_v=1, n_w=1),
+     "sizing formula 'bloom.intersection' gives no finite dimension, got m = inf"),
+    ("mapb.member", dict(n=10**400, d=256, delta=0.05),
+     "sizing formula 'mapb.member' gives no finite dimension, got m = inf"),
+]
+
+
+@pytest.mark.parametrize("formula, params, message", _NON_FINITE,
+                         ids=[f"{formula}-{i}" for i, (formula, _, _) in enumerate(_NON_FINITE)])
+def test_non_finite_sizing_exits_2(capsys, formula, params, message):
+    assert main(_sizing_argv("size", formula, params)) == 2
+    assert message in capsys.readouterr().err

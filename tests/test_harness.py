@@ -97,6 +97,19 @@ def test_numpy_bool_grid_value_is_an_error_row_as_a_bool_is():
     assert row["error"] == "parameter 'm' must be a number, got True"
 
 
+def test_numpy_array_grid_value_is_its_tolist():
+    grid = {"m": [64], "n": [4], "d": [32], "eps": [0.5]}
+    config = small_config(grid=grid, trials=3)
+    csv_text, sidecar = harness.run(small_config(grid={**grid, "m": [np.array(64)]}, trials=3))
+    assert csv_text == harness.run(config)[0]
+    assert json.dumps(sidecar, sort_keys=True) == json.dumps(harness.run(config)[1], sort_keys=True)
+    for array, python in ((np.array(True), True), (np.array([64]), [64])):
+        csv_text, _ = harness.run(small_config(grid={**grid, "m": [array]}, trials=3))
+        assert csv_text == harness.run(small_config(grid={**grid, "m": [python]}, trials=3))[0]
+        (row,) = csv.DictReader(io.StringIO(csv_text))
+        assert row["error"] == f"parameter 'm' must be a number, got {python}"
+
+
 def test_calibrate_takes_numpy_integer_params():
     params = dict(eps=0.5, delta=0.2, n=4, d=64)
     want = sizing.calibrate("mapi", "norm", params, target=0.2, trials=100, seed=9)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vsakit import hopfield
+from vsakit import hopfield, sizing
 from vsakit.codebook import Codebook
 
 
@@ -106,7 +106,7 @@ def test_train_and_corrupt_refuse_non_sign_or_non_1d_input():
 
 
 def test_sizing_fixed_point():
-    res = hopfield.sizing_hopfield(n=10, delta=0.01)
+    res = sizing.size("hopfield", "store", n=10, delta=0.01)
     assert res.m == 457
     # the returned m satisfies the inequality itself
     assert res.m >= 4 * 10 * math.log(2 * res.m / 0.01)
@@ -114,7 +114,7 @@ def test_sizing_fixed_point():
 
 
 def test_sizing_monotone_in_delta():
-    ms = [hopfield.sizing_hopfield(n=10, delta=d).m for d in (0.001, 0.01, 0.1, 0.5)]
+    ms = [sizing.size("hopfield", "store", n=10, delta=d).m for d in (0.001, 0.01, 0.1, 0.5)]
     assert ms == sorted(ms, reverse=True)
 
 
@@ -257,7 +257,7 @@ def test_hpm_dot_seed_mismatch():
 
 
 def test_hpm_dot_statistical():
-    sized = hopfield.sizing_hpm("hpm-norm", eps=0.5, delta=0.05, d=64)
+    sized = sizing.size("hopfield", "hpm-norm", eps=0.5, delta=0.05, d=64)
     ok = 0
     for seed in range(60):
         cb = Codebook("dense-sign", sized.m, 64, seed=seed, scaled=True)
@@ -353,11 +353,11 @@ def test_hpm_estimates_match_exact_gram_form(m):
 
 
 def test_sizing_hpm_tasks():
-    norm = hopfield.sizing_hpm("hpm-norm", eps=0.25, delta=0.05, d=512)
-    dot = hopfield.sizing_hpm("hpm-dot", eps=0.25, delta=0.05, d=512)
+    norm = sizing.size("hopfield", "hpm-norm", eps=0.25, delta=0.05, d=512)
+    dot = sizing.size("hopfield", "hpm-dot", eps=0.25, delta=0.05, d=512)
     assert dot.m > norm.m  # eps^-2 vs eps^-1
     with pytest.raises(ValueError):
-        hopfield.sizing_hpm("hpm-norm", eps=0.0, delta=0.05, d=512)
+        sizing.size("hopfield", "hpm-norm", eps=0.0, delta=0.05, d=512)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 65535, 65536, 65537, 131075, 1365**2])

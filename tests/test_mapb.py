@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from vsakit import mapb, mapi, rng
+from vsakit import mapb, mapi, rng, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
@@ -140,7 +140,7 @@ def test_membership_single_atomic_scores_m():
 
 
 def test_membership_statistical():
-    sized = mapb.sizing_mapb("member", n=4, d=64, delta=0.05)
+    sized = sizing.size("mapb", "member", n=4, d=64, delta=0.05)
     good = 0
     for seed in range(100):
         cb = Codebook("dense-sign", sized.m, 64, seed=seed)
@@ -184,7 +184,7 @@ def test_empty_intersection_disjoint_statistical():
 
 def test_empty_intersection_overlap_detected():
     # |X n Y| = 1 with |X| = |Y| = 4 at the sized dimension
-    sized = mapb.sizing_mapb("empty-intersection", nx=4, ny=4, delta=0.05)
+    sized = sizing.size("mapb", "empty-intersection", nx=4, ny=4, delta=0.05)
     nonempty_calls = 0
     for seed in range(200):
         cb = Codebook("dense-sign", sized.m, 64, seed=seed)
@@ -216,7 +216,7 @@ def test_iterated_bundle_agreement_empirical():
 
 def test_sequence_membership_recovers_position():
     d, L = 32, 3
-    sized = mapb.sizing_mapb("sequence-member", n=2, d=d, L=L, delta=0.05)
+    sized = sizing.size("mapb", "sequence-member", n=2, d=d, L=L, delta=0.05)
     hits = misses = 0
     for seed in range(60):
         cb = Codebook("dense-sign", sized.m, d, seed=seed)
@@ -256,7 +256,7 @@ def test_kv_single_pair_scores_m():
 
 def test_kv_eight_pairs_in_and_out():
     d, n = 32, 8
-    sized = mapb.sizing_mapb("kv-member", n=n, d=d, delta=0.05)
+    sized = sizing.size("mapb", "kv-member", n=n, d=d, delta=0.05)
     good = 0
     for seed in range(50):
         cb = Codebook("dense-sign", sized.m, d, seed=seed)
@@ -287,23 +287,23 @@ def test_kv_spec_validation():
 
 
 def test_sizing_member_closed_form():
-    assert mapb.sizing_mapb("member", n=10, d=1000, delta=0.01).m == 1843
+    assert sizing.size("mapb", "member", n=10, d=1000, delta=0.01).m == 1843
 
 
 def test_sizing_scalings():
-    base = mapb.sizing_mapb("member", n=10, d=256, delta=0.05)
-    doubled = mapb.sizing_mapb("member", n=20, d=256, delta=0.05)
+    base = sizing.size("mapb", "member", n=10, d=256, delta=0.05)
+    doubled = sizing.size("mapb", "member", n=20, d=256, delta=0.05)
     assert doubled.m in (2 * base.m, 2 * base.m - 1)  # linear before ceiling
-    seq1 = mapb.sizing_mapb("sequence-member", n=10, d=256, L=1, delta=0.05)
+    seq1 = sizing.size("mapb", "sequence-member", n=10, d=256, L=1, delta=0.05)
     assert seq1.m == base.m  # L=1 collapses to the member formula
     with pytest.raises(ValueError):
-        mapb.sizing_mapb("member", n=10, d=256, delta=0.0)
+        sizing.size("mapb", "member", n=10, d=256, delta=0.0)
     with pytest.raises(ValueError):
-        mapb.sizing_mapb("member", n=10, delta=0.05)  # missing d
+        sizing.size("mapb", "member", n=10, delta=0.05)  # missing d
 
 
 def test_sizing_empty_intersection():
-    res = mapb.sizing_mapb("empty-intersection", nx=4, ny=4, delta=0.05)
+    res = sizing.size("mapb", "empty-intersection", nx=4, ny=4, delta=0.05)
     assert res.m == math.ceil(24.0 * math.log(1 / 0.05) * 16)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vsakit import mapi, rng, setalg
+from vsakit import mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
@@ -289,7 +289,7 @@ def test_binding_bundle_equals_python_product_reference(m, arity):
 
 
 def test_binding_norm_concentrates():
-    sized = mapi.sizing_mapi("binding2", eps=0.5, delta=0.05, v_l1=8)
+    sized = sizing.size("mapi", "binding2", eps=0.5, delta=0.05, v_l1=8)
     cb = Codebook("dense-sign", sized.m, 64, seed=21, scaled=True)
     ok = 0
     for t in range(50):
@@ -308,7 +308,7 @@ def test_binding_norm_concentrates():
 def test_sequence_symbols_norm_concentrates():
     # K-dependent sizing: symbols repeated across positions still concentrate
     K, L, n = 2, 4, 6
-    sized = mapi.sizing_mapi("sequence-symbols", eps=0.5, delta=0.05, K=K)
+    sized = sizing.size("mapi", "sequence-symbols", eps=0.5, delta=0.05, K=K)
     from vsakit import harness
 
     cell = {"m": sized.m, "n": n, "d": 64, "L": L, "K": K, "eps": 0.5}
@@ -317,7 +317,7 @@ def test_sequence_symbols_norm_concentrates():
 
 
 def test_jl_norm_statistical():
-    sized = mapi.sizing_mapi("norm", eps=0.5, delta=0.05)
+    sized = sizing.size("mapi", "norm", eps=0.5, delta=0.05)
     fails = 0
     trials = 1000
     for t in range(trials):
@@ -345,7 +345,7 @@ def test_sequence_parts_independent_chi_square():
 
 
 def test_sizing_pairs_closed_form():
-    res = mapi.sizing_mapi("pairs", N=16, M=100, delta=0.01)
+    res = sizing.size("mapi", "pairs", N=16, M=100, delta=0.01)
     assert res.m == 1179
     assert res.formula == "mapi.pairs"
 
@@ -353,31 +353,31 @@ def test_sizing_pairs_closed_form():
 def test_sizing_norm_scalings():
     c = 8.0
     base = c * 0.5**-2 * math.log(2 / 0.05)
-    assert mapi.sizing_mapi("norm", eps=0.5, delta=0.05).m == math.ceil(base)
-    assert mapi.sizing_mapi("norm", eps=0.25, delta=0.05).m == math.ceil(4 * base)
+    assert sizing.size("mapi", "norm", eps=0.5, delta=0.05).m == math.ceil(base)
+    assert sizing.size("mapi", "norm", eps=0.25, delta=0.05).m == math.ceil(4 * base)
     bumped = c * 0.5**-2 * math.log(2 * math.e / 0.05)
     assert bumped - base == pytest.approx(c * 0.5**-2)
-    assert mapi.sizing_mapi("norm", eps=0.5, delta=0.05 / math.e).m == math.ceil(bumped)
+    assert sizing.size("mapi", "norm", eps=0.5, delta=0.05 / math.e).m == math.ceil(bumped)
 
 
 def test_sizing_monotonicity():
-    small = mapi.sizing_mapi("sequence", eps=0.5, delta=0.05, L=2).m
-    assert mapi.sizing_mapi("sequence", eps=0.5, delta=0.05, L=4).m >= small
-    assert mapi.sizing_mapi("sequence-symbols", eps=0.5, delta=0.05, K=2).m <= \
-        mapi.sizing_mapi("sequence-symbols", eps=0.5, delta=0.05, K=3).m
+    small = sizing.size("mapi", "sequence", eps=0.5, delta=0.05, L=2).m
+    assert sizing.size("mapi", "sequence", eps=0.5, delta=0.05, L=4).m >= small
+    assert sizing.size("mapi", "sequence-symbols", eps=0.5, delta=0.05, K=2).m <= \
+        sizing.size("mapi", "sequence-symbols", eps=0.5, delta=0.05, K=3).m
 
 
 def test_sizing_missing_and_invalid():
     with pytest.raises(ValueError):
-        mapi.sizing_mapi("pairs", N=16, delta=0.01)  # missing M
+        sizing.size("mapi", "pairs", N=16, delta=0.01)  # missing M
     with pytest.raises(ValueError):
-        mapi.sizing_mapi("norm", eps=-1, delta=0.05)
+        sizing.size("mapi", "norm", eps=-1, delta=0.05)
     with pytest.raises(ValueError):
-        mapi.sizing_mapi("norm", eps=0.5, delta=1.5)
+        sizing.size("mapi", "norm", eps=0.5, delta=1.5)
     with pytest.raises(ValueError):
-        mapi.sizing_mapi("no-task", eps=0.5, delta=0.05)
+        sizing.size("mapi", "no-task", eps=0.5, delta=0.05)
 
 
 def test_sizing_bindingk_present():
-    res = mapi.sizing_mapi("bindingK", eps=0.5, delta=0.05, v_l1=8, k=3)
-    assert res.m >= mapi.sizing_mapi("binding2", eps=0.5, delta=0.05, v_l1=8).m
+    res = sizing.size("mapi", "bindingK", eps=0.5, delta=0.05, v_l1=8, k=3)
+    assert res.m >= sizing.size("mapi", "binding2", eps=0.5, delta=0.05, v_l1=8).m

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from vsakit import bloom, cbloom, harness, hopfield, mapb, mapi, sizing
+from vsakit import harness, sizing
 
 
 #: One parameter dict per arch covering every formula of that arch.
@@ -16,25 +16,6 @@ _SIZABLE_PARAMS = {
 }
 
 
-def test_dispatch_matches_calculators_bit_for_bit():
-    pairs = [
-        (("mapi", "norm"), dict(eps=0.5, delta=0.05), mapi.sizing_mapi, ("norm",)),
-        (("mapi", "pairs"), dict(N=64, M=50, delta=0.05), mapi.sizing_mapi, ("pairs",)),
-        (("mapb", "member"), dict(n=10, d=256, delta=0.05), mapb.sizing_mapb, ("member",)),
-        (("bloom", "intersection"), dict(eps=0.5, delta=0.05, n=5, n_v=10, n_w=10),
-         bloom.sizing_bloom, ()),
-        (("cbloom", "intersection"), dict(eps=0.5, delta=0.05, K_b=2, n_v=4, n_w=4),
-         cbloom.sizing_cbloom, ()),
-        (("hopfield", "store"), dict(n=16, delta=0.05), hopfield.sizing_hopfield, ()),
-        (("hopfield", "hpm-norm"), dict(eps=0.5, delta=0.05, d=512),
-         hopfield.sizing_hpm, ("hpm-norm",)),
-    ]
-    for (arch, task), params, fn, extra in pairs:
-        via_dispatch = sizing.size(arch, task, **params)
-        direct = fn(*extra, **params)
-        assert via_dispatch == direct
-
-
 def test_unknown_pair_rejected():
     with pytest.raises(ValueError):
         sizing.size("mapi", "no-such-task", eps=0.5, delta=0.05)
@@ -43,20 +24,19 @@ def test_unknown_pair_rejected():
 
 
 def test_constants_are_the_sizing_registry():
-    sizable = {f"{arch}.{task}" for (arch, task), entry in harness.TASKS.items() if entry.size}
-    assert sizable == set(sizing.CONSTANTS)  # so every formula has a trial to calibrate
-    for formula in sizing.CONSTANTS:
+    for formula in sizing.CONSTANTS:  # so every formula has a trial to calibrate
         arch, task = formula.split(".")
+        assert (arch, task) in harness.TASKS
         assert sizing.size(arch, task, **_SIZABLE_PARAMS[arch]).formula == formula
     with pytest.raises(ValueError, match="unknown sizing formula"):
-        sizing.constants_for("nope.x")
+        sizing.size("nope", "x")
     with pytest.raises(ValueError, match="unknown sizing formula"):
         sizing.size("mapi", "nope")
 
 
 def test_extra_params_ignored_missing_still_raise():
     res = sizing.size("mapi", "norm", eps=0.5, delta=0.05, n=4, d=64)
-    assert res.m == mapi.sizing_mapi("norm", eps=0.5, delta=0.05).m
+    assert res.m == sizing.size("mapi", "norm", eps=0.5, delta=0.05).m
     with pytest.raises(ValueError):
         sizing.size("mapi", "norm", eps=0.5, n=4)
 
@@ -85,11 +65,23 @@ def test_result_json_round_trip():
 
 
 def test_constants_override():
-    default = mapi.sizing_mapi("norm", eps=0.5, delta=0.05)
-    doubled = mapi.sizing_mapi("norm", eps=0.5, delta=0.05, C=16.0)
+    default = sizing.size("mapi", "norm", eps=0.5, delta=0.05)
+    doubled = sizing.size("mapi", "norm", eps=0.5, delta=0.05, C=16.0)
     assert 2 * default.m - 2 <= doubled.m <= 2 * default.m
-    with pytest.raises(ValueError):
-        sizing.constants_for("mapi.norm", {"bogus": 1.0})
+    assert doubled.constants == {"C": 16.0}
+    assert sizing.size("mapi", "norm", eps=0.5, delta=0.05, bogus=1.0, base=3.0) == default
+
+
+def test_cbloom_constants_override():
+    params = dict(eps=0.5, delta=0.05, K_b=2, n_v=4, n_w=4)
+    default = sizing.size("cbloom", "intersection", **params)
+    assert default.constants == sizing.CONSTANTS["cbloom.intersection"]
+    kc = sizing.size("cbloom", "intersection", **params, kc=4.0 / 3.0)
+    assert kc.k == math.ceil((4.0 / 3.0) * 2 * math.log(1.0 / 0.05) / 0.5) > default.k
+    assert kc.constants == {"kc": 4.0 / 3.0, "mc": default.constants["mc"]}
+    mc = sizing.size("cbloom", "intersection", **params, mc=1)
+    assert (mc.k, mc.m) == (default.k, math.ceil(default.k * 4 * 4 / 0.5))
+    assert mc.constants == {"kc": default.constants["kc"], "mc": 1.0}
 
 
 def test_calibrate_trivial_task_hits_floor():
