@@ -15,6 +15,13 @@ otherwise. So small dense columns (4 drawn words each) gather scattered ids
 in one draw, while large-k Bloom columns (484 words each) stay per-column.
 Which way the words were drawn never shows in the result.
 
+A cell of trials uses one codebook per trial seed, and those codebooks
+differ only in their seed. So one codebook, checked once, serves as the
+template: ``with_seed`` copies it under another seed without checking or
+folding anything again, and ``sign_words_across`` gathers every seed's
+columns at once, each seed by its own window rule, with one range check,
+one row index and one mask per chunk of seeds.
+
 Each representation has one batched accessor, and one column is its one-id
 case. ``sign_words`` gives dense-sign columns as their packed signs (bit i
 set where entry i is +1), ceil(m/64) words with the bits past m cleared;
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -63,6 +71,10 @@ _SPARSE_KINDS = ("sparse-binary-trials", "sparse-binary-exact")
 #: call saved. A call's fixed cost (about 4 us) is that of about 800 words
 #: (about 5 ns each), measured with numpy 2.4 on a shared 2-vCPU x86-64 host.
 _WORDS_PER_CALL = 800
+
+#: Most bytes of raw window words that ``sign_words_across`` holds for one
+#: chunk of seeds.
+_ACROSS_BYTES = 2**16
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,20 @@ class Codebook:
                                                        self.m, self.d, self.k or 0))
         object.__setattr__(self, "_words_per_column", words)
         object.__setattr__(self, "_blocks_per_column", -(-words // 4))
+
+    def with_seed(self, seed: int) -> "Codebook":
+        """This codebook under ``seed``: equal, in every field and column, to a fresh one.
+
+        The kind and sizes were checked, and the stream tags folded, when this
+        codebook was built; they hold for every seed, so only the seed and the
+        stream key are new.
+        """
+        if type(seed) is not int:
+            seed = integral(seed, "codebook seed")
+        copy = object.__new__(Codebook)
+        copy.__dict__.update(self.__dict__, seed=seed,
+                             _stream=rng.Stream.from_key(seed, self._stream.sid))
+        return copy
 
     def to_json(self) -> str:
         return json.dumps(
@@ -183,6 +209,77 @@ class Codebook:
         if self.m % 64:
             words[:, -1] &= np.uint64((1 << self.m % 64) - 1)
         return words
+
+    def sign_words_across(self, seeds, ids) -> Iterator[np.ndarray]:
+        """Row s of ``ids`` gathered as ``self.with_seed(seeds[s]).sign_words(ids[s])``.
+
+        ``ids`` is a (len(seeds), n) array. Yields the packed words of a
+        chunk of seeds at a time, shape (seeds in chunk, n, ceil(m/64)),
+        equal to each seed's own ``sign_words`` bit for bit. Each seed keeps
+        ``_gather_words``' window rule for its own ids. The range check and
+        min/max run once for all seeds, the row indexing and the bits-past-m
+        mask once per chunk. A chunk's raw windows hold at most
+        ``_ACROSS_BYTES`` bytes (or one seed's). An out-of-range id raises
+        before any draw, with the error of the first seed whose row holds one.
+        """
+        if self.kind != "dense-sign":
+            raise ValueError("sign_words_across requires a dense-sign codebook")
+        seeds = list(seeds)
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 2 or len(ids) != len(seeds):
+            raise ValueError(f"ids must hold one row per seed, got shape {ids.shape} "
+                             f"for {len(seeds)} seeds")
+        if ids.size == 0:
+            return iter([np.empty((*ids.shape, self._words_per_column), dtype=np.uint64)]
+                        if seeds else [])
+        lo, hi = ids.min(axis=1), ids.max(axis=1)
+        bad = (lo < 0) | (hi >= self.d)
+        if bad.any():
+            first = int(bad.argmax())
+            self._check_symbol(int(lo[first]))
+            self._check_symbol(int(hi[first]))
+        return self._across_chunks(seeds, ids, lo.tolist(), (hi - lo + 1).tolist())
+
+    def _across_chunks(self, seeds: list, ids: np.ndarray, lo: list,
+                       spans: list) -> Iterator[np.ndarray]:
+        """The chunks of ``sign_words_across``, whose ids are in range.
+
+        A chunk's windows are stacked as one row per drawn column. A seed's
+        ids pick rows of its own window over [min, max] by offset, or it
+        takes its per-column windows in order; one fancy index takes every
+        seed's rows of the chunk.
+        """
+        n = ids.shape[1]
+        sid = self._stream.sid
+        blocks = self._blocks_per_column
+        drawn = 4 * blocks  # words a column's window takes
+        one = [(span - n) * drawn <= _WORDS_PER_CALL * (n - 1) for span in spans]
+        columns = [span if whole else n for span, whole in zip(spans, one)]
+        per_chunk = max(1, _ACROSS_BYTES // (8 * drawn))  # drawn columns per chunk
+        start = 0
+        while start < len(seeds):
+            windows, offsets, apart, total = [], [], [], 0
+            stop = start
+            while stop < len(seeds) and (stop == start or total + columns[stop] <= per_chunk):
+                if one[stop]:
+                    windows.append(rng.keyed_words(seeds[stop], sid, lo[stop] * blocks,
+                                                   spans[stop] * drawn))
+                    offsets.append(total - lo[stop])
+                else:
+                    windows += [rng.keyed_words(seeds[stop], sid, j * blocks, drawn)
+                                for j in ids[stop].tolist()]
+                    offsets.append(0)
+                    apart.append((stop - start, total))
+                total += columns[stop]
+                stop += 1
+            rows = ids[start:stop] + np.array(offsets)[:, None]
+            for i, first in apart:
+                rows[i] = np.arange(first, first + n)
+            words = np.concatenate(windows).reshape(total, drawn)[rows, :self._words_per_column]
+            if self.m % 64:
+                words[..., -1] &= np.uint64((1 << self.m % 64) - 1)
+            yield words
+            start = stop
 
     def sign_columns(self, ids) -> np.ndarray:
         """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids)).

@@ -10,8 +10,11 @@ and cell once, extends that fold by each trial index and hands all of the
 cell's seeds to one :func:`run_trials` call. Most tasks run one seed after
 another (``_each``); MAP-I ``norm``, Counting Bloom and Hopfield± draw a
 cell's seeds together, and every outcome is still the one a trial alone
-gives. One aggregated CSV row is written per cell as the cell finishes; the
-full per-cell parameter dicts and the config echo go to a JSON sidecar.
+gives. These three check one codebook per cell, a template: MAP-I ``norm``
+gathers every seed's columns from it (``Codebook.sign_words_across``), and
+Counting Bloom and Hopfield± give each seed a copy (``Codebook.with_seed``).
+One aggregated CSV row is written per cell as the cell finishes; the full
+per-cell parameter dicts and the config echo go to a JSON sidecar.
 
 A trial reads each cell parameter by its name: the rates ``eps`` and
 ``delta`` are floats that must pass ``sizing.check_rates``, and every
@@ -36,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product, repeat
+from itertools import islice, product
 from typing import Callable, Iterator
 
 import numpy as np
@@ -142,16 +145,16 @@ def _trial_prefix(master: int, cell_json: str) -> int:
 # -- instance sampling helpers -------------------------------------------------
 
 
-def _draw_words(seed: int, tag: str, d: int, size: int) -> np.ndarray:
-    """The raw words a draw of ``size`` distinct symbols from [d] reads."""
+def _draw_words(seed: int, sid: int, d: int, size: int) -> np.ndarray:
+    """The raw words a draw of ``size`` distinct symbols from [d] reads from stream ``sid``."""
     if not 0 <= size <= d:
         raise ValueError(f"cannot draw {size} distinct symbols from universe {d}")
-    return rng.Stream(seed, "inst", tag).words(0, max(size, 1))
+    return rng.keyed_words(seed, sid, 0, max(size, 1))
 
 
 def _draw_subset(seed: int, tag: str, d: int, size: int) -> np.ndarray:
     """``size`` distinct symbols of [d], in draw order, from the seed's ``tag`` stream."""
-    return rng.choose_distinct(_draw_words(seed, tag, d, size), d, size)
+    return rng.choose_distinct(_draw_words(seed, rng.stream_id("inst", tag), d, size), d, size)
 
 
 #: Most bytes of raw words (seeds x words per draw x 8) that ``_draw_subsets``
@@ -162,15 +165,17 @@ _DRAW_BYTES = 2**17
 def _draw_subsets(seeds, tag: str, d: int, size: int) -> Iterator[np.ndarray]:
     """``_draw_subset(seed, tag, d, size)`` of each seed, in order, bit for bit.
 
-    The draws are taken lazily, a chunk of seeds at a time: the chunk's words
-    (at most ``_DRAW_BYTES`` bytes, or one seed's) go through one
-    ``choose_distinct_rows`` call, in which the rows whose swap positions
-    never repeat skip the swap loop. A bad ``size`` raises at the first draw.
+    The tag's stream id is folded once. The draws are taken lazily, a chunk
+    of seeds at a time: the chunk's words (at most ``_DRAW_BYTES`` bytes, or
+    one seed's) go through one ``choose_distinct_rows`` call, in which the
+    rows whose swap positions never repeat skip the swap loop. A bad
+    ``size`` raises at the first draw.
     """
     nwords = max(size, 1)
     per_chunk = max(1, _DRAW_BYTES // (8 * nwords))
+    sid = rng.stream_id("inst", tag)
     seeds = iter(seeds)
-    while chunk := [_draw_words(seed, tag, d, size) for seed in islice(seeds, per_chunk)]:
+    while chunk := [_draw_words(seed, sid, d, size) for seed in islice(seeds, per_chunk)]:
         yield from rng.choose_distinct_rows(np.concatenate(chunk).reshape(-1, nwords), d, size)
 
 
@@ -229,20 +234,26 @@ def _within(estimate, truth, tolerance) -> TrialOutcome:
 
 
 def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
-    """The norm trials of a cell: per seed, only its codebook and the gather of words.
+    """The norm trials of a cell: one codebook, and every seed's columns gathered together.
 
-    The seeds' n-sets come from ``_draw_subsets``, a chunk of seeds per
-    draw, and ``mapi.flat_norm_sq_estimates`` bundles and measures them a
-    stack at a time; both take the seeds lazily. When n = d the set is all
-    of [d] whatever the words say, and a bundle is an integer sum over its
-    columns, so no set is drawn and every seed gathers ``range(d)``.
+    The codebook is checked once, before any draw, so a bad m or d raises
+    before a bad n, as in a trial alone. The seeds' n-sets come from
+    ``_draw_subsets``; ``Codebook.sign_words_across`` gathers each seed's
+    columns under that seed, a chunk of seeds at a time, and
+    ``mapi.flat_norm_sq_estimates`` bundles and measures them a stack at a
+    time. When n = d the set is all of [d] whatever the words say, and a
+    bundle is an integer sum over its columns, so no set is drawn and every
+    seed gathers ``range(d)``.
     """
     m, n, d, eps = _params(cell, "m", "n", "d", "eps")
-    codebooks = (Codebook("dense-sign", m, d, seed=seed, scaled=True) for seed in seeds)
-    sets = repeat(np.arange(d)) if n == d else _draw_subsets(seeds, "set", d, n)
-    # map builds each seed's codebook before it draws the seed's set, so a bad
-    # m or d raises before a bad n, as in a trial alone.
-    words = map(Codebook.sign_words, codebooks, sets)
+    template = Codebook("dense-sign", m, d, scaled=True)
+    if not seeds:
+        return []
+    if n == d:
+        ids = np.broadcast_to(np.arange(d), (len(seeds), d))
+    else:
+        ids = np.stack(list(_draw_subsets(seeds, "set", d, n)))
+    words = (row for stack in template.sign_words_across(seeds, ids) for row in stack)
     return [_within(est, n, eps * n) for est in mapi.flat_norm_sq_estimates(m, words)]
 
 
@@ -418,14 +429,15 @@ def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]
 
     Each trial's weighted sets have ||v-w||_inf <= K_b and the requested
     difference masses: the common (wedge) part carries identical weights in
-    both sets, so the difference masses are exactly n_v and n_w. Every
-    seed's codebook is built and the masses checked before the seeds'
-    supports are drawn with ``_draw_subsets``, so a bad cell fails with the
-    error a trial alone gives. A trial's v and w are bundled from one gather
+    both sets, so the difference masses are exactly n_v and n_w. The cell's
+    codebook is built and the masses checked before the seeds' supports are
+    drawn with ``_draw_subsets``, so a bad cell fails with the error a trial
+    alone gives; each seed's codebook is a copy of it under that seed
+    (``Codebook.with_seed``). A trial's v and w are bundled from one gather
     (``cbloom.bundle_counts``), and no count array outlives its trial.
     """
     m, k, eps, d = _params(cell, "m", "k", "eps", "d")
-    codebooks = [Codebook("sparse-binary-exact", m, d, k=k, seed=seed) for seed in seeds]
+    template = Codebook("sparse-binary-exact", m, d, k=k)
     d, n_v, n_w, peak, common = _params(cell, "d", "n_v", "n_w", K_b=1, n=0)
     if peak < 1:
         raise ValueError(f"K_b must be >= 1, got {peak}")
@@ -434,7 +446,8 @@ def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]
     wv, ww, wb = _mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)
     a, b = len(wv), len(wv) + len(ww)
     outcomes = []
-    for cb, ids in zip(codebooks, _draw_subsets(seeds, "support", d, b + len(wb))):
+    for seed, ids in zip(seeds, _draw_subsets(seeds, "support", d, b + len(wb))):
+        cb = template.with_seed(seed)
         ids = ids.tolist()
         shared = dict(zip(ids[b:], wb))
         v = SymbolSet(d, {**dict(zip(ids[:a], wv)), **shared})
@@ -485,12 +498,13 @@ def _trial_hopfield_recall(cell: dict, seed: int, kv: bool) -> TrialOutcome:
 def _trials_hpm(cell: dict, seeds: list[int], dot: bool) -> list[TrialOutcome]:
     """The Hopfield± trials of a cell: every seed's draws, then one ``hpm_estimates`` call.
 
-    Every seed's codebook is built, then its 0/1 supports (X, and Y for the
-    dot task) are drawn with ``_draw_subsets``, so a bad cell fails here,
-    with the error a trial alone gives, before any m x m buffer exists.
+    The cell's codebook is built, then every seed's 0/1 supports (X, and Y
+    for the dot task) are drawn with ``_draw_subsets``, so a bad cell fails
+    here, with the error a trial alone gives, before any m x m buffer
+    exists. Each seed's codebook is a copy of it under that seed.
     """
     m, d, support, eps = _params(cell, "m", "d", "n", "eps")
-    codebooks = [Codebook("dense-sign", m, d, seed=seed, scaled=True) for seed in seeds]
+    codebooks = map(Codebook("dense-sign", m, d, scaled=True).with_seed, seeds)
 
     def supports(tag: str) -> list[dict]:
         return [dict.fromkeys(ids.tolist(), 1.0) for ids in _draw_subsets(seeds, tag, d, support)]

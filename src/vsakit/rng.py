@@ -33,6 +33,12 @@ and their types, since a cell's codebook and instance tags recur on every
 trial. The fold of tags is sequential, so ``extend_id`` continues a folded
 prefix by more tags: a cell's trial seeds fold the cell once, then one
 step per trial index.
+
+Keyed windows: a window depends only on the key (seed, stream id), the
+block and the length. ``keyed_words`` draws it from a key, with the tags
+folded beforehand: a cell's codebook or instance tags are the same for
+every trial seed, so a caller that draws one window per seed folds them
+once and builds no ``Stream``. ``Stream.words`` runs the same code.
 """
 
 from __future__ import annotations
@@ -116,33 +122,59 @@ def _philox() -> np.random.Philox:
     return bg
 
 
+def _seed(seed) -> int:
+    """A stream seed as the 64-bit first half of its key."""
+    if type(seed) is not int:  # numpy ints, 2.0 or bad input
+        seed = integral(seed, "stream seed")
+    return seed & _MASK64
+
+
+def _window(seed: int, sid: int, block: int, nwords: int) -> np.ndarray:
+    """Words ``[4*block, 4*block + nwords)`` of the stream keyed ``(seed, sid)``, as uint64."""
+    counter = int(block) & ((1 << 256) - 1)  # Philox.advance wraps mod 2**256 too
+    if counter <= _MASK64:  # every codebook and instance window: one limb
+        limbs = (counter, 0, 0, 0)
+    else:
+        limbs = tuple((counter >> s) & _MASK64 for s in (0, 64, 128, 192))
+    bg = _philox()
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": limbs, "key": (seed, sid)},
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg.random_raw(nwords)
+
+
+def keyed_words(seed: int, sid: int, block: int, nwords: int) -> np.ndarray:
+    """``Stream(seed, *tags).words(block, nwords)`` for ``sid = stream_id(*tags)``.
+
+    A caller that draws from one stream id under many seeds folds the tags
+    once and builds no ``Stream``.
+    """
+    return _window(_seed(seed), sid, block, nwords)
+
+
 class Stream:
     """Read-only window access into one keyed Philox raw-word stream."""
 
     def __init__(self, seed: int, *tags):
-        if type(seed) is not int:  # numpy ints, 2.0 or bad input
-            seed = integral(seed, "stream seed")
-        self.seed = seed & _MASK64
+        self.seed = _seed(seed)
         self.sid = stream_id(*tags)
-        self._key = (self.seed, self.sid)
+
+    @classmethod
+    def from_key(cls, seed: int, sid: int) -> "Stream":
+        """``Stream(seed, *tags)`` for ``sid = stream_id(*tags)``, with no tags to fold."""
+        stream = object.__new__(cls)
+        stream.seed = _seed(seed)
+        stream.sid = sid
+        return stream
 
     def words(self, block: int, nwords: int) -> np.ndarray:
         """Words ``[4*block, 4*block + nwords)`` as uint64."""
-        counter = int(block) & ((1 << 256) - 1)  # Philox.advance wraps mod 2**256 too
-        if counter <= _MASK64:  # every codebook and instance window: one limb
-            limbs = (counter, 0, 0, 0)
-        else:
-            limbs = tuple((counter >> s) & _MASK64 for s in (0, 64, 128, 192))
-        bg = _philox()
-        bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": limbs, "key": self._key},
-            "buffer": _EMPTY_BUFFER,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return bg.random_raw(nwords)
+        return _window(self.seed, self.sid, block, nwords)
 
 
 def signs_from_words(words: np.ndarray, rows: int, ncols: int = 1) -> np.ndarray:

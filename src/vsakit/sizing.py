@@ -258,7 +258,7 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
             raise ValueError(f"missing required sizing parameter {name!r}")
     check_rates(**{name: params[name] for name in ("eps", "delta") if name in bound.inputs})
     inputs = {name: params[name] for name in bound.echo if params.get(name) is not None}
-    constants = {name: value if params.get(name) is None else float(params[name])
+    constants = {name: value if params.get(name) is None else _override(name, params[name])
                  for name, value in bound.constants.items()}
     for name, value in (*inputs.items(), *constants.items()):
         if not -math.inf < value < math.inf:  # an int of any size compares exactly
@@ -271,6 +271,18 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     if not math.isfinite(m):
         raise ValueError(f"sizing formula {formula!r} gives no finite dimension, got m = {m}")
     return SizingResult(max(1, math.ceil(m)), formula, k, constants, inputs, extras)
+
+
+def _override(name: str, value) -> float:
+    """An override of the constant ``name`` as a float; a bool or str is no number here."""
+    try:
+        if isinstance(value, (bool, str)):  # float() would take them
+            raise TypeError(value)
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"sizing parameter {name!r} must be a number, got {value!r}") from None
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"sizing parameter {name!r} must be finite, got {value}") from None
 
 
 @dataclass(frozen=True)

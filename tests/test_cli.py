@@ -390,3 +390,14 @@ _NON_FINITE = [
 def test_non_finite_sizing_exits_2(capsys, formula, params, message):
     assert main(_sizing_argv("size", formula, params)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["size", "calibrate"])
+@pytest.mark.parametrize("formula, params, name", [
+    ("mapi.norm", dict(eps=0.5, delta=0.05, n=16, d=256, C=10**400), "C"),
+    ("cbloom.intersection", dict(eps=0.5, delta=0.05, K_b=1, n_v=1, n_w=1, kc=-10**400), "kc"),
+])
+def test_huge_constant_override_exits_2(capsys, command, formula, params, name):
+    assert main(_sizing_argv(command, formula, params)) == 2
+    message = f"sizing parameter {name!r} must be finite, got {params[name]}"
+    assert message in capsys.readouterr().err

@@ -254,3 +254,128 @@ def test_concurrent_reads_equal_serial():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+_TEMPLATES = [("dense-sign", 119, 300, None, True), ("dense-sign", 65, 300, None, False),
+              ("dense-sign", 200, 1000, None, True),
+              ("sparse-binary-trials", 128, 300, 7, False),
+              ("sparse-binary-exact", 7580, 300, 8, False)]
+
+
+@pytest.mark.parametrize("kind, m, d, k, scaled", _TEMPLATES)
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1, 2**64 + 5, -1, np.int64(77), 4.0])
+def test_seed_copy_equals_a_fresh_codebook(kind, m, d, k, scaled, seed):
+    fresh = Codebook(kind, m, d, k=k, seed=seed, scaled=scaled)
+    copy = Codebook(kind, m, d, k=k, seed=3, scaled=scaled).with_seed(seed)
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert copy.to_json() == fresh.to_json() and repr(copy) == repr(fresh)
+    assert type(copy.seed) is int
+    for ids in ([5, 3, 4, 3], [0, d - 1, d // 2], [7], []):
+        if kind == "dense-sign":
+            assert np.array_equal(copy.sign_words(ids), fresh.sign_words(ids))
+            a, b = copy.sign_columns(ids), fresh.sign_columns(ids)
+            assert np.array_equal(a, b) and a.strides == b.strides  # Hopfield± rounds by layout
+            assert a.flags["F_CONTIGUOUS"] == b.flags["F_CONTIGUOUS"]
+            assert np.array_equal(copy.sign_matrix(2, 6), fresh.sign_matrix(2, 6))
+        elif kind == "sparse-binary-trials":
+            assert np.array_equal(copy.union_indices(ids), fresh.union_indices(ids))
+        else:
+            assert np.array_equal(copy.exact_indices(ids), fresh.exact_indices(ids))
+
+
+def test_seed_copy_refuses_a_bad_seed_and_keeps_its_template():
+    template = Codebook("dense-sign", 64, 10, seed=1)
+    for bad in (1.5, True, "3", None):
+        with pytest.raises(ValueError, match="codebook seed must be an integer"):
+            template.with_seed(bad)
+    copy = template.with_seed(2)
+    assert template.seed == 1 and copy.seed == 2
+    fresh = Codebook("dense-sign", 64, 10, seed=1)
+    assert np.array_equal(template.sign_words([3]), fresh.sign_words([3]))
+
+
+def _across(template, seeds, ids):
+    """``sign_words_across`` as one (seeds, n, words) array, and its chunk sizes."""
+    chunks = list(template.sign_words_across(seeds, ids))
+    if not chunks:
+        return np.empty((0, *np.shape(ids)[1:], template.sign_words([]).shape[1]), np.uint64), []
+    return np.concatenate(chunks), [len(chunk) for chunk in chunks]
+
+
+def _count_windows(monkeypatch):
+    """Per seed, how many windows the cross-seed and the one-seed gathers draw."""
+    counts = {}
+    keyed, words = rng.keyed_words, rng.Stream.words
+
+    def count(seed, *args):
+        counts[seed] = counts.get(seed, 0) + 1
+        return keyed(seed, *args)
+
+    monkeypatch.setattr(rng, "keyed_words", count)
+    monkeypatch.setattr(rng.Stream, "words", lambda s, *a: count(s.seed, s.sid, *a))
+    return counts
+
+
+def _fixed_span_rows(d, n, count, gen):
+    """``count`` rows of n ids of [d], duplicates among them, each spanning as many columns."""
+    span = min(d, 40) if n < d else d
+    pattern = np.r_[0, span - 1, gen.integers(0, span, max(n - 2, 0))][:n]
+    lows = gen.integers(0, d - span + 1, count)
+    return np.stack([gen.permutation(pattern) + lo for lo in lows]).reshape(count, n)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 119, 130])
+@pytest.mark.parametrize("n", [0, 1, 16, "d"])
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_sign_words_across_equal_per_seed_gathers(monkeypatch, m, n, per_chunk):
+    d = 256
+    n = d if n == "d" else n
+    gen = np.random.default_rng(m * 1000 + n)
+    seeds = [rng.mix64(s) for s in range(7)]
+    ids = _fixed_span_rows(d, n, len(seeds), gen)
+    columns = 0 if n == 0 else int(ids[0].max() - ids[0].min() + 1)  # one window per seed
+    monkeypatch.setattr(codebook, "_ACROSS_BYTES", per_chunk * 8 * 4 * max(columns, 1))
+    got, sizes = _across(Codebook("dense-sign", m, d, seed=1, scaled=True), seeds, ids)
+    assert got.dtype == np.uint64 and got.shape == (7, n, -(-m // 64))
+    for seed, row, words in zip(seeds, ids, got):
+        assert np.array_equal(words, Codebook("dense-sign", m, d, seed=seed).sign_words(row))
+    if n:
+        assert sizes == [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
+
+
+@pytest.mark.parametrize("m", [1, 64, 119, 3537])
+@pytest.mark.parametrize("budget", [1, 300, 2**16])  # one seed per chunk, a few, all
+def test_sign_words_across_keep_each_seeds_window_rule(monkeypatch, m, budget):
+    d = 6000
+    rows = [[0, 5000], [7, 9], [3, 3], [4000, 4001], [5, 5999], [10, 10], [0, 0], [11, 400]]
+    seeds = [rng.mix64(s) for s in range(len(rows))]
+    monkeypatch.setattr(codebook, "_ACROSS_BYTES", budget)
+    template = Codebook("dense-sign", m, d)
+    counts = _count_windows(monkeypatch)
+    got, _ = _across(template, seeds, np.array(rows))
+    across = dict(counts)
+    counts.clear()
+    for seed, row, words in zip(seeds, rows, got):
+        assert np.array_equal(words, template.with_seed(seed).sign_words(row))
+    assert across == counts  # every seed drew as many windows as its own gather
+    assert set(counts.values()) == {1, 2}  # one window for some seeds, per column for others
+
+
+def test_sign_words_across_check_ids_before_any_draw(monkeypatch):
+    template = Codebook("dense-sign", 64, 10)
+    counts = _count_windows(monkeypatch)
+    for bad in ([-1, 3], [0, 10], [-2, 12], [10, 10]):
+        rows = np.array([[0, 1], [2, 3], bad, [-5, 4]])
+        with pytest.raises(IndexError) as across:
+            list(template.sign_words_across([1, 2, 3, 4], rows))
+        with pytest.raises(IndexError) as alone:
+            template.with_seed(3).sign_words(bad)
+        assert str(across.value) == str(alone.value)
+    assert not counts
+    with pytest.raises(ValueError, match="one row per seed"):
+        template.sign_words_across([1, 2], np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="one row per seed"):
+        template.sign_words_across([1, 2], [1, 2])
+    with pytest.raises(ValueError, match="requires a dense-sign codebook"):
+        Codebook("sparse-binary-exact", 64, 10, k=2).sign_words_across([1], [[0]])
+    assert list(template.sign_words_across([], np.empty((0, 3), dtype=np.int64))) == []

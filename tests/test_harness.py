@@ -679,3 +679,21 @@ def test_each_trial_runs_exactly_once(monkeypatch, grid, threads):
     harness.run(config, threads=threads)
     assert len(seeds) == len(config.cells()) * config.trials
     assert len(set(seeds)) == len(seeds)
+
+
+@pytest.mark.parametrize("arch, task, cell", [
+    ("mapi", "norm", {"m": 119, "n": 16, "d": 256, "eps": 0.5}),
+    ("mapi", "norm", {"m": 64, "n": 32, "d": 32, "eps": 0.5}),  # n = d: no set drawn
+    ("cbloom", "l1", {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3, "eps": 0.5}),
+    ("cbloom", "intersection", {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3,
+                                "eps": 0.5}),
+    ("hopfield", "hpm-norm", {"m": 64, "d": 32, "n": 4, "eps": 0.5}),
+    ("hopfield", "hpm-dot", {"m": 64, "d": 32, "n": 4, "eps": 0.5}),
+])
+def test_batched_tasks_check_one_codebook_per_cell(monkeypatch, arch, task, cell):
+    built = []
+    real = Codebook.__post_init__
+    monkeypatch.setattr(Codebook, "__post_init__", lambda cb: built.append(cb) or real(cb))
+    seeds = [harness.trial_seed(6, cell, t) for t in range(7)]
+    assert len(harness.run_trials(arch, task, cell, seeds)) == 7
+    assert len(built) <= 1

@@ -197,3 +197,23 @@ def test_memoized_stream_ids_keep_their_values_and_errors():
         with pytest.raises(TypeError, match=f"stream tag must be str or int, got {name}"):
             rng.stream_id("x", bad)
     assert rng.stream_id("codebook", "dense-sign", 64, 256, 0) == 8103671085877235479
+
+
+@pytest.mark.parametrize("block", [0, 5, 2**64 - 1, 2**64, 2**64 + 3, 2**200])
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1, -1, 2**64 + 7, np.int64(7), 3.0])
+def test_keyed_window_equals_stream_words(seed, block):
+    tags = ("codebook", "dense-sign", 119, 256, 0)
+    sid = rng.stream_id(*tags)
+    expected = rng.Stream(seed, *tags).words(block, 9)
+    assert np.array_equal(rng.keyed_words(seed, sid, block, 9), expected)
+    stream = rng.Stream.from_key(seed, sid)
+    assert (stream.seed, stream.sid) == (rng.Stream(seed, *tags).seed, sid)
+    assert np.array_equal(stream.words(block, 9), expected)
+
+
+def test_keyed_window_seed_must_be_integral():
+    for bad in (1.5, True, "3", None):
+        with pytest.raises(ValueError, match="stream seed"):
+            rng.keyed_words(bad, rng.stream_id("t"), 0, 4)
+        with pytest.raises(ValueError, match="stream seed"):
+            rng.Stream.from_key(bad, rng.stream_id("t"))

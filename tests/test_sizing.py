@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -70,6 +71,19 @@ def test_constants_override():
     assert 2 * default.m - 2 <= doubled.m <= 2 * default.m
     assert doubled.constants == {"C": 16.0}
     assert sizing.size("mapi", "norm", eps=0.5, delta=0.05, bogus=1.0, base=3.0) == default
+
+
+@pytest.mark.parametrize("value", [True, False, "16", [16.0]])
+def test_constant_override_must_be_a_number(value):
+    message = f"sizing parameter 'C' must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sizing.size("mapi", "norm", eps=0.5, delta=0.05, C=value)
+
+
+def test_huge_constant_override_is_refused():
+    with pytest.raises(ValueError, match="sizing parameter 'kc' must be finite, got 1000"):
+        sizing.size("cbloom", "intersection", eps=0.5, delta=0.05, K_b=1, n_v=1, n_w=1,
+                    kc=10**400)
 
 
 def test_cbloom_constants_override():
