@@ -6,21 +6,23 @@ raw-word stream (see :mod:`vsakit.rng`), so any column can be regenerated in
 isolation, and generating a block of columns yields bit-identical results to
 generating each column alone.
 
-A gather of many columns selects the words of the requested columns. The
-rule is counted in words: it draws one contiguous window over [min(ids),
-max(ids)] when the words wasted on unrequested columns in between,
-``(span - n) * words per column``, are at most ``_WORDS_PER_CALL`` (800)
-per ``Stream.words`` call saved (n - 1 of them), and one window per column
-otherwise. So small dense columns (4 drawn words each) gather scattered ids
-in one draw, while large-k Bloom columns (484 words each) stay per-column.
-Which way the words were drawn never shows in the result.
+Every accessor that takes ids runs one gather, which draws for a stack of
+seeds, one row of ids per seed; the one-seed accessors take a 1-D row.
+Ids are integers or whole floats: a bool, a string or a fraction raises a
+ValueError naming it, and an id out of range an IndexError before any
+draw. One rule, counted in words, picks a seed's windows: one window over
+[min(ids), max(ids)] when the words wasted on unrequested columns in
+between, ``(span - n) * words per column``, are at most
+``_WORDS_PER_CALL`` (800) per window draw saved (n - 1 of them), and one
+window per column otherwise. So small dense columns (4 drawn words each)
+gather scattered ids in one draw, while large-k Bloom columns (484 words
+each) stay per-column. Which way the words were drawn never shows.
 
 A cell of trials uses one codebook per trial seed, and those codebooks
 differ only in their seed. So one codebook, checked once, serves as the
 template: ``with_seed`` copies it under another seed without checking or
 folding anything again, and ``sign_words_across`` gathers every seed's
-columns at once, each seed by its own window rule, with one range check,
-one row index and one mask per chunk of seeds.
+columns at once, with one row index and one mask per chunk of seeds.
 
 Each representation has one batched accessor, and one column is its one-id
 case. ``sign_words`` gives dense-sign columns as their packed signs (bit i
@@ -67,13 +69,12 @@ KINDS = ("dense-sign", "sparse-binary-trials", "sparse-binary-exact")
 _SPARSE_KINDS = ("sparse-binary-trials", "sparse-binary-exact")
 
 #: A gather draws one window over [min(ids), max(ids)] when the words it
-#: wastes on unrequested columns number at most this many per ``Stream.words``
-#: call saved. A call's fixed cost (about 4 us) is that of about 800 words
+#: wastes on unrequested columns number at most this many per window draw
+#: saved. A draw's fixed cost (about 4 us) is that of about 800 words
 #: (about 5 ns each), measured with numpy 2.4 on a shared 2-vCPU x86-64 host.
 _WORDS_PER_CALL = 800
 
-#: Most bytes of raw window words that ``sign_words_across`` holds for one
-#: chunk of seeds.
+#: Most bytes of raw window words that a gather holds for one chunk of seeds.
 _ACROSS_BYTES = 2**16
 
 
@@ -107,23 +108,19 @@ class Codebook:
         # Raw stream layout: a column's window is _blocks_per_column blocks of
         # 4 words, the first _words_per_column of them used (signs or draws).
         words = -(-self.m // 64) if self.kind == "dense-sign" else self.k
-        object.__setattr__(self, "_stream", rng.Stream(self.seed, "codebook", self.kind,
-                                                       self.m, self.d, self.k or 0))
-        object.__setattr__(self, "_words_per_column", words)
-        object.__setattr__(self, "_blocks_per_column", -(-words // 4))
+        self.__dict__.update(_sid=rng.stream_id("codebook", self.kind, self.m, self.d, self.k or 0),
+                             _words_per_column=words, _blocks_per_column=-(-words // 4))
 
     def with_seed(self, seed: int) -> "Codebook":
         """This codebook under ``seed``: equal, in every field and column, to a fresh one.
 
-        The kind and sizes were checked, and the stream tags folded, when this
-        codebook was built; they hold for every seed, so only the seed and the
-        stream key are new.
+        The kind and sizes were checked, and the stream tags folded into one
+        stream id, when this codebook was built; they hold for every seed, so
+        only the seed is new.
         """
-        if type(seed) is not int:
-            seed = integral(seed, "codebook seed")
+        seed = integral(seed, "codebook seed")
         copy = object.__new__(Codebook)
-        copy.__dict__.update(self.__dict__, seed=seed,
-                             _stream=rng.Stream.from_key(seed, self._stream.sid))
+        copy.__dict__.update(self.__dict__, seed=seed)
         return copy
 
     def to_json(self) -> str:
@@ -154,14 +151,106 @@ class Codebook:
     # -- raw stream layout ------------------------------------------------
 
     def _column_words(self, j0: int, count: int) -> np.ndarray:
-        return self._stream.words(j0 * self._blocks_per_column,
-                                  count * 4 * self._blocks_per_column)
+        return rng.keyed_words(self.seed, self._sid, j0 * self._blocks_per_column,
+                               count * 4 * self._blocks_per_column)
 
     # -- column access -----------------------------------------------------
 
     def _check_symbol(self, j: int) -> None:
         if not 0 <= j < self.d:
             raise IndexError(f"symbol id {j} out of range for universe size {self.d}")
+
+    def _symbol_ids(self, ids) -> np.ndarray:
+        """``ids`` as an int64 array of the same shape.
+
+        Each id is read as ``integral`` reads one value, so a bool or a string
+        raises a ValueError naming it; an integer past int64 is out of range.
+        """
+        if isinstance(ids, np.ndarray) and ids.dtype.kind == "i":
+            return ids.astype(np.int64, copy=False)
+        values = ids
+        try:
+            if type(ids) is list and set(map(type, ids)) == {int}:
+                return np.array(ids, dtype=np.int64)
+            objects = np.array(ids, dtype=object)
+            values = [integral(j.item() if isinstance(j, np.generic) else j, "a symbol id")
+                      for j in objects.ravel().tolist()]
+            return np.array(values, dtype=np.int64).reshape(objects.shape)
+        except OverflowError:
+            self._check_symbol(next(j for j in values if not -2**63 <= j < 2**63))
+            raise
+
+    def _gather(self, seeds: list, ids: np.ndarray) -> Iterator[np.ndarray]:
+        """Raw words of the columns ``ids[s]`` under ``seeds[s]``, a chunk of seeds at a time.
+
+        ``ids`` is a (len(seeds), n) int64 stack; a chunk is an array (seeds
+        in chunk, n, words a window takes). Taking the first chunk checks
+        every id before any draw, raising the first bad seed's error. A seed
+        draws one window over [min, max] of its row and picks its ids' rows
+        by offset, or one window per column in order. A chunk holds at most
+        ``_ACROSS_BYTES`` bytes of windows (or one seed's), and one fancy
+        index takes every seed's rows.
+        """
+        blocks, sid = self._blocks_per_column, self._sid
+        drawn = 4 * blocks  # words a column's window takes
+        count, n = ids.shape
+        if ids.size == 0:  # no ids, or no seeds: nothing to draw
+            if count:
+                yield np.empty((count, 0, drawn), dtype=np.uint64)
+            return
+        if ids.size <= 32:  # Python's min/max beat numpy's fixed per-call cost here
+            listed = ids.tolist()
+            lo, hi = list(map(min, listed)), list(map(max, listed))
+        else:
+            lo, hi = ids.min(axis=1).tolist(), ids.max(axis=1).tolist()
+        if min(lo) < 0 or max(hi) >= self.d:
+            for low, high in zip(lo, hi):
+                self._check_symbol(low)
+                self._check_symbol(high)
+        widest = n + _WORDS_PER_CALL * (n - 1) // drawn  # the widest span one window pays for
+        per_chunk = max(1, _ACROSS_BYTES // (8 * drawn))  # drawn columns per chunk
+        start = 0
+        while start < count:
+            windows, offsets, apart, total = [], [], [], 0
+            stop = start
+            while stop < count:
+                span = hi[stop] - lo[stop] + 1
+                whole = span <= widest
+                if stop > start and total + (span if whole else n) > per_chunk:
+                    break
+                if whole:
+                    windows.append(rng.keyed_words(seeds[stop], sid, lo[stop] * blocks,
+                                                   span * drawn))
+                    offsets.append(total - lo[stop])
+                    total += span
+                else:
+                    windows += [rng.keyed_words(seeds[stop], sid, j * blocks, drawn)
+                                for j in ids[stop].tolist()]
+                    offsets.append(0)
+                    apart.append((stop - start, total))
+                    total += n
+                stop += 1
+            rows = ids[start:stop] + (offsets[0] if len(offsets) == 1
+                                      else np.array(offsets)[:, None])
+            for i, first in apart:
+                rows[i] = np.arange(first, first + n)
+            stack = windows[0] if len(windows) == 1 else np.concatenate(windows)
+            yield stack.reshape(total, drawn)[rows]
+            start = stop
+
+    def _one_seed(self, ids) -> np.ndarray:
+        """Raw words of the columns ``ids``, a 1-D id sequence, one row per id."""
+        ids = self._symbol_ids(ids)
+        if ids.ndim != 1:
+            raise ValueError(f"symbol ids must form a 1-D sequence, got shape {ids.shape}")
+        return next(self._gather([self.seed], ids[None]))[0]
+
+    def _packed(self, raw: np.ndarray) -> np.ndarray:
+        """Packed signs of raw dense-sign windows: the first ceil(m/64) words, bits past m clear."""
+        words = raw[..., :self._words_per_column]
+        if self.m % 64:
+            words[..., -1] &= np.uint64((1 << self.m % 64) - 1)
+        return words
 
     def sign_matrix(self, j0: int, j1: int) -> np.ndarray:
         """Columns [j0, j1) of a dense-sign codebook as an (m, n) int8 array."""
@@ -173,26 +262,6 @@ class Codebook:
             return np.empty((self.m, 0), dtype=np.int8)
         return rng.signs_from_words(self._column_words(j0, j1 - j0), self.m, j1 - j0)
 
-    def _gather_words(self, ids: np.ndarray) -> np.ndarray:
-        """Raw words of the columns ``ids`` (nonempty), one row per id.
-
-        Draws one contiguous window over [min, max] when the words it wastes
-        on unrequested columns cost less than the calls it saves, else one
-        window per column.
-        """
-        if ids.size <= 32:  # Python's min/max beat numpy's fixed per-call cost here
-            flat = ids.ravel().tolist()
-            lo, hi = min(flat), max(flat)
-        else:
-            lo, hi = int(ids.min()), int(ids.max())
-        self._check_symbol(lo)
-        self._check_symbol(hi)
-        span = hi - lo + 1
-        drawn = 4 * self._blocks_per_column  # words a column's window takes
-        if (span - ids.size) * drawn <= _WORDS_PER_CALL * (ids.size - 1):
-            return self._column_words(lo, span).reshape(span, -1)[ids - lo]
-        return np.stack([self._column_words(int(j), 1) for j in ids])
-
     def sign_words(self, ids) -> np.ndarray:
         """Dense-sign columns ``ids`` as packed signs, shape (len(ids), ceil(m/64)) uint64.
 
@@ -201,85 +270,25 @@ class Codebook:
         """
         if self.kind != "dense-sign":
             raise ValueError("sign_words requires a dense-sign codebook")
-        ids = np.asarray(ids, dtype=np.int64)
-        nwords = self._words_per_column
-        if ids.size == 0:
-            return np.empty((0, nwords), dtype=np.uint64)
-        words = self._gather_words(ids)[:, :nwords]
-        if self.m % 64:
-            words[:, -1] &= np.uint64((1 << self.m % 64) - 1)
-        return words
+        return self._packed(self._one_seed(ids))
 
     def sign_words_across(self, seeds, ids) -> Iterator[np.ndarray]:
         """Row s of ``ids`` gathered as ``self.with_seed(seeds[s]).sign_words(ids[s])``.
 
         ``ids`` is a (len(seeds), n) array. Yields the packed words of a
         chunk of seeds at a time, shape (seeds in chunk, n, ceil(m/64)),
-        equal to each seed's own ``sign_words`` bit for bit. Each seed keeps
-        ``_gather_words``' window rule for its own ids. The range check and
-        min/max run once for all seeds, the row indexing and the bits-past-m
-        mask once per chunk. A chunk's raw windows hold at most
-        ``_ACROSS_BYTES`` bytes (or one seed's). An out-of-range id raises
-        before any draw, with the error of the first seed whose row holds one.
+        equal to each seed's own ``sign_words`` bit for bit: both are one
+        gather, this one over many seeds. Taking the first chunk checks every
+        id before any draw, raising the first bad seed's error.
         """
         if self.kind != "dense-sign":
             raise ValueError("sign_words_across requires a dense-sign codebook")
         seeds = list(seeds)
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._symbol_ids(ids)
         if ids.ndim != 2 or len(ids) != len(seeds):
             raise ValueError(f"ids must hold one row per seed, got shape {ids.shape} "
                              f"for {len(seeds)} seeds")
-        if ids.size == 0:
-            return iter([np.empty((*ids.shape, self._words_per_column), dtype=np.uint64)]
-                        if seeds else [])
-        lo, hi = ids.min(axis=1), ids.max(axis=1)
-        bad = (lo < 0) | (hi >= self.d)
-        if bad.any():
-            first = int(bad.argmax())
-            self._check_symbol(int(lo[first]))
-            self._check_symbol(int(hi[first]))
-        return self._across_chunks(seeds, ids, lo.tolist(), (hi - lo + 1).tolist())
-
-    def _across_chunks(self, seeds: list, ids: np.ndarray, lo: list,
-                       spans: list) -> Iterator[np.ndarray]:
-        """The chunks of ``sign_words_across``, whose ids are in range.
-
-        A chunk's windows are stacked as one row per drawn column. A seed's
-        ids pick rows of its own window over [min, max] by offset, or it
-        takes its per-column windows in order; one fancy index takes every
-        seed's rows of the chunk.
-        """
-        n = ids.shape[1]
-        sid = self._stream.sid
-        blocks = self._blocks_per_column
-        drawn = 4 * blocks  # words a column's window takes
-        one = [(span - n) * drawn <= _WORDS_PER_CALL * (n - 1) for span in spans]
-        columns = [span if whole else n for span, whole in zip(spans, one)]
-        per_chunk = max(1, _ACROSS_BYTES // (8 * drawn))  # drawn columns per chunk
-        start = 0
-        while start < len(seeds):
-            windows, offsets, apart, total = [], [], [], 0
-            stop = start
-            while stop < len(seeds) and (stop == start or total + columns[stop] <= per_chunk):
-                if one[stop]:
-                    windows.append(rng.keyed_words(seeds[stop], sid, lo[stop] * blocks,
-                                                   spans[stop] * drawn))
-                    offsets.append(total - lo[stop])
-                else:
-                    windows += [rng.keyed_words(seeds[stop], sid, j * blocks, drawn)
-                                for j in ids[stop].tolist()]
-                    offsets.append(0)
-                    apart.append((stop - start, total))
-                total += columns[stop]
-                stop += 1
-            rows = ids[start:stop] + np.array(offsets)[:, None]
-            for i, first in apart:
-                rows[i] = np.arange(first, first + n)
-            words = np.concatenate(windows).reshape(total, drawn)[rows, :self._words_per_column]
-            if self.m % 64:
-                words[..., -1] &= np.uint64((1 << self.m % 64) - 1)
-            yield words
-            start = stop
+        return map(self._packed, self._gather(seeds, ids))
 
     def sign_columns(self, ids) -> np.ndarray:
         """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids)).
@@ -289,10 +298,11 @@ class Codebook:
         """
         if self.kind != "dense-sign":
             raise ValueError("sign_columns requires a dense-sign codebook")
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._symbol_ids(ids)
+        raw = self._one_seed(ids)
         if ids.size == 0:
             return np.empty((self.m, 0), dtype=np.int8)
-        signs = rng.signs_from_words(self._gather_words(ids).ravel(), self.m, ids.size)
+        signs = rng.signs_from_words(raw.ravel(), self.m, ids.size)
         # The memory order is part of the result: float products of these
         # columns (hopfield.hpm_encode) round by layout. So it follows this
         # span rule, not the way the words were drawn: Fortran order for ids
@@ -309,10 +319,9 @@ class Codebook:
         """
         if self.kind != "sparse-binary-trials":
             raise ValueError("union_indices requires a sparse-binary-trials codebook")
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
+        words = self._one_seed(ids)[:, : self.k]
+        if len(words) == 0:
             return np.empty(0, dtype=np.int64)
-        words = self._gather_words(ids)[:, : self.k]
         rows = np.sort(rng.bounded_from_words(words, self.m), axis=None)
         return rows[np.r_[True, rows[1:] != rows[:-1]]]
 
@@ -324,9 +333,6 @@ class Codebook:
         """
         if self.kind != "sparse-binary-exact":
             raise ValueError("exact_indices requires a sparse-binary-exact codebook")
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.empty((0, self.k), dtype=np.int64)
-        rows = rng.choose_distinct_rows(self._gather_words(ids), self.m, self.k)
+        rows = rng.choose_distinct_rows(self._one_seed(ids), self.m, self.k)
         rows.sort(axis=1)
         return rows

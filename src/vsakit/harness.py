@@ -11,8 +11,9 @@ cell's seeds to one :func:`run_trials` call. Most tasks run one seed after
 another (``_each``); MAP-I ``norm``, Counting Bloom and Hopfield± draw a
 cell's seeds together, and every outcome is still the one a trial alone
 gives. These three check one codebook per cell, a template: MAP-I ``norm``
-gathers every seed's columns from it (``Codebook.sign_words_across``), and
-Counting Bloom and Hopfield± give each seed a copy (``Codebook.with_seed``).
+gathers every seed's columns from it in the gather a one-seed ``sign_words``
+makes (``Codebook.sign_words_across``), and Counting Bloom and Hopfield±
+give each seed a copy that differs only in its seed (``Codebook.with_seed``).
 One aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 

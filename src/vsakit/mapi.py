@@ -208,7 +208,7 @@ def bound_words(cb: Codebook, edges) -> np.ndarray:
     bits are the XOR of the columns' bits, inverted for even k. All columns
     come from one ``sign_words`` gather.
     """
-    ids = np.asarray(edges, dtype=np.int64)
+    ids = np.asarray(edges)  # sign_words refuses ids that are not integers
     bound = np.bitwise_xor.reduce(cb.sign_words(ids.ravel()).reshape(*ids.shape, -1), axis=1)
     if ids.shape[1] % 2 == 0:  # invert, keeping the bits past m clear
         bound = ~bound

@@ -36,9 +36,9 @@ step per trial index.
 
 Keyed windows: a window depends only on the key (seed, stream id), the
 block and the length. ``keyed_words`` draws it from a key, with the tags
-folded beforehand: a cell's codebook or instance tags are the same for
-every trial seed, so a caller that draws one window per seed folds them
-once and builds no ``Stream``. ``Stream.words`` runs the same code.
+folded beforehand: a codebook folds its tags once, when it is built, and
+draws every column window, under any seed, from that stream id.
+``Stream.words`` runs the same code.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ def _window(seed: int, sid: int, block: int, nwords: int) -> np.ndarray:
 def keyed_words(seed: int, sid: int, block: int, nwords: int) -> np.ndarray:
     """``Stream(seed, *tags).words(block, nwords)`` for ``sid = stream_id(*tags)``.
 
-    A caller that draws from one stream id under many seeds folds the tags
-    once and builds no ``Stream``.
+    A caller that draws from one stream id under many seeds folds the tags once.
     """
     return _window(_seed(seed), sid, block, nwords)
 
@@ -163,14 +162,6 @@ class Stream:
     def __init__(self, seed: int, *tags):
         self.seed = _seed(seed)
         self.sid = stream_id(*tags)
-
-    @classmethod
-    def from_key(cls, seed: int, sid: int) -> "Stream":
-        """``Stream(seed, *tags)`` for ``sid = stream_id(*tags)``, with no tags to fold."""
-        stream = object.__new__(cls)
-        stream.seed = _seed(seed)
-        stream.sid = sid
-        return stream
 
     def words(self, block: int, nwords: int) -> np.ndarray:
         """Words ``[4*block, 4*block + nwords)`` as uint64."""

@@ -1,11 +1,15 @@
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vsakit import codebook, rng
+from vsakit import codebook, mapb, mapi, rng
 from vsakit.codebook import Codebook
 from vsakit.hypervector import rotate
+from vsakit.setalg import SymbolSet
 
 
 def test_dense_sign_columns_are_signs():
@@ -167,8 +171,8 @@ def test_gathers_equal_stacked_single_column_windows(monkeypatch, kind, m, k, si
     singles = [cb._column_words(j, 1) for j in ids]
 
     calls = []
-    words = rng.Stream.words
-    monkeypatch.setattr(rng.Stream, "words", lambda s, *a: calls.append(a) or words(s, *a))
+    keyed = rng.keyed_words
+    monkeypatch.setattr(rng, "keyed_words", lambda *a: calls.append(a) or keyed(*a))
     if kind == "dense-sign":
         nwords = -(-m // 64)
         expected = np.stack([w[:nwords] for w in singles])
@@ -305,14 +309,13 @@ def _across(template, seeds, ids):
 def _count_windows(monkeypatch):
     """Per seed, how many windows the cross-seed and the one-seed gathers draw."""
     counts = {}
-    keyed, words = rng.keyed_words, rng.Stream.words
+    keyed = rng.keyed_words
 
     def count(seed, *args):
         counts[seed] = counts.get(seed, 0) + 1
         return keyed(seed, *args)
 
     monkeypatch.setattr(rng, "keyed_words", count)
-    monkeypatch.setattr(rng.Stream, "words", lambda s, *a: count(s.seed, s.sid, *a))
     return counts
 
 
@@ -379,3 +382,91 @@ def test_sign_words_across_check_ids_before_any_draw(monkeypatch):
     with pytest.raises(ValueError, match="requires a dense-sign codebook"):
         Codebook("sparse-binary-exact", 64, 10, k=2).sign_words_across([1], [[0]])
     assert list(template.sign_words_across([], np.empty((0, 3), dtype=np.int64))) == []
+
+
+def _id_readers(d=300):
+    """Every way a caller hands symbol ids to one gather, each taking a list of ids."""
+    dense = Codebook("dense-sign", 119, d, seed=1)
+    bundle = mapb.bundle_sign(dense, SymbolSet.from_ids(d, [1, 2, 3]))
+    return {
+        "sign_words": dense.sign_words,
+        "sign_columns": dense.sign_columns,
+        "union_indices": Codebook("sparse-binary-trials", 128, d, k=7, seed=1).union_indices,
+        "exact_indices": Codebook("sparse-binary-exact", 7580, d, k=8, seed=1).exact_indices,
+        "sign_words_across": lambda ids: list(dense.sign_words_across([5], [ids])),
+        "membership_test": lambda ids: [mapb.membership_test(bundle, j, 0.05) for j in ids],
+    }
+
+
+@pytest.mark.parametrize("reader", list(_id_readers()))
+@pytest.mark.parametrize("bad, shown", [(2.5, "2.5"), ("2", "'2'"), (True, "True"),
+                                        (np.True_, "True"), (np.float64(2.5), "2.5"),
+                                        (None, "None"), (float("nan"), "nan"),
+                                        (float("inf"), "inf")])
+def test_ids_that_are_not_integers_are_refused(reader, bad, shown):
+    read = _id_readers()[reader]
+    message = f"symbol id must be an integer, got {re.escape(shown)}$"
+    cases = [[bad], [3, bad]]
+    if reader != "membership_test":
+        cases += [(bad, 4), np.array([3, bad], dtype=object)]
+    for ids in cases:
+        with pytest.raises(ValueError, match=message):
+            read(ids)
+
+
+@pytest.mark.parametrize("reader", list(_id_readers()))
+def test_integral_ids_of_any_type_read_as_their_integers(reader):
+    read = _id_readers()[reader]
+    expected = read([2, 7, 3])
+    for ids in ([2.0, 7.0, 3.0], np.array([2.0, 7.0, 3.0]), (2, 7, 3), [np.int64(2), 7, 3],
+                np.array([2, 7, 3], dtype=np.int32), np.array([2, 7, 3], dtype=np.uint64),
+                np.array([2, 7, 3], dtype=np.uint8)):
+        got = read(ids)
+        if isinstance(expected, list):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        else:
+            assert np.array_equal(got, expected)
+    for huge in (2**70, -2**70, float(2**70), np.uint64(2**64 - 1)):
+        with pytest.raises(IndexError, match=f"symbol id {int(huge)} out of range"):
+            read([1, huge])
+    if reader != "membership_test":
+        with pytest.raises(ValueError, match="symbol id must be an integer, got True"):
+            read(np.array([True, False]))
+
+
+def test_binding_refuses_ids_that_are_not_integers():
+    cb = Codebook("dense-sign", 119, 300, seed=1)
+    bundle = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(300, ((1, 2), (3, 4))))
+    for pair in ((2.5, 1), ("3", 4)):
+        with pytest.raises(ValueError, match="symbol id must be an integer"):
+            mapb.kv_membership_test(bundle, pair, 0.05)
+    assert np.array_equal(mapi.bound_words(cb, [(1.0, 2.0)]), mapi.bound_words(cb, [(1, 2)]))
+
+
+@pytest.mark.parametrize("m", [119, 1367])
+@pytest.mark.parametrize("ids", [[[0, 1], [2, 3]], [[0, 255], [1, 2]], [[5]], 3, np.int64(3),
+                                 np.zeros((2, 0, 3), dtype=np.int64)])
+def test_one_seed_gathers_refuse_ids_that_are_not_1d(m, ids):
+    dense = Codebook("dense-sign", m, 256, seed=1)
+    sparse = [Codebook("sparse-binary-trials", m, 256, k=7, seed=1).union_indices,
+              Codebook("sparse-binary-exact", m, 256, k=8, seed=1).exact_indices]
+    shape = np.shape(ids)
+    for read in [dense.sign_words, dense.sign_columns, *sparse]:
+        with pytest.raises(ValueError, match=re.escape(f"1-D sequence, got shape {shape}")):
+            read(ids)
+    with pytest.raises(ValueError, match="one row per seed"):
+        dense.sign_words_across([1, 2], [ids, ids])
+
+
+def test_one_function_holds_the_window_rule():
+    """The window rule lives in one gather, and a codebook draws through ``rng.keyed_words``."""
+    tree = ast.parse(Path(codebook.__file__).read_text(encoding="utf-8"))
+    readers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Name) and node.id == "_WORDS_PER_CALL"}
+    assert len(readers) == 1, f"the window rule is read by {sorted(readers)}"
+    streams = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "Stream"
+               or isinstance(node, ast.Name) and node.id == "Stream"
+               or isinstance(node, ast.alias) and node.name == "Stream"]
+    assert streams == [], f"codebook.py names rng.Stream at lines {streams}"

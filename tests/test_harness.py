@@ -11,6 +11,7 @@ from vsakit import cbloom, harness, hopfield, mapi, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
+from exact_laws import binomial_two_sided_p, mapi_norm_fail, mapi_norm_q_law
 from test_golden import _GRIDS
 
 
@@ -697,3 +698,31 @@ def test_batched_tasks_check_one_codebook_per_cell(monkeypatch, arch, task, cell
     seeds = [harness.trial_seed(6, cell, t) for t in range(7)]
     assert len(harness.run_trials(arch, task, cell, seeds)) == 7
     assert len(built) <= 1
+
+
+def test_mapi_norm_exact_law_is_a_law():
+    for m, n in [(1, 1), (3, 4), (12, 16)]:
+        law = mapi_norm_q_law(m, n)
+        assert len(law) == m * n * n + 1 and math.isclose(law.sum(), 1.0)
+        assert math.isclose(law @ np.arange(len(law)), m * n)  # E[Y_i^2] = n
+    assert mapi_norm_fail(1, 1, 0.5) == 0.0  # one row of one symbol: Q = 1 = n
+    assert math.isclose(mapi_norm_fail(1, 2, 0.5), 1.0)  # Q is 0 or 4, never within 1 of 2
+
+
+def test_mapi_norm_failure_counts_follow_the_exact_law():
+    """Each cell's failure count is a plausible Bin(T, exact P(fail)) draw.
+
+    The cells, T = 4000, master seed 0 and the two-sided level 1e-6 were
+    fixed before the first run; a mismatch is a finding about the harness,
+    not a reason to move them.
+    """
+    trials, level = 4000, 1e-6
+    config = harness.ExperimentConfig("mapi", "norm", {"m": [12, 20, 30], "n": [16], "d": [256],
+                                                       "eps": [0.5]}, trials, 0)
+    rows = list(csv.DictReader(io.StringIO(harness.run(config)[0])))
+    assert [row["m"] for row in rows] == ["12", "20", "30"]
+    for row in rows:
+        p = mapi_norm_fail(int(row["m"]), 16, 0.5)
+        assert 0.01 < p < 0.5  # a cell with power
+        failures = int(row["failures"])
+        assert binomial_two_sided_p(failures, trials, p) >= level, (row["m"], failures, p * trials)

@@ -206,14 +206,9 @@ def test_keyed_window_equals_stream_words(seed, block):
     sid = rng.stream_id(*tags)
     expected = rng.Stream(seed, *tags).words(block, 9)
     assert np.array_equal(rng.keyed_words(seed, sid, block, 9), expected)
-    stream = rng.Stream.from_key(seed, sid)
-    assert (stream.seed, stream.sid) == (rng.Stream(seed, *tags).seed, sid)
-    assert np.array_equal(stream.words(block, 9), expected)
 
 
 def test_keyed_window_seed_must_be_integral():
     for bad in (1.5, True, "3", None):
         with pytest.raises(ValueError, match="stream seed"):
             rng.keyed_words(bad, rng.stream_id("t"), 0, 4)
-        with pytest.raises(ValueError, match="stream seed"):
-            rng.Stream.from_key(bad, rng.stream_id("t"))
