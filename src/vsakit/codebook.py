@@ -3,7 +3,7 @@
 A codebook never stores its matrix. Column ``j`` is a pure function of
 ``(kind, m, d, k, seed, j)``: each column owns a fixed window of the keyed
 raw-word stream (see :mod:`vsakit.rng`), so any column can be regenerated in
-isolation, and generating a block of columns yields bit-identical results to
+isolation, and generating a block of columns gives bit-identical results to
 generating each column alone.
 
 Every accessor that takes ids runs one gather, which draws for a stack of
@@ -21,8 +21,9 @@ each) stay per-column. Which way the words were drawn never shows.
 A cell of trials uses one codebook per trial seed, and those codebooks
 differ only in their seed. So one codebook, checked once, serves as the
 template: ``with_seed`` copies it under another seed without checking or
-folding anything again, and ``sign_words_across`` gathers every seed's
-columns at once, with one row index and one mask per chunk of seeds.
+folding anything again, and ``sign_words_across`` gathers the columns of
+a stack of seeds in one call, with one row index and one mask. The caller
+decides how many seeds a stack holds; the harness keeps that to one budget.
 
 Each representation has one batched accessor, and one column is its one-id
 case. ``sign_words`` gives dense-sign columns as their packed signs (bit i
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -73,9 +73,6 @@ _SPARSE_KINDS = ("sparse-binary-trials", "sparse-binary-exact")
 #: saved. A draw's fixed cost (about 4 us) is that of about 800 words
 #: (about 5 ns each), measured with numpy 2.4 on a shared 2-vCPU x86-64 host.
 _WORDS_PER_CALL = 800
-
-#: Most bytes of raw window words that a gather holds for one chunk of seeds.
-_ACROSS_BYTES = 2**16
 
 
 @dataclass(frozen=True)
@@ -173,31 +170,27 @@ class Codebook:
             if type(ids) is list and set(map(type, ids)) == {int}:
                 return np.array(ids, dtype=np.int64)
             objects = np.array(ids, dtype=object)
-            values = [integral(j.item() if isinstance(j, np.generic) else j, "a symbol id")
-                      for j in objects.ravel().tolist()]
+            values = [integral(j, "a symbol id") for j in objects.ravel().tolist()]
             return np.array(values, dtype=np.int64).reshape(objects.shape)
         except OverflowError:
             self._check_symbol(next(j for j in values if not -2**63 <= j < 2**63))
             raise
 
-    def _gather(self, seeds: list, ids: np.ndarray) -> Iterator[np.ndarray]:
-        """Raw words of the columns ``ids[s]`` under ``seeds[s]``, a chunk of seeds at a time.
+    def _gather(self, seeds: list, ids: np.ndarray) -> np.ndarray:
+        """Raw words of the columns ``ids[s]`` under ``seeds[s]``, shape (len(seeds), n, drawn).
 
-        ``ids`` is a (len(seeds), n) int64 stack; a chunk is an array (seeds
-        in chunk, n, words a window takes). Taking the first chunk checks
-        every id before any draw, raising the first bad seed's error. A seed
-        draws one window over [min, max] of its row and picks its ids' rows
-        by offset, or one window per column in order. A chunk holds at most
-        ``_ACROSS_BYTES`` bytes of windows (or one seed's), and one fancy
-        index takes every seed's rows.
+        ``ids`` is a (len(seeds), n) int64 stack and ``drawn`` the words a
+        column's window takes. Every id is checked before any draw, raising
+        the first bad seed's error. A seed draws one window over [min, max]
+        of its row and picks its ids' rows by offset, or one window per
+        column in order; one fancy index takes every seed's rows. How many
+        seeds a call holds is the caller's choice (``harness._chunks``).
         """
         blocks, sid = self._blocks_per_column, self._sid
         drawn = 4 * blocks  # words a column's window takes
         count, n = ids.shape
         if ids.size == 0:  # no ids, or no seeds: nothing to draw
-            if count:
-                yield np.empty((count, 0, drawn), dtype=np.uint64)
-            return
+            return np.empty((count, n, drawn), dtype=np.uint64)
         if ids.size <= 32:  # Python's min/max beat numpy's fixed per-call cost here
             listed = ids.tolist()
             lo, hi = list(map(min, listed)), list(map(max, listed))
@@ -208,42 +201,30 @@ class Codebook:
                 self._check_symbol(low)
                 self._check_symbol(high)
         widest = n + _WORDS_PER_CALL * (n - 1) // drawn  # the widest span one window pays for
-        per_chunk = max(1, _ACROSS_BYTES // (8 * drawn))  # drawn columns per chunk
-        start = 0
-        while start < count:
-            windows, offsets, apart, total = [], [], [], 0
-            stop = start
-            while stop < count:
-                span = hi[stop] - lo[stop] + 1
-                whole = span <= widest
-                if stop > start and total + (span if whole else n) > per_chunk:
-                    break
-                if whole:
-                    windows.append(rng.keyed_words(seeds[stop], sid, lo[stop] * blocks,
-                                                   span * drawn))
-                    offsets.append(total - lo[stop])
-                    total += span
-                else:
-                    windows += [rng.keyed_words(seeds[stop], sid, j * blocks, drawn)
-                                for j in ids[stop].tolist()]
-                    offsets.append(0)
-                    apart.append((stop - start, total))
-                    total += n
-                stop += 1
-            rows = ids[start:stop] + (offsets[0] if len(offsets) == 1
-                                      else np.array(offsets)[:, None])
-            for i, first in apart:
-                rows[i] = np.arange(first, first + n)
-            stack = windows[0] if len(windows) == 1 else np.concatenate(windows)
-            yield stack.reshape(total, drawn)[rows]
-            start = stop
+        windows, offsets, apart, total = [], [], [], 0
+        for s, (seed, low, high) in enumerate(zip(seeds, lo, hi)):
+            span = high - low + 1
+            if span <= widest:
+                windows.append(rng.keyed_words(seed, sid, low * blocks, span * drawn))
+                offsets.append(total - low)
+                total += span
+            else:
+                windows += [rng.keyed_words(seed, sid, j * blocks, drawn) for j in ids[s].tolist()]
+                offsets.append(0)
+                apart.append((s, total))
+                total += n
+        rows = ids + (offsets[0] if count == 1 else np.array(offsets)[:, None])
+        for s, first in apart:
+            rows[s] = np.arange(first, first + n)
+        stack = windows[0] if len(windows) == 1 else np.concatenate(windows)
+        return stack.reshape(total, drawn)[rows]
 
     def _one_seed(self, ids) -> np.ndarray:
         """Raw words of the columns ``ids``, a 1-D id sequence, one row per id."""
         ids = self._symbol_ids(ids)
         if ids.ndim != 1:
             raise ValueError(f"symbol ids must form a 1-D sequence, got shape {ids.shape}")
-        return next(self._gather([self.seed], ids[None]))[0]
+        return self._gather([self.seed], ids[None])[0]
 
     def _packed(self, raw: np.ndarray) -> np.ndarray:
         """Packed signs of raw dense-sign windows: the first ceil(m/64) words, bits past m clear."""
@@ -272,14 +253,13 @@ class Codebook:
             raise ValueError("sign_words requires a dense-sign codebook")
         return self._packed(self._one_seed(ids))
 
-    def sign_words_across(self, seeds, ids) -> Iterator[np.ndarray]:
+    def sign_words_across(self, seeds, ids) -> np.ndarray:
         """Row s of ``ids`` gathered as ``self.with_seed(seeds[s]).sign_words(ids[s])``.
 
-        ``ids`` is a (len(seeds), n) array. Yields the packed words of a
-        chunk of seeds at a time, shape (seeds in chunk, n, ceil(m/64)),
-        equal to each seed's own ``sign_words`` bit for bit: both are one
-        gather, this one over many seeds. Taking the first chunk checks every
-        id before any draw, raising the first bad seed's error.
+        ``ids`` is a (len(seeds), n) array. Returns the packed words, shape
+        (len(seeds), n, ceil(m/64)), equal to each seed's own ``sign_words``
+        bit for bit: both are one gather, this one over many seeds. Every id
+        is checked before any draw, raising the first bad seed's error.
         """
         if self.kind != "dense-sign":
             raise ValueError("sign_words_across requires a dense-sign codebook")
@@ -288,7 +268,7 @@ class Codebook:
         if ids.ndim != 2 or len(ids) != len(seeds):
             raise ValueError(f"ids must hold one row per seed, got shape {ids.shape} "
                              f"for {len(seeds)} seeds")
-        return map(self._packed, self._gather(seeds, ids))
+        return self._packed(self._gather(seeds, ids))
 
     def sign_columns(self, ids) -> np.ndarray:
         """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids)).

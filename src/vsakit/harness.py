@@ -14,6 +14,10 @@ gives. These three check one codebook per cell, a template: MAP-I ``norm``
 gathers every seed's columns from it in the gather a one-seed ``sign_words``
 makes (``Codebook.sign_words_across``), and Counting Bloom and Hopfield±
 give each seed a copy that differs only in its seed (``Codebook.with_seed``).
+How many of a cell's seeds are held at once is decided here alone: one
+budget, ``_CHUNK_BYTES``, slices the seed list (``_chunks``) for the
+instance draws and for MAP-I ``norm``, and the codebook and the MAP-I
+kernel take each slice whole. Slicing never changes a result.
 One aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 
@@ -40,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterator
 
 import numpy as np
@@ -158,26 +162,34 @@ def _draw_subset(seed: int, tag: str, d: int, size: int) -> np.ndarray:
     return rng.choose_distinct(_draw_words(seed, rng.stream_id("inst", tag), d, size), d, size)
 
 
-#: Most bytes of raw words (seeds x words per draw x 8) that ``_draw_subsets``
-#: stacks for one ``rng.choose_distinct_rows`` call.
-_DRAW_BYTES = 2**17
+#: Most bytes that a batched task holds for one slice of a cell's seeds: the
+#: one budget behind every batch (``_chunks``).
+_CHUNK_BYTES = 2**19
 
 
-def _draw_subsets(seeds, tag: str, d: int, size: int) -> Iterator[np.ndarray]:
+def _chunks(seeds: list, per_seed: int) -> Iterator[list]:
+    """``seeds`` in order, in slices of at most ``_CHUNK_BYTES`` at ``per_seed`` bytes each.
+
+    A slice holds at least one seed, however large ``per_seed`` is.
+    """
+    step = max(1, _CHUNK_BYTES // max(1, per_seed))
+    return (seeds[i:i + step] for i in range(0, len(seeds), step))
+
+
+def _draw_subsets(seeds: list, tag: str, d: int, size: int) -> Iterator[np.ndarray]:
     """``_draw_subset(seed, tag, d, size)`` of each seed, in order, bit for bit.
 
-    The tag's stream id is folded once. The draws are taken lazily, a chunk
-    of seeds at a time: the chunk's words (at most ``_DRAW_BYTES`` bytes, or
-    one seed's) go through one ``choose_distinct_rows`` call, in which the
-    rows whose swap positions never repeat skip the swap loop. A bad
-    ``size`` raises at the first draw.
+    The tag's stream id is folded once. The draws are taken lazily, a slice
+    of seeds (``_chunks``, 8 bytes per drawn word) at a time: the slice's
+    words go through one ``choose_distinct_rows`` call, in which the rows
+    whose swap positions never repeat skip the swap loop. A bad ``size``
+    raises at the first draw.
     """
     nwords = max(size, 1)
-    per_chunk = max(1, _DRAW_BYTES // (8 * nwords))
     sid = rng.stream_id("inst", tag)
-    seeds = iter(seeds)
-    while chunk := [_draw_words(seed, sid, d, size) for seed in islice(seeds, per_chunk)]:
-        yield from rng.choose_distinct_rows(np.concatenate(chunk).reshape(-1, nwords), d, size)
+    for chunk in _chunks(seeds, 8 * nwords):
+        words = np.concatenate([_draw_words(seed, sid, d, size) for seed in chunk])
+        yield from rng.choose_distinct_rows(words.reshape(-1, nwords), d, size)
 
 
 def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y: int):
@@ -235,27 +247,29 @@ def _within(estimate, truth, tolerance) -> TrialOutcome:
 
 
 def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
-    """The norm trials of a cell: one codebook, and every seed's columns gathered together.
+    """The norm trials of a cell: one codebook, and the seeds' columns gathered a slice at a time.
 
     The codebook is checked once, before any draw, so a bad m or d raises
-    before a bad n, as in a trial alone. The seeds' n-sets come from
-    ``_draw_subsets``; ``Codebook.sign_words_across`` gathers each seed's
-    columns under that seed, a chunk of seeds at a time, and
-    ``mapi.flat_norm_sq_estimates`` bundles and measures them a stack at a
-    time. When n = d the set is all of [d] whatever the words say, and a
+    before a bad n, as in a trial alone. Per slice of seeds (``_chunks``),
+    the n-sets come from ``_draw_subsets``, ``Codebook.sign_words_across``
+    gathers each seed's columns under that seed, and
+    ``mapi.flat_norm_sq_estimates`` bundles and measures the whole stack. A
+    seed holds n*m bytes of unpacked bits and at most d columns of window
+    words. When n = d the set is all of [d] whatever the words say, and a
     bundle is an integer sum over its columns, so no set is drawn and every
     seed gathers ``range(d)``.
     """
     m, n, d, eps = _params(cell, "m", "n", "d", "eps")
     template = Codebook("dense-sign", m, d, scaled=True)
-    if not seeds:
-        return []
-    if n == d:
-        ids = np.broadcast_to(np.arange(d), (len(seeds), d))
-    else:
-        ids = np.stack(list(_draw_subsets(seeds, "set", d, n)))
-    words = (row for stack in template.sign_words_across(seeds, ids) for row in stack)
-    return [_within(est, n, eps * n) for est in mapi.flat_norm_sq_estimates(m, words)]
+    per_seed = n * m + 8 * 4 * template._blocks_per_column * d  # 4 words a block
+    estimates: list[float] = []
+    for chunk in _chunks(seeds, per_seed):
+        if n == d:
+            ids = np.broadcast_to(np.arange(d), (len(chunk), d))
+        else:
+            ids = np.stack(list(_draw_subsets(chunk, "set", d, n)))
+        estimates += mapi.flat_norm_sq_estimates(m, template.sign_words_across(chunk, ids))
+    return [_within(est, n, eps * n) for est in estimates]
 
 
 def _trial_mapi_pairs(cell: dict, seed: int) -> TrialOutcome:

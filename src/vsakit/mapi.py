@@ -8,8 +8,8 @@ S v = pos - (||v||_1 - pos). Every partial sum is at most ||v||_1, which
 must be below 2**63, so this is exact in int64; sums of bundles (``add``,
 ``encode_sequence``) refuse inputs whose sum could reach 2**63. The same
 kernel takes a stack of sets at once: ``flat_norm_sq_estimates`` gives the
-norm estimates of many 0/1 sets, each on its own codebook, from one kernel
-call per stack. Binding is the binary spatter code rule: ``bound_words``
+norm estimates of a stack of 0/1 sets, each on its own codebook, from one
+kernel call. Binding is the binary spatter code rule: ``bound_words``
 gives an edge's bound column (the product of its +-1 columns) as the XOR
 of their packed signs, and a binding bundle is the kernel's sum of them.
 Norms and dot products of the scaled bundles concentrate around the exact
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable
 
 import numpy as np
 
@@ -67,11 +65,6 @@ def _require_same(b1: MapIBundle, b2: MapIBundle) -> None:
         raise ValueError("bundles come from different codebooks")
 
 
-#: Most bytes of unpacked sign bits (trials x symbols x m) that one call of
-#: the stacked kernel holds in ``flat_norm_sq_estimates``.
-_STACK_BYTES = 2**18
-
-
 def _signed_sums(words: np.ndarray, m: int, l1: int, weights: np.ndarray | None = None):
     """S v from packed sign columns: words (..., n, ceil(m/64)) -> int64 (..., m).
 
@@ -108,29 +101,19 @@ def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     return MapIBundle(_signed_sums(cb.sign_words(ids), cb.m, l1, weights), cb)
 
 
-def flat_norm_sq_estimates(m: int, words: Iterable[np.ndarray]) -> list[float]:
+def flat_norm_sq_estimates(m: int, words: np.ndarray) -> list[float]:
     """``norm_sq_estimate(bundle(cb_t, v_t))`` of each 0/1 set v_t, from its columns.
 
-    Item t of ``words`` is ``cb_t.sign_words(ids_t)`` for a scaled dense-sign
-    codebook ``cb_t`` with this ``m``, and every item holds the same number
-    of ids. Items are taken lazily, as many at a time as keep the unpacked
-    bits within ``_STACK_BYTES``, and each such stack goes through one call
-    of the kernel ``bundle`` uses. The results equal the one-set path bit
-    for bit: the norms keep ``_dot``'s int64 guard, and each is an exact
+    ``words[t]`` is ``cb_t.sign_words(ids_t)`` for a scaled dense-sign
+    codebook ``cb_t`` with this ``m``: a (sets, n, ceil(m/64)) stack, such as
+    ``Codebook.sign_words_across`` gives. The whole stack goes through one
+    call of the kernel ``bundle`` uses. The results equal the one-set path
+    bit for bit: the norms keep ``_dot``'s int64 guard, and each is an exact
     Python int divided by m.
     """
-    words = iter(words)
-    first = next(words, None)
-    if first is None:
+    if not len(words):
         return []
-    n = first.shape[0]
-    per_stack = max(1, _STACK_BYTES // max(1, n * m))
-    out: list[float] = []
-    stack = [first, *islice(words, per_stack - 1)]
-    while stack:
-        out += [sq / m for sq in _norms_sq(_signed_sums(np.stack(stack), m, n))]
-        stack = list(islice(words, per_stack))
-    return out
+    return [sq / m for sq in _norms_sq(_signed_sums(words, m, words.shape[1]))]
 
 
 def add(b1: MapIBundle, b2: MapIBundle) -> MapIBundle:
@@ -208,7 +191,7 @@ def bound_words(cb: Codebook, edges) -> np.ndarray:
     bits are the XOR of the columns' bits, inverted for even k. All columns
     come from one ``sign_words`` gather.
     """
-    ids = np.asarray(edges)  # sign_words refuses ids that are not integers
+    ids = cb._symbol_ids(edges)  # a bool, a fraction or a string is refused
     bound = np.bitwise_xor.reduce(cb.sign_words(ids.ravel()).reshape(*ids.shape, -1), axis=1)
     if ids.shape[1] % 2 == 0:  # invert, keeping the bits past m clear
         bound = ~bound

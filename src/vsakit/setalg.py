@@ -11,17 +11,20 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+import numpy as np
+
 
 def integral(value, what: str) -> int:
-    """``value`` as an int: an int or numpy integer (not a bool), or an integral float."""
+    """``value`` as an int: an int or numpy integer (not a bool of either), or a whole float."""
     if type(value) is int:  # the common case, checked before any conversion
         return value
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):  # None, a list, a string, nan, inf
         number = None
-    if number is None or number != value or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if number is None or number != value or isinstance(value, (bool, np.bool_)):
+        shown = value.item() if isinstance(value, np.generic) else value  # np.True_ as True
+        raise ValueError(f"{what} must be an integer, got {shown!r}")
     return number
 
 

@@ -107,6 +107,8 @@ def test_codebook_json_round_trip():
 def test_codebook_validation():
     with pytest.raises(ValueError):
         Codebook("dense-sign", 0, 4)
+    with pytest.raises(ValueError, match="codebook m must be an integer, got True"):
+        Codebook("dense-sign", np.True_, 10)
     with pytest.raises(ValueError):
         Codebook("sparse-binary-exact", 8, 4)  # missing k
     with pytest.raises(ValueError):
@@ -289,21 +291,13 @@ def test_seed_copy_equals_a_fresh_codebook(kind, m, d, k, scaled, seed):
 
 def test_seed_copy_refuses_a_bad_seed_and_keeps_its_template():
     template = Codebook("dense-sign", 64, 10, seed=1)
-    for bad in (1.5, True, "3", None):
+    for bad in (1.5, True, np.True_, "3", None):
         with pytest.raises(ValueError, match="codebook seed must be an integer"):
             template.with_seed(bad)
     copy = template.with_seed(2)
     assert template.seed == 1 and copy.seed == 2
     fresh = Codebook("dense-sign", 64, 10, seed=1)
     assert np.array_equal(template.sign_words([3]), fresh.sign_words([3]))
-
-
-def _across(template, seeds, ids):
-    """``sign_words_across`` as one (seeds, n, words) array, and its chunk sizes."""
-    chunks = list(template.sign_words_across(seeds, ids))
-    if not chunks:
-        return np.empty((0, *np.shape(ids)[1:], template.sign_words([]).shape[1]), np.uint64), []
-    return np.concatenate(chunks), [len(chunk) for chunk in chunks]
 
 
 def _count_windows(monkeypatch):
@@ -329,33 +323,28 @@ def _fixed_span_rows(d, n, count, gen):
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 119, 130])
 @pytest.mark.parametrize("n", [0, 1, 16, "d"])
-@pytest.mark.parametrize("per_chunk", [1, 2, 3])
-def test_sign_words_across_equal_per_seed_gathers(monkeypatch, m, n, per_chunk):
+@pytest.mark.parametrize("count", [1, 2, 7])  # seeds in the stack
+def test_sign_words_across_equal_per_seed_gathers(m, n, count):
     d = 256
     n = d if n == "d" else n
     gen = np.random.default_rng(m * 1000 + n)
-    seeds = [rng.mix64(s) for s in range(7)]
+    seeds = [rng.mix64(s) for s in range(count)]
     ids = _fixed_span_rows(d, n, len(seeds), gen)
-    columns = 0 if n == 0 else int(ids[0].max() - ids[0].min() + 1)  # one window per seed
-    monkeypatch.setattr(codebook, "_ACROSS_BYTES", per_chunk * 8 * 4 * max(columns, 1))
-    got, sizes = _across(Codebook("dense-sign", m, d, seed=1, scaled=True), seeds, ids)
-    assert got.dtype == np.uint64 and got.shape == (7, n, -(-m // 64))
+    got = Codebook("dense-sign", m, d, seed=1, scaled=True).sign_words_across(seeds, ids)
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.uint64 and got.shape == (count, n, -(-m // 64))
     for seed, row, words in zip(seeds, ids, got):
         assert np.array_equal(words, Codebook("dense-sign", m, d, seed=seed).sign_words(row))
-    if n:
-        assert sizes == [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
 
 
 @pytest.mark.parametrize("m", [1, 64, 119, 3537])
-@pytest.mark.parametrize("budget", [1, 300, 2**16])  # one seed per chunk, a few, all
-def test_sign_words_across_keep_each_seeds_window_rule(monkeypatch, m, budget):
+def test_sign_words_across_keep_each_seeds_window_rule(monkeypatch, m):
     d = 6000
     rows = [[0, 5000], [7, 9], [3, 3], [4000, 4001], [5, 5999], [10, 10], [0, 0], [11, 400]]
     seeds = [rng.mix64(s) for s in range(len(rows))]
-    monkeypatch.setattr(codebook, "_ACROSS_BYTES", budget)
     template = Codebook("dense-sign", m, d)
     counts = _count_windows(monkeypatch)
-    got, _ = _across(template, seeds, np.array(rows))
+    got = template.sign_words_across(seeds, np.array(rows))
     across = dict(counts)
     counts.clear()
     for seed, row, words in zip(seeds, rows, got):
@@ -370,7 +359,7 @@ def test_sign_words_across_check_ids_before_any_draw(monkeypatch):
     for bad in ([-1, 3], [0, 10], [-2, 12], [10, 10]):
         rows = np.array([[0, 1], [2, 3], bad, [-5, 4]])
         with pytest.raises(IndexError) as across:
-            list(template.sign_words_across([1, 2, 3, 4], rows))
+            template.sign_words_across([1, 2, 3, 4], rows)
         with pytest.raises(IndexError) as alone:
             template.with_seed(3).sign_words(bad)
         assert str(across.value) == str(alone.value)
@@ -381,7 +370,8 @@ def test_sign_words_across_check_ids_before_any_draw(monkeypatch):
         template.sign_words_across([1, 2], [1, 2])
     with pytest.raises(ValueError, match="requires a dense-sign codebook"):
         Codebook("sparse-binary-exact", 64, 10, k=2).sign_words_across([1], [[0]])
-    assert list(template.sign_words_across([], np.empty((0, 3), dtype=np.int64))) == []
+    empty = template.sign_words_across([], np.empty((0, 3), dtype=np.int64))
+    assert empty.dtype == np.uint64 and empty.shape == (0, 3, 1)
 
 
 def _id_readers(d=300):
@@ -393,7 +383,7 @@ def _id_readers(d=300):
         "sign_columns": dense.sign_columns,
         "union_indices": Codebook("sparse-binary-trials", 128, d, k=7, seed=1).union_indices,
         "exact_indices": Codebook("sparse-binary-exact", 7580, d, k=8, seed=1).exact_indices,
-        "sign_words_across": lambda ids: list(dense.sign_words_across([5], [ids])),
+        "sign_words_across": lambda ids: dense.sign_words_across([5], [ids])[0],
         "membership_test": lambda ids: [mapb.membership_test(bundle, j, 0.05) for j in ids],
     }
 
@@ -437,9 +427,13 @@ def test_integral_ids_of_any_type_read_as_their_integers(reader):
 def test_binding_refuses_ids_that_are_not_integers():
     cb = Codebook("dense-sign", 119, 300, seed=1)
     bundle = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(300, ((1, 2), (3, 4))))
-    for pair in ((2.5, 1), ("3", 4)):
-        with pytest.raises(ValueError, match="symbol id must be an integer"):
+    for pair, shown in (((2.5, 1), "2.5"), (("3", 4), "'3'"), ((True, 2), "True"),
+                        ((1, np.False_), "False")):
+        message = f"a symbol id must be an integer, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
             mapb.kv_membership_test(bundle, pair, 0.05)
+        with pytest.raises(ValueError, match=message):
+            mapi.bound_words(cb, [pair])
     assert np.array_equal(mapi.bound_words(cb, [(1.0, 2.0)]), mapi.bound_words(cb, [(1, 2)]))
 
 

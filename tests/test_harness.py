@@ -1,13 +1,15 @@
+import ast
 import csv
 import io
 import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vsakit import cbloom, harness, hopfield, mapi, setalg, sizing
+from vsakit import cbloom, harness, hopfield, mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
@@ -378,26 +380,50 @@ def _mapi_norm_trial(cell, seed):
     return harness._within(mapi.norm_sq_estimate(mapi.bundle(cb, v)), n, eps * n)
 
 
+def _set_chunk(monkeypatch, per_chunk, per_seed):
+    """Make ``harness._chunks`` slice ``per_chunk`` seeds of ``per_seed`` bytes ("all": one)."""
+    per_chunk = 2**40 if per_chunk == "all" else per_chunk
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", per_chunk * max(1, per_seed))
+
+
+def _mapi_norm_seed_bytes(m, n, d):
+    """What one seed of a MAP-I norm cell holds: n*m unpacked bits and windows over [d]."""
+    return n * m + 8 * 4 * Codebook("dense-sign", m, d)._blocks_per_column * d
+
+
+def _count_kernel_calls(monkeypatch):
+    """The stack shapes that ``mapi._signed_sums`` is called with, in order."""
+    calls = []
+    real = mapi._signed_sums
+    monkeypatch.setattr(mapi, "_signed_sums",
+                        lambda words, *args: calls.append(words.shape) or real(words, *args))
+    return calls
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1, 16, 64])  # 64 = d; -1 is an error on both paths
-@pytest.mark.parametrize("per_stack", [1, 4, 10, 100])
-def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_stack):
+@pytest.mark.parametrize("per_chunk", [1, 4, 10, 100])
+def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_chunk):
     cell = {"m": 119, "n": n, "d": 64, "eps": 0.5}
     seeds = [harness.trial_seed(3, cell, t) for t in range(10)]
-    monkeypatch.setattr(mapi, "_STACK_BYTES", per_stack * max(1, n * 119))
+    _set_chunk(monkeypatch, per_chunk, _mapi_norm_seed_bytes(119, n, 64))
+    calls = _count_kernel_calls(monkeypatch)
     if n < 0:
         bad_size = "cannot draw -1 distinct symbols from universe 64"
         with pytest.raises(ValueError, match=bad_size):
             harness.run_trials("mapi", "norm", cell, seeds)
         with pytest.raises(ValueError, match=bad_size):
             _mapi_norm_trial(cell, seeds[0])
+        assert calls == []
         return
-    assert harness.run_trials("mapi", "norm", cell, seeds) == [
-        _mapi_norm_trial(cell, s) for s in seeds]
+    batched = harness.run_trials("mapi", "norm", cell, seeds)
+    assert [shape[0] for shape in calls] == [
+        min(per_chunk, 10 - start) for start in range(0, 10, per_chunk)]
+    assert batched == [_mapi_norm_trial(cell, s) for s in seeds]
 
 
 def _set_draw_chunk(monkeypatch, rows, size):
     """Make ``_draw_subsets`` stack ``rows`` seeds per chunk for draws of ``size``."""
-    monkeypatch.setattr(harness, "_DRAW_BYTES", rows * 8 * max(size, 1))
+    _set_chunk(monkeypatch, rows, 8 * max(size, 1))
 
 
 @pytest.mark.parametrize("d, size", sorted({(d, size) for d in (1, 7, 256)
@@ -413,10 +439,10 @@ def test_draw_subsets_equal_row_wise_draws(monkeypatch, d, size, count):
         assert np.array_equal(row, harness._draw_subset(seed, "set", d, size))
 
 
-@pytest.mark.parametrize("count", [63, 64, 65])
+@pytest.mark.parametrize("count", [255, 256, 257])
 def test_draw_subsets_across_default_chunks(count):
     d = size = 256
-    assert harness._DRAW_BYTES // (8 * size) == 64
+    assert harness._CHUNK_BYTES // (8 * size) == 256
     seeds = [harness.trial_seed(12, {"d": d}, t) for t in range(count)]
     rows = list(harness._draw_subsets(seeds, "suppX", d, size))
     assert len(rows) == count
@@ -433,6 +459,22 @@ def test_draw_subsets_raise_at_the_first_draw():
         next(harness._draw_subsets([1, 2], "set", 8, -1))
 
 
+def test_one_budget_sizes_every_batch():
+    """One ``_BYTES`` budget, in the harness; codebook and MAP-I kernel take whole stacks."""
+    budgets, yields = [], []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        budgets += [(path.name, target.id) for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(target, ast.Name) and target.id.endswith("_BYTES")]
+        if path.name in ("codebook.py", "mapi.py"):
+            yields += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                       if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert budgets == [("harness.py", "_CHUNK_BYTES")], f"byte budgets: {budgets}"
+    assert yields == [], f"generators at {yields}"
+
+
 def _mapi_norm_reference(cell, seeds):
     """The per-seed norm trials the batched draws replaced, kept as the reference.
 
@@ -445,17 +487,46 @@ def _mapi_norm_reference(cell, seeds):
         return cb.sign_words(harness._draw_subset(seed, "set", d, n))
 
     return [harness._within(est, n, cell["eps"] * n)
-            for est in mapi.flat_norm_sq_estimates(m, map(words, seeds))]
+            for est in mapi.flat_norm_sq_estimates(m, np.stack([words(s) for s in seeds]))]
 
 
 @pytest.mark.parametrize("m", [1, 64, 119, 130])
 @pytest.mark.parametrize("d, n", sorted({(d, n) for d in (1, 2, 256)
                                          for n in (0, 1, 16, d - 1, d) if 0 <= n <= d}))
-def test_mapi_norm_trials_equal_per_seed_reference(monkeypatch, m, d, n):
-    _set_draw_chunk(monkeypatch, 3, n)
+@pytest.mark.parametrize("per_chunk", [1, 3, "all"])
+def test_mapi_norm_trials_equal_per_seed_reference(monkeypatch, m, d, n, per_chunk):
+    _set_chunk(monkeypatch, per_chunk, _mapi_norm_seed_bytes(m, n, d))
     cell = {"m": m, "n": n, "d": d, "eps": 0.5}
     seeds = [harness.trial_seed(4, cell, t) for t in range(8)]
     assert harness.run_trials("mapi", "norm", cell, seeds) == _mapi_norm_reference(cell, seeds)
+
+
+def test_mapi_norm_cell_draws_one_budget_of_windows_per_kernel_call(monkeypatch):
+    """Between two kernel calls, a cell draws at most ``_CHUNK_BYTES`` of window words.
+
+    At m = 64 a column's window is 4 words, and 16 ids of [3000] span about
+    3000 columns: a seed's windows dwarf its n*m bytes of unpacked bits.
+    """
+    cell = {"m": 64, "n": 16, "d": 3000, "eps": 0.5}
+    seeds = [harness.trial_seed(9, cell, t) for t in range(400)]
+    sid = Codebook("dense-sign", 64, 3000)._sid
+    drawn, per_seed = [0], {}
+    keyed = rng.keyed_words
+
+    def count(seed, stream, *args):
+        words = keyed(seed, stream, *args)
+        if stream == sid:  # a codebook window, not an instance draw
+            drawn[-1] += 8 * words.size
+            per_seed[seed] = per_seed.get(seed, 0) + 8 * words.size
+        return words
+
+    real = mapi._signed_sums
+    monkeypatch.setattr(rng, "keyed_words", count)
+    monkeypatch.setattr(mapi, "_signed_sums", lambda *args: drawn.append(0) or real(*args))
+    assert len(harness.run_trials("mapi", "norm", cell, seeds)) == 400
+    between = drawn[:-1]  # the last entry follows the last kernel call
+    assert len(between) > 1 and drawn[-1] == 0
+    assert max(between) <= max(harness._CHUNK_BYTES, max(per_seed.values()))
 
 
 def _hpm_trial(cell, seed, dot):
@@ -475,7 +546,9 @@ def _hpm_trial(cell, seed, dot):
 @pytest.mark.parametrize("task", ["hpm-norm", "hpm-dot"])
 @pytest.mark.parametrize("m, n, d", [(1, 2, 8), (63, 0, 16), (64, 3, 16), (65, 16, 16),
                                      (200, 8, 512)])
-def test_hpm_trials_equal_the_bundle_path(task, m, n, d):
+@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per support draw
+def test_hpm_trials_equal_the_bundle_path(monkeypatch, task, m, n, d, per_chunk):
+    _set_draw_chunk(monkeypatch, per_chunk, n)
     cell = {"m": m, "n": n, "d": d, "eps": 0.5}
     seeds = [harness.trial_seed(3, cell, t) for t in range(6)]
     assert harness.run_trials("hopfield", task, cell, seeds) == [
@@ -596,11 +669,12 @@ def _cbloom_reference(cell, seed, l1):
     {"d": 7, "K_b": 1, "n_v": 2, "n_w": 2, "n": 3},  # the support is all of [d]
 ], ids=["K_b-1", "K_b-2", "weights-above-1", "n-0", "n_v-0", "all-empty", "k-equals-m",
         "m-1", "support-d"])
-def test_cbloom_trials_equal_per_seed_reference(monkeypatch, task, count, changes):
+@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per support draw
+def test_cbloom_trials_equal_per_seed_reference(monkeypatch, task, count, changes, per_chunk):
     cell = {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3, "K_b": 1, "eps": 0.5,
             **changes}
     support = sum(-(-cell[name] // cell["K_b"]) for name in ("n_v", "n_w", "n"))
-    _set_draw_chunk(monkeypatch, 3, support)  # seed counts below, at and past a chunk
+    _set_draw_chunk(monkeypatch, per_chunk, support)  # seed counts below, at and past 3
     seeds = [harness.trial_seed(5, cell, t) for t in range(count)]
     assert harness.run_trials("cbloom", task, cell, seeds) == [
         _cbloom_reference(cell, seed, task == "l1") for seed in seeds]

@@ -144,24 +144,23 @@ def _norm_case(m, d, n, seeds):
 
 @pytest.mark.parametrize("m", [1, 64, 119])
 @pytest.mark.parametrize("n", [0, 1, 16, 40])  # 40 = d: every column
-@pytest.mark.parametrize("per_stack", [1, 3, 7, 50])  # one, partial, all, more than all
-def test_flat_norm_estimates_equal_one_set_path(monkeypatch, m, n, per_stack):
-    words, expected = _norm_case(m, 40, n, range(7))
-    monkeypatch.setattr(mapi, "_STACK_BYTES", per_stack * max(1, n * m))
-    got = mapi.flat_norm_sq_estimates(m, iter(words))
+@pytest.mark.parametrize("sets", [0, 1, 3, 7])  # sets in the stack
+def test_flat_norm_estimates_equal_one_set_path(m, n, sets):
+    words, expected = _norm_case(m, 40, n, range(sets))
+    stack = np.stack(words) if sets else np.empty((0, n, -(-m // 64)), dtype=np.uint64)
+    got = mapi.flat_norm_sq_estimates(m, stack)
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
-def test_flat_norm_estimates_take_words_one_stack_at_a_time(monkeypatch):
-    words, _ = _norm_case(64, 40, 16, range(5))
-    monkeypatch.setattr(mapi, "_STACK_BYTES", 2 * 16 * 64)  # two sets per stack
-    taken, taken_at_kernel = [], []
+def test_flat_norm_estimates_make_one_kernel_call(monkeypatch):
+    words, expected = _norm_case(64, 40, 16, range(5))
+    calls = []
     real = mapi._signed_sums
-    monkeypatch.setattr(mapi, "_signed_sums",
-                        lambda *args: taken_at_kernel.append(len(taken)) or real(*args))
-    got = mapi.flat_norm_sq_estimates(64, (taken.append(w) or w for w in words))
-    assert len(got) == 5 and taken_at_kernel == [2, 4, 5]
-    assert mapi.flat_norm_sq_estimates(64, iter([])) == []
+    monkeypatch.setattr(mapi, "_signed_sums", lambda words, *args: calls.append(
+        words.shape) or real(words, *args))
+    assert mapi.flat_norm_sq_estimates(64, np.stack(words)) == expected
+    assert calls == [(5, 16, 1)]  # the whole stack at once
+    assert mapi.flat_norm_sq_estimates(64, np.empty((0, 16, 1), dtype=np.uint64)) == []
 
 
 def test_flat_norm_estimates_python_int_fallback(monkeypatch):
@@ -170,7 +169,7 @@ def test_flat_norm_estimates_python_int_fallback(monkeypatch):
     dots = []
     real_dot = mapi._dot
     monkeypatch.setattr(mapi, "_dot", lambda a, b: dots.append(1) or real_dot(a, b))
-    assert mapi.flat_norm_sq_estimates(119, words) == expected
+    assert mapi.flat_norm_sq_estimates(119, np.stack(words)) == expected
     assert len(dots) == 4  # each norm summed with Python ints
 
 

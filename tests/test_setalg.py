@@ -57,6 +57,8 @@ def test_universe_mismatch():
 
 
 def test_validation():
+    with pytest.raises(ValueError, match="universe size d must be an integer, got True"):
+        SymbolSet(np.True_)
     with pytest.raises(ValueError):
         SymbolSet(4, {4: 1})  # id out of range
     with pytest.raises(ValueError):
