@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, same_codebook
 from .setalg import SymbolSet, require_flat
 
 
@@ -37,6 +37,7 @@ class BloomBundle:
     codebook: Codebook
 
     def __post_init__(self):
+        self.codebook.require("sparse-binary-trials", "bloom")
         pos = np.asarray(self.positions)
         if pos.ndim != 1 or pos.size and not np.issubdtype(pos.dtype, np.integer):
             raise ValueError("bloom positions must be a 1-D integer array")
@@ -66,11 +67,8 @@ class BloomBundle:
 
 def bundle_bloom(cb: Codebook, v: SymbolSet) -> BloomBundle:
     """min(1, B v): the union of the atomic sparse columns. Idempotent re-adds."""
-    if cb.kind != "sparse-binary-trials":
-        raise ValueError(f"bloom requires a sparse-binary-trials codebook, got {cb.kind!r}")
+    cb.require("sparse-binary-trials", "bloom", v.d)
     require_flat(v)
-    if v.d != cb.d:
-        raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
     return BloomBundle(cb.union_indices(list(v.entries)), cb)
 
 
@@ -108,7 +106,6 @@ def intersection_estimate(b1: BloomBundle, b2: BloomBundle) -> float:
 
     The dot product of two 0/1 filters is the number of positions they share.
     """
-    if b1.codebook != b2.codebook:
-        raise ValueError("bundles come from different codebooks")
+    same_codebook(b1, b2, "bloom")
     dot = np.intersect1d(b1.positions, b2.positions, assume_unique=True).size
     return h_mk(b1.m, b1.codebook.k, dot)

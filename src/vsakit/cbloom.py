@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, same_codebook
 from .setalg import SymbolSet
 
 
@@ -42,6 +42,7 @@ class CountBundle:
     codebook: Codebook
 
     def __post_init__(self):
+        self.codebook.require("sparse-binary-exact", "counting bloom")
         counts = self.counts
         if not (type(counts) is np.ndarray and counts.dtype == np.int64 and counts.flags.owndata
                 and counts.flags.c_contiguous and not counts.flags.writeable):
@@ -81,12 +82,9 @@ def bundle_counts(cb: Codebook, sets: Sequence[SymbolSet]) -> list[CountBundle]:
     so its rows are a slice; a later set picks its rows by position. Each set
     gets its own dense counts, exactly as a gather of its ids alone gives.
     """
-    if cb.kind != "sparse-binary-exact":
-        raise ValueError(f"counting bloom requires a sparse-binary-exact codebook, got {cb.kind!r}")
     ids = {}  # the union of the sets' ids as keys, the first set's ids first
     for v in sets:
-        if v.d != cb.d:
-            raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
+        cb.require("sparse-binary-exact", "counting bloom", v.d)
         l1 = v.l1()
         if l1 >= 2**63:  # a column's rows are distinct, so every count is at most ||v||_1
             raise ValueError(f"counting bloom needs ||v||_1 below 2**63, got {l1}")
@@ -107,8 +105,7 @@ def bundle_counts(cb: Codebook, sets: Sequence[SymbolSet]) -> list[CountBundle]:
 
 def generalized_intersection_estimate(b1: CountBundle, b2: CountBundle) -> float:
     """(1/k) sum_i min(x_i, y_i); >= v wedgedot w for every seed."""
-    if b1.codebook != b2.codebook:
-        raise ValueError("bundles come from different codebooks")
+    same_codebook(b1, b2, "counting bloom")
     return _total(np.minimum(b1.counts, b2.counts)) / b1.codebook.k
 
 

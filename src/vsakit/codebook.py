@@ -6,6 +6,11 @@ raw-word stream (see :mod:`vsakit.rng`), so any column can be regenerated in
 isolation, and generating a block of columns gives bit-identical results to
 generating each column alone.
 
+A codebook fits only a use of its kind and universe, and two bundles
+compose only on one codebook: ``Codebook.require`` and ``same_codebook``
+decide both for every encoder, bundle, pair estimator and accessor, and
+refuse a misfit with a ValueError naming the user.
+
 Every accessor that takes ids runs one gather, which draws for a stack of
 seeds, one row of ids per seed; the one-seed accessors take a 1-D row.
 Ids are integers or whole floats: a bool, a string or a fraction raises a
@@ -16,14 +21,13 @@ between, ``(span - n) * words per column``, are at most
 ``_WORDS_PER_CALL`` (800) per window draw saved (n - 1 of them), and one
 window per column otherwise. So small dense columns (4 drawn words each)
 gather scattered ids in one draw, while large-k Bloom columns (484 words
-each) stay per-column. Which way the words were drawn never shows.
+each) stay per-column. Which way the words were drawn never shows: a caller
+sizing a batch reads ``window_words(n)``, the most n ids can draw.
 
-A cell of trials uses one codebook per trial seed, and those codebooks
-differ only in their seed. So one codebook, checked once, serves as the
-template: ``with_seed`` copies it under another seed without checking or
-folding anything again, and ``sign_words_across`` gathers the columns of
-a stack of seeds in one call, with one row index and one mask. The caller
-decides how many seeds a stack holds; the harness keeps that to one budget.
+A cell's codebooks differ only in their trial seed, so one codebook,
+checked once, is a template: ``with_seed`` copies it under another seed,
+checking and folding nothing again, and ``sign_words_across`` gathers the
+columns of a stack of seeds in one call, with one row index and one mask.
 
 Each representation has one batched accessor, and one column is its one-id
 case. ``sign_words`` gives dense-sign columns as their packed signs (bit i
@@ -145,11 +149,23 @@ class Codebook:
                              f"this library implements {rng.RNG_VERSION!r}")
         return cls(**obj)
 
+    def require(self, kind: str, user: str, d: int | None = None) -> None:
+        """Refuse ``user`` this codebook unless it is of ``kind`` and, given ``d``, over [d]."""
+        if self.kind != kind:
+            raise ValueError(f"{user} requires a {kind} codebook, got {self.kind!r}")
+        if d is not None and d != self.d:
+            raise ValueError(f"{user}: universe {d} != codebook universe {self.d}")
+
     # -- raw stream layout ------------------------------------------------
 
     def _column_words(self, j0: int, count: int) -> np.ndarray:
         return rng.keyed_words(self.seed, self._sid, j0 * self._blocks_per_column,
                                count * 4 * self._blocks_per_column)
+
+    def window_words(self, n: int) -> int:
+        """The most raw words one seed's gather of n ids can draw: its widest window in [d]."""
+        drawn = 4 * self._blocks_per_column
+        return drawn * min(self.d, max(0, n + _WORDS_PER_CALL * (n - 1) // drawn))
 
     # -- column access -----------------------------------------------------
 
@@ -200,7 +216,7 @@ class Codebook:
             for low, high in zip(lo, hi):
                 self._check_symbol(low)
                 self._check_symbol(high)
-        widest = n + _WORDS_PER_CALL * (n - 1) // drawn  # the widest span one window pays for
+        widest = self.window_words(n) // drawn  # the widest span one window pays for
         windows, offsets, apart, total = [], [], [], 0
         for s, (seed, low, high) in enumerate(zip(seeds, lo, hi)):
             span = high - low + 1
@@ -235,8 +251,7 @@ class Codebook:
 
     def sign_matrix(self, j0: int, j1: int) -> np.ndarray:
         """Columns [j0, j1) of a dense-sign codebook as an (m, n) int8 array."""
-        if self.kind != "dense-sign":
-            raise ValueError("sign_matrix requires a dense-sign codebook")
+        self.require("dense-sign", "sign_matrix")
         if not 0 <= j0 <= j1 <= self.d:
             raise IndexError("column range out of bounds")
         if j0 == j1:
@@ -249,8 +264,7 @@ class Codebook:
         Bit i (word i // 64, bit i % 64) is set where entry i is +1; the bits
         past m, random in the raw window, are cleared.
         """
-        if self.kind != "dense-sign":
-            raise ValueError("sign_words requires a dense-sign codebook")
+        self.require("dense-sign", "sign_words")
         return self._packed(self._one_seed(ids))
 
     def sign_words_across(self, seeds, ids) -> np.ndarray:
@@ -261,8 +275,7 @@ class Codebook:
         bit for bit: both are one gather, this one over many seeds. Every id
         is checked before any draw, raising the first bad seed's error.
         """
-        if self.kind != "dense-sign":
-            raise ValueError("sign_words_across requires a dense-sign codebook")
+        self.require("dense-sign", "sign_words_across")
         seeds = list(seeds)
         ids = self._symbol_ids(ids)
         if ids.ndim != 2 or len(ids) != len(seeds):
@@ -276,8 +289,7 @@ class Codebook:
         The requested columns' words are gathered first and unpacked in one
         ``signs_from_words`` call.
         """
-        if self.kind != "dense-sign":
-            raise ValueError("sign_columns requires a dense-sign codebook")
+        self.require("dense-sign", "sign_columns")
         ids = self._symbol_ids(ids)
         raw = self._one_seed(ids)
         if ids.size == 0:
@@ -297,8 +309,7 @@ class Codebook:
         All columns' draws come from one gather and one ``bounded_from_words``
         call; duplicates collapse by sort plus an adjacent-difference mask.
         """
-        if self.kind != "sparse-binary-trials":
-            raise ValueError("union_indices requires a sparse-binary-trials codebook")
+        self.require("sparse-binary-trials", "union_indices")
         words = self._one_seed(ids)[:, : self.k]
         if len(words) == 0:
             return np.empty(0, dtype=np.int64)
@@ -311,8 +322,13 @@ class Codebook:
         Row r holds the k distinct indices of column ``ids[r]``, sorted. All
         columns come from one gather and one ``rng.choose_distinct_rows`` call.
         """
-        if self.kind != "sparse-binary-exact":
-            raise ValueError("exact_indices requires a sparse-binary-exact codebook")
+        self.require("sparse-binary-exact", "exact_indices")
         rows = rng.choose_distinct_rows(self._one_seed(ids), self.m, self.k)
         rows.sort(axis=1)
         return rows
+
+
+def same_codebook(b1, b2, user: str) -> None:
+    """Refuse ``user`` two bundles built on different codebooks: their estimate would be noise."""
+    if b1.codebook != b2.codebook:
+        raise ValueError(f"{user}: bundles come from different codebooks")

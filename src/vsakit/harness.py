@@ -16,8 +16,9 @@ makes (``Codebook.sign_words_across``), and Counting Bloom and Hopfield±
 give each seed a copy that differs only in its seed (``Codebook.with_seed``).
 How many of a cell's seeds are held at once is decided here alone: one
 budget, ``_CHUNK_BYTES``, slices the seed list (``_chunks``) for the
-instance draws and for MAP-I ``norm``, and the codebook and the MAP-I
-kernel take each slice whole. Slicing never changes a result.
+instance draws and for MAP-I ``norm`` (n*m bits and ``window_words`` a
+seed); the codebook and the MAP-I kernel take each slice whole, and
+slicing never changes a result.
 One aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 
@@ -254,14 +255,14 @@ def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
     the n-sets come from ``_draw_subsets``, ``Codebook.sign_words_across``
     gathers each seed's columns under that seed, and
     ``mapi.flat_norm_sq_estimates`` bundles and measures the whole stack. A
-    seed holds n*m bytes of unpacked bits and at most d columns of window
-    words. When n = d the set is all of [d] whatever the words say, and a
-    bundle is an integer sum over its columns, so no set is drawn and every
-    seed gathers ``range(d)``.
+    seed holds n*m bytes of unpacked bits and the most window words that its
+    gather can draw. When n = d the set is all of [d] whatever the words
+    say, and a bundle is an integer sum over its columns, so no set is drawn
+    and every seed gathers ``range(d)``.
     """
     m, n, d, eps = _params(cell, "m", "n", "d", "eps")
     template = Codebook("dense-sign", m, d, scaled=True)
-    per_seed = n * m + 8 * 4 * template._blocks_per_column * d  # 4 words a block
+    per_seed = n * m + 8 * template.window_words(n)
     estimates: list[float] = []
     for chunk in _chunks(seeds, per_seed):
         if n == d:

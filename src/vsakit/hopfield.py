@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng
-from .codebook import Codebook
+from .codebook import Codebook, same_codebook
 from .setalg import integral
 
 
@@ -178,6 +178,7 @@ class HpmBundle:
     d_seed: int
 
     def __post_init__(self):
+        self.codebook.require("dense-sign", "Hopfield±")
         m = self.codebook.m
         mat = self.matrix
         if np.shape(mat) != (m, m):
@@ -204,15 +205,18 @@ def _diag_vector(V, d: int) -> np.ndarray:
         out = np.zeros(d, dtype=np.float64)
         for sym, w in V.items():
             j = int(sym)
-            if j != sym:
+            if j != sym or isinstance(sym, (bool, np.bool_)):
                 raise ValueError(f"diagonal index {sym!r} is not an integer")
             if not 0 <= j < d:
                 raise ValueError(f"diagonal index {sym} outside universe [0, {d})")
             out[j] = w
-        return out
-    out = np.asarray(V, dtype=np.float64)
-    if out.shape != (d,):
-        raise ValueError(f"diagonal weights must have length d={d}")
+    else:
+        out = np.asarray(V, dtype=np.float64)
+        if out.shape != (d,):
+            raise ValueError(f"diagonal weights must have length d={d}")
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"diagonal weight at index {bad[0]} is not finite: {out[bad[0]]}")
     return out
 
 
@@ -224,7 +228,8 @@ def _hpm_matrix(cb: Codebook, V, d_seed: int, out: np.ndarray | None = None) -> 
     Into such an ``out`` the matmul makes the same BLAS call as into a
     fresh array, so every float bit is the same either way.
     """
-    if cb.kind != "dense-sign" or not cb.scaled:
+    cb.require("dense-sign", "Hopfield±")
+    if not cb.scaled:
         raise ValueError("Hopfield± requires a scaled dense-sign codebook")
     v = _diag_vector(V, cb.d)
     support = np.flatnonzero(v)
@@ -251,13 +256,6 @@ def hpm_encode(cb: Codebook, V, d_seed: int) -> HpmBundle:
     return HpmBundle(mat, cb, d_seed)
 
 
-def _require_hpm_pair(b1: HpmBundle, b2: HpmBundle) -> None:
-    if b1.codebook != b2.codebook:
-        raise ValueError("bundles come from different codebooks")
-    if b1.d_seed != b2.d_seed:
-        raise ValueError("bundles use different sign diagonals (d_seed mismatch)")
-
-
 def _sum_products(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
     """``float((a * b).sum())``, the products written into ``out``.
 
@@ -274,7 +272,9 @@ def hpm_norm_estimate(b: HpmBundle) -> float:
 
 def hpm_dot_estimate(b1: HpmBundle, b2: HpmBundle) -> float:
     """tr(M1 M2), estimating the Frobenius product tr(X Y)."""
-    _require_hpm_pair(b1, b2)
+    same_codebook(b1, b2, "Hopfield±")
+    if b1.d_seed != b2.d_seed:
+        raise ValueError("bundles use different sign diagonals (d_seed mismatch)")
     return _sum_products(b1.matrix, b2.matrix)  # tr(M1 M2) for symmetric M2
 
 

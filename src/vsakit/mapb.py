@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mapi, rng
-from .codebook import Codebook
+from .codebook import Codebook, same_codebook
 from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral, require_flat
 from .sizing import check_rates
@@ -77,7 +77,7 @@ class MapBBundle:
     codebook: Codebook
 
     def __post_init__(self):
-        _require_dense(self.codebook)
+        self.codebook.require("dense-sign", "MAP-B")
         m = self.m
         words = np.asarray(self.words)
         if words.dtype != np.uint64 or words.shape != (-(-m // 64),):
@@ -139,14 +139,9 @@ def _default_tie_seed(v: SymbolSet) -> int:
     return rng.stream_id("tie-default", *sorted(v.entries))
 
 
-def _require_dense(cb: Codebook) -> None:
-    if cb.kind != "dense-sign":
-        raise ValueError(f"MAP-B requires a dense-sign codebook, got {cb.kind!r}")
-
-
 def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapBBundle:
     """sign(S v) for a 0/1 set; zero coordinates get a seeded fair coin."""
-    _require_dense(cb)
+    cb.require("dense-sign", "MAP-B", v.d)
     require_flat(v)
     if tie_seed is None:
         tie_seed = _default_tie_seed(v)
@@ -157,9 +152,7 @@ def bundle_sequence_sign(
     cb: Codebook, seq: SequenceSpec, tie_seed: int | None = None
 ) -> MapBBundle:
     """sign(S_{R,L} v): one-shot thresholding of a rotation-encoded sequence."""
-    _require_dense(cb)
-    if seq.d != cb.d:
-        raise ValueError(f"sequence universe {seq.d} != codebook universe {cb.d}")
+    cb.require("dense-sign", "MAP-B", seq.d)
     for s in seq.sets:
         require_flat(s)
     if tie_seed is None:
@@ -172,9 +165,7 @@ def bundle_sequence_sign(
 
 def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None) -> MapBBundle:
     """sign(S^(2) v) over bound key-value pairs, each pair a 2-edge."""
-    _require_dense(cb)
-    if spec.d != cb.d:
-        raise ValueError(f"pair universe {spec.d} != codebook universe {cb.d}")
+    cb.require("dense-sign", "MAP-B", spec.d)
     if tie_seed is None:
         tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
     edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
@@ -189,7 +180,8 @@ def iterated_bundle(cb: Codebook, ids, tie_seed: int = 0) -> MapBBundle:
     packed signs: x <- (x & v) | ((x ^ v) & t), with t the step's coins. The
     fold runs over the rows of one ``sign_words`` gather.
     """
-    rows = cb.sign_words(ids)  # refuses a sparse codebook and out-of-range ids
+    cb.require("dense-sign", "MAP-B")
+    rows = cb.sign_words(ids)  # refuses out-of-range ids
     if rows.shape[0] == 0:
         raise ValueError("iterated_bundle needs at least one column")
     x = rows[0]
@@ -233,10 +225,7 @@ def membership_test(b: MapBBundle, j: int, delta: float) -> TestResult:
 def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> TestResult:
     """contained=True means the sets intersect (score cleared the threshold)."""
     check_rates(delta=delta)
-    if b1.m != b2.m:
-        raise ValueError("bundles have different dimensions")
-    if b1.codebook != b2.codebook:  # their scores would be noise
-        raise ValueError("bundles come from different codebooks")
+    same_codebook(b1, b2, "MAP-B")
     score = int(_scores(b1.words, b2.words, b1.m))
     tau = empty_intersection_threshold(b1.m, delta)
     return TestResult(score >= tau, score, tau)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, same_codebook
 from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
@@ -38,6 +38,7 @@ class MapIBundle:
     codebook: Codebook
 
     def __post_init__(self):
+        self.codebook.require("dense-sign", "MAP-I")
         ints = np.asarray(self.ints, dtype=np.int64).copy()
         if ints.shape != (self.codebook.m,):
             raise ValueError(f"MAP-I bundle of shape {ints.shape} does not hold "
@@ -53,16 +54,6 @@ class MapIBundle:
     def scaled(self) -> bool:
         """Whether estimators read the bundle as (1/sqrt(m)) S v: its codebook's view."""
         return self.codebook.scaled
-
-
-def _require_dense(cb: Codebook) -> None:
-    if cb.kind != "dense-sign":
-        raise ValueError(f"MAP-I requires a dense-sign codebook, got {cb.kind!r}")
-
-
-def _require_same(b1: MapIBundle, b2: MapIBundle) -> None:
-    if b1.codebook != b2.codebook:
-        raise ValueError("bundles come from different codebooks")
 
 
 def _signed_sums(words: np.ndarray, m: int, l1: int, weights: np.ndarray | None = None):
@@ -88,9 +79,7 @@ def _signed_sums(words: np.ndarray, m: int, l1: int, weights: np.ndarray | None 
 
 def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
     """S v: weighted sum of atomic columns. Linear in v."""
-    _require_dense(cb)
-    if v.d != cb.d:
-        raise ValueError(f"set universe {v.d} != codebook universe {cb.d}")
+    cb.require("dense-sign", "MAP-I", v.d)
     l1 = v.l1()
     if l1 >= 2**63:  # every sum and partial sum below is at most ||v||_1
         raise ValueError(f"MAP-I needs ||v||_1 below 2**63, got {l1}")
@@ -117,7 +106,7 @@ def flat_norm_sq_estimates(m: int, words: np.ndarray) -> list[float]:
 
 
 def add(b1: MapIBundle, b2: MapIBundle) -> MapIBundle:
-    _require_same(b1, b2)
+    same_codebook(b1, b2, "MAP-I")
     if _peak(b1.ints) + _peak(b2.ints) >= 2**63:  # the int64 sum could wrap
         raise ValueError("MAP-I sum needs max|a| + max|b| below 2**63")
     return MapIBundle(b1.ints + b2.ints, b1.codebook)
@@ -145,7 +134,7 @@ def _norms_sq(rows: np.ndarray) -> list[int]:
 
 def raw_dot(b1: MapIBundle, b2: MapIBundle) -> int:
     """Exact integer <S v, S w>; estimators divide by m."""
-    _require_same(b1, b2)
+    same_codebook(b1, b2, "MAP-I")
     return _dot(b1.ints, b2.ints)
 
 
@@ -172,9 +161,7 @@ def intersection_estimate(b1: MapIBundle, b2: MapIBundle) -> int:
 
 def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
     """sum_l R^l S v_(l): rotation-encoded sequence of sets."""
-    _require_dense(cb)
-    if seq.d != cb.d:
-        raise ValueError(f"sequence universe {seq.d} != codebook universe {cb.d}")
+    cb.require("dense-sign", "MAP-I", seq.d)
     total = seq.total_l1()
     if total >= 2**63:  # every partial sum of the R^l S v_l is at most the total
         raise ValueError(f"MAP-I needs the sequence's total ||v_l||_1 below 2**63, got {total}")
@@ -202,8 +189,6 @@ def bound_words(cb: Codebook, edges) -> np.ndarray:
 
 def encode_binding_bundle(cb: Codebook, spec: BindingBundleSpec) -> MapIBundle:
     """sum over edges of the Hadamard product of the edge's atomic columns."""
-    _require_dense(cb)
-    if spec.d != cb.d:
-        raise ValueError(f"edge universe {spec.d} != codebook universe {cb.d}")
-    edges = bound_words(cb, [tuple(edge) for edge in spec.edges])
+    cb.require("dense-sign", "MAP-I", spec.d)
+    edges = bound_words(cb, np.array([tuple(e) for e in spec.edges], dtype=np.int64))
     return MapIBundle(_signed_sums(edges, cb.m, spec.size), cb)

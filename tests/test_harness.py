@@ -387,8 +387,8 @@ def _set_chunk(monkeypatch, per_chunk, per_seed):
 
 
 def _mapi_norm_seed_bytes(m, n, d):
-    """What one seed of a MAP-I norm cell holds: n*m unpacked bits and windows over [d]."""
-    return n * m + 8 * 4 * Codebook("dense-sign", m, d)._blocks_per_column * d
+    """What one seed of a MAP-I norm cell holds: n*m unpacked bits and its gather's windows."""
+    return n * m + 8 * Codebook("dense-sign", m, d).window_words(n)
 
 
 def _count_kernel_calls(monkeypatch):

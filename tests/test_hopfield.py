@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -526,6 +527,27 @@ def test_hpm_bundle_rejects_wrong_shape():
     for shape in ((1, 64), (64,), (64, 63), (65, 65), (64, 64, 1)):
         with pytest.raises(ValueError, match=r"\(64, 64\)"):
             hopfield.HpmBundle(np.ones(shape), cb, 5)
+
+
+@pytest.mark.parametrize("key", [True, np.True_, False, np.False_])
+def test_hpm_encode_rejects_bool_symbol(key):
+    cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
+    message = f"diagonal index {re.escape(repr(key))} is not an integer"
+    with pytest.raises(ValueError, match=message):
+        hopfield.hpm_encode(cb, {key: 1.0}, d_seed=5)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_hpm_encode_rejects_non_finite_weight(weight):
+    cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
+    message = f"diagonal weight at index 3 is not finite: {weight}"
+    array = np.ones(8)
+    array[3] = weight
+    for V in ({1: 1.0, 3: weight}, array):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hopfield.hpm_encode(cb, V, d_seed=5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hopfield.hpm_estimates([(cb, {0: 1.0}, V, 5)])
 
 
 def test_hpm_encode_rejects_non_integral_symbol():

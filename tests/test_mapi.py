@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vsakit import mapi, rng, setalg, sizing
+from vsakit import codebook, mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
@@ -285,6 +285,18 @@ def test_binding_bundle_equals_python_product_reference(m, arity):
         packed = np.zeros((len(edges), 8 * -(-m // 64)), np.uint8)
         packed[:, : -(-m // 8)] = np.packbits(np.array(prods) > 0, axis=1, bitorder="little")
         assert np.array_equal(mapi.bound_words(cb, edges), packed.view("<u8"))
+
+
+def test_binding_bundle_reads_its_checked_edges_as_one_int_array(monkeypatch):
+    """A spec's edges are integers already, so no id goes through ``integral`` again."""
+    cb = Codebook("dense-sign", 119, 300, seed=1)
+    spec = BindingBundleSpec(300, frozenset(frozenset({i, i + 100}) for i in range(100)))
+    expect = mapi.encode_binding_bundle(cb, spec).ints
+    calls = []
+    real = codebook.integral
+    monkeypatch.setattr(codebook, "integral", lambda *args: calls.append(args) or real(*args))
+    assert np.array_equal(mapi.encode_binding_bundle(cb, spec).ints, expect)
+    assert calls == []
 
 
 def test_binding_norm_concentrates():
