@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, same_codebook
-from .setalg import SymbolSet, require_flat
+from .setalg import SymbolSet, integral, require_flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +84,12 @@ def h_mk(m: int, k: int, z: float) -> float:
     no information and the caller must resize. Uses log1p so the formula
     stays accurate for very large m.
     """
+    m, k = integral(m, "h_mk m"), integral(k, "h_mk k")
     if m < 2:
         raise ValueError("h_mk requires m >= 2")
     if k < 1:
         raise ValueError("h_mk requires k >= 1")
-    if z < 0:
+    if not z >= 0:  # nan too
         raise ValueError(f"overlap count must be nonnegative, got {z}")
     if z >= m:
         return math.inf

@@ -37,9 +37,8 @@ words of sparse-binary-trials columns to rows in one
 ``rng.bounded_from_words`` call and returns the sorted union;
 ``exact_indices`` draws every sparse-binary-exact column's k distinct rows
 in one ``rng.choose_distinct_rows`` call. Only Hopfield unpacks dense
-columns to +-1 entries: ``sign_matrix`` a range of them, and
-``sign_columns`` a gather, in one ``rng.signs_from_words`` call. The layout
-contract of ``sign_columns`` is Hopfield±'s: Fortran order when
+columns to +-1 entries, ``sign_columns`` in one ``rng.signs_from_words``
+call. Its layout contract is Hopfield±'s: Fortran order when
 ``max(ids) - min(ids) < 4 * len(ids) + 64`` and C order otherwise, because
 float products of its columns (``hopfield.hpm_encode``) round by layout and
 the experiment CSVs pin those bits.
@@ -49,7 +48,8 @@ Kinds
 One per codebook family the encodings use.
 
 ``dense-sign``
-    Columns uniform over {-1,+1}^m; MAP-I, MAP-B and Hopfield.
+    Columns uniform over {-1,+1}^m; MAP-I, MAP-B and Hopfield. No k, and the
+    one kind that may be ``scaled``: the 1/sqrt(m) view MAP-I and Hopfield± read.
 ``sparse-binary-trials``
     k uniform index draws with replacement, duplicates collapse; popcount
     in [1, k]; Bloom filters.
@@ -99,6 +99,8 @@ class Codebook:
             object.__setattr__(self, name, integral(getattr(self, name), f"codebook {name}"))
         if not isinstance(self.scaled, bool):
             raise ValueError(f"codebook scaled must be true or false, got {self.scaled!r}")
+        if self.scaled and self.kind != "dense-sign":
+            raise ValueError(f"{self.kind} takes no scaled view, got scaled=True")
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be positive")
         if self.kind in _SPARSE_KINDS:
@@ -157,10 +159,6 @@ class Codebook:
             raise ValueError(f"{user}: universe {d} != codebook universe {self.d}")
 
     # -- raw stream layout ------------------------------------------------
-
-    def _column_words(self, j0: int, count: int) -> np.ndarray:
-        return rng.keyed_words(self.seed, self._sid, j0 * self._blocks_per_column,
-                               count * 4 * self._blocks_per_column)
 
     def window_words(self, n: int) -> int:
         """The most raw words one seed's gather of n ids can draw: its widest window in [d]."""
@@ -248,15 +246,6 @@ class Codebook:
         if self.m % 64:
             words[..., -1] &= np.uint64((1 << self.m % 64) - 1)
         return words
-
-    def sign_matrix(self, j0: int, j1: int) -> np.ndarray:
-        """Columns [j0, j1) of a dense-sign codebook as an (m, n) int8 array."""
-        self.require("dense-sign", "sign_matrix")
-        if not 0 <= j0 <= j1 <= self.d:
-            raise IndexError("column range out of bounds")
-        if j0 == j1:
-            return np.empty((self.m, 0), dtype=np.int8)
-        return rng.signs_from_words(self._column_words(j0, j1 - j0), self.m, j1 - j0)
 
     def sign_words(self, ids) -> np.ndarray:
         """Dense-sign columns ``ids`` as packed signs, shape (len(ids), ceil(m/64)) uint64.

@@ -328,8 +328,10 @@ def _random_edges(seed: int, d: int, count: int, arity: int) -> setalg.BindingBu
     return setalg.BindingBundleSpec(d, frozenset(edges))
 
 
-def _trial_mapi_binding(cell: dict, seed: int) -> TrialOutcome:
+def _trial_mapi_binding(cell: dict, seed: int, pairs: bool) -> TrialOutcome:
     m, d, edges, arity = _params(cell, "m", "d", "E", arity=2)
+    if pairs and arity != 2:
+        raise ValueError(f"binding2 binds pairs, got arity {arity}; bindingK takes any arity")
     (eps,) = _params(cell, "eps")  # after arity: a cell bad in both reports arity
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     spec = _random_edges(seed, d, edges, arity)
@@ -483,9 +485,9 @@ def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]
 
 
 def _hopfield_net(cell: dict, seed: int) -> hopfield.HopfieldNet:
-    """The net trained on codebook columns 0..n-1, drawn as one (m, n) window."""
+    """The net trained on codebook columns 0..n-1, gathered as one (m, n) window."""
     m, n = _params(cell, "m", "n")
-    patterns = Codebook("dense-sign", m, n, seed=seed).sign_matrix(0, n)
+    patterns = Codebook("dense-sign", m, n, seed=seed).sign_columns(np.arange(n))
     return hopfield.HopfieldNet(patterns)
 
 
@@ -551,8 +553,8 @@ TASKS: dict[tuple[str, str], Callable[[dict, list[int]], list[TrialOutcome]]] = 
     ("mapi", "pairs"): _each(_trial_mapi_pairs),
     ("mapi", "sequence"): _each(_trial_mapi_sequence),
     ("mapi", "sequence-symbols"): _each(_trial_mapi_sequence_symbols),
-    ("mapi", "binding2"): _each(_trial_mapi_binding),
-    ("mapi", "bindingK"): _each(_trial_mapi_binding),
+    ("mapi", "binding2"): _each(partial(_trial_mapi_binding, pairs=True)),
+    ("mapi", "bindingK"): _each(partial(_trial_mapi_binding, pairs=False)),
     ("mapb", "member"): _each(_trial_mapb_member),
     ("mapb", "sequence-member"): _each(_trial_mapb_sequence_member),
     ("mapb", "kv-member"): _each(_trial_mapb_kv_member),

@@ -209,11 +209,16 @@ def _diag_vector(V, d: int) -> np.ndarray:
                 raise ValueError(f"diagonal index {sym!r} is not an integer")
             if not 0 <= j < d:
                 raise ValueError(f"diagonal index {sym} outside universe [0, {d})")
+            if isinstance(w, (bool, np.bool_)):  # float() would take it as 0 or 1
+                raise ValueError(f"diagonal weight at index {j} is a bool, not a number")
             out[j] = w
     else:
-        out = np.asarray(V, dtype=np.float64)
+        out = np.asarray(V)
         if out.shape != (d,):
             raise ValueError(f"diagonal weights must have length d={d}")
+        if out.dtype == bool:
+            raise ValueError("diagonal weight at index 0 is a bool, not a number")
+        out = out.astype(np.float64, copy=False)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ValueError(f"diagonal weight at index {bad[0]} is not finite: {out[bad[0]]}")

@@ -143,8 +143,7 @@ def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapB
     """sign(S v) for a 0/1 set; zero coordinates get a seeded fair coin."""
     cb.require("dense-sign", "MAP-B", v.d)
     require_flat(v)
-    if tie_seed is None:
-        tie_seed = _default_tie_seed(v)
+    tie_seed = _default_tie_seed(v) if tie_seed is None else integral(tie_seed, "tie_seed")
     return MapBBundle(_threshold(mapi.bundle(cb, v).ints, cb.seed, tie_seed), cb)
 
 
@@ -156,9 +155,8 @@ def bundle_sequence_sign(
     for s in seq.sets:
         require_flat(s)
     if tie_seed is None:
-        tie_seed = rng.stream_id(
-            "tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries))
-        )
+        tie_seed = rng.stream_id("tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries)))
+    tie_seed = integral(tie_seed, "tie_seed")
     words = _threshold(mapi.encode_sequence(cb, seq).ints, cb.seed, tie_seed)
     return MapBBundle(words, cb)
 
@@ -168,6 +166,7 @@ def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None
     cb.require("dense-sign", "MAP-B", spec.d)
     if tie_seed is None:
         tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
+    tie_seed = integral(tie_seed, "tie_seed")
     edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
     words = _threshold(mapi.encode_binding_bundle(cb, edges).ints, cb.seed, tie_seed)
     return MapBBundle(words, cb)
@@ -181,6 +180,7 @@ def iterated_bundle(cb: Codebook, ids, tie_seed: int = 0) -> MapBBundle:
     fold runs over the rows of one ``sign_words`` gather.
     """
     cb.require("dense-sign", "MAP-B")
+    tie_seed = integral(tie_seed, "tie_seed")
     rows = cb.sign_words(ids)  # refuses out-of-range ids
     if rows.shape[0] == 0:
         raise ValueError("iterated_bundle needs at least one column")

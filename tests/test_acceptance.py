@@ -15,6 +15,8 @@ from vsakit.codebook import Codebook
 from vsakit.hypervector import rotate
 from vsakit.setalg import SymbolSet
 
+from raw_columns import sign_matrix
+
 
 def report(cid: str, name: str, ok: bool, detail: str = "") -> None:
     line = f"ACCEPTANCE {cid} {name}: {'PASS' if ok else 'FAIL'}"
@@ -62,7 +64,7 @@ def test_c01_exact_algebra():
     # Hopfield zero diagonal and symmetry
     for seed in range(25):
         cb = Codebook("dense-sign", 40, 6, seed=seed)
-        net = hopfield.train([cb.sign_matrix(j, j + 1)[:, 0] for j in range(6)])
+        net = hopfield.train([sign_matrix(cb, j, j + 1)[:, 0] for j in range(6)])
         ok &= not net.weights.diagonal().any()
         ok &= np.array_equal(net.weights, net.weights.T)
     # rotation group laws
@@ -113,7 +115,7 @@ def test_c04_mapi_exact_intersection_rounding():
     for rep in range(replicates):
         seed = rng.stream_id("c4", rep)
         cb = Codebook("dense-sign", sized.m, d, seed=seed, scaled=True)
-        cols = cb.sign_matrix(0, d).astype(np.int64)
+        cols = sign_matrix(cb, 0, d).astype(np.int64)
         all_exact = True
         for p in range(pairs):
             overlap = p % 9  # |X| = |Y| = 8, so ||v||_1 ||w||_1 = 64 <= N
@@ -166,7 +168,7 @@ def test_c05b_mapb_membership_classification():
         cb = Codebook("dense-sign", sized.m, d, seed=seed)
         stored = rng.choose_distinct(rng.Stream(seed, "set").words(0, n), d, n)
         b = mapb.bundle_sign(cb, SymbolSet.from_ids(d, stored.tolist()), tie_seed=seed)
-        scores = b.signs.astype(np.int64) @ cb.sign_matrix(0, d).astype(np.int64)
+        scores = b.signs.astype(np.int64) @ sign_matrix(cb, 0, d).astype(np.int64)
         decisions = scores >= tau
         truth = np.zeros(d, dtype=bool)
         truth[stored] = True
@@ -209,7 +211,7 @@ def test_c07_hopfield_capacity():
     for t in range(trials):
         seed = rng.stream_id("c7", t)
         cb = Codebook("dense-sign", m, n, seed=seed)
-        patterns = [cb.sign_matrix(j, j + 1)[:, 0] for j in range(n)]
+        patterns = [sign_matrix(cb, j, j + 1)[:, 0] for j in range(n)]
         net = hopfield.train(patterns)
         fixed += all(np.array_equal(hopfield.recall_step(net, p), p) for p in patterns)
         probe = hopfield.corrupt(patterns[0], m // 2, 0, seed=seed)

@@ -66,6 +66,19 @@ def test_h_mk_saturation_and_validation():
         bloom.h_mk(64, 0, 0)
 
 
+def test_h_mk_reads_integer_sizes_and_refuses_a_nan_count():
+    for m, k, message in ((2.5, 1, "h_mk m must be an integer, got 2.5"),
+                          (100, 1.5, "h_mk k must be an integer, got 1.5"),
+                          (True, 1, "h_mk m must be an integer, got True"),
+                          (100, np.True_, "h_mk k must be an integer, got True"),
+                          (math.nan, 1, "h_mk m must be an integer, got nan")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bloom.h_mk(m, k, 1)
+    with pytest.raises(ValueError, match="^overlap count must be nonnegative, got nan$"):
+        bloom.h_mk(100, 1, math.nan)
+    assert bloom.h_mk(100.0, np.int64(3), 7) == bloom.h_mk(100, 3, 7)
+
+
 def test_bundle_is_or_of_atomic_columns():
     cb = Codebook("sparse-binary-trials", 128, 20, k=5, seed=3)
     v = SymbolSet.from_ids(20, [2, 7, 11])

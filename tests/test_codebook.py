@@ -11,28 +11,30 @@ from vsakit.codebook import Codebook
 from vsakit.hypervector import rotate
 from vsakit.setalg import SymbolSet
 
+from raw_columns import column_words, sign_matrix
+
 
 def test_dense_sign_columns_are_signs():
     cb = Codebook("dense-sign", 4, 10, seed=3)
     for j in range(10):
-        assert set(np.unique(cb.sign_matrix(j, j + 1)[:, 0])) <= {-1, 1}
+        assert set(np.unique(cb.sign_columns([j])[:, 0])) <= {-1, 1}
 
 
 def test_column_out_of_range():
     cb = Codebook("dense-sign", 4, 10, seed=3)
     with pytest.raises(IndexError):
-        cb.sign_matrix(10, 11)[:, 0]
+        cb.sign_columns([10])
     with pytest.raises(IndexError):
-        cb.sign_matrix(-1, 0)[:, 0]
+        cb.sign_columns([-1])
 
 
 def test_column_determinism_against_block_generation():
-    # single-column regeneration equals extraction from full-matrix generation
+    # extraction from a full-matrix gather equals the column read alone from the raw stream
     for trial in range(1000):
         seed = rng.mix64(trial)
         j = trial % 50
         cb = Codebook("dense-sign", 96, 50, seed=seed)
-        assert np.array_equal(cb.sign_matrix(0, 50)[:, j], cb.sign_matrix(j, j + 1)[:, 0])
+        assert np.array_equal(cb.sign_columns(range(50))[:, j], sign_matrix(cb, j, j + 1)[:, 0])
 
 
 def test_sparse_block_vs_single_column():
@@ -71,7 +73,7 @@ def test_empirical_near_orthogonality_dense():
     # |<scaled_i, scaled_j>| <= 5/sqrt(m) for >= 99% of 1000 random pairs
     m = 10_000
     cb = Codebook("dense-sign", m, 2000, seed=77)
-    cols = cb.sign_matrix(0, 2000).astype(np.int64)
+    cols = cb.sign_columns(range(2000)).astype(np.int64)
     ok = 0
     for t in range(1000):
         i, j = (2 * t) % 2000, (2 * t + 1) % 2000
@@ -99,9 +101,10 @@ def test_rotate_examples():
 
 
 def test_codebook_json_round_trip():
-    cb = Codebook("sparse-binary-trials", 32, 10, k=4, seed=123, scaled=True)
-    assert Codebook.from_json(cb.to_json()) == cb
-    assert '"rng_version"' in cb.to_json()
+    for cb in (Codebook("sparse-binary-trials", 32, 10, k=4, seed=123),
+               Codebook("dense-sign", 32, 10, seed=123, scaled=True)):
+        assert Codebook.from_json(cb.to_json()) == cb
+        assert '"rng_version"' in cb.to_json()
 
 
 def test_codebook_validation():
@@ -141,7 +144,7 @@ def test_sign_columns_equal_stacked_single_columns(ids):
         cb = Codebook("dense-sign", m, 1000, seed=m)
         got = cb.sign_columns(ids)
         assert got.dtype == np.int8
-        assert np.array_equal(got, np.stack([cb.sign_matrix(j, j + 1)[:, 0] for j in ids], axis=1))
+        assert np.array_equal(got, np.stack([sign_matrix(cb, j, j + 1)[:, 0] for j in ids], axis=1))
         # sign_words: the same signs packed, +1 -> bit set, bits past m clear
         words = cb.sign_words(ids)
         assert words.dtype == np.uint64 and words.shape == (len(ids), -(-m // 64))
@@ -170,7 +173,7 @@ def test_gathers_equal_stacked_single_column_windows(monkeypatch, kind, m, k, si
     lo = 5
     ids = [lo + span - 1, lo, lo + span // 2, lo]  # unsorted, with a duplicate
     cb = Codebook(kind, m, lo + span + 3, k=k, seed=m + (k or 0))
-    singles = [cb._column_words(j, 1) for j in ids]
+    singles = [column_words(cb, j, j + 1)[0] for j in ids]
 
     calls = []
     keyed = rng.keyed_words
@@ -195,7 +198,7 @@ def test_exact_indices_kind_and_empty():
     assert cb.exact_indices([]).shape == (0, 6)
     got = cb.exact_indices(list(range(10)))
     for j in range(10):
-        expected = np.sort(rng.choose_distinct(cb._column_words(j, 1)[:6], 50, 6))
+        expected = np.sort(rng.choose_distinct(column_words(cb, j, j + 1)[0][:6], 50, 6))
         assert np.array_equal(got[j], expected)
         assert np.array_equal(cb.exact_indices([j])[0], expected)
     with pytest.raises(IndexError):
@@ -235,7 +238,7 @@ def test_concurrent_reads_equal_serial():
 
     def read(i):
         j = (37 * i) % 500
-        return (dense.sign_matrix(j, j + 1)[:, 0], dense.sign_columns(picks[i % 3]),
+        return (dense.sign_words([j]), dense.sign_columns(picks[i % 3]),
                 sparse.exact_indices([j])[0], rng.Stream(i, "fresh").words(i, 5))
 
     serial = [read(i) for i in range(200)]
@@ -282,7 +285,7 @@ def test_seed_copy_equals_a_fresh_codebook(kind, m, d, k, scaled, seed):
             a, b = copy.sign_columns(ids), fresh.sign_columns(ids)
             assert np.array_equal(a, b) and a.strides == b.strides  # Hopfield± rounds by layout
             assert a.flags["F_CONTIGUOUS"] == b.flags["F_CONTIGUOUS"]
-            assert np.array_equal(copy.sign_matrix(2, 6), fresh.sign_matrix(2, 6))
+            assert np.array_equal(copy.sign_columns(range(2, 6)), sign_matrix(fresh, 2, 6))
         elif kind == "sparse-binary-trials":
             assert np.array_equal(copy.union_indices(ids), fresh.union_indices(ids))
         else:
@@ -464,3 +467,53 @@ def test_one_function_holds_the_window_rule():
                or isinstance(node, ast.Name) and node.id == "Stream"
                or isinstance(node, ast.alias) and node.name == "Stream"]
     assert streams == [], f"codebook.py names rng.Stream at lines {streams}"
+
+
+#: (m, d, j0, j1): each m with each kind of range, in a universe that cycles over five sizes.
+_RANGES = {"full": lambda d: (0, d), "empty": lambda d: (d // 2, d // 2),
+           "first": lambda d: (0, 1), "inner": lambda d: (d // 3, max(d // 3 + 1, 2 * d // 3)),
+           "last": lambda d: (d - 1, d)}
+_RANGE_GRID = [(m, d, *span(d))
+               for i, m in enumerate((1, 7, 63, 64, 65, 128, 200, 651, 1365, 4000))
+               for r, span in enumerate(_RANGES.values())
+               for d in [(1, 2, 16, 64, 300)[(i + r) % 5]]]
+
+
+@pytest.mark.parametrize("m, d, j0, j1", _RANGE_GRID)
+def test_sign_columns_of_a_range_equal_the_raw_stream_reference(m, d, j0, j1):
+    cb = Codebook("dense-sign", m, d, seed=m * 1000 + d)
+    got, expected = cb.sign_columns(range(j0, j1)), sign_matrix(cb, j0, j1)
+    assert got.dtype == expected.dtype == np.int8 and got.shape == expected.shape == (m, j1 - j0)
+    assert np.array_equal(got, expected)
+    assert got.strides == expected.strides and got.flags["F_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("kind", ["sparse-binary-trials", "sparse-binary-exact"])
+def test_sparse_kinds_refuse_a_scaled_view(kind):
+    message = f"{kind} takes no scaled view, got scaled=True"
+    obj = json.loads(Codebook(kind, 64, 8, k=3, seed=1).to_json())
+    assert obj["scaled"] is False and Codebook.from_json(json.dumps(obj)).scaled is False
+    for make in (lambda: Codebook(kind, 64, 8, k=3, seed=1, scaled=True),
+                 lambda: Codebook.from_json(json.dumps({**obj, "scaled": True}))):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == message
+
+
+def _names(tree, *names):
+    """Lines at which ``tree`` names one of ``names``: a use, an attribute, a def or an import."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if any(getattr(node, field, None) in names for field in ("attr", "name", "id")))
+
+
+def test_one_gather_draws_and_no_range_accessor_remains():
+    """In ``codebook.py`` only ``_gather`` draws (``rng.keyed_words``), and no module keeps
+    the range accessor ``sign_matrix`` or its ``_column_words``."""
+    tree = ast.parse(Path(codebook.__file__).read_text(encoding="utf-8"))
+    gather = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_gather")
+    assert _names(tree, "keyed_words") == _names(gather, "keyed_words") != []
+    named = {path.name: _names(ast.parse(path.read_text(encoding="utf-8")),
+                               "sign_matrix", "_column_words")
+             for path in Path(codebook.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in named.items() if lines} == {}

@@ -25,8 +25,10 @@ _OTHER = {"dense-sign": "sparse-binary-exact", "sparse-binary-trials": "sparse-b
 
 
 def _cb(kind, seed=1, m=64):
-    """A scaled codebook of ``kind`` over [D]; scaled is what Hopfield± asks of a dense one."""
-    return Codebook(kind, m, D, k=None if kind == "dense-sign" else 3, seed=seed, scaled=True)
+    """A codebook of ``kind`` over [D]: scaled if dense, as Hopfield± asks, else of k=3."""
+    if kind == "dense-sign":
+        return Codebook(kind, m, D, seed=seed, scaled=True)
+    return Codebook(kind, m, D, k=3, seed=seed)
 
 
 def _set(d):
@@ -90,7 +92,6 @@ PAIRS = {
 
 # (kind, read(cb)): each Codebook accessor.
 ACCESSORS = {
-    "sign_matrix": ("dense-sign", lambda cb: cb.sign_matrix(0, 1)),
     "sign_words": ("dense-sign", lambda cb: cb.sign_words([1])),
     "sign_words_across": ("dense-sign", lambda cb: cb.sign_words_across([0], [[1]])),
     "sign_columns": ("dense-sign", lambda cb: cb.sign_columns([1])),
@@ -154,8 +155,9 @@ def test_bundle_reader_refuses_a_bundle_built_on_a_codebook_of_another_kind(arch
     user, kind, _ = BUNDLES[serialize.ARCHS[arch].bundle.__name__]
     data = serialize.bundle_to_bytes(serialize.ARCHS[arch].encode(_cb(kind), _set(D)))
     wrong = _cb(_OTHER[kind])
-    end = serialize._HEADER.size
-    data = data[: end - 32] + serialize.codebook_hash(wrong) + data[end:]
+    end = serialize._HEADER.size  # the header names ``wrong``: its scaled flag and its hash
+    head = data[:7] + bytes([wrong.scaled]) + data[8 : end - 32] + serialize.codebook_hash(wrong)
+    data = head + data[end:]
     with pytest.raises(ValueError, match=_wrong_kind(user, kind, wrong.kind)):
         serialize.bundle_from_bytes(data, wrong)
 

@@ -189,6 +189,24 @@ def test_uncastable_cell_value_is_an_error_row(arch, task, grid, message):
     assert row[harness.COLUMNS.index("error")] == message
 
 
+def test_binding2_binds_pairs_only():
+    """binding2 refuses any arity but 2, naming bindingK, before it reads eps."""
+    def error(task, arity, eps=0.5):
+        config = small_config(task=task, grid={**_BINDING, "arity": [arity], "eps": [eps]},
+                              trials=2)
+        row = next(csv.reader(io.StringIO(harness.run(config)[0].splitlines()[1])))
+        return row[harness.COLUMNS.index("error")]
+
+    for arity, eps in ((3, 0.5), (1, 0.5), (0, 0.5), (3, -1.0)):
+        assert error("binding2", arity, eps) == (f"binding2 binds pairs, got arity {arity}; "
+                                                 f"bindingK takes any arity")
+    assert error("binding2", 2) == error("bindingK", 3) == ""
+    assert error("binding2", 2, -1.0) == "eps must be positive and finite, got -1.0"
+    with pytest.raises(ValueError, match="binding2 binds pairs, got arity 3"):
+        harness.run_trials("mapi", "binding2", {"m": 64, "d": 32, "E": 2, "eps": 0.5,
+                                                "arity": 3}, [5])
+
+
 #: One valid cell of every task that reads a rate, eps or delta.
 _RATE_CELLS = {
     ("mapi", "norm"): {"m": 64, "n": 3, "d": 32, "eps": 0.5},

@@ -11,13 +11,15 @@ import pytest
 from vsakit import hopfield, sizing
 from vsakit.codebook import Codebook
 
+from raw_columns import sign_matrix
+
 
 def sign_hv(*vals):
     return np.array(vals, dtype=np.int8)
 
 
 def patterns_from(cb, n):
-    return [cb.sign_matrix(j, j + 1)[:, 0] for j in range(n)]
+    return [sign_matrix(cb, j, j + 1)[:, 0] for j in range(n)]
 
 
 def test_train_single_pattern():
@@ -71,7 +73,7 @@ def test_recall_is_deterministic():
 
 def test_corrupt_counting_identity():
     cb = Codebook("dense-sign", 128, 2, seed=4)
-    x = cb.sign_matrix(0, 1)[:, 0]
+    x = sign_matrix(cb, 0, 1)[:, 0]
     for e, f in ((0, 0), (10, 0), (0, 7), (13, 5)):
         y = hopfield.corrupt(x, e, f, seed=e * 31 + f)
         assert int(y.astype(np.int64) @ x.astype(np.int64)) == 128 - e - 2 * f
@@ -214,7 +216,7 @@ def test_hpm_zero_weights():
 def hadamard_cb():
     for seed in range(4096):
         cb = Codebook("dense-sign", 2, 2, seed=seed, scaled=True)
-        mat = cb.sign_matrix(0, 2)
+        mat = sign_matrix(cb, 0, 2)
         if abs(int(mat[:, 0] @ mat[:, 1])) == 0:
             return cb
     raise AssertionError("no orthogonal 2x2 codebook found")
@@ -280,9 +282,10 @@ def _gram_form(cb, vx, vy, d_seed) -> Fraction:
 
     w = V D are the signed weights, each float64 weight read as its exact
     rational, and G = S^T S is the integer Gram matrix of the +-1 columns,
-    read through ``sign_matrix``. With vy = vx this is ||M_x||_F^2.
+    read from the raw stream (``raw_columns.sign_matrix``). With vy = vx
+    this is ||M_x||_F^2.
     """
-    s = cb.sign_matrix(0, cb.d).astype(np.int64)
+    s = sign_matrix(cb, 0, cb.d).astype(np.int64)
     gram = (s.T @ s).tolist()
     signs = hopfield.diag_signs(d_seed, cb.d).tolist()
     wx = [Fraction(float(v)) * sign for v, sign in zip(vx, signs)]
@@ -544,6 +547,17 @@ def test_hpm_encode_rejects_non_finite_weight(weight):
     array = np.ones(8)
     array[3] = weight
     for V in ({1: 1.0, 3: weight}, array):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hopfield.hpm_encode(cb, V, d_seed=5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hopfield.hpm_estimates([(cb, {0: 1.0}, V, 5)])
+
+
+@pytest.mark.parametrize("weight", [True, np.True_, False, np.False_])
+def test_hpm_encode_rejects_bool_weight(weight):
+    cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
+    for V, index in (({1: 1.0, 3: weight}, 3), (np.full(8, weight), 0), ([weight] * 8, 0)):
+        message = f"diagonal weight at index {index} is a bool, not a number"
         with pytest.raises(ValueError, match=re.escape(message)):
             hopfield.hpm_encode(cb, V, d_seed=5)
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -9,6 +9,8 @@ from vsakit import mapb, mapi, rng, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
+from raw_columns import sign_matrix
+
 
 def brute_force_agreement(n):
     """Independent oracle: literally enumerate the 2^(n-1) co-bundled patterns."""
@@ -69,7 +71,7 @@ def test_chain_agreement_closed_form(r):
 def test_bundle_sign_basis_case():
     cb = Codebook("dense-sign", 16, 6, seed=2)
     b = mapb.bundle_sign(cb, SymbolSet.from_ids(6, [4]))
-    assert np.array_equal(b.signs, cb.sign_matrix(4, 5)[:, 0])
+    assert np.array_equal(b.signs, sign_matrix(cb, 4, 5)[:, 0])
 
 
 def test_bundle_sign_output_always_pm1():
@@ -86,6 +88,32 @@ def test_odd_cardinality_is_tie_free():
         mapb.bundle_sign(cb, v, tie_seed=1).signs,
         mapb.bundle_sign(cb, v, tie_seed=2).signs,
     )
+
+
+#: Each MAP-B encoder with a given tie seed; "one-id" and "chain" draw no coin at all.
+_TIE_ENCODERS = {
+    "set": lambda cb, t: mapb.bundle_sign(cb, SymbolSet.from_ids(64, [1, 2]), tie_seed=t),
+    "one-id": lambda cb, t: mapb.bundle_sign(cb, SymbolSet.from_ids(64, [1]), tie_seed=t),
+    "sequence": lambda cb, t: mapb.bundle_sequence_sign(
+        cb, SequenceSpec((SymbolSet.from_ids(64, [1, 2]),)), tie_seed=t),
+    "kv": lambda cb, t: mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(64, ((1, 2), (3, 4))),
+                                            tie_seed=t),
+    "chain": lambda cb, t: mapb.iterated_bundle(cb, [0], tie_seed=t),
+    "chain-ties": lambda cb, t: mapb.iterated_bundle(cb, [0, 1, 2], tie_seed=t),
+}
+
+
+@pytest.mark.parametrize("encoder", list(_TIE_ENCODERS))
+def test_tie_seeds_are_integers(encoder):
+    encode = _TIE_ENCODERS[encoder]
+    cb = Codebook("dense-sign", 256, 64, seed=7)
+    for bad, shown in ((2.5, "2.5"), (True, "True"), (np.True_, "True"), ("x", "'x'"),
+                       (float("nan"), "nan"), (np.float64(1.5), "1.5")):
+        with pytest.raises(ValueError, match=f"tie_seed must be an integer, got {shown}$"):
+            encode(cb, bad)
+    for same, value in ((np.int64(5), 5), (5.0, 5), (np.uint64(2**64 - 1), 2**64 - 1),
+                        (-1, 2**64 - 1)):
+        assert np.array_equal(encode(cb, same).words, encode(cb, value).words)
 
 
 def test_even_cardinality_ties_are_seeded():
@@ -107,7 +135,7 @@ def test_bundle_sign_tie_coordinate_hand_example():
     cb = next(
         c
         for c in (Codebook("dense-sign", 2, 2, seed=s) for s in range(4096))
-        if c.sign_matrix(0, 2).tolist() == [[1, 1], [1, -1]]
+        if sign_matrix(c, 0, 2).tolist() == [[1, 1], [1, -1]]
     )
     seen = set()
     for tie_seed in range(8):
@@ -196,7 +224,7 @@ def test_empty_intersection_overlap_detected():
 
 def test_iterated_bundle_r1_is_identity():
     cb = Codebook("dense-sign", 64, 4, seed=1)
-    v = cb.sign_matrix(2, 3)[:, 0]
+    v = sign_matrix(cb, 2, 3)[:, 0]
     assert np.array_equal(mapb.iterated_bundle(cb, [2]).signs, v)
 
 
@@ -208,7 +236,7 @@ def test_iterated_bundle_agreement_empirical():
         for t in range(trials):
             cb = Codebook("dense-sign", m, r, seed=1000 * r + t)
             chained = mapb.iterated_bundle(cb, range(r), tie_seed=t)
-            agree += int((chained.signs == cb.sign_matrix(0, 1)[:, 0]).sum())
+            agree += int((chained.signs == sign_matrix(cb, 0, 1)[:, 0]).sum())
         frac = agree / (m * trials)
         sigma = math.sqrt(truth * (1 - truth) / (m * trials))
         assert abs(frac - truth) <= 4 * sigma
@@ -242,7 +270,7 @@ def test_sequence_membership_scores_equal_rolled_reference():
         for ell in range(L):
             syms = [39, 0, 5, 9, 5, 7]
             rolled = np.roll(b.signs.astype(np.int64), ell)  # <x, R^ell c> = <roll(x, ell), c>
-            expected = [int(rolled @ cb.sign_matrix(s, s + 1)[:, 0]) for s in syms]
+            expected = [int(rolled @ sign_matrix(cb, s, s + 1)[:, 0]) for s in syms]
             assert mapb.sequence_membership_scores(b, ell, syms).tolist() == expected
 
 
@@ -383,7 +411,7 @@ def test_word_form_equals_int8_reference(m):
                 expected = int(ref_k @ (cols[:, q] * cols[:, val]))
                 assert mapb.kv_membership_test(bk, (q, val), 0.05).score == expected
         # chains: every step after the first ties wherever the inputs disagree
-        vecs = [cb.sign_matrix(j, j + 1)[:, 0] for j in range(5)]
+        vecs = [sign_matrix(cb, j, j + 1)[:, 0] for j in range(5)]
         for r in (1, 2, 5):
             chained = mapb.iterated_bundle(cb, range(r), tie_seed=seed)
             ref_c = _ref_chain(vecs[:r], cb.seed, seed)

@@ -9,12 +9,14 @@ from vsakit import codebook, mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
+from raw_columns import sign_matrix
+
 
 def hadamard_2x2_seed(scaled=False):
     """Seed whose dense-sign 2x2 codebook has columns (1,1) and (1,-1)."""
     for seed in range(4096):
         cb = Codebook("dense-sign", 2, 2, seed=seed, scaled=scaled)
-        mat = cb.sign_matrix(0, 2)
+        mat = sign_matrix(cb, 0, 2)
         if mat[:, 0].tolist() == [1, 1] and mat[:, 1].tolist() == [1, -1]:
             return cb
     raise AssertionError("no 2x2 Hadamard seed in search range")
@@ -23,7 +25,7 @@ def hadamard_2x2_seed(scaled=False):
 def test_bundle_basis_case():
     cb = Codebook("dense-sign", 32, 6, seed=4)
     b = mapi.bundle(cb, SymbolSet.from_ids(6, [3]))
-    assert np.array_equal(b.ints, cb.sign_matrix(3, 4)[:, 0])
+    assert np.array_equal(b.ints, sign_matrix(cb, 3, 4)[:, 0])
 
 
 def test_bundle_empty_is_zero():
@@ -105,7 +107,7 @@ def test_huge_weights_are_exact(m, seed, wv, ww):
                 mapi.bundle(cb, s)
     if max(v.l1(), w.l1()) >= 2**63:
         return
-    rows = cb.sign_matrix(0, 8).tolist()  # Python-int reference for S v and S w
+    rows = sign_matrix(cb, 0, 8).tolist()  # Python-int reference for S v and S w
     a = [sum(weight * row[j] for j, weight in v.entries.items()) for row in rows]
     b = [sum(weight * row[j] for j, weight in w.entries.items()) for row in rows]
     bv, bw = mapi.bundle(cb, v), mapi.bundle(cb, w)
@@ -126,7 +128,7 @@ def test_packed_bundle_equals_sign_matrix_reference(m, seed, entries):
     v = SymbolSet(5000, entries)
     ids = sorted(entries)
     # Python-int reference: each column read alone from the (m, 1) sign matrix
-    cols = [cb.sign_matrix(j, j + 1)[:, 0].tolist() for j in ids]
+    cols = [sign_matrix(cb, j, j + 1)[:, 0].tolist() for j in ids]
     expected = [sum(entries[j] * col[i] for j, col in zip(ids, cols)) for i in range(m)]
     assert mapi.bundle(cb, v).ints.tolist() == expected
 
@@ -199,7 +201,7 @@ def test_sums_of_bundles_refuse_to_wrap():
                                                                       small.ints.tolist())]
     # A total of 2**63 - 1 still encodes, exactly: R^0 S v_0 + R^1 S v_1.
     two = mapi.encode_sequence(cb, SequenceSpec((v, SymbolSet(8, {1: 2**62 - 1}))))
-    c = cb.sign_matrix(1, 2)[:, 0].tolist()
+    c = sign_matrix(cb, 1, 2)[:, 0].tolist()
     expected = [2**62 * c[i] + (2**62 - 1) * c[(i + 1) % 64] for i in range(64)]
     assert two.ints.tolist() == expected
     assert mapi.norm_sq_estimate(two) == sum(x * x for x in expected) / 64
@@ -248,14 +250,14 @@ def test_encode_sequence_rotates_blocks():
     cb = Codebook("dense-sign", 32, 10, seed=6)
     seq = SequenceSpec((SymbolSet(10), SymbolSet.from_ids(10, [3])))
     enc = mapi.encode_sequence(cb, seq)
-    assert np.array_equal(enc.ints, np.roll(cb.sign_matrix(3, 4)[:, 0].astype(np.int64), -1))
+    assert np.array_equal(enc.ints, np.roll(sign_matrix(cb, 3, 4)[:, 0].astype(np.int64), -1))
 
 
 def test_binding_bundle_single_edge():
     cb = Codebook("dense-sign", 16, 8, seed=9)
     spec = BindingBundleSpec(8, frozenset({frozenset({2, 5})}))
     enc = mapi.encode_binding_bundle(cb, spec)
-    expect = cb.sign_matrix(2, 3)[:, 0].astype(np.int64) * cb.sign_matrix(5, 6)[:, 0]
+    expect = sign_matrix(cb, 2, 3)[:, 0].astype(np.int64) * sign_matrix(cb, 5, 6)[:, 0]
     assert np.array_equal(enc.ints, expect)
 
 
@@ -263,8 +265,8 @@ def test_binding_self_inverse():
     cb = Codebook("dense-sign", 16, 8, seed=9)
     spec = BindingBundleSpec(8, frozenset({frozenset({2, 5})}))
     enc = mapi.encode_binding_bundle(cb, spec)
-    recovered = enc.ints * cb.sign_matrix(5, 6)[:, 0]
-    assert np.array_equal(recovered, cb.sign_matrix(2, 3)[:, 0].astype(np.int64))
+    recovered = enc.ints * sign_matrix(cb, 5, 6)[:, 0]
+    assert np.array_equal(recovered, sign_matrix(cb, 2, 3)[:, 0].astype(np.int64))
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 160])
@@ -276,7 +278,7 @@ def test_binding_bundle_equals_python_product_reference(m, arity):
         cb = Codebook("dense-sign", m, d, seed=seed)
         edges = combos[seed::11][:6]
         # Python-int reference: each bound column is the product of its entries
-        rows = cb.sign_matrix(0, d).tolist()
+        rows = sign_matrix(cb, 0, d).tolist()
         prods = [[math.prod(row[j] for j in edge) for row in rows] for edge in edges]
         spec = BindingBundleSpec(d, frozenset(frozenset(edge) for edge in edges))
         enc = mapi.encode_binding_bundle(cb, spec)
@@ -344,8 +346,8 @@ def test_sequence_parts_independent_chi_square():
     counts = np.zeros((2, 2))
     for seed in range(10_000):
         cb = Codebook("dense-sign", 4, 2, seed=seed)
-        x = cb.sign_matrix(0, 1)[:, 0][0]
-        y = np.roll(cb.sign_matrix(1, 2)[:, 0], -1)[0]
+        x = sign_matrix(cb, 0, 1)[:, 0][0]
+        y = np.roll(sign_matrix(cb, 1, 2)[:, 0], -1)[0]
         counts[(x + 1) // 2, (y + 1) // 2] += 1
     total = counts.sum()
     row = counts.sum(axis=1, keepdims=True)

@@ -22,7 +22,9 @@ def test_mapi_round_trip():
 def test_codebook_hash_is_the_memoized_sha256_of_its_json():
     base = dict(kind="sparse-binary-exact", m=64, d=32, k=3, seed=5, scaled=False)
     variants = [base, dict(base, kind="sparse-binary-trials"), dict(base, m=65),
-                dict(base, d=33), dict(base, k=4), dict(base, seed=6), dict(base, scaled=True)]
+                dict(base, d=33), dict(base, k=4), dict(base, seed=6),
+                dict(base, kind="dense-sign", k=None),
+                dict(base, kind="dense-sign", k=None, scaled=True)]
     hashes = []
     for fields in variants:
         cb = Codebook(**fields)
@@ -281,8 +283,9 @@ def _bundles(draw):
     d = draw(st.integers(1, 24), label="d")
     kind = _CODEBOOK_KIND[arch]
     k = draw(st.integers(1, min(m, 8)), label="k") if kind != "dense-sign" else None
+    scaled = draw(st.booleans(), label="scaled") if kind == "dense-sign" else False
     cb = Codebook(kind, m, d, k=k, seed=draw(st.integers(0, 2**32 - 1), label="seed"),
-                  scaled=draw(st.booleans(), label="scaled"))
+                  scaled=scaled)
     ids = draw(st.sets(st.integers(0, d - 1), max_size=min(d, 8)), label="ids")
     top = 1 if arch in ("mapb", "bloom") else draw(st.sampled_from([1, 255, 300, 70_000]))
     v = SymbolSet(d, {i: draw(st.integers(1, top)) for i in sorted(ids)})
