@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, same_codebook
+from .codebook import Codebook, held, same_codebook
 from .setalg import SymbolSet, integral, require_flat
 
 
@@ -41,12 +41,11 @@ class BloomBundle:
         pos = np.asarray(self.positions)
         if pos.ndim != 1 or pos.size and not np.issubdtype(pos.dtype, np.integer):
             raise ValueError("bloom positions must be a 1-D integer array")
-        pos = pos.astype(np.int64)
+        pos = held(pos, np.int64, "bloom bundle")
         if pos.size and (pos[0] < 0 or pos[-1] >= self.codebook.m):
             raise ValueError(f"bloom positions must lie in [0, {self.codebook.m})")
         if (pos[1:] <= pos[:-1]).any():
             raise ValueError("bloom positions must be sorted and unique")
-        pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
     @property

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import Codebook, same_codebook
+from .codebook import Codebook, held, same_codebook
 from .setalg import SymbolSet
 
 
@@ -31,11 +31,8 @@ from .setalg import SymbolSet
 class CountBundle:
     """Nonnegative integer counts; total mass is exactly k * ||v||_1.
 
-    The bundle keeps an array it can own as is: a read-only, C-contiguous
-    int64 ndarray that owns its data, such as :func:`bundle_count`'s counts.
-    Anything else (a caller's writeable array, a view, another dtype) is
-    copied into an int64 array and frozen, so the caller cannot change the
-    bundle afterwards.
+    ``counts`` is held by :func:`vsakit.codebook.held`: :func:`bundle_count`'s
+    frozen counts as they are, anything else as a frozen int64 copy.
     """
 
     counts: np.ndarray
@@ -43,12 +40,8 @@ class CountBundle:
 
     def __post_init__(self):
         self.codebook.require("sparse-binary-exact", "counting bloom")
-        counts = self.counts
-        if not (type(counts) is np.ndarray and counts.dtype == np.int64 and counts.flags.owndata
-                and counts.flags.c_contiguous and not counts.flags.writeable):
-            counts = np.array(counts, dtype=np.int64)
-            counts.setflags(write=False)
-            object.__setattr__(self, "counts", counts)
+        counts = held(self.counts, np.int64, "count bundle")
+        object.__setattr__(self, "counts", counts)
         if counts.shape != (self.codebook.m,):
             raise ValueError(f"count bundle of shape {counts.shape} holds {counts.size} "
                              f"counts, expected m={self.codebook.m}")
@@ -57,7 +50,7 @@ class CountBundle:
 
     @property
     def m(self) -> int:
-        return self.counts.shape[0]
+        return self.codebook.m
 
     def mass(self) -> int:
         return _total(self.counts)
@@ -98,7 +91,7 @@ def bundle_counts(cb: Codebook, sets: Sequence[SymbolSet]) -> list[CountBundle]:
             weights = np.fromiter(v.entries.values(), dtype=np.int64, count=len(v.entries))
             mine = rows[: len(weights)] if i == 0 else rows[[slot[j] for j in v.entries]]
             np.add.at(counts, mine, weights[:, None])
-        counts.setflags(write=False)  # CountBundle keeps a frozen array it owns without a copy
+        counts.setflags(write=False)  # held keeps a frozen array it owns without a copy
         out.append(CountBundle(counts, cb))
     return out
 

@@ -32,16 +32,17 @@ columns of a stack of seeds in one call, with one row index and one mask.
 Each representation has one batched accessor, and one column is its one-id
 case. ``sign_words`` gives dense-sign columns as their packed signs (bit i
 set where entry i is +1), ceil(m/64) words with the bits past m cleared;
-MAP-I and MAP-B work on these words alone. ``union_indices`` maps all drawn
-words of sparse-binary-trials columns to rows in one
-``rng.bounded_from_words`` call and returns the sorted union;
-``exact_indices`` draws every sparse-binary-exact column's k distinct rows
-in one ``rng.choose_distinct_rows`` call. Only Hopfield unpacks dense
-columns to +-1 entries, ``sign_columns`` in one ``rng.signs_from_words``
-call. Its layout contract is Hopfield±'s: Fortran order when
-``max(ids) - min(ids) < 4 * len(ids) + 64`` and C order otherwise, because
-float products of its columns (``hopfield.hpm_encode``) round by layout and
-the experiment CSVs pin those bits.
+MAP-I and MAP-B work on these words alone, and only :mod:`vsakit.rng` packs,
+unpacks or pads them. ``union_indices`` maps all drawn words of
+sparse-binary-trials columns to rows in one ``rng.bounded_from_words`` call
+and returns the sorted union; ``exact_indices`` draws every
+sparse-binary-exact column's k distinct rows in one
+``rng.choose_distinct_rows`` call. Hopfield alone unpacks dense columns to
++-1 entries, with ``sign_columns``, in Hopfield±'s layout: Fortran order
+when ``max(ids) - min(ids) < 4 * len(ids) + 64`` and C order otherwise,
+because float products of its columns (``hopfield.hpm_encode``) round by
+layout and the experiment CSVs pin those bits. Every bundle class takes its
+array through ``held``, the one rule for what a bundle keeps and copies.
 
 Kinds
 -----
@@ -243,8 +244,7 @@ class Codebook:
     def _packed(self, raw: np.ndarray) -> np.ndarray:
         """Packed signs of raw dense-sign windows: the first ceil(m/64) words, bits past m clear."""
         words = raw[..., :self._words_per_column]
-        if self.m % 64:
-            words[..., -1] &= np.uint64((1 << self.m % 64) - 1)
+        words[..., -1] &= rng.last_word_mask(self.m)
         return words
 
     def sign_words(self, ids) -> np.ndarray:
@@ -321,3 +321,29 @@ def same_codebook(b1, b2, user: str) -> None:
     """Refuse ``user`` two bundles built on different codebooks: their estimate would be noise."""
     if b1.codebook != b2.codebook:
         raise ValueError(f"{user}: bundles come from different codebooks")
+
+
+def held(values, dtype, user: str) -> np.ndarray:
+    """``values`` as a bundle keeps them: a read-only, C-ordered ``dtype`` array of its own.
+
+    An array that owns its data and is all that already, such as an
+    encoder's frozen output, is kept; anything else is copied and frozen.
+    An int64 copy refuses what the cast would change: a bool, string or
+    object array, or a float that is not a whole number in int64.
+    """
+    values = np.asarray(values)  # a subclass becomes a view, which is copied
+    flags, kind = values.flags, values.dtype.kind
+    if values.dtype == dtype and flags.owndata and flags.c_contiguous and not flags.writeable:
+        return values
+    if dtype == np.int64 and kind != "i":
+        if kind not in "uf":
+            raise ValueError(f"{user} entries must be integers, got {values.dtype} values")
+        if kind == "f":
+            inside = (values >= -2.0**63) & (values < 2.0**63)  # False for NaN
+            bad = np.flatnonzero((values != np.trunc(values)) | ~inside)
+            if bad.size:
+                raise ValueError(f"{user} entries must be whole numbers in int64, "
+                                 f"got {values.ravel()[bad[0]].item()!r}")
+    values = values.astype(dtype, order="C")
+    values.setflags(write=False)
+    return values

@@ -332,6 +332,11 @@ def _trial_mapi_binding(cell: dict, seed: int, pairs: bool) -> TrialOutcome:
     m, d, edges, arity = _params(cell, "m", "d", "E", arity=2)
     if pairs and arity != 2:
         raise ValueError(f"binding2 binds pairs, got arity {arity}; bindingK takes any arity")
+    if not pairs and "k" in cell:  # the sizing input k names the arity too
+        (k,) = _params(cell, "k")
+        if "arity" in cell and k != arity:
+            raise ValueError(f"bindingK got arity {arity} and k {k}; give one, or equal values")
+        arity = k
     (eps,) = _params(cell, "eps")  # after arity: a cell bad in both reports arity
     cb = Codebook("dense-sign", m, d, seed=seed, scaled=True)
     spec = _random_edges(seed, d, edges, arity)

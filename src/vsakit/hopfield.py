@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng
-from .codebook import Codebook, same_codebook
+from .codebook import Codebook, held, same_codebook
 from .setalg import integral
 
 
@@ -165,12 +165,8 @@ def corrupt(x: np.ndarray, erasures: int, flips: int, seed: int) -> np.ndarray:
 class HpmBundle:
     """S_bar V D S_bar^T for diagonal weights V and a seeded sign diagonal D.
 
-    ``matrix`` must be (m, m) for the codebook's m. The bundle keeps an array
-    it can own as is: a read-only, C-contiguous float64 ndarray that owns its
-    data, such as :func:`hpm_encode`'s matmul output. Anything else (a
-    caller's writeable array, a view, another dtype or layout) is copied into
-    a C-ordered float64 array and frozen, so the caller cannot change the
-    bundle afterwards.
+    ``matrix``, (m, m) for the codebook's m, is held by ``codebook.held``:
+    :func:`hpm_encode`'s frozen output as is, else a frozen float64 copy.
     """
 
     matrix: np.ndarray
@@ -183,15 +179,11 @@ class HpmBundle:
         mat = self.matrix
         if np.shape(mat) != (m, m):
             raise ValueError(f"Hopfield± matrix must be ({m}, {m}), got shape {np.shape(mat)}")
-        if not (type(mat) is np.ndarray and mat.dtype == np.float64 and mat.flags.owndata
-                and mat.flags.c_contiguous and not mat.flags.writeable):
-            mat = np.array(mat, dtype=np.float64, order="C")
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", held(mat, np.float64, "Hopfield± matrix"))
 
     @property
     def m(self) -> int:
-        return self.matrix.shape[0]
+        return self.codebook.m
 
 
 def diag_signs(d_seed: int, d: int) -> np.ndarray:

@@ -16,7 +16,7 @@ estimation; each test compares a dot product against a closed-form
 threshold. ``membership_scores`` scores many symbols against one set bundle
 at once from one gather of column words; ``membership_test`` is its one-id
 case. ``sequence_membership_scores`` does the same for one position of a
-sequence bundle, from one roll of the bundle's bits. A key-value query
+sequence bundle, from one roll of its ``rng``-unpacked bits. A key-value query
 scores its pair's bound column, bound by XOR (``mapi.bound_words``).
 
 ``agreement_probability`` is the exact oracle for the per-coordinate
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mapi, rng
-from .codebook import Codebook, same_codebook
+from .codebook import Codebook, held, same_codebook
 from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral, require_flat
 from .sizing import check_rates
@@ -83,10 +83,9 @@ class MapBBundle:
         if words.dtype != np.uint64 or words.shape != (-(-m // 64),):
             raise ValueError(f"MAP-B bundle of m={m} needs {-(-m // 64)} uint64 words, "
                              f"got {words.dtype} of shape {words.shape}")
-        if m % 64 and words[-1] >> np.uint64(m % 64):
+        words = held(words, np.uint64, "MAP-B bundle")
+        if words[-1] & ~rng.last_word_mask(m):
             raise ValueError(f"MAP-B bundle sets padding bits past m={m}")
-        words = words.copy()
-        words.setflags(write=False)
         object.__setattr__(self, "words", words)
 
     @property
@@ -108,14 +107,6 @@ class TestResult:
     threshold: float
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Length-m bits as ceil(m/64) uint64 words, bit i of word i // 64 first, padding zero."""
-    m = bits.shape[0]
-    packed = np.zeros(8 * -(-m // 64), dtype=np.uint8)
-    packed[: -(-m // 8)] = np.packbits(bits, bitorder="little")
-    return packed.view("<u8").astype(np.uint64, copy=False)
-
-
 def _tie_words(seed: int, tie_seed: int, step: int, m: int) -> np.ndarray:
     """The fair coins of one thresholding step: bit i set means a tie at i goes to +1."""
     return rng.Stream(seed, "mapb-tie", tie_seed, step).words(0, -(-m // 64))
@@ -123,8 +114,8 @@ def _tie_words(seed: int, tie_seed: int, step: int, m: int) -> np.ndarray:
 
 def _threshold(sums: np.ndarray, cb_seed: int, tie_seed: int) -> np.ndarray:
     """Words of sign(sums), each zero sum replaced by its seeded coin."""
-    words = _pack(sums > 0)
-    ties = _pack(sums == 0)
+    words = rng.words_from_bits(sums > 0)
+    ties = rng.words_from_bits(sums == 0)
     if ties.any():
         words |= ties & _tie_words(cb_seed, tie_seed, 0, sums.shape[0])
     return words
@@ -238,9 +229,7 @@ def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
     and every symbol is scored against them from one gather of column words.
     A position past the sequence scores like an absent symbol.
     """
-    bits = np.unpackbits(b.words.astype("<u8", copy=False).view(np.uint8),
-                         count=b.m, bitorder="little")
-    rolled = _pack(rotate(bits, -ell))
+    rolled = rng.words_from_bits(rotate(rng.bits_from_words(b.words, b.m), -ell))
     return _scores(rolled, b.codebook.sign_words(syms), b.m)
 
 

@@ -2,8 +2,8 @@
 
 A bundle is S v (integer accumulator), scaled to (1/sqrt(m)) S v at the
 estimator boundary. It is built from the columns' packed signs
-(``Codebook.sign_words``): with b the unpacked 0/1 bits (1 where the entry
-is +1) and pos = weights @ b (a plain sum of the bits for a 0/1 set),
+(``Codebook.sign_words``): with b their 0/1 bits (``rng.bits_from_words``,
+1 where the entry is +1) and pos = weights @ b (a bit sum for a 0/1 set),
 S v = pos - (||v||_1 - pos). Every partial sum is at most ||v||_1, which
 must be below 2**63, so this is exact in int64; sums of bundles (``add``,
 ``encode_sequence``) refuse inputs whose sum could reach 2**63. The same
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, same_codebook
+from . import rng
+from .codebook import Codebook, held, same_codebook
 from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
@@ -39,16 +40,14 @@ class MapIBundle:
 
     def __post_init__(self):
         self.codebook.require("dense-sign", "MAP-I")
-        ints = np.asarray(self.ints, dtype=np.int64).copy()
+        ints = held(self.ints, np.int64, "MAP-I bundle")
         if ints.shape != (self.codebook.m,):
-            raise ValueError(f"MAP-I bundle of shape {ints.shape} does not hold "
-                             f"m={self.codebook.m} sums")
-        ints.setflags(write=False)
+            raise ValueError(f"MAP-I bundle of shape {ints.shape} does not hold m={self.m} sums")
         object.__setattr__(self, "ints", ints)
 
     @property
     def m(self) -> int:
-        return self.ints.shape[0]
+        return self.codebook.m
 
     @property
     def scaled(self) -> bool:
@@ -66,15 +65,16 @@ def _signed_sums(words: np.ndarray, m: int, l1: int, weights: np.ndarray | None 
     plain sum of n < 2**16 columns counts in uint16, about twice as fast as
     int64 and exact, since no count exceeds n, and is widened after.
     """
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                         axis=-1, count=m, bitorder="little")
+    bits = rng.bits_from_words(words, m)
     if weights is not None:
         pos = weights @ bits
     elif bits.shape[-2] < 2**16:
         pos = bits.sum(axis=-2, dtype=np.uint16).astype(np.int64)
     else:
         pos = bits.sum(axis=-2, dtype=np.int64)
-    return pos - (l1 - pos)
+    sums = pos - (l1 - pos)
+    sums.setflags(write=False)  # fresh, so a MapIBundle holds it without a copy
+    return sums
 
 
 def bundle(cb: Codebook, v: SymbolSet) -> MapIBundle:
@@ -182,8 +182,7 @@ def bound_words(cb: Codebook, edges) -> np.ndarray:
     bound = np.bitwise_xor.reduce(cb.sign_words(ids.ravel()).reshape(*ids.shape, -1), axis=1)
     if ids.shape[1] % 2 == 0:  # invert, keeping the bits past m clear
         bound = ~bound
-        if cb.m % 64:
-            bound[:, -1] &= np.uint64((1 << cb.m % 64) - 1)
+        bound[:, -1] &= rng.last_word_mask(cb.m)
     return bound
 
 

@@ -168,19 +168,32 @@ class Stream:
         return _window(self.seed, self.sid, block, nwords)
 
 
-def signs_from_words(words: np.ndarray, rows: int, ncols: int = 1) -> np.ndarray:
-    """Unpack little-endian bits of per-column word windows into +-1 int8.
+def last_word_mask(m: int) -> np.uint64:
+    """The bits of the last of ceil(m/64) packed words that hold entries; the padding is zero."""
+    return np.uint64(_MASK64 >> (-m % 64))
 
-    ``words`` holds ``ncols`` consecutive equal-size windows; bit ``i`` of a
-    window (word ``i // 64``, bit ``i % 64`` little-endian) becomes entry
-    ``i`` of that column. Returns shape (rows, ncols).
+
+def words_from_bits(bits: np.ndarray) -> np.ndarray:
+    """m 0/1 entries as ceil(m/64) words: entry i is bit i % 64 of word i // 64, padding zero."""
+    m = bits.shape[0]
+    packed = np.zeros(8 * -(-m // 64), dtype=np.uint8)
+    packed[: -(-m // 8)] = np.packbits(bits, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def bits_from_words(words: np.ndarray, m: int) -> np.ndarray:
+    """The first m bits of packed words along the last axis, as 0/1 uint8 of shape (..., m)."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=-1, count=m, bitorder="little")
+
+
+def signs_from_words(words: np.ndarray, rows: int, ncols: int = 1) -> np.ndarray:
+    """+-1 int8 of shape (rows, ncols), in Fortran order: column c is window c of ``words``.
+
+    ``words`` holds ``ncols`` consecutive equal-size windows; entry i of a
+    column is +1 where bit i of its window is set (``bits_from_words``).
     """
-    per = len(words) // ncols
-    bits = np.unpackbits(
-        words.astype("<u8").reshape(ncols, per).view(np.uint8),
-        axis=1,
-        bitorder="little",
-    )[:, :rows]
+    bits = bits_from_words(words.reshape(ncols, len(words) // ncols), rows)
     return ((bits.astype(np.int8) << 1) - 1).T
 
 

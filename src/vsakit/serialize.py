@@ -28,9 +28,10 @@ set bit in 8 * width would be smaller as packed bits.
 refuse a hash mismatch (a bundle is only meaningful against the codebook
 that generated it), a version other than 2 (version 1 wrote Bloom filters
 as packed bits), a domain byte other than the arch's, an unknown flag bit, a
-MAP-I scaled flag that differs from the codebook's ``scaled`` and a payload
-of the wrong length. A MAP-B bundle holds only its words and codebook, so
-set, sequence, key-value and chain bundles are all written alike.
+payload of the wrong length and, once the bundle has checked its codebook's
+kind, a MAP-I scaled flag that differs from the codebook's ``scaled``. A
+MAP-B bundle holds only its words and codebook, so set, sequence, key-value
+and chain bundles are all written alike.
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
         raise ValueError(f"{name} bundle has domain byte {domain}, expected {ARCHS[name].domain}")
     if flags > (name == "mapi"):  # only MAP-I defines a flag, bit 0
         raise ValueError(f"{name} bundle sets unknown flag bits {flags:#04x}")
-    if name == "mapi" and flags != int(cb.scaled):
-        raise ValueError(f"mapi bundle's scaled flag is {flags}, but its codebook "
-                         f"has scaled={cb.scaled}")
     payload = memoryview(data)[_HEADER.size :]  # a view: payloads are read in place
     if name in ("bloom", "cbloom"):
         values = _unpack_uints(name, payload)
@@ -140,9 +138,13 @@ def bundle_from_bytes(data: bytes, cb: Codebook):
     if len(payload) != expected:
         raise ValueError(f"{name} bundle payload is {len(payload)} bytes, expected {expected}")
     if name == "mapi":
-        return mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb)
+        bundle = mapi.MapIBundle(np.frombuffer(payload, dtype="<i8"), cb)  # checks the kind first
+        if flags != bundle.scaled:
+            raise ValueError(f"mapi bundle's scaled flag is {flags}, but its codebook "
+                             f"has scaled={cb.scaled}")
+        return bundle
     words = np.frombuffer(bytes(payload) + bytes(-len(payload) % 8), "<u8")
-    return mapb.MapBBundle(words.astype(np.uint64), cb)  # checks the padding
+    return mapb.MapBBundle(words.astype(np.uint64, copy=False), cb)  # checks the padding
 
 
 def arch_of(data: bytes) -> str:

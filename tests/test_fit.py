@@ -5,6 +5,9 @@ compose only on one codebook. ``Codebook.require`` and
 ``codebook.same_codebook`` decide both; these tests check that every
 encoder, bundle constructor, pair estimator, accessor and the bundle
 reader refuse a misfit with a ValueError naming its user.
+
+Bundles also hold their values by one rule: every bundle class takes its
+array through ``codebook.held``, and only ``rng`` packs or unpacks bits.
 """
 
 import ast
@@ -162,6 +165,17 @@ def test_bundle_reader_refuses_a_bundle_built_on_a_codebook_of_another_kind(arch
         serialize.bundle_from_bytes(data, wrong)
 
 
+def test_bundle_reader_checks_the_codebook_kind_before_the_mapi_scaled_flag():
+    """MAP-I bytes naming a sparse codebook, their scaled flag left at 1, name the wrong kind."""
+    data = serialize.bundle_to_bytes(mapi.bundle(_cb("dense-sign"), _set(D)))
+    assert data[7] == 1
+    wrong = _cb("sparse-binary-exact")
+    end = serialize._HEADER.size
+    data = data[: end - 32] + serialize.codebook_hash(wrong) + data[end:]
+    with pytest.raises(ValueError, match=_wrong_kind("MAP-I", "dense-sign", wrong.kind)):
+        serialize.bundle_from_bytes(data, wrong)
+
+
 def _raised_strings(node):
     """Every string constant inside the ``raise`` statements under ``node``."""
     for stmt in ast.walk(node):
@@ -187,3 +201,123 @@ def test_codebook_py_alone_decides_fit_and_layout():
     assert misfits == []
     tree = ast.parse(Path(codebook.__file__).read_text(encoding="utf-8"))
     assert any("different codebooks" in text for _, text in _raised_strings(tree))
+
+
+# (field, dtype, values(cb)): each bundle class's array and a valid value of it on ``cb``.
+HELD = {
+    "MapIBundle": ("ints", np.int64, lambda cb: np.arange(cb.m) - 3),
+    "MapBBundle": ("words", np.uint64, lambda cb: np.full(-(-cb.m // 64), 5, np.uint64)),
+    "BloomBundle": ("positions", np.int64, lambda cb: np.array([1, 5, 9])),
+    "CountBundle": ("counts", np.int64, lambda cb: np.arange(cb.m)),
+    "HpmBundle": ("matrix", np.float64, lambda cb: np.ones((cb.m, cb.m))),
+}
+_CLASSES = {"MapIBundle": mapi.MapIBundle, "MapBBundle": mapb.MapBBundle,
+            "BloomBundle": bloom.BloomBundle, "CountBundle": cbloom.CountBundle,
+            "HpmBundle": hopfield.HpmBundle}
+
+
+def _hold(name, values, cb):
+    """A bundle of class ``name`` holding ``values`` on ``cb``."""
+    return _CLASSES[name](values, cb, *((0,) if name == "HpmBundle" else ()))
+
+
+def test_held_covers_every_bundle_class():
+    assert set(HELD) == set(_CLASSES) == set(BUNDLES)
+
+
+@pytest.mark.parametrize("name", HELD)
+def test_every_bundle_keeps_a_frozen_owned_array_and_copies_any_other(name):
+    field, dtype, values = HELD[name]
+    cb = _cb(BUNDLES[name][1])
+    frozen = values(cb)
+    frozen.setflags(write=False)
+    kept = _hold(name, frozen, cb)
+    assert getattr(kept, field) is frozen
+    assert kept.m == kept.codebook.m == cb.m
+    mine = values(cb)
+    others = [mine, frozen[:], np.repeat(frozen, 2, axis=0)[::2]]
+    if name != "MapBBundle":  # MAP-B takes only uint64 arrays
+        others += [frozen.tolist(), frozen.astype(np.float32 if dtype == np.float64 else np.int32)]
+    for other in others:
+        b = _hold(name, other, cb)
+        got = getattr(b, field)
+        assert got is not other and got.dtype == dtype and np.array_equal(got, frozen)
+        assert got.flags.owndata and got.flags.c_contiguous and not got.flags.writeable
+        assert b.m == b.codebook.m
+    got = getattr(_hold(name, mine, cb), field)
+    mine[0] += 1  # the caller's array changes; the bundle's does not
+    assert np.array_equal(got, frozen)
+
+
+@pytest.mark.parametrize("bad", [[0.7, 1.9, -2.5, 3.2], [np.nan, 1.0], [1e30, 1.0],
+                                 [np.inf, 1.0], [-np.inf, 1.0], [2.0**63, 1.0]])
+def test_an_int64_bundle_refuses_floats_its_copy_would_change(bad):
+    m = len(bad)
+    dense, sparse = Codebook("dense-sign", m, D), Codebook("sparse-binary-exact", m, D, k=1)
+    for build, user in ((lambda v: mapi.MapIBundle(v, dense), "MAP-I bundle"),
+                        (lambda v: cbloom.CountBundle(v, sparse), "count bundle")):
+        for values in (bad, np.array(bad)):
+            with pytest.raises(ValueError, match=f"{user} entries must be whole numbers in "
+                                                 f"int64, got "):
+                build(values)
+
+
+def test_an_int64_bundle_refuses_bools_strings_and_objects():
+    dense, sparse = Codebook("dense-sign", 4, D), Codebook("sparse-binary-exact", 4, D, k=1)
+    for bad, dtype in (([True, False, True, True], "bool"), (["1", "2", "3", "4"], "<U1"),
+                       (np.array([1, 2, 3, 4], dtype=object), "object"),
+                       ([2**64, 1, 2, 3], "object")):
+        with pytest.raises(ValueError, match=f"MAP-I bundle entries must be integers, "
+                                             f"got {dtype} values"):
+            mapi.MapIBundle(bad, dense)
+        with pytest.raises(ValueError, match=f"count bundle entries must be integers, "
+                                             f"got {dtype} values"):
+            cbloom.CountBundle(bad, sparse)
+
+
+def test_an_int64_bundle_takes_whole_floats_and_casts_integers():
+    dense = Codebook("dense-sign", 4, D)
+    assert mapi.MapIBundle([1.0, -2.0, 0.0, -2.0**63], dense).ints.tolist() == [1, -2, 0, -2**63]
+    assert mapi.MapIBundle(np.array([1, 2, 3, 4], np.uint8), dense).ints.tolist() == [1, 2, 3, 4]
+    sparse = Codebook("sparse-binary-exact", 4, D, k=1)
+    assert cbloom.CountBundle(np.ones(4), sparse).counts.tolist() == [1, 1, 1, 1]
+    with pytest.raises(ValueError, match="count bundle entries must be nonnegative"):
+        cbloom.CountBundle(np.array([2**64 - 1, 0, 0, 0], np.uint64), sparse)
+    trials = Codebook("sparse-binary-trials", 4, D, k=1)
+    with pytest.raises(ValueError, match=re.escape("bloom positions must lie in [0, 4)")):
+        bloom.BloomBundle(np.array([2**64 - 1], np.uint64), trials)
+    with pytest.raises(ValueError, match="1-D integer"):
+        bloom.BloomBundle([1.0, 2.0], trials)
+
+
+def _calls(node):
+    """``(owner, name)`` of every call under ``node``: ``np.array(...)`` is ("np", "array")."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            owner = call.func.value
+            yield (owner.id if isinstance(owner, ast.Name) else None), call.func.attr
+
+
+def test_rng_alone_packs_bits_and_held_alone_copies_a_bundle():
+    """Outside ``rng.py`` no module packs or unpacks bits, and no bundle class's
+    ``__post_init__`` copies or freezes its own array: each calls ``held``. (Encoders that
+    freeze their own fresh output, such as ``cbloom.bundle_counts``, are not bundle classes.)"""
+    found, posts = [], {}
+    for path in sorted(Path(vsakit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "rng.py":
+            found += [f"{path.name} calls np.{name}" for owner, name in _calls(tree)
+                      if owner == "np" and name in ("packbits", "unpackbits")]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name in BUNDLES:
+                posts[cls.name] = next(f for f in cls.body if getattr(f, "name", None)
+                                       == "__post_init__")
+    for name, post in posts.items():
+        calls = list(_calls(post))
+        found += [f"{name}.__post_init__ calls {owner}.{attr}" for owner, attr in calls
+                  if attr in ("copy", "setflags") or (owner, attr) == ("np", "array")]
+        if not any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "held"
+                   for c in ast.walk(post)):
+            found.append(f"{name}.__post_init__ does not call held")
+    assert set(posts) == set(BUNDLES)
+    assert found == []

@@ -207,6 +207,24 @@ def test_binding2_binds_pairs_only():
                                                 "arity": 3}, [5])
 
 
+def test_binding_k_reads_its_arity_from_the_sizing_input_k():
+    """bindingK binds k-edges when the cell names the arity k, as the sizing input does."""
+    cell = {"m": 300, "d": 256, "E": 4, "eps": 0.5}
+
+    def outcomes(task, **more):
+        return harness.run_trials("mapi", task, {**cell, **more}, range(20))
+
+    assert outcomes("bindingK", k=3) == outcomes("bindingK", arity=3)
+    assert outcomes("bindingK", k=3) != outcomes("bindingK", arity=2)
+    assert outcomes("bindingK", k=3, arity=3) == outcomes("bindingK", arity=3)
+    assert outcomes("binding2", k=3) == outcomes("binding2")  # binding2 reads no k
+    config = small_config(task="bindingK", grid={**_BINDING, "arity": [2], "k": [3],
+                                                 "eps": [-1.0]}, trials=2)
+    row = next(csv.reader(io.StringIO(harness.run(config)[0].splitlines()[1])))
+    assert row[harness.COLUMNS.index("error")] == ("bindingK got arity 2 and k 3; "
+                                                   "give one, or equal values")
+
+
 #: One valid cell of every task that reads a rate, eps or delta.
 _RATE_CELLS = {
     ("mapi", "norm"): {"m": 64, "n": 3, "d": 32, "eps": 0.5},

@@ -212,3 +212,23 @@ def test_keyed_window_seed_must_be_integral():
     for bad in (1.5, True, "3", None):
         with pytest.raises(ValueError, match="stream seed"):
             rng.keyed_words(bad, rng.stream_id("t"), 0, 4)
+
+
+@pytest.mark.parametrize("m", [1, 7, 63, 64, 65, 128, 517])
+def test_packing_and_unpacking_are_inverse_with_zero_padding(m):
+    bits = rng.Stream(m, "pack-test").words(0, 3 * m).reshape(3, m) & np.uint64(1)
+    bits = bits.astype(np.uint8)
+    words = np.array([rng.words_from_bits(row) for row in bits])
+    assert words.dtype == np.uint64 and words.shape == (3, -(-m // 64))
+    mask = rng.last_word_mask(m)
+    assert int(mask) == (1 << (m % 64 or 64)) - 1
+    assert not (words[:, -1] & ~mask).any()  # the padding bits are zero
+    assert np.array_equal(rng.bits_from_words(words, m), bits)
+    for i in (0, m // 2, m - 1):  # entry i is bit i % 64 of word i // 64
+        assert int(words[1, i // 64]) >> (i % 64) & 1 == bits[1, i]
+    raw = rng.Stream(m, "pack-test").words(0, 3 * -(-m // 64)).reshape(3, -1)
+    raw[:, -1] &= mask  # any words with zero padding round-trip
+    assert np.array_equal([rng.words_from_bits(row) for row in rng.bits_from_words(raw, m)], raw)
+    signs = rng.signs_from_words(words.ravel(), m, 3)
+    assert signs.shape == (m, 3) and signs.flags.f_contiguous
+    assert np.array_equal(signs, 2 * bits.T.astype(np.int8) - 1)
