@@ -41,7 +41,7 @@ class BloomBundle:
         pos = np.asarray(self.positions)
         if pos.ndim != 1 or pos.size and not np.issubdtype(pos.dtype, np.integer):
             raise ValueError("bloom positions must be a 1-D integer array")
-        pos = held(pos, np.int64, "bloom bundle")
+        pos = held(self.positions, np.int64, "bloom bundle")  # held refuses a bool in a list
         if pos.size and (pos[0] < 0 or pos[-1] >= self.codebook.m):
             raise ValueError(f"bloom positions must lie in [0, {self.codebook.m})")
         if (pos[1:] <= pos[:-1]).any():

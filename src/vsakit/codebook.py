@@ -26,8 +26,10 @@ sizing a batch reads ``window_words(n)``, the most n ids can draw.
 
 A cell's codebooks differ only in their trial seed, so one codebook,
 checked once, is a template: ``with_seed`` copies it under another seed,
-checking and folding nothing again, and ``sign_words_across`` gathers the
-columns of a stack of seeds in one call, with one row index and one mask.
+checking and folding nothing again, and the two stack accessors gather the
+columns of a stack of seeds in one call, one row of ids per seed:
+``sign_words_across`` with one row index and one mask, and
+``exact_indices_across`` with one ``rng.choose_distinct_rows`` call.
 
 Each representation has one batched accessor, and one column is its one-id
 case. ``sign_words`` gives dense-sign columns as their packed signs (bit i
@@ -234,6 +236,15 @@ class Codebook:
         stack = windows[0] if len(windows) == 1 else np.concatenate(windows)
         return stack.reshape(total, drawn)[rows]
 
+    def _across(self, seeds, ids) -> np.ndarray:
+        """Raw words of the columns ``ids[s]`` under ``seeds[s]``, one row of ``ids`` per seed."""
+        seeds = list(seeds)
+        ids = self._symbol_ids(ids)
+        if ids.ndim != 2 or len(ids) != len(seeds):
+            raise ValueError(f"ids must hold one row per seed, got shape {ids.shape} "
+                             f"for {len(seeds)} seeds")
+        return self._gather(seeds, ids)
+
     def _one_seed(self, ids) -> np.ndarray:
         """Raw words of the columns ``ids``, a 1-D id sequence, one row per id."""
         ids = self._symbol_ids(ids)
@@ -265,12 +276,7 @@ class Codebook:
         is checked before any draw, raising the first bad seed's error.
         """
         self.require("dense-sign", "sign_words_across")
-        seeds = list(seeds)
-        ids = self._symbol_ids(ids)
-        if ids.ndim != 2 or len(ids) != len(seeds):
-            raise ValueError(f"ids must hold one row per seed, got shape {ids.shape} "
-                             f"for {len(seeds)} seeds")
-        return self._packed(self._gather(seeds, ids))
+        return self._packed(self._across(seeds, ids))
 
     def sign_columns(self, ids) -> np.ndarray:
         """Dense-sign columns for an arbitrary id sequence, shape (m, len(ids)).
@@ -312,9 +318,25 @@ class Codebook:
         columns come from one gather and one ``rng.choose_distinct_rows`` call.
         """
         self.require("sparse-binary-exact", "exact_indices")
-        rows = rng.choose_distinct_rows(self._one_seed(ids), self.m, self.k)
+        return self._exact_rows(self._one_seed(ids))
+
+    def exact_indices_across(self, seeds, ids) -> np.ndarray:
+        """Row s of ``ids`` gathered as ``self.with_seed(seeds[s]).exact_indices(ids[s])``.
+
+        ``ids`` is a (len(seeds), n) array. Returns the row indices, shape
+        (len(seeds), n, k), equal to each seed's own ``exact_indices``: both
+        are one gather and one ``rng.choose_distinct_rows`` call, this one
+        over many seeds. Every id is checked before any draw, raising the
+        first bad seed's error.
+        """
+        self.require("sparse-binary-exact", "exact_indices_across")
+        return self._exact_rows(self._across(seeds, ids))
+
+    def _exact_rows(self, raw: np.ndarray) -> np.ndarray:
+        """The k distinct sorted rows that each raw sparse-binary-exact window draws."""
+        rows = rng.choose_distinct_rows(raw.reshape(-1, raw.shape[-1]), self.m, self.k)
         rows.sort(axis=1)
-        return rows
+        return rows.reshape(*raw.shape[:-1], self.k)
 
 
 def same_codebook(b1, b2, user: str) -> None:
@@ -329,8 +351,13 @@ def held(values, dtype, user: str) -> np.ndarray:
     An array that owns its data and is all that already, such as an
     encoder's frozen output, is kept; anything else is copied and frozen.
     An int64 copy refuses what the cast would change: a bool, string or
-    object array, or a float that is not a whole number in int64.
+    object array, a list that holds a bool anywhere (which ``np.asarray``
+    would read as 0 or 1 beside its integers), or a float that is not a
+    whole number in int64.
     """
+    if dtype == np.int64 and not isinstance(values, np.ndarray):
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, object).flat):
+            raise ValueError(f"{user} entries must be integers, got bool values")
     values = np.asarray(values)  # a subclass becomes a view, which is copied
     flags, kind = values.flags, values.dtype.kind
     if values.dtype == dtype and flags.owndata and flags.c_contiguous and not flags.writeable:

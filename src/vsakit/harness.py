@@ -10,15 +10,18 @@ and cell once, extends that fold by each trial index and hands all of the
 cell's seeds to one :func:`run_trials` call. Most tasks run one seed after
 another (``_each``); MAP-I ``norm``, Counting Bloom and Hopfield± draw a
 cell's seeds together, and every outcome is still the one a trial alone
-gives. These three check one codebook per cell, a template: MAP-I ``norm``
-gathers every seed's columns from it in the gather a one-seed ``sign_words``
-makes (``Codebook.sign_words_across``), and Counting Bloom and Hopfield±
-give each seed a copy that differs only in its seed (``Codebook.with_seed``).
-How many of a cell's seeds are held at once is decided here alone: one
-budget, ``_CHUNK_BYTES``, slices the seed list (``_chunks``) for the
-instance draws and for MAP-I ``norm`` (n*m bits and ``window_words`` a
-seed); the codebook and the MAP-I kernel take each slice whole, and
-slicing never changes a result.
+gives. These three check one codebook per cell, a template. MAP-I ``norm``
+and Counting Bloom gather every seed's columns from it in the gather a
+one-seed accessor makes (``Codebook.sign_words_across``,
+``Codebook.exact_indices_across``) and measure a slice of seeds in one
+kernel call (``mapi.flat_norm_sq_estimates``, ``cbloom.min_sums``);
+Hopfield± gives each seed a copy that differs only in its seed
+(``Codebook.with_seed``). How many of a cell's seeds are held at once is
+decided here alone: one budget, ``_CHUNK_BYTES``, slices the seed list
+(``_chunks``) for the instance draws, for MAP-I ``norm`` (n*m bits and
+``window_words`` a seed) and for Counting Bloom (its draw's words,
+``window_words`` and its keys a seed); the codebook and the kernels take
+each slice whole, and slicing never changes a result.
 One aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 
@@ -448,16 +451,20 @@ def _mass_weights(total: int, peak: int) -> list[int]:
 
 
 def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]:
-    """The Counting Bloom trials of a cell: every seed's codebook, then its draws and bundles.
+    """The Counting Bloom trials of a cell: one codebook, and one kernel call a slice of seeds.
 
     Each trial's weighted sets have ||v-w||_inf <= K_b and the requested
     difference masses: the common (wedge) part carries identical weights in
     both sets, so the difference masses are exactly n_v and n_w. The cell's
     codebook is built and the masses checked before the seeds' supports are
     drawn with ``_draw_subsets``, so a bad cell fails with the error a trial
-    alone gives; each seed's codebook is a copy of it under that seed
-    (``Codebook.with_seed``). A trial's v and w are bundled from one gather
-    (``cbloom.bundle_counts``), and no count array outlives its trial.
+    alone gives. Per slice of seeds (``_chunks``), the supports are drawn,
+    ``Codebook.exact_indices_across`` gathers every seed's column rows under
+    that seed, and ``cbloom.min_sums`` gives each seed's min-sum of its two
+    bundles' counts without building them. A seed holds its draw's words,
+    the most window words its gather can draw, and one key per (column, row)
+    pair of v and of w. Each trial keeps its v and w, its exact truth and
+    the estimators' float expressions.
     """
     m, k, eps, d = _params(cell, "m", "k", "eps", "d")
     template = Codebook("sparse-binary-exact", m, d, k=k)
@@ -468,24 +475,30 @@ def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]
         raise ValueError(f"masses n_v, n_w and n cannot be negative, got {n_v}, {n_w}, {common}")
     wv, ww, wb = _mass_weights(n_v, peak), _mass_weights(n_w, peak), _mass_weights(common, peak)
     a, b = len(wv), len(wv) + len(ww)
+    size = b + len(wb)
+    # Column j of a support is v's, w's or both sets': its weight in each, 0 where absent.
+    in_v, in_w = wv + [0] * len(ww) + wb, [0] * a + ww + wb
+    per_seed = 8 * (max(size, 1) + template.window_words(size) + k * (size + len(wb)))
     outcomes = []
-    for seed, ids in zip(seeds, _draw_subsets(seeds, "support", d, b + len(wb))):
-        cb = template.with_seed(seed)
-        ids = ids.tolist()
-        shared = dict(zip(ids[b:], wb))
-        v = SymbolSet(d, {**dict(zip(ids[:a], wv)), **shared})
-        w = SymbolSet(d, {**dict(zip(ids[a:b], ww)), **shared})
-        bv, bw = cbloom.bundle_counts(cb, (v, w))
-        if l1:
-            est = cbloom.l1_distance_estimate(bv, bw, v.l1(), w.l1())
-            truth = setalg.l1_distance(v, w)
-            short = truth - est  # estimator never overestimates
-            outcomes.append(TrialOutcome(est, truth, 0.0 <= short < 2.0 * eps, abs(short)))
-        else:
-            est = cbloom.generalized_intersection_estimate(bv, bw)
-            truth = setalg.wedgedot(v, w)
-            overshoot = est - truth  # estimator never underestimates
-            outcomes.append(TrialOutcome(est, truth, 0.0 <= overshoot < eps, abs(overshoot)))
+    for chunk in _chunks(seeds, per_seed):
+        ids = np.stack(list(_draw_subsets(chunk, "support", d, size)))
+        sets = []
+        for row in ids.tolist():
+            shared = dict(zip(row[b:], wb))
+            sets.append((SymbolSet(d, {**dict(zip(row[:a], wv)), **shared}),
+                         SymbolSet(d, {**dict(zip(row[a:b], ww)), **shared})))
+        totals = cbloom.min_sums(m, template.exact_indices_across(chunk, ids), in_v, in_w)
+        for (v, w), total in zip(sets, totals):
+            if l1:
+                est = v.l1() + w.l1() - 2.0 * (total / k)
+                truth = setalg.l1_distance(v, w)
+                short = truth - est  # estimator never overestimates
+                outcomes.append(TrialOutcome(est, truth, 0.0 <= short < 2.0 * eps, abs(short)))
+            else:
+                est = total / k
+                truth = setalg.wedgedot(v, w)
+                overshoot = est - truth  # estimator never underestimates
+                outcomes.append(TrialOutcome(est, truth, 0.0 <= overshoot < eps, abs(overshoot)))
     return outcomes
 
 

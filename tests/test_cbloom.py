@@ -184,47 +184,76 @@ def _same_bundle(got, want):
     assert got.counts.flags.owndata and not got.counts.flags.writeable
 
 
-#: Sets over ids 0..9: most pairs share ids, usually with different weights.
-_weighted_sets = st.lists(st.dictionaries(st.integers(0, 9), st.integers(1, 2**58), max_size=8),
-                          min_size=1, max_size=4)
+def _dense_min_sum(cb, v, w):
+    """The min-sum of the dense bundles of v and w: generalized_intersection_estimate's, times k."""
+    bv, bw = cbloom.bundle_count(cb, v), cbloom.bundle_count(cb, w)
+    total = cbloom._total(np.minimum(bv.counts, bw.counts))
+    assert total / cb.k == cbloom.generalized_intersection_estimate(bv, bw)
+    return total
 
 
-@given(seed=st.integers(0, 2**32 - 1), entries=_weighted_sets, repeat=st.booleans())
-def test_bundle_counts_equal_each_set_alone(seed, entries, repeat):
-    # m = 6 and k = 3: columns share rows, so each set's np.add.at adds repeated rows.
-    cb = Codebook("sparse-binary-exact", 6, 10, k=3, seed=seed)
-    sets = [SymbolSet(10, e) for e in entries] + ([SymbolSet(10, entries[0])] if repeat else [])
-    bundles = cbloom.bundle_counts(cb, sets)
-    assert len(bundles) == len(sets)
-    for got, v in zip(bundles, sets):
-        _same_bundle(got, cbloom.bundle_count(cb, v))
-    assert len({id(b.counts) for b in bundles}) == len(bundles)  # no set shares its counts
+def _kernel_sets(weights, d, ids=None):
+    """The v and w that ``min_sums`` reads from the weights of n columns ``ids`` (0..n-1) of [d]."""
+    ids = range(len(weights[0])) if ids is None else ids
+    return [SymbolSet(d, {j: wt for j, wt in zip(ids, side) if wt}) for side in weights]
 
 
-def test_bundle_counts_of_one_set_empty_sets_and_no_set():
-    cb = Codebook("sparse-binary-exact", 97, 30, k=7, seed=5)
-    v, w = random_weighted_pair(30, 4)
-    (one,) = cbloom.bundle_counts(cb, [v])
-    _same_bundle(one, cbloom.bundle_count(cb, v))
-    empty = SymbolSet(30)
-    bundles = cbloom.bundle_counts(cb, [empty, v, empty, w])
-    for got, want in zip(bundles, (empty, v, empty, w)):
-        _same_bundle(got, cbloom.bundle_count(cb, want))
-    assert bundles[0].mass() == bundles[2].mass() == 0
-    assert cbloom.bundle_counts(cb, []) == []
+#: Weights of columns 0..5 in v and in w: zero leaves a column out, and most
+#: columns sit in both sets, usually with different weights.
+_column_weights = st.lists(st.tuples(st.integers(0, 2**58), st.integers(0, 2**58)),
+                           min_size=0, max_size=6)
 
 
-@pytest.mark.parametrize("cb, bad", [
-    (Codebook("sparse-binary-trials", 64, 8, k=4, seed=2), SymbolSet(8, {0: 1})),
-    (Codebook("dense-sign", 64, 8, seed=2), SymbolSet(8)),
-    (Codebook("sparse-binary-exact", 64, 8, k=4, seed=2), SymbolSet(9, {8: 1})),
-    (Codebook("sparse-binary-exact", 64, 8, k=4, seed=2), SymbolSet(8, {0: 2**62, 1: 2**62})),
-], ids=["trials-kind", "dense-kind", "universe", "l1-past-int64"])
-def test_bundle_counts_refuse_what_bundle_count_refuses(cb, bad):
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=5), columns=_column_weights)
+def test_min_sums_equal_each_seeds_dense_bundles(seeds, columns):
+    # m = 6 and k = 3: columns share rows, so a key sums several columns' weights.
+    v, w = (list(side) for side in zip(*columns)) if columns else ([], [])
+    template = Codebook("sparse-binary-exact", 6, 10, k=3)
+    ids = np.broadcast_to(np.arange(len(columns)), (len(seeds), len(columns)))
+    got = cbloom.min_sums(6, template.exact_indices_across(seeds, ids), v, w)
+    assert all(type(total) is int for total in got)
+    assert got == [_dense_min_sum(template.with_seed(seed), *_kernel_sets((v, w), 10))
+                   for seed in seeds]
+
+
+def test_min_sums_of_empty_sets_and_no_seed():
+    template = Codebook("sparse-binary-exact", 97, 30, k=7)
+    ids = [[4, 5], [6, 7], [8, 9]]
+    rows = template.exact_indices_across([1, 2, 3], np.array(ids))
+    assert cbloom.min_sums(97, rows, [0, 0], [3, 1]) == [0, 0, 0]
+    assert cbloom.min_sums(97, rows, [2, 0], [0, 5]) == [
+        _dense_min_sum(template.with_seed(seed), *_kernel_sets(([2, 0], [0, 5]), 30, row))
+        for seed, row in zip((1, 2, 3), ids)]
+    assert cbloom.min_sums(97, rows[:, :0], [], []) == [0, 0, 0]
+    assert cbloom.min_sums(97, rows[:0], [2, 1], [1, 2]) == []
+
+
+def test_min_sums_are_exact_past_int64_and_refuse_what_bundle_count_refuses():
+    # Every count is below 2**63, but k * 2**62 of them are not: the totals sum Python ints.
+    template = Codebook("sparse-binary-exact", 4, 8, k=3)
+    seeds, big = [5, 6, 7], [2**62 - 1, 2**62]
+    rows = template.exact_indices_across(seeds, np.array([[0, 1]] * 3))
+    got = cbloom.min_sums(4, rows, big, big[::-1])
+    assert got == [_dense_min_sum(template.with_seed(s), *_kernel_sets((big, big[::-1]), 8))
+                   for s in seeds]
+    assert min(got) >= 3 * (2**62 - 1)
+    heavy = SymbolSet(8, {0: 2**62, 1: 2**62})
     with pytest.raises(ValueError) as alone:
-        cbloom.bundle_count(cb, bad)
-    good = SymbolSet(cb.d, {1: 3})
-    for sets in ([bad], [bad, good], [good, bad], [good, good, bad]):
-        with pytest.raises(ValueError) as batched:
-            cbloom.bundle_counts(cb, sets)
-        assert str(batched.value) == str(alone.value)
+        cbloom.bundle_count(template, heavy)
+    for v, w in (([2**62, 2**62], [1, 1]), ([1, 1], [2**62, 2**62])):
+        with pytest.raises(ValueError) as kernel:
+            cbloom.min_sums(4, rows, v, w)
+        assert str(kernel.value) == str(alone.value)
+
+
+def test_min_sums_split_a_stack_whose_keys_would_pass_int64():
+    m = 2**61  # four seeds' keys s * m + row reach past 2**63
+    template = Codebook("sparse-binary-exact", m, 8, k=2)
+    seeds = [rng.mix64(s) for s in range(4)]
+    rows = template.exact_indices_across(seeds, np.array([[0, 1, 2]] * 4))
+    v, w = [1, 2, 0], [3, 2, 4]
+    assert cbloom.min_sums(m, rows, v, w) == [
+        cbloom.min_sums(m, rows[s : s + 1], v, w)[0] for s in range(4)]
+    assert cbloom.min_sums(m, rows, v, v) == [2 * 3] * 4  # x wedgedot x = k ||v||_1
+    with pytest.raises(ValueError, match=r"m below 2\*\*63, got 9223372036854775808"):
+        cbloom.min_sums(2**63, rows[:1], v, w)

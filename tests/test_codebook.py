@@ -377,6 +377,45 @@ def test_sign_words_across_check_ids_before_any_draw(monkeypatch):
     assert empty.dtype == np.uint64 and empty.shape == (0, 3, 1)
 
 
+@pytest.mark.parametrize("m, k", [(1, 1), (6, 3), (64, 64), (7580, 8), (8192, 484)])
+@pytest.mark.parametrize("n", [0, 1, 7, "d"])
+@pytest.mark.parametrize("count", [1, 2, 7])  # seeds in the stack
+def test_exact_indices_across_equal_per_seed_gathers(monkeypatch, m, k, n, count):
+    d = 256
+    n = d if n == "d" else n
+    gen = np.random.default_rng(m * 1000 + n)
+    seeds = [rng.mix64(s) for s in range(count)]
+    ids = _fixed_span_rows(d, n, len(seeds), gen)
+    template = Codebook("sparse-binary-exact", m, d, k=k)
+    windows = _count_windows(monkeypatch)
+    got = template.exact_indices_across(seeds, ids)
+    across = dict(windows)
+    windows.clear()
+    assert got.dtype == np.int64 and got.shape == (count, n, k)
+    for seed, row, rows in zip(seeds, ids, got):
+        assert np.array_equal(rows, template.with_seed(seed).exact_indices(row))
+    assert across == windows  # every seed drew as many windows as its own gather
+
+
+def test_exact_indices_across_check_ids_before_any_draw(monkeypatch):
+    template = Codebook("sparse-binary-exact", 64, 10, k=3)
+    counts = _count_windows(monkeypatch)
+    for bad in ([-1, 3], [0, 10], [10, 10]):
+        rows = np.array([[0, 1], bad, [-5, 4]])
+        with pytest.raises(IndexError) as across:
+            template.exact_indices_across([1, 2, 3], rows)
+        with pytest.raises(IndexError) as alone:
+            template.with_seed(2).exact_indices(bad)
+        assert str(across.value) == str(alone.value)
+    assert not counts
+    with pytest.raises(ValueError, match="one row per seed"):
+        template.exact_indices_across([1, 2], np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="one row per seed"):
+        template.exact_indices_across([1, 2], [1, 2])
+    empty = template.exact_indices_across([], np.empty((0, 3), dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.shape == (0, 3, 3)
+
+
 def _id_readers(d=300):
     """Every way a caller hands symbol ids to one gather, each taking a list of ids."""
     dense = Codebook("dense-sign", 119, d, seed=1)
@@ -387,6 +426,8 @@ def _id_readers(d=300):
         "union_indices": Codebook("sparse-binary-trials", 128, d, k=7, seed=1).union_indices,
         "exact_indices": Codebook("sparse-binary-exact", 7580, d, k=8, seed=1).exact_indices,
         "sign_words_across": lambda ids: dense.sign_words_across([5], [ids])[0],
+        "exact_indices_across": lambda ids: Codebook("sparse-binary-exact", 7580, d, k=8)
+        .exact_indices_across([1], [ids])[0],
         "membership_test": lambda ids: [mapb.membership_test(bundle, j, 0.05) for j in ids],
     }
 

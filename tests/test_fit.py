@@ -55,8 +55,6 @@ ENCODERS = {
                            lambda cb, d: bloom.bundle_bloom(cb, _set(d))),
     "cbloom.bundle_count": ("counting bloom", "sparse-binary-exact",
                             lambda cb, d: cbloom.bundle_count(cb, _set(d))),
-    "cbloom.bundle_counts": ("counting bloom", "sparse-binary-exact",
-                             lambda cb, d: cbloom.bundle_counts(cb, [_set(D), _set(d)])),
     "hopfield.hpm_encode": ("Hopfield±", "dense-sign",
                             lambda cb, d: hopfield.hpm_encode(cb, {1: 1.0}, 0)),
     "hopfield.hpm_estimates": ("Hopfield±", "dense-sign",
@@ -100,6 +98,8 @@ ACCESSORS = {
     "sign_columns": ("dense-sign", lambda cb: cb.sign_columns([1])),
     "union_indices": ("sparse-binary-trials", lambda cb: cb.union_indices([1])),
     "exact_indices": ("sparse-binary-exact", lambda cb: cb.exact_indices([1])),
+    "exact_indices_across": ("sparse-binary-exact",
+                             lambda cb: cb.exact_indices_across([0], [[1]])),
 }
 
 
@@ -275,6 +275,19 @@ def test_an_int64_bundle_refuses_bools_strings_and_objects():
             cbloom.CountBundle(bad, sparse)
 
 
+def test_an_int64_bundle_refuses_a_bool_mixed_into_a_list():
+    dense, sparse = Codebook("dense-sign", 4, D), Codebook("sparse-binary-exact", 4, D, k=1)
+    trials = Codebook("sparse-binary-trials", 64, D, k=1)
+    for build, user, good, bad in (
+            (lambda v: mapi.MapIBundle(v, dense), "MAP-I bundle", [1, 1, 2, 3], [1, True, 2, 3]),
+            (lambda v: cbloom.CountBundle(v, sparse), "count bundle", [0, 1, 0, 2],
+             (0, 1, 0, np.True_)),
+            (lambda v: bloom.BloomBundle(v, trials), "bloom bundle", [1, 5], [True, 5])):
+        build(good)
+        with pytest.raises(ValueError, match=f"^{user} entries must be integers, got bool values$"):
+            build(bad)
+
+
 def test_an_int64_bundle_takes_whole_floats_and_casts_integers():
     dense = Codebook("dense-sign", 4, D)
     assert mapi.MapIBundle([1.0, -2.0, 0.0, -2.0**63], dense).ints.tolist() == [1, -2, 0, -2**63]
@@ -301,7 +314,7 @@ def _calls(node):
 def test_rng_alone_packs_bits_and_held_alone_copies_a_bundle():
     """Outside ``rng.py`` no module packs or unpacks bits, and no bundle class's
     ``__post_init__`` copies or freezes its own array: each calls ``held``. (Encoders that
-    freeze their own fresh output, such as ``cbloom.bundle_counts``, are not bundle classes.)"""
+    freeze their own fresh output, such as ``cbloom.bundle_count``, are not bundle classes.)"""
     found, posts = [], {}
     for path in sorted(Path(vsakit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

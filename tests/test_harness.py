@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import threading
 from pathlib import Path
 
@@ -714,6 +715,67 @@ def test_cbloom_trials_equal_per_seed_reference(monkeypatch, task, count, change
     seeds = [harness.trial_seed(5, cell, t) for t in range(count)]
     assert harness.run_trials("cbloom", task, cell, seeds) == [
         _cbloom_reference(cell, seed, task == "l1") for seed in seeds]
+
+
+def _cbloom_seed_bytes(cell):
+    """What one seed of a Counting Bloom cell holds: its support draw's words, its gather's
+    windows and one key per (column, row) pair of v and of w."""
+    m, k, d, peak = cell["m"], cell["k"], cell["d"], cell.get("K_b", 1)
+    v, w, both = (-(-cell[name] // peak) for name in ("n_v", "n_w", "n"))
+    size = v + w + both
+    window = Codebook("sparse-binary-exact", m, d, k=k).window_words(size)
+    return 8 * (max(size, 1) + window + k * (size + both))
+
+
+def _count_min_sums(monkeypatch):
+    """The seed counts of the stacks that ``cbloom.min_sums`` is called with, in order."""
+    calls = []
+    real = cbloom.min_sums
+    monkeypatch.setattr(cbloom, "min_sums",
+                        lambda m, rows, *sets: calls.append(len(rows)) or real(m, rows, *sets))
+    return calls
+
+
+@pytest.mark.parametrize("task", ["intersection", "l1"])
+@pytest.mark.parametrize("count", [1, 3, 7])
+@pytest.mark.parametrize("changes", [
+    {},
+    {"K_b": 3, "n_v": 7, "n_w": 5, "n": 8},
+    {"m": 7580, "k": 8, "d": 256, "n": 4, "n_v": 1, "n_w": 2},  # the benchmark's cell
+], ids=["base", "weights-above-1", "large-m"])
+@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per kernel slice
+def test_cbloom_kernel_slices_equal_per_seed_reference(monkeypatch, task, count, changes,
+                                                       per_chunk):
+    cell = {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3, "K_b": 1, "eps": 0.5,
+            **changes}
+    _set_chunk(monkeypatch, per_chunk, _cbloom_seed_bytes(cell))
+    calls = _count_min_sums(monkeypatch)
+    seeds = [harness.trial_seed(8, cell, t) for t in range(count)]
+    assert harness.run_trials("cbloom", task, cell, seeds) == [
+        _cbloom_reference(cell, seed, task == "l1") for seed in seeds]
+    step = count if per_chunk == "all" else per_chunk
+    assert calls == [min(step, count - start) for start in range(0, count, step)]
+
+
+@pytest.mark.parametrize("task", ["intersection", "l1"])
+@pytest.mark.parametrize("changes", [
+    {"n": 2**61, "n_v": 2**61, "n_w": 2**61, "K_b": 2**61},
+    {"n": 2**62, "n_v": 2**62 - 1, "n_w": 2**62 - 1, "K_b": 2**62},  # ||v||_1 = 2**63 - 1
+    {"n": 2**62, "n_v": 2**62, "n_w": 1, "K_b": 2**62},  # ||v||_1 = 2**63: refused
+    {"n": 0, "n_v": 2**62, "n_w": 2**62 + 1, "K_b": 2**61, "m": 3},  # k = m: all rows shared
+], ids=["2**61", "l1-2**63-1", "l1-2**63", "no-common"])
+def test_cbloom_trials_are_exact_at_any_weight(task, changes):
+    """Counts below 2**63 whose min-sums are not: the trials sum them exactly, as the dense
+    bundles do, or refuse the cell as a trial alone does."""
+    cell = {"m": 4, "k": 3, "d": 8, "eps": 0.5, **changes}
+    seeds = [harness.trial_seed(4, cell, t) for t in range(5)]
+    try:
+        want = [_cbloom_reference(cell, seed, task == "l1") for seed in seeds]
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=re.escape(str(refused))):
+            harness.run_trials("cbloom", task, cell, seeds)
+        return
+    assert harness.run_trials("cbloom", task, cell, seeds) == want
 
 
 _CBLOOM_BAD_BASE = {"m": [64], "k": [3], "d": [32], "n": [2], "n_v": [2], "n_w": [3],
