@@ -106,6 +106,8 @@ class Codebook:
             raise ValueError(f"{self.kind} takes no scaled view, got scaled=True")
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be positive")
+        if self.m >= 2**63:  # row indices and bundle lengths are int64
+            raise ValueError(f"codebook m must be below 2**63, got m={self.m}")
         if self.kind in _SPARSE_KINDS:
             if self.k is None:
                 raise ValueError(f"{self.kind} requires sparsity k")

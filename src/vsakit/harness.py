@@ -8,20 +8,23 @@ trials; the bounds that size them live in :mod:`sizing`. Cells run once
 each, in order: for each one, :func:`trial_records` folds the master seed
 and cell once, extends that fold by each trial index and hands all of the
 cell's seeds to one :func:`run_trials` call. Most tasks run one seed after
-another (``_each``); MAP-I ``norm``, Counting Bloom and Hopfield± draw a
-cell's seeds together, and every outcome is still the one a trial alone
-gives. These three check one codebook per cell, a template. MAP-I ``norm``
-and Counting Bloom gather every seed's columns from it in the gather a
-one-seed accessor makes (``Codebook.sign_words_across``,
+another (``_each``); MAP-I ``norm``, MAP-B ``empty-intersection``,
+Counting Bloom and Hopfield± draw a cell's seeds together, and every
+outcome is still the one a trial alone gives. These four check one
+codebook per cell, a template. MAP-I ``norm``, MAP-B
+``empty-intersection`` and Counting Bloom gather every seed's columns from
+it in the gather a one-seed accessor makes (``Codebook.sign_words_across``,
 ``Codebook.exact_indices_across``) and measure a slice of seeds in one
-kernel call (``mapi.flat_norm_sq_estimates``, ``cbloom.min_sums``);
-Hopfield± gives each seed a copy that differs only in its seed
-(``Codebook.with_seed``). How many of a cell's seeds are held at once is
-decided here alone: one budget, ``_CHUNK_BYTES``, slices the seed list
-(``_chunks``) for the instance draws, for MAP-I ``norm`` (n*m bits and
-``window_words`` a seed) and for Counting Bloom (its draw's words,
-``window_words`` and its keys a seed); the codebook and the kernels take
-each slice whole, and slicing never changes a result.
+kernel call (``mapi.flat_norm_sq_estimates``, ``mapb.bundle_sign_across``,
+``cbloom.min_sums``); Hopfield± gives each seed a copy that differs only in
+its seed (``Codebook.with_seed``). How many of a cell's seeds are held at
+once is decided here alone: one budget, ``_CHUNK_BYTES``, slices the seed
+list (``_chunks``) for the instance draws, for MAP-I ``norm`` (n*m bits and
+``window_words`` a seed), for MAP-B ``empty-intersection`` (its draw's
+words, ``window_words``, size*m bits and two int64 sum rows a seed) and for
+Counting Bloom (its draw's words, ``window_words`` and its keys a seed);
+the codebook and the kernels take each slice whole, and slicing never
+changes a result.
 One aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 
@@ -196,11 +199,16 @@ def _draw_subsets(seeds: list, tag: str, d: int, size: int) -> Iterator[np.ndarr
         yield from rng.choose_distinct_rows(words.reshape(-1, nwords), d, size)
 
 
-def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y: int):
-    """Two 0/1 sets with |X n Y| = n_common, |X\\Y| = n_x, |Y\\X| = n_y."""
+def _pair_size(n_common: int, n_x: int, n_y: int) -> int:
+    """The ids that a pair of sets with these part sizes draws; a negative part is refused."""
     if min(n_common, n_x, n_y) < 0:
         raise ValueError("set sizes cannot be negative (is the overlap too large?)")
-    ids = _draw_subset(seed, tag, d, n_common + n_x + n_y)
+    return n_common + n_x + n_y
+
+
+def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y: int):
+    """Two 0/1 sets with |X n Y| = n_common, |X\\Y| = n_x, |Y\\X| = n_y."""
+    ids = _draw_subset(seed, tag, d, _pair_size(n_common, n_x, n_y))
     common, only_x, only_y = (
         ids[:n_common],
         ids[n_common : n_common + n_x],
@@ -405,15 +413,40 @@ def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
     return TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
 
 
-def _trial_mapb_empty_intersection(cell: dict, seed: int) -> TrialOutcome:
+def _trials_mapb_empty_intersection(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
+    """The empty-intersection trials of a cell: one codebook, and one pass a slice of seeds.
+
+    A trial draws a pair of sets as ``_overlapping_pair`` does (``size =
+    nx + ny - n`` ids of the "sets" stream; X is the first nx, Y the first n
+    and the last ny - n), bundles X with tie seed ``seed`` and Y with
+    ``rng.mix64(seed)``, and decides that they intersect when
+    ``<x, y> = m - 2 * popcount(x ^ y)`` reaches
+    ``mapb.empty_intersection_threshold``. The cell's codebook and part
+    sizes are checked before any draw, in a trial's order. Per slice of
+    seeds (``_chunks``), ``_draw_subsets`` draws every pair, one
+    ``Codebook.sign_words_across`` gathers all their columns,
+    ``mapb.bundle_sign_across`` bundles the X and the Y stacks, and one
+    popcount scores every pair. A seed holds ``8 * (max(size, 1) +
+    window_words(size)) + size * m + 16 * m`` bytes: its draw's words, its
+    gather's most window words, its unpacked bits and two int64 sum rows.
+    """
     m, d, nx, ny, overlap, delta = _params(cell, "m", "d", "nx", "ny", "n", "delta")
-    cb = Codebook("dense-sign", m, d, seed=seed)
-    x, y = _overlapping_pair(seed, "sets", d, overlap, nx - overlap, ny - overlap)
-    bx = mapb.bundle_sign(cb, x, tie_seed=seed)
-    by = mapb.bundle_sign(cb, y, tie_seed=rng.mix64(seed))
-    decided_nonempty = mapb.empty_intersection_test(bx, by, delta).contained
-    correct = decided_nonempty == (overlap > 0)
-    return TrialOutcome(float(decided_nonempty), float(overlap > 0), correct, float(not correct))
+    template = Codebook("dense-sign", m, d)
+    size = _pair_size(overlap, nx - overlap, ny - overlap)
+    in_y = np.r_[0:overlap, nx:size]
+    tau, truth = mapb.empty_intersection_threshold(m, delta), overlap > 0
+    per_seed = 8 * (max(size, 1) + template.window_words(size)) + size * m + 16 * m
+    outcomes = []
+    for chunk in _chunks(seeds, per_seed):
+        ids = np.stack(list(_draw_subsets(chunk, "sets", d, size)))
+        words = template.sign_words_across(chunk, ids)
+        x = mapb.bundle_sign_across(m, chunk, words[:, :nx], chunk)
+        y = mapb.bundle_sign_across(m, chunk, words[:, in_y], [rng.mix64(s) for s in chunk])
+        for score in mapb._scores(x, y, m).tolist():
+            decided = score >= tau  # True: the sets intersect
+            outcomes.append(TrialOutcome(float(decided), float(truth), decided == truth,
+                                         float(decided != truth)))
+    return outcomes
 
 
 def _trial_mapb_depth(cell: dict, seed: int) -> TrialOutcome:
@@ -576,7 +609,7 @@ TASKS: dict[tuple[str, str], Callable[[dict, list[int]], list[TrialOutcome]]] = 
     ("mapb", "member"): _each(_trial_mapb_member),
     ("mapb", "sequence-member"): _each(_trial_mapb_sequence_member),
     ("mapb", "kv-member"): _each(_trial_mapb_kv_member),
-    ("mapb", "empty-intersection"): _each(_trial_mapb_empty_intersection),
+    ("mapb", "empty-intersection"): _trials_mapb_empty_intersection,
     ("mapb", "depth"): _each(_trial_mapb_depth),
     ("bloom", "size"): _each(_trial_bloom_size),
     ("bloom", "intersection"): _each(_trial_bloom_intersection),

@@ -10,6 +10,13 @@ is an XOR and a popcount, and a chained bundling step is three bitwise ops.
 A bundle holds only these words and its dense-sign codebook (m is the
 codebook's): every kind is its wire form, and the caller picks its test.
 
+Set bundles have one stack encoder, ``bundle_sign_across``: it sums a
+stack of 0/1 sets, each gathered under its own codebook seed, in one
+``mapi._signed_sums`` call and signs every row in one ``_threshold``,
+drawing a row's tie coins only when it has a zero sum. ``bundle_sign`` is
+its one-row case, so one thresholding rule serves every set bundle, and the
+harness bundles a slice of empty-intersection trials with it.
+
 The paper-backed guarantees are decision tests (membership, sequence
 membership, key-value membership, empty-intersection), not size
 estimation; each test compares a dot product against a closed-form
@@ -112,12 +119,20 @@ def _tie_words(seed: int, tie_seed: int, step: int, m: int) -> np.ndarray:
     return rng.Stream(seed, "mapb-tie", tie_seed, step).words(0, -(-m // 64))
 
 
-def _threshold(sums: np.ndarray, cb_seed: int, tie_seed: int) -> np.ndarray:
-    """Words of sign(sums), each zero sum replaced by its seeded coin."""
-    words = rng.words_from_bits(sums > 0)
-    ties = rng.words_from_bits(sums == 0)
-    if ties.any():
-        words |= ties & _tie_words(cb_seed, tie_seed, 0, sums.shape[0])
+def _threshold(sums: np.ndarray, seeds, tie_seeds) -> np.ndarray:
+    """Words of sign(sums) of a (rows, m) stack, each zero sum replaced by its row's coin.
+
+    Row s's coins are ``_tie_words(seeds[s], tie_seeds[s], 0, m)``, drawn only
+    if the row has a zero sum: a window is keyed, so skipping one changes no bit.
+    """
+    bits = np.empty((2, *sums.shape), dtype=bool)  # the signs and the ties, packed in one call
+    np.greater(sums, 0, out=bits[0])
+    np.equal(sums, 0, out=bits[1])
+    words, ties = rng.words_from_bits(bits)
+    if ties.any():  # a lone row needs no search for the rows with a tie
+        tied = np.flatnonzero(ties.any(axis=1)).tolist() if len(ties) > 1 else [0]
+        for s in tied:
+            words[s] |= ties[s] & _tie_words(seeds[s], tie_seeds[s], 0, sums.shape[1])
     return words
 
 
@@ -130,12 +145,35 @@ def _default_tie_seed(v: SymbolSet) -> int:
     return rng.stream_id("tie-default", *sorted(v.entries))
 
 
+def bundle_sign_across(m: int, seeds, words: np.ndarray, tie_seeds) -> np.ndarray:
+    """Packed sign(S v_s) of a stack of 0/1 sets, one row per seed, in one pass.
+
+    ``words[s]`` is ``cb.with_seed(seeds[s]).sign_words(ids_s)`` for a
+    dense-sign codebook ``cb`` with this ``m``: a (rows, n, ceil(m/64))
+    stack, such as ``Codebook.sign_words_across`` gives. One
+    ``mapi._signed_sums`` call sums every row and one ``_threshold`` signs
+    them, so row s equals ``bundle_sign(cb.with_seed(seeds[s]), v_s,
+    tie_seed=tie_seeds[s]).words`` bit for bit. Returns (rows, ceil(m/64)).
+    """
+    if words.ndim != 3 or words.shape[2] != -(-m // 64) or not (
+            len(seeds) == len(tie_seeds) == len(words)):
+        raise ValueError(f"a stack of MAP-B sets at m={m} needs (rows, n, {-(-m // 64)}) words "
+                         f"and one seed and tie seed a row, got {words.shape} words, "
+                         f"{len(seeds)} seeds and {len(tie_seeds)} tie seeds")
+    return _threshold(mapi._signed_sums(words, m, words.shape[1]), seeds, tie_seeds)
+
+
 def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapBBundle:
-    """sign(S v) for a 0/1 set; zero coordinates get a seeded fair coin."""
+    """sign(S v) for a 0/1 set; zero coordinates get a seeded fair coin.
+
+    The one-row case of ``bundle_sign_across``, on one gather of the set's columns.
+    """
     cb.require("dense-sign", "MAP-B", v.d)
     require_flat(v)
     tie_seed = _default_tie_seed(v) if tie_seed is None else integral(tie_seed, "tie_seed")
-    return MapBBundle(_threshold(mapi.bundle(cb, v).ints, cb.seed, tie_seed), cb)
+    ids = np.fromiter(v.entries, dtype=np.int64, count=len(v.entries))
+    words = bundle_sign_across(cb.m, [cb.seed], cb.sign_words(ids)[None], [tie_seed])
+    return MapBBundle(words[0], cb)
 
 
 def bundle_sequence_sign(
@@ -148,8 +186,8 @@ def bundle_sequence_sign(
     if tie_seed is None:
         tie_seed = rng.stream_id("tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries)))
     tie_seed = integral(tie_seed, "tie_seed")
-    words = _threshold(mapi.encode_sequence(cb, seq).ints, cb.seed, tie_seed)
-    return MapBBundle(words, cb)
+    words = _threshold(mapi.encode_sequence(cb, seq).ints[None], [cb.seed], [tie_seed])
+    return MapBBundle(words[0], cb)
 
 
 def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None) -> MapBBundle:
@@ -159,8 +197,8 @@ def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None
         tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
     tie_seed = integral(tie_seed, "tie_seed")
     edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
-    words = _threshold(mapi.encode_binding_bundle(cb, edges).ints, cb.seed, tie_seed)
-    return MapBBundle(words, cb)
+    words = _threshold(mapi.encode_binding_bundle(cb, edges).ints[None], [cb.seed], [tie_seed])
+    return MapBBundle(words[0], cb)
 
 
 def iterated_bundle(cb: Codebook, ids, tie_seed: int = 0) -> MapBBundle:

@@ -174,10 +174,14 @@ def last_word_mask(m: int) -> np.uint64:
 
 
 def words_from_bits(bits: np.ndarray) -> np.ndarray:
-    """m 0/1 entries as ceil(m/64) words: entry i is bit i % 64 of word i // 64, padding zero."""
-    m = bits.shape[0]
-    packed = np.zeros(8 * -(-m // 64), dtype=np.uint8)
-    packed[: -(-m // 8)] = np.packbits(bits, bitorder="little")
+    """0/1 entries (..., m) as words (..., ceil(m/64)), packed along the last axis.
+
+    Entry i of a row is bit i % 64 of its word i // 64, and the padding bits
+    past m are zero; a (rows, m) stack packs in one call, each row as alone.
+    """
+    m = bits.shape[-1]
+    packed = np.zeros((*bits.shape[:-1], 8 * -(-m // 64)), dtype=np.uint8)
+    packed[..., : -(-m // 8)] = np.packbits(bits, axis=-1, bitorder="little")
     return packed.view("<u8").astype(np.uint64, copy=False)
 
 

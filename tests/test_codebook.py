@@ -541,6 +541,34 @@ def test_sparse_kinds_refuse_a_scaled_view(kind):
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("kind, k", [("dense-sign", None), ("sparse-binary-trials", 3),
+                                     ("sparse-binary-exact", 3)])
+def test_every_kind_refuses_m_past_int64(kind, k):
+    """Row indices and bundle lengths are int64: m = 2**63 - 1 is the largest codebook."""
+    assert Codebook(kind, 2**63 - 1, 8, k=k, seed=1).m == 2**63 - 1
+    for m in (2**63, 2**64 - 1, 2**64 + 5, float(2**63)):
+        with pytest.raises(ValueError, match=f"^codebook m must be below 2\\*\\*63, "
+                                             f"got m={int(m)}$"):
+            Codebook(kind, m, 8, k=k, seed=1)
+
+
+def test_codebook_json_refuses_m_past_int64():
+    obj = json.loads(Codebook("sparse-binary-exact", 64, 8, k=3, seed=1).to_json())
+    message = f"^codebook m must be below 2\\*\\*63, got m={2**64 - 1}$"
+    with pytest.raises(ValueError, match=message):
+        Codebook.from_json(json.dumps({**obj, "m": 2**64 - 1}))
+
+
+def test_exact_indices_at_the_largest_m_are_rows():
+    """At m = 2**63 - 1 every drawn row is in [0, m): the offsets fit in int64."""
+    cb = Codebook("sparse-binary-exact", 2**63 - 1, 8, k=3, seed=1)
+    rows = cb.exact_indices([0, 1, 2, 3])
+    assert rows.shape == (4, 3) and (rows >= 0).all()
+    assert all(len(set(row)) == 3 for row in rows.tolist())
+    trials = Codebook("sparse-binary-trials", 2**63 - 1, 8, k=3, seed=1)
+    assert (trials.union_indices([0, 1, 2, 3]) >= 0).all()
+
+
 def _names(tree, *names):
     """Lines at which ``tree`` names one of ``names``: a use, an attribute, a def or an import."""
     return sorted(node.lineno for node in ast.walk(tree)

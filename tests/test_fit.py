@@ -123,6 +123,18 @@ def test_every_encoder_refuses_an_input_over_another_universe(name):
         encode(_cb(kind), D + 1)
 
 
+def test_bundle_sign_checks_its_codebook_once_and_its_bundle_once(monkeypatch):
+    """``bundle_sign`` checks the fit of its codebook, then its gather's and its bundle's: no
+    MAP-I encoder or bundle checks it in between."""
+    checks = []
+    real = Codebook.require
+    monkeypatch.setattr(Codebook, "require",
+                        lambda cb, *args: checks.append(args) or real(cb, *args))
+    mapb.bundle_sign(_cb("dense-sign"), _set(D), tie_seed=3)
+    assert checks == [("dense-sign", "MAP-B", D), ("dense-sign", "sign_words"),
+                      ("dense-sign", "MAP-B")]
+
+
 @pytest.mark.parametrize("name", BUNDLES)
 def test_every_bundle_refuses_a_codebook_of_another_kind(name):
     user, kind, build = BUNDLES[name]

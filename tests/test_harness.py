@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vsakit import cbloom, harness, hopfield, mapi, rng, setalg, sizing
+from vsakit import cbloom, harness, hopfield, mapb, mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
@@ -811,6 +811,97 @@ def test_cbloom_bad_cells_keep_their_rows(task, changes, tail):
     grid = {**_CBLOOM_BAD_BASE, **changes}
     csv_text, _ = harness.run(harness.ExperimentConfig("cbloom", task, grid, 3, 7))
     assert csv_text.splitlines()[1] == f"cbloom,{task},{tail}"
+
+
+def _mapb_empty_reference(cell, seed):
+    """The per-seed empty-intersection trial that the batched trials replaced, kept as the
+    reference: per seed its codebook, its pair of sets and two bundles."""
+    m, d, nx, ny, overlap, delta = harness._params(cell, "m", "d", "nx", "ny", "n", "delta")
+    cb = Codebook("dense-sign", m, d, seed=seed)
+    x, y = harness._overlapping_pair(seed, "sets", d, overlap, nx - overlap, ny - overlap)
+    bx = mapb.bundle_sign(cb, x, tie_seed=seed)
+    by = mapb.bundle_sign(cb, y, tie_seed=rng.mix64(seed))
+    decided_nonempty = mapb.empty_intersection_test(bx, by, delta).contained
+    correct = decided_nonempty == (overlap > 0)
+    return harness.TrialOutcome(float(decided_nonempty), float(overlap > 0), correct,
+                                float(not correct))
+
+
+def _mapb_empty_seed_bytes(cell):
+    """What one seed of an empty-intersection cell holds: its draw's words, its gather's
+    windows, its size * m unpacked bits and two int64 sum rows."""
+    m, d = cell["m"], cell["d"]
+    size = cell["nx"] + cell["ny"] - cell["n"]
+    window = Codebook("dense-sign", m, d).window_words(size)
+    return 8 * (max(size, 1) + window) + size * m + 16 * m
+
+
+def _count_constructions(monkeypatch, *classes):
+    """How many objects of each class are built from now on."""
+    built = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+        def counted(obj, real=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            return real(obj)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])
+@pytest.mark.parametrize("changes", [
+    {},
+    {"n": 1},
+    {"m": 1},
+    {"m": 65},
+    {"nx": 0, "n": 0},
+    {"nx": 0, "ny": 0, "n": 0},  # every sum is zero: every coordinate is a tie
+    {"nx": 4, "ny": 4, "n": 4},  # identical sets
+    {"nx": 3, "ny": 5, "n": 1, "m": 200},  # odd sizes: no ties
+    {"d": 8, "nx": 5, "ny": 5, "n": 2, "m": 130},  # size = d
+], ids=["benchmark-n-0", "benchmark-n-1", "m-1", "m-65", "nx-0", "both-empty", "identical",
+        "odd-sizes", "size-d"])
+@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per slice
+def test_mapb_empty_trials_equal_per_seed_reference(monkeypatch, count, changes, per_chunk):
+    cell = {"m": 1151, "d": 256, "nx": 4, "ny": 4, "n": 0, "delta": 0.05, **changes}
+    seeds = [harness.trial_seed(9, cell, t) for t in range(count)]
+    want = [_mapb_empty_reference(cell, seed) for seed in seeds]
+    _set_chunk(monkeypatch, per_chunk, _mapb_empty_seed_bytes(cell))
+    gathers = []
+    real = Codebook.sign_words_across
+    monkeypatch.setattr(Codebook, "sign_words_across",
+                        lambda cb, chunk, ids: gathers.append(len(chunk)) or real(cb, chunk, ids))
+    built = _count_constructions(monkeypatch, Codebook, SymbolSet, mapi.MapIBundle,
+                                 mapb.MapBBundle)
+    assert harness.run_trials("mapb", "empty-intersection", cell, seeds) == want
+    assert built == {"Codebook": 1, "SymbolSet": 0, "MapIBundle": 0, "MapBBundle": 0}
+    step = count if per_chunk == "all" else per_chunk
+    assert gathers == [min(step, count - start) for start in range(0, count, step)]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"m": 0}, "m and d must be positive"),
+    ({"n": 5}, "set sizes cannot be negative"),
+    ({"n": -1}, "set sizes cannot be negative"),
+    ({"d": 7}, "cannot draw 8 distinct symbols from universe 7"),
+    ({"delta": 1.5}, "delta must be in (0, 1), got 1.5"),
+    # A cell bad in two ways reports what a trial alone met first: its parameters,
+    # then its codebook, then the part sizes, then the draw.
+    ({"m": 0, "delta": 0.0}, "delta must be in (0, 1), got 0.0"),
+    ({"m": 0, "n": 5}, "m and d must be positive"),
+    ({"n": 5, "d": 2}, "set sizes cannot be negative"),
+    ({"m": 0, "d": 7}, "m and d must be positive"),
+    ({"d": 7, "delta": 0.0}, "delta must be in (0, 1), got 0.0"),
+], ids=["m-0", "overlap-past-nx", "n-negative", "size-past-d", "delta", "m-and-delta",
+        "m-and-overlap", "overlap-and-size", "m-and-size", "size-and-delta"])
+def test_mapb_empty_bad_cells_raise_the_per_seed_errors(changes, message):
+    cell = {"m": 64, "d": 32, "nx": 4, "ny": 4, "n": 0, "delta": 0.05, **changes}
+    seeds = [harness.trial_seed(9, cell, t) for t in range(3)]
+    with pytest.raises(ValueError) as alone:
+        _mapb_empty_reference(cell, seeds[0])
+    with pytest.raises(ValueError) as batched:
+        harness.run_trials("mapb", "empty-intersection", cell, seeds)
+    assert str(batched.value) == str(alone.value)
+    assert message in str(batched.value)
 
 
 def test_kv_member_rows_with_one_or_two_value_ids():

@@ -419,6 +419,49 @@ def test_word_form_equals_int8_reference(m):
             assert mapb.membership_scores(chained, range(d)).tolist() == (ref_c @ cols).tolist()
 
 
+# -- the stack encoder, row by row ---------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1151])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])  # n = 0 ties everywhere, odd n nowhere
+def test_bundle_sign_across_rows_equal_bundle_sign(monkeypatch, m, n):
+    d, count = 40, 16
+    template = Codebook("dense-sign", m, d)
+    seeds = [rng.mix64(s) for s in range(count)]
+    tie_seeds = [rng.mix64(seed) for seed in seeds]
+    ids = np.array([[(7 * s + 3 * j) % d for j in range(n)] for s in range(count)],
+                   np.int64).reshape(count, n)
+    drawn = []
+    real = mapb._tie_words
+    monkeypatch.setattr(mapb, "_tie_words", lambda *args: drawn.append(args[:2]) or real(*args))
+    got = mapb.bundle_sign_across(m, seeds, template.sign_words_across(seeds, ids), tie_seeds)
+    monkeypatch.undo()
+    assert got.dtype == np.uint64 and got.shape == (count, -(-m // 64))
+    tied = []
+    for s, (seed, tie_seed) in enumerate(zip(seeds, tie_seeds)):
+        cb, v = template.with_seed(seed), SymbolSet.from_ids(d, ids[s].tolist())
+        assert np.array_equal(got[s], mapb.bundle_sign(cb, v, tie_seed=tie_seed).words)
+        sums = mapi.bundle(cb, v).ints
+        assert np.array_equal(rng.signs_from_words(got[s], m)[:, 0],
+                              _ref_sign(sums, seed, tie_seed))
+        if (sums == 0).any():
+            tied.append((seed, tie_seed))
+    assert drawn == tied  # coins are drawn for the rows with a tie alone
+    if n % 2:
+        assert tied == []
+    if m == 1 and n in (2, 4):  # one stack holds rows with and without ties
+        assert 0 < len(tied) < count
+
+
+def test_bundle_sign_across_refuses_a_stack_of_another_shape():
+    words = Codebook("dense-sign", 65, 8).sign_words_across([1, 2], [[0, 1], [2, 3]])
+    assert mapb.bundle_sign_across(65, [1, 2], words, [3, 4]).shape == (2, 2)
+    for m, stack, seeds, tie_seeds in ((64, words, [1, 2], [3, 4]), (65, words[0], [1, 2], [3, 4]),
+                                       (65, words, [1], [3, 4]), (65, words, [1, 2], [3])):
+        with pytest.raises(ValueError, match=f"^a stack of MAP-B sets at m={m} needs "):
+            mapb.bundle_sign_across(m, seeds, stack, tie_seeds)
+
+
 def test_bundle_words_are_checked():
     cb = Codebook("dense-sign", 65, 4, seed=0)
     ok = mapb.MapBBundle(np.array([2**64 - 1, 1], np.uint64), cb)

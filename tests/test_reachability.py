@@ -27,6 +27,7 @@ ALLOWED = {
     "hopfield.hpm_dot_estimate": "tests pin hpm_estimates' dots, which c08 runs, to it bit for bit",
     "hopfield.hpm_norm_estimate": "tests check hpm_estimates' norms against it bit for bit",
     "cbloom.l1_distance_estimate": "tests pin the Counting Bloom trials' l1 estimates to it",
+    "mapb.empty_intersection_test": "tests pin the batched empty-intersection trials to it",
     "mapb.MapBBundle.signs": "acceptance criterion c05b reads the entries",
     "mapb.agreement_probability": "acceptance criterion c05a is its exact oracle",
     "bloom.BloomBundle.bits": "the benchmark's tracer reads bloom.bundle_bytes from it",

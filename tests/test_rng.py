@@ -214,6 +214,19 @@ def test_keyed_window_seed_must_be_integral():
             rng.keyed_words(bad, rng.stream_id("t"), 0, 4)
 
 
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1151])
+def test_words_from_bits_packs_a_stack_row_by_row(m):
+    """Bits pack along the last axis: a (rows, m) stack packs as each row alone."""
+    bits = (rng.Stream(m, "pack-stack").words(0, 5 * m).reshape(5, m) & np.uint64(1)).astype(bool)
+    stack = rng.words_from_bits(bits)
+    assert stack.dtype == np.uint64 and stack.shape == (5, -(-m // 64))
+    assert np.array_equal(stack, [rng.words_from_bits(row) for row in bits])
+    both = np.stack([bits, ~bits])  # any leading axes
+    assert np.array_equal(rng.words_from_bits(both),
+                          [[rng.words_from_bits(row) for row in half] for half in both])
+    assert rng.words_from_bits(bits[:0]).shape == (0, -(-m // 64))
+
+
 @pytest.mark.parametrize("m", [1, 7, 63, 64, 65, 128, 517])
 def test_packing_and_unpacking_are_inverse_with_zero_padding(m):
     bits = rng.Stream(m, "pack-test").words(0, 3 * m).reshape(3, m) & np.uint64(1)
