@@ -103,6 +103,14 @@ def min_sums(m: int, rows: np.ndarray, v: Sequence[int], w: Sequence[int]) -> li
     counts are summed in int64, which ``||v||_1 < 2**63`` keeps exact, and
     the totals too unless int64 could wrap, when they sum Python ints.
     """
+    if rows.ndim != 3:
+        raise ValueError(f"min_sums needs rows as a (seeds, n, k) stack, got shape {rows.shape}")
+    for name, weights in (("v", v), ("w", w)):
+        if len(weights) != rows.shape[1]:
+            raise ValueError(f"min_sums needs one weight of {name} per column: {rows.shape[1]} "
+                             f"columns, got {len(weights)} weights")
+        if any(weight < 0 for weight in weights):
+            raise ValueError(f"min_sums weights of {name} must be nonnegative, got {list(weights)}")
     _check_mass(sum(v))
     _check_mass(sum(w))
     if m >= 2**63:  # rows and keys are int64

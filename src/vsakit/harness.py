@@ -11,20 +11,16 @@ cell's seeds to one :func:`run_trials` call. Most tasks run one seed after
 another (``_each``); MAP-I ``norm``, MAP-B ``empty-intersection``,
 Counting Bloom and Hopfield± draw a cell's seeds together, and every
 outcome is still the one a trial alone gives. These four check one
-codebook per cell, a template. MAP-I ``norm``, MAP-B
-``empty-intersection`` and Counting Bloom gather every seed's columns from
-it in the gather a one-seed accessor makes (``Codebook.sign_words_across``,
-``Codebook.exact_indices_across``) and measure a slice of seeds in one
-kernel call (``mapi.flat_norm_sq_estimates``, ``mapb.bundle_sign_across``,
-``cbloom.min_sums``); Hopfield± gives each seed a copy that differs only in
-its seed (``Codebook.with_seed``). How many of a cell's seeds are held at
-once is decided here alone: one budget, ``_CHUNK_BYTES``, slices the seed
-list (``_chunks``) for the instance draws, for MAP-I ``norm`` (n*m bits and
-``window_words`` a seed), for MAP-B ``empty-intersection`` (its draw's
-words, ``window_words``, size*m bits and two int64 sum rows a seed) and for
-Counting Bloom (its draw's words, ``window_words`` and its keys a seed);
-the codebook and the kernels take each slice whole, and slicing never
-changes a result.
+codebook per cell, a template. Hopfield± gives each seed a copy that
+differs only in its seed (``Codebook.with_seed``). The other three run a
+slice of seeds at a time: ``_draw_subsets`` draws the slice's sets as one
+array, the template gathers every seed's columns in one call
+(``Codebook.sign_words_across``, ``Codebook.exact_indices_across``), and
+one kernel call measures them (``mapi.flat_norm_sq_estimates``,
+``mapb.bundle_sign_across``, ``cbloom.min_sums``). One rule sizes every
+slice (``_chunks``): a seed holds its draw's words, the most window words
+its gather can draw and the bytes its kernel holds, and a slice holds at
+most ``_CHUNK_BYTES`` of them. Slicing never changes a result.
 One aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 
@@ -157,16 +153,23 @@ def _trial_prefix(master: int, cell_json: str) -> int:
 # -- instance sampling helpers -------------------------------------------------
 
 
-def _draw_words(seed: int, sid: int, d: int, size: int) -> np.ndarray:
-    """The raw words a draw of ``size`` distinct symbols from [d] reads from stream ``sid``."""
+def _draw_subsets(seeds: list, tag: str, d: int, size: int) -> np.ndarray:
+    """``size`` distinct symbols of [d] per seed, in draw order, from its ``tag`` stream.
+
+    Row s of the (len(seeds), size) int64 array is the draw of ``seeds[s]``.
+    The size is checked before any draw, the tag's stream id is folded once,
+    and every seed's words go through one ``rng.choose_distinct_rows`` call.
+    """
     if not 0 <= size <= d:
         raise ValueError(f"cannot draw {size} distinct symbols from universe {d}")
-    return rng.keyed_words(seed, sid, 0, max(size, 1))
+    sid, nwords = rng.stream_id("inst", tag), max(size, 1)
+    words = np.array([rng.keyed_words(seed, sid, 0, nwords) for seed in seeds], np.uint64)
+    return rng.choose_distinct_rows(words.reshape(-1, nwords), d, size)
 
 
 def _draw_subset(seed: int, tag: str, d: int, size: int) -> np.ndarray:
     """``size`` distinct symbols of [d], in draw order, from the seed's ``tag`` stream."""
-    return rng.choose_distinct(_draw_words(seed, rng.stream_id("inst", tag), d, size), d, size)
+    return _draw_subsets([seed], tag, d, size)[0]
 
 
 #: Most bytes that a batched task holds for one slice of a cell's seeds: the
@@ -174,49 +177,35 @@ def _draw_subset(seed: int, tag: str, d: int, size: int) -> np.ndarray:
 _CHUNK_BYTES = 2**19
 
 
-def _chunks(seeds: list, per_seed: int) -> Iterator[list]:
-    """``seeds`` in order, in slices of at most ``_CHUNK_BYTES`` at ``per_seed`` bytes each.
+def _chunks(seeds: list, template: Codebook, size: int, kernel_bytes: int) -> Iterator[list]:
+    """``seeds`` in order, in slices of at most ``_CHUNK_BYTES``, at least one seed each.
 
-    A slice holds at least one seed, however large ``per_seed`` is.
+    A seed holds the words of its draw of ``size`` ids, the most window
+    words that its gather of them from ``template`` can draw, and the
+    ``kernel_bytes`` that the task's kernel holds for it.
     """
+    per_seed = 8 * (max(size, 1) + template.window_words(size)) + kernel_bytes
     step = max(1, _CHUNK_BYTES // max(1, per_seed))
     return (seeds[i:i + step] for i in range(0, len(seeds), step))
 
 
-def _draw_subsets(seeds: list, tag: str, d: int, size: int) -> Iterator[np.ndarray]:
-    """``_draw_subset(seed, tag, d, size)`` of each seed, in order, bit for bit.
+def _pair_split(n_common: int, n_x: int, n_y: int) -> tuple[int, slice, list[int]]:
+    """A pair of sets with these part sizes: its draw's size, X's ids and Y's ids in the draw.
 
-    The tag's stream id is folded once. The draws are taken lazily, a slice
-    of seeds (``_chunks``, 8 bytes per drawn word) at a time: the slice's
-    words go through one ``choose_distinct_rows`` call, in which the rows
-    whose swap positions never repeat skip the swap loop. A bad ``size``
-    raises at the first draw.
+    The draw's first n_common ids are in both sets, the next n_x in X alone
+    and the last n_y in Y alone. A negative part is refused.
     """
-    nwords = max(size, 1)
-    sid = rng.stream_id("inst", tag)
-    for chunk in _chunks(seeds, 8 * nwords):
-        words = np.concatenate([_draw_words(seed, sid, d, size) for seed in chunk])
-        yield from rng.choose_distinct_rows(words.reshape(-1, nwords), d, size)
-
-
-def _pair_size(n_common: int, n_x: int, n_y: int) -> int:
-    """The ids that a pair of sets with these part sizes draws; a negative part is refused."""
     if min(n_common, n_x, n_y) < 0:
         raise ValueError("set sizes cannot be negative (is the overlap too large?)")
-    return n_common + n_x + n_y
+    size = n_common + n_x + n_y
+    return size, slice(n_common + n_x), [*range(n_common), *range(n_common + n_x, size)]
 
 
 def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y: int):
     """Two 0/1 sets with |X n Y| = n_common, |X\\Y| = n_x, |Y\\X| = n_y."""
-    ids = _draw_subset(seed, tag, d, _pair_size(n_common, n_x, n_y))
-    common, only_x, only_y = (
-        ids[:n_common],
-        ids[n_common : n_common + n_x],
-        ids[n_common + n_x :],
-    )
-    x = SymbolSet.from_ids(d, np.concatenate([common, only_x]).tolist())
-    y = SymbolSet.from_ids(d, np.concatenate([common, only_y]).tolist())
-    return x, y
+    size, in_x, in_y = _pair_split(n_common, n_x, n_y)
+    ids = _draw_subset(seed, tag, d, size)
+    return SymbolSet.from_ids(d, ids[in_x].tolist()), SymbolSet.from_ids(d, ids[in_y].tolist())
 
 
 def _params(cell: dict, *names: str, **defaults) -> list:
@@ -259,27 +248,22 @@ def _within(estimate, truth, tolerance) -> TrialOutcome:
 
 
 def _trials_mapi_norm(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
-    """The norm trials of a cell: one codebook, and the seeds' columns gathered a slice at a time.
+    """The norm trials of a cell: one codebook, and one kernel call a slice of seeds.
 
     The codebook is checked once, before any draw, so a bad m or d raises
-    before a bad n, as in a trial alone. Per slice of seeds (``_chunks``),
-    the n-sets come from ``_draw_subsets``, ``Codebook.sign_words_across``
-    gathers each seed's columns under that seed, and
-    ``mapi.flat_norm_sq_estimates`` bundles and measures the whole stack. A
-    seed holds n*m bytes of unpacked bits and the most window words that its
-    gather can draw. When n = d the set is all of [d] whatever the words
-    say, and a bundle is an integer sum over its columns, so no set is drawn
-    and every seed gathers ``range(d)``.
+    before a bad n, as in a trial alone. The kernel holds a seed's n*m
+    unpacked bits. When n = d the set is all of [d] whatever the words say,
+    and a bundle is an integer sum over its columns, so no set is drawn and
+    every seed gathers ``range(d)``.
     """
     m, n, d, eps = _params(cell, "m", "n", "d", "eps")
     template = Codebook("dense-sign", m, d, scaled=True)
-    per_seed = n * m + 8 * template.window_words(n)
     estimates: list[float] = []
-    for chunk in _chunks(seeds, per_seed):
+    for chunk in _chunks(seeds, template, n, n * m):
         if n == d:
             ids = np.broadcast_to(np.arange(d), (len(chunk), d))
         else:
-            ids = np.stack(list(_draw_subsets(chunk, "set", d, n)))
+            ids = _draw_subsets(chunk, "set", d, n)
         estimates += mapi.flat_norm_sq_estimates(m, template.sign_words_across(chunk, ids))
     return [_within(est, n, eps * n) for est in estimates]
 
@@ -416,31 +400,23 @@ def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
 def _trials_mapb_empty_intersection(cell: dict, seeds: list[int]) -> list[TrialOutcome]:
     """The empty-intersection trials of a cell: one codebook, and one pass a slice of seeds.
 
-    A trial draws a pair of sets as ``_overlapping_pair`` does (``size =
-    nx + ny - n`` ids of the "sets" stream; X is the first nx, Y the first n
-    and the last ny - n), bundles X with tie seed ``seed`` and Y with
-    ``rng.mix64(seed)``, and decides that they intersect when
-    ``<x, y> = m - 2 * popcount(x ^ y)`` reaches
+    A trial draws its pair of sets as ``_overlapping_pair`` does, bundles X
+    with tie seed ``seed`` and Y with ``rng.mix64(seed)``, and decides that
+    they intersect when ``<x, y> = m - 2 * popcount(x ^ y)`` reaches
     ``mapb.empty_intersection_threshold``. The cell's codebook and part
     sizes are checked before any draw, in a trial's order. Per slice of
-    seeds (``_chunks``), ``_draw_subsets`` draws every pair, one
-    ``Codebook.sign_words_across`` gathers all their columns,
-    ``mapb.bundle_sign_across`` bundles the X and the Y stacks, and one
-    popcount scores every pair. A seed holds ``8 * (max(size, 1) +
-    window_words(size)) + size * m + 16 * m`` bytes: its draw's words, its
-    gather's most window words, its unpacked bits and two int64 sum rows.
+    seeds, ``mapb.bundle_sign_across`` bundles the X and the Y stacks, and
+    one popcount scores every pair; the kernel holds a seed's size*m
+    unpacked bits and two int64 sum rows.
     """
     m, d, nx, ny, overlap, delta = _params(cell, "m", "d", "nx", "ny", "n", "delta")
     template = Codebook("dense-sign", m, d)
-    size = _pair_size(overlap, nx - overlap, ny - overlap)
-    in_y = np.r_[0:overlap, nx:size]
+    size, in_x, in_y = _pair_split(overlap, nx - overlap, ny - overlap)
     tau, truth = mapb.empty_intersection_threshold(m, delta), overlap > 0
-    per_seed = 8 * (max(size, 1) + template.window_words(size)) + size * m + 16 * m
     outcomes = []
-    for chunk in _chunks(seeds, per_seed):
-        ids = np.stack(list(_draw_subsets(chunk, "sets", d, size)))
-        words = template.sign_words_across(chunk, ids)
-        x = mapb.bundle_sign_across(m, chunk, words[:, :nx], chunk)
+    for chunk in _chunks(seeds, template, size, size * m + 16 * m):
+        words = template.sign_words_across(chunk, _draw_subsets(chunk, "sets", d, size))
+        x = mapb.bundle_sign_across(m, chunk, words[:, in_x], chunk)
         y = mapb.bundle_sign_across(m, chunk, words[:, in_y], [rng.mix64(s) for s in chunk])
         for score in mapb._scores(x, y, m).tolist():
             decided = score >= tau  # True: the sets intersect
@@ -489,15 +465,12 @@ def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]
     Each trial's weighted sets have ||v-w||_inf <= K_b and the requested
     difference masses: the common (wedge) part carries identical weights in
     both sets, so the difference masses are exactly n_v and n_w. The cell's
-    codebook is built and the masses checked before the seeds' supports are
-    drawn with ``_draw_subsets``, so a bad cell fails with the error a trial
-    alone gives. Per slice of seeds (``_chunks``), the supports are drawn,
-    ``Codebook.exact_indices_across`` gathers every seed's column rows under
-    that seed, and ``cbloom.min_sums`` gives each seed's min-sum of its two
-    bundles' counts without building them. A seed holds its draw's words,
-    the most window words its gather can draw, and one key per (column, row)
-    pair of v and of w. Each trial keeps its v and w, its exact truth and
-    the estimators' float expressions.
+    codebook is built and the masses checked before any support is drawn,
+    so a bad cell fails with the error a trial alone gives. Per slice of
+    seeds, ``cbloom.min_sums`` gives each seed's min-sum of its two
+    bundles' counts without building them; it holds one key per (column,
+    row) pair of v and of w. Each trial keeps its v and w, its exact truth
+    and the estimators' float expressions.
     """
     m, k, eps, d = _params(cell, "m", "k", "eps", "d")
     template = Codebook("sparse-binary-exact", m, d, k=k)
@@ -511,10 +484,9 @@ def _trials_cbloom(cell: dict, seeds: list[int], l1: bool) -> list[TrialOutcome]
     size = b + len(wb)
     # Column j of a support is v's, w's or both sets': its weight in each, 0 where absent.
     in_v, in_w = wv + [0] * len(ww) + wb, [0] * a + ww + wb
-    per_seed = 8 * (max(size, 1) + template.window_words(size) + k * (size + len(wb)))
     outcomes = []
-    for chunk in _chunks(seeds, per_seed):
-        ids = np.stack(list(_draw_subsets(chunk, "support", d, size)))
+    for chunk in _chunks(seeds, template, size, 8 * k * (size + len(wb))):
+        ids = _draw_subsets(chunk, "support", d, size)
         sets = []
         for row in ids.tolist():
             shared = dict(zip(row[b:], wb))
@@ -568,12 +540,14 @@ def _trials_hpm(cell: dict, seeds: list[int], dot: bool) -> list[TrialOutcome]:
     """The Hopfield± trials of a cell: every seed's draws, then one ``hpm_estimates`` call.
 
     The cell's codebook is built, then every seed's 0/1 supports (X, and Y
-    for the dot task) are drawn with ``_draw_subsets``, so a bad cell fails
-    here, with the error a trial alone gives, before any m x m buffer
-    exists. Each seed's codebook is a copy of it under that seed.
+    for the dot task) are drawn, so a bad cell fails here, with the error a
+    trial alone gives, before any m x m buffer exists. A cell with no seeds
+    draws nothing. Each seed's codebook is a copy of it under that seed.
     """
     m, d, support, eps = _params(cell, "m", "d", "n", "eps")
     codebooks = map(Codebook("dense-sign", m, d, scaled=True).with_seed, seeds)
+    if not seeds:
+        return []
 
     def supports(tag: str) -> list[dict]:
         return [dict.fromkeys(ids.tolist(), 1.0) for ids in _draw_subsets(seeds, tag, d, support)]

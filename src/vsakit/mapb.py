@@ -267,6 +267,7 @@ def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
     and every symbol is scored against them from one gather of column words.
     A position past the sequence scores like an absent symbol.
     """
+    ell = integral(ell, "position ell")  # before it is negated: -True is -1
     rolled = rng.words_from_bits(rotate(rng.bits_from_words(b.words, b.m), -ell))
     return _scores(rolled, b.codebook.sign_words(syms), b.m)
 

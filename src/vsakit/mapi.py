@@ -98,8 +98,11 @@ def flat_norm_sq_estimates(m: int, words: np.ndarray) -> list[float]:
     ``Codebook.sign_words_across`` gives. The whole stack goes through one
     call of the kernel ``bundle`` uses. The results equal the one-set path
     bit for bit: the norms keep ``_dot``'s int64 guard, and each is an exact
-    Python int divided by m.
+    Python int divided by m. A stack of any other shape is refused.
     """
+    if words.ndim != 3 or words.shape[2] != -(-m // 64):
+        raise ValueError(f"a stack of MAP-I sets at m={m} needs (rows, n, {-(-m // 64)}) "
+                         f"words, got {words.shape}")
     if not len(words):
         return []
     return [sq / m for sq in _norms_sq(_signed_sums(words, m, words.shape[1]))]
@@ -176,10 +179,14 @@ def bound_words(cb: Codebook, edges) -> np.ndarray:
 
     A product of k +-1 entries is +1 where an even number of them is -1: its
     bits are the XOR of the columns' bits, inverted for even k. All columns
-    come from one ``sign_words`` gather.
+    come from one ``sign_words`` gather. ``edges`` of any other shape are refused.
     """
     ids = cb._symbol_ids(edges)  # a bool, a fraction or a string is refused
-    bound = np.bitwise_xor.reduce(cb.sign_words(ids.ravel()).reshape(*ids.shape, -1), axis=1)
+    if ids.ndim != 2:
+        raise ValueError(f"bound_words needs edges as an (E, k) array of symbol ids, "
+                         f"got shape {ids.shape}")
+    columns = cb.sign_words(ids.ravel()).reshape(*ids.shape, -(-cb.m // 64))
+    bound = np.bitwise_xor.reduce(columns, axis=1)
     if ids.shape[1] % 2 == 0:  # invert, keeping the bits past m clear
         bound = ~bound
         bound[:, -1] &= rng.last_word_mask(cb.m)

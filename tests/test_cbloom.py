@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,3 +258,18 @@ def test_min_sums_split_a_stack_whose_keys_would_pass_int64():
     assert cbloom.min_sums(m, rows, v, v) == [2 * 3] * 4  # x wedgedot x = k ||v||_1
     with pytest.raises(ValueError, match=r"m below 2\*\*63, got 9223372036854775808"):
         cbloom.min_sums(2**63, rows[:1], v, w)
+
+
+def test_min_sums_refuse_inputs_they_would_misread():
+    one, two = np.zeros((1, 1, 2), np.int64), np.zeros((1, 2, 2), np.int64)
+    for rows, v, w, message in (
+            (one, [-1], [1], "min_sums weights of v must be nonnegative, got [-1]"),
+            (one, [1], [-2], "min_sums weights of w must be nonnegative, got [-2]"),
+            (two, [1], [1, 1],
+             "min_sums needs one weight of v per column: 2 columns, got 1 weights"),
+            (two, [1, 1], [1, 1, 1],
+             "min_sums needs one weight of w per column: 2 columns, got 3 weights"),
+            (np.zeros((2, 2), np.int64), [1, 1], [1, 1],
+             "min_sums needs rows as a (seeds, n, k) stack, got shape (2, 2)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cbloom.min_sums(10, rows, v, w)

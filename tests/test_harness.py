@@ -402,6 +402,19 @@ def test_every_registered_task_runs():
         assert isinstance(outcome.passed, (bool, int))
 
 
+def test_no_seeds_draw_nothing():
+    """A cell whose one fault is a draw past d runs no seed and draws nothing: every task
+    returns no outcome, and the tasks that draw their seeds together refuse one seed."""
+    cell = {**_SHARED, "m": 8, "d": 4, "n": 9, "nx": 9, "ny": 9}  # 9 or more ids of [4]
+    for arch_task in harness.TASKS:
+        assert harness.run_trials(*arch_task, dict(cell), []) == [], arch_task
+    for arch_task in [("mapi", "norm"), ("mapb", "empty-intersection"), ("cbloom", "l1"),
+                      ("cbloom", "intersection"), ("hopfield", "hpm-norm"),
+                      ("hopfield", "hpm-dot")]:
+        with pytest.raises(ValueError, match="cannot draw .* distinct symbols from universe 4"):
+            harness.run_trials(*arch_task, dict(cell), [5])
+
+
 @pytest.mark.parametrize("arch_task", sorted(harness.TASKS))
 def test_run_trials_equal_one_trial_at_a_time(arch_task):
     seeds = [5, 6, 2**64 - 1, 5]
@@ -417,15 +430,17 @@ def _mapi_norm_trial(cell, seed):
     return harness._within(mapi.norm_sq_estimate(mapi.bundle(cb, v)), n, eps * n)
 
 
-def _set_chunk(monkeypatch, per_chunk, per_seed):
-    """Make ``harness._chunks`` slice ``per_chunk`` seeds of ``per_seed`` bytes ("all": one)."""
+class _SeedsPerSlice(int):
+    """A ``_CHUNK_BYTES`` that holds this many seeds, whatever a seed's bytes under the rule."""
+
+    def __floordiv__(self, per_seed):
+        return int(self)
+
+
+def _set_chunk(monkeypatch, per_chunk):
+    """Make ``harness._chunks`` slice ``per_chunk`` seeds at a time ("all": one slice)."""
     per_chunk = 2**40 if per_chunk == "all" else per_chunk
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", per_chunk * max(1, per_seed))
-
-
-def _mapi_norm_seed_bytes(m, n, d):
-    """What one seed of a MAP-I norm cell holds: n*m unpacked bits and its gather's windows."""
-    return n * m + 8 * Codebook("dense-sign", m, d).window_words(n)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", _SeedsPerSlice(per_chunk))
 
 
 def _count_kernel_calls(monkeypatch):
@@ -442,7 +457,7 @@ def _count_kernel_calls(monkeypatch):
 def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_chunk):
     cell = {"m": 119, "n": n, "d": 64, "eps": 0.5}
     seeds = [harness.trial_seed(3, cell, t) for t in range(10)]
-    _set_chunk(monkeypatch, per_chunk, _mapi_norm_seed_bytes(119, n, 64))
+    _set_chunk(monkeypatch, per_chunk)
     calls = _count_kernel_calls(monkeypatch)
     if n < 0:
         bad_size = "cannot draw -1 distinct symbols from universe 64"
@@ -458,42 +473,49 @@ def test_mapi_norm_trials_equal_one_set_path(monkeypatch, n, per_chunk):
     assert batched == [_mapi_norm_trial(cell, s) for s in seeds]
 
 
-def _set_draw_chunk(monkeypatch, rows, size):
-    """Make ``_draw_subsets`` stack ``rows`` seeds per chunk for draws of ``size``."""
-    _set_chunk(monkeypatch, rows, 8 * max(size, 1))
+def _one_seed_draw(seed, tag, d, size):
+    """A seed's draw as one stream window and one Fisher-Yates row, the one-seed reference."""
+    return rng.choose_distinct(rng.Stream(seed, "inst", tag).words(0, max(size, 1)), d, size)
 
 
 @pytest.mark.parametrize("d, size", sorted({(d, size) for d in (1, 7, 256)
                                             for size in (0, 1, 16, d - 1, d) if size <= d}))
-@pytest.mark.parametrize("count", [1, 2, 4, 5, 6])  # the chunk is 5 seeds
-def test_draw_subsets_equal_row_wise_draws(monkeypatch, d, size, count):
-    _set_draw_chunk(monkeypatch, 5, size)
+@pytest.mark.parametrize("count", [1, 2, 4, 5, 6])
+def test_draw_subsets_equal_row_wise_draws(d, size, count):
     seeds = [harness.trial_seed(11, {"d": d, "n": size}, t) for t in range(count)]
-    rows = list(harness._draw_subsets(seeds, "set", d, size))
-    assert len(rows) == count
+    rows = harness._draw_subsets(seeds, "set", d, size)
+    assert rows.shape == (count, size) and rows.dtype == np.int64
     for seed, row in zip(seeds, rows):
-        assert row.dtype == np.int64
+        assert np.array_equal(row, _one_seed_draw(seed, "set", d, size))
         assert np.array_equal(row, harness._draw_subset(seed, "set", d, size))
 
 
 @pytest.mark.parametrize("count", [255, 256, 257])
-def test_draw_subsets_across_default_chunks(count):
+def test_draw_subsets_draw_every_seed_in_one_call(monkeypatch, count):
     d = size = 256
-    assert harness._CHUNK_BYTES // (8 * size) == 256
+    calls = []
+    real = rng.choose_distinct_rows
+    monkeypatch.setattr(rng, "choose_distinct_rows",
+                        lambda words, *args: calls.append(words.shape) or real(words, *args))
     seeds = [harness.trial_seed(12, {"d": d}, t) for t in range(count)]
-    rows = list(harness._draw_subsets(seeds, "suppX", d, size))
-    assert len(rows) == count
+    rows = harness._draw_subsets(seeds, "suppX", d, size)
+    assert calls == [(count, size)]
     for seed, row in zip(seeds, rows):
-        assert np.array_equal(row, harness._draw_subset(seed, "suppX", d, size))
+        assert np.array_equal(row, _one_seed_draw(seed, "suppX", d, size))
 
 
-def test_draw_subsets_raise_at_the_first_draw():
-    draws = harness._draw_subsets([1, 2], "set", 8, 9)  # lazy: nothing drawn yet
-    with pytest.raises(ValueError, match="cannot draw 9 distinct symbols from universe 8"):
-        next(draws)
-    assert list(harness._draw_subsets([], "set", 8, 9)) == []
-    with pytest.raises(ValueError, match="cannot draw -1 distinct symbols from universe 8"):
-        next(harness._draw_subsets([1, 2], "set", 8, -1))
+def test_draw_subsets_raise_at_the_first_draw(monkeypatch):
+    """A bad size raises before any word is drawn, whatever the seeds."""
+    drawn = []
+    monkeypatch.setattr(rng, "keyed_words", lambda *args: drawn.append(args))
+    for seeds in ([1, 2], []):
+        with pytest.raises(ValueError, match="cannot draw 9 distinct symbols from universe 8"):
+            harness._draw_subsets(seeds, "set", 8, 9)
+        with pytest.raises(ValueError, match="cannot draw -1 distinct symbols from universe 8"):
+            harness._draw_subsets(seeds, "set", 8, -1)
+    assert drawn == []
+    monkeypatch.undo()
+    assert harness._draw_subsets([], "set", 8, 3).shape == (0, 3)
 
 
 def test_one_budget_sizes_every_batch():
@@ -532,7 +554,7 @@ def _mapi_norm_reference(cell, seeds):
                                          for n in (0, 1, 16, d - 1, d) if 0 <= n <= d}))
 @pytest.mark.parametrize("per_chunk", [1, 3, "all"])
 def test_mapi_norm_trials_equal_per_seed_reference(monkeypatch, m, d, n, per_chunk):
-    _set_chunk(monkeypatch, per_chunk, _mapi_norm_seed_bytes(m, n, d))
+    _set_chunk(monkeypatch, per_chunk)
     cell = {"m": m, "n": n, "d": d, "eps": 0.5}
     seeds = [harness.trial_seed(4, cell, t) for t in range(8)]
     assert harness.run_trials("mapi", "norm", cell, seeds) == _mapi_norm_reference(cell, seeds)
@@ -583,13 +605,14 @@ def _hpm_trial(cell, seed, dot):
 @pytest.mark.parametrize("task", ["hpm-norm", "hpm-dot"])
 @pytest.mark.parametrize("m, n, d", [(1, 2, 8), (63, 0, 16), (64, 3, 16), (65, 16, 16),
                                      (200, 8, 512)])
-@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per support draw
-def test_hpm_trials_equal_the_bundle_path(monkeypatch, task, m, n, d, per_chunk):
-    _set_draw_chunk(monkeypatch, per_chunk, n)
+@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per run_trials call
+def test_hpm_trials_equal_the_bundle_path(task, m, n, d, per_chunk):
     cell = {"m": m, "n": n, "d": d, "eps": 0.5}
     seeds = [harness.trial_seed(3, cell, t) for t in range(6)]
-    assert harness.run_trials("hopfield", task, cell, seeds) == [
-        _hpm_trial(cell, s, task == "hpm-dot") for s in seeds]
+    step = len(seeds) if per_chunk == "all" else per_chunk
+    assert [outcome for start in range(0, len(seeds), step)
+            for outcome in harness.run_trials("hopfield", task, cell, seeds[start:start + step])
+            ] == [_hpm_trial(cell, s, task == "hpm-dot") for s in seeds]
 
 
 #: The sized Hopfield± cells' CSVs (m=1365, d=512, n=8, eps 0.7071, 20 trials,
@@ -706,25 +729,14 @@ def _cbloom_reference(cell, seed, l1):
     {"d": 7, "K_b": 1, "n_v": 2, "n_w": 2, "n": 3},  # the support is all of [d]
 ], ids=["K_b-1", "K_b-2", "weights-above-1", "n-0", "n_v-0", "all-empty", "k-equals-m",
         "m-1", "support-d"])
-@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per support draw
+@pytest.mark.parametrize("per_chunk", [1, 3, "all"])  # seeds per slice
 def test_cbloom_trials_equal_per_seed_reference(monkeypatch, task, count, changes, per_chunk):
     cell = {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3, "K_b": 1, "eps": 0.5,
             **changes}
-    support = sum(-(-cell[name] // cell["K_b"]) for name in ("n_v", "n_w", "n"))
-    _set_draw_chunk(monkeypatch, per_chunk, support)  # seed counts below, at and past 3
+    _set_chunk(monkeypatch, per_chunk)  # seed counts below, at and past 3
     seeds = [harness.trial_seed(5, cell, t) for t in range(count)]
     assert harness.run_trials("cbloom", task, cell, seeds) == [
         _cbloom_reference(cell, seed, task == "l1") for seed in seeds]
-
-
-def _cbloom_seed_bytes(cell):
-    """What one seed of a Counting Bloom cell holds: its support draw's words, its gather's
-    windows and one key per (column, row) pair of v and of w."""
-    m, k, d, peak = cell["m"], cell["k"], cell["d"], cell.get("K_b", 1)
-    v, w, both = (-(-cell[name] // peak) for name in ("n_v", "n_w", "n"))
-    size = v + w + both
-    window = Codebook("sparse-binary-exact", m, d, k=k).window_words(size)
-    return 8 * (max(size, 1) + window + k * (size + both))
 
 
 def _count_min_sums(monkeypatch):
@@ -748,7 +760,7 @@ def test_cbloom_kernel_slices_equal_per_seed_reference(monkeypatch, task, count,
                                                        per_chunk):
     cell = {"m": 64, "k": 3, "d": 32, "n": 2, "n_v": 2, "n_w": 3, "K_b": 1, "eps": 0.5,
             **changes}
-    _set_chunk(monkeypatch, per_chunk, _cbloom_seed_bytes(cell))
+    _set_chunk(monkeypatch, per_chunk)
     calls = _count_min_sums(monkeypatch)
     seeds = [harness.trial_seed(8, cell, t) for t in range(count)]
     assert harness.run_trials("cbloom", task, cell, seeds) == [
@@ -827,15 +839,6 @@ def _mapb_empty_reference(cell, seed):
                                 float(not correct))
 
 
-def _mapb_empty_seed_bytes(cell):
-    """What one seed of an empty-intersection cell holds: its draw's words, its gather's
-    windows, its size * m unpacked bits and two int64 sum rows."""
-    m, d = cell["m"], cell["d"]
-    size = cell["nx"] + cell["ny"] - cell["n"]
-    window = Codebook("dense-sign", m, d).window_words(size)
-    return 8 * (max(size, 1) + window) + size * m + 16 * m
-
-
 def _count_constructions(monkeypatch, *classes):
     """How many objects of each class are built from now on."""
     built = {cls.__name__: 0 for cls in classes}
@@ -865,7 +868,7 @@ def test_mapb_empty_trials_equal_per_seed_reference(monkeypatch, count, changes,
     cell = {"m": 1151, "d": 256, "nx": 4, "ny": 4, "n": 0, "delta": 0.05, **changes}
     seeds = [harness.trial_seed(9, cell, t) for t in range(count)]
     want = [_mapb_empty_reference(cell, seed) for seed in seeds]
-    _set_chunk(monkeypatch, per_chunk, _mapb_empty_seed_bytes(cell))
+    _set_chunk(monkeypatch, per_chunk)
     gathers = []
     real = Codebook.sign_words_across
     monkeypatch.setattr(Codebook, "sign_words_across",

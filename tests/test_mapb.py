@@ -492,3 +492,15 @@ def test_iterated_bundle_checks_its_columns():
             mapb.iterated_bundle(cb, ids)
     with pytest.raises(ValueError, match="dense-sign"):
         mapb.iterated_bundle(Codebook("sparse-binary-exact", 64, 4, k=3), [0, 1])
+
+
+def test_sequence_positions_are_integers():
+    cb = Codebook("dense-sign", 200, 16, seed=4)
+    seq = SequenceSpec((SymbolSet.from_ids(16, [5]), SymbolSet.from_ids(16, [9])))
+    b = mapb.bundle_sequence_sign(cb, seq, tie_seed=4)
+    at_one = mapb.sequence_membership_scores(b, 1, [5, 9])
+    for ell in (np.int64(1), 1.0):
+        assert np.array_equal(mapb.sequence_membership_scores(b, ell, [5, 9]), at_one)
+    for bad in (1.9, True, np.True_):
+        with pytest.raises(ValueError, match=f"position ell must be an integer, got {bad}$"):
+            mapb.sequence_membership_scores(b, bad, [5, 9])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,3 +395,24 @@ def test_sizing_missing_and_invalid():
 def test_sizing_bindingk_present():
     res = sizing.size("mapi", "bindingK", eps=0.5, delta=0.05, v_l1=8, k=3)
     assert res.m >= sizing.size("mapi", "binding2", eps=0.5, delta=0.05, v_l1=8).m
+
+
+@pytest.mark.parametrize("m, shape", [(65, (2, 3, 1)), (64, (2, 3, 2)), (65, (2, 3)),
+                                      (64, (3, 1)), (64, (1, 2, 3, 1))])
+def test_flat_norm_estimates_refuse_a_stack_of_another_shape(m, shape):
+    stack = np.full(shape, 2**64 - 1, np.uint64)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a stack of MAP-I sets at m={m} needs (rows, n, {-(-m // 64)}) words, "
+            f"got {shape}")):
+        mapi.flat_norm_sq_estimates(m, stack)
+
+
+def test_bound_words_refuse_edges_of_another_shape():
+    cb = Codebook("dense-sign", 65, 8, seed=2)
+    for edges, shape in (([1, 2], (2,)), ([], (0,)), (np.zeros((2, 2, 2), np.int64), (2, 2, 2)),
+                         (5, ())):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bound_words needs edges as an (E, k) array of symbol ids, got shape {shape}")):
+            mapi.bound_words(cb, edges)
+    assert mapi.bound_words(cb, np.zeros((0, 2), np.int64)).shape == (0, 2)
+    assert mapi.bound_words(cb, [(1, 2)]).shape == (1, 2)
