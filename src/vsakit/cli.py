@@ -76,16 +76,15 @@ def _cmd_size(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    if args.seed is not None and args.arch != "mapb":  # only MAP-B bundles draw tie coins
+        raise ConfigError(f"--seed sets MAP-B tie coins; {args.arch!r} bundles have none")
     cb = _load_codebook(args.codebook)
     try:
         symbols = SymbolSet.from_json_obj(json.loads(_read_text(args.set)))
     except (json.JSONDecodeError, KeyError, ValueError) as bad:
         raise ConfigError(f"bad symbol set file {args.set}: {bad}") from bad
-    encode = serialize.ARCHS[args.arch].encode
-    if args.arch == "mapb":
-        bundle = encode(cb, symbols, tie_seed=args.seed)
-    else:
-        bundle = encode(cb, symbols)
+    ties = {"tie_seed": args.seed} if args.arch == "mapb" else {}
+    bundle = serialize.ARCHS[args.arch].encode(cb, symbols, **ties)
     _write_output(serialize.bundle_to_bytes(bundle), args.out)
     return 0
 

@@ -338,16 +338,20 @@ def _trial_mapi_binding(cell: dict, seed: int, pairs: bool) -> TrialOutcome:
     return _within(mapi.norm_sq_estimate(mapi.encode_binding_bundle(cb, spec)), edges, eps * edges)
 
 
+def _decisions(scores: np.ndarray, truth: np.ndarray, tau: float) -> TrialOutcome:
+    """A decision trial: it counts the queries whose ``scores >= tau`` is not their ``truth``."""
+    wrong = int(np.count_nonzero((scores >= tau) != truth))
+    return TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
+
+
 def _trial_mapb_member(cell: dict, seed: int) -> TrialOutcome:
     m, n, d, delta = _params(cell, "m", "n", "d", "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
-    stored = set(_draw_subset(seed, "set", d, n).tolist())
-    b = mapb.bundle_sign(cb, SymbolSet.from_ids(d, stored), tie_seed=seed)
-    contained = mapb.membership_scores(b, np.arange(d)) >= mapb.member_threshold(m, d, delta)
-    truth = np.zeros(d, dtype=bool)
-    truth[list(stored)] = True
-    wrong = int(np.count_nonzero(contained != truth))
-    return TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
+    stored = _draw_subset(seed, "set", d, n)
+    cols = cb.sign_words(np.arange(d))
+    x = mapb.bundle_sign_across(m, [cb.seed], cols[stored][None], [cb.seed])[0]
+    truth = np.bincount(stored, minlength=d) > 0
+    return _decisions(mapb._scores(x, cols, m), truth, mapb.member_threshold(m, d, delta))
 
 
 def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
@@ -359,20 +363,15 @@ def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
         members[int(j) // d].append(int(j) % d)
     seq = SequenceSpec(tuple(SymbolSet.from_ids(d, ids) for ids in members))
     b = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
-    stored = set(int(j) for j in slots)
-    absent = [int(j) for j in _draw_subset(seed, "absent", L * d, min(n + 8, L * d))
-              if int(j) not in stored][:n]
-    wrong = 0
-    for ell in range(L):  # one roll of the bundle per queried position
-        here = [j % d for j in stored if j // d == ell]
-        gone = [j % d for j in absent if j // d == ell]
-        if not (here or gone):
-            continue
-        tau = mapb.sequence_member_threshold(m, L, d, delta)
-        scores = mapb.sequence_membership_scores(b, ell, here + gone)
-        wrong += int(np.count_nonzero(scores[: len(here)] < tau))
-        wrong += int(np.count_nonzero(scores[len(here):] >= tau))
-    return TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
+    stored = set(slots.tolist())
+    drawn = _draw_subset(seed, "absent", L * d, min(n + 8, L * d)).tolist()
+    queries = np.array(slots.tolist() + [j for j in drawn if j not in stored][:n], np.int64)
+    scores = np.empty(len(queries), dtype=np.int64)
+    for ell in np.unique(queries // d).tolist():  # one roll of the bundle per queried position
+        at = queries // d == ell
+        scores[at] = mapb.sequence_membership_scores(b, ell, queries[at] % d)
+    tau = mapb.sequence_member_threshold(m, L, d, delta)
+    return _decisions(scores, np.arange(len(queries)) < n, tau)
 
 
 def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
@@ -383,18 +382,15 @@ def _trial_mapb_kv_member(cell: dict, seed: int) -> TrialOutcome:
     cb = Codebook("dense-sign", m, d, seed=seed)
     keys = _draw_subset(seed, "keys", half, n)
     vals = half + rng.bounded_from_words(rng.Stream(seed, "inst", "vals").words(0, n), d - half)
-    pairs = tuple((int(q), int(w)) for q, w in zip(keys, vals))
+    pairs = [(int(q), int(w)) for q, w in zip(keys, vals)]
     b = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(d, pairs), tie_seed=seed)
-    stored = set(pairs)
-    wrong = sum(not mapb.kv_membership_test(b, pair, delta).contained for pair in stored)
     # A shift in [1, d - half - 1]; at d = 2 and d = 3 it is 1.
-    spread = np.uint64(max(d - half - 1, 1))
-    shift = 1 + int(rng.Stream(seed, "inst", "shift").words(0, 1)[0] % spread)
-    for q, w in pairs:  # same key, cyclically shifted (hence wrong) value
-        other = half + (w - half + shift) % (d - half)
-        if (q, other) not in stored:
-            wrong += mapb.kv_membership_test(b, (q, other), delta).contained
-    return TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
+    shift = 1 + int(rng.Stream(seed, "inst", "shift").words(0, 1)[0] % max(d - half - 1, 1))
+    # The stored pairs, then each key with its shifted value unless that is stored (at d = 2)
+    shifted = [(q, half + (w - half + shift) % (d - half)) for q, w in pairs]
+    queries = pairs + [pair for pair, own in zip(shifted, pairs) if pair != own]
+    return _decisions(mapb.kv_membership_scores(b, queries), np.arange(len(queries)) < n,
+                      mapb.kv_member_threshold(m, d, delta))
 
 
 def _trials_mapb_empty_intersection(cell: dict, seeds: list[int]) -> list[TrialOutcome]:

@@ -14,17 +14,17 @@ Set bundles have one stack encoder, ``bundle_sign_across``: it sums a
 stack of 0/1 sets, each gathered under its own codebook seed, in one
 ``mapi._signed_sums`` call and signs every row in one ``_threshold``,
 drawing a row's tie coins only when it has a zero sum. ``bundle_sign`` is
-its one-row case, so one thresholding rule serves every set bundle, and the
-harness bundles a slice of empty-intersection trials with it.
+its one-row case, ``_signed`` signs a sequence or key-value bundle's row by
+the same rule, and ``_tie_seed`` reads every encoder's tie seed.
 
 The paper-backed guarantees are decision tests (membership, sequence
 membership, key-value membership, empty-intersection), not size
-estimation; each test compares a dot product against a closed-form
-threshold. ``membership_scores`` scores many symbols against one set bundle
-at once from one gather of column words; ``membership_test`` is its one-id
-case. ``sequence_membership_scores`` does the same for one position of a
-sequence bundle, from one roll of its ``rng``-unpacked bits. A key-value query
-scores its pair's bound column, bound by XOR (``mapi.bound_words``).
+estimation; each compares a dot product against a closed-form threshold.
+A query kind scores a stack at once: ``membership_scores`` many symbols
+from one gather of column words, ``sequence_membership_scores`` many at one
+position from one roll of the bundle's ``rng``-unpacked bits, and
+``kv_membership_scores`` many pairs from one ``mapi.bound_words`` gather.
+``membership_test`` and ``empty_intersection_test`` test one query.
 
 ``agreement_probability`` is the exact oracle for the per-coordinate
 agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained (deeper)
@@ -141,8 +141,14 @@ def _scores(x: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
     return m - 2 * np.bitwise_count(x ^ cols).sum(axis=-1, dtype=np.int64)
 
 
-def _default_tie_seed(v: SymbolSet) -> int:
-    return rng.stream_id("tie-default", *sorted(v.entries))
+def _tie_seed(tie_seed, *default_tags) -> int:
+    """An explicit tie seed read as an integer, or else the fold of ``default_tags``."""
+    return rng.stream_id(*default_tags) if tie_seed is None else integral(tie_seed, "tie_seed")
+
+
+def _signed(cb: Codebook, sums: np.ndarray, tie_seed: int) -> MapBBundle:
+    """The bundle sign(sums) of one row of m sums, its ties broken by ``tie_seed``'s coins."""
+    return MapBBundle(_threshold(sums[None], [cb.seed], [tie_seed])[0], cb)
 
 
 def bundle_sign_across(m: int, seeds, words: np.ndarray, tie_seeds) -> np.ndarray:
@@ -170,7 +176,7 @@ def bundle_sign(cb: Codebook, v: SymbolSet, tie_seed: int | None = None) -> MapB
     """
     cb.require("dense-sign", "MAP-B", v.d)
     require_flat(v)
-    tie_seed = _default_tie_seed(v) if tie_seed is None else integral(tie_seed, "tie_seed")
+    tie_seed = _tie_seed(tie_seed, "tie-default", *sorted(v.entries))
     ids = np.fromiter(v.entries, dtype=np.int64, count=len(v.entries))
     words = bundle_sign_across(cb.m, [cb.seed], cb.sign_words(ids)[None], [tie_seed])
     return MapBBundle(words[0], cb)
@@ -183,22 +189,16 @@ def bundle_sequence_sign(
     cb.require("dense-sign", "MAP-B", seq.d)
     for s in seq.sets:
         require_flat(s)
-    if tie_seed is None:
-        tie_seed = rng.stream_id("tie-seq", *(sym for s in seq.sets for sym in sorted(s.entries)))
-    tie_seed = integral(tie_seed, "tie_seed")
-    words = _threshold(mapi.encode_sequence(cb, seq).ints[None], [cb.seed], [tie_seed])
-    return MapBBundle(words[0], cb)
+    tie_seed = _tie_seed(tie_seed, "tie-seq", *(i for s in seq.sets for i in sorted(s.entries)))
+    return _signed(cb, mapi.encode_sequence(cb, seq).ints, tie_seed)
 
 
 def bundle_kv_sign(cb: Codebook, spec: KeyValueSpec, tie_seed: int | None = None) -> MapBBundle:
     """sign(S^(2) v) over bound key-value pairs, each pair a 2-edge."""
     cb.require("dense-sign", "MAP-B", spec.d)
-    if tie_seed is None:
-        tie_seed = rng.stream_id("tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
-    tie_seed = integral(tie_seed, "tie_seed")
+    tie_seed = _tie_seed(tie_seed, "tie-kv", *(i for pair in sorted(spec.pairs) for i in pair))
     edges = BindingBundleSpec(spec.d, frozenset(frozenset(pair) for pair in spec.pairs))
-    words = _threshold(mapi.encode_binding_bundle(cb, edges).ints[None], [cb.seed], [tie_seed])
-    return MapBBundle(words[0], cb)
+    return _signed(cb, mapi.encode_binding_bundle(cb, edges).ints, tie_seed)
 
 
 def iterated_bundle(cb: Codebook, ids, tie_seed: int = 0) -> MapBBundle:
@@ -272,13 +272,9 @@ def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
     return _scores(rolled, b.codebook.sign_words(syms), b.m)
 
 
-def kv_membership_test(b: MapBBundle, pair: tuple[int, int], delta: float) -> TestResult:
-    """Is the bound pair (key, value) in the bundle?"""
-    check_rates(delta=delta)
-    q, w = pair
-    score = int(_scores(b.words, mapi.bound_words(b.codebook, [(q, w)]), b.m)[0])
-    tau = kv_member_threshold(b.m, b.codebook.d, delta)
-    return TestResult(score >= tau, score, tau)
+def kv_membership_scores(b: MapBBundle, pairs) -> np.ndarray:
+    """Scores <x, S_q * S_w> of (key, value) pairs as int64, from one ``mapi.bound_words``."""
+    return _scores(b.words, mapi.bound_words(b.codebook, pairs), b.m)
 
 
 # -- exact oracles ----------------------------------------------------------

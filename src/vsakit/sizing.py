@@ -14,8 +14,13 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
+
+import numpy as np
+
+from .setalg import integral
 
 
 @dataclass(frozen=True)
@@ -243,9 +248,10 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     ``params`` holds the bound's inputs and, optionally, overrides of its
     constants. Parameters the bound does not use are ignored, so a combined
     sizing-plus-instance dict (as calibrate and the CLI hold) can be passed
-    straight through. A missing or non-finite input or override, a rate
-    outside its range, or a dimension too large for a float raises
-    ``ValueError``.
+    straight through. A missing input; an input or override that is not a
+    finite number, such as a bool, a string or a list; a rate outside its
+    range; or a dimension too large for a float raises ``ValueError``. A
+    numpy number reads as its Python value.
     """
     if "arch" in params or "task" in params:
         raise ValueError("sizing parameters cannot be named 'arch' or 'task'")
@@ -256,6 +262,9 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     for name in bound.inputs:
         if params.get(name) is None:
             raise ValueError(f"missing required sizing parameter {name!r}")
+    read = (*bound.inputs, *bound.echo, *bound.constants)  # what the result uses or echoes
+    params = {name: _number(value, f"sizing parameter {name!r}")
+              for name, value in params.items() if name in read and value is not None}
     check_rates(**{name: params[name] for name in ("eps", "delta") if name in bound.inputs})
     inputs = {name: params[name] for name in bound.echo if params.get(name) is not None}
     constants = {name: value if params.get(name) is None else _override(name, params[name])
@@ -273,14 +282,27 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     return SizingResult(max(1, math.ceil(m)), formula, k, constants, inputs, extras)
 
 
-def _override(name: str, value) -> float:
-    """An override of the constant ``name`` as a float; a bool or str is no number here."""
+def _number(value, what: str):
+    """``value`` as a Python int or float, an int kept an int; anything else is refused.
+
+    A numpy value is the Python value of its ``tolist()``, so np.int64(10)
+    reads as 10, and np.True_ and np.array([1.0]) are refused as True and
+    [1.0] are. A bool, a string, None, a list and a complex are no number here.
+    """
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
-        if isinstance(value, (bool, str)):  # float() would take them
-            raise TypeError(value)
+        return value if isinstance(value, int) else float(value)  # a Fraction as a float
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got {value}") from None
+
+
+def _override(name: str, value) -> float:
+    """An override of the constant ``name`` as a float."""
+    try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"sizing parameter {name!r} must be a number, got {value!r}") from None
     except OverflowError:  # an int too large for a float
         raise ValueError(f"sizing parameter {name!r} must be finite, got {value}") from None
 
@@ -333,6 +355,7 @@ def calibrate(
     """
     from . import harness
 
+    trials, target = integral(trials, "calibration trials"), _number(target, "target failure rate")
     if trials < 100:
         raise ValueError("calibration needs trials >= 100")
     if not 0 < target < 1:

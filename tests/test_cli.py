@@ -169,6 +169,16 @@ def test_seed_and_threads_only_on_subcommands_that_read_them(tmp_path, capsys):
                   "--symbol", "3"]
     assert main(query_argv) == 0
     assert main(query_argv + ["--seed", "1"]) == 2
+    for arch, arch_cb in (("mapi", cb),  # only MAP-B bundles draw tie coins
+                          ("bloom", Codebook("sparse-binary-trials", 64, 16, k=3, seed=5)),
+                          ("cbloom", Codebook("sparse-binary-exact", 64, 16, k=3, seed=5))):
+        encode_argv = ["encode", "--arch", arch, "--codebook",
+                       write_codebook(tmp_path, arch_cb, f"{arch}.json"),
+                       "--set", write_set(tmp_path, SymbolSet.from_ids(16, [3])),
+                       "--out", str(tmp_path / f"{arch}.vsab")]
+        assert main(encode_argv) == 0
+        assert main(encode_argv + ["--seed", "7"]) == 2
+        assert f"--seed sets MAP-B tie coins; '{arch}' bundles have none" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

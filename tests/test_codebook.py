@@ -475,7 +475,7 @@ def test_binding_refuses_ids_that_are_not_integers():
                         ((1, np.False_), "False")):
         message = f"a symbol id must be an integer, got {re.escape(shown)}$"
         with pytest.raises(ValueError, match=message):
-            mapb.kv_membership_test(bundle, pair, 0.05)
+            mapb.kv_membership_scores(bundle, [pair])
         with pytest.raises(ValueError, match=message):
             mapi.bound_words(cb, [pair])
     assert np.array_equal(mapi.bound_words(cb, [(1.0, 2.0)]), mapi.bound_words(cb, [(1, 2)]))

@@ -14,7 +14,8 @@ from vsakit import cbloom, harness, hopfield, mapb, mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
 
-from exact_laws import binomial_two_sided_p, mapi_norm_fail, mapi_norm_q_law
+from exact_laws import (binomial_two_sided_p, mapb_agreement, mapb_wrong_law, mapi_norm_fail,
+                        mapi_norm_q_law)
 from test_golden import _GRIDS
 
 
@@ -922,6 +923,84 @@ def test_kv_member_rows_with_one_or_two_value_ids():
     ]
 
 
+def _one_query_outcome(wrong: int) -> harness.TrialOutcome:
+    return harness.TrialOutcome(wrong, 0.0, wrong == 0, float(wrong))
+
+
+def _mapb_member_reference(cell, seed):
+    """The member trial by the public one-query path: one ``membership_test`` per symbol."""
+    m, n, d, delta = harness._params(cell, "m", "n", "d", "delta")
+    cb = Codebook("dense-sign", m, d, seed=seed)
+    stored = set(harness._draw_subset(seed, "set", d, n).tolist())
+    b = mapb.bundle_sign(cb, SymbolSet.from_ids(d, stored), tie_seed=seed)
+    return _one_query_outcome(sum(mapb.membership_test(b, j, delta).contained != (j in stored)
+                                  for j in range(d)))
+
+
+def _mapb_kv_member_reference(cell, seed):
+    """The kv-member trial by one-pair queries: each stored pair, then each key with its
+    value shifted cyclically, unless that is a stored pair."""
+    m, n, d, delta = harness._params(cell, "m", "n", "d", "delta")
+    half = d // 2
+    cb = Codebook("dense-sign", m, d, seed=seed)
+    keys = harness._draw_subset(seed, "keys", half, n).tolist()
+    words = rng.Stream(seed, "inst", "vals").words(0, n)
+    pairs = [(q, half + w) for q, w in zip(keys, rng.bounded_from_words(words, d - half).tolist())]
+    b = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(d, pairs), tie_seed=seed)
+    tau = mapb.kv_member_threshold(m, d, delta)
+    shift = 1 + int(rng.Stream(seed, "inst", "shift").words(0, 1)[0]) % max(d - half - 1, 1)
+    wrong = sum(int(mapb.kv_membership_scores(b, [pair])[0]) < tau for pair in pairs)
+    for q, w in pairs:
+        other = (q, half + (w - half + shift) % (d - half))
+        if other not in pairs:
+            wrong += int(mapb.kv_membership_scores(b, [other])[0]) >= tau
+    return _one_query_outcome(wrong)
+
+
+def _mapb_sequence_member_reference(cell, seed):
+    """The sequence-member trial by one-symbol queries, each scored at its own position."""
+    m, n, d, L, delta = harness._params(cell, "m", "n", "d", "L", "delta")
+    cb = Codebook("dense-sign", m, d, seed=seed)
+    slots = harness._draw_subset(seed, "slots", L * d, n).tolist()
+    seq = setalg.SequenceSpec(tuple(SymbolSet.from_ids(d, [j % d for j in slots if j // d == ell])
+                                    for ell in range(L)))
+    b = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
+    drawn = harness._draw_subset(seed, "absent", L * d, min(n + 8, L * d)).tolist()
+    absent = [j for j in drawn if j not in slots][:n]
+    tau = mapb.sequence_member_threshold(m, L, d, delta)
+    return _one_query_outcome(sum(
+        (int(mapb.sequence_membership_scores(b, j // d, [j % d])[0]) >= tau) != (j in slots)
+        for j in slots + absent))
+
+
+_ONE_QUERY_REFERENCES = {"member": _mapb_member_reference,
+                         "kv-member": _mapb_kv_member_reference,
+                         "sequence-member": _mapb_sequence_member_reference}
+
+
+@pytest.mark.parametrize("task, cell", [
+    ("member", {"m": 64, "n": 3, "d": 32, "delta": 0.1}),
+    ("member", {"m": 24, "n": 0, "d": 8, "delta": 0.5}),  # nothing stored
+    ("member", {"m": 65, "n": 8, "d": 8, "delta": 0.5}),  # all of [d] stored
+    ("member", {"m": 16, "n": 2, "d": 5, "delta": 0.5}),
+    ("kv-member", {"m": 64, "n": 3, "d": 32, "delta": 0.1}),
+    ("kv-member", {"m": 4, "n": 1, "d": 2, "delta": 0.9}),  # the shifted pair is the stored one
+    ("kv-member", {"m": 16, "n": 1, "d": 3, "delta": 0.5}),  # shift 1
+    ("kv-member", {"m": 20, "n": 2, "d": 5, "delta": 0.5}),  # shift 1
+    ("sequence-member", {"m": 64, "n": 3, "d": 32, "L": 3, "delta": 0.1}),
+    ("sequence-member", {"m": 40, "n": 3, "d": 5, "L": 2, "delta": 0.5}),  # L d < n + 8
+    ("sequence-member", {"m": 70, "n": 6, "d": 3, "L": 2, "delta": 0.5}),  # no slot left absent
+    ("sequence-member", {"m": 64, "n": 0, "d": 4, "L": 2, "delta": 0.5}),  # no query at all
+], ids=["member", "member-n-0", "member-n-d", "member-d-5", "kv", "kv-d-2", "kv-d-3", "kv-d-5",
+        "seq", "seq-few-slots", "seq-all-slots", "seq-n-0"])
+def test_mapb_member_trials_equal_one_query_reference(task, cell):
+    seeds = [harness.trial_seed(4, cell, t) for t in range(30)] + [0, 2**64 - 1]
+    want = [_ONE_QUERY_REFERENCES[task](cell, seed) for seed in seeds]
+    got = harness.run_trials("mapb", task, cell, seeds)
+    assert [vars(o) for o in got] == [vars(o) for o in want]
+    assert [type(o.estimate) for o in got] == [int] * len(seeds)
+
+
 def _count_trials(monkeypatch) -> list:
     """Record every seed that a harness.run_trials call runs from now on."""
     seeds = []
@@ -973,6 +1052,37 @@ def test_mapi_norm_exact_law_is_a_law():
         assert math.isclose(law @ np.arange(len(law)), m * n)  # E[Y_i^2] = n
     assert mapi_norm_fail(1, 1, 0.5) == 0.0  # one row of one symbol: Q = 1 = n
     assert math.isclose(mapi_norm_fail(1, 2, 0.5), 1.0)  # Q is 0 or 4, never within 1 of 2
+
+
+def test_mapb_law_parts():
+    assert [mapb_agreement(n) for n in (1, 2, 3, 4)] == [1.0, 0.75, 0.75, 0.6875]
+    # One stored column scores m = 4 >= tau = sqrt(8 ln(4/0.9)) = 3.46, and the absent
+    # one scores 4, a false alarm, with probability 1/16.
+    expected, sd = mapb_wrong_law("member", 4, 1, 2, 0.9)
+    assert math.isclose(expected, 1 / 16) and math.isclose(sd, math.sqrt(15) / 16)
+    # tau = 2 sqrt(4 ln(3/0.9)) = 4.39: the stored pair, at 4, is always missed, and the
+    # shifted pair can score no more
+    assert mapb_wrong_law("kv-member", 4, 1, 3, 0.9) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("task, ms", [("member", [300, 450, 600]), ("kv-member", [600, 800, 1000])])
+def test_mapb_mean_wrong_counts_follow_the_exact_law(task, ms):
+    """Each cell's ``mean_abs_err`` (its mean wrong count) is near its exact E[wrong].
+
+    The cells, T = 1000, master seed 0 and the bound, five of the law's upper
+    bounds on the standard error, were fixed before the first run; a mismatch
+    is a finding about the harness, not a reason to move them.
+    """
+    trials, n, d, delta = 1000, 10, 256, 0.05
+    grid = {"m": ms, "n": [n], "d": [d], "delta": [delta]}
+    rows = list(csv.DictReader(io.StringIO(
+        harness.run(harness.ExperimentConfig("mapb", task, grid, trials, 0))[0])))
+    assert [int(row["m"]) for row in rows] == ms
+    for row in rows:
+        expected, sd = mapb_wrong_law(task, int(row["m"]), n, d, delta)
+        assert 0.2 < expected < 6  # a cell with power
+        assert abs(float(row["mean_abs_err"]) - expected) <= 5 * sd / math.sqrt(trials), (
+            row["m"], row["mean_abs_err"], expected)
 
 
 def test_mapi_norm_failure_counts_follow_the_exact_law():

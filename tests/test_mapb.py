@@ -278,8 +278,9 @@ def test_kv_single_pair_scores_m():
     cb = Codebook("dense-sign", 128, 16, seed=8)
     spec = mapb.KeyValueSpec(16, ((2, 9),))
     b = mapb.bundle_kv_sign(cb, spec)
-    res = mapb.kv_membership_test(b, (2, 9), 0.05)
-    assert res.score == 128 and res.contained
+    scores = mapb.kv_membership_scores(b, [(2, 9)])
+    assert scores.dtype == np.int64 and scores.tolist() == [128]
+    assert scores[0] >= mapb.kv_member_threshold(128, 16, 0.05)
 
 
 def test_kv_eight_pairs_in_and_out():
@@ -290,12 +291,11 @@ def test_kv_eight_pairs_in_and_out():
         cb = Codebook("dense-sign", sized.m, d, seed=seed)
         pairs = tuple((q, 16 + q) for q in range(n))
         b = mapb.bundle_kv_sign(cb, mapb.KeyValueSpec(d, pairs), tie_seed=seed)
-        stored_in = all(mapb.kv_membership_test(b, p, 0.05).contained for p in pairs)
+        tau = mapb.kv_member_threshold(sized.m, d, 0.05)
+        stored_in = all(mapb.kv_membership_scores(b, pairs) >= tau)
         # same keys bound to shifted (absent) values
-        absent_out = all(
-            not mapb.kv_membership_test(b, (q, 16 + (q + 3) % 16), 0.05).contained
-            for q in range(n)
-        )
+        absent_out = all(mapb.kv_membership_scores(b, [(q, 16 + (q + 3) % 16) for q in range(n)])
+                         < tau)
         good += stored_in and absent_out
     assert good >= 42
 
@@ -406,10 +406,12 @@ def test_word_form_equals_int8_reference(m):
         edges = BindingBundleSpec(d, frozenset(frozenset(p) for p in spec.pairs))
         ref_k = _ref_sign(mapi.encode_binding_bundle(cb, edges).ints, cb.seed, seed)
         assert np.array_equal(bk.signs, ref_k)
-        for q, val in product(range(8), range(8, d)):
-            if q not in (8, 9) and val not in (0, 2):
-                expected = int(ref_k @ (cols[:, q] * cols[:, val]))
-                assert mapb.kv_membership_test(bk, (q, val), 0.05).score == expected
+        queried = [(q, val) for q, val in product(range(8), range(8, d))
+                   if q not in (8, 9) and val not in (0, 2)]
+        expected = [int(ref_k @ (cols[:, q] * cols[:, val])) for q, val in queried]
+        assert mapb.kv_membership_scores(bk, queried).tolist() == expected
+        for pair, score in zip(queried, expected):  # each pair scores alike on its own
+            assert mapb.kv_membership_scores(bk, [pair]).tolist() == [score]
         # chains: every step after the first ties wherever the inputs disagree
         vecs = [sign_matrix(cb, j, j + 1)[:, 0] for j in range(5)]
         for r in (1, 2, 5):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -245,3 +247,45 @@ def test_packing_and_unpacking_are_inverse_with_zero_padding(m):
     signs = rng.signs_from_words(words.ravel(), m, 3)
     assert signs.shape == (m, 3) and signs.flags.f_contiguous
     assert np.array_equal(signs, 2 * bits.T.astype(np.int8) - 1)
+
+
+#: The draw count, stream and chi-square critical values of the draw-law tests,
+#: fixed before their first run. Each critical value is the level-1e-6 upper
+#: quantile of chi-square with the test's degrees of freedom (scipy's
+#: ``chi2.isf(1e-6, df)``, rounded down), so a sound draw fails one test in a
+#: million.
+_LAW_DRAWS = 60_000
+_LAW_CRITICAL = {119: 207.19, 5: 35.88, 7: 40.52}
+
+
+def _chi_square(counts: np.ndarray) -> float:
+    """Pearson's statistic of ``counts`` against equal expected counts."""
+    expected = counts.sum() / len(counts)
+    return float(((counts - expected) ** 2).sum() / expected)
+
+
+def _law_words(tag: str, count: int) -> np.ndarray:
+    return rng.Stream(0, "draw-law", tag).words(0, count)
+
+
+def test_choose_distinct_rows_draws_every_ordered_triple_of_six_alike():
+    base6 = np.array([36, 6, 1])  # one code per ordered triple of [6]
+    tuples = rng.choose_distinct_rows(_law_words("choose", 3 * _LAW_DRAWS).reshape(-1, 3), 6, 3)
+    counts = np.bincount(tuples @ base6, minlength=216)
+    distinct = np.array(list(permutations(range(6), 3))) @ base6  # the 120 triples
+    assert counts[distinct].sum() == _LAW_DRAWS  # no draw repeats an element
+    assert _chi_square(counts[distinct]) < _LAW_CRITICAL[119]
+
+
+def test_bounded_from_words_draws_every_value_alike():
+    values = rng.bounded_from_words(_law_words("bounded", _LAW_DRAWS), 6)
+    counts = np.bincount(values, minlength=6)
+    assert len(counts) == 6 and _chi_square(counts) < _LAW_CRITICAL[5]
+
+
+def test_sign_bits_draw_every_three_bit_pattern_alike():
+    # (60, N) signs, column c from word c: 20 patterns of 3 consecutive entries a word
+    signs = rng.signs_from_words(_law_words("signs", _LAW_DRAWS), 60, _LAW_DRAWS)
+    bits = (signs > 0).reshape(20, 3, _LAW_DRAWS)
+    counts = np.bincount((bits * np.array([4, 2, 1])[:, None]).sum(axis=1).ravel(), minlength=8)
+    assert _chi_square(counts) < _LAW_CRITICAL[7]

@@ -169,8 +169,11 @@ def test_every_mapb_kind_round_trips_scoring_alike(kind, m):
     for ell in range(len(seq.sets)):
         assert (mapb.sequence_membership_scores(back, ell, ids).tolist()
                 == mapb.sequence_membership_scores(b, ell, ids).tolist())
-    for pair in ((1, 20), (4, 21), (20, 1), (1, 21), (0, 31)):
-        assert mapb.kv_membership_test(back, pair, 0.05) == mapb.kv_membership_test(b, pair, 0.05)
+    pairs = [(1, 20), (4, 21), (20, 1), (1, 21), (0, 31)]
+    assert (mapb.kv_membership_scores(back, pairs).tolist()
+            == mapb.kv_membership_scores(b, pairs).tolist())
+    assert (mapb.kv_member_threshold(back.m, back.codebook.d, 0.05)
+            == mapb.kv_member_threshold(b.m, b.codebook.d, 0.05))
 
 
 @pytest.mark.parametrize("kind", ["mapb"])

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from vsakit import harness, sizing
@@ -134,3 +135,47 @@ def test_calibrate_validation():
     with pytest.raises(ValueError):
         sizing.calibrate("mapi", "norm", dict(eps=0.5, delta=0.05, n=4, d=64),
                          target=0.0, trials=100, seed=1)
+
+
+_NORM = dict(eps=0.5, delta=0.05)
+_MEMBER = dict(n=10, d=256, delta=0.05)
+_CALIBRATE = dict(params=dict(eps=0.5, delta=0.05, n=4, d=16), target=0.3, trials=100, seed=0)
+
+
+def _sizing_call(call: str, changes: dict):
+    if call == "calibrate":
+        return sizing.calibrate("mapi", "norm", **{**_CALIBRATE, **changes})
+    formula, params = {"norm": ("norm", _NORM), "member": ("member", _MEMBER)}[call]
+    return sizing.size("mapi" if call == "norm" else "mapb", formula, **{**params, **changes})
+
+
+@pytest.mark.parametrize("call, changes, error", [
+    ("norm", {"eps": True}, "sizing parameter 'eps' must be a number, got True"),
+    ("member", {"d": np.True_}, "sizing parameter 'd' must be a number, got True"),
+    ("norm", {"eps": "0.5"}, "sizing parameter 'eps' must be a number, got '0.5'"),
+    ("norm", {"eps": [0.5]}, "sizing parameter 'eps' must be a number, got [0.5]"),
+    ("member", {"n": np.array([10])}, "sizing parameter 'n' must be a number, got [10]"),
+    ("member", {"n": 10 + 0j}, "sizing parameter 'n' must be a number, got (10+0j)"),
+    ("norm", {"N": "8"}, "sizing parameter 'N' must be a number, got '8'"),  # echoed only
+    ("norm", {"C": np.True_}, "sizing parameter 'C' must be a number, got True"),
+    ("calibrate", {"trials": "200"}, "calibration trials must be an integer, got '200'"),
+    ("calibrate", {"trials": True}, "calibration trials must be an integer, got True"),
+    ("calibrate", {"target": "0.05"}, "target failure rate must be a number, got '0.05'"),
+    # a numpy number reads as its Python value, an int as an int
+    ("member", {"n": np.int64(10)}, None),
+    ("member", {"d": np.array(256), "delta": np.float64(0.05)}, None),
+    ("norm", {"eps": np.float32(0.5), "C": np.float64(8.0), "N": np.uint8(8)}, None),
+    ("calibrate", {"trials": np.int64(100), "target": np.float64(0.3)}, None),
+], ids=["bool", "numpy-bool", "string", "list", "array", "complex", "echoed-string",
+        "override-numpy-bool", "trials-string", "trials-bool", "target-string", "numpy-int",
+        "numpy-0d-and-float", "numpy-float32-and-override", "calibrate-numpy"])
+def test_sizing_reads_every_number_by_one_rule(call, changes, error):
+    if error is not None:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            _sizing_call(call, changes)
+        return
+    canonical = {name: value.item() for name, value in changes.items()}
+    got, want = _sizing_call(call, changes), _sizing_call(call, canonical)
+    assert got.to_json() == want.to_json()
+    if call != "calibrate":
+        assert all(type(got.inputs[name]) is type(value) for name, value in want.inputs.items())
