@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import Codebook, held, same_codebook
-from .setalg import SymbolSet
+from .setalg import SymbolSet, integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +105,8 @@ def min_sums(m: int, rows: np.ndarray, v: Sequence[int], w: Sequence[int]) -> li
     """
     if rows.ndim != 3:
         raise ValueError(f"min_sums needs rows as a (seeds, n, k) stack, got shape {rows.shape}")
+    v, w = ([integral(weight, f"a min_sums weight of {name}") for weight in weights]
+            for name, weights in (("v", v), ("w", w)))
     for name, weights in (("v", v), ("w", w)):
         if len(weights) != rows.shape[1]:
             raise ValueError(f"min_sums needs one weight of {name} per column: {rows.shape[1]} "

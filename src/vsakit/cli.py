@@ -51,10 +51,7 @@ def _read_text(path: str) -> str:
 
 def _write_output(data, out: str | None) -> None:
     if out is None or out == "-":
-        if isinstance(data, bytes):
-            sys.stdout.buffer.write(data)
-        else:
-            sys.stdout.write(data)
+        (sys.stdout.buffer if isinstance(data, bytes) else sys.stdout).write(data)
     elif isinstance(data, bytes):
         Path(out).write_bytes(data)
     else:
@@ -100,7 +97,8 @@ def _cmd_query(args) -> int:
             raise ConfigError("membership queries need --symbol")
         if serialize.arch_of(blobs[0]) != "mapb":
             raise ConfigError("membership queries run on MAP-B bundles")
-        result = mapb.membership_test(bundles[0], args.symbol, args.delta)
+        result = mapb.membership_test(bundles[0], args.symbol,
+                                      0.05 if args.delta is None else args.delta)
         report = {
             "op": "membership",
             "symbol": args.symbol,
@@ -109,6 +107,8 @@ def _cmd_query(args) -> int:
             "threshold": result.threshold,
         }
     else:
+        if args.symbol is not None or args.delta is not None:
+            raise ConfigError("intersection queries read no --symbol or --delta")
         if len(bundles) != 2:
             raise ConfigError("intersection queries take exactly two bundles")
         arch = serialize.arch_of(blobs[0])
@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--bundle", action="append", required=True)
     p_query.add_argument("--codebook", required=True)
     p_query.add_argument("--symbol", type=int, default=None)
-    p_query.add_argument("--delta", type=float, default=0.05)
+    p_query.add_argument("--delta", type=float, default=None,
+                         help="membership failure rate (default 0.05)")
     _add_common(p_query)
     p_query.set_defaults(fn=_cmd_query)
 

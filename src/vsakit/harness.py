@@ -90,6 +90,9 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.grid, dict)
+                and all(isinstance(values, list) for values in self.grid.values())):
+            raise ValueError("grid must map each parameter name to a list of values")
         object.__setattr__(self, "trials", setalg.integral(self.trials, "config 'trials'"))
         object.__setattr__(self, "seed", setalg.integral(self.seed, "config 'seed'"))
         if not (isinstance(self.arch, str) and isinstance(self.task, str)):
@@ -115,17 +118,8 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
         try:
-            grid = obj["grid"]
-            if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-                raise ValueError("grid must map each parameter name to a list of values")
-            return cls(
-                arch=obj["arch"],
-                task=obj["task"],
-                grid=grid,
-                trials=obj["trials"],
-                seed=obj.get("seed", 0),
-                out=obj.get("out"),
-            )
+            return cls(obj["arch"], obj["task"], obj["grid"], obj["trials"], obj.get("seed", 0),
+                       obj.get("out"))
         except KeyError as missing:
             raise ValueError(f"config is missing {missing}") from None
 

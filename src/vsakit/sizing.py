@@ -3,10 +3,11 @@
 Every asymptotic bound becomes a closed-form formula with named leading
 constants. The table ``_BOUNDS`` holds the 15 bounds, keyed by
 "<arch>.<task>" as the ``harness.TASKS`` entries they size are: each has its
-default constants, its formula and the inputs its result echoes.
-:data:`CONSTANTS` lists the defaults, so calibration reports can cite the
-exact values used, and :func:`size` accepts an override of any of them per
-call.
+default constants, its formula, the inputs its result echoes and the least
+value of each count it reads. :data:`CONSTANTS` lists the defaults, so
+calibration reports can cite the exact values used, and :func:`size` accepts
+an override of any of them per call. :func:`size` alone checks the domain: a
+formula is only its arithmetic.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def check_rates(eps: float | None = None, delta: float | None = None) -> None:
 #
 # A formula takes each input and each constant as a keyword argument and
 # returns the real-valued m, or (m, k, extras) when it also sizes k or
-# reports extras; size() checks the rates and rounds m up.
+# reports extras; size() checks every input and rounds m up.
 
 
 def _mapi_norm(*, eps, delta, C):
@@ -76,22 +77,16 @@ def _mapi_norm(*, eps, delta, C):
 
 def _mapi_pairs(*, N, M, delta, C):
     """m = C N ln(M/delta)"""
-    if N <= 0 or M <= 0:
-        raise ValueError("pairs sizing needs positive N and M")
     return C * N * math.log(M / delta)
 
 
 def _mapi_sequence(*, eps, delta, L, C):
     """m = C (L/eps)^2 ln(L/delta)"""
-    if L < 1:
-        raise ValueError("sequence sizing needs L >= 1")
     return C * (L / eps) ** 2 * math.log(L / delta)
 
 
 def _mapi_sequence_symbols(*, eps, delta, K, C):
     """m = C K^2 eps^-2 ln(K/(eps delta))"""
-    if K < 1:
-        raise ValueError("sequence-symbols sizing needs K >= 1")
     return C * K**2 * eps**-2 * math.log(K / (eps * delta))
 
 
@@ -102,8 +97,6 @@ def _mapi_binding2(*, eps, delta, v_l1, C):
 
 def _mapi_binding_k(*, eps, delta, v_l1, k, C, base):
     """m = C eps^-2 base^(k ln k) ln(k v_l1/(eps delta))^(k+1)"""
-    if k < 2:
-        raise ValueError("bindingK sizing needs arity k >= 2")
     return (C * eps**-2 * base ** (k * math.log(k))
             * math.log(k * v_l1 / (eps * delta)) ** (k + 1))
 
@@ -115,8 +108,6 @@ def _mapb_member(*, n, d, delta, C):
 
 def _mapb_sequence_member(*, n, d, L, delta, C):
     """m = C n L ln(L d/delta)"""
-    if L < 1:
-        raise ValueError("sequence-member sizing needs L >= 1")
     return C * n * L * math.log(L * d / delta)
 
 
@@ -132,8 +123,6 @@ def _bloom_intersection(*, eps, delta, n, n_v, n_w, c1):
     m = (k/eps)(n_v n_w / 2 + 8 c1 n^2 + eps (n + n_w)), at least 2, after
     swapping so that n_w >= n_v.
     """
-    if min(n, n_v, n_w) < 0:
-        raise ValueError("counts n, n_v, n_w must be nonnegative")
     if n_w < n_v:
         n_v, n_w = n_w, n_v
     k = max(1, math.ceil(2.0 * c1 * math.log(2.0 / delta) / eps))
@@ -148,10 +137,6 @@ def _cbloom_intersection(*, eps, delta, K_b, n_v, n_w, kc, mc):
     kc = 2/3 and mc = 12 pi^2 straight from the theorem. K_b bounds
     ||v - w||_inf; callers without it may pass max(||v||_inf, ||w||_inf).
     """
-    if K_b <= 0:
-        raise ValueError("K_b must be positive")
-    if min(n_v, n_w) < 0:
-        raise ValueError("n_v and n_w must be nonnegative")
     k = max(1, math.ceil(kc * K_b * math.log(1.0 / delta) / eps))
     return max(2, math.ceil(mc * k * n_v * n_w / eps)), k, {}
 
@@ -159,18 +144,17 @@ def _cbloom_intersection(*, eps, delta, K_b, n_v, n_w, kc, mc):
 def _hopfield_store(*, n, delta, C):
     """Smallest integer m with m >= C n ln(2m/delta), by fixed-point iteration.
 
-    Starts from m0 = C n ln(2n/delta) and iterates m <- C n ln(2m/delta);
-    the returned integer is checked against the inequality itself.
+    Starts from m0 = C n ln(2n/delta) and iterates m <- C n ln(2m/delta) until
+    it converges or is not positive; the integer search then counts up from
+    the last iterate, at least 1, to the first m that meets the inequality.
     """
-    if n < 1:
-        raise ValueError("pattern count n must be >= 1")
     m = C * n * math.log(2.0 * n / delta)
     if math.isinf(m):
         return m
     iters = 0
     for iters in range(1, 101):
         nxt = C * n * math.log(2.0 * m / delta)
-        if abs(nxt - m) <= 1e-9 * max(1.0, m):
+        if abs(nxt - m) <= 1e-9 * max(1.0, m) or nxt <= 0:
             m = nxt
             break
         m = nxt
@@ -184,15 +168,11 @@ def _hopfield_store(*, n, delta, C):
 
 def _hpm_norm(*, eps, delta, d, C):
     """m = C eps^-1 ln(d/delta)^2, for Hopfield± norm preservation"""
-    if d < 1:
-        raise ValueError("universe size d must be >= 1")
     return C * eps**-1 * math.log(d / delta) ** 2
 
 
 def _hpm_dot(*, eps, delta, d, C):
     """m = C eps^-2 ln(d/delta)^2, for Hopfield± Frobenius-product estimation"""
-    if d < 1:
-        raise ValueError("universe size d must be >= 1")
     return C * eps**-2 * math.log(d / delta) ** 2
 
 
@@ -204,12 +184,14 @@ class _Bound(NamedTuple):
     formula: Callable
     inputs: tuple[str, ...]  # the formula's keyword arguments other than its constants
     echo: tuple[str, ...]  # the inputs a result echoes, each where it is given
+    least: dict[str, int]  # the least value of each count among the inputs
 
 
-def _bound(constants: dict[str, float], formula: Callable, echo: tuple[str, ...] = ()) -> _Bound:
+def _bound(constants: dict[str, float], formula: Callable, echo: tuple[str, ...] = (),
+           **least: int) -> _Bound:
     """A table entry; ``echo`` defaults to the formula's inputs."""
     inputs = tuple(name for name in inspect.signature(formula).parameters if name not in constants)
-    return _Bound(constants, formula, inputs, echo or inputs)
+    return _Bound(constants, formula, inputs, echo or inputs, least)
 
 
 #: A MAP-I or MAP-B result echoes every input of its arch that is given.
@@ -219,23 +201,25 @@ _MAPB = ("n", "d", "L", "nx", "ny", "delta")
 #: The 15 bounds, keyed by "<arch>.<task>". The theory gives O(.) for most
 #: rows; C=8 is the standard sign-matrix JL constant, C=16 the
 #: Hoeffding-flavored membership constant, and the Bloom / Counting Bloom
-#: constants are the exact values carried by the proofs.
+#: constants are the exact values carried by the proofs. The keywords after
+#: the echo are the least value of each count input.
 _BOUNDS: dict[str, _Bound] = {
     "mapi.norm": _bound({"C": 8.0}, _mapi_norm, _MAPI),
-    "mapi.pairs": _bound({"C": 8.0}, _mapi_pairs, _MAPI),
-    "mapi.sequence": _bound({"C": 8.0}, _mapi_sequence, _MAPI),
-    "mapi.sequence-symbols": _bound({"C": 8.0}, _mapi_sequence_symbols, _MAPI),
-    "mapi.binding2": _bound({"C": 8.0}, _mapi_binding2, _MAPI),
-    "mapi.bindingK": _bound({"C": 8.0, "base": 2.0}, _mapi_binding_k, _MAPI),
-    "mapb.member": _bound({"C": 16.0}, _mapb_member, _MAPB),
-    "mapb.sequence-member": _bound({"C": 16.0}, _mapb_sequence_member, _MAPB),
-    "mapb.kv-member": _bound({"C": 16.0}, _mapb_member, _MAPB),
-    "mapb.empty-intersection": _bound({"C": 24.0}, _mapb_empty_intersection, _MAPB),
-    "bloom.intersection": _bound({"c1": 98.0 / 3.0}, _bloom_intersection),
-    "cbloom.intersection": _bound({"kc": 2.0 / 3.0, "mc": 12.0 * math.pi**2}, _cbloom_intersection),
-    "hopfield.store": _bound({"C": 4.0}, _hopfield_store),
-    "hopfield.hpm-norm": _bound({"C": 8.0}, _hpm_norm),
-    "hopfield.hpm-dot": _bound({"C": 8.0}, _hpm_dot),
+    "mapi.pairs": _bound({"C": 8.0}, _mapi_pairs, _MAPI, N=1, M=1),
+    "mapi.sequence": _bound({"C": 8.0}, _mapi_sequence, _MAPI, L=1),
+    "mapi.sequence-symbols": _bound({"C": 8.0}, _mapi_sequence_symbols, _MAPI, K=1),
+    "mapi.binding2": _bound({"C": 8.0}, _mapi_binding2, _MAPI, v_l1=1),
+    "mapi.bindingK": _bound({"C": 8.0, "base": 2.0}, _mapi_binding_k, _MAPI, k=2, v_l1=1),
+    "mapb.member": _bound({"C": 16.0}, _mapb_member, _MAPB, n=0, d=1),
+    "mapb.sequence-member": _bound({"C": 16.0}, _mapb_sequence_member, _MAPB, n=0, d=1, L=1),
+    "mapb.kv-member": _bound({"C": 16.0}, _mapb_member, _MAPB, n=0, d=1),
+    "mapb.empty-intersection": _bound({"C": 24.0}, _mapb_empty_intersection, _MAPB, nx=0, ny=0),
+    "bloom.intersection": _bound({"c1": 98.0 / 3.0}, _bloom_intersection, n=0, n_v=0, n_w=0),
+    "cbloom.intersection": _bound({"kc": 2.0 / 3.0, "mc": 12.0 * math.pi**2},
+                                  _cbloom_intersection, K_b=1, n_v=0, n_w=0),
+    "hopfield.store": _bound({"C": 4.0}, _hopfield_store, n=1),
+    "hopfield.hpm-norm": _bound({"C": 8.0}, _hpm_norm, d=1),
+    "hopfield.hpm-dot": _bound({"C": 8.0}, _hpm_dot, d=1),
 }
 
 #: Default leading constants, keyed by "<arch>.<task>".
@@ -249,9 +233,10 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     constants. Parameters the bound does not use are ignored, so a combined
     sizing-plus-instance dict (as calibrate and the CLI hold) can be passed
     straight through. A missing input; an input or override that is not a
-    finite number, such as a bool, a string or a list; a rate outside its
-    range; or a dimension too large for a float raises ``ValueError``. A
-    numpy number reads as its Python value.
+    finite number, such as a bool, a string or a list; a count below its
+    least value; a constant that is not positive; a rate outside its range;
+    or a dimension too large for a float raises ``ValueError``. A numpy
+    number reads as its Python value.
     """
     if "arch" in params or "task" in params:
         raise ValueError("sizing parameters cannot be named 'arch' or 'task'")
@@ -272,6 +257,11 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     for name, value in (*inputs.items(), *constants.items()):
         if not -math.inf < value < math.inf:  # an int of any size compares exactly
             raise ValueError(f"sizing parameter {name!r} must be finite, got {value}")
+        if name in bound.least and value < bound.least[name]:
+            raise ValueError(f"sizing parameter {name!r} must be at least {bound.least[name]}, "
+                             f"got {value}")
+        if name in constants and value <= 0:
+            raise ValueError(f"sizing parameter {name!r} must be positive, got {value}")
     try:
         out = bound.formula(**{name: params[name] for name in bound.inputs}, **constants)
     except OverflowError:  # a float power, or the ceil of an infinite m or k
@@ -366,13 +356,11 @@ def calibrate(
 
     def rate_at(m: int) -> float:
         if m not in rates:
-            cell = dict(params)
-            cell["m"] = m
-            if theory.k is not None and "k" not in cell:
-                cell["k"] = theory.k
-            config = harness.ExperimentConfig(
-                arch, task, {name: [value] for name, value in cell.items()}, trials, seed
-            )
+            cell = {**params, "m": m}
+            if theory.k is not None:
+                cell.setdefault("k", theory.k)
+            grid = {name: [value] for name, value in cell.items()}
+            config = harness.ExperimentConfig(arch, task, grid, trials, seed)
             records = harness.trial_records(config, config.cells()[0])  # numpy values made Python
             rates[m] = sum(not r.outcome.passed for r in records) / trials
         return rates[m]

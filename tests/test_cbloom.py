@@ -273,3 +273,18 @@ def test_min_sums_refuse_inputs_they_would_misread():
              "min_sums needs rows as a (seeds, n, k) stack, got shape (2, 2)")):
         with pytest.raises(ValueError, match=re.escape(message)):
             cbloom.min_sums(10, rows, v, w)
+
+
+@pytest.mark.parametrize("v, w, message", [
+    ([1.9, 1], [1, 1], "a min_sums weight of v must be an integer, got 1.9"),
+    ([True, 1], [1, 1], "a min_sums weight of v must be an integer, got True"),
+    (["1", 1], [1, 1], "a min_sums weight of v must be an integer, got '1'"),
+    ([1, 1], [1, np.float64(0.5)], "a min_sums weight of w must be an integer, got 0.5"),
+    ([1, 1], [None, 1], "a min_sums weight of w must be an integer, got None"),
+], ids=["fraction", "bool", "string", "numpy-fraction", "none"])
+def test_min_sums_read_each_weight_as_an_integer(v, w, message):
+    rows = np.array([[[0, 1], [1, 2]]], np.int64)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cbloom.min_sums(10, rows, v, w)
+    whole = [2.0, np.int64(1)]  # whole numbers read as the ints they are
+    assert cbloom.min_sums(10, rows, whole, [1, 1]) == cbloom.min_sums(10, rows, [2, 1], [1, 1])

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from vsakit import cli, sizing
+from vsakit import cbloom, cli, sizing
 from vsakit.cli import main
 from vsakit.codebook import Codebook
 from vsakit.setalg import SymbolSet
@@ -411,3 +412,136 @@ def test_huge_constant_override_exits_2(capsys, command, formula, params, name):
     assert main(_sizing_argv(command, formula, params)) == 2
     message = f"sizing parameter {name!r} must be finite, got {params[name]}"
     assert message in capsys.readouterr().err
+
+
+#: The least value of each count input; rates have their own ranges.
+_LEAST = {
+    "mapi.norm": {},
+    "mapi.pairs": dict(N=1, M=1),
+    "mapi.sequence": dict(L=1),
+    "mapi.sequence-symbols": dict(K=1),
+    "mapi.binding2": dict(v_l1=1),
+    "mapi.bindingK": dict(k=2, v_l1=1),
+    "mapb.member": dict(n=0, d=1),
+    "mapb.sequence-member": dict(n=0, d=1, L=1),
+    "mapb.kv-member": dict(n=0, d=1),
+    "mapb.empty-intersection": dict(nx=0, ny=0),
+    "bloom.intersection": dict(n=0, n_v=0, n_w=0),
+    "cbloom.intersection": dict(K_b=1, n_v=0, n_w=0),
+    "hopfield.store": dict(n=1),
+    "hopfield.hpm-norm": dict(d=1),
+    "hopfield.hpm-dot": dict(d=1),
+}
+
+
+def test_every_count_input_has_its_least_value():
+    assert set(_REQUIRED) == set(_LEAST) == set(sizing.CONSTANTS)
+    for formula, bound in sizing._BOUNDS.items():
+        assert bound.least == _LEAST[formula]
+        rates = {"eps", "delta"} & set(bound.inputs)
+        assert set(bound.inputs) == set(_REQUIRED[formula]) == rates | set(_LEAST[formula])
+
+
+@pytest.mark.parametrize("formula, name, least", [
+    (formula, name, least) for formula, least_of in _LEAST.items()
+    for name, least in least_of.items()])
+def test_size_refuses_a_count_below_its_least_value(capsys, formula, name, least):
+    arch, task = formula.split(".")
+    assert sizing.size(arch, task, **{**_REQUIRED[formula], name: least}).m >= 1
+    assert main(_sizing_argv("size", formula, {**_REQUIRED[formula], name: least})) == 0
+    capsys.readouterr()
+    for below in (least - 1, least - 0.5):
+        params = {**_REQUIRED[formula], name: below}
+        message = f"sizing parameter {name!r} must be at least {least}, got {below}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sizing.size(arch, task, **params)
+        assert main(_sizing_argv("size", formula, params)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("formula, name", [
+    (formula, name) for formula, constants in sizing.CONSTANTS.items() for name in constants])
+def test_size_refuses_a_constant_that_is_not_positive(capsys, formula, name):
+    arch, task = formula.split(".")
+    for value in (0, -0.5, -8):
+        params = {**_REQUIRED[formula], name: value}
+        message = f"sizing parameter {name!r} must be positive, got {float(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sizing.size(arch, task, **params)
+        assert main(_sizing_argv("size", formula, params)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.fixture
+def query_files(tmp_path):
+    """Codebook and bundle paths: MAP-I and MAP-B bundles under one dense-sign codebook,
+    and two Counting Bloom bundles under a sparse-binary-exact one."""
+    dense = Codebook("dense-sign", 256, 16, seed=5)
+    exact = Codebook("sparse-binary-exact", 256, 16, k=4, seed=5)
+    files = {"dense": write_codebook(tmp_path, dense), "exact": write_codebook(tmp_path, exact,
+                                                                              "exact.json")}
+    for name, arch, codebook, ids in (("mapi", "mapi", "dense", [1, 2]),
+                                      ("mapb", "mapb", "dense", [1, 2]),
+                                      ("cbloom-a", "cbloom", "exact", [1, 2, 5]),
+                                      ("cbloom-b", "cbloom", "exact", [2, 5, 9])):
+        files[name] = str(tmp_path / f"{name}.vsab")
+        assert main(["encode", "--arch", arch, "--codebook", files[codebook], "--out",
+                     files[name], "--set", write_set(tmp_path, SymbolSet.from_ids(16, ids),
+                                                     f"{name}.json")]) == 0
+    return files
+
+
+@pytest.mark.parametrize("op, bundles, flags, message", [
+    ("membership", ["mapb", "mapb"], ["--symbol", "1"],
+     "membership queries take exactly one bundle"),
+    ("membership", ["mapb"], [], "membership queries need --symbol"),
+    ("membership", ["mapi"], ["--symbol", "1"], "membership queries run on MAP-B bundles"),
+    ("intersection", ["mapi"], [], "intersection queries take exactly two bundles"),
+    ("intersection", ["mapi", "mapb"], [], "intersection bundles must share an architecture"),
+    ("intersection", ["mapb", "mapb"], [], "intersection is not defined for 'mapb' bundles"),
+    ("intersection", ["mapi", "mapi"], ["--symbol", "1"],
+     "intersection queries read no --symbol or --delta"),
+    ("intersection", ["mapi", "mapi"], ["--delta", "0.05"],
+     "intersection queries read no --symbol or --delta"),
+], ids=["membership-two-bundles", "membership-no-symbol", "membership-mapi",
+        "intersection-one-bundle", "intersection-mixed", "intersection-mapb",
+        "intersection-symbol", "intersection-delta"])
+def test_bad_query_exits_2_naming_the_fault(query_files, capsys, op, bundles, flags, message):
+    argv = ["query", op, "--codebook", query_files["dense"], *flags]
+    for name in bundles:
+        argv += ["--bundle", query_files[name]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_membership_query_reads_delta_0_05_when_not_given(query_files, capsys):
+    argv = ["query", "membership", "--bundle", query_files["mapb"],
+            "--codebook", query_files["dense"], "--symbol", "2"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--delta", "0.05"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(argv + ["--delta", "0.3"]) == 0
+    assert capsys.readouterr().out != default  # a looser rate lowers the threshold
+
+
+def test_counting_bloom_intersection_query(query_files, capsys):
+    assert main(["query", "intersection", "--bundle", query_files["cbloom-a"],
+                 "--bundle", query_files["cbloom-b"], "--codebook", query_files["exact"]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cb = Codebook("sparse-binary-exact", 256, 16, k=4, seed=5)
+    a, b = (cbloom.bundle_count(cb, SymbolSet.from_ids(16, ids)) for ids in ([1, 2, 5], [2, 5, 9]))
+    assert report == {"op": "intersection", "arch": "cbloom",
+                      "estimate": cbloom.generalized_intersection_estimate(a, b)}
+    assert report["estimate"] >= 2  # one-sided: never below v wedgedot w
+
+
+def test_experiment_refuses_zero_threads(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"arch": "mapi", "task": "norm", "trials": 2,
+                                    "grid": {"m": [64], "n": [1], "d": [8], "eps": [0.5]}}))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--threads", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: threads must be >= 1\n"
+    assert not out.exists()

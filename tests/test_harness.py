@@ -381,6 +381,23 @@ def test_config_from_json():
         harness.ExperimentConfig.from_json(json.dumps({"arch": "bloom"}))
 
 
+@pytest.mark.parametrize("grid, trials, message", [
+    ({"m": "64"}, 5, "grid must map each parameter name to a list of values"),
+    ({"m": (64,)}, 5, "grid must map each parameter name to a list of values"),
+    ([64], 5, "grid must map each parameter name to a list of values"),
+    ({}, 5, "grid must be nonempty with nonempty value lists"),
+    ({"m": [64], "n": []}, 5, "grid must be nonempty with nonempty value lists"),
+    ({"m": [64]}, 0, "trials must be >= 1"),
+], ids=["string-values", "tuple-values", "list-grid", "empty-grid", "empty-values", "no-trials"])
+def test_config_built_directly_checks_its_grid_and_trials(grid, trials, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.ExperimentConfig("mapi", "norm", grid, trials, 0)
+    if json.loads(json.dumps(grid)) == grid:  # JSON has no tuples
+        text = json.dumps({"arch": "mapi", "task": "norm", "grid": grid, "trials": trials})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            harness.ExperimentConfig.from_json(text)
+
+
 def test_trial_records_match_aggregate():
     config = small_config(grid={"m": [64], "n": [4], "d": [32], "eps": [0.5]})
     cell = config.cells()[0]

@@ -62,6 +62,17 @@ def test_signge_maps_zero_up():
     assert hopfield.signge(np.array([0, -1, 2])).tolist() == [1, -1, 1]
 
 
+def test_recall_stops_unconverged_at_max_iters():
+    x = sign_hv(1, 1, -1, 1)
+    net = hopfield.train([x])
+    probe = np.array([1, 1, 0, 0])  # not a fixed point: one step gives x
+    result = hopfield.recall(net, probe, max_iters=1)
+    assert not result.converged and result.iters == 1
+    assert np.array_equal(result.vector, x)
+    again = hopfield.recall(net, probe, max_iters=2)
+    assert again.converged and again.iters == 2 and np.array_equal(again.vector, x)
+
+
 def test_recall_is_deterministic():
     cb = Codebook("dense-sign", 64, 4, seed=9)
     net = hopfield.train(patterns_from(cb, 4))

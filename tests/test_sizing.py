@@ -1,6 +1,9 @@
+import ast
+import inspect
 import json
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -179,3 +182,43 @@ def test_sizing_reads_every_number_by_one_rule(call, changes, error):
     assert got.to_json() == want.to_json()
     if call != "calibrate":
         assert all(type(got.inputs[name]) is type(value) for name, value in want.inputs.items())
+
+
+def test_no_formula_checks_its_own_domain():
+    """Only size() refuses inputs: a formula of the table is only its arithmetic."""
+    for formula in {bound.formula for bound in sizing._BOUNDS.values()}:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(formula)))
+        raised = [ast.unparse(node.exc) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and node.exc is not None]
+        assert not [text for text in raised if text.startswith("ValueError")], formula.__name__
+
+
+def _least_store_m(n, delta, C) -> int:
+    """The smallest integer m >= 1 with m >= C n ln(2m/delta), by counting up."""
+    m = 1
+    while m < C * n * math.log(2.0 * m / delta):
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("n, delta, C", [
+    (4, 0.05, 0.01), (1, 0.9, 1.1), (1, 0.99, 1.35), (16, 0.5, 0.01), (2, 0.3, 0.1),
+    (1, 0.05, 0.3), (8, 0.9, 0.05), (1, 0.05, 4.0), (16, 0.05, 4.0), (100, 0.3, 1.0)])
+def test_hopfield_store_is_the_least_integer_even_for_small_constants(n, delta, C):
+    assert sizing.size("hopfield", "store", n=n, delta=delta, C=C).m == _least_store_m(n, delta, C)
+
+
+@pytest.mark.parametrize("arch, params", [
+    ("bloom", dict(eps=0.9, delta=0.5, n=2, n_v=2, n_w=2, d=16)),
+    ("cbloom", dict(eps=0.5, delta=0.2, K_b=1, n_v=1, n_w=2, d=16)),
+])
+def test_calibrate_without_k_runs_the_sized_k(monkeypatch, arch, params):
+    cells = []
+    real = harness.run_trials
+    monkeypatch.setattr(harness, "run_trials",
+                        lambda *args: cells.append(args[2]) or real(*args))
+    theory = sizing.size(arch, "intersection", **params)
+    result = sizing.calibrate(arch, "intersection", params, target=0.2, trials=100, seed=3)
+    assert result.m_theory == theory.m
+    assert cells and all(cell["k"] == theory.k for cell in cells)
+    assert sorted(cell["m"] for cell in cells) == sorted(result.rates)
