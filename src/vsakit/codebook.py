@@ -108,6 +108,8 @@ class Codebook:
             raise ValueError("m and d must be positive")
         if self.m >= 2**63:  # row indices and bundle lengths are int64
             raise ValueError(f"codebook m must be below 2**63, got m={self.m}")
+        if self.d > 2**63:  # symbol ids are int64
+            raise ValueError(f"codebook d must be at most 2**63, got d={self.d}")
         if self.kind in _SPARSE_KINDS:
             if self.k is None:
                 raise ValueError(f"{self.kind} requires sparsity k")
@@ -191,9 +193,8 @@ class Codebook:
             objects = np.array(ids, dtype=object)
             values = [integral(j, "a symbol id") for j in objects.ravel().tolist()]
             return np.array(values, dtype=np.int64).reshape(objects.shape)
-        except OverflowError:
+        except OverflowError:  # an id past int64 is outside [d], so _check_symbol raises
             self._check_symbol(next(j for j in values if not -2**63 <= j < 2**63))
-            raise
 
     def _gather(self, seeds: list, ids: np.ndarray) -> np.ndarray:
         """Raw words of the columns ``ids[s]`` under ``seeds[s]``, shape (len(seeds), n, drawn).

@@ -24,10 +24,10 @@ most ``_CHUNK_BYTES`` of them. Slicing never changes a result.
 One aggregated CSV row is written per cell as the cell finishes; the full
 per-cell parameter dicts and the config echo go to a JSON sidecar.
 
-A trial reads each cell parameter by its name: the rates ``eps`` and
-``delta`` are floats that must pass ``sizing.check_rates``, and every
-other parameter is an integer. A cell that breaks this rule, or that no
-instance fits, gives an error row.
+A trial reads each cell parameter by its name and ``setalg.number``: the
+rates ``eps`` and ``delta`` are floats that must pass ``check_rates``, and
+every other parameter is an integer. A cell that breaks this rule, or that
+no instance fits, gives an error row.
 
 CSV schema (version v1)::
 
@@ -103,12 +103,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment task ({self.arch!r}, {self.task!r})")
         if not self.grid or any(not values for values in self.grid.values()):
             raise ValueError("grid must be nonempty with nonempty value lists")
-        # A numpy value is the Python value of its ``tolist()``: np.int64(64) and
-        # np.array(64) run as 64, np.bool_ is refused as a bool is, and
-        # np.array([64]) as the list [64] is.
+        # A numpy value is its ``tolist()``, as ``setalg.number`` reads it: np.array(64)
+        # runs as 64, np.bool_ is refused as a bool is, and np.array([64]) as [64] is.
         object.__setattr__(self, "grid", {
             name: [v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v for v in values]
             for name, values in self.grid.items()})
+        for name, values in self.grid.items():
+            try:  # a trial's seed is folded from its cell's JSON
+                json.dumps(values)
+            except TypeError:
+                raise ValueError(f"grid values of {name!r} must be JSON, got {values!r}") from None
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -203,32 +207,22 @@ def _overlapping_pair(seed: int, tag: str, d: int, n_common: int, n_x: int, n_y:
 
 
 def _params(cell: dict, *names: str, **defaults) -> list:
-    """The named cell parameters, in order, each typed by its name.
+    """The named cell parameters, in order, each read by ``setalg.number``.
 
-    ``eps`` and ``delta`` are rates: floats that must pass ``check_rates``,
-    so an impossible rate makes an error row. Every other parameter is an
-    integer. Each keyword names an optional parameter and its default; it
-    is read after the required ``names``.
+    ``eps`` and ``delta`` are rates, floats that must pass ``check_rates``; every
+    other parameter is an integer. Each keyword names an optional parameter and
+    its default, read after the required ``names``.
     """
     out = []
     for name in (*names, *defaults):
         if name not in cell and name not in defaults:
             raise ValueError(f"task needs parameter {name!r}")
-        value = cell.get(name, defaults.get(name))
         rate = name in ("eps", "delta")
-        try:
-            if isinstance(value, (bool, str)):  # int() and float() would take them
-                raise TypeError(value)
-            number = float(value) if rate else int(value)
-        except (TypeError, OverflowError):
-            raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
-        except ValueError:  # int(nan)
-            number = math.nan
+        value = setalg.number(cell.get(name, defaults.get(name)), f"parameter {name!r}",
+                              float if rate else int)
         if rate:
-            check_rates(**{name: number})
-        elif number != value:
-            raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
-        out.append(number)
+            check_rates(**{name: value})
+        out.append(value)
     return out
 
 

@@ -21,7 +21,7 @@ instances in ``hpm_estimates``, which the harness trials use. Every
 estimate is ``(M1 * M2).sum()`` of freshly encoded bundles, bit for bit:
 ``hpm_estimates`` multiplies in place into the scratch matrix it has just
 written, while the bundle estimators, whose matrices are read-only, build
-one m x m product.
+one m x m product. A diagonal is read by the number rule of ``setalg``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .codebook import Codebook, held, same_codebook
-from .setalg import integral
+from .setalg import integral, number
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,20 @@ def diag_signs(d_seed: int, d: int) -> np.ndarray:
 
 
 def _diag_vector(V, d: int) -> np.ndarray:
+    """V, a map of index to weight (read as a float) or an int or float array, as d floats."""
     if isinstance(V, Mapping):
         out = np.zeros(d, dtype=np.float64)
         for sym, w in V.items():
-            j = int(sym)
-            if j != sym or isinstance(sym, (bool, np.bool_)):
-                raise ValueError(f"diagonal index {sym!r} is not an integer")
+            j = integral(sym, "diagonal index")
             if not 0 <= j < d:
-                raise ValueError(f"diagonal index {sym} outside universe [0, {d})")
-            if isinstance(w, (bool, np.bool_)):  # float() would take it as 0 or 1
-                raise ValueError(f"diagonal weight at index {j} is a bool, not a number")
-            out[j] = w
+                raise ValueError(f"diagonal index {j} outside universe [0, {d})")
+            out[j] = number(w, f"diagonal weight at index {j}", float)
     else:
         out = np.asarray(V)
         if out.shape != (d,):
             raise ValueError(f"diagonal weights must have length d={d}")
-        if out.dtype == bool:
-            raise ValueError("diagonal weight at index 0 is a bool, not a number")
+        if not (np.issubdtype(out.dtype, np.integer) or np.issubdtype(out.dtype, np.floating)):
+            raise ValueError(f"diagonal weights must be integers or floats, got dtype {out.dtype}")
         out = out.astype(np.float64, copy=False)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:

@@ -1,12 +1,14 @@
-"""Exact set and multiset algebra over the symbol universe [d].
+"""Exact set and multiset algebra over the symbol universe [d], and the number rule.
 
 This is the ground-truth side of every estimator: sparse integer-weighted
 vectors with exact intersection, weighted-minimum (wedgedot) and l1
-distance.
+distance. :func:`integral` and :func:`number` read every caller's scalar.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -26,6 +28,30 @@ def integral(value, what: str) -> int:
         shown = value.item() if isinstance(value, np.generic) else value  # np.True_ as True
         raise ValueError(f"{what} must be an integer, got {shown!r}")
     return number
+
+
+def number(value, what: str, kind: type | None = None):
+    """``value`` as a Python int or float, or as ``kind`` (int or float) when one is given.
+
+    A numpy value reads as its ``tolist()``. A bool, a string, None, a list, a
+    complex and a Decimal are no number, nor is a value its kind cannot hold
+    (inf as an int, 10**400 as a float). An int must be whole (:func:`integral`);
+    without a kind an int stays an int and another real becomes a finite float.
+    """
+    if type(value) is kind or kind is None and type(value) in (int, float):
+        return value  # the common cases, checked before any conversion
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or kind is int and abs(value) == math.inf):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if kind is int or kind is None and isinstance(value, int):
+        return value if kind is None else integral(value, what)
+    try:
+        return float(value)  # a Fraction as a float
+    except OverflowError:
+        raise ValueError(f"{what} must be {'a number' if kind else 'finite'}, "
+                         f"got {value}") from None
 
 
 @dataclass(frozen=True)

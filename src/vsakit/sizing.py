@@ -7,7 +7,7 @@ default constants, its formula, the inputs its result echoes and the least
 value of each count it reads. :data:`CONSTANTS` lists the defaults, so
 calibration reports can cite the exact values used, and :func:`size` accepts
 an override of any of them per call. :func:`size` alone checks the domain: a
-formula is only its arithmetic.
+formula is only its arithmetic. Values are read by ``setalg.number``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .setalg import integral
+from .setalg import integral, number
 
 
 @dataclass(frozen=True)
@@ -232,11 +229,11 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     ``params`` holds the bound's inputs and, optionally, overrides of its
     constants. Parameters the bound does not use are ignored, so a combined
     sizing-plus-instance dict (as calibrate and the CLI hold) can be passed
-    straight through. A missing input; an input or override that is not a
-    finite number, such as a bool, a string or a list; a count below its
-    least value; a constant that is not positive; a rate outside its range;
-    or a dimension too large for a float raises ``ValueError``. A numpy
-    number reads as its Python value.
+    straight through. Each value is read by ``setalg.number``. A missing input;
+    an input or override that is not a finite number, such as a bool, a string
+    or a list; a count below its least value or not whole; a constant that is
+    not positive; a rate outside its range; or a dimension too large for a
+    float raises ``ValueError``. A count is echoed as given (``L=4.0`` as 4.0).
     """
     if "arch" in params or "task" in params:
         raise ValueError("sizing parameters cannot be named 'arch' or 'task'")
@@ -248,7 +245,7 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
         if params.get(name) is None:
             raise ValueError(f"missing required sizing parameter {name!r}")
     read = (*bound.inputs, *bound.echo, *bound.constants)  # what the result uses or echoes
-    params = {name: _number(value, f"sizing parameter {name!r}")
+    params = {name: number(value, f"sizing parameter {name!r}")
               for name, value in params.items() if name in read and value is not None}
     check_rates(**{name: params[name] for name in ("eps", "delta") if name in bound.inputs})
     inputs = {name: params[name] for name in bound.echo if params.get(name) is not None}
@@ -257,9 +254,11 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     for name, value in (*inputs.items(), *constants.items()):
         if not -math.inf < value < math.inf:  # an int of any size compares exactly
             raise ValueError(f"sizing parameter {name!r} must be finite, got {value}")
-        if name in bound.least and value < bound.least[name]:
-            raise ValueError(f"sizing parameter {name!r} must be at least {bound.least[name]}, "
-                             f"got {value}")
+        if name in bound.least:
+            if value < bound.least[name]:
+                raise ValueError(f"sizing parameter {name!r} must be at least "
+                                 f"{bound.least[name]}, got {value}")
+            integral(value, f"sizing parameter {name!r}")  # a count is whole
         if name in constants and value <= 0:
             raise ValueError(f"sizing parameter {name!r} must be positive, got {value}")
     try:
@@ -270,23 +269,6 @@ def size(arch: str, task: str, /, **params) -> SizingResult:
     if not math.isfinite(m):
         raise ValueError(f"sizing formula {formula!r} gives no finite dimension, got m = {m}")
     return SizingResult(max(1, math.ceil(m)), formula, k, constants, inputs, extras)
-
-
-def _number(value, what: str):
-    """``value`` as a Python int or float, an int kept an int; anything else is refused.
-
-    A numpy value is the Python value of its ``tolist()``, so np.int64(10)
-    reads as 10, and np.True_ and np.array([1.0]) are refused as True and
-    [1.0] are. A bool, a string, None, a list and a complex are no number here.
-    """
-    if isinstance(value, (np.generic, np.ndarray)):
-        value = value.tolist()
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return value if isinstance(value, int) else float(value)  # a Fraction as a float
-    except OverflowError:
-        raise ValueError(f"{what} must be finite, got {value}") from None
 
 
 def _override(name: str, value) -> float:
@@ -341,11 +323,12 @@ def calibrate(
     Binary search below the theoretical m; trial seeds depend only on (seed,
     cell, trial index), so repeated calibration with one seed is bit-stable.
     The theoretical m is verified first (bounds are sufficient conditions),
-    making m_star <= m_theory by construction.
+    making m_star <= m_theory by construction. A bound that sizes k probes
+    the given k, else the sized one, from m = k up: m_star >= k.
     """
     from . import harness
 
-    trials, target = integral(trials, "calibration trials"), _number(target, "target failure rate")
+    trials, target = integral(trials, "calibration trials"), number(target, "target failure rate")
     if trials < 100:
         raise ValueError("calibration needs trials >= 100")
     if not 0 < target < 1:
@@ -353,13 +336,11 @@ def calibrate(
     theory = size(arch, task, **params)
     slack = 3.0 * math.sqrt(target * (1.0 - target) / trials)
     rates: dict[int, float] = {}
+    probe = params if theory.k is None else {"k": theory.k, **params}
 
     def rate_at(m: int) -> float:
         if m not in rates:
-            cell = {**params, "m": m}
-            if theory.k is not None:
-                cell.setdefault("k", theory.k)
-            grid = {name: [value] for name, value in cell.items()}
+            grid = {name: [value] for name, value in {**probe, "m": m}.items()}
             config = harness.ExperimentConfig(arch, task, grid, trials, seed)
             records = harness.trial_records(config, config.cells()[0])  # numpy values made Python
             rates[m] = sum(not r.outcome.passed for r in records) / trials
@@ -371,7 +352,7 @@ def calibrate(
             f"search range exhausted: theoretical m={theory.m} fails empirically "
             f"(rate {rates[theory.m]:.4f} > {limit:.4f})"
         )
-    lo, hi = 1, theory.m  # invariant: hi passes
+    lo, hi = 1 if theory.k is None else integral(probe["k"], "k"), theory.m  # hi passes
     while lo < hi:
         mid = (lo + hi) // 2
         if rate_at(mid) <= limit:

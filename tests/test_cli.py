@@ -545,3 +545,17 @@ def test_experiment_refuses_zero_threads(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: threads must be >= 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("params, k", [
+    (dict(eps=1.0, delta=0.5, n=1, n_v=1, n_w=1), 91),
+    (dict(eps=1.0, delta=0.3, n=0, n_v=1, n_w=1), 124),
+    (dict(eps=2.0, delta=0.5, n=1, n_v=2, n_w=2), 46),
+], ids=["eps-1-delta-0.5", "eps-1-delta-0.3-n-0", "eps-2"])
+def test_calibrate_never_probes_m_below_the_sized_k(capsys, params, k):
+    """Once every rate passes, the search stops at k: no codebook holds k rows in fewer."""
+    assert sizing.size("bloom", "intersection", **params).k == k
+    argv = _sizing_argv("calibrate", "bloom.intersection", {**params, "d": 16})
+    assert main([*argv, "--target", "0.2"]) == 0  # the last --target given counts
+    result = json.loads(capsys.readouterr().out)
+    assert result["m_star"] == k and min(map(int, result["rates"])) == k

@@ -586,3 +586,24 @@ def test_one_gather_draws_and_no_range_accessor_remains():
                                "sign_matrix", "_column_words")
              for path in Path(codebook.__file__).parent.glob("*.py")}
     assert {name: lines for name, lines in named.items() if lines} == {}
+
+
+def test_codebook_refuses_a_scaled_flag_that_is_not_a_bool():
+    with pytest.raises(ValueError, match="^codebook scaled must be true or false, got 1$"):
+        Codebook("dense-sign", 64, 8, seed=1, scaled=1)
+
+
+def test_codebook_json_refuses_another_rng_version():
+    obj = {**json.loads(Codebook("dense-sign", 64, 8, seed=1).to_json()), "rng_version": "old"}
+    with pytest.raises(ValueError, match="^codebook was generated with rng 'old'"):
+        Codebook.from_json(json.dumps(obj))
+
+
+def test_codebook_refuses_d_past_int64_ids():
+    """Symbol ids are int64, so d is at most 2**63: an id past int64 is out of range."""
+    cb = Codebook("dense-sign", 64, 2**63, seed=1)
+    with pytest.raises(IndexError, match=f"^symbol id {2**63} out of range"):
+        cb.sign_words([2**63])
+    for d in (2**63 + 1, 2**64):
+        with pytest.raises(ValueError, match=f"^codebook d must be at most 2\\*\\*63, got d={d}$"):
+            Codebook("dense-sign", 64, d, seed=1)

@@ -1119,3 +1119,11 @@ def test_mapi_norm_failure_counts_follow_the_exact_law():
         assert 0.01 < p < 0.5  # a cell with power
         failures = int(row["failures"])
         assert binomial_two_sided_p(failures, trials, p) >= level, (row["m"], failures, p * trials)
+
+
+def test_binding_cell_with_too_few_distinct_edges_is_an_error_row():
+    """Three symbols make three pairs, so four distinct edges are never drawn."""
+    config = small_config(task="binding2", grid={"m": [64], "d": [3], "E": [4], "eps": [0.5]},
+                          trials=2)
+    (row,) = csv.DictReader(io.StringIO(harness.run(config)[0]))
+    assert row["error"] == "could not draw enough distinct edges"

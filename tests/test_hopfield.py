@@ -546,7 +546,7 @@ def test_hpm_bundle_rejects_wrong_shape():
 @pytest.mark.parametrize("key", [True, np.True_, False, np.False_])
 def test_hpm_encode_rejects_bool_symbol(key):
     cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
-    message = f"diagonal index {re.escape(repr(key))} is not an integer"
+    message = f"^diagonal index must be an integer, got {bool(key)}$"
     with pytest.raises(ValueError, match=message):
         hopfield.hpm_encode(cb, {key: 1.0}, d_seed=5)
 
@@ -567,17 +567,32 @@ def test_hpm_encode_rejects_non_finite_weight(weight):
 @pytest.mark.parametrize("weight", [True, np.True_, False, np.False_])
 def test_hpm_encode_rejects_bool_weight(weight):
     cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
-    for V, index in (({1: 1.0, 3: weight}, 3), (np.full(8, weight), 0), ([weight] * 8, 0)):
-        message = f"diagonal weight at index {index} is a bool, not a number"
-        with pytest.raises(ValueError, match=re.escape(message)):
+    array = "diagonal weights must be integers or floats, got dtype bool"
+    for V, message in (({1: 1.0, 3: weight}, f"diagonal weight at index 3 must be a number, "
+                                              f"got {bool(weight)}"),
+                       (np.full(8, weight), array), ([weight] * 8, array)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hopfield.hpm_encode(cb, V, d_seed=5)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hopfield.hpm_estimates([(cb, {0: 1.0}, V, 5)])
 
 
 def test_hpm_encode_rejects_non_integral_symbol():
     cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match="^diagonal index must be an integer, got 1.5$"):
         hopfield.hpm_encode(cb, {1.5: 1.0}, d_seed=5)
     integral = hopfield.hpm_encode(cb, {2.0: 1.0}, d_seed=5)
     assert np.array_equal(integral.matrix, hopfield.hpm_encode(cb, {2: 1.0}, d_seed=5).matrix)
+
+
+def test_recall_refuses_fewer_than_one_iteration():
+    x = sign_hv(1, -1, 1, 1)
+    with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
+        hopfield.recall(hopfield.train([x]), x, max_iters=0)
+
+
+def test_hpm_encode_refuses_a_diagonal_array_of_another_length():
+    cb = Codebook("dense-sign", 16, 8, seed=2, scaled=True)
+    for V in (np.ones(7), np.ones(9), np.ones((8, 1))):
+        with pytest.raises(ValueError, match="^diagonal weights must have length d=8$"):
+            hopfield.hpm_encode(cb, V, d_seed=5)

@@ -506,3 +506,16 @@ def test_sequence_positions_are_integers():
     for bad in (1.9, True, np.True_):
         with pytest.raises(ValueError, match=f"position ell must be an integer, got {bad}$"):
             mapb.sequence_membership_scores(b, bad, [5, 9])
+
+
+def test_key_value_spec_refuses_no_pairs_and_ids_outside_the_universe():
+    with pytest.raises(ValueError, match="^key-value bundle needs at least one pair$"):
+        mapb.KeyValueSpec(8, ())
+    for pairs in (((1, 8),), ((8, 1),), ((-1, 2),)):
+        with pytest.raises(ValueError, match="^pair ids outside the universe$"):
+            mapb.KeyValueSpec(8, pairs)
+
+
+def test_chain_agreement_probability_refuses_depth_0():
+    with pytest.raises(ValueError, match="^chain depth must be >= 1$"):
+        mapb.chain_agreement_probability(0)

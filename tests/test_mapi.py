@@ -416,3 +416,10 @@ def test_bound_words_refuse_edges_of_another_shape():
             mapi.bound_words(cb, edges)
     assert mapi.bound_words(cb, np.zeros((0, 2), np.int64)).shape == (0, 2)
     assert mapi.bound_words(cb, [(1, 2)]).shape == (1, 2)
+
+
+def test_dot_estimate_refuses_unscaled_bundles():
+    cb = Codebook("dense-sign", 64, 8, seed=1)
+    b = mapi.bundle(cb, SymbolSet.from_ids(8, [1, 2]))
+    with pytest.raises(ValueError, match="^dot_estimate requires scaled bundles$"):
+        mapi.dot_estimate(b, b)

@@ -336,3 +336,8 @@ def test_bundle_decoder_on_damaged_bytes(drawn, cut, tail, at, byte):
         serialize.bundle_from_bytes(data + tail, cb)
     at %= len(data)
     _decodes_to_codebook_m_or_refuses(data[:at] + bytes([byte]) + data[at + 1 :], cb)
+
+
+def test_bundle_to_bytes_refuses_what_is_not_a_bundle():
+    with pytest.raises(TypeError, match="^not a serializable bundle: str$"):
+        serialize.bundle_to_bytes("bundle")

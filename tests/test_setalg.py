@@ -145,3 +145,9 @@ def test_binding_spec_validation():
 def test_symbolset_json_round_trip():
     s = SymbolSet(9, {3: 2, 7: 1})
     assert SymbolSet.from_json_obj(s.to_json_obj()) == s
+
+
+def test_symbol_set_refuses_an_empty_universe():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="^universe size d must be positive$"):
+            SymbolSet(d)

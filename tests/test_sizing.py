@@ -222,3 +222,40 @@ def test_calibrate_without_k_runs_the_sized_k(monkeypatch, arch, params):
     assert result.m_theory == theory.m
     assert cells and all(cell["k"] == theory.k for cell in cells)
     assert sorted(cell["m"] for cell in cells) == sorted(result.rates)
+
+
+def test_calibrate_starts_at_a_given_k():
+    params = dict(eps=1.0, delta=0.5, n=1, n_v=1, n_w=1, d=16)
+    result = sizing.calibrate("bloom", "intersection", {**params, "k": 120.0}, target=0.2,
+                              trials=100, seed=0)
+    assert min(result.rates) == result.m_star == 120
+
+
+def test_calibrate_refuses_a_bound_that_fails_at_its_theoretical_m():
+    theory = sizing.size("mapi", "norm", eps=0.5, delta=0.05, C=0.01)
+    assert theory.m == 1
+    message = "search range exhausted: theoretical m=1 fails empirically (rate 0.5200 > 0.4375)"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        sizing.calibrate("mapi", "norm", dict(eps=0.5, delta=0.05, n=4, d=64, C=0.01),
+                         target=0.3, trials=100, seed=9)
+
+
+def test_hopfield_store_counts_up_from_a_fixed_point_just_below_an_integer():
+    """Here m = C n ln(2m/delta) has its fixed point just above 2 and is met from below.
+
+    The iteration stops within its tolerance below 2, so the integer search starts
+    at 2, which fails the inequality, and counts up to 3.
+    """
+    result = sizing.size("hopfield", "store", n=1, delta=0.05, C=0.4564098228373726)
+    assert result.m == _least_store_m(1, 0.05, 0.4564098228373726) == 3
+
+
+def test_hopfield_store_refuses_a_constant_at_the_tangent():
+    """At C n = e delta / 2 the fixed point is a tangent and the iteration crawls to it."""
+    with pytest.raises(RuntimeError, match="did not converge in 100 steps"):
+        sizing.size("hopfield", "store", n=1, delta=0.5, C=math.e / 4)
+
+
+def test_sizing_result_refuses_m_below_1():
+    with pytest.raises(ValueError, match="^sized dimension m must be >= 1$"):
+        sizing.SizingResult(0, "mapi.norm")
