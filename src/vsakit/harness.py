@@ -346,18 +346,13 @@ def _trial_mapb_sequence_member(cell: dict, seed: int) -> TrialOutcome:
     m, n, d, L, delta = _params(cell, "m", "n", "d", "L", "delta")
     cb = Codebook("dense-sign", m, d, seed=seed)
     slots = _draw_subset(seed, "slots", L * d, n)  # distinct (position, symbol)
-    members: list[list[int]] = [[] for _ in range(L)]
-    for j in slots:
-        members[int(j) // d].append(int(j) % d)
-    seq = SequenceSpec(tuple(SymbolSet.from_ids(d, ids) for ids in members))
+    seq = SequenceSpec(tuple(SymbolSet.from_ids(d, (slots[slots // d == ell] % d).tolist())
+                             for ell in range(L)))
     b = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
     stored = set(slots.tolist())
     drawn = _draw_subset(seed, "absent", L * d, min(n + 8, L * d)).tolist()
     queries = np.array(slots.tolist() + [j for j in drawn if j not in stored][:n], np.int64)
-    scores = np.empty(len(queries), dtype=np.int64)
-    for ell in np.unique(queries // d).tolist():  # one roll of the bundle per queried position
-        at = queries // d == ell
-        scores[at] = mapb.sequence_membership_scores(b, ell, queries[at] % d)
+    scores = mapb.sequence_membership_scores(b, queries // d, queries % d)
     tau = mapb.sequence_member_threshold(m, L, d, delta)
     return _decisions(scores, np.arange(len(queries)) < n, tau)
 

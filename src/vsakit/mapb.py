@@ -20,11 +20,14 @@ the same rule, and ``_tie_seed`` reads every encoder's tie seed.
 The paper-backed guarantees are decision tests (membership, sequence
 membership, key-value membership, empty-intersection), not size
 estimation; each compares a dot product against a closed-form threshold.
-A query kind scores a stack at once: ``membership_scores`` many symbols
-from one gather of column words, ``sequence_membership_scores`` many at one
-position from one roll of the bundle's ``rng``-unpacked bits, and
-``kv_membership_scores`` many pairs from one ``mapi.bound_words`` gather.
-``membership_test`` and ``empty_intersection_test`` test one query.
+A query kind scores a stack at once, each against the bundle's words as
+they are: ``membership_scores`` many symbols from one gather of column
+words, and the two composite kinds many columns from one gather of
+``mapi``'s composite columns, ``sequence_membership_scores`` rotated ones
+(``mapi.rotated_words``, at one position or one a symbol) and
+``kv_membership_scores`` bound ones (``mapi.bound_words``). No query
+unpacks a bundle. ``membership_test`` and ``empty_intersection_test`` test
+one query.
 
 ``agreement_probability`` is the exact oracle for the per-coordinate
 agreement Pr[x_i S_ij = +1] of a depth-1 bundle; chained (deeper)
@@ -43,7 +46,6 @@ import numpy as np
 
 from . import mapi, rng
 from .codebook import Codebook, held, same_codebook
-from .hypervector import rotate
 from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral, require_flat
 from .sizing import check_rates
 
@@ -260,16 +262,13 @@ def empty_intersection_test(b1: MapBBundle, b2: MapBBundle, delta: float) -> Tes
     return TestResult(score >= tau, score, tau)
 
 
-def sequence_membership_scores(b: MapBBundle, ell: int, syms) -> np.ndarray:
-    """Scores <x, R^ell S_j> of symbols ``syms`` at position ell, as int64.
+def sequence_membership_scores(b: MapBBundle, ell, syms) -> np.ndarray:
+    """Scores <x, R^ell S_j> of symbols ``syms`` as int64, from one ``mapi.rotated_words``.
 
-    Since <x, R^ell c> = <R^-ell x, c>, the bundle's bits are rolled once,
-    and every symbol is scored against them from one gather of column words.
+    ``ell`` is one position for every symbol, or one position per symbol.
     A position past the sequence scores like an absent symbol.
     """
-    ell = integral(ell, "position ell")  # before it is negated: -True is -1
-    rolled = rng.words_from_bits(rotate(rng.bits_from_words(b.words, b.m), -ell))
-    return _scores(rolled, b.codebook.sign_words(syms), b.m)
+    return _scores(b.words, mapi.rotated_words(b.codebook, ell, syms), b.m)
 
 
 def kv_membership_scores(b: MapBBundle, pairs) -> np.ndarray:

@@ -9,9 +9,14 @@ must be below 2**63, so this is exact in int64; sums of bundles (``add``,
 ``encode_sequence``) refuse inputs whose sum could reach 2**63. The same
 kernel takes a stack of sets at once: ``flat_norm_sq_estimates`` gives the
 norm estimates of a stack of 0/1 sets, each on its own codebook, from one
-kernel call. Binding is the binary spatter code rule: ``bound_words``
-gives an edge's bound column (the product of its +-1 columns) as the XOR
-of their packed signs, and a binding bundle is the kernel's sum of them.
+kernel call. A composite column is its packed words, like an atomic one,
+and each kind has one rule. Binding is the binary spatter code rule:
+``bound_words`` gives an edge's bound column (the product of its +-1
+columns) as the XOR of their packed signs, and a binding bundle is the
+kernel's sum of them. Rotation is ``rotated_words``: the columns
+R^ell S_j, each at its own position, rolled from one gather through
+``hypervector.rotate``, and a sequence bundle is the kernel's weighted sum
+of them. MAP-B scores its key-value and sequence queries against both.
 Norms and dot products of the scaled bundles concentrate around the exact
 set statistics; at the sized dimension the rounded dot product recovers
 intersection sizes exactly with high probability. Integer dot products are
@@ -28,7 +33,7 @@ import numpy as np
 from . import rng
 from .codebook import Codebook, held, same_codebook
 from .hypervector import rotate
-from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet
+from .setalg import BindingBundleSpec, SequenceSpec, SymbolSet, integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,15 +168,21 @@ def intersection_estimate(b1: MapIBundle, b2: MapIBundle) -> int:
 
 
 def encode_sequence(cb: Codebook, seq: SequenceSpec) -> MapIBundle:
-    """sum_l R^l S v_(l): rotation-encoded sequence of sets."""
+    """sum_l R^l S v_(l): rotation-encoded sequence of sets.
+
+    Every entry's column, rotated by its position, comes from one
+    ``rotated_words`` call, and one kernel call sums them with their weights.
+    """
     cb.require("dense-sign", "MAP-I", seq.d)
     total = seq.total_l1()
     if total >= 2**63:  # every partial sum of the R^l S v_l is at most the total
         raise ValueError(f"MAP-I needs the sequence's total ||v_l||_1 below 2**63, got {total}")
-    ints = np.zeros(cb.m, dtype=np.int64)
-    for ell, s in enumerate(seq.sets):
-        ints += rotate(bundle(cb, s).ints, ell)
-    return MapIBundle(ints, cb)
+    ids = [i for s in seq.sets for i in s.entries]
+    ells = np.repeat(np.arange(len(seq.sets)), [len(s.entries) for s in seq.sets])
+    weights = None  # weights are >= 1, so the total is the entry count only for 0/1 sets
+    if total != len(ids):
+        weights = np.array([w for s in seq.sets for w in s.entries.values()], dtype=np.int64)
+    return MapIBundle(_signed_sums(rotated_words(cb, ells, ids), cb.m, total, weights), cb)
 
 
 def bound_words(cb: Codebook, edges) -> np.ndarray:
@@ -191,6 +202,31 @@ def bound_words(cb: Codebook, edges) -> np.ndarray:
         bound = ~bound
         bound[:, -1] &= rng.last_word_mask(cb.m)
     return bound
+
+
+def rotated_words(cb: Codebook, ells, ids) -> np.ndarray:
+    """Rotated columns R^ells[i] S_ids[i], in ``sign_words``'s (n, ceil(m/64)) layout.
+
+    All columns come from one ``sign_words`` gather. ``ells`` is one integer
+    position, or one per id: a bool, a fraction, a string or a count that is
+    not the ids' is refused. Read mod m, each distinct nonzero position's
+    rows unpack, roll once through ``rotate`` and pack again.
+    """
+    if isinstance(ells, np.ndarray) and np.issubdtype(ells.dtype, np.integer):
+        ells = ells % cb.m
+    else:
+        listed = np.array(ells, dtype=object)
+        ells = np.array([integral(ell, "position ell") % cb.m for ell in listed.ravel().tolist()],
+                        dtype=np.int64).reshape(listed.shape)
+    words = cb.sign_words(ids)  # refuses out-of-range ids
+    if ells.shape not in ((), (len(words),)):
+        raise ValueError(f"positions must be one integer or one per symbol id: {len(words)} ids, "
+                         f"got positions of shape {ells.shape}")
+    ells = np.broadcast_to(ells, len(words))
+    for ell in np.unique(ells[ells != 0]).tolist():
+        at = ells == ell
+        words[at] = rng.words_from_bits(rotate(rng.bits_from_words(words[at], cb.m), ell))
+    return words
 
 
 def encode_binding_bundle(cb: Codebook, spec: BindingBundleSpec) -> MapIBundle:

@@ -49,15 +49,21 @@ class SizingResult:
         return json.dumps(obj, sort_keys=True)
 
 
-def check_rates(eps: float | None = None, delta: float | None = None) -> None:
-    """Common validation: 0 < eps < inf and 0 < delta < 1.
+#: Each rate's range, as its message states it and as its exclusive upper end.
+_RATES = {"eps": ("positive and finite", math.inf), "delta": ("in (0, 1)", 1)}
 
-    An infinite eps would pass every trial and size every formula to m = 1.
+
+def check_rates(**rates) -> None:
+    """Common validation of each rate given: 0 < eps < inf and 0 < delta < 1.
+
+    Each is read by ``setalg.number``, so a string, a list or None is refused
+    by its name. An infinite eps would pass every trial and size every formula
+    to m = 1.
     """
-    if eps is not None and not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if delta is not None and not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    for name, value in rates.items():
+        says, upper = _RATES[name]
+        if not 0 < number(value, name) < upper:
+            raise ValueError(f"{name} must be {says}, got {value}")
 
 
 # -- the formulas --------------------------------------------------------------
@@ -144,6 +150,9 @@ def _hopfield_store(*, n, delta, C):
     Starts from m0 = C n ln(2n/delta) and iterates m <- C n ln(2m/delta) until
     it converges or is not positive; the integer search then counts up from
     the last iterate, at least 1, to the first m that meets the inequality.
+    An iteration still moving after 100 steps has its step's rate C n / m near
+    1, so it sits near the tangent C n = e delta / 2, where every fixed point
+    is below 2: the search then counts up from 1.
     """
     m = C * n * math.log(2.0 * n / delta)
     if math.isinf(m):
@@ -156,7 +165,7 @@ def _hopfield_store(*, n, delta, C):
             break
         m = nxt
     else:
-        raise RuntimeError("fixed-point iteration did not converge in 100 steps")
+        m = 1
     m_int = max(1, math.ceil(m))
     while m_int < C * n * math.log(2.0 * m_int / delta):
         m_int += 1

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -267,11 +268,23 @@ def test_sequence_membership_scores_equal_rolled_reference():
         seq = SequenceSpec((SymbolSet.from_ids(d, [5, 7]), SymbolSet.from_ids(d, [9]),
                             SymbolSet.from_ids(d, [5, 39])))
         b = mapb.bundle_sequence_sign(cb, seq, tie_seed=seed)
-        for ell in range(L):
-            syms = [39, 0, 5, 9, 5, 7]
+        syms = [39, 0, 5, 9, 5, 7]
+        every_ell, every_sym, every_score = [], [], []
+        for ell in (*range(L), L, -1, 517 + 1):
             rolled = np.roll(b.signs.astype(np.int64), ell)  # <x, R^ell c> = <roll(x, ell), c>
             expected = [int(rolled @ sign_matrix(cb, s, s + 1)[:, 0]) for s in syms]
             assert mapb.sequence_membership_scores(b, ell, syms).tolist() == expected
+            # one position per symbol, each the same, gives the same scores
+            per_symbol = mapb.sequence_membership_scores(b, [ell] * len(syms), syms)
+            assert per_symbol.tolist() == expected
+            every_ell += [ell] * len(syms)
+            every_sym += syms
+            every_score += expected
+        # every (position, symbol) query in one call, in an order that mixes positions
+        order = np.random.default_rng(seed).permutation(len(every_sym))
+        mixed = mapb.sequence_membership_scores(b, np.array(every_ell)[order],
+                                                np.array(every_sym)[order])
+        assert mixed.tolist() == np.array(every_score)[order].tolist()
 
 
 def test_kv_single_pair_scores_m():
@@ -506,6 +519,37 @@ def test_sequence_positions_are_integers():
     for bad in (1.9, True, np.True_):
         with pytest.raises(ValueError, match=f"position ell must be an integer, got {bad}$"):
             mapb.sequence_membership_scores(b, bad, [5, 9])
+    assert np.array_equal(mapb.sequence_membership_scores(b, [1, np.int64(1)], [5, 9]), at_one)
+    assert np.array_equal(mapb.sequence_membership_scores(b, np.array([1.0, 1.0]), [5, 9]), at_one)
+    for bad, shown in ((True, "True"), (1.5, "1.5"), ("1", "'1'"), (np.True_, "True"),
+                       (None, "None")):
+        with pytest.raises(ValueError, match=f"^position ell must be an integer, got {shown}$"):
+            mapb.sequence_membership_scores(b, [1, bad], [5, 9])
+    with pytest.raises(ValueError, match="^position ell must be an integer, got True$"):
+        mapb.sequence_membership_scores(b, np.array([True, False]), [5, 9])
+
+
+@pytest.mark.parametrize("ells", [[1], [1, 0, 1], np.array([[1, 0]]), np.zeros(0, np.int64)])
+def test_sequence_queries_refuse_a_position_count_that_is_not_the_symbol_count(ells):
+    cb = Codebook("dense-sign", 200, 16, seed=4)
+    b = mapb.bundle_sequence_sign(cb, SequenceSpec((SymbolSet.from_ids(16, [5]),)), tie_seed=4)
+    shape = np.shape(ells)
+    message = ("positions must be one integer or one per symbol id: 2 ids, "
+               f"got positions of shape {shape}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mapb.sequence_membership_scores(b, ells, [5, 9])
+
+
+def test_a_sequence_query_is_one_gather(monkeypatch):
+    cb = Codebook("dense-sign", 200, 16, seed=4)
+    seq = SequenceSpec((SymbolSet.from_ids(16, [5]), SymbolSet.from_ids(16, [9, 2])))
+    b = mapb.bundle_sequence_sign(cb, seq, tie_seed=4)
+    gathers = []
+    real = Codebook.sign_words
+    monkeypatch.setattr(Codebook, "sign_words",
+                        lambda cb, ids: gathers.append(ids) or real(cb, ids))
+    mapb.sequence_membership_scores(b, [0, 1, 1, 3, 0], [5, 9, 2, 2, 9])
+    assert [list(ids) for ids in gathers] == [[5, 9, 2, 2, 9]]
 
 
 def test_key_value_spec_refuses_no_pairs_and_ids_outside_the_universe():

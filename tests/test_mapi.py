@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from vsakit import codebook, mapi, rng, setalg, sizing
 from vsakit.codebook import Codebook
+from vsakit.hypervector import rotate
 from vsakit.setalg import BindingBundleSpec, SequenceSpec, SymbolSet
 
 from raw_columns import sign_matrix
@@ -252,6 +253,55 @@ def test_encode_sequence_rotates_blocks():
     seq = SequenceSpec((SymbolSet(10), SymbolSet.from_ids(10, [3])))
     enc = mapi.encode_sequence(cb, seq)
     assert np.array_equal(enc.ints, np.roll(sign_matrix(cb, 3, 4)[:, 0].astype(np.int64), -1))
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 517])
+def test_rotated_words_equal_rotated_sign_columns(m):
+    """Row i is the packed signs of ``rotate`` of column ids[i]'s +-1 entries by ells[i]."""
+    cb = Codebook("dense-sign", m, 12, seed=5)
+    cols = sign_matrix(cb, 0, 12)
+    ids, ells = map(list, zip(*itertools.product([7, 0, 11], [0, 1, -1, m, m + 3])))
+    got = mapi.rotated_words(cb, ells, ids)
+    assert got.shape == (len(ids), -(-m // 64)) and got.dtype == np.uint64
+    assert not (got[:, -1] & ~rng.last_word_mask(m)).any()  # the padding past m stays clear
+    expected = np.stack([rotate(cols[:, j], ell) for j, ell in zip(ids, ells)], axis=1)
+    assert np.array_equal(rng.signs_from_words(got.ravel(), m, len(ids)), expected)
+    for ell in (0, 1, -1, m, m + 3):  # one position for every id is the same position per id
+        assert np.array_equal(mapi.rotated_words(cb, ell, ids),
+                              mapi.rotated_words(cb, np.full(len(ids), ell), ids))
+
+
+def _per_position_sequence(cb, seq):
+    """The sum of R^l S v_l by one bundle and one roll of its int64 sums per position."""
+    total = np.zeros(cb.m, dtype=np.int64)
+    for ell, s in enumerate(seq.sets):
+        total += rotate(mapi.bundle(cb, s).ints, ell)
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 65, 517])
+@pytest.mark.parametrize("sets", [
+    [{3: 1}],  # one set
+    [{}, {}, {}],  # empty sets
+    [{1: 3, 4: 1}, {}, {4: 2, 9: 7}, {1: 1}],  # weighted, a symbol at three positions
+    [{0: 1, 2: 1}, {2: 1}, {5: 1, 6: 1, 9: 1}],  # 0/1 sets
+    [{7: 2**40}] + [{7: 1}] * 70,  # more positions than m at m = 1 and 65
+], ids=["one-set", "empty", "weighted", "flat", "long"])
+def test_encode_sequence_equals_per_position_bundles(m, sets):
+    cb = Codebook("dense-sign", m, 10, seed=8, scaled=True)
+    seq = SequenceSpec(tuple(SymbolSet(10, entries) for entries in sets))
+    assert mapi.encode_sequence(cb, seq).ints.tolist() == _per_position_sequence(cb, seq).tolist()
+
+
+def test_a_sequence_is_one_gather(monkeypatch):
+    gathers = []
+    real = Codebook.sign_words
+    monkeypatch.setattr(Codebook, "sign_words",
+                        lambda cb, ids: gathers.append(ids) or real(cb, ids))
+    cb = Codebook("dense-sign", 200, 10, seed=1)
+    sets = (SymbolSet.from_ids(10, [1, 2]), SymbolSet(10), SymbolSet(10, {2: 3, 9: 1}))
+    mapi.encode_sequence(cb, SequenceSpec(sets))
+    assert [list(ids) for ids in gathers] == [[1, 2, 2, 9]]
 
 
 def test_binding_bundle_single_edge():

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vsakit import harness, hopfield, setalg, sizing
+from vsakit import harness, hopfield, mapb, setalg, sizing
 from vsakit.codebook import Codebook
+from vsakit.setalg import SymbolSet
 
 _SRC = Path(setalg.__file__).parent
 _REFUSED = object()  # the canonical form of a value that every reader must refuse
@@ -200,6 +201,56 @@ def test_hpm_reads_a_numpy_or_fraction_weight_as_its_float():
     for V in ({2: Fraction(5, 2), 5: 64}, {np.int64(2): np.float64(2.5), 5.0: np.array(64)},
               np.array([0, 0, 2.5, 0, 0, 64, 0, 0], np.float32)):
         assert np.array_equal(hopfield.hpm_encode(cb, V, d_seed=3).matrix, want)
+
+
+_MAPB_CB = Codebook("dense-sign", 64, 8, seed=2)
+_MAPB_B = mapb.bundle_sign(_MAPB_CB, SymbolSet.from_ids(8, [1, 2]), tie_seed=2)
+
+#: The two MAP-B tests that read a rate, each a call of one delta.
+_MAPB_TESTS = {
+    "membership_test": lambda delta: mapb.membership_test(_MAPB_B, 1, delta),
+    "empty_intersection_test": lambda delta: mapb.empty_intersection_test(_MAPB_B, _MAPB_B, delta),
+}
+
+
+@pytest.mark.parametrize("test", list(_MAPB_TESTS))
+@pytest.mark.parametrize("delta, shown", [
+    ("0.05", "'0.05'"), ([0.05], "[0.05]"), (None, "None"), (True, "True"),
+    (Decimal("0.05"), "Decimal('0.05')"), (np.array([0.05]), "[0.05]"), (0.05j, "0.05j")])
+def test_mapb_tests_refuse_a_delta_that_is_no_number(test, delta, shown):
+    with pytest.raises(ValueError, match=f"^delta must be a number, got {re.escape(shown)}$"):
+        _MAPB_TESTS[test](delta)
+
+
+@pytest.mark.parametrize("test", list(_MAPB_TESTS))
+@pytest.mark.parametrize("delta, shown", [
+    (1.5, "1.5"), (0.0, "0.0"), (0, "0"), (1, "1"), (-2, "-2"), (np.float64(1.0), "1.0"),
+    (np.int64(3), "3"), (math.nan, "nan"), (math.inf, "inf"), (10**400, str(10**400)),
+    (Fraction(3, 2), "3/2")])
+def test_mapb_tests_keep_the_range_message_of_a_number(test, delta, shown):
+    with pytest.raises(ValueError, match=f"^delta must be in \\(0, 1\\), got {shown}$"):
+        _MAPB_TESTS[test](delta)
+
+
+@pytest.mark.parametrize("test", list(_MAPB_TESTS))
+def test_mapb_tests_read_a_numpy_or_fraction_delta_as_its_float(test):
+    expected = _MAPB_TESTS[test](0.05)
+    for delta in (np.float64(0.05), np.array(0.05), Fraction(1, 20)):
+        assert _MAPB_TESTS[test](delta) == expected
+
+
+@pytest.mark.parametrize("rates, message", [
+    (dict(eps="0.5"), "eps must be a number, got '0.5'"),
+    (dict(eps=None), "eps must be a number, got None"),
+    (dict(eps=0.5, delta=[0.05]), "delta must be a number, got [0.05]"),
+    (dict(eps=math.inf, delta="x"), "eps must be positive and finite, got inf"),  # eps first
+    (dict(eps=0), "eps must be positive and finite, got 0"),
+    (dict(delta=1), "delta must be in (0, 1), got 1"),
+])
+def test_check_rates_reads_each_rate_given_by_the_number_rule(rates, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sizing.check_rates(**rates)
+    sizing.check_rates(eps=10**400, delta=Fraction(1, 2))  # an int or fraction in range passes
 
 
 def _function(module, name: str) -> ast.FunctionDef:

@@ -250,10 +250,15 @@ def test_hopfield_store_counts_up_from_a_fixed_point_just_below_an_integer():
     assert result.m == _least_store_m(1, 0.05, 0.4564098228373726) == 3
 
 
-def test_hopfield_store_refuses_a_constant_at_the_tangent():
-    """At C n = e delta / 2 the fixed point is a tangent and the iteration crawls to it."""
-    with pytest.raises(RuntimeError, match="did not converge in 100 steps"):
-        sizing.size("hopfield", "store", n=1, delta=0.5, C=math.e / 4)
+@pytest.mark.parametrize("n, delta", [(1, 0.5), (2, 0.05), (4, 0.3), (8, 0.9), (3, 0.1),
+                                      (100, 0.01)])
+@pytest.mark.parametrize("shift", [0.0, -1e-9, 1e-9])
+def test_hopfield_store_sizes_a_constant_at_the_tangent(n, delta, shift):
+    """At C n = e delta / 2 the fixed point is a tangent: 100 steps crawl toward it unconverged."""
+    C = math.e * delta / (2 * n) * (1 + shift)
+    result = sizing.size("hopfield", "store", n=n, delta=delta, C=C)
+    assert result.m == _least_store_m(n, delta, C) == 1
+    assert result.extras == {"iterations": 100}
 
 
 def test_sizing_result_refuses_m_below_1():
